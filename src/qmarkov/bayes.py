@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
 from .channel import (
@@ -230,15 +231,22 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
     f, omega, xi = prob.channel, prob.prior, prob.pullback
     if not alg.elem_equal(xi.support, alg.unit(xi.shape), tol):
         raise SupportNotFull("pullback state does not have full support")
-    rho, sigma = omega.density, xi.density
-    for e in alg.matrix_units(f.domain):
-        lhs = alg.mul(apply(f, alg.mul(sigma, e)), rho)
-        rhs = alg.mul(rho, apply(f, alg.mul(e, sigma)))
-        if not alg.elem_equal(lhs, rhs, tol):
-            return _report(
-                "petz-exists", False, tol.eq, witness={"input": e},
-                detail="F(sigma B) rho != rho F(B sigma)",
-            )
+    rho = _grid.element(omega.density)
+    sigma = alg.vec(xi.density)[:, None]
+
+    def operands(r0, r1):
+        units = np.arange(r0, r1)
+        right = _grid.images(f.codomain, f.matrix @ _grid.times_unit(f.domain, sigma, units))
+        left = _grid.images(f.codomain,
+                            f.matrix @ _grid.times_unit(f.domain, sigma, units, left=True))
+        return [x @ r for x, r in zip(right, rho)], [r @ x for x, r in zip(left, rho)]
+
+    bad = _grid.first_failure(f.codomain, f.domain.coord_dim, 1, operands, tol)
+    if bad is not None:
+        return _report(
+            "petz-exists", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
+            detail="F(sigma B) rho != rho F(B sigma)",
+        )
     return _report("petz-exists", True, tol.eq)
 
 
@@ -261,6 +269,11 @@ def petz_recovery(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> Channel:
     return channel_from_action(f.codomain, f.domain, act)
 
 
+def _transposed_coords(a: AlgElement) -> np.ndarray:
+    """Coordinates of the blockwise transpose of a: tr(a X) = this . coords(X)."""
+    return np.concatenate([b.T.reshape(-1) for b in a.blocks])
+
+
 def verify_disintegration(
     f: Channel, omega: State, g: Channel, tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
@@ -272,15 +285,19 @@ def verify_disintegration(
     if g.domain != f.codomain or g.codomain != f.domain:
         raise ShapeMismatch("candidate must run opposite to the channel")
     xi = pullback_state(omega, f, tol)
-    for e in alg.matrix_units(f.codomain):
-        lhs = xi.expect(apply(g, e))
-        rhs = omega.expect(e)
-        if abs(lhs - rhs) > tol.eq * tol.scale(max(abs(lhs), abs(rhs))):
-            return _report(
-                "disintegration", False, tol.eq,
-                witness={"input": e, "lhs": lhs, "rhs": rhs},
-                detail="state preservation fails: xi(G(A)) != omega(A)",
-            )
+    # omega(E_ij) = rho_ji, and xi(X) pairs the coordinates of X with those of sigma^T
+    lhs = _transposed_coords(xi.density) @ g.matrix
+    rhs = _transposed_coords(omega.density)
+    dev = np.abs(lhs - rhs)
+    fails = dev > tol.eq * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    if fails.any():
+        bad = int(fails.argmax())
+        return _report(
+            "disintegration", False, tol.eq,
+            witness={"input": _grid.unit(f.codomain, bad),
+                     "lhs": complex(lhs[bad]), "rhs": complex(rhs[bad])},
+            detail="state preservation fails: xi(G(A)) != omega(A)",
+        )
     section = ae_equal(compose(g, f), identity_channel(f.domain), xi, "right", tol)
     if not section.passed:
         return _report(

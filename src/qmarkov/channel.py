@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
 from .errors import DimensionMismatch, ShapeMismatch, Singular
@@ -95,7 +96,12 @@ def _report(prop, ok, tol_used, witness=None, detail="", sampled=False) -> Prope
 
 @dataclass
 class Channel:
-    """Linear map between algebras in matrix form, with memoized verdicts."""
+    """Linear map between algebras in matrix form, with memoized verdicts.
+
+    The channel keeps its own read-only copy of the matrix, so a verdict
+    cached on it cannot go stale through an in-place edit.  Verdicts are
+    cached under the full Tolerance they were decided with.
+    """
 
     domain: AlgebraShape
     codomain: AlgebraShape
@@ -103,10 +109,11 @@ class Channel:
     _flags: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         want = (self.codomain.coord_dim, self.domain.coord_dim)
         if m.shape != want:
             raise ShapeMismatch(f"channel matrix is {m.shape}, expected {want}")
+        m.flags.writeable = False
         self.matrix = m
 
     def __call__(self, a: AlgElement) -> AlgElement:
@@ -190,7 +197,8 @@ def mult_map(s: AlgebraShape) -> Channel:
     tensor basis, E_ij^(x) (x) E_kl^(y) maps to delta_xy delta_jk E_il^(x).
     """
     dom = alg.tensor_shape(s, s)
-    mat = np.zeros((s.coord_dim, dom.coord_dim), dtype=complex)
+    # 0/1 entries: a narrow dtype keeps the Channel's own complex copy the only large array
+    mat = np.zeros((s.coord_dim, dom.coord_dim), dtype=np.int8)
     cod_off = s.offsets()
     col = 0
     k = len(s.blocks)
@@ -332,7 +340,7 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
                 )
         return _report("cp", True, tol.psd)
 
-    return f.cached(("cp", tol.psd), compute)
+    return f.cached(("cp", tol), compute)
 
 
 def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
@@ -346,25 +354,28 @@ def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
             detail="F(1) differs from 1",
         )
 
-    return f.cached(("unital", tol.eq), compute)
+    return f.cached(("unital", tol), compute)
 
 
 def is_star_preserving(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     """F(B*) = F(B)* for all B, checked on matrix units."""
 
     def compute():
-        units = alg.matrix_units(f.domain)
-        for e in units:
-            lhs = apply(f, alg.adjoint(e))
-            rhs = alg.adjoint(apply(f, e))
-            if not alg.elem_equal(lhs, rhs, tol):
-                return _report(
-                    "star-preserving", False, tol.eq, witness={"input": e},
-                    detail="F(E*) != F(E)* on a matrix unit",
-                )
+        img = _grid.images(f.codomain, f.matrix)
+        adj = _grid.adjoint_index(f.domain)
+        bad = _grid.first_failure(
+            f.codomain, f.domain.coord_dim, 1,
+            lambda r0, r1: ([x[adj[r0:r1]] for x in img], [_grid.dagger(x[r0:r1]) for x in img]),
+            tol,
+        )
+        if bad is not None:
+            return _report(
+                "star-preserving", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
+                detail="F(E*) != F(E)* on a matrix unit",
+            )
         return _report("star-preserving", True, tol.eq)
 
-    return f.cached(("star", tol.eq), compute)
+    return f.cached(("star", tol), compute)
 
 
 def is_deterministic(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
@@ -377,21 +388,19 @@ def is_deterministic(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport
                 "deterministic", False, tol.eq, witness=star.witness,
                 detail="not star-preserving",
             )
-        units = alg.matrix_units(f.domain)
-        images = [apply(f, e) for e in units]
-        for a, ea in enumerate(units):
-            for b, eb in enumerate(units):
-                lhs = apply(f, alg.mul(ea, eb))
-                rhs = alg.mul(images[a], images[b])
-                if not alg.elem_equal(lhs, rhs, tol):
-                    return _report(
-                        "deterministic", False, tol.eq,
-                        witness={"left_input": ea, "right_input": eb},
-                        detail="F(Ea Eb) != F(Ea) F(Eb)",
-                    )
+        d = f.domain.coord_dim
+        bad = _grid.first_failure(f.codomain, d, d, _grid.multiplicativity(f), tol)
+        if bad is not None:
+            a, b = divmod(bad, d)
+            return _report(
+                "deterministic", False, tol.eq,
+                witness={"left_input": _grid.unit(f.domain, a),
+                         "right_input": _grid.unit(f.domain, b)},
+                detail="F(Ea Eb) != F(Ea) F(Eb)",
+            )
         return _report("deterministic", True, tol.eq)
 
-    return f.cached(("deterministic", tol.eq), compute)
+    return f.cached(("deterministic", tol), compute)
 
 
 def _sampled_check(f, prop, trials, seed, tol, violation) -> PropertyReport:
@@ -458,19 +467,24 @@ def s_positivity_equation(
     """
     if g.codomain != f.domain:
         raise ShapeMismatch("channels are not composable")
-    c_units = alg.matrix_units(g.domain)
-    b_units = alg.matrix_units(f.domain)
-    for ci, c in enumerate(c_units):
-        gc = apply(g, c)
-        fgc = apply(f, gc)
-        for bi, b in enumerate(b_units):
-            lhs = apply(f, alg.mul(gc, b))
-            rhs = alg.mul(fgc, apply(f, b))
-            if not alg.elem_equal(lhs, rhs, tol):
-                return _report(
-                    "s-positivity-equation", False, tol.eq,
-                    witness={"outer_input": c, "inner_input": b,
-                             "outer_index": ci, "inner_index": bi},
-                    detail="F(G(C) B) != F(G(C)) F(B)",
-                )
+    d = f.domain.coord_dim
+    img = _grid.images(f.codomain, f.matrix)
+    outer = _grid.images(f.codomain, f.matrix @ g.matrix)
+
+    def operands(r0, r1):
+        rows = np.repeat(g.matrix[:, r0:r1], d, axis=1)
+        inner = _grid.times_unit(f.domain, rows, np.tile(np.arange(d), r1 - r0))  # G(E_c) E_b
+        lhs = _grid.images(f.codomain, f.matrix @ inner)
+        return lhs, [_grid.products(x[r0:r1], y) for x, y in zip(outer, img)]
+
+    bad = _grid.first_failure(f.codomain, g.domain.coord_dim, d, operands, tol)
+    if bad is not None:
+        ci, bi = divmod(bad, d)
+        return _report(
+            "s-positivity-equation", False, tol.eq,
+            witness={"outer_input": _grid.unit(g.domain, ci),
+                     "inner_input": _grid.unit(f.domain, bi),
+                     "outer_index": ci, "inner_index": bi},
+            detail="F(G(C) B) != F(G(C)) F(B)",
+        )
     return _report("s-positivity-equation", True, tol.eq)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
 from .channel import Channel, PropertyReport, _report, apply, hs_adjoint, is_star_preserving
@@ -131,11 +132,6 @@ def _check_side(side: str):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _side_vanishes(x: AlgElement, p: AlgElement, side: str, tol: Tolerance, scale: float) -> bool:
-    prod = alg.mul(x, p) if side == "right" else alg.mul(p, x)
-    return alg.norm(prod) <= tol.eq * tol.scale(scale)
-
-
 def ae_equal(
     f: Channel, g: Channel, omega: State, side: str = "right", tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
@@ -150,16 +146,18 @@ def ae_equal(
         raise ShapeMismatch("channels must share domain and codomain")
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the common codomain")
-    p = omega.support
-    for e in alg.matrix_units(f.domain):
-        fe, ge = apply(f, e), apply(g, e)
-        diff = fe - ge
-        scale = max(alg.norm(fe), alg.norm(ge))
-        if not _side_vanishes(diff, p, side, tol, scale):
-            return _report(
-                f"ae-equal-{side}", False, tol.eq, witness={"input": e},
-                detail="(F - G)(B) does not vanish on the support",
-            )
+    img_f = _grid.images(f.codomain, f.matrix)
+    img_g = _grid.images(g.codomain, g.matrix)
+    bad = _grid.first_failure(
+        f.codomain, f.domain.coord_dim, 1,
+        lambda r0, r1: ([x[r0:r1] for x in img_f], [x[r0:r1] for x in img_g]),
+        tol, omega.support, side,
+    )
+    if bad is not None:
+        return _report(
+            f"ae-equal-{side}", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
+            detail="(F - G)(B) does not vanish on the support",
+        )
     return _report(f"ae-equal-{side}", True, tol.eq)
 
 
@@ -181,21 +179,17 @@ def ae_deterministic(
             "left and right verdicts may differ",
             stacklevel=2,
         )
-    p = omega.support
-    units = alg.matrix_units(f.domain)
-    images = [apply(f, e) for e in units]
-    for a, ea in enumerate(units):
-        fa_star = alg.adjoint(images[a])
-        for b, eb in enumerate(units):
-            lhs = apply(f, alg.mul(alg.adjoint(ea), eb))
-            rhs = alg.mul(fa_star, images[b])
-            scale = max(alg.norm(lhs), alg.norm(rhs))
-            if not _side_vanishes(lhs - rhs, p, side, tol, scale):
-                return _report(
-                    f"ae-deterministic-{side}", False, tol.eq,
-                    witness={"left_input": ea, "right_input": eb},
-                    detail="F(B*C) != F(B)*F(C) on the support",
-                )
+    d = f.domain.coord_dim
+    bad = _grid.first_failure(f.codomain, d, d, _grid.multiplicativity(f, adjoint=True), tol,
+                              omega.support, side)
+    if bad is not None:
+        a, b = divmod(bad, d)
+        return _report(
+            f"ae-deterministic-{side}", False, tol.eq,
+            witness={"left_input": _grid.unit(f.domain, a),
+                     "right_input": _grid.unit(f.domain, b)},
+            detail="F(B*C) != F(B)*F(C) on the support",
+        )
     return _report(f"ae-deterministic-{side}", True, tol.eq)
 
 

@@ -28,6 +28,7 @@ from qmarkov.channel import (
 )
 from qmarkov.errors import DimensionMismatch, ShapeMismatch, Singular
 from qmarkov.linalg import herm_eig
+from qmarkov.tolerances import Tolerance
 
 
 M2 = AlgebraShape((2,))
@@ -240,6 +241,30 @@ def test_cached_flags_are_stable():
     second = is_cp(t)
     assert first is second  # memoized
     assert first.verdict == "fail"
+
+
+def test_cached_verdicts_are_keyed_on_the_whole_tolerance():
+    # F(B) = B/2 + tr(B)/4 on M_2, whose Choi matrix is 1e-6 away from Hermitian
+    base = channel_from_action(
+        M2, M2, lambda a: 0.5 * a + (0.25 * np.trace(a.blocks[0])) * alg.unit(M2))
+    mat = np.array(base.matrix)
+    mat[1, 0] += 1e-6
+    loose, strict = Tolerance(herm=1e-3), Tolerance(herm=1e-12)
+    h = Channel(M2, M2, mat)
+    assert is_cp(h, loose).passed
+    assert not is_cp(h, strict).passed
+    assert not is_cp(Channel(M2, M2, mat), strict).passed
+
+
+def test_channel_matrix_is_a_read_only_copy():
+    source = np.eye(4, dtype=complex)
+    h = Channel(M2, M2, source)
+    assert is_unital(h).passed
+    with pytest.raises(ValueError):
+        h.matrix[:] = 0
+    source[:] = 0   # the caller's array is not the channel's
+    assert np.array_equal(h.matrix, np.eye(4))
+    assert is_unital(h).passed
 
 
 def test_scalar_algebra_channels():

@@ -35,3 +35,11 @@ def test_instance_families_are_well_formed():
             assert is_unital(chan).passed
             assert is_star_preserving(chan).passed
         assert verify_disintegration(f, omega, g).passed
+
+
+@pytest.mark.parametrize("seed", [25, 61, 80, 119, 796927463])
+def test_bayes_suite_sees_a_deficient_prior_on_every_seed(seed):
+    # on these seeds every drawn prior of the one-sided check is faithful
+    rep = props.run_suite("bayes", seed=seed, trials=64)
+    bad = [(c.desc, c.detail) for c in rep.checks if not c.passed]
+    assert not bad, bad
