@@ -1,4 +1,4 @@
-"""Closed-form evaluation of the exact basis checks.
+"""Closed-form evaluation of the exact basis checks and of channel matrices.
 
 An exact check compares two elements of a codomain algebra for every matrix
 unit, or every ordered pair of matrix units, of a domain algebra.  The image
@@ -11,6 +11,10 @@ comparisons in numpy and returns the first failing entry in canonical order.
 Codomain blocks are grouped by size: the k blocks of size m of a batch of N
 elements form one stack of shape (N, k, m, m), so an algebra of many equal
 blocks costs one array operation, not one per block.
+
+The same index tables build channel matrices: a tensor product, the
+multiplication map and the Choi blocks are gathers or scatters of matrix
+entries, and blockwise A X B is the Kronecker product `block_kron`.
 """
 from __future__ import annotations
 
@@ -62,28 +66,83 @@ def product_index(s: AlgebraShape) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _groups(s: AlgebraShape) -> tuple[tuple[int, np.ndarray], ...]:
-    """(m, coordinate rows of every block of size m) for each block size of s."""
+def _groups(s: AlgebraShape) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """(m, the blocks of size m, their coordinate rows) for each block size of s."""
     offs = s.offsets()
-    return tuple(
-        (m, np.concatenate([offs[x] + np.arange(m * m) for x, n in enumerate(s.blocks) if n == m]))
-        for m in dict.fromkeys(s.blocks)
-    )
+    out = []
+    for m in dict.fromkeys(s.blocks):
+        ids = np.flatnonzero(np.array(s.blocks) == m)
+        out.append((m, ids, np.concatenate([offs[x] + np.arange(m * m) for x in ids])))
+    return tuple(out)
 
 
 def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
     """The columns of `matrix`, coordinates on s, as stacks per block size."""
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains NaN or Inf entries")
-    return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, rows in _groups(s)]
+    return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, _, rows in _groups(s)]
 
 
 def element(a: AlgElement) -> Stacks:
     """One element as stacks (k, m, m) per block size."""
     return [
         np.stack([b for b in a.blocks if b.shape[0] == m])
-        for m, _ in _groups(a.shape)
+        for m, _, _ in _groups(a.shape)
     ]
+
+
+@lru_cache(maxsize=64)
+def tensor_index(s1: AlgebraShape, s2: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right): the units of s1 and of s2 whose tensor product is each
+    unit of tensor_shape(s1, s2), canonical order.
+
+    Block (x, y) of the tensor shape has size m n; its unit at row (i, p),
+    column (j, q) is E_ij (x) E_pq.
+    """
+    t = alg.tensor_shape(s1, s2)
+    _, _, row, col = _unit_labels(t)
+    block = np.repeat(np.arange(len(t.blocks)), np.array(t.blocks) ** 2)
+    x, y = np.divmod(block, len(s2.blocks))
+    m, n = np.array(s1.blocks)[x], np.array(s2.blocks)[y]
+    (i, p), (j, q) = np.divmod(row, n), np.divmod(col, n)
+    left = np.array(s1.offsets())[x] + i * m + j
+    right = np.array(s2.offsets())[y] + p * n + q
+    return _read_only(left), _read_only(right)
+
+
+def block_kron(s: AlgebraShape, left, right) -> np.ndarray:
+    """Block-diagonal matrix of kron(left[x], right[x]) over the blocks x of s.
+
+    Coordinates are row-major per block, so vec(A X B) = (A (x) B^T) vec(X):
+    with left = A and right = B^T per block, this is the coordinate matrix
+    of X |-> A X B applied blockwise.  Blocks of equal size form one stack.
+    """
+    out = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
+    for m, ids, rows in _groups(s):
+        a = np.stack([left[x] for x in ids])[:, :, None, :, None]
+        b = np.stack([right[x] for x in ids])[:, None, :, None, :]
+        at = rows.reshape(len(ids), m * m, 1)
+        out[at, at.swapaxes(1, 2)] = (a * b).reshape(len(ids), m * m, m * m)
+    return out
+
+
+def choi_blocks(f) -> list[tuple[np.ndarray, Stacks]]:
+    """The Choi blocks C_yx of a channel f, grouped by block size.
+
+    The Choi matrix of domain block y is block-diagonal over the codomain
+    blocks x, with blocks C_yx[(i, a), (j, b)] = F(E_ij)_x[a, b] of size n m.
+    One entry per domain block size n: the domain blocks y of that size and,
+    per codomain block size m, their blocks as a stack (k_n, k_m, n m, n m),
+    read from the channel matrix by a reshape and a transpose.
+    """
+    out = []
+    for n, ys, cols in _groups(f.domain):
+        stacks = []
+        for m, xs, rows in _groups(f.codomain):
+            c = f.matrix[np.ix_(rows, cols)].reshape(len(xs), m, m, len(ys), n, n)
+            stacks.append(c.transpose(3, 0, 4, 1, 5, 2).reshape(len(ys), len(xs), n * m, n * m))
+        out.append((ys, stacks))
+    return out
 
 
 def dagger(x: np.ndarray) -> np.ndarray:

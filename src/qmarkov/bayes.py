@@ -18,8 +18,6 @@ from .channel import (
     Channel,
     PropertyReport,
     _report,
-    apply,
-    channel_from_action,
     compose,
     hs_adjoint,
     identity_channel,
@@ -35,7 +33,6 @@ from .errors import (
     ShapeMismatch,
     SupportNotFull,
 )
-from .linalg import pinv_psd, sqrt_psd
 from .state import State, ae_deterministic, ae_equal, pullback_state
 from .tolerances import DEFAULT_TOL, Tolerance
 
@@ -110,19 +107,12 @@ class BayesResult:
 def _product_form(state: State) -> np.ndarray:
     """The bilinear form T[i, j] = state(E_i E_j) on canonical basis pairs.
 
-    E_pq E_rs = delta_qr E_ps inside one block, so T is sparse; with it, any
-    expression state(X Y) becomes coords(X)^T T coords(Y).
+    E_i E_j is the unit product_index[i, j] or 0, so T is a gather of the
+    state's values on units; with it, any expression state(X Y) becomes
+    coords(X)^T T coords(Y).
     """
-    s = state.shape
-    t = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
-    for x, (n, off) in enumerate(zip(s.blocks, s.offsets())):
-        sig = state.density.blocks[x]
-        for p in range(n):
-            for q in range(n):
-                i = off + p * n + q
-                for r in range(n):
-                    t[i, off + q * n + r] = sig[r, p]
-    return t
+    values = np.append(_transposed_coords(state.density), 0.0)   # entry coord_dim is 0
+    return values[_grid.product_index(state.shape)]
 
 
 def verify_bayes(
@@ -158,11 +148,9 @@ def verify_bayes(
     worst = float(dev.max()) if dev.size else 0.0
     if np.any(dev > bound):
         ia, ib = np.unravel_index(int((dev - bound).argmax()), dev.shape)
-        a_units = alg.matrix_units(f.codomain)
-        b_units = alg.matrix_units(f.domain)
         return _report(
             f"bayes-{side}", False, tol.eq,
-            witness={"a_input": a_units[ia], "b_input": b_units[ib],
+            witness={"a_input": _grid.unit(f.codomain, ia), "b_input": _grid.unit(f.domain, ib),
                      "lhs": complex(lhs[ia, ib]), "rhs": complex(rhs[ia, ib])},
             detail=f"Bayes condition fails by {dev[ia, ib]:.6g}",
         )
@@ -172,6 +160,16 @@ def verify_bayes(
 def _trace_state_element(s: AlgebraShape) -> AlgElement:
     """Density of the normalized trace state tr(.) / total_dim."""
     return alg.unit(s) * (1.0 / s.total_dim)
+
+
+def _left_mult(a: AlgElement) -> np.ndarray:
+    """Coordinate matrix of X |-> a X: the block-diagonal kron(a_x, I)."""
+    return _grid.block_kron(a.shape, a.blocks, [np.eye(n) for n in a.shape.blocks])
+
+
+def _conj_mult(a: AlgElement) -> np.ndarray:
+    """Coordinate matrix of X |-> a X a for self-adjoint a: kron(a_x, a_x^T)."""
+    return _grid.block_kron(a.shape, a.blocks, [b.T for b in a.blocks])
 
 
 def bayes_candidate(
@@ -186,30 +184,24 @@ def bayes_candidate(
     default completion routes through the normalized trace, which keeps the
     candidate unital.  A different completion state may be supplied; any
     completion yields the same left-Bayes verdict.
+
+    The support P and pinv(sigma) come from one rank decision, the
+    pullback's spectrum.  In coordinates the candidate is
+    L(pinv sigma) F* L(rho) + vec(1 - P) coords(completion^T)^T, with L(a)
+    the matrix of left multiplication by a.
     """
     f, omega, xi = prob.channel, prob.prior, prob.pullback
-    rho, sigma = omega.density, xi.density
-    fstar = hs_adjoint(f)
-    sigma_pinv = AlgElement(
-        sigma.shape, tuple(pinv_psd(b, tol.rank, tol) for b in sigma.blocks)
-    )
-    p_xi = xi.support
-    complement = alg.unit(xi.shape) - p_xi
+    complement = alg.unit(xi.shape) - xi.support
     if completion is None:
         comp_density = _trace_state_element(omega.shape)
     else:
         if completion.shape != omega.shape:
             raise ShapeMismatch("completion state must live on the prior's algebra")
         comp_density = completion.density
-
-    def act(a: AlgElement) -> AlgElement:
-        main = alg.mul(sigma_pinv, apply(fstar, alg.mul(rho, a)))
-        weight = complex(
-            sum(np.trace(r @ x) for r, x in zip(comp_density.blocks, a.blocks))
-        )
-        return main + weight * complement
-
-    g = channel_from_action(f.codomain, f.domain, act)
+    main = _left_mult(xi.spectrum.inverse_power(1.0)) @ hs_adjoint(f).matrix \
+        @ _left_mult(omega.density)
+    g = Channel(f.codomain, f.domain,
+                main + np.outer(alg.vec(complement), _transposed_coords(comp_density)))
     left = verify_bayes(f, omega, xi, g, "left", tol)
     right = verify_bayes(f, omega, xi, g, "right", tol)
     star = is_star_preserving(g, tol)
@@ -251,22 +243,16 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
 
 
 def petz_recovery(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> Channel:
-    """The recovery channel Ad_sqrt(pinv sigma) o F* o Ad_sqrt(rho)."""
+    """The recovery channel Ad_sqrt(pinv sigma) o F* o Ad_sqrt(rho).
+
+    sqrt(pinv sigma) takes its rank from the pullback's spectrum, as the
+    support does; that rank was decided when the pullback was built, so tol
+    is not consulted here.
+    """
     f, omega, xi = prob.channel, prob.prior, prob.pullback
-    rho, sigma = omega.density, xi.density
-    sqrt_rho = AlgElement(rho.shape, tuple(sqrt_psd(b, tol) for b in rho.blocks))
-    sqrt_sigma_pinv = AlgElement(
-        sigma.shape,
-        tuple(sqrt_psd(pinv_psd(b, tol.rank, tol), tol) for b in sigma.blocks),
-    )
-    fstar = hs_adjoint(f)
-
-    def act(a: AlgElement) -> AlgElement:
-        inner = alg.mul(alg.mul(sqrt_rho, a), sqrt_rho)
-        mid = apply(fstar, inner)
-        return alg.mul(alg.mul(sqrt_sigma_pinv, mid), sqrt_sigma_pinv)
-
-    return channel_from_action(f.codomain, f.domain, act)
+    mat = _conj_mult(xi.spectrum.inverse_power(0.5)) @ hs_adjoint(f).matrix \
+        @ _conj_mult(omega.spectrum.sqrt())
+    return Channel(f.codomain, f.domain, mat)
 
 
 def _transposed_coords(a: AlgElement) -> np.ndarray:
@@ -326,48 +312,35 @@ def commutative_disintegration(
         raise NotAeDeterministic("channel is not a.e. deterministic for the given state")
     nx = len(f.codomain.blocks)
     dom = f.domain
+    sizes = np.array(dom.blocks)
     p_diag = np.array([omega.density.blocks[x][0, 0].real for x in range(nx)])
-    p_supp = np.array([omega.support.blocks[x][0, 0].real > 0.5 for x in range(nx)])
-    # evaluation of f at x on the unit of each domain block
-    unit_images = []
-    for y in range(len(dom.blocks)):
-        e = alg.zero(dom)
-        np.fill_diagonal(e.blocks[y], 1.0)
-        unit_images.append(apply(f, e))
-    block_of = {}
-    for x in np.flatnonzero(p_supp):
-        vals = np.array([abs(unit_images[y].blocks[x][0, 0]) for y in range(len(dom.blocks))])
-        hits = np.flatnonzero(vals > 0.5)
-        if hits.size != 1:
+    supp = np.flatnonzero([omega.support.blocks[x][0, 0].real > 0.5 for x in range(nx)])
+    # diagonal coordinates of every domain block; F(1_y) at x sums block y's columns
+    diag = np.concatenate([off + np.arange(n) * (n + 1) for n, off in zip(dom.blocks, dom.offsets())])
+    starts = np.cumsum(sizes) - sizes
+    hits = np.abs(np.add.reduceat(f.matrix[np.ix_(supp, diag)], starts, axis=1)) > 0.5
+    block_of = hits.argmax(axis=1)
+    unique = hits.sum(axis=1) == 1
+    bad = ~unique | (sizes[block_of] != 1)
+    if bad.any():
+        i = int(bad.argmax())
+        if not unique[i]:
             raise NonscalarImageBlock(
-                f"support point {x} does not evaluate through a unique block"
+                f"support point {supp[i]} does not evaluate through a unique block"
             )
-        y = int(hits[0])
-        if dom.blocks[y] != 1:
-            raise NonscalarImageBlock(
-                f"support point {x} evaluates through block {y} of dimension {dom.blocks[y]}"
-            )
-        block_of[int(x)] = y
-    q = np.zeros(len(dom.blocks))
-    for x, y in block_of.items():
-        q[y] += p_diag[x]
-
-    def act(a: AlgElement) -> AlgElement:
-        avg = complex(sum(a.blocks[x][0, 0] for x in range(nx))) / nx
-        out = []
-        for y, n in enumerate(dom.blocks):
-            if q[y] > 0:
-                val = sum(
-                    p_diag[x] / q[y] * a.blocks[x][0, 0]
-                    for x, yy in block_of.items()
-                    if yy == y
-                )
-            else:
-                val = avg
-            out.append(val * np.eye(n, dtype=complex))
-        return AlgElement(dom, tuple(out))
-
-    return channel_from_action(f.codomain, dom, act)
+        y = int(block_of[i])
+        raise NonscalarImageBlock(
+            f"support point {supp[i]} evaluates through block {y} of dimension {dom.blocks[y]}"
+        )
+    q = np.bincount(block_of, weights=p_diag[supp], minlength=len(sizes))
+    # value of G(A) on each domain block: the classical formula on blocks that
+    # carry mass, the normalized trace on the rest
+    weights = np.zeros((len(sizes), nx))
+    weights[q == 0] = 1.0 / nx
+    weights[block_of, supp] = p_diag[supp] / q[block_of]
+    mat = np.zeros((dom.coord_dim, nx), dtype=complex)
+    mat[diag] = np.repeat(weights, sizes, axis=0)
+    return Channel(f.codomain, dom, mat)
 
 
 @dataclass

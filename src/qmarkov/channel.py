@@ -18,7 +18,6 @@ from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
 from .errors import DimensionMismatch, ShapeMismatch, Singular
-from .linalg import herm_eig, op_norm
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -143,10 +142,8 @@ def identity_channel(s: AlgebraShape) -> Channel:
 
 
 def transpose_channel(s: AlgebraShape) -> Channel:
-    """Blockwise transpose in the canonical basis."""
-    return channel_from_action(
-        s, s, lambda a: AlgElement(s, tuple(b.T.copy() for b in a.blocks))
-    )
+    """Blockwise transpose in the canonical basis: E_a |-> E_a* permutes the units."""
+    return Channel(s, s, np.eye(s.coord_dim, dtype=np.int8)[_grid.adjoint_index(s)])
 
 
 def ad_channel(v: np.ndarray) -> Channel:
@@ -156,14 +153,13 @@ def ad_channel(v: np.ndarray) -> Channel:
     """
     v = np.asarray(v, dtype=complex)
     p, q = v.shape
-    dom, cod = AlgebraShape((q,)), AlgebraShape((p,))
-    return channel_from_action(dom, cod, lambda a: AlgElement(cod, (v @ a.blocks[0] @ v.conj().T,)))
+    return Channel(AlgebraShape((q,)), AlgebraShape((p,)), np.kron(v, v.conj()))
 
 
 def conjugation_by(e: AlgElement) -> Channel:
     """Blockwise conjugation A |-> e A e* by an element of the same algebra."""
-    s = e.shape
-    return channel_from_action(s, s, lambda a: alg.mul(alg.mul(e, a), alg.adjoint(e)))
+    return Channel(e.shape, e.shape,
+                   _grid.block_kron(e.shape, e.blocks, [b.conj() for b in e.blocks]))
 
 
 def kraus_channel(
@@ -181,13 +177,10 @@ def kraus_channel(
     for k in ops:
         if k.shape != (n, m):
             raise DimensionMismatch(f"Kraus operator of shape {k.shape}, expected ({n}, {m})")
-
-    def act(a: AlgElement) -> AlgElement:
-        b = a.blocks[0]
-        out = sum(k.conj().T @ b @ k for k in ops)
-        return AlgElement(codomain, (out,))
-
-    return channel_from_action(domain, codomain, act)
+    mat = np.zeros((m * m, n * n), dtype=complex)
+    for k in ops:
+        mat += np.kron(k.conj().T, k.T)
+    return Channel(domain, codomain, mat)
 
 
 def mult_map(s: AlgebraShape) -> Channel:
@@ -197,24 +190,12 @@ def mult_map(s: AlgebraShape) -> Channel:
     tensor basis, E_ij^(x) (x) E_kl^(y) maps to delta_xy delta_jk E_il^(x).
     """
     dom = alg.tensor_shape(s, s)
-    # 0/1 entries: a narrow dtype keeps the Channel's own complex copy the only large array
-    mat = np.zeros((s.coord_dim, dom.coord_dim), dtype=np.int8)
-    cod_off = s.offsets()
-    col = 0
-    k = len(s.blocks)
-    for x in range(k):
-        m = s.blocks[x]
-        for y in range(k):
-            n = s.blocks[y]
-            # tensor block (x, y) has dimension m*n; its unit at row (i,p), col (j,q)
-            for i in range(m):
-                for p in range(n):
-                    for j in range(m):
-                        for q in range(n):
-                            if x == y and j == p:
-                                mat[cod_off[x] + i * m + q, col] = 1.0
-                            col += 1
-    return Channel(dom, s, mat)
+    left, right = _grid.tensor_index(s, s)
+    # 0/1 entries: a narrow dtype keeps the Channel's own complex copy the only large array;
+    # row coord_dim collects the products that vanish
+    mat = np.zeros((s.coord_dim + 1, dom.coord_dim), dtype=np.int8)
+    mat[_grid.product_index(s)[left, right], np.arange(dom.coord_dim)] = 1
+    return Channel(dom, s, mat[:-1])
 
 
 def unit_map(s: AlgebraShape) -> AlgElement:
@@ -236,30 +217,16 @@ def compose(f: Channel, g: Channel) -> Channel:
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
-    """Tensor product channel acting as F (x) G on elementary tensors."""
+    """Tensor product channel acting as F (x) G on elementary tensors.
+
+    Each coordinate of the tensor codomain and domain is a pair of units, so
+    every entry of the matrix is one product of an entry of f and one of g.
+    """
     dom = alg.tensor_shape(f.domain, g.domain)
     cod = alg.tensor_shape(f.codomain, g.codomain)
-    f_units = [apply(f, e) for e in alg.matrix_units(f.domain)]
-    g_units = [apply(g, e) for e in alg.matrix_units(g.domain)]
-    mat = np.zeros((cod.coord_dim, dom.coord_dim), dtype=complex)
-    col = 0
-    # tensor-domain units enumerate (x-block unit, y-block unit) pairs in
-    # left-factor-major order matching tensor_shape
-    dom_f_labels = list(alg._basis_labels(f.domain))
-    dom_g_labels = list(alg._basis_labels(g.domain))
-    idx_f = {lab: i for i, lab in enumerate(dom_f_labels)}
-    idx_g = {lab: i for i, lab in enumerate(dom_g_labels)}
-    for x, m in enumerate(f.domain.blocks):
-        for y, n in enumerate(g.domain.blocks):
-            for i in range(m):
-                for p in range(n):
-                    for j in range(m):
-                        for q in range(n):
-                            fa = f_units[idx_f[(x, i, j)]]
-                            gb = g_units[idx_g[(y, p, q)]]
-                            mat[:, col] = alg.vec(alg.tensor_elem(fa, gb))
-                            col += 1
-    return Channel(dom, cod, mat)
+    rf, rg = _grid.tensor_index(f.codomain, g.codomain)
+    cf, cg = _grid.tensor_index(f.domain, g.domain)
+    return Channel(dom, cod, f.matrix[np.ix_(rf, cf)] * g.matrix[np.ix_(rg, cg)])
 
 
 _COND_LIMIT = 1e12
@@ -291,19 +258,17 @@ def choi(f: Channel) -> list[np.ndarray]:
     block-diagonally on its total Hilbert space; F is CP iff every one of
     them is positive semidefinite.
     """
+    cod = f.codomain
+    big = cod.total_dim
+    # position of each codomain coordinate in the block-diagonal big x big picture
+    _, _, row, col = _grid._unit_labels(cod)
+    start = np.repeat(np.cumsum((0,) + cod.blocks[:-1]), np.array(cod.blocks) ** 2)
+    embed = (start + row) * big + (start + col)
     out = []
-    ncod = f.codomain.total_dim
-    for y, n in enumerate(f.domain.blocks):
-        c = np.zeros((n * ncod, n * ncod), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                e = alg.zero(f.domain)
-                e.blocks[y][i, j] = 1.0
-                img = alg.block_embed(apply(f, e))
-                eij = np.zeros((n, n), dtype=complex)
-                eij[i, j] = 1.0
-                c += np.kron(eij, img)
-        out.append(c)
+    for n, off_y in zip(f.domain.blocks, f.domain.offsets()):
+        img = np.zeros((n * n, big * big), dtype=complex)
+        img[:, embed] = f.matrix[:, off_y:off_y + n * n].T
+        out.append(img.reshape(n, n, big, big).transpose(0, 2, 1, 3).reshape(n * big, n * big))
     return out
 
 
@@ -312,33 +277,63 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
 
     A CP map has Hermitian PSD Choi matrices, so a non-Hermitian Choi block
     fails outright; otherwise the verdict is the minimum eigenvalue test.
+    Both tests are relative to scale = max(1, ||C_y||), the operator norm of
+    the Choi matrix C_y of domain block y.
+
+    C_y is block-diagonal over the codomain blocks, so every quantity comes
+    from its blocks C_yx, one batched eigvalsh of their Hermitian parts H per
+    block size.  ||H|| <= ||C_y|| <= ||H|| + ||(C - C*) / 2||_F, each widened
+    by _grid._SLACK; only a block whose verdict differs between the two
+    bounds pays for the exact norm.
     """
 
     def compute():
-        for y, c in enumerate(choi(f)):
-            scale = tol.scale(op_norm(c))
-            skew = np.max(np.abs(c - c.conj().T)) if c.size else 0.0
-            herm_part = 0.5 * (c + c.conj().T)
-            w, _ = herm_eig(herm_part, tol)
-            if skew > tol.herm * scale:
-                return _report(
-                    "cp",
-                    False,
-                    tol.psd,
-                    witness={"domain_block": y, "skew_norm": float(skew),
-                             "min_eigenvalue": float(w[-1])},
-                    detail=f"Choi matrix of domain block {y} is not Hermitian "
-                           f"(skew {skew:.3g}); Hermitian part has eigenvalue {w[-1]:.6g}",
-                )
-            if w[-1] < -tol.psd * scale:
-                return _report(
-                    "cp",
-                    False,
-                    tol.psd,
-                    witness={"domain_block": y, "min_eigenvalue": float(w[-1])},
-                    detail=f"Choi matrix of domain block {y} has eigenvalue {w[-1]:.6g}",
-                )
-        return _report("cp", True, tol.psd)
+        k = len(f.domain.blocks)
+        skew, low = np.zeros(k), np.full(k, np.inf)
+        herm_norm, skew_frob = np.zeros(k), np.zeros(k)
+        blocks = _grid.choi_blocks(f)
+        for ys, stacks in blocks:
+            for c in stacks:
+                c_star = _grid.dagger(c)
+                diff, h = c - c_star, 0.5 * (c + c_star)
+                w = h.real[..., 0] if c.shape[-1] == 1 else np.linalg.eigvalsh(h)
+                skew[ys] = np.maximum(skew[ys], np.abs(diff).max(axis=(1, 2, 3)))
+                low[ys] = np.minimum(low[ys], w[..., 0].min(axis=1))
+                herm_norm[ys] = np.maximum(herm_norm[ys], np.abs(w).max(axis=(1, 2)))
+                frob = 0.5 * np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=(2, 3)))
+                skew_frob[ys] = np.maximum(skew_frob[ys], frob.max(axis=1))
+        lo = np.maximum(1.0, herm_norm * (1 - _grid._SLACK))
+        hi = np.maximum(1.0, (herm_norm + skew_frob) * (1 + _grid._SLACK))
+        # any scale between the bounds settles a block whose verdict agrees at both
+        scale = lo.copy()
+        open_ = ((skew > tol.herm * lo) != (skew > tol.herm * hi)) | (
+            (low < -tol.psd * lo) != (low < -tol.psd * hi))
+        for ys, stacks in blocks if open_.any() else ():
+            pick = open_[ys]
+            if pick.any():
+                scale[ys[pick]] = np.maximum(1.0, _grid._op_norm([c[pick] for c in stacks]))
+        not_herm = skew > tol.herm * scale
+        bad = not_herm | (low < -tol.psd * scale)
+        if not bad.any():
+            return _report("cp", True, tol.psd)
+        y = int(bad.argmax())
+        if not_herm[y]:
+            return _report(
+                "cp",
+                False,
+                tol.psd,
+                witness={"domain_block": y, "skew_norm": float(skew[y]),
+                         "min_eigenvalue": float(low[y])},
+                detail=f"Choi matrix of domain block {y} is not Hermitian "
+                       f"(skew {skew[y]:.3g}); Hermitian part has eigenvalue {low[y]:.6g}",
+            )
+        return _report(
+            "cp",
+            False,
+            tol.psd,
+            witness={"domain_block": y, "min_eigenvalue": float(low[y])},
+            detail=f"Choi matrix of domain block {y} has eigenvalue {low[y]:.6g}",
+        )
 
     return f.cached(("cp", tol), compute)
 

@@ -180,6 +180,21 @@ def disintegration_instance(
 # ---------------------------------------------------------------------------
 
 
+def moore_penrose_deviation(a: np.ndarray, pinv: np.ndarray) -> float:
+    """Worst Moore-Penrose residual of a candidate pseudo-inverse of a.
+
+    A A+ A - A and A+ A A+ - A+ are divided by their backward-error scales
+    ||A||^2 ||A+|| and ||A+||^2 ||A||: the rounding error of the products
+    grows with the condition number, so a residual relative to ||A|| or
+    ||A+|| alone grows with it too on a correct pseudo-inverse.
+    """
+    a_norm, p_norm = op_norm(a), op_norm(pinv)
+    return max(
+        op_norm(a @ pinv @ a - a) / (a_norm ** 2 * p_norm),
+        op_norm(pinv @ a @ pinv - pinv) / (p_norm ** 2 * a_norm),
+    )
+
+
 def suite_matrix_kernel(seed: int = 0, trials: int = 64) -> SuiteReport:
     rng = np.random.default_rng(seed)
     checks = []
@@ -193,13 +208,7 @@ def suite_matrix_kernel(seed: int = 0, trials: int = 64) -> SuiteReport:
         worst_resid = max(worst_resid, resid)
         worst_unitary = max(worst_unitary, op_norm(u.conj().T @ u - np.eye(n)))
         psd = m.conj().T @ m
-        pinv = pinv_psd(psd)
-        scale = max(1.0, op_norm(psd))
-        worst_pinv = max(
-            worst_pinv,
-            op_norm(psd @ pinv @ psd - psd) / scale,
-            op_norm(pinv @ psd @ pinv - pinv) / max(1.0, op_norm(pinv)),
-        )
+        worst_pinv = max(worst_pinv, moore_penrose_deviation(psd, pinv_psd(psd)))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         worst_submult = max(worst_submult, op_norm(m @ b) - op_norm(m) * op_norm(b))
     checks.append(_check("eigendecomposition reconstructs Hermitian inputs",

@@ -8,7 +8,8 @@ variables); nothing here is sampled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .linalg import herm_eig
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
+    "Spectrum",
     "State",
     "state_from_density",
     "support",
@@ -33,15 +35,65 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class Spectrum:
+    """Blockwise eigendecomposition of a density, with one rank decision.
+
+    keep[x] marks the eigenvalues of block x above tol.rank times the largest
+    eigenvalue across all blocks, so rank decisions are consistent between
+    blocks of different scale.  The support projection, the pseudo-inverse
+    and its square root are all read from it, so they agree on every rank.
+    """
+
+    shape: AlgebraShape
+    values: tuple[np.ndarray, ...]    # per block, descending
+    vectors: tuple[np.ndarray, ...]
+    keep: tuple[np.ndarray, ...]
+
+    def support(self) -> AlgElement:
+        """Spectral projection onto the kept eigenvalues."""
+        projs = []
+        for u, keep in zip(self.vectors, self.keep):
+            cols = u[:, keep]
+            projs.append(cols @ cols.conj().T)
+        return AlgElement(self.shape, tuple(projs))
+
+    def inverse_power(self, power: float) -> AlgElement:
+        """(pinv rho)^power: w^-power on the kept eigenvalues, 0 on the rest."""
+        return self._function(
+            [np.where(k, (1.0 / np.where(k, w, 1.0)) ** power, 0.0)
+             for w, k in zip(self.values, self.keep)])
+
+    def sqrt(self) -> AlgElement:
+        """PSD square root, negative rounding clipped to 0."""
+        return self._function([np.sqrt(np.clip(w, 0.0, None)) for w in self.values])
+
+    def _function(self, values) -> AlgElement:
+        return AlgElement(self.shape, tuple(
+            (u * v) @ u.conj().T for u, v in zip(self.vectors, values)))
+
+
+def _spectrum(density: AlgElement, tol: Tolerance) -> Spectrum:
+    eigs = [herm_eig(0.5 * (b + b.conj().T), tol) for b in density.blocks]
+    lam_max = max((w[0] for w, _ in eigs if w.size), default=0.0)
+    cutoff = tol.rank * max(lam_max, 0.0)
+    return Spectrum(density.shape, tuple(w for w, _ in eigs), tuple(u for _, u in eigs),
+                    tuple(w > cutoff for w, _ in eigs))
+
+
+@dataclass(frozen=True)
 class State:
-    """Positive unital functional omega = tr(rho .) with cached support."""
+    """Positive unital functional omega = tr(rho .) with the spectrum of rho."""
 
     shape: AlgebraShape
     density: AlgElement
-    support: AlgElement
+    spectrum: Spectrum = field(repr=False, compare=False)
 
     def __call__(self, a: AlgElement) -> complex:
         return self.expect(a)
+
+    @cached_property
+    def support(self) -> AlgElement:
+        return self.spectrum.support()
 
     def expect(self, a: AlgElement) -> complex:
         if a.shape != self.shape:
@@ -51,26 +103,6 @@ class State:
         )
 
 
-def _support_projection(density: AlgElement, tol: Tolerance) -> AlgElement:
-    """Spectral projection onto eigenvalues above the rank cutoff.
-
-    The cutoff is relative to the global largest eigenvalue across blocks so
-    rank decisions are consistent between blocks of different scale.
-    """
-    eigs = []
-    for b in density.blocks:
-        w, u = herm_eig(0.5 * (b + b.conj().T), tol)
-        eigs.append((w, u))
-    lam_max = max((w[0] for w, _ in eigs if w.size), default=0.0)
-    cutoff = tol.rank * max(lam_max, 0.0)
-    projs = []
-    for w, u in eigs:
-        keep = w > cutoff
-        cols = u[:, keep]
-        projs.append(cols @ cols.conj().T)
-    return AlgElement(density.shape, tuple(projs))
-
-
 def state_from_density(density: AlgElement, tol: Tolerance = DEFAULT_TOL) -> State:
     """Validate a density element (PSD, unit trace) and build the state."""
     if not alg.is_positive_elem(density, tol):
@@ -78,7 +110,7 @@ def state_from_density(density: AlgElement, tol: Tolerance = DEFAULT_TOL) -> Sta
     tr = alg.trace(density)
     if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
         raise ValueError(f"density trace {tr} is not 1 within tolerance")
-    return State(density.shape, density, _support_projection(density, tol))
+    return State(density.shape, density, _spectrum(density, tol))
 
 
 def support(omega: State) -> AlgElement:
@@ -104,7 +136,7 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
     tr = alg.trace(sym)
     if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
         raise PullbackNotPSD(f"pullback density has trace {tr}, expected 1")
-    return State(sym.shape, sym, _support_projection(sym, tol))
+    return State(sym.shape, sym, _spectrum(sym, tol))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,31 @@
-"""Loop implementations of the exact basis checks, kept as a slow oracle.
+"""Loop implementations of the exact checks and constructions, kept as a slow oracle.
 
-These are the straightforward versions of the checks that the library
-decides with one closed-form grid evaluation: they visit every matrix unit,
-or every pair of matrix units, and decide each comparison with
-`elem_equal` or an operator-norm test on the support.  The differential
-test runs both and requires the same verdicts and the same witnesses.
+These are the straightforward versions of what the library computes in
+closed form: the checks visit every matrix unit, or every pair of matrix
+units, and decide each comparison with `elem_equal` or an operator-norm test
+on the support; the constructions apply a callback to every matrix unit, and
+`is_cp` decides the full Choi matrix of each domain block.  The differential
+tests run both and require the same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from qmarkov import algebra as alg
+from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.bayes import BayesProblem
-from qmarkov.channel import Channel, PropertyReport, _report, apply, compose, identity_channel
-from qmarkov.errors import ShapeMismatch, SupportNotFull
+from qmarkov.channel import (
+    Channel,
+    PropertyReport,
+    _report,
+    apply,
+    channel_from_action,
+    compose,
+    hs_adjoint,
+    identity_channel,
+)
+from qmarkov.errors import NonscalarImageBlock, NotCommutative, ShapeMismatch, SupportNotFull
+from qmarkov.linalg import herm_eig, op_norm
 from qmarkov.state import State, pullback_state
 from qmarkov.tolerances import DEFAULT_TOL, Tolerance
 
@@ -148,3 +162,209 @@ def verify_disintegration(f: Channel, omega: State, g: Channel,
         )
     return _report("disintegration", True, tol.eq,
                    detail="state preservation and a.e. section both hold")
+
+
+# ---------------------------------------------------------------------------
+# constructions: one callback per matrix unit
+# ---------------------------------------------------------------------------
+
+def transpose_channel(s: AlgebraShape) -> Channel:
+    return channel_from_action(
+        s, s, lambda a: AlgElement(s, tuple(b.T.copy() for b in a.blocks))
+    )
+
+
+def ad_channel(v: np.ndarray) -> Channel:
+    v = np.asarray(v, dtype=complex)
+    p, q = v.shape
+    dom, cod = AlgebraShape((q,)), AlgebraShape((p,))
+    return channel_from_action(dom, cod, lambda a: AlgElement(cod, (v @ a.blocks[0] @ v.conj().T,)))
+
+
+def conjugation_by(e: AlgElement) -> Channel:
+    s = e.shape
+    return channel_from_action(s, s, lambda a: alg.mul(alg.mul(e, a), alg.adjoint(e)))
+
+
+def kraus_channel(domain: AlgebraShape, codomain: AlgebraShape, kraus_ops) -> Channel:
+    ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+
+    def act(a: AlgElement) -> AlgElement:
+        b = a.blocks[0]
+        return AlgElement(codomain, (sum(k.conj().T @ b @ k for k in ops),))
+
+    return channel_from_action(domain, codomain, act)
+
+
+def mult_map(s: AlgebraShape) -> Channel:
+    dom = alg.tensor_shape(s, s)
+    mat = np.zeros((s.coord_dim, dom.coord_dim), dtype=np.int8)
+    cod_off = s.offsets()
+    col = 0
+    k = len(s.blocks)
+    for x in range(k):
+        m = s.blocks[x]
+        for y in range(k):
+            n = s.blocks[y]
+            for i in range(m):
+                for p in range(n):
+                    for j in range(m):
+                        for q in range(n):
+                            if x == y and j == p:
+                                mat[cod_off[x] + i * m + q, col] = 1.0
+                            col += 1
+    return Channel(dom, s, mat)
+
+
+def tensor(f: Channel, g: Channel) -> Channel:
+    dom = alg.tensor_shape(f.domain, g.domain)
+    cod = alg.tensor_shape(f.codomain, g.codomain)
+    f_units = [apply(f, e) for e in alg.matrix_units(f.domain)]
+    g_units = [apply(g, e) for e in alg.matrix_units(g.domain)]
+    mat = np.zeros((cod.coord_dim, dom.coord_dim), dtype=complex)
+    col = 0
+    idx_f = {lab: i for i, lab in enumerate(alg._basis_labels(f.domain))}
+    idx_g = {lab: i for i, lab in enumerate(alg._basis_labels(g.domain))}
+    for x, m in enumerate(f.domain.blocks):
+        for y, n in enumerate(g.domain.blocks):
+            for i in range(m):
+                for p in range(n):
+                    for j in range(m):
+                        for q in range(n):
+                            fa = f_units[idx_f[(x, i, j)]]
+                            gb = g_units[idx_g[(y, p, q)]]
+                            mat[:, col] = alg.vec(alg.tensor_elem(fa, gb))
+                            col += 1
+    return Channel(dom, cod, mat)
+
+
+def choi(f: Channel) -> list[np.ndarray]:
+    out = []
+    ncod = f.codomain.total_dim
+    for y, n in enumerate(f.domain.blocks):
+        c = np.zeros((n * ncod, n * ncod), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                e = alg.zero(f.domain)
+                e.blocks[y][i, j] = 1.0
+                img = alg.block_embed(apply(f, e))
+                eij = np.zeros((n, n), dtype=complex)
+                eij[i, j] = 1.0
+                c += np.kron(eij, img)
+        out.append(c)
+    return out
+
+
+def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    for y, c in enumerate(choi(f)):
+        scale = tol.scale(op_norm(c))
+        skew = np.max(np.abs(c - c.conj().T)) if c.size else 0.0
+        w, _ = herm_eig(0.5 * (c + c.conj().T), tol)
+        if skew > tol.herm * scale:
+            return _report(
+                "cp", False, tol.psd,
+                witness={"domain_block": y, "skew_norm": float(skew),
+                         "min_eigenvalue": float(w[-1])},
+                detail=f"Choi matrix of domain block {y} is not Hermitian "
+                       f"(skew {skew:.3g}); Hermitian part has eigenvalue {w[-1]:.6g}",
+            )
+        if w[-1] < -tol.psd * scale:
+            return _report(
+                "cp", False, tol.psd,
+                witness={"domain_block": y, "min_eigenvalue": float(w[-1])},
+                detail=f"Choi matrix of domain block {y} has eigenvalue {w[-1]:.6g}",
+            )
+    return _report("cp", True, tol.psd)
+
+
+def product_form(state: State) -> np.ndarray:
+    s = state.shape
+    t = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
+    for x, (n, off) in enumerate(zip(s.blocks, s.offsets())):
+        sig = state.density.blocks[x]
+        for p in range(n):
+            for q in range(n):
+                i = off + p * n + q
+                for r in range(n):
+                    t[i, off + q * n + r] = sig[r, p]
+    return t
+
+
+def bayes_candidate_channel(prob: BayesProblem) -> Channel:
+    """The candidate of `bayes_candidate`, from the same pseudo-inverse and support."""
+    f, omega, xi = prob.channel, prob.prior, prob.pullback
+    rho = omega.density
+    fstar = hs_adjoint(f)
+    sigma_pinv = xi.spectrum.inverse_power(1.0)
+    complement = alg.unit(xi.shape) - xi.support
+    comp_density = alg.unit(omega.shape) * (1.0 / omega.shape.total_dim)
+
+    def act(a: AlgElement) -> AlgElement:
+        main = alg.mul(sigma_pinv, apply(fstar, alg.mul(rho, a)))
+        weight = complex(sum(np.trace(r @ x) for r, x in zip(comp_density.blocks, a.blocks)))
+        return main + weight * complement
+
+    return channel_from_action(f.codomain, f.domain, act)
+
+
+def petz_recovery(prob: BayesProblem) -> Channel:
+    """`petz_recovery` from the same square roots."""
+    f, omega, xi = prob.channel, prob.prior, prob.pullback
+    sqrt_rho = omega.spectrum.sqrt()
+    sqrt_sigma_pinv = xi.spectrum.inverse_power(0.5)
+    fstar = hs_adjoint(f)
+
+    def act(a: AlgElement) -> AlgElement:
+        mid = apply(fstar, alg.mul(alg.mul(sqrt_rho, a), sqrt_rho))
+        return alg.mul(alg.mul(sqrt_sigma_pinv, mid), sqrt_sigma_pinv)
+
+    return channel_from_action(f.codomain, f.domain, act)
+
+
+def commutative_disintegration(f: Channel, omega: State, tol: Tolerance = DEFAULT_TOL) -> Channel:
+    """`commutative_disintegration` without its a.e. determinism precondition."""
+    if not f.codomain.is_commutative:
+        raise NotCommutative("disintegration construction requires an all-ones codomain")
+    nx = len(f.codomain.blocks)
+    dom = f.domain
+    p_diag = np.array([omega.density.blocks[x][0, 0].real for x in range(nx)])
+    p_supp = np.array([omega.support.blocks[x][0, 0].real > 0.5 for x in range(nx)])
+    unit_images = []
+    for y in range(len(dom.blocks)):
+        e = alg.zero(dom)
+        np.fill_diagonal(e.blocks[y], 1.0)
+        unit_images.append(apply(f, e))
+    block_of = {}
+    for x in np.flatnonzero(p_supp):
+        vals = np.array([abs(unit_images[y].blocks[x][0, 0]) for y in range(len(dom.blocks))])
+        hits = np.flatnonzero(vals > 0.5)
+        if hits.size != 1:
+            raise NonscalarImageBlock(
+                f"support point {x} does not evaluate through a unique block"
+            )
+        y = int(hits[0])
+        if dom.blocks[y] != 1:
+            raise NonscalarImageBlock(
+                f"support point {x} evaluates through block {y} of dimension {dom.blocks[y]}"
+            )
+        block_of[int(x)] = y
+    q = np.zeros(len(dom.blocks))
+    for x, y in block_of.items():
+        q[y] += p_diag[x]
+
+    def act(a: AlgElement) -> AlgElement:
+        avg = complex(sum(a.blocks[x][0, 0] for x in range(nx))) / nx
+        out = []
+        for y, n in enumerate(dom.blocks):
+            if q[y] > 0:
+                val = sum(
+                    p_diag[x] / q[y] * a.blocks[x][0, 0]
+                    for x, yy in block_of.items()
+                    if yy == y
+                )
+            else:
+                val = avg
+            out.append(val * np.eye(n, dtype=complex))
+        return AlgElement(dom, tuple(out))
+
+    return channel_from_action(f.codomain, dom, act)

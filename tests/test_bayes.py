@@ -177,6 +177,21 @@ def test_petz_requires_full_support():
         petz_exists(prob)
 
 
+def test_support_and_pseudo_inverse_share_one_rank_decision():
+    # the second weight is below tol.rank times the largest eigenvalue, so it
+    # is outside the support; the pseudo-inverse must not invert it either
+    s = AlgebraShape((1, 1))
+    omega = state_of(s, [[1 - 1e-11]], [[1e-11]])
+    prob = bayes_problem(identity_channel(s), omega)
+    assert np.allclose([b[0, 0] for b in prob.pullback.support.blocks], [1, 0])
+    result = bayes_candidate(prob)
+    assert result.unital.passed and result.cpu_ok
+    one = apply(result.candidate, alg.unit(s))
+    assert np.allclose([b[0, 0] for b in one.blocks], [1, 1])
+    petz_one = apply(petz_recovery(prob), alg.unit(s))
+    assert np.allclose([b[0, 0] for b in petz_one.blocks], [1, 0])
+
+
 def test_invertible_channel_disintegrates():
     rng = np.random.default_rng(4)
     u = random_unitary(3, rng)

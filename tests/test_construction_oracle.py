@@ -1,0 +1,287 @@
+"""Differential oracle: the closed-form constructions against their loops.
+
+`choi`, `tensor`, `mult_map`, `transpose_channel` and `_product_form` only
+copy or multiply single entries, so they must match the loops in
+`loop_reference.py` exactly.  `ad_channel`, `conjugation_by`,
+`kraus_channel`, the Bayes and Petz candidates and the commutative
+disintegration sum in another order, so they must match to
+1e-13 * max(1, ||M||).  `is_cp` must give the same verdict and witness
+block as the loop that decides the full Choi matrix of each domain block.
+"""
+import numpy as np
+import pytest
+
+import loop_reference as ref
+from qmarkov import _grid, corpus, props
+from qmarkov import algebra as alg
+from qmarkov import finstoch as fs
+from qmarkov.algebra import AlgebraShape, AlgElement
+from qmarkov.bayes import _product_form, bayes_candidate, bayes_problem, commutative_disintegration
+from qmarkov.bayes import petz_recovery
+from qmarkov.channel import (
+    Channel,
+    ad_channel,
+    channel_from_action,
+    choi,
+    compose,
+    conjugation_by,
+    is_cp,
+    kraus_channel,
+    mult_map,
+    tensor,
+    transpose_channel,
+)
+from qmarkov.state import state_from_density
+from qmarkov.tolerances import Tolerance
+
+SHAPES = [(1,), (2,), (3,), (1, 1, 1), (1, 2), (2, 1, 3), (1, 2, 2, 3)]
+
+
+def _shape(blocks) -> AlgebraShape:
+    return AlgebraShape(tuple(blocks))
+
+
+def _close(got: np.ndarray, want: np.ndarray) -> bool:
+    scale = max(1.0, np.linalg.norm(want, 2)) if want.size else 1.0
+    return got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+
+
+def _random_cp(dom: AlgebraShape, cod: AlgebraShape, rng) -> Channel:
+    """B |-> pinch(V* B V) for a random V: CP between any two shapes, and
+    unital when V is an isometry, which it is when dom is the larger."""
+    v = rng.standard_normal((dom.total_dim, cod.total_dim)) \
+        + 1j * rng.standard_normal((dom.total_dim, cod.total_dim))
+    if dom.total_dim >= cod.total_dim:
+        v = np.linalg.qr(v)[0]
+    ends = np.cumsum(cod.blocks)
+
+    def act(b):
+        big = v.conj().T @ alg.block_embed(b) @ v
+        return AlgElement(cod, tuple(big[e - n:e, e - n:e] for n, e in zip(cod.blocks, ends)))
+
+    return channel_from_action(dom, cod, act)
+
+
+def _random_star(dom: AlgebraShape, cod: AlgebraShape, rng) -> Channel:
+    """A random star-preserving map: Hermitian Choi blocks, almost never PSD."""
+    return props._random_star_preserving(dom, cod, rng)
+
+
+def _random_map(dom: AlgebraShape, cod: AlgebraShape, rng) -> Channel:
+    shape = (cod.coord_dim, dom.coord_dim)
+    return Channel(dom, cod, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _with_block(f: Channel, g: Channel, y: int) -> Channel:
+    """f with the columns of domain block y taken from g."""
+    off, n = f.domain.offsets()[y], f.domain.blocks[y]
+    mat = f.matrix.copy()
+    mat[:, off:off + n * n] = g.matrix[:, off:off + n * n]
+    return Channel(f.domain, f.codomain, mat)
+
+
+def _channels(rng):
+    """(label, channel) over CPU, transposed, non-CP and mixed multi-block maps."""
+    out = []
+    for n_dom, n_cod in ((1, 1), (2, 2), (2, 3), (3, 2), (4, 4)):
+        out.append((f"cpu-{n_dom}-{n_cod}", props.random_cpu_channel(n_dom, n_cod, rng)))
+    for blocks in SHAPES:
+        out.append((f"transpose-{blocks}", transpose_channel(_shape(blocks))))
+    pairs = [((1, 2, 2, 3), (2, 1, 3)), ((2, 1, 3), (1, 2, 2, 3)), ((1, 1, 1), (2,)),
+             ((2,), (1, 1, 1)), ((1, 2), (1, 2))]
+    for dom, cod in pairs:
+        dom, cod = _shape(dom), _shape(cod)
+        cp = _random_cp(dom, cod, rng)
+        out += [(f"cp-{dom}-{cod}", cp),
+                (f"star-{dom}-{cod}", _random_star(dom, cod, rng)),
+                (f"raw-{dom}-{cod}", _random_map(dom, cod, rng))]
+        for y in range(1, len(dom.blocks)):
+            out.append((f"cp-but-{y}-{dom}-{cod}", _with_block(cp, _random_star(dom, cod, rng), y)))
+    _, _, kl_f, kl_g = corpus.kl_channels(0.5)
+    out += [("knill-laflamme-f", kl_f), ("knill-laflamme-g", kl_g),
+            ("mult-m2", mult_map(AlgebraShape((2,)))),
+            ("epr", corpus.epr_conditional()[0])]
+    return out
+
+
+def test_choi_tensor_mult_transpose_are_bitwise_identical():
+    rng = np.random.default_rng(31)
+    channels = _channels(rng)
+    for label, f in channels:
+        for got, want in zip(choi(f), ref.choi(f), strict=True):
+            assert np.array_equal(got, want), label
+    small = [(label, f) for label, f in channels if f.domain.coord_dim * f.codomain.coord_dim <= 100]
+    for (la, f), (lb, g) in zip(small, small[::-1]):
+        assert np.array_equal(tensor(f, g).matrix, ref.tensor(f, g).matrix), (la, lb)
+    for blocks in SHAPES:
+        s = _shape(blocks)
+        assert np.array_equal(mult_map(s).matrix, ref.mult_map(s).matrix), blocks
+        assert np.array_equal(transpose_channel(s).matrix, ref.transpose_channel(s).matrix), blocks
+
+
+def test_product_form_is_bitwise_identical():
+    rng = np.random.default_rng(32)
+    for blocks in SHAPES:
+        for full in (True, False):
+            omega = props.random_rank_deficient_state(_shape(blocks), rng, full=full)
+            assert np.array_equal(_product_form(omega), ref.product_form(omega)), blocks
+
+
+def test_conjugations_and_kraus_agree_with_loops():
+    rng = np.random.default_rng(33)
+    for blocks in SHAPES:
+        e = alg.random_element(_shape(blocks), rng)
+        assert _close(conjugation_by(e).matrix, ref.conjugation_by(e).matrix), blocks
+    for p, q in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        v = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+        assert _close(ad_channel(v).matrix, ref.ad_channel(v).matrix), (p, q)
+    for n, m, k in ((1, 1, 1), (2, 3, 2), (3, 2, 3), (4, 4, 5)):
+        ops = [rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) for _ in range(k)]
+        dom, cod = AlgebraShape((n,)), AlgebraShape((m,))
+        assert _close(kraus_channel(dom, cod, ops).matrix,
+                      ref.kraus_channel(dom, cod, ops).matrix), (n, m, k)
+
+
+def _problems(rng):
+    """Bayes problems with full and deficient priors, single and multi-block."""
+    out = []
+    for n_dom, n_cod in ((2, 2), (2, 3), (3, 2)):
+        f = props.random_cpu_channel(n_dom, n_cod, rng)
+        for full in (True, False):
+            out.append(bayes_problem(f, props.random_rank_deficient_state(f.codomain, rng, full)))
+    for dom, cod in (((1, 2, 3), (2, 1, 3)), ((1, 2, 2, 3), (2, 1, 3)), ((2, 1), (1, 1, 1))):
+        f = _random_cp(_shape(dom), _shape(cod), rng)
+        for full in (True, False):
+            out.append(bayes_problem(f, props.random_rank_deficient_state(f.codomain, rng, full)))
+    for kind in ("unitary", "padded-block", "classical"):
+        f, omega, _ = props.disintegration_instance(kind, rng, max_dim=4)
+        out.append(bayes_problem(f, omega))
+    kern = fs.stochastic(rng.dirichlet(np.ones(5), size=4).T.tolist())
+    out.append(bayes_problem(fs.embed(kern), fs.embed_prob(fs.prob_vector([0.5, 0.5, 0, 0]))))
+    return out
+
+
+def test_bayes_and_petz_candidates_agree_with_loops():
+    rng = np.random.default_rng(34)
+    problems = _problems(rng)
+    assert len(problems) >= 16
+    for prob in problems:
+        label = (prob.channel.domain, prob.channel.codomain)
+        assert _close(bayes_candidate(prob).candidate.matrix,
+                      ref.bayes_candidate_channel(prob).matrix), label
+        assert _close(petz_recovery(prob).matrix, ref.petz_recovery(prob).matrix), label
+
+
+def _commutative_instances(rng):
+    """Commutative codomains read through scalar domain blocks on their support;
+    matrix blocks of the domain, and blocks no support point reads, are dead."""
+    for _ in range(12):
+        dom = _shape(rng.choice([1, 1, 2, 3], size=int(rng.integers(2, 6))))
+        scalar = [y for y, n in enumerate(dom.blocks) if n == 1] or [None]
+        if scalar == [None]:
+            continue
+        nx = int(rng.integers(2, 7))
+        cod = AlgebraShape((1,) * nx)
+        func = rng.choice(scalar, size=nx)
+        weights = rng.integers(0, 3, size=nx).astype(float)
+        weights[0] = max(weights[0], 1.0)
+
+        def act(b, func=func, cod=cod, weights=weights):
+            vals = [b.blocks[y][0, 0] if w > 0 else np.trace(b.blocks[-1]) / b.blocks[-1].shape[0]
+                    for y, w in zip(func, weights)]
+            return AlgElement(cod, tuple(np.array([[v]]) for v in vals))
+
+        f = channel_from_action(dom, cod, act)
+        omega = state_from_density(AlgElement(
+            cod, tuple(np.array([[w / weights.sum()]]) for w in weights)))
+        yield f, omega
+
+
+def test_commutative_disintegration_agrees_with_loop():
+    rng = np.random.default_rng(35)
+    cases = list(_commutative_instances(rng))
+    for kind in ("classical",) * 4:
+        f, omega, _ = props.disintegration_instance(kind, rng, max_dim=6)
+        cases.append((f, omega))
+    assert len(cases) >= 10
+    for f, omega in cases:
+        got = commutative_disintegration(f, omega)
+        assert _close(got.matrix, ref.commutative_disintegration(f, omega).matrix), f.domain
+
+
+def _cp_key(report):
+    return report.verdict, (report.witness or {}).get("domain_block")
+
+
+@pytest.fixture
+def exact_norms(monkeypatch):
+    """Counts the domain blocks whose Choi scale needed an exact norm."""
+    seen = []
+    exact = _grid._op_norm
+
+    def counting(xs):
+        seen.append(len(xs[0]))
+        return exact(xs)
+
+    monkeypatch.setattr(_grid, "_op_norm", counting)
+    return seen
+
+
+def test_is_cp_agrees_with_loop():
+    rng = np.random.default_rng(36)
+    verdicts = set()
+    for label, f in _channels(rng):
+        for tol in (Tolerance(), Tolerance(herm=1e-3)):
+            got = is_cp(Channel(f.domain, f.codomain, f.matrix), tol)
+            want = ref.is_cp(f, tol)
+            assert _cp_key(got) == _cp_key(want), label
+            verdicts.add(_cp_key(got))
+    # passes, and failures at the first and at later domain blocks
+    assert {("pass", None), ("fail", 0), ("fail", 1), ("fail", 2)} <= verdicts
+
+
+def _from_choi(c: np.ndarray, n: int, m: int) -> Channel:
+    """The map M_n ~> M_m whose single Choi block is c."""
+    mat = c.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
+    return Channel(AlgebraShape((n,)), AlgebraShape((m,)), mat)
+
+
+def _near_threshold(rng, herm: float, sign: float, margin: float) -> tuple[Channel, Tolerance]:
+    """A map whose Choi minimum eigenvalue sits a relative `margin` beyond
+    (sign +1) or inside (sign -1) the PSD bound, with an anti-Hermitian part
+    that makes the two cheap scale bounds straddle the bound."""
+    n, m = 2, 3
+    k = rng.standard_normal((n * m, n * m - 1)) + 1j * rng.standard_normal((n * m, n * m - 1))
+    h0 = k @ k.conj().T                                     # PSD with a kernel vector
+    kernel = np.linalg.eigh(h0)[1][:, 0]
+    a = rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)
+    skew = 0.5 * (a - a.conj().T)
+    skew *= 0.1 * herm * np.linalg.norm(h0, 2) / np.abs(skew).max()
+    c0 = h0 + skew
+    eps = 1e-9 * np.linalg.norm(c0, 2) * (1 + sign * margin)
+    c = c0 - eps * np.outer(kernel, kernel.conj())
+    return _from_choi(c, n, m), Tolerance(herm=herm)
+
+
+def test_is_cp_near_threshold_takes_the_exact_norm(exact_norms):
+    rng = np.random.default_rng(37)
+    verdicts = []
+    for herm in (1e-3, 1e-1):
+        for sign in (1.0, -1.0):
+            for margin in (1e-5, 1e-4):
+                for _ in range(3):
+                    f, tol = _near_threshold(rng, herm, sign, margin)
+                    got, want = is_cp(f, tol), ref.is_cp(f, tol)
+                    assert _cp_key(got) == _cp_key(want), (herm, sign, margin)
+                    verdicts.append(got.verdict)
+    assert sum(exact_norms) > 0          # the cheap bounds left some blocks open
+    assert {"pass", "fail"} <= set(verdicts)
+
+
+def test_composed_and_tensored_cp_maps_stay_cp():
+    rng = np.random.default_rng(38)
+    f = _random_cp(_shape((1, 2)), _shape((2, 1)), rng)
+    g = _random_cp(_shape((2, 1)), _shape((1, 2)), rng)
+    for h in (compose(f, g), tensor(f, g), tensor(transpose_channel(_shape((1, 2))), f)):
+        assert _cp_key(is_cp(h)) == _cp_key(ref.is_cp(h))
+    assert is_cp(tensor(f, g)).passed and not is_cp(tensor(transpose_channel(_shape((2,))), f)).passed

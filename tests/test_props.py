@@ -43,3 +43,35 @@ def test_bayes_suite_sees_a_deficient_prior_on_every_seed(seed):
     rep = props.run_suite("bayes", seed=seed, trials=64)
     bad = [(c.desc, c.detail) for c in rep.checks if not c.passed]
     assert not bad, bad
+
+
+@pytest.mark.parametrize("seed", [23, 109])
+def test_matrix_kernel_suite_passes_on_ill_conditioned_draws(seed):
+    # these seeds draw matrices whose Moore-Penrose residuals exceeded 1e-10
+    # when measured against ||A|| or ||A+|| alone
+    rep = props.run_suite("matrix-kernel", seed=seed, trials=64)
+    bad = [(c.desc, c.detail) for c in rep.checks if not c.passed]
+    assert not bad, bad
+
+
+def test_moore_penrose_check_still_catches_a_wrong_eigenvalue():
+    import numpy as np
+
+    from qmarkov.linalg import pinv_psd
+
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        psd = m.conj().T @ m
+        if np.linalg.cond(psd) < 1e3:
+            break
+    else:
+        raise AssertionError("no well-conditioned draw")
+    assert props.moore_penrose_deviation(psd, pinv_psd(psd)) <= 1e-10
+    w, u = np.linalg.eigh(psd)
+    for k in range(n):
+        inv = 1.0 / w
+        inv[k] /= 1 + 1e-3   # one eigenvalue of the pseudo-inverse off by 1e-3
+        wrong = (u * inv) @ u.conj().T
+        assert props.moore_penrose_deviation(psd, wrong) > 1e-10, k

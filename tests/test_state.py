@@ -69,6 +69,32 @@ def test_support_reproduces_the_state_on_basis():
         assert abs(omega.expect(alg.mul(e, p)) - val) <= 1e-10
 
 
+def test_spectral_functions_share_the_support():
+    from qmarkov.linalg import pinv_psd, sqrt_psd
+    from qmarkov.props import random_rank_deficient_state
+
+    rng = np.random.default_rng(12)
+    for blocks in ((3,), (4,), (1, 2, 3)):
+        for full in (True, False):
+            omega = random_rank_deficient_state(AlgebraShape(blocks), rng, full=full)
+            spec = omega.spectrum
+            pinv, root_pinv = spec.inverse_power(1.0), spec.inverse_power(0.5)
+            for p, r, rr, s, rho in zip(omega.support.blocks, pinv.blocks, root_pinv.blocks,
+                                        spec.sqrt().blocks, omega.density.blocks):
+                assert np.allclose(rr @ rr, r, atol=1e-8)
+                assert np.allclose(r @ rho, p, atol=1e-8) and np.allclose(rho @ r, p, atol=1e-8)
+                assert np.allclose(s, sqrt_psd(rho), atol=1e-12)
+            if len(blocks) == 1:   # one block: the global and blockwise cutoffs coincide
+                assert np.allclose(pinv.blocks[0], pinv_psd(omega.density.blocks[0]), atol=1e-10)
+
+
+def test_rank_cutoff_is_relative_to_the_largest_eigenvalue_of_all_blocks():
+    s = AlgebraShape((1, 2))
+    omega = density(s, [[1 - 2e-11]], np.diag([1e-11, 1e-11]))
+    assert np.allclose(omega.support.blocks[1], 0)
+    assert np.allclose(omega.spectrum.inverse_power(1.0).blocks[1], 0)
+
+
 def test_nullspace_membership_matches_expectation():
     rng = np.random.default_rng(2)
     s = AlgebraShape((3,))
