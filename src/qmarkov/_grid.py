@@ -76,10 +76,14 @@ def _groups(s: AlgebraShape) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     return tuple(out)
 
 
-def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
-    """The columns of `matrix`, coordinates on s, as stacks per block size."""
+def _finite(matrix: np.ndarray) -> None:
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains NaN or Inf entries")
+
+
+def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
+    """The columns of `matrix`, coordinates on s, as stacks per block size."""
+    _finite(matrix)
     return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, _, rows in _groups(s)]
 
 
@@ -135,6 +139,7 @@ def choi_blocks(f) -> list[tuple[np.ndarray, Stacks]]:
     per codomain block size m, their blocks as a stack (k_n, k_m, n m, n m),
     read from the channel matrix by a reshape and a transpose.
     """
+    _finite(f.matrix)
     out = []
     for n, ys, cols in _groups(f.domain):
         stacks = []

@@ -186,7 +186,8 @@ def bayes_candidate(
     completion yields the same left-Bayes verdict.
 
     The support P and pinv(sigma) come from one rank decision, the
-    pullback's spectrum.  In coordinates the candidate is
+    pullback's spectrum, made with the tolerance `bayes_problem` was given;
+    tol here decides the verdicts of the five checks.  In coordinates the candidate is
     L(pinv sigma) F* L(rho) + vec(1 - P) coords(completion^T)^T, with L(a)
     the matrix of left multiplication by a.
     """
@@ -242,12 +243,11 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
     return _report("petz-exists", True, tol.eq)
 
 
-def petz_recovery(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> Channel:
+def petz_recovery(prob: BayesProblem) -> Channel:
     """The recovery channel Ad_sqrt(pinv sigma) o F* o Ad_sqrt(rho).
 
     sqrt(pinv sigma) takes its rank from the pullback's spectrum, as the
-    support does; that rank was decided when the pullback was built, so tol
-    is not consulted here.
+    support does: the rank cutoff is the tolerance `bayes_problem` was given.
     """
     f, omega, xi = prob.channel, prob.prior, prob.pullback
     mat = _conj_mult(xi.spectrum.inverse_power(0.5)) @ hs_adjoint(f).matrix \

@@ -164,7 +164,7 @@ def cmd_petz(args) -> int:
     payload = {"checks": [exists.to_dict()]}
     lines = _report_lines(reports)
     if exists.passed:
-        recovery = petz_recovery(prob, tol)
+        recovery = petz_recovery(prob)
         payload["recovery"] = ser.channel_to_json(recovery)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

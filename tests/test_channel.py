@@ -256,6 +256,16 @@ def test_cached_verdicts_are_keyed_on_the_whole_tolerance():
     assert not is_cp(Channel(M2, M2, mat), strict).passed
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [AlgebraShape((1, 1)), M2])
+def test_is_cp_rejects_non_finite_matrices(shape, bad):
+    # 1x1 Choi blocks (a classical map) skip the eigensolver; M_2 does not
+    mat = np.eye(shape.coord_dim, dtype=complex)
+    mat[0, -1] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        is_cp(Channel(shape, shape, mat))
+
+
 def test_channel_matrix_is_a_read_only_copy():
     source = np.eye(4, dtype=complex)
     h = Channel(M2, M2, source)
