@@ -24,13 +24,21 @@ from typing import Callable
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraShape, AlgElement
+from .algebra import (
+    AlgebraShape,
+    AlgElement,
+    Stacks,
+    _dagger,
+    _finite,
+    _groups,
+    _lower,
+    _max_abs,
+    _op_norm,
+    _upper,
+)
 from .tolerances import Tolerance
 
-Stacks = list  # one array (N, k, m, m) per block size of a shape
-
 _CHUNK = 1 << 13   # codomain entries per operand in one chunk of the grid
-_SLACK = 1e-12     # relative margin on the cheap norm bounds, far above rounding
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -65,34 +73,10 @@ def product_index(s: AlgebraShape) -> np.ndarray:
                                s.coord_dim))
 
 
-@lru_cache(maxsize=64)
-def _groups(s: AlgebraShape) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """(m, the blocks of size m, their coordinate rows) for each block size of s."""
-    offs = s.offsets()
-    out = []
-    for m in dict.fromkeys(s.blocks):
-        ids = np.flatnonzero(np.array(s.blocks) == m)
-        out.append((m, ids, np.concatenate([offs[x] + np.arange(m * m) for x in ids])))
-    return tuple(out)
-
-
-def _finite(matrix: np.ndarray) -> None:
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix contains NaN or Inf entries")
-
-
 def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
     """The columns of `matrix`, coordinates on s, as stacks per block size."""
     _finite(matrix)
     return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, _, rows in _groups(s)]
-
-
-def element(a: AlgElement) -> Stacks:
-    """One element as stacks (k, m, m) per block size."""
-    return [
-        np.stack([b for b in a.blocks if b.shape[0] == m])
-        for m, _, _ in _groups(a.shape)
-    ]
 
 
 @lru_cache(maxsize=64)
@@ -114,19 +98,19 @@ def tensor_index(s1: AlgebraShape, s2: AlgebraShape) -> tuple[np.ndarray, np.nda
     return _read_only(left), _read_only(right)
 
 
-def block_kron(s: AlgebraShape, left, right) -> np.ndarray:
+def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
     """Block-diagonal matrix of kron(left[x], right[x]) over the blocks x of s.
 
     Coordinates are row-major per block, so vec(A X B) = (A (x) B^T) vec(X):
     with left = A and right = B^T per block, this is the coordinate matrix
-    of X |-> A X B applied blockwise.  Blocks of equal size form one stack.
+    of X |-> A X B applied blockwise.  left and right are stacks (k, m, m)
+    per block size; a stack (1, m, m) stands for the same factor in every block.
     """
     out = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
-    for m, ids, rows in _groups(s):
-        a = np.stack([left[x] for x in ids])[:, :, None, :, None]
-        b = np.stack([right[x] for x in ids])[:, None, :, None, :]
+    for (m, ids, rows), a, b in zip(_groups(s), left, right):
         at = rows.reshape(len(ids), m * m, 1)
-        out[at, at.swapaxes(1, 2)] = (a * b).reshape(len(ids), m * m, m * m)
+        prod = a[:, :, None, :, None] * b[:, None, :, None, :]
+        out[at, at.swapaxes(1, 2)] = prod.reshape(len(ids), m * m, m * m)
     return out
 
 
@@ -150,11 +134,6 @@ def choi_blocks(f) -> list[tuple[np.ndarray, Stacks]]:
     return out
 
 
-def dagger(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a stack."""
-    return x.conj().swapaxes(-1, -2)
-
-
 def products(x: np.ndarray, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """x[r] y[c] (x[r]* y[c] with adjoint) for every r and c, r-major.
 
@@ -164,7 +143,7 @@ def products(x: np.ndarray, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """
     r, k, m, _ = x.shape
     c = len(y)
-    left = (dagger(x) if adjoint else x).transpose(1, 0, 2, 3).reshape(k, r * m, m)
+    left = (_dagger(x) if adjoint else x).transpose(1, 0, 2, 3).reshape(k, r * m, m)
     right = y.transpose(1, 2, 0, 3).reshape(k, m, c * m)
     out = (left @ right).reshape(k, r, m, c, m)
     return out.transpose(1, 3, 0, 2, 4).reshape(r * c, k, m, m)
@@ -215,36 +194,6 @@ def unit(s: AlgebraShape, index: int) -> AlgElement:
     return alg.unvec(s, v)
 
 
-def _max_abs(xs: Stacks) -> np.ndarray:
-    """Largest absolute entry of each element, as `elem_equal` measures it."""
-    return np.maximum.reduce([np.abs(x).reshape(len(x), -1).max(axis=1) for x in xs])
-
-
-# The norm of an element is its largest blockwise operator norm.  It lies
-# between the largest absolute entry and the largest blockwise Frobenius
-# norm; both bounds are widened by _SLACK to cover rounding.
-
-def _lower(xs: Stacks) -> np.ndarray:
-    return _max_abs(xs) * (1 - _SLACK)
-
-
-def _upper(xs: Stacks) -> np.ndarray:
-    frob = [(x.real ** 2 + x.imag ** 2).sum(axis=(2, 3)).max(axis=1) for x in xs]
-    return np.sqrt(np.maximum.reduce(frob)) * (1 + _SLACK)
-
-
-def _op_norm(xs: Stacks) -> np.ndarray:
-    """Operator norm of each element, computed as `linalg.op_norm` does per block."""
-    out = []
-    for x in xs:
-        if x.shape[-1] == 1:
-            out.append(np.abs(x).reshape(len(x), -1).max(axis=1))
-        else:
-            top = np.linalg.eigvalsh(dagger(x) @ x)[..., -1]
-            out.append(np.sqrt(np.maximum(top, 0.0)).max(axis=1))
-    return np.maximum.reduce(out)
-
-
 def first_failure(
     codomain: AlgebraShape,
     rows: int,
@@ -272,7 +221,7 @@ def first_failure(
     pay for exact operator norms.  The grid runs in chunks of whole rows and
     stops at the first chunk that holds a failure.
     """
-    proj = None if support is None else element(support)
+    proj = None if support is None else alg._element_stacks(support)
     step = max(1, _CHUNK // (cols * codomain.coord_dim))
     for r0 in range(0, rows, step):
         lhs, rhs = operands(r0, min(r0 + step, rows))

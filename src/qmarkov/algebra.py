@@ -4,16 +4,22 @@ An algebra is described by its block dimensions (n_1, ..., n_k); an element
 is one complex n_i x n_i matrix per block.  The canonical coordinate basis
 lists the matrix units block by block, row-major inside each block, which
 fixes the vectorization used by every channel matrix in the library.
+
+Norms, comparisons and spectra read an element as stacks: the k blocks of
+size m form one array (k, m, m), one per block size, gathered from the
+coordinate vector.  An algebra of many equal blocks then costs one array
+operation, not one per block, and the finiteness of an element is checked
+once, when it is stacked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .errors import NotSelfAdjoint, ShapeMismatch
-from .linalg import herm_eig, op_norm
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -80,10 +86,6 @@ class AlgebraShape:
         return f"AlgebraShape({list(self.blocks)})"
 
 
-def shape(*blocks: int) -> AlgebraShape:
-    return AlgebraShape(tuple(blocks))
-
-
 @dataclass(frozen=True)
 class AlgElement:
     """Block-diagonal element of a direct sum of matrix algebras."""
@@ -133,7 +135,7 @@ def zero(s: AlgebraShape) -> AlgElement:
 
 def unit(s: AlgebraShape) -> AlgElement:
     """Multiplicative identity (the image of the unit inclusion)."""
-    return AlgElement(s, tuple(np.eye(n, dtype=complex) for n in s.blocks))
+    return unvec(s, _unit_coords(s).copy())
 
 
 def mul(a: AlgElement, b: AlgElement) -> AlgElement:
@@ -159,19 +161,27 @@ def normalized_trace(a: AlgElement) -> complex:
 
 def norm(a: AlgElement) -> float:
     """Operator norm: the maximum of the blockwise operator norms."""
-    return max(op_norm(b) for b in a.blocks)
+    return float(_op_norm(_element_stacks(a)))
 
 
 def elem_equal(a: AlgElement, b: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
     _check_same_shape(a, b)
-    scale = tol.scale(max(norm(a), norm(b)))
-    dev = max(np.max(np.abs(x - y)) if x.size else 0.0 for x, y in zip(a.blocks, b.blocks))
-    return dev <= tol.eq * scale
+    return _coords_equal(a.shape, vec(a), vec(b), tol)
+
+
+def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
+    """elem_equal on coordinate vectors: max|u - v| <= tol.eq * max(1, ||u||, ||v||)."""
+    _finite(u)
+    _finite(v)
+    dev = np.abs(u - v).max()
+    # the scale is at least 1, so a deviation within tol.eq needs no norm
+    return bool(dev <= tol.eq or dev <= tol.eq * tol.scale(
+        max(_op_norm(_stacks(s, u)), _op_norm(_stacks(s, v)))))
 
 
 def vec(a: AlgElement) -> np.ndarray:
     """Coordinates of a in the canonical matrix-unit basis (row-major per block)."""
-    return np.concatenate([b.reshape(-1) for b in a.blocks])
+    return np.concatenate(a.blocks, axis=None)
 
 
 def unvec(s: AlgebraShape, v: np.ndarray) -> AlgElement:
@@ -219,9 +229,9 @@ def tensor_elem(a: AlgElement, b: AlgElement) -> AlgElement:
 
 
 def is_self_adjoint_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
-    scale = tol.scale(norm(a))
-    dev = max(np.max(np.abs(b - b.conj().T)) if b.size else 0.0 for b in a.blocks)
-    return dev <= tol.herm * scale
+    xs = _element_stacks(a)
+    dev = _max_abs([x - _dagger(x) for x in xs])
+    return bool(dev <= tol.herm or dev <= tol.herm * tol.scale(_op_norm(xs)))
 
 
 def is_positive_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -229,23 +239,123 @@ def is_positive_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Raises NotSelfAdjoint when a is not self-adjoint within tolerance.
     """
-    if not is_self_adjoint_elem(a, tol):
+    xs = _element_stacks(a)
+    scale = tol.scale(_op_norm(xs))
+    if _max_abs([x - _dagger(x) for x in xs]) > tol.herm * scale:
         raise NotSelfAdjoint("element is not self-adjoint within tolerance")
-    scale = tol.scale(norm(a))
-    for b in a.blocks:
-        w, _ = herm_eig(0.5 * (b + b.conj().T), tol)
-        if w[-1] < -tol.psd * scale:
-            return False
-    return True
+    return bool(_min_eig(xs) >= -tol.psd * scale)
 
 
-def min_eig(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue across blocks of a self-adjoint element."""
+def min_eig(a: AlgElement) -> float:
+    """Smallest eigenvalue across blocks of the self-adjoint part of a."""
+    return float(_min_eig(_element_stacks(a)))
+
+
+# ---------------------------------------------------------------------------
+# Stacked layout: the blocks of each size as one array
+# ---------------------------------------------------------------------------
+
+Stacks = list  # one array (..., k, m, m) per block size of a shape
+
+_SLACK = 1e-12     # relative margin on the cheap norm bounds, far above rounding
+
+
+@lru_cache(maxsize=64)
+def _groups(s: AlgebraShape) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """(m, the blocks of size m, their coordinate rows) for each block size of s."""
+    offs = s.offsets()
+    out = []
+    for m in dict.fromkeys(s.blocks):
+        ids = np.flatnonzero(np.array(s.blocks) == m)
+        out.append((m, ids, np.concatenate([offs[x] + np.arange(m * m) for x in ids])))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _block_order(s: AlgebraShape) -> np.ndarray:
+    """Where each block sits when the stacks of s are concatenated."""
+    order = np.argsort(np.concatenate([ids for _, ids, _ in _groups(s)]))
+    order.flags.writeable = False
+    return order
+
+
+@lru_cache(maxsize=64)
+def _unit_coords(s: AlgebraShape) -> np.ndarray:
+    """vec(1); shared by every caller, so read-only."""
+    v = np.zeros(s.coord_dim, dtype=complex)
+    for m, _, rows in _groups(s):
+        v[rows.reshape(-1, m * m)[:, :: m + 1]] = 1.0
+    v.flags.writeable = False
+    return v
+
+
+def _finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+
+
+def _stacks(s: AlgebraShape, v: np.ndarray) -> Stacks:
+    """Coordinates (..., coord_dim) on s as stacks (..., k, m, m)."""
+    return [v[..., rows].reshape(v.shape[:-1] + (len(ids), m, m)) for m, ids, rows in _groups(s)]
+
+
+def _element_stacks(a: AlgElement) -> Stacks:
+    """a as stacks (k, m, m); raises ValueError on NaN or Inf entries."""
+    v = vec(a)
+    _finite(v)
+    return _stacks(a.shape, v)
+
+
+def _unstack(s: AlgebraShape, xs) -> tuple:
+    """Per-block arrays, in block order, from arrays (k, ...) per block size."""
+    items = [b for x in xs for b in x]
+    return tuple(items[i] for i in _block_order(s))
+
+
+def _dagger(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+# The norm of an element is its largest blockwise operator norm.  It lies
+# between the largest absolute entry and the largest blockwise Frobenius
+# norm; both bounds are widened by _SLACK to cover rounding.  Each function
+# maps stacks (..., k, m, m) to one value per element (...).
+
+def _max_abs(xs: Stacks) -> np.ndarray:
+    """Largest absolute entry of each element, as `elem_equal` measures it."""
+    return np.maximum.reduce([np.abs(x).max(axis=(-3, -2, -1)) for x in xs])
+
+
+def _lower(xs: Stacks) -> np.ndarray:
+    return _max_abs(xs) * (1 - _SLACK)
+
+
+def _upper(xs: Stacks) -> np.ndarray:
+    frob = [(x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1)).max(axis=-1) for x in xs]
+    return np.sqrt(np.maximum.reduce(frob)) * (1 + _SLACK)
+
+
+def _op_norm(xs: Stacks) -> np.ndarray:
+    """Operator norm of each element, computed as `linalg.op_norm` does per block."""
+    out = []
+    for x in xs:
+        if x.shape[-1] == 1:
+            out.append(np.abs(x[..., 0, 0]).max(axis=-1))
+        else:
+            top = np.linalg.eigvalsh(_dagger(x) @ x)[..., -1]
+            out.append(np.sqrt(np.maximum(top, 0.0)).max(axis=-1))
+    return np.maximum.reduce(out)
+
+
+def _min_eig(xs: Stacks) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each element."""
     lows = []
-    for b in a.blocks:
-        w, _ = herm_eig(0.5 * (b + b.conj().T), tol)
-        lows.append(w[-1])
-    return float(min(lows))
+    for x in xs:
+        h = 0.5 * (x + _dagger(x))
+        w = h.real[..., 0] if x.shape[-1] == 1 else np.linalg.eigvalsh(h)
+        lows.append(w[..., 0].min(axis=-1))
+    return np.minimum.reduce(lows)
 
 
 def block_embed(a: AlgElement) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _grid
 from . import algebra as alg
-from .algebra import AlgebraShape, AlgElement
+from .algebra import AlgElement
 from .channel import (
     Channel,
     PropertyReport,
@@ -157,19 +157,16 @@ def verify_bayes(
     return _report(f"bayes-{side}", True, tol.eq, detail=f"max deviation {worst:.3g}")
 
 
-def _trace_state_element(s: AlgebraShape) -> AlgElement:
-    """Density of the normalized trace state tr(.) / total_dim."""
-    return alg.unit(s) * (1.0 / s.total_dim)
-
-
 def _left_mult(a: AlgElement) -> np.ndarray:
     """Coordinate matrix of X |-> a X: the block-diagonal kron(a_x, I)."""
-    return _grid.block_kron(a.shape, a.blocks, [np.eye(n) for n in a.shape.blocks])
+    xs = alg._stacks(a.shape, alg.vec(a))
+    return _grid.block_kron(a.shape, xs, [np.eye(x.shape[-1])[None] for x in xs])
 
 
 def _conj_mult(a: AlgElement) -> np.ndarray:
     """Coordinate matrix of X |-> a X a for self-adjoint a: kron(a_x, a_x^T)."""
-    return _grid.block_kron(a.shape, a.blocks, [b.T for b in a.blocks])
+    xs = alg._stacks(a.shape, alg.vec(a))
+    return _grid.block_kron(a.shape, xs, [x.swapaxes(-1, -2) for x in xs])
 
 
 def bayes_candidate(
@@ -192,17 +189,16 @@ def bayes_candidate(
     the matrix of left multiplication by a.
     """
     f, omega, xi = prob.channel, prob.prior, prob.pullback
-    complement = alg.unit(xi.shape) - xi.support
-    if completion is None:
-        comp_density = _trace_state_element(omega.shape)
+    complement = alg._unit_coords(xi.shape) - alg.vec(xi.support)
+    if completion is None:   # the normalized trace tr(.) / total_dim
+        comp_row = alg._unit_coords(omega.shape) * (1.0 / omega.shape.total_dim)
     else:
         if completion.shape != omega.shape:
             raise ShapeMismatch("completion state must live on the prior's algebra")
-        comp_density = completion.density
+        comp_row = _transposed_coords(completion.density)
     main = _left_mult(xi.spectrum.inverse_power(1.0)) @ hs_adjoint(f).matrix \
         @ _left_mult(omega.density)
-    g = Channel(f.codomain, f.domain,
-                main + np.outer(alg.vec(complement), _transposed_coords(comp_density)))
+    g = Channel(f.codomain, f.domain, main + np.outer(complement, comp_row))
     left = verify_bayes(f, omega, xi, g, "left", tol)
     right = verify_bayes(f, omega, xi, g, "right", tol)
     star = is_star_preserving(g, tol)
@@ -224,7 +220,7 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
     f, omega, xi = prob.channel, prob.prior, prob.pullback
     if not alg.elem_equal(xi.support, alg.unit(xi.shape), tol):
         raise SupportNotFull("pullback state does not have full support")
-    rho = _grid.element(omega.density)
+    rho = alg._element_stacks(omega.density)
     sigma = alg.vec(xi.density)[:, None]
 
     def operands(r0, r1):
@@ -257,7 +253,7 @@ def petz_recovery(prob: BayesProblem) -> Channel:
 
 def _transposed_coords(a: AlgElement) -> np.ndarray:
     """Coordinates of the blockwise transpose of a: tr(a X) = this . coords(X)."""
-    return np.concatenate([b.T.reshape(-1) for b in a.blocks])
+    return alg.vec(a)[_grid.adjoint_index(a.shape)]
 
 
 def verify_disintegration(
@@ -270,7 +266,13 @@ def verify_disintegration(
     """
     if g.domain != f.codomain or g.codomain != f.domain:
         raise ShapeMismatch("candidate must run opposite to the channel")
-    xi = pullback_state(omega, f, tol)
+    return _disintegration(f, omega, g, pullback_state(omega, f, tol), tol)
+
+
+def _disintegration(
+    f: Channel, omega: State, g: Channel, xi: State, tol: Tolerance
+) -> PropertyReport:
+    """`verify_disintegration` given the pullback xi = omega o f."""
     # omega(E_ij) = rho_ji, and xi(X) pairs the coordinates of X with those of sigma^T
     lhs = _transposed_coords(xi.density) @ g.matrix
     rhs = _transposed_coords(omega.density)
@@ -373,7 +375,10 @@ def modularity_chain(
     deterministic.  Any consequence failing on a conforming instance is
     reported as a violation, which the test suite treats as an alarm.
     """
-    disint = verify_disintegration(f, omega, g, tol)
+    if g.domain != f.codomain or g.codomain != f.domain:
+        raise ShapeMismatch("candidate must run opposite to the channel")
+    xi = pullback_state(omega, f, tol)
+    disint = _disintegration(f, omega, g, xi, tol)
     if not disint.passed:
         raise PreconditionsUnmet("candidate does not pass verify_disintegration")
     for name, ch in (("channel", f), ("candidate", g)):
@@ -381,7 +386,6 @@ def modularity_chain(
             rep = check(ch, tol)
             if not rep.passed:
                 raise PreconditionsUnmet(f"{name} is not CPU: {rep.prop} fails")
-    xi = pullback_state(omega, f, tol)
     bayes = verify_bayes(f, omega, xi, g, "left", tol)
     det = ae_deterministic(f, omega, "right", tol)
     violations = []

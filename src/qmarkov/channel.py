@@ -30,7 +30,6 @@ __all__ = [
     "conjugation_by",
     "kraus_channel",
     "mult_map",
-    "unit_map",
     "apply",
     "compose",
     "tensor",
@@ -158,8 +157,8 @@ def ad_channel(v: np.ndarray) -> Channel:
 
 def conjugation_by(e: AlgElement) -> Channel:
     """Blockwise conjugation A |-> e A e* by an element of the same algebra."""
-    return Channel(e.shape, e.shape,
-                   _grid.block_kron(e.shape, e.blocks, [b.conj() for b in e.blocks]))
+    xs = alg._stacks(e.shape, alg.vec(e))
+    return Channel(e.shape, e.shape, _grid.block_kron(e.shape, xs, [x.conj() for x in xs]))
 
 
 def kraus_channel(
@@ -196,11 +195,6 @@ def mult_map(s: AlgebraShape) -> Channel:
     mat = np.zeros((s.coord_dim + 1, dom.coord_dim), dtype=np.int8)
     mat[_grid.product_index(s)[left, right], np.arange(dom.coord_dim)] = 1
     return Channel(dom, s, mat[:-1])
-
-
-def unit_map(s: AlgebraShape) -> AlgElement:
-    """The multiplicative unit (image of 1 under the unit inclusion)."""
-    return alg.unit(s)
 
 
 def apply(f: Channel, b: AlgElement) -> AlgElement:
@@ -283,7 +277,7 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     C_y is block-diagonal over the codomain blocks, so every quantity comes
     from its blocks C_yx, one batched eigvalsh of their Hermitian parts H per
     block size.  ||H|| <= ||C_y|| <= ||H|| + ||(C - C*) / 2||_F, each widened
-    by _grid._SLACK; only a block whose verdict differs between the two
+    by alg._SLACK; only a block whose verdict differs between the two
     bounds pays for the exact norm.
     """
 
@@ -294,7 +288,7 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
         blocks = _grid.choi_blocks(f)
         for ys, stacks in blocks:
             for c in stacks:
-                c_star = _grid.dagger(c)
+                c_star = alg._dagger(c)
                 diff, h = c - c_star, 0.5 * (c + c_star)
                 w = h.real[..., 0] if c.shape[-1] == 1 else np.linalg.eigvalsh(h)
                 skew[ys] = np.maximum(skew[ys], np.abs(diff).max(axis=(1, 2, 3)))
@@ -302,8 +296,8 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
                 herm_norm[ys] = np.maximum(herm_norm[ys], np.abs(w).max(axis=(1, 2)))
                 frob = 0.5 * np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=(2, 3)))
                 skew_frob[ys] = np.maximum(skew_frob[ys], frob.max(axis=1))
-        lo = np.maximum(1.0, herm_norm * (1 - _grid._SLACK))
-        hi = np.maximum(1.0, (herm_norm + skew_frob) * (1 + _grid._SLACK))
+        lo = np.maximum(1.0, herm_norm * (1 - alg._SLACK))
+        hi = np.maximum(1.0, (herm_norm + skew_frob) * (1 + alg._SLACK))
         # any scale between the bounds settles a block whose verdict agrees at both
         scale = lo.copy()
         open_ = ((skew > tol.herm * lo) != (skew > tol.herm * hi)) | (
@@ -339,13 +333,14 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
 
 
 def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    """F(1) = 1, compared as `elem_equal` does, on coordinates."""
+
     def compute():
-        img = apply(f, alg.unit(f.domain))
-        one = alg.unit(f.codomain)
-        if alg.elem_equal(img, one, tol):
+        img = f.matrix @ alg._unit_coords(f.domain)
+        if alg._coords_equal(f.codomain, img, alg._unit_coords(f.codomain), tol):
             return _report("unital", True, tol.eq)
         return _report(
-            "unital", False, tol.eq, witness={"image_of_unit": img},
+            "unital", False, tol.eq, witness={"image_of_unit": alg.unvec(f.codomain, img)},
             detail="F(1) differs from 1",
         )
 
@@ -360,7 +355,7 @@ def is_star_preserving(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyRepo
         adj = _grid.adjoint_index(f.domain)
         bad = _grid.first_failure(
             f.codomain, f.domain.coord_dim, 1,
-            lambda r0, r1: ([x[adj[r0:r1]] for x in img], [_grid.dagger(x[r0:r1]) for x in img]),
+            lambda r0, r1: ([x[adj[r0:r1]] for x in img], [alg._dagger(x[r0:r1]) for x in img]),
             tol,
         )
         if bad is not None:
@@ -424,7 +419,7 @@ def is_positive_sampled(
         scale = tol.scale(alg.norm(out))
         if not alg.is_self_adjoint_elem(out, tol):
             return {"reason": "image of a positive element is not self-adjoint"}
-        low = alg.min_eig(out, tol)
+        low = alg.min_eig(out)
         if low < -tol.psd * scale:
             return {"reason": "negative eigenvalue", "min_eigenvalue": low}
         return None
@@ -444,7 +439,7 @@ def is_schwarz_sampled(
         scale = tol.scale(alg.norm(gap))
         if not alg.is_self_adjoint_elem(gap, tol):
             return {"reason": "Schwarz gap is not self-adjoint"}
-        low = alg.min_eig(gap, tol)
+        low = alg.min_eig(gap)
         if low < -tol.psd * scale:
             return {"reason": "Schwarz inequality violated", "min_eigenvalue": low}
         return None

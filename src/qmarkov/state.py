@@ -18,7 +18,6 @@ from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
 from .channel import Channel, PropertyReport, _report, apply, hs_adjoint, is_star_preserving
 from .errors import PullbackNotPSD, ShapeMismatch
-from .linalg import herm_eig
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -38,46 +37,61 @@ __all__ = [
 class Spectrum:
     """Blockwise eigendecomposition of a density, with one rank decision.
 
-    keep[x] marks the eigenvalues of block x above tol.rank times the largest
-    eigenvalue across all blocks, so rank decisions are consistent between
-    blocks of different scale.  The support projection, the pseudo-inverse
-    and its square root are all read from it, so they agree on every rank.
+    Blocks of equal size are decomposed together: `stacks` holds, for each
+    block size m of the shape, the eigenvalues (k, m) in descending order,
+    the eigenvectors (k, m, m) as columns, and the keep mask (k, m).  keep
+    marks the eigenvalues above tol.rank times the largest eigenvalue across
+    all blocks, so rank decisions are consistent between blocks of different
+    scale.  The support projection, the pseudo-inverse and its square root
+    are all read from it, so they agree on every rank.  `values`, `vectors`
+    and `keep` give the same arrays per block, in block order.
     """
 
     shape: AlgebraShape
-    values: tuple[np.ndarray, ...]    # per block, descending
-    vectors: tuple[np.ndarray, ...]
-    keep: tuple[np.ndarray, ...]
+    stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def values(self) -> tuple[np.ndarray, ...]:
+        return alg._unstack(self.shape, [w for w, _, _ in self.stacks])
+
+    @cached_property
+    def vectors(self) -> tuple[np.ndarray, ...]:
+        return alg._unstack(self.shape, [u for _, u, _ in self.stacks])
+
+    @cached_property
+    def keep(self) -> tuple[np.ndarray, ...]:
+        return alg._unstack(self.shape, [k for _, _, k in self.stacks])
 
     def support(self) -> AlgElement:
         """Spectral projection onto the kept eigenvalues."""
-        projs = []
-        for u, keep in zip(self.vectors, self.keep):
-            cols = u[:, keep]
-            projs.append(cols @ cols.conj().T)
-        return AlgElement(self.shape, tuple(projs))
+        return self._function([k for _, _, k in self.stacks])
 
     def inverse_power(self, power: float) -> AlgElement:
         """(pinv rho)^power: w^-power on the kept eigenvalues, 0 on the rest."""
         return self._function(
-            [np.where(k, (1.0 / np.where(k, w, 1.0)) ** power, 0.0)
-             for w, k in zip(self.values, self.keep)])
+            [np.where(k, (1.0 / np.where(k, w, 1.0)) ** power, 0.0) for w, _, k in self.stacks])
 
     def sqrt(self) -> AlgElement:
         """PSD square root, negative rounding clipped to 0."""
-        return self._function([np.sqrt(np.clip(w, 0.0, None)) for w in self.values])
+        return self._function([np.sqrt(np.clip(w, 0.0, None)) for w, _, _ in self.stacks])
 
     def _function(self, values) -> AlgElement:
-        return AlgElement(self.shape, tuple(
-            (u * v) @ u.conj().T for u, v in zip(self.vectors, values)))
+        """sum_i v_i u_i u_i* per block, for eigenvalue functions v."""
+        return AlgElement(self.shape, alg._unstack(self.shape, [
+            (u * v[:, None, :]) @ alg._dagger(u) for (_, u, _), v in zip(self.stacks, values)]))
 
 
-def _spectrum(density: AlgElement, tol: Tolerance) -> Spectrum:
-    eigs = [herm_eig(0.5 * (b + b.conj().T), tol) for b in density.blocks]
-    lam_max = max((w[0] for w, _ in eigs if w.size), default=0.0)
+def _spectrum(s: AlgebraShape, herm: alg.Stacks, tol: Tolerance) -> Spectrum:
+    """Spectrum of the Hermitian element with stacks herm: one eigh per block size."""
+    eigs = [np.linalg.eigh(h) for h in herm]
+    values = [w[:, ::-1] for w, _ in eigs]
+    lam_max = max(w[:, 0].max() for w in values)
     cutoff = tol.rank * max(lam_max, 0.0)
-    return Spectrum(density.shape, tuple(w for w, _ in eigs), tuple(u for _, u in eigs),
-                    tuple(w > cutoff for w, _ in eigs))
+    return Spectrum(s, tuple((w, u[:, :, ::-1], w > cutoff) for w, (_, u) in zip(values, eigs)))
+
+
+def _hermitian_part(xs: alg.Stacks) -> alg.Stacks:
+    return [0.5 * (x + alg._dagger(x)) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,8 @@ def state_from_density(density: AlgElement, tol: Tolerance = DEFAULT_TOL) -> Sta
     tr = alg.trace(density)
     if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
         raise ValueError(f"density trace {tr} is not 1 within tolerance")
-    return State(density.shape, density, _spectrum(density, tol))
+    herm = _hermitian_part(alg._element_stacks(density))
+    return State(density.shape, density, _spectrum(density.shape, herm, tol))
 
 
 def support(omega: State) -> AlgElement:
@@ -122,21 +137,31 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
     """Pull a state on the codomain back along a channel: density F*(rho).
 
     Raises PullbackNotPSD when the transported density fails positivity,
-    which signals that f is not positive along the support of omega.
+    which signals that f is not positive along the support of omega.  The
+    positivity test, its scale and the state's support all come from one
+    eigendecomposition of the self-adjoint part.
     """
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the channel codomain")
-    sigma = apply(hs_adjoint(f), omega.density)
-    sym = 0.5 * (sigma + alg.adjoint(sigma))
-    dev = alg.norm(sigma - alg.adjoint(sigma))
-    if dev > 2 * tol.herm * tol.scale(alg.norm(sigma)):
-        raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev:.3e}")
-    if alg.min_eig(sym, tol) < -tol.psd * tol.scale(alg.norm(sym)):
+    s = f.domain
+    sigma = alg._element_stacks(apply(hs_adjoint(f), omega.density))
+    skew = [x - alg._dagger(x) for x in sigma]
+    # the Frobenius bound settles a skew part within 2 tol.herm at any scale
+    if alg._upper(skew) > 2 * tol.herm:
+        dev = alg._op_norm(skew)
+        if dev > 2 * tol.herm * tol.scale(alg._op_norm(sigma)):
+            raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev:.3e}")
+    herm = _hermitian_part(sigma)
+    spec = _spectrum(s, herm, tol)
+    low = min(w[:, -1].min() for w, _, _ in spec.stacks)
+    top = max(np.abs(w).max() for w, _, _ in spec.stacks)   # the operator norm
+    if low < -tol.psd * tol.scale(top):
         raise PullbackNotPSD("pullback density has a negative eigenvalue")
+    sym = AlgElement(s, alg._unstack(s, herm))
     tr = alg.trace(sym)
     if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
         raise PullbackNotPSD(f"pullback density has trace {tr}, expected 1")
-    return State(sym.shape, sym, _spectrum(sym, tol))
+    return State(s, sym, spec)
 
 
 @dataclass(frozen=True)

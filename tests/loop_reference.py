@@ -24,7 +24,14 @@ from qmarkov.channel import (
     hs_adjoint,
     identity_channel,
 )
-from qmarkov.errors import NonscalarImageBlock, NotCommutative, ShapeMismatch, SupportNotFull
+from qmarkov.errors import (
+    NonscalarImageBlock,
+    NotCommutative,
+    NotSelfAdjoint,
+    PullbackNotPSD,
+    ShapeMismatch,
+    SupportNotFull,
+)
 from qmarkov.linalg import herm_eig, op_norm
 from qmarkov.state import State, pullback_state
 from qmarkov.tolerances import DEFAULT_TOL, Tolerance
@@ -368,3 +375,76 @@ def commutative_disintegration(f: Channel, omega: State, tol: Tolerance = DEFAUL
         return AlgElement(dom, tuple(out))
 
     return channel_from_action(f.codomain, dom, act)
+
+
+# ---------------------------------------------------------------------------
+# element norms, comparisons and spectra: one call per block
+# ---------------------------------------------------------------------------
+
+def unit(s: AlgebraShape) -> AlgElement:
+    return AlgElement(s, tuple(np.eye(n, dtype=complex) for n in s.blocks))
+
+
+def norm(a: AlgElement) -> float:
+    return max(op_norm(b) for b in a.blocks)
+
+
+def elem_equal(a: AlgElement, b: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
+    scale = tol.scale(max(norm(a), norm(b)))
+    dev = max(np.max(np.abs(x - y)) for x, y in zip(a.blocks, b.blocks))
+    return bool(dev <= tol.eq * scale)
+
+
+def min_eig(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> float:
+    return float(min(herm_eig(0.5 * (b + b.conj().T), tol)[0][-1] for b in a.blocks))
+
+
+def is_positive_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
+    scale = tol.scale(norm(a))
+    dev = max(np.max(np.abs(b - b.conj().T)) for b in a.blocks)
+    if dev > tol.herm * scale:
+        raise NotSelfAdjoint("element is not self-adjoint within tolerance")
+    for b in a.blocks:
+        w, _ = herm_eig(0.5 * (b + b.conj().T), tol)
+        if w[-1] < -tol.psd * scale:
+            return False
+    return True
+
+
+def spectrum(density: AlgElement, tol: Tolerance = DEFAULT_TOL):
+    """(values, vectors, keep) per block, values descending, one cutoff for all blocks."""
+    eigs = [herm_eig(0.5 * (b + b.conj().T), tol) for b in density.blocks]
+    lam_max = max(w[0] for w, _ in eigs)
+    cutoff = tol.rank * max(lam_max, 0.0)
+    return (tuple(w for w, _ in eigs), tuple(u for _, u in eigs),
+            tuple(w > cutoff for w, _ in eigs))
+
+
+def spectral_function(density: AlgElement, values, tol: Tolerance = DEFAULT_TOL) -> AlgElement:
+    """sum_i f(w_i) u_i u_i* per block, with values(w, keep) giving f(w)."""
+    ws, us, keeps = spectrum(density, tol)
+    return AlgElement(density.shape, tuple(
+        (u * values(w, k)) @ u.conj().T for w, u, k in zip(ws, us, keeps)))
+
+
+def pullback_density(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL):
+    """`pullback_state` as (density, (values, vectors, keep)), or PullbackNotPSD."""
+    sigma = apply(hs_adjoint(f), omega.density)
+    sym = 0.5 * (sigma + alg.adjoint(sigma))
+    dev = norm(sigma - alg.adjoint(sigma))
+    if dev > 2 * tol.herm * tol.scale(norm(sigma)):
+        raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev:.3e}")
+    if min_eig(sym, tol) < -tol.psd * tol.scale(norm(sym)):
+        raise PullbackNotPSD("pullback density has a negative eigenvalue")
+    tr = alg.trace(sym)
+    if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
+        raise PullbackNotPSD(f"pullback density has trace {tr}, expected 1")
+    return sym, spectrum(sym, tol)
+
+
+def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    img = apply(f, unit(f.domain))
+    if elem_equal(img, unit(f.codomain), tol):
+        return _report("unital", True, tol.eq)
+    return _report("unital", False, tol.eq, witness={"image_of_unit": img},
+                   detail="F(1) differs from 1")

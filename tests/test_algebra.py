@@ -3,7 +3,7 @@ import pytest
 
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
-from qmarkov.channel import apply, mult_map, unit_map
+from qmarkov.channel import apply, mult_map
 from qmarkov.errors import NotSelfAdjoint, ShapeMismatch
 
 
@@ -129,7 +129,7 @@ def test_vec_unvec_roundtrip_and_basis():
 def test_mult_map_absorbs_unit():
     s = AlgebraShape((2, 1))
     mu = mult_map(s)
-    one = unit_map(s)
+    one = alg.unit(s)
     rng = np.random.default_rng(8)
     a = alg.random_element(s, rng)
     assert alg.elem_equal(apply(mu, alg.tensor_elem(one, a)), a)
