@@ -14,7 +14,8 @@ once, when it is stacked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -61,7 +62,9 @@ class AlgebraShape:
             raise ValueError(f"invalid block dimensions {self.blocks}")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
+    # the shape is frozen, so its derived sizes are computed once and kept in
+    # the instance dict; equality, hashing and repr still read `blocks` only
+    @cached_property
     def coord_dim(self) -> int:
         return sum(n * n for n in self.blocks)
 
@@ -74,13 +77,13 @@ class AlgebraShape:
     def is_commutative(self) -> bool:
         return all(n == 1 for n in self.blocks)
 
-    def offsets(self) -> list[int]:
+    def offsets(self) -> tuple[int, ...]:
         """Coordinate offset of each block in the canonical basis."""
-        offs, acc = [], 0
-        for n in self.blocks:
-            offs.append(acc)
-            acc += n * n
-        return offs
+        return self._offsets
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        return tuple(accumulate((n * n for n in self.blocks[:-1]), initial=0))
 
     def __repr__(self):
         return f"AlgebraShape({list(self.blocks)})"

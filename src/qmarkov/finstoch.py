@@ -2,13 +2,18 @@
 the embedding into commutative algebras.
 
 Entries are column-stochastic: f[y, x] is the probability of y given x.
-When every input is rational (int, Fraction, or a "p/q" string) everything
-is carried out in exact Fraction arithmetic, so the Bayes diagram
-g_xy q_y = f_yx p_x is an identity, not an approximation.  Float inputs fall
-back to the usual tolerance policy.
+When every input is rational (int, Fraction, or a "p/q" string) the entries
+are an object array of Fractions and every operation is exact, so the Bayes
+diagram g_xy q_y = f_yx p_x is an identity, not an approximation.  Otherwise
+they are a float array, and non-finite entries are rejected when parsed.
+Both kinds run the same array code: an operation on a float and an exact
+operand is carried out in floats.  Every check compares against one zero
+threshold, 0 for exact entries and tol.eq for floats, so "|v| <= thr" reads
+"v == 0" and "min(|v|, |v - 1|) <= thr" reads "v in (0, 1)" in exact mode.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,30 +51,56 @@ def _parse_entry(v):
     if isinstance(v, str):
         return Fraction(v), True
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite probability {float(v)}")
         return float(v), False
     raise TypeError(f"unsupported entry type {type(v)!r}")
 
 
-def _parse_array(rows):
-    vals, exact = [], True
-    for row in rows:
-        out = []
-        for v in row:
-            x, ok = _parse_entry(v)
-            exact = exact and ok
-            out.append(x)
-        vals.append(out)
-    if exact:
-        arr = np.empty((len(vals), len(vals[0]) if vals else 0), dtype=object)
-        for i, row in enumerate(vals):
-            for j, v in enumerate(row):
-                arr[i, j] = v
-        return arr, True
-    return np.array([[float(v) for v in row] for row in vals], dtype=float), False
+def _parse_array(rows) -> tuple[np.ndarray, bool]:
+    parsed = [[_parse_entry(v) for v in row] for row in rows]
+    width = len(parsed[0]) if parsed else 0
+    if any(len(row) != width for row in parsed):
+        raise ValueError("rows have different lengths")
+    exact = all(ok for row in parsed for _, ok in row)
+    values = [[v for v, _ in row] for row in parsed]
+    return np.array(values, dtype=object if exact else float).reshape(len(values), width), exact
 
 
-def _is_zero(v, exact: bool, tol: Tolerance) -> bool:
-    return v == 0 if exact else abs(v) <= tol.eq
+def _threshold(exact: bool, tol: Tolerance):
+    return 0 if exact else tol.eq
+
+
+def _combine(*operands, tol: Tolerance = DEFAULT_TOL) -> tuple[list[np.ndarray], bool, object]:
+    """The operands' entries in one dtype, whether that is exact, and its zero threshold.
+
+    One float operand makes every array float; otherwise they stay Fractions.
+    """
+    exact = all(o.exact for o in operands)
+    arrays = [np.asarray(o.entries, dtype=object if exact else float) for o in operands]
+    return arrays, exact, _threshold(exact, tol)
+
+
+def _first_bad_column(arr: np.ndarray, thr):
+    """(column, has a negative entry, column sum) of the first column with an
+    entry below -thr or a sum off 1, or None when every column is fine."""
+    negative = (arr < -thr).any(axis=0)
+    # running sums from 0, so each column adds up in the order sum(column) would;
+    # a sum that overflows is inf and fails below
+    with np.errstate(over="ignore"):
+        total = np.add.accumulate(np.vstack([np.zeros((1, arr.shape[1]), arr.dtype), arr]))[-1]
+    mag = np.abs(total)
+    ok = (np.abs(total - 1) <= thr * np.maximum(1, mag)) & (mag < np.inf)
+    bad = np.flatnonzero(negative | ~ok)
+    if not bad.size:
+        return None
+    x = int(bad[0])
+    return x, bool(negative[x]), total[x]
+
+
+def _indicator_mask(entries: np.ndarray, thr) -> np.ndarray:
+    """Entries within thr of 0 or 1."""
+    return np.minimum(np.abs(entries), np.abs(entries - 1)) <= thr
 
 
 @dataclass(frozen=True)
@@ -89,29 +120,16 @@ class StochasticMatrix:
 
     def is_deterministic(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every column is a 0/1 indicator."""
-        for x in range(self.n_cols):
-            col = self.entries[:, x]
-            for v in col:
-                near01 = v in (0, 1) if self.exact else min(abs(v), abs(v - 1)) <= tol.eq
-                if not near01:
-                    return False
-        return True
-
-    def column(self, x: int):
-        return self.entries[:, x]
+        return bool(_indicator_mask(self.entries, _threshold(self.exact, tol)).all())
 
 
-def stochastic(rows, tol: Tolerance = DEFAULT_TOL, validate: bool = True) -> StochasticMatrix:
+def stochastic(rows, tol: Tolerance = DEFAULT_TOL) -> StochasticMatrix:
     arr, exact = _parse_array(rows)
-    if validate:
-        for x in range(arr.shape[1]):
-            col = arr[:, x]
-            if any((v < 0) if exact else (v < -tol.eq) for v in col):
-                raise ValueError(f"negative probability in column {x}")
-            total = sum(col)
-            ok = total == 1 if exact else abs(total - 1.0) <= tol.eq * max(1.0, abs(total))
-            if not ok:
-                raise ValueError(f"column {x} sums to {total}, expected 1")
+    bad = _first_bad_column(arr, _threshold(exact, tol))
+    if bad is not None:
+        x, negative, total = bad
+        raise ValueError(f"negative probability in column {x}" if negative
+                         else f"column {x} sums to {total}, expected 1")
     return StochasticMatrix(arr, exact)
 
 
@@ -127,76 +145,55 @@ class ProbVector:
         return self.entries.shape[0]
 
     def nullset(self, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-        return [x for x, v in enumerate(self.entries) if _is_zero(v, self.exact, tol)]
+        return np.flatnonzero(np.abs(self.entries) <= _threshold(self.exact, tol)).tolist()
 
 
-def prob_vector(values, tol: Tolerance = DEFAULT_TOL, validate: bool = True) -> ProbVector:
+def prob_vector(values, tol: Tolerance = DEFAULT_TOL) -> ProbVector:
     arr, exact = _parse_array([list(values)])
     vec = arr[0]
-    if validate:
-        if any((v < 0) if exact else (v < -tol.eq) for v in vec):
-            raise ValueError("negative probability entry")
-        total = sum(vec)
-        ok = total == 1 if exact else abs(total - 1.0) <= tol.eq * max(1.0, abs(total))
-        if not ok:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+    bad = _first_bad_column(vec[:, None], _threshold(exact, tol))
+    if bad is not None:
+        _, negative, total = bad
+        raise ValueError("negative probability entry" if negative
+                         else f"probabilities sum to {total}, expected 1")
     return ProbVector(vec.copy(), exact)
 
 
 def deterministic_kernel(func, n_in: int, n_out: int) -> StochasticMatrix:
     """Kernel of a function {0..n_in-1} -> {0..n_out-1}, exact."""
-    rows = [[Fraction(1) if func(x) == y else Fraction(0) for x in range(n_in)]
-            for y in range(n_out)]
-    return stochastic(rows)
+    images = [func(x) for x in range(n_in)]
+    for x, y in enumerate(images):
+        if y not in range(n_out):
+            raise ValueError(f"column {x} sums to 0, expected 1")
+    entries = np.full((n_out, n_in), Fraction(0), dtype=object)
+    entries[np.array(images, dtype=int), np.arange(n_in)] = Fraction(1)
+    return StochasticMatrix(entries, True)
+
+
+def _check_columns(f: StochasticMatrix, p: ProbVector) -> None:
+    if f.n_cols != p.size:
+        raise DimensionMismatch(f"kernel has {f.n_cols} columns, measure has {p.size}")
 
 
 def compose(g: StochasticMatrix, f: StochasticMatrix) -> StochasticMatrix:
     """Chapman-Kolmogorov composite g after f."""
     if g.n_cols != f.n_rows:
         raise DimensionMismatch(f"cannot compose {g.n_cols} columns with {f.n_rows} rows")
-    if g.exact and f.exact:
-        out = np.empty((g.n_rows, f.n_cols), dtype=object)
-        for z in range(g.n_rows):
-            for x in range(f.n_cols):
-                out[z, x] = sum(g.entries[z, y] * f.entries[y, x] for y in range(f.n_rows))
-        return StochasticMatrix(out, True)
-    ge = np.asarray(g.entries, dtype=float)
-    fe = np.asarray(f.entries, dtype=float)
-    return StochasticMatrix(ge @ fe, False)
+    (ge, fe), exact, _ = _combine(g, f)
+    return StochasticMatrix(ge @ fe, exact)
 
 
 def product(f: StochasticMatrix, f2: StochasticMatrix) -> StochasticMatrix:
     """Kernel on product spaces, output pairs ordered first-factor major."""
-    if f.exact and f2.exact:
-        out = np.empty((f.n_rows * f2.n_rows, f.n_cols * f2.n_cols), dtype=object)
-        for y in range(f.n_rows):
-            for y2 in range(f2.n_rows):
-                for x in range(f.n_cols):
-                    for x2 in range(f2.n_cols):
-                        out[y * f2.n_rows + y2, x * f2.n_cols + x2] = (
-                            f.entries[y, x] * f2.entries[y2, x2]
-                        )
-        return StochasticMatrix(out, True)
-    return StochasticMatrix(
-        np.kron(np.asarray(f.entries, dtype=float), np.asarray(f2.entries, dtype=float)),
-        False,
-    )
+    (fe, f2e), exact, _ = _combine(f, f2)
+    return StochasticMatrix(np.kron(fe, f2e), exact)
 
 
 def push(f: StochasticMatrix, p: ProbVector) -> ProbVector:
     """Pushforward measure (matrix times vector)."""
-    if f.n_cols != p.size:
-        raise DimensionMismatch(f"kernel has {f.n_cols} columns, measure has {p.size}")
-    if f.exact and p.exact:
-        vals = [sum(f.entries[y, x] * p.entries[x] for x in range(p.size))
-                for y in range(f.n_rows)]
-        out = np.empty(len(vals), dtype=object)
-        for i, v in enumerate(vals):
-            out[i] = v
-        return ProbVector(out, True)
-    fe = np.asarray(f.entries, dtype=float)
-    pe = np.asarray(p.entries, dtype=float)
-    return ProbVector(fe @ pe, False)
+    _check_columns(f, p)
+    (fe, pe), exact, _ = _combine(f, p)
+    return ProbVector(fe @ pe, exact)
 
 
 def bayes_inverse(f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_TOL) -> StochasticMatrix:
@@ -205,21 +202,23 @@ def bayes_inverse(f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_T
     The result satisfies g_xy q_y = f_yx p_x for every x, y (exactly in
     rational mode) and push(g, q) = p.
     """
-    if f.n_cols != p.size:
-        raise DimensionMismatch(f"kernel has {f.n_cols} columns, measure has {p.size}")
-    q = push(f, p)
-    n_x = p.size
-    exact = f.exact and p.exact
-    uniform = Fraction(1, n_x) if exact else 1.0 / n_x
-    out = np.empty((n_x, f.n_rows), dtype=object if exact else float)
-    for y in range(f.n_rows):
-        if _is_zero(q.entries[y], q.exact, tol):
-            for x in range(n_x):
-                out[x, y] = uniform
-        else:
-            for x in range(n_x):
-                out[x, y] = f.entries[y, x] * p.entries[x] / q.entries[y]
+    _check_columns(f, p)
+    (fe, pe), exact, thr = _combine(f, p, tol=tol)
+    q = fe @ pe
+    null = np.abs(q) <= thr
+    out = fe.T * pe[:, None] / np.where(null, 1, q)
+    out[:, null] = Fraction(1, p.size)
     return StochasticMatrix(out, exact)
+
+
+def _supported_failure(bad: np.ndarray, p: ProbVector, tol: Tolerance):
+    """First (point, outcome) of bad[outcome, point] off the nullset of p, point-major.
+
+    Clears the nullset columns of bad in place.
+    """
+    bad[:, p.nullset(tol)] = False
+    hits = np.flatnonzero(bad.T)
+    return None if not hits.size else divmod(int(hits[0]), bad.shape[0])
 
 
 def ae_equal(
@@ -228,18 +227,16 @@ def ae_equal(
     """Column equality off the nullset of p."""
     if f.entries.shape != h.entries.shape:
         raise DimensionMismatch("kernels have different shapes")
-    null = set(p.nullset(tol))
-    for x in range(f.n_cols):
-        if x in null:
-            continue
-        for y in range(f.n_rows):
-            d = f.entries[y, x] - h.entries[y, x]
-            if not _is_zero(d, f.exact and h.exact, tol):
-                return _report(
-                    "classical-ae-equal", False, tol.eq,
-                    witness={"point": x, "outcome": y},
-                    detail=f"columns differ at supported point {x}",
-                )
+    _check_columns(f, p)
+    (fe, he), _, thr = _combine(f, h, tol=tol)
+    bad = _supported_failure(np.abs(fe - he) > thr, p, tol)
+    if bad is not None:
+        x, y = bad
+        return _report(
+            "classical-ae-equal", False, tol.eq,
+            witness={"point": x, "outcome": y},
+            detail=f"columns differ at supported point {x}",
+        )
     return _report("classical-ae-equal", True, tol.eq)
 
 
@@ -247,19 +244,15 @@ def is_ae_deterministic(
     f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
     """Every supported column is a 0/1 indicator."""
-    null = set(p.nullset(tol))
-    for x in range(f.n_cols):
-        if x in null:
-            continue
-        for y in range(f.n_rows):
-            v = f.entries[y, x]
-            near01 = v in (0, 1) if f.exact else min(abs(v), abs(v - 1.0)) <= tol.eq
-            if not near01:
-                return _report(
-                    "classical-ae-deterministic", False, tol.eq,
-                    witness={"point": x, "outcome": y, "value": float(v)},
-                    detail=f"column {x} is supported but not an indicator",
-                )
+    _check_columns(f, p)
+    bad = _supported_failure(~_indicator_mask(f.entries, _threshold(f.exact, tol)), p, tol)
+    if bad is not None:
+        x, y = bad
+        return _report(
+            "classical-ae-deterministic", False, tol.eq,
+            witness={"point": x, "outcome": y, "value": float(f.entries[y, x])},
+            detail=f"column {x} is supported but not an indicator",
+        )
     return _report("classical-ae-deterministic", True, tol.eq)
 
 

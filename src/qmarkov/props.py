@@ -34,7 +34,7 @@ from .channel import (
     tensor,
     transpose_channel,
 )
-from .corpus import CheckResult, compression_pair, doubling_pair, padded_inclusion
+from .corpus import CheckResult, _check, compression_pair, doubling_pair, padded_inclusion
 from .linalg import herm_eig, op_norm, pinv_psd
 from .state import State, ae_deterministic, ae_equal, ae_unital, pullback_state, state_from_density
 
@@ -61,10 +61,6 @@ class SuiteReport:
 
     def to_dict(self) -> dict:
         return {"suite": self.name, "checks": [c.to_dict() for c in self.checks]}
-
-
-def _check(desc, ok, detail=""):
-    return CheckResult(desc, bool(ok), detail)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,10 +4,14 @@ These are the straightforward versions of what the library computes in
 closed form: the checks visit every matrix unit, or every pair of matrix
 units, and decide each comparison with `elem_equal` or an operator-norm test
 on the support; the constructions apply a callback to every matrix unit, and
-`is_cp` decides the full Choi matrix of each domain block.  The differential
-tests run both and require the same verdicts, witnesses and matrices.
+`is_cp` decides the full Choi matrix of each domain block; the classical
+kernel operations visit every entry, with one branch for Fractions and one
+for floats.  The differential tests run both and require the same verdicts,
+witnesses and matrices.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from qmarkov.errors import (
     ShapeMismatch,
     SupportNotFull,
 )
+from qmarkov.finstoch import ProbVector, StochasticMatrix, _parse_entry
 from qmarkov.linalg import herm_eig, op_norm
 from qmarkov.state import State, pullback_state
 from qmarkov.tolerances import DEFAULT_TOL, Tolerance
@@ -448,3 +453,159 @@ def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
         return _report("unital", True, tol.eq)
     return _report("unital", False, tol.eq, witness={"image_of_unit": img},
                    detail="F(1) differs from 1")
+
+
+# ---------------------------------------------------------------------------
+# classical kernels: one Python step per entry, one branch per mode
+# ---------------------------------------------------------------------------
+
+def _classical_is_zero(v, exact: bool, tol: Tolerance) -> bool:
+    return v == 0 if exact else abs(v) <= tol.eq
+
+
+def _classical_parse(rows):
+    """Entries as Fractions when every input is rational, else floats (rectangular rows)."""
+    vals, exact = [], True
+    for row in rows:
+        out = []
+        for v in row:
+            x, ok = _parse_entry(v)
+            exact = exact and ok
+            out.append(x)
+        vals.append(out)
+    if exact:
+        arr = np.empty((len(vals), len(vals[0]) if vals else 0), dtype=object)
+        for i, row in enumerate(vals):
+            for j, v in enumerate(row):
+                arr[i, j] = v
+        return arr, True
+    return np.array([[float(v) for v in row] for row in vals], dtype=float), False
+
+
+def classical_stochastic(rows, tol: Tolerance = DEFAULT_TOL):
+    arr, exact = _classical_parse(rows)
+    for x in range(arr.shape[1]):
+        col = arr[:, x]
+        if any((v < 0) if exact else (v < -tol.eq) for v in col):
+            raise ValueError(f"negative probability in column {x}")
+        total = sum(col)
+        ok = total == 1 if exact else abs(total - 1.0) <= tol.eq * max(1.0, abs(total))
+        if not ok:
+            raise ValueError(f"column {x} sums to {total}, expected 1")
+    return StochasticMatrix(arr, exact)
+
+
+def classical_prob_vector(values, tol: Tolerance = DEFAULT_TOL):
+    arr, exact = _classical_parse([list(values)])
+    vec = arr[0]
+    if any((v < 0) if exact else (v < -tol.eq) for v in vec):
+        raise ValueError("negative probability entry")
+    total = sum(vec)
+    ok = total == 1 if exact else abs(total - 1.0) <= tol.eq * max(1.0, abs(total))
+    if not ok:
+        raise ValueError(f"probabilities sum to {total}, expected 1")
+    return ProbVector(vec.copy(), exact)
+
+
+def classical_is_deterministic(f, tol: Tolerance = DEFAULT_TOL) -> bool:
+    for x in range(f.n_cols):
+        for v in f.entries[:, x]:
+            near01 = v in (0, 1) if f.exact else min(abs(v), abs(v - 1)) <= tol.eq
+            if not near01:
+                return False
+    return True
+
+
+def classical_nullset(p, tol: Tolerance = DEFAULT_TOL) -> list[int]:
+    return [x for x, v in enumerate(p.entries) if _classical_is_zero(v, p.exact, tol)]
+
+
+def classical_compose(g, f):
+    if g.exact and f.exact:
+        out = np.empty((g.n_rows, f.n_cols), dtype=object)
+        for z in range(g.n_rows):
+            for x in range(f.n_cols):
+                out[z, x] = sum(g.entries[z, y] * f.entries[y, x] for y in range(f.n_rows))
+        return StochasticMatrix(out, True)
+    ge = np.asarray(g.entries, dtype=float)
+    fe = np.asarray(f.entries, dtype=float)
+    return StochasticMatrix(ge @ fe, False)
+
+
+def classical_product(f, f2):
+    if f.exact and f2.exact:
+        out = np.empty((f.n_rows * f2.n_rows, f.n_cols * f2.n_cols), dtype=object)
+        for y in range(f.n_rows):
+            for y2 in range(f2.n_rows):
+                for x in range(f.n_cols):
+                    for x2 in range(f2.n_cols):
+                        out[y * f2.n_rows + y2, x * f2.n_cols + x2] = (
+                            f.entries[y, x] * f2.entries[y2, x2]
+                        )
+        return StochasticMatrix(out, True)
+    return StochasticMatrix(
+        np.kron(np.asarray(f.entries, dtype=float), np.asarray(f2.entries, dtype=float)),
+        False,
+    )
+
+
+def classical_push(f, p):
+    if f.exact and p.exact:
+        vals = [sum(f.entries[y, x] * p.entries[x] for x in range(p.size))
+                for y in range(f.n_rows)]
+        out = np.empty(len(vals), dtype=object)
+        for i, v in enumerate(vals):
+            out[i] = v
+        return ProbVector(out, True)
+    fe = np.asarray(f.entries, dtype=float)
+    pe = np.asarray(p.entries, dtype=float)
+    return ProbVector(fe @ pe, False)
+
+
+def classical_bayes_inverse(f, p, tol: Tolerance = DEFAULT_TOL):
+    q = classical_push(f, p)
+    n_x = p.size
+    exact = f.exact and p.exact
+    uniform = Fraction(1, n_x) if exact else 1.0 / n_x
+    out = np.empty((n_x, f.n_rows), dtype=object if exact else float)
+    for y in range(f.n_rows):
+        if _classical_is_zero(q.entries[y], q.exact, tol):
+            for x in range(n_x):
+                out[x, y] = uniform
+        else:
+            for x in range(n_x):
+                out[x, y] = f.entries[y, x] * p.entries[x] / q.entries[y]
+    return StochasticMatrix(out, exact)
+
+
+def classical_ae_equal(f, h, p, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    null = set(classical_nullset(p, tol))
+    for x in range(f.n_cols):
+        if x in null:
+            continue
+        for y in range(f.n_rows):
+            d = f.entries[y, x] - h.entries[y, x]
+            if not _classical_is_zero(d, f.exact and h.exact, tol):
+                return _report(
+                    "classical-ae-equal", False, tol.eq,
+                    witness={"point": x, "outcome": y},
+                    detail=f"columns differ at supported point {x}",
+                )
+    return _report("classical-ae-equal", True, tol.eq)
+
+
+def classical_is_ae_deterministic(f, p, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    null = set(classical_nullset(p, tol))
+    for x in range(f.n_cols):
+        if x in null:
+            continue
+        for y in range(f.n_rows):
+            v = f.entries[y, x]
+            near01 = v in (0, 1) if f.exact else min(abs(v), abs(v - 1.0)) <= tol.eq
+            if not near01:
+                return _report(
+                    "classical-ae-deterministic", False, tol.eq,
+                    witness={"point": x, "outcome": y, "value": float(v)},
+                    detail=f"column {x} is supported but not an indicator",
+                )
+    return _report("classical-ae-deterministic", True, tol.eq)

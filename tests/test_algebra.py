@@ -23,6 +23,16 @@ def test_shape_validation():
         AlgebraShape((2, 0))
 
 
+def test_shape_sizes_are_computed_once_and_stay_out_of_equality():
+    s = AlgebraShape((1, 2, 3))
+    assert s.offsets() == (0, 1, 5) and s.coord_dim == 14
+    assert s.offsets() is s.offsets()
+    fresh = AlgebraShape((1, 2, 3))
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert alg.basis_index(s, 2, 1, 2) == alg.basis_index(fresh, 2, 1, 2) == 10
+    assert AlgebraShape((4,)).offsets() == (0,)
+
+
 def test_matrix_unit_product():
     m2 = AlgebraShape((2,))
     e11, e12 = unit_of(m2, 0, 0, 0), unit_of(m2, 0, 0, 1)

@@ -152,6 +152,22 @@ def test_classical_commands(files, tmp_path, capsys):
                  "--prob", files["p2.json"]]) == 1
 
 
+def test_classical_commands_reject_non_finite_entries(files, tmp_path, capsys):
+    # json.loads reads Infinity and NaN as floats
+    kernel = tmp_path / "inf_kernel.json"
+    kernel.write_text('{"rows": 2, "cols": 1, "entries": [[Infinity], [0.0]]}')
+    prob = tmp_path / "nan_prob.json"
+    prob.write_text('{"prob": [NaN, 1.0]}')
+    capsys.readouterr()
+    assert main(["classical", "check", "--kernel", str(kernel)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert main(["classical", "bayes", "--kernel", str(kernel),
+                 "--prob", files["p2.json"]]) == 2
+    assert main(["classical", "bayes", "--kernel", files["kernel.json"],
+                 "--prob", str(prob)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_bayes_command_on_embedded_classical_problem(files, tmp_path):
     kernel = ser.stochastic_from_json(json.loads(open(files["kernel.json"]).read()))
     from qmarkov.finstoch import embed

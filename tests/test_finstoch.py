@@ -146,3 +146,57 @@ def test_embed_prob_density():
     assert st.shape.blocks == (1, 1)
     assert abs(st.density.blocks[0][0, 0] - 0.25) <= 1e-12
     assert abs(st.density.blocks[1][0, 0] - 0.75) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), np.float64("inf")])
+def test_non_finite_entries_are_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        fs.stochastic([[bad], [0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        fs.stochastic([["1/2", bad], ["1/2", 0.5]])
+    with pytest.raises(ValueError, match="non-finite"):
+        fs.prob_vector([bad, 0.0])
+
+
+def test_column_sum_overflow_is_rejected():
+    # finite entries whose sum overflows to inf used to pass |total - 1| <= tol * |total|
+    with pytest.raises(ValueError, match="column 0 sums to inf"):
+        fs.stochastic([[1e308], [1e308]])
+    with pytest.raises(ValueError, match="sum to inf"):
+        fs.prob_vector([1e308, 1e308])
+
+
+@pytest.mark.parametrize("rows", [[["1/2", "1/2"], ["1/2"]], [[0.5, 0.5], [0.5]],
+                                  [["1/2"], ["1/2", 0.5]]])
+def test_ragged_rows_raise_one_value_error(rows):
+    with pytest.raises(ValueError, match="rows have different lengths"):
+        fs.stochastic(rows)
+
+
+def test_deterministic_kernel_scatters_each_image_once():
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return (2 * x) % 3
+
+    k = fs.deterministic_kernel(func, 4, 3)
+    assert calls == [0, 1, 2, 3]
+    assert k.exact and all(isinstance(v, Fraction) for v in k.entries.flat)
+    assert k.entries.tolist() == [[1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+
+
+@pytest.mark.parametrize("image", [-1, 3])
+def test_deterministic_kernel_rejects_images_out_of_range(image):
+    # -1 must not wrap around to the last row through numpy indexing
+    with pytest.raises(ValueError, match="column 1 sums to 0"):
+        fs.deterministic_kernel(lambda x: image if x == 1 else 0, 2, 3)
+
+
+def test_ae_relations_need_a_prior_on_the_kernel_inputs():
+    f = fs.stochastic([["1", "0"], ["0", "1"]])
+    p = fs.prob_vector(["1/3", "1/3", "1/3"])
+    with pytest.raises(DimensionMismatch):
+        fs.ae_equal(f, f, p)
+    with pytest.raises(DimensionMismatch):
+        fs.is_ae_deterministic(f, p)
