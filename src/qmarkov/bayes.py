@@ -135,8 +135,13 @@ def verify_bayes(
         raise ShapeMismatch("candidate must run opposite to the channel")
     if omega.shape != f.codomain or xi.shape != f.domain:
         raise ShapeMismatch("states must live on the channel endpoints")
-    t_xi = _product_form(xi)
-    t_omega = _product_form(omega)
+    return _bayes_report(f, g, _product_form(xi), _product_form(omega), side, tol)
+
+
+def _bayes_report(
+    f: Channel, g: Channel, t_xi: np.ndarray, t_omega: np.ndarray, side: str, tol: Tolerance
+) -> PropertyReport:
+    """The Bayes condition of verify_bayes, given the product forms of xi and omega."""
     if side == "left":
         lhs = g.matrix.T @ t_xi          # [a, b] = xi(G(E_a) E_b)
         rhs = t_omega @ f.matrix         # [a, b] = omega(E_a F(E_b))
@@ -199,8 +204,9 @@ def bayes_candidate(
     main = _left_mult(xi.spectrum.inverse_power(1.0)) @ hs_adjoint(f).matrix \
         @ _left_mult(omega.density)
     g = Channel(f.codomain, f.domain, main + np.outer(complement, comp_row))
-    left = verify_bayes(f, omega, xi, g, "left", tol)
-    right = verify_bayes(f, omega, xi, g, "right", tol)
+    t_xi, t_omega = _product_form(xi), _product_form(omega)
+    left = _bayes_report(f, g, t_xi, t_omega, "left", tol)
+    right = _bayes_report(f, g, t_xi, t_omega, "right", tol)
     star = is_star_preserving(g, tol)
     unital = is_unital(g, tol)
     cp = is_cp(g, tol)

@@ -7,9 +7,12 @@ are an object array of Fractions and every operation is exact, so the Bayes
 diagram g_xy q_y = f_yx p_x is an identity, not an approximation.  Otherwise
 they are a float array, and non-finite entries are rejected when parsed.
 Both kinds run the same array code: an operation on a float and an exact
-operand is carried out in floats.  Every check compares against one zero
-threshold, 0 for exact entries and tol.eq for floats, so "|v| <= thr" reads
-"v == 0" and "min(|v|, |v - 1|) <= thr" reads "v in (0, 1)" in exact mode.
+operand is carried out in floats.  Exact sums and products run on Python-int
+numerators over one common denominator per operand (see `_arith`), so they
+cost integer arithmetic, not one Fraction operation per term.  Every check
+compares against one zero threshold, 0 for exact entries and tol.eq for
+floats, so "|v| <= thr" reads "v == 0" and "min(|v|, |v - 1|) <= thr" reads
+"v in (0, 1)" in exact mode.
 """
 from __future__ import annotations
 
@@ -81,14 +84,51 @@ def _combine(*operands, tol: Tolerance = DEFAULT_TOL) -> tuple[list[np.ndarray],
     return arrays, exact, _threshold(exact, tol)
 
 
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+
+
+def _numerators(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python-int numerators of a Fraction (or int) array over the lcm of its denominators."""
+    ratios = [v.as_integer_ratio() for v in a.flat]
+    den = math.lcm(*(d for _, d in ratios))
+    return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(a.shape), den
+
+
+def _arith(op, *operands: np.ndarray, over: np.ndarray | None = None) -> np.ndarray:
+    """op(*operands) / over, for an op linear in each operand separately
+    (a product, or a sum over one operand; not a difference of two).
+
+    Float arrays go through as they are.  Exact operands are scaled by the lcm
+    of their denominators, op runs on the Python-int numerators and one
+    Fraction is built per output entry.  Since every term of op's result holds
+    one entry of each operand, dividing by the product of the lcms undoes the
+    scaling; Python ints do not overflow, so the result is exact for any
+    denominators.  over, broadcast against the result, divides it entrywise.
+    """
+    if operands[0].dtype != object:
+        out = op(*operands)
+        return out if over is None else out / over
+    scaled = [_numerators(a) for a in operands]
+    out = op(*(n for n, _ in scaled))
+    den = math.prod(d for _, d in scaled)
+    if over is not None:
+        num, d = _numerators(over)
+        out, den = out * d, den * num
+    return _FRACTION(out, den)
+
+
+def _column_sums(arr: np.ndarray) -> np.ndarray:
+    # running sums from 0, so each float column adds up in the order sum(column)
+    # would; a sum that overflows is inf and fails in _first_bad_column
+    with np.errstate(over="ignore"):
+        return np.add.accumulate(np.vstack([np.zeros((1, arr.shape[1]), arr.dtype), arr]))[-1]
+
+
 def _first_bad_column(arr: np.ndarray, thr):
     """(column, has a negative entry, column sum) of the first column with an
     entry below -thr or a sum off 1, or None when every column is fine."""
     negative = (arr < -thr).any(axis=0)
-    # running sums from 0, so each column adds up in the order sum(column) would;
-    # a sum that overflows is inf and fails below
-    with np.errstate(over="ignore"):
-        total = np.add.accumulate(np.vstack([np.zeros((1, arr.shape[1]), arr.dtype), arr]))[-1]
+    total = _arith(_column_sums, arr)
     mag = np.abs(total)
     ok = (np.abs(total - 1) <= thr * np.maximum(1, mag)) & (mag < np.inf)
     bad = np.flatnonzero(negative | ~ok)
@@ -180,20 +220,20 @@ def compose(g: StochasticMatrix, f: StochasticMatrix) -> StochasticMatrix:
     if g.n_cols != f.n_rows:
         raise DimensionMismatch(f"cannot compose {g.n_cols} columns with {f.n_rows} rows")
     (ge, fe), exact, _ = _combine(g, f)
-    return StochasticMatrix(ge @ fe, exact)
+    return StochasticMatrix(_arith(np.matmul, ge, fe), exact)
 
 
 def product(f: StochasticMatrix, f2: StochasticMatrix) -> StochasticMatrix:
     """Kernel on product spaces, output pairs ordered first-factor major."""
     (fe, f2e), exact, _ = _combine(f, f2)
-    return StochasticMatrix(np.kron(fe, f2e), exact)
+    return StochasticMatrix(_arith(np.kron, fe, f2e), exact)
 
 
 def push(f: StochasticMatrix, p: ProbVector) -> ProbVector:
     """Pushforward measure (matrix times vector)."""
     _check_columns(f, p)
     (fe, pe), exact, _ = _combine(f, p)
-    return ProbVector(fe @ pe, exact)
+    return ProbVector(_arith(np.matmul, fe, pe), exact)
 
 
 def bayes_inverse(f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_TOL) -> StochasticMatrix:
@@ -204,9 +244,9 @@ def bayes_inverse(f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_T
     """
     _check_columns(f, p)
     (fe, pe), exact, thr = _combine(f, p, tol=tol)
-    q = fe @ pe
+    q = _arith(np.matmul, fe, pe)
     null = np.abs(q) <= thr
-    out = fe.T * pe[:, None] / np.where(null, 1, q)
+    out = _arith(lambda fa, pa: fa.T * pa[:, None], fe, pe, over=np.where(null, 1, q))
     out[:, null] = Fraction(1, p.size)
     return StochasticMatrix(out, exact)
 

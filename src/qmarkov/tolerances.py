@@ -22,7 +22,8 @@ class Tolerance:
     herm: float = 1e-10
     rank: float = 1e-10
 
-    def scale(self, norm: float) -> float:
+    @staticmethod
+    def scale(norm: float) -> float:
         return max(1.0, norm)
 
 

@@ -525,7 +525,8 @@ def classical_compose(g, f):
         out = np.empty((g.n_rows, f.n_cols), dtype=object)
         for z in range(g.n_rows):
             for x in range(f.n_cols):
-                out[z, x] = sum(g.entries[z, y] * f.entries[y, x] for y in range(f.n_rows))
+                out[z, x] = sum((g.entries[z, y] * f.entries[y, x] for y in range(f.n_rows)),
+                                Fraction(0))
         return StochasticMatrix(out, True)
     ge = np.asarray(g.entries, dtype=float)
     fe = np.asarray(f.entries, dtype=float)
@@ -551,7 +552,7 @@ def classical_product(f, f2):
 
 def classical_push(f, p):
     if f.exact and p.exact:
-        vals = [sum(f.entries[y, x] * p.entries[x] for x in range(p.size))
+        vals = [sum((f.entries[y, x] * p.entries[x] for x in range(p.size)), Fraction(0))
                 for y in range(f.n_rows)]
         out = np.empty(len(vals), dtype=object)
         for i, v in enumerate(vals):

@@ -24,7 +24,7 @@ from qmarkov.channel import (
     invert,
     transpose_channel,
 )
-from qmarkov.corpus import kl_channels
+from qmarkov.corpus import doubling_pair, kl_channels
 from qmarkov.errors import (
     NotAeDeterministic,
     NotCommutative,
@@ -32,6 +32,7 @@ from qmarkov.errors import (
     SupportNotFull,
 )
 from qmarkov.state import pullback_state, state_from_density
+from qmarkov.tolerances import DEFAULT_TOL, Tolerance
 
 M2 = AlgebraShape((2,))
 
@@ -134,6 +135,30 @@ def test_verify_bayes_identity_and_witness():
     xi = pullback_state(omega, t)
     rep = verify_bayes(t, omega, xi, t, "left")
     assert not rep.passed and rep.witness is not None
+
+
+def test_candidate_reports_equal_verify_bayes():
+    # bayes_candidate builds the product forms once for both sides; its two
+    # reports must be the ones verify_bayes gives on the same candidate.  A
+    # tolerance below rounding makes the passing instances fail.
+    rng = np.random.default_rng(4)
+    channels = [identity_channel(M2), transpose_channel(M2), *kl_channels(0.5)[:2],
+                *doubling_pair(0.3),
+                fs.embed(fs.stochastic([["1/2", "1/4"], ["1/2", "3/4"]]))]
+    seen = set()
+    for f in channels:
+        prob = bayes_problem(f, state_from_density(alg.random_density(f.codomain, rng)))
+        completions = [None, state_from_density(alg.random_density(f.codomain, rng))]
+        for tol in (DEFAULT_TOL, Tolerance(eq=1e-17)):
+            for completion in completions:
+                result = bayes_candidate(prob, tol, completion)
+                for side, rep in (("left", result.bayes_left), ("right", result.bayes_right)):
+                    direct = verify_bayes(f, prob.prior, prob.pullback, result.candidate,
+                                          side, tol)
+                    assert (rep.verdict, rep.detail) == (direct.verdict, direct.detail)
+                    assert rep.to_dict() == direct.to_dict()
+                    seen.add((side, rep.passed))
+    assert seen == {("left", True), ("left", False), ("right", True), ("right", False)}
 
 
 def test_petz_identity():

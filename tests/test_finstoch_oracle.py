@@ -10,6 +10,8 @@ priors with zero rows and null points, their float copies, mixed
 exact/float operands, and float entries within 1e-3 (relative) of each
 tol.eq threshold, on either side.
 """
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -238,3 +240,126 @@ def test_column_sum_threshold_scales_with_the_sum():
         verdicts.add(got[0])
     assert oracle.mismatches == []
     assert verdicts == {"float", ValueError}
+
+
+# Exact sums and products run on Python-int numerators over one common
+# denominator per operand.  The cases below stress that integer kernel: lcms
+# past 2**64, negative numerators, empty operands, null columns of q and the
+# Hamming round trip.  Oracle.same also fails any exact result that holds an
+# int or a float.
+
+MERSENNE = [2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1]
+
+
+def _split(rng, den, n):
+    """n nonnegative numerators adding up to den (rng a random.Random: den may pass 2**64)."""
+    bounds = [0, *sorted(rng.randrange(den) for _ in range(n - 1)), den]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+def test_pairwise_coprime_denominators_past_2_64():
+    # each column of f and g has its own Mersenne-prime denominator, so the
+    # common denominators are products of primes far past 2**64
+    rng = random.Random(2)
+    oracle = Oracle()
+    primes = MERSENNE
+    f_cols = [_split(rng, primes[x], 3) for x in range(4)]
+    f_cols[3] = [0, 0, primes[3]]          # row 2 only reached from the null point 3
+    for x in range(3):
+        f_cols[x][0] += f_cols[x][2]
+        f_cols[x][2] = 0
+    f_rows = [[Fraction(f_cols[x][y], primes[x]) for x in range(4)] for y in range(3)]
+    g_cols = [_split(rng, primes[4 - y], 2) for y in range(3)]
+    g_rows = [[Fraction(v, primes[4 - y]) for y, v in enumerate(row)] for row in zip(*g_cols)]
+    h_rows = [row[:] for row in f_rows]
+    h_rows[0][3], h_rows[2][3] = Fraction(1, primes[5]), Fraction(primes[5] - 1, primes[5])
+    prior = [Fraction(v, primes[5]) for v in _split(rng, primes[5], 3)] + [Fraction(0)]
+    assert math.lcm(*(v.denominator for row in f_rows for v in row)) > 2**64
+    assert math.lcm(*(v.denominator for row in g_rows for v in row)) > 2**64
+    for name, rows in (("f", f_rows), ("g", g_rows), ("h", h_rows)):
+        oracle.same(f"stochastic {name}", fs.stochastic, ref.classical_stochastic, rows)
+    oracle.same("prob_vector", fs.prob_vector, ref.classical_prob_vector, prior)
+    f, g, h = fs.stochastic(f_rows), fs.stochastic(g_rows), fs.stochastic(h_rows)
+    p = fs.prob_vector(prior)
+    oracle.kernels("coprime", f, p, g, h)
+    # q vanishes at row 2, so the inverse has a uniform column there
+    inverse = fs.bayes_inverse(f, p)
+    assert list(inverse.entries[:, 2]) == [Fraction(1, 4)] * 4
+    assert fs.push(f, p).entries[2] == 0
+    # a column sum off 1 by 1/(2**61 - 1) is seen and reported as that Fraction
+    off = [[Fraction(1, primes[0]) + Fraction(1, primes[1])],
+           [1 - Fraction(1, primes[0])]]
+    got = oracle.same("sum off 1", fs.stochastic, ref.classical_stochastic, off)
+    assert got == (ValueError, f"column 0 sums to {1 + Fraction(1, primes[1])}, expected 1")
+    assert oracle.mismatches == []
+
+
+def test_negative_numerators_in_direct_kernels():
+    # StochasticMatrix and ProbVector built directly skip validation, so the
+    # kernel sees negative numerators, sums that vanish and negative q
+    rng = np.random.default_rng(3)
+    oracle = Oracle()
+    seen_negative = seen_null = False
+
+    def fractions(shape):
+        nums = rng.integers(-6, 7, size=shape)
+        dens = rng.choice([1, 2, 3, 5, 7, 12, 2**70 + 1], size=shape)
+        out = np.empty(shape, dtype=object)
+        for i in np.ndindex(*shape):
+            out[i] = Fraction(int(nums[i]), int(dens[i]))
+        return out
+
+    for trial in range(30):
+        nx, ny, nz = (int(v) for v in rng.integers(1, 5, size=3))
+        f = fs.StochasticMatrix(fractions((ny, nx)), True)
+        g = fs.StochasticMatrix(fractions((nz, ny)), True)
+        h = fs.StochasticMatrix(fractions((ny, nx)), True)
+        p = fs.ProbVector(fractions((nx,)), True)
+        oracle.kernels(f"negative {trial}", f, p, g, h)
+        seen_negative = seen_negative or any(v < 0 for v in fs.push(f, p).entries)
+        seen_null = seen_null or any(v == 0 for v in fs.push(f, p).entries)
+    assert seen_negative and seen_null
+    assert oracle.mismatches == []
+
+
+def test_empty_operands():
+    oracle = Oracle()
+    # what the parser allows: no columns, with or without rows
+    for rows in (0, 1, 2):
+        got = oracle.same(f"stochastic {rows}x0", fs.stochastic, ref.classical_stochastic,
+                          [[]] * rows)
+        assert got[0] == "exact"
+    f00, f10, f20 = (fs.stochastic([[]] * rows) for rows in (0, 1, 2))
+    for label, g, f in (("1x0 . 0x0", f10, f00), ("0x1 . 1x0", fs.StochasticMatrix(
+            np.empty((0, 1), dtype=object), True), f10)):
+        oracle.same(f"compose {label}", fs.compose, ref.classical_compose, g, f)
+    for a, b in ((f00, f20), (f20, f10), (f10, f00)):
+        oracle.same(f"product {a.n_rows}x0 {b.n_rows}x0", fs.product,
+                    ref.classical_product, a, b)
+    # built directly: an empty inner dimension sums to Fraction(0), not to int 0
+    g = fs.StochasticMatrix(np.empty((2, 0), dtype=object), True)
+    f = fs.StochasticMatrix(np.empty((0, 3), dtype=object), True)
+    p = fs.ProbVector(np.array([Fraction(1, 3)] * 3, dtype=object), True)
+    got = oracle.same("compose 2x0 . 0x3", fs.compose, ref.classical_compose, g, f)
+    assert got[2] == (2, 3) and got[4] == [[0] * 3] * 2
+    oracle.same("push 2x0 on ()", fs.push, ref.classical_push, g,
+                fs.ProbVector(np.empty(0, dtype=object), True))
+    oracle.kernels("0 rows", f, p)
+    assert oracle.mismatches == []
+
+
+def test_hamming_round_trip_matches_the_loops():
+    from qmarkov import corpus
+
+    oracle = Oracle()
+    f = corpus._hamming_error_kernel(Fraction(1, 100))
+    g = fs.deterministic_kernel(corpus.hamming_decode, 128, 16)
+    p = fs.prob_vector([Fraction(1, 16)] * 16)
+    got = oracle.same("round trip", fs.compose, ref.classical_compose, g, f)
+    assert got[3] and got[4] == np.eye(16, dtype=int).tolist()
+    for name, new, old in (("push", fs.push, ref.classical_push),
+                           ("bayes_inverse", fs.bayes_inverse, ref.classical_bayes_inverse)):
+        got = oracle.same(name, new, old, f, p)
+        assert got[0] == "exact" and got[3]
+    oracle.same("error kernel", fs.stochastic, ref.classical_stochastic, f.entries.tolist())
+    assert oracle.mismatches == []
