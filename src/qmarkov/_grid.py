@@ -29,7 +29,6 @@ from .algebra import (
     AlgElement,
     Stacks,
     _dagger,
-    _finite,
     _groups,
     _lower,
     _max_abs,
@@ -75,7 +74,6 @@ def product_index(s: AlgebraShape) -> np.ndarray:
 
 def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
     """The columns of `matrix`, coordinates on s, as stacks per block size."""
-    _finite(matrix)
     return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, _, rows in _groups(s)]
 
 
@@ -123,7 +121,6 @@ def choi_blocks(f) -> list[tuple[np.ndarray, Stacks]]:
     per codomain block size m, their blocks as a stack (k_n, k_m, n m, n m),
     read from the channel matrix by a reshape and a transpose.
     """
-    _finite(f.matrix)
     out = []
     for n, ys, cols in _groups(f.domain):
         stacks = []

@@ -275,14 +275,6 @@ def _groups(s: AlgebraShape) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
 
 
 @lru_cache(maxsize=64)
-def _block_order(s: AlgebraShape) -> np.ndarray:
-    """Where each block sits when the stacks of s are concatenated."""
-    order = np.argsort(np.concatenate([ids for _, ids, _ in _groups(s)]))
-    order.flags.writeable = False
-    return order
-
-
-@lru_cache(maxsize=64)
 def _unit_coords(s: AlgebraShape) -> np.ndarray:
     """vec(1); shared by every caller, so read-only."""
     v = np.zeros(s.coord_dim, dtype=complex)
@@ -309,10 +301,12 @@ def _element_stacks(a: AlgElement) -> Stacks:
     return _stacks(a.shape, v)
 
 
-def _unstack(s: AlgebraShape, xs) -> tuple:
-    """Per-block arrays, in block order, from arrays (k, ...) per block size."""
-    items = [b for x in xs for b in x]
-    return tuple(items[i] for i in _block_order(s))
+def _join(s: AlgebraShape, xs: Stacks) -> np.ndarray:
+    """Coordinates on s from the stacks (k, m, m) of one element; inverts `_stacks`."""
+    v = np.empty(s.coord_dim, dtype=complex)
+    for (_, _, rows), x in zip(_groups(s), xs):
+        v[rows] = x.reshape(-1)
+    return v
 
 
 def _dagger(x: np.ndarray) -> np.ndarray:
@@ -340,10 +334,13 @@ def _upper(xs: Stacks) -> np.ndarray:
 
 
 def _op_norm(xs: Stacks) -> np.ndarray:
-    """Operator norm of each element, computed as `linalg.op_norm` does per block."""
+    """Operator norm of each element: the largest singular value of its blocks.
+
+    The blocks may be rectangular (`linalg.op_norm` passes one p x q matrix).
+    """
     out = []
     for x in xs:
-        if x.shape[-1] == 1:
+        if x.shape[-2:] == (1, 1):
             out.append(np.abs(x[..., 0, 0]).max(axis=-1))
         else:
             top = np.linalg.eigvalsh(_dagger(x) @ x)[..., -1]

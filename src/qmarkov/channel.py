@@ -17,7 +17,7 @@ import numpy as np
 from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
-from .errors import DimensionMismatch, ShapeMismatch, Singular
+from .errors import ShapeMismatch, Singular
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -97,7 +97,8 @@ class Channel:
     """Linear map between algebras in matrix form, with memoized verdicts.
 
     The channel keeps its own read-only copy of the matrix, so a verdict
-    cached on it cannot go stale through an in-place edit.  Verdicts are
+    cached on it cannot go stale through an in-place edit, and a matrix
+    found finite when the channel is built stays finite.  Verdicts are
     cached under the full Tolerance they were decided with.
     """
 
@@ -111,6 +112,7 @@ class Channel:
         want = (self.codomain.coord_dim, self.domain.coord_dim)
         if m.shape != want:
             raise ShapeMismatch(f"channel matrix is {m.shape}, expected {want}")
+        alg._finite(m.ravel("K").view(float))   # a float view scans faster than complex
         m.flags.writeable = False
         self.matrix = m
 
@@ -170,12 +172,12 @@ def kraus_channel(
     n_dom x n_cod.  The result is completely positive by construction.
     """
     if len(domain.blocks) != 1 or len(codomain.blocks) != 1:
-        raise DimensionMismatch("Kraus form requires single-block domain and codomain")
+        raise ShapeMismatch("Kraus form requires single-block domain and codomain")
     n, m = domain.blocks[0], codomain.blocks[0]
     ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
     for k in ops:
         if k.shape != (n, m):
-            raise DimensionMismatch(f"Kraus operator of shape {k.shape}, expected ({n}, {m})")
+            raise ShapeMismatch(f"Kraus operator of shape {k.shape}, expected ({n}, {m})")
     mat = np.zeros((m * m, n * n), dtype=complex)
     for k in ops:
         mat += np.kron(k.conj().T, k.T)

@@ -8,6 +8,7 @@ text output is for humans and may change.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -56,11 +57,11 @@ def _tolerance(args) -> Tolerance:
     if eq is not None:
         if eq <= 0:
             raise ValueError("--tol must be positive")
-        tol = Tolerance(eq=eq, psd=eq, herm=eq, rank=tol.rank)
+        tol = dataclasses.replace(tol, eq=eq, psd=eq, herm=eq)
     if rank is not None:
         if rank <= 0:
             raise ValueError("--rank-tol must be positive")
-        tol = Tolerance(eq=tol.eq, psd=tol.psd, herm=tol.herm, rank=rank)
+        tol = dataclasses.replace(tol, rank=rank)
     return tol
 
 
@@ -74,6 +75,21 @@ def _seed(args) -> int:
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _channel_and_state(args):
+    """The tolerance, then --channel and --state read with it."""
+    tol = _tolerance(args)
+    return (tol, ser.channel_from_json(_load_json(args.channel)),
+            ser.state_from_json(_load_json(args.state), tol))
+
+
+def _write_out(args, payload: dict, key: str, lines: list[str], what: str):
+    """With --out, move payload[key] from the payload to that file."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload.pop(key), fh, indent=2)
+        lines.append(f"{what} written to {args.out}")
 
 
 def _emit(payload: dict, args, text_lines: list[str]):
@@ -136,49 +152,33 @@ def cmd_check(args) -> int:
 
 
 def cmd_bayes(args) -> int:
-    tol = _tolerance(args)
-    chan = ser.channel_from_json(_load_json(args.channel))
-    omega = ser.state_from_json(_load_json(args.state), tol)
+    tol, chan, omega = _channel_and_state(args)
     prob = bayes_problem(chan, omega, tol)
     result = bayes_candidate(prob, tol)
     payload = {"candidate": ser.channel_to_json(result.candidate), **result.to_dict()}
     lines = _report_lines([result.bayes_left, result.bayes_right,
                            result.star, result.unital, result.cp])
     lines.append(f"bayes_ok={result.bayes_ok} cpu_ok={result.cpu_ok}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(ser.channel_to_json(result.candidate), fh, indent=2)
-        lines.append(f"candidate written to {args.out}")
-        payload.pop("candidate")
+    _write_out(args, payload, "candidate", lines, "candidate")
     _emit(payload, args, lines)
     return 0 if result.bayes_ok else 1
 
 
 def cmd_petz(args) -> int:
-    tol = _tolerance(args)
-    chan = ser.channel_from_json(_load_json(args.channel))
-    omega = ser.state_from_json(_load_json(args.state), tol)
+    tol, chan, omega = _channel_and_state(args)
     prob = bayes_problem(chan, omega, tol)
     exists = petz_exists(prob, tol)
-    reports = [exists]
     payload = {"checks": [exists.to_dict()]}
-    lines = _report_lines(reports)
+    lines = _report_lines([exists])
     if exists.passed:
-        recovery = petz_recovery(prob)
-        payload["recovery"] = ser.channel_to_json(recovery)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload["recovery"], fh, indent=2)
-            lines.append(f"recovery written to {args.out}")
-            payload.pop("recovery")
+        payload["recovery"] = ser.channel_to_json(petz_recovery(prob))
+        _write_out(args, payload, "recovery", lines, "recovery")
     _emit(payload, args, lines)
     return 0 if exists.passed else 1
 
 
 def cmd_disint(args) -> int:
-    tol = _tolerance(args)
-    chan = ser.channel_from_json(_load_json(args.channel))
-    omega = ser.state_from_json(_load_json(args.state), tol)
+    tol, chan, omega = _channel_and_state(args)
     if args.mode == "verify":
         if not args.candidate:
             raise ValueError("disint verify requires --candidate")
@@ -195,18 +195,13 @@ def cmd_disint(args) -> int:
             chain = modularity_chain(chan, omega, cand, tol)
             payload["modularity"] = chain.to_dict()
             reports.extend([chain.bayes, chain.ae_det])
-        lines = _report_lines(reports)
-        _emit(payload, args, lines)
+        _emit(payload, args, _report_lines(reports))
         return 0 if all(r.passed for r in reports) else 1
     cand = commutative_disintegration(chan, omega, tol)
     rep = verify_disintegration(chan, omega, cand, tol)
     payload = {"candidate": ser.channel_to_json(cand), "checks": [rep.to_dict()]}
     lines = _report_lines([rep])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(ser.channel_to_json(cand), fh, indent=2)
-        lines.append(f"disintegration written to {args.out}")
-        payload.pop("candidate")
+    _write_out(args, payload, "candidate", lines, "disintegration")
     _emit(payload, args, lines)
     return 0 if rep.passed else 1
 
@@ -240,11 +235,7 @@ def cmd_classical(args) -> int:
     payload = {"inverse": ser.stochastic_to_json(g), "pushforward": ser.prob_to_json(q)}
     lines = [f"inverse kernel: {g.n_rows}x{g.n_cols}",
              f"pushforward: {ser.prob_to_json(q)['prob']}"]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(ser.stochastic_to_json(g), fh, indent=2)
-        lines.append(f"inverse written to {args.out}")
-        payload.pop("inverse")
+    _write_out(args, payload, "inverse", lines, "inverse")
     _emit(payload, args, lines)
     return 0
 
@@ -373,13 +364,7 @@ def main(argv=None) -> int:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownFixture as exc:
+    except (FileNotFoundError, ValueError, KeyError, UnknownFixture) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QmarkovError as exc:

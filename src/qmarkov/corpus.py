@@ -259,7 +259,11 @@ def kl_channels(gamma: float) -> tuple[Channel, Channel, Channel, Channel]:
     composite G = R o Ad_V ascends to the big algebra, F = Ad_V+ o E comes
     back down.
     """
-    errs, recs, v = _kl_operators(gamma)
+    return _kl_maps(*_kl_operators(gamma))
+
+
+def _kl_maps(errs, recs, v) -> tuple[Channel, Channel, Channel, Channel]:
+    """`kl_channels` from the operators `_kl_operators` returns."""
     m8 = AlgebraShape((8,))
     m2 = AlgebraShape((2,))
     chan_e = kraus_channel(m8, m8, errs)
@@ -274,8 +278,8 @@ def kl_channels(gamma: float) -> tuple[Channel, Channel, Channel, Channel]:
 
 
 def _build_kl_single(gamma: float, n_states: int = 8, seed: int = 0) -> list[CheckResult]:
-    errs, recs, _ = _kl_operators(gamma)
-    chan_e, chan_r, f, g = kl_channels(gamma)
+    errs, recs, v = _kl_operators(gamma)
+    _, _, f, g = _kl_maps(errs, recs, v)
     checks = []
     rec_sum = sum(r.conj().T @ r for r in recs)
     checks.append(
@@ -336,16 +340,6 @@ def _build_kl_all() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _m2_units() -> list[np.ndarray]:
-    out = []
-    for i in range(2):
-        for j in range(2):
-            m = np.zeros((2, 2), dtype=complex)
-            m[i, j] = 1.0
-            out.append(m)
-    return out
-
-
 def _single(shape_dims: tuple[int, ...], mats) -> AlgElement:
     return AlgElement(AlgebraShape(shape_dims), tuple(np.asarray(m, dtype=complex) for m in mats))
 
@@ -373,16 +367,9 @@ def _build_transpose_spos() -> list[CheckResult]:
 
 def _a_n(n: int) -> AlgElement:
     """sum_i E_1i (x) E_i1 inside the tensor square of M_n."""
-    m_n = AlgebraShape((n,))
-    total = None
-    for i in range(n):
-        e1i = alg.zero(m_n)
-        e1i.blocks[0][0, i] = 1.0
-        ei1 = alg.zero(m_n)
-        ei1.blocks[0][i, 0] = 1.0
-        term = alg.tensor_elem(e1i, ei1)
-        total = term if total is None else total + term
-    return total
+    a = np.zeros((n * n, n * n), dtype=complex)
+    a[np.arange(n), n * np.arange(n)] = 1.0   # E_1i (x) E_i1 is the unit at (i, i n)
+    return AlgElement(AlgebraShape((n * n,)), (a,))
 
 
 def _build_mu_norm() -> list[CheckResult]:
@@ -710,7 +697,7 @@ def epr_conditional() -> tuple[Channel, float]:
     rho = 0.5 * np.array(
         [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
     )
-    units = _m2_units()
+    units = [e.blocks[0] for e in alg.matrix_units(m2)]
     # unknowns: 16 entries of the channel matrix; equations indexed by (A, B) pairs
     rows, rhs = [], []
     for a_mat in units:

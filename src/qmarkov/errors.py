@@ -5,10 +5,6 @@ class QmarkovError(Exception):
     """Base class for all library errors."""
 
 
-class NotHermitian(QmarkovError):
-    pass
-
-
 class NotSelfAdjoint(QmarkovError):
     pass
 
@@ -22,10 +18,6 @@ class NoConvergence(QmarkovError):
 
 
 class ShapeMismatch(QmarkovError):
-    pass
-
-
-class DimensionMismatch(QmarkovError):
     pass
 
 
@@ -59,3 +51,8 @@ class PreconditionsUnmet(QmarkovError):
 
 class UnknownFixture(QmarkovError):
     pass
+
+
+# older names, kept importable
+NotHermitian = NotSelfAdjoint
+DimensionMismatch = ShapeMismatch

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, AlgElement
 from .channel import Channel, PropertyReport, _report
-from .errors import DimensionMismatch
+from .errors import ShapeMismatch
 from .state import State, state_from_density
 from .tolerances import DEFAULT_TOL, Tolerance
 
@@ -212,13 +212,13 @@ def deterministic_kernel(func, n_in: int, n_out: int) -> StochasticMatrix:
 
 def _check_columns(f: StochasticMatrix, p: ProbVector) -> None:
     if f.n_cols != p.size:
-        raise DimensionMismatch(f"kernel has {f.n_cols} columns, measure has {p.size}")
+        raise ShapeMismatch(f"kernel has {f.n_cols} columns, measure has {p.size}")
 
 
 def compose(g: StochasticMatrix, f: StochasticMatrix) -> StochasticMatrix:
     """Chapman-Kolmogorov composite g after f."""
     if g.n_cols != f.n_rows:
-        raise DimensionMismatch(f"cannot compose {g.n_cols} columns with {f.n_rows} rows")
+        raise ShapeMismatch(f"cannot compose {g.n_cols} columns with {f.n_rows} rows")
     (ge, fe), exact, _ = _combine(g, f)
     return StochasticMatrix(_arith(np.matmul, ge, fe), exact)
 
@@ -266,7 +266,7 @@ def ae_equal(
 ) -> PropertyReport:
     """Column equality off the nullset of p."""
     if f.entries.shape != h.entries.shape:
-        raise DimensionMismatch("kernels have different shapes")
+        raise ShapeMismatch("kernels have different shapes")
     _check_columns(f, p)
     (fe, he), _, thr = _combine(f, h, tol=tol)
     bad = _supported_failure(np.abs(fe - he) > thr, p, tol)

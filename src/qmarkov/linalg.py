@@ -1,91 +1,84 @@
-"""Dense complex-matrix primitives: Hermitian eigensolver, PSD pseudo-inverse,
-operator norm, and PSD square root.
+"""Dense-matrix entry points to the stacked kernel the verifiers run.
 
-All functions work on plain 2-D complex numpy arrays.  The eigensolver is
-specified by its residual contract (||m - U diag(w) U*|| small), not by
-algorithm; LAPACK's Hermitian solver comfortably meets it for the dimensions
-this library targets (<= 256).
+Each function reads its matrix as the one block of an element of M_n (a
+stack (1, p, q)) and runs the code that decides elements and states:
+`op_norm` is `algebra._op_norm`, self-adjointness is `is_self_adjoint_elem`,
+and the eigendecomposition, its rank decision, the pseudo-inverse and the
+square root come from `state.Spectrum`.  No threshold is set here.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotPSD
+from . import algebra as alg
+from .algebra import AlgebraShape, AlgElement, is_self_adjoint_elem
+from .errors import NotPSD, NotSelfAdjoint
+from .state import Spectrum, _hermitian_part, _spectrum
 from .tolerances import DEFAULT_TOL, Tolerance
 
-__all__ = ["op_norm", "is_hermitian", "herm_eig", "pinv_psd", "sqrt_psd"]
+__all__ = ["op_norm", "herm_eig", "pinv_psd", "sqrt_psd"]
 
 
-def _as_matrix(m) -> np.ndarray:
+def _block(m) -> np.ndarray:
+    """m as a stack (1, p, q); raises ValueError on NaN or Inf entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return a
+    alg._finite(a)
+    return a[None]
 
 
 def op_norm(m) -> float:
-    """Largest singular value, computed as sqrt of the top eigenvalue of m*m."""
-    a = _as_matrix(m)
-    if a.size == 0:
+    """Largest singular value of a p x q matrix; 0 when it is empty."""
+    x = _block(m)
+    if x.size == 0:
         return 0.0
-    if a.shape == (1, 1):
-        return float(abs(a[0, 0]))
-    gram = a.conj().T @ a
-    ev = np.linalg.eigvalsh(gram)
-    return float(np.sqrt(max(ev[-1], 0.0)))
+    if x.shape[1:] == (1, 1):
+        return float(abs(x[0, 0, 0]))   # Python's abs; np.abs can differ in the last bit
+    return float(alg._op_norm([x]))
 
 
-def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = _as_matrix(m)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    return dev <= tol.herm * tol.scale(op_norm(a))
+def _decompose(m, tol: Tolerance, psd: bool = False) -> Spectrum:
+    """Spectrum of m as an element of M_n.
+
+    Raises NotSelfAdjoint unless m is self-adjoint within tol.herm, and with
+    psd NotPSD when its least eigenvalue is negative beyond tol.psd.
+    """
+    x = _block(m)
+    n, k = x.shape[1:]
+    if n != k:
+        raise NotSelfAdjoint(f"matrix is {n}x{k}, not square")
+    a = AlgElement(AlgebraShape((n,)), (x[0],))
+    if not is_self_adjoint_elem(a, tol):
+        dev = np.abs(x - alg._dagger(x)).max()
+        raise NotSelfAdjoint(f"anti-Hermitian deviation {dev:.3e} exceeds tolerance")
+    spec = _spectrum(a.shape, _hermitian_part([x]), tol)
+    w = spec.stacks[0][0][0]
+    if psd and w[-1] < -tol.psd * tol.scale(w[0]):
+        raise NotPSD(f"minimum eigenvalue {w[-1]:.3e} is negative beyond tolerance")
+    return spec
 
 
 def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, u) with w real and sorted descending and u unitary, such that
-    m = u @ diag(w) @ u*.  Raises NotHermitian when m is not self-adjoint
-    within tolerance, NoConvergence if the iteration fails.
+    m = u @ diag(w) @ u*.  Raises NotSelfAdjoint when m is not self-adjoint
+    within tolerance.
     """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if not is_hermitian(a, tol):
-        dev = np.max(np.abs(a - a.conj().T))
-        raise NotHermitian(f"anti-Hermitian deviation {dev:.3e} exceeds tolerance")
-    sym = 0.5 * (a + a.conj().T)
-    try:
-        w, u = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
-    return w[::-1].copy(), u[:, ::-1].copy()
+    (w, u, _), = _decompose(m, tol).stacks
+    return w[0].copy(), u[0].copy()
 
 
-def pinv_psd(m, rank_tol: float | None = None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pinv_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a PSD Hermitian matrix.
 
-    Eigenvalues <= rank_tol * lambda_max are treated as exact zeros, so the
-    result satisfies m @ pinv = pinv @ m = (projection onto the range of m).
+    Eigenvalues <= tol.rank * lambda_max are treated as exact zeros, as for
+    the support of a state, so m @ pinv = pinv @ m is the support projection.
     """
-    if rank_tol is None:
-        rank_tol = tol.rank
-    w, u = herm_eig(m, tol)
-    scale = tol.scale(w[0] if w.size else 0.0)
-    if w.size and w[-1] < -tol.psd * scale:
-        raise NotPSD(f"minimum eigenvalue {w[-1]:.3e} is negative beyond tolerance")
-    cutoff = rank_tol * (w[0] if w.size and w[0] > 0 else 0.0)
-    inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-    return (u * inv) @ u.conj().T
+    return _decompose(m, tol, psd=True).inverse_power(1.0).blocks[0]
 
 
 def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """PSD square root of a PSD Hermitian matrix."""
-    w, u = herm_eig(m, tol)
-    scale = tol.scale(w[0] if w.size else 0.0)
-    if w.size and w[-1] < -tol.psd * scale:
-        raise NotPSD(f"minimum eigenvalue {w[-1]:.3e} is negative beyond tolerance")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    return (u * root) @ u.conj().T
+    return _decompose(m, tol, psd=True).sqrt().blocks[0]

@@ -34,7 +34,7 @@ from .channel import (
     tensor,
     transpose_channel,
 )
-from .corpus import CheckResult, _check, compression_pair, doubling_pair, padded_inclusion
+from .corpus import CheckResult, _a_n, _check, compression_pair, doubling_pair, padded_inclusion
 from .linalg import herm_eig, op_norm, pinv_psd
 from .state import State, ae_deterministic, ae_equal, ae_unital, pullback_state, state_from_density
 
@@ -259,14 +259,8 @@ def suite_algebra(seed: int = 0, trials: int = 64) -> SuiteReport:
     mu_ok = True
     detail = ""
     for n in range(2, 9):
-        total = None
-        m_n = AlgebraShape((n,))
-        for i in range(n):
-            e1i = alg.zero(m_n); e1i.blocks[0][0, i] = 1.0
-            ei1 = alg.zero(m_n); ei1.blocks[0][i, 0] = 1.0
-            term = alg.tensor_elem(e1i, ei1)
-            total = term if total is None else total + term
-        image = apply(mult_map(m_n), total)
+        total = _a_n(n)
+        image = apply(mult_map(AlgebraShape((n,))), total)
         if abs(alg.norm(image) - n) > 1e-9 or abs(alg.norm(total) - 1) > 1e-10:
             mu_ok, detail = False, f"failed at n={n}"
             break

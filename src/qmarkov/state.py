@@ -43,24 +43,11 @@ class Spectrum:
     marks the eigenvalues above tol.rank times the largest eigenvalue across
     all blocks, so rank decisions are consistent between blocks of different
     scale.  The support projection, the pseudo-inverse and its square root
-    are all read from it, so they agree on every rank.  `values`, `vectors`
-    and `keep` give the same arrays per block, in block order.
+    are all read from it, so they agree on every rank.
     """
 
     shape: AlgebraShape
     stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    @cached_property
-    def values(self) -> tuple[np.ndarray, ...]:
-        return alg._unstack(self.shape, [w for w, _, _ in self.stacks])
-
-    @cached_property
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        return alg._unstack(self.shape, [u for _, u, _ in self.stacks])
-
-    @cached_property
-    def keep(self) -> tuple[np.ndarray, ...]:
-        return alg._unstack(self.shape, [k for _, _, k in self.stacks])
 
     def support(self) -> AlgElement:
         """Spectral projection onto the kept eigenvalues."""
@@ -77,7 +64,7 @@ class Spectrum:
 
     def _function(self, values) -> AlgElement:
         """sum_i v_i u_i u_i* per block, for eigenvalue functions v."""
-        return AlgElement(self.shape, alg._unstack(self.shape, [
+        return alg.unvec(self.shape, alg._join(self.shape, [
             (u * v[:, None, :]) @ alg._dagger(u) for (_, u, _), v in zip(self.stacks, values)]))
 
 
@@ -157,7 +144,7 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
     top = max(np.abs(w).max() for w, _, _ in spec.stacks)   # the operator norm
     if low < -tol.psd * tol.scale(top):
         raise PullbackNotPSD("pullback density has a negative eigenvalue")
-    sym = AlgElement(s, alg._unstack(s, herm))
+    sym = alg.unvec(s, alg._join(s, herm))
     tr = alg.trace(sym)
     if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
         raise PullbackNotPSD(f"pullback density has trace {tr}, expected 1")

@@ -6,8 +6,9 @@ units, and decide each comparison with `elem_equal` or an operator-norm test
 on the support; the constructions apply a callback to every matrix unit, and
 `is_cp` decides the full Choi matrix of each domain block; the classical
 kernel operations visit every entry, with one branch for Fractions and one
-for floats.  The differential tests run both and require the same verdicts,
-witnesses and matrices.
+for floats; the dense-matrix primitives call LAPACK once per matrix, with
+their own Hermiticity test, PSD test and rank cutoff.  The differential
+tests run both and require the same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
 
@@ -29,17 +30,87 @@ from qmarkov.channel import (
     identity_channel,
 )
 from qmarkov.errors import (
+    NoConvergence,
     NonscalarImageBlock,
     NotCommutative,
+    NotPSD,
     NotSelfAdjoint,
     PullbackNotPSD,
     ShapeMismatch,
     SupportNotFull,
 )
 from qmarkov.finstoch import ProbVector, StochasticMatrix, _parse_entry
-from qmarkov.linalg import herm_eig, op_norm
 from qmarkov.state import State, pullback_state
 from qmarkov.tolerances import DEFAULT_TOL, Tolerance
+
+
+# ---------------------------------------------------------------------------
+# dense-matrix primitives: one LAPACK call per matrix
+# ---------------------------------------------------------------------------
+
+def _as_matrix(m) -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        raise ValueError("matrix contains NaN or Inf entries")
+    return a
+
+
+def op_norm(m) -> float:
+    """Largest singular value, computed as sqrt of the top eigenvalue of m*m."""
+    a = _as_matrix(m)
+    if a.size == 0:
+        return 0.0
+    if a.shape == (1, 1):
+        return float(abs(a[0, 0]))
+    gram = a.conj().T @ a
+    ev = np.linalg.eigvalsh(gram)
+    return float(np.sqrt(max(ev[-1], 0.0)))
+
+
+def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
+    a = _as_matrix(m)
+    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    return dev <= tol.herm * tol.scale(op_norm(a))
+
+
+def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u) with w descending and m = u diag(w) u*; NotSelfAdjoint otherwise."""
+    a = _as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise NotSelfAdjoint(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    if not is_hermitian(a, tol):
+        dev = np.max(np.abs(a - a.conj().T))
+        raise NotSelfAdjoint(f"anti-Hermitian deviation {dev:.3e} exceeds tolerance")
+    sym = 0.5 * (a + a.conj().T)
+    try:
+        w, u = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
+    return w[::-1].copy(), u[:, ::-1].copy()
+
+
+def pinv_psd(m, rank_tol: float | None = None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse; eigenvalues <= rank_tol * lambda_max count as 0."""
+    if rank_tol is None:
+        rank_tol = tol.rank
+    w, u = herm_eig(m, tol)
+    scale = tol.scale(w[0] if w.size else 0.0)
+    if w.size and w[-1] < -tol.psd * scale:
+        raise NotPSD(f"minimum eigenvalue {w[-1]:.3e} is negative beyond tolerance")
+    cutoff = rank_tol * (w[0] if w.size and w[0] > 0 else 0.0)
+    inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
+    return (u * inv) @ u.conj().T
+
+
+def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    w, u = herm_eig(m, tol)
+    scale = tol.scale(w[0] if w.size else 0.0)
+    if w.size and w[-1] < -tol.psd * scale:
+        raise NotPSD(f"minimum eigenvalue {w[-1]:.3e} is negative beyond tolerance")
+    root = np.sqrt(np.clip(w, 0.0, None))
+    return (u * root) @ u.conj().T
 
 
 def is_star_preserving(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmarkov import algebra as alg
+from qmarkov import corpus
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import apply, mult_map
 from qmarkov.errors import NotSelfAdjoint, ShapeMismatch
@@ -156,6 +157,9 @@ def test_mult_map_norm_witness_small_cases():
             term = alg.tensor_elem(e1i, ei1)
             witness = term if witness is None else witness + term
         assert abs(alg.norm(witness) - 1.0) <= 1e-12
+        closed = corpus._a_n(n)   # the corpus builds the same witness in closed form
+        assert closed.shape == witness.shape
+        assert np.array_equal(closed.blocks[0], witness.blocks[0])
         image = apply(mult_map(s), witness)
         assert abs(alg.norm(image) - n) <= 1e-12
         expected = alg.zero(s)

@@ -259,11 +259,11 @@ def test_cached_verdicts_are_keyed_on_the_whole_tolerance():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("shape", [AlgebraShape((1, 1)), M2])
 def test_is_cp_rejects_non_finite_matrices(shape, bad):
-    # 1x1 Choi blocks (a classical map) skip the eigensolver; M_2 does not
+    # rejected when the channel is built, so no check sees the matrix
     mat = np.eye(shape.coord_dim, dtype=complex)
     mat[0, -1] = bad
     with pytest.raises(ValueError, match="NaN or Inf"):
-        is_cp(Channel(shape, shape, mat))
+        Channel(shape, shape, mat)
 
 
 def test_channel_matrix_is_a_read_only_copy():

@@ -168,6 +168,45 @@ def test_classical_commands_reject_non_finite_entries(files, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, what", [
+    (["bayes", "--channel", "identity.json", "--state", "state.json"], "candidate", "candidate"),
+    (["petz", "--channel", "identity.json", "--state", "state.json"], "recovery", "recovery"),
+    (["disint", "construct", "--channel", "func_chan.json", "--state", "p_state.json"],
+     "candidate", "disintegration"),
+    (["classical", "bayes", "--kernel", "kernel.json", "--prob", "p2.json"], "inverse", "inverse"),
+])
+def test_out_moves_the_artifact_from_the_payload_to_the_file(files, tmp_path, capsys,
+                                                            command, key, what):
+    from qmarkov.finstoch import embed
+
+    func = ser.stochastic_from_json(json.loads(open(files["func.json"]).read()))
+    (tmp_path / "func_chan.json").write_text(json.dumps(ser.channel_to_json(embed(func))))
+    (tmp_path / "p_state.json").write_text(json.dumps(
+        {"shape": {"blocks": [1, 1, 1]}, "density": [[[[0.5, 0]]], [[[0.25, 0]]], [[[0.25, 0]]]]}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    capsys.readouterr()
+    assert main(argv + ["--format", "json"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    out = tmp_path / "artifact.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    rest = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text()) == full.pop(key)
+    assert rest == full
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"{what} written to {out}\n")
+
+
+def test_channel_with_a_nan_entry_exits_2(files, tmp_path, capsys):
+    payload = json.loads(open(files["identity.json"]).read())
+    payload["matrix"][0][3] = [float("nan"), 0.0]
+    chan = tmp_path / "nan_chan.json"
+    chan.write_text(json.dumps(payload))   # json.dumps writes NaN, json.loads reads it
+    capsys.readouterr()
+    assert main(["check", str(chan), "--props", "cp"]) == 2
+    assert capsys.readouterr().err == "error: matrix contains NaN or Inf entries\n"
+    assert main(["bayes", "--channel", str(chan), "--state", files["state.json"]]) == 2
+
+
 def test_bayes_command_on_embedded_classical_problem(files, tmp_path):
     kernel = ser.stochastic_from_json(json.loads(open(files["kernel.json"]).read()))
     from qmarkov.finstoch import embed

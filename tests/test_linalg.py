@@ -1,8 +1,18 @@
+"""The dense-matrix entry points against the per-matrix reference copies.
+
+`qmarkov.linalg` runs one-block stacks through the kernel of `algebra` and
+`state.Spectrum`; `loop_reference.py` keeps the versions that call LAPACK on
+each matrix with their own thresholds.  Values must be equal, and inputs
+that raise must raise the same class with the same message.
+"""
 import numpy as np
 import pytest
 
-from qmarkov.errors import NotHermitian, NotPSD
+import loop_reference as ref
+import qmarkov
+from qmarkov.errors import NotPSD, NotSelfAdjoint
 from qmarkov.linalg import herm_eig, op_norm, pinv_psd, sqrt_psd
+from qmarkov.tolerances import DEFAULT_TOL, Tolerance
 
 
 def test_herm_eig_diagonal_sorted_descending():
@@ -25,9 +35,9 @@ def test_herm_eig_rank_one_projection_doubled():
 
 
 def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(NotSelfAdjoint):
         herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(NotHermitian):
+    with pytest.raises(NotSelfAdjoint):
         herm_eig(np.ones((2, 3)))
 
 
@@ -50,8 +60,11 @@ def test_pinv_psd_diagonal():
 
 
 def test_pinv_psd_thresholds_tiny_eigenvalues():
-    out = pinv_psd(np.diag([1e-15, 1.0]), rank_tol=1e-10)
+    # tol.rank (1e-10) decides, as it does for the support of a state
+    out = pinv_psd(np.diag([1e-15, 1.0]))
     assert np.allclose(out, np.diag([0.0, 1.0]))
+    assert np.allclose(pinv_psd(np.diag([1e-15, 1.0]), Tolerance(rank=1e-16)),
+                       np.diag([1e15, 1.0]))
 
 
 def test_pinv_psd_rejects_indefinite():
@@ -106,3 +119,102 @@ def test_sqrt_psd():
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(NotPSD):
         sqrt_psd(np.diag([1.0, -0.5]))
+
+
+def _outcome(fn, *args):
+    """fn's value, or the class and message of what it raised."""
+    try:
+        return "value", fn(*args)
+    except (qmarkov.QmarkovError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    if got[0] != "value" or want[0] != "value":
+        return got == want
+    pairs = zip(got[1], want[1]) if isinstance(got[1], tuple) else [(got[1], want[1])]
+    return all(np.array_equal(g, w) for g, w in pairs)
+
+
+def _random(rng, p, q):
+    return rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+
+
+def _with_eigenvalues(rng, w):
+    """u diag(w) u* for a random unitary u."""
+    u, _ = np.linalg.qr(_random(rng, len(w), len(w)))
+    return (u * np.asarray(w)) @ u.conj().T
+
+
+def _inputs(rng):
+    """Hermitian, PSD and rank-deficient matrices for n = 1..8."""
+    for n in range(1, 9):
+        for _ in range(4):
+            m = _random(rng, n, n)
+            yield 0.5 * (m + m.conj().T)
+            yield m.conj().T @ m
+        cut = DEFAULT_TOL.rank * 3.0   # eigenvalues just around tol.rank * lambda_max
+        for side in (1 - 1e-3, 1 + 1e-3):
+            yield _with_eigenvalues(rng, [3.0] + [cut * side] * (n - 1))
+            if n > 1:
+                yield _with_eigenvalues(rng, [3.0, cut * side] + [0.0] * (n - 2))
+
+
+@pytest.mark.parametrize("name", ["herm_eig", "pinv_psd", "sqrt_psd", "op_norm"])
+def test_entry_points_equal_the_per_matrix_reference(name):
+    new, old = getattr(qmarkov.linalg, name), getattr(ref, name)
+    values = 0
+    for m in _inputs(np.random.default_rng(21)):
+        got, want = _outcome(new, m), _outcome(old, m)   # indefinite inputs raise NotPSD
+        assert _same(got, want), (name, m.shape)
+        values += got[0] == "value"
+    assert values >= 62, values
+
+
+def test_pinv_psd_rank_decision_near_the_cutoff():
+    rng = np.random.default_rng(22)
+    cut = DEFAULT_TOL.rank * 3.0
+    for n in (2, 5, 8):
+        for side, kept in ((1 - 1e-3, 1), (1 + 1e-3, n)):
+            m = _with_eigenvalues(rng, [3.0] + [cut * side] * (n - 1))
+            proj = m @ pinv_psd(m)
+            assert round(np.trace(proj).real) == kept, (n, side)
+
+
+def test_op_norm_on_rectangular_and_empty_matrices():
+    rng = np.random.default_rng(23)
+    for p, q in [(1, 1), (1, 5), (5, 1), (3, 7), (7, 3), (0, 0), (0, 4), (4, 0)]:
+        for _ in range(8):
+            m = _random(rng, p, q)
+            assert op_norm(m) == ref.op_norm(m), (p, q)
+
+
+def _bad_inputs():
+    nan = np.eye(3, dtype=complex)
+    nan[1, 2] = np.nan
+    inf = np.eye(2)
+    inf[0, 0] = np.inf
+    skew = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+    near_skew = np.eye(2, dtype=complex)
+    near_skew[0, 1] = 3e-10   # beyond tol.herm at scale 1
+    yield from (np.ones((2, 3)), np.ones((3, 1)), nan, inf, skew, near_skew, np.ones(3),
+                np.ones((2, 2, 2)), np.diag([1.0, -1.0]), np.diag([1.0, -0.5]),
+                np.diag([-2.0, -3.0]), np.diag([5.0, -4e-9]), np.diag([5.0, -6e-9]))
+
+
+@pytest.mark.parametrize("name", ["herm_eig", "pinv_psd", "sqrt_psd", "op_norm"])
+def test_entry_points_fail_like_the_per_matrix_reference(name):
+    new, old = getattr(qmarkov.linalg, name), getattr(ref, name)
+    raised = set()
+    for m in _bad_inputs():
+        got, want = _outcome(new, m), _outcome(old, m)
+        assert _same(got, want), (name, m, got, want)
+        if got[0] != "value":
+            raised.add(got[0])
+    want_raised = {"op_norm": {ValueError}, "herm_eig": {ValueError, NotSelfAdjoint}}
+    assert raised == want_raised.get(name, {ValueError, NotSelfAdjoint, NotPSD})
+
+
+def test_old_error_names_are_aliases():
+    assert qmarkov.NotHermitian is qmarkov.NotSelfAdjoint
+    assert qmarkov.DimensionMismatch is qmarkov.ShapeMismatch

