@@ -12,13 +12,12 @@ Codomain blocks are grouped by size: the k blocks of size m of a batch of N
 elements form one stack of shape (N, k, m, m), so an algebra of many equal
 blocks costs one array operation, not one per block.
 
-The same index tables build channel matrices: a tensor product, the
-multiplication map and the Choi blocks are gathers or scatters of matrix
-entries, and blockwise A X B is the Kronecker product `block_kron`.
+The index tables of `algebra` also build channel matrices: a tensor
+product, the multiplication map and the Choi blocks are gathers or scatters
+of matrix entries, and blockwise A X B is the Kronecker product `block_kron`.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -34,66 +33,19 @@ from .algebra import (
     _max_abs,
     _op_norm,
     _upper,
+    adjoint_index,
+    product_index,
 )
 from .tolerances import Tolerance
 
-_CHUNK = 1 << 13   # codomain entries per operand in one chunk of the grid
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """The cached index tables are shared by every caller."""
-    a.flags.writeable = False
-    return a
-
-
-@lru_cache(maxsize=64)
-def _unit_labels(s: AlgebraShape) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Block offset, block size, row and column of every unit, canonical order."""
-    sizes = np.array(s.blocks)
-    n = np.repeat(sizes, sizes * sizes)
-    off = np.repeat(np.array(s.offsets()), sizes * sizes)
-    row, col = np.divmod(np.arange(s.coord_dim) - off, n)
-    return off, n, row, col
-
-
-@lru_cache(maxsize=64)
-def adjoint_index(s: AlgebraShape) -> np.ndarray:
-    """adj[a] is the index of E_a*."""
-    off, n, row, col = _unit_labels(s)
-    return _read_only(off + col * n + row)
-
-
-@lru_cache(maxsize=64)
-def product_index(s: AlgebraShape) -> np.ndarray:
-    """prod[a, b] is the index of E_a E_b, or coord_dim when the product is 0."""
-    off, n, row, col = _unit_labels(s)
-    joint = (off[:, None] == off[None, :]) & (col[:, None] == row[None, :])
-    return _read_only(np.where(joint, off[:, None] + row[:, None] * n[:, None] + col[None, :],
-                               s.coord_dim))
+# codomain entries per operand in one chunk of the grid, and coordinates per
+# element times trials in one batch of a sampled check
+_CHUNK = 1 << 13
 
 
 def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
     """The columns of `matrix`, coordinates on s, as stacks per block size."""
     return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, _, rows in _groups(s)]
-
-
-@lru_cache(maxsize=64)
-def tensor_index(s1: AlgebraShape, s2: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right): the units of s1 and of s2 whose tensor product is each
-    unit of tensor_shape(s1, s2), canonical order.
-
-    Block (x, y) of the tensor shape has size m n; its unit at row (i, p),
-    column (j, q) is E_ij (x) E_pq.
-    """
-    t = alg.tensor_shape(s1, s2)
-    _, _, row, col = _unit_labels(t)
-    block = np.repeat(np.arange(len(t.blocks)), np.array(t.blocks) ** 2)
-    x, y = np.divmod(block, len(s2.blocks))
-    m, n = np.array(s1.blocks)[x], np.array(s2.blocks)[y]
-    (i, p), (j, q) = np.divmod(row, n), np.divmod(col, n)
-    left = np.array(s1.offsets())[x] + i * m + j
-    right = np.array(s2.offsets())[y] + p * n + q
-    return _read_only(left), _read_only(right)
 
 
 def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
@@ -186,9 +138,7 @@ def times_unit(s: AlgebraShape, x: np.ndarray, b: np.ndarray, left: bool = False
 
 def unit(s: AlgebraShape, index: int) -> AlgElement:
     """The matrix unit with the given canonical index."""
-    v = np.zeros(s.coord_dim, dtype=complex)
-    v[index] = 1.0
-    return alg.unvec(s, v)
+    return alg._adopt(s, np.eye(1, s.coord_dim, index, dtype=complex)[0])
 
 
 def first_failure(

@@ -1,22 +1,24 @@
 """Finite direct sums of matrix algebras and their structure maps.
 
-An algebra is described by its block dimensions (n_1, ..., n_k); an element
-is one complex n_i x n_i matrix per block.  The canonical coordinate basis
-lists the matrix units block by block, row-major inside each block, which
-fixes the vectorization used by every channel matrix in the library.
+An algebra is described by its block dimensions (n_1, ..., n_k).  The
+canonical coordinate basis lists the matrix units block by block, row-major
+inside each block, which fixes the vectorization used by every channel
+matrix in the library.  An element is its shape and one read-only vector of
+coordinates in that basis; its blocks are views into the vector.
 
-Norms, comparisons and spectra read an element as stacks: the k blocks of
-size m form one array (k, m, m), one per block size, gathered from the
-coordinate vector.  An algebra of many equal blocks then costs one array
-operation, not one per block, and the finiteness of an element is checked
-once, when it is stacked.
+The adjoint, products of units and tensor products of units are index
+tables on coordinates.  Products, norms, comparisons and spectra read an
+element as stacks: the k blocks of size m form one array (k, m, m), one per
+block size, gathered from the coordinates, with any leading batch
+dimensions.  A batch of elements of many equal blocks then costs one array
+operation, not one per block or element, and the finiteness of an element
+is checked once, when it is stacked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterator
 
 import numpy as np
 
@@ -89,42 +91,77 @@ class AlgebraShape:
         return f"AlgebraShape({list(self.blocks)})"
 
 
-@dataclass(frozen=True)
 class AlgElement:
-    """Block-diagonal element of a direct sum of matrix algebras."""
+    """Element of a direct sum of matrix algebras: its shape and its
+    coordinates in the canonical basis, one read-only complex vector.
 
-    shape: AlgebraShape
-    blocks: tuple[np.ndarray, ...]
+    AlgElement(shape, blocks) copies the blocks into the vector, so no array
+    the caller holds can change the element; `blocks` and `block(x)` are
+    read-only views into it.  Two elements are equal when their shapes and
+    coordinates are exactly equal; elements are not hashable.
+    """
 
-    def __post_init__(self):
-        if len(self.blocks) != len(self.shape.blocks):
+    __slots__ = ("shape", "_coords")
+
+    def __init__(self, shape: AlgebraShape, blocks):
+        if len(blocks) != len(shape.blocks):
             raise ShapeMismatch("block count does not match shape")
-        mats = []
-        for n, b in zip(self.shape.blocks, self.blocks):
+        parts = []
+        for n, b in zip(shape.blocks, blocks):
             m = np.asarray(b, dtype=complex)
             if m.shape != (n, n):
                 raise ShapeMismatch(f"block of shape {m.shape}, expected ({n}, {n})")
-            mats.append(m)
-        object.__setattr__(self, "blocks", tuple(mats))
+            parts.append(m.reshape(-1))
+        _adopt(shape, np.concatenate(parts), self)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.block(x) for x in range(len(self.shape.blocks)))
 
     def block(self, x: int) -> np.ndarray:
-        return self.blocks[x]
+        n, off = self.shape.blocks[x], self.shape.offsets()[x]
+        return self._coords[off:off + n * n].reshape(n, n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgElement is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgElement):
+            return NotImplemented
+        return self.shape == other.shape and bool(np.array_equal(self._coords, other._coords))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"AlgElement(shape={self.shape!r}, blocks={self.blocks!r})"
+
+    def __reduce__(self):
+        return unvec, (self.shape, self._coords)
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
         _check_same_shape(self, other)
-        return AlgElement(self.shape, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return _adopt(self.shape, self._coords + other._coords)
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         _check_same_shape(self, other)
-        return AlgElement(self.shape, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return _adopt(self.shape, self._coords - other._coords)
 
     def __mul__(self, scalar: complex) -> "AlgElement":
-        return AlgElement(self.shape, tuple(scalar * b for b in self.blocks))
+        return _adopt(self.shape, scalar * self._coords)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "AlgElement":
         return self * (-1.0)
+
+
+def _adopt(s: AlgebraShape, v: np.ndarray, a: AlgElement | None = None) -> AlgElement:
+    """The element (a, or a new one) with coordinates v, a complex vector that
+    no caller writes to, taken without a copy."""
+    a = object.__new__(AlgElement) if a is None else a
+    object.__setattr__(a, "shape", s)
+    object.__setattr__(a, "_coords", _read_only(v))
+    return a
 
 
 def _check_same_shape(a: AlgElement, b: AlgElement):
@@ -133,28 +170,32 @@ def _check_same_shape(a: AlgElement, b: AlgElement):
 
 
 def zero(s: AlgebraShape) -> AlgElement:
-    return AlgElement(s, tuple(np.zeros((n, n), dtype=complex) for n in s.blocks))
+    return _adopt(s, np.zeros(s.coord_dim, dtype=complex))
 
 
 def unit(s: AlgebraShape) -> AlgElement:
     """Multiplicative identity (the image of the unit inclusion)."""
-    return unvec(s, _unit_coords(s).copy())
+    return _adopt(s, _unit_coords(s))
 
 
 def mul(a: AlgElement, b: AlgElement) -> AlgElement:
     """Blockwise matrix product."""
     _check_same_shape(a, b)
-    return AlgElement(a.shape, tuple(x @ y for x, y in zip(a.blocks, b.blocks)))
+    return _adopt(a.shape, _mul_coords(a.shape, a._coords, b._coords))
 
 
 def adjoint(a: AlgElement) -> AlgElement:
     """Blockwise conjugate transpose (the involution)."""
-    return AlgElement(a.shape, tuple(b.conj().T for b in a.blocks))
+    return _adopt(a.shape, _adjoint_coords(a.shape, a._coords))
 
 
 def trace(a: AlgElement) -> complex:
     """Unweighted trace, summed over blocks."""
-    return complex(sum(np.trace(b) for b in a.blocks))
+    per_block = np.zeros(len(a.shape.blocks) + 1, dtype=complex)
+    for (_, ids, _), x in zip(_groups(a.shape), _stacks(a.shape, a._coords)):
+        per_block[ids + 1] = np.trace(x, axis1=-2, axis2=-1)
+    # a running sum from 0, so the blocks add up in order, as a per-block sum() adds them
+    return complex(np.cumsum(per_block)[-1])
 
 
 def normalized_trace(a: AlgElement) -> complex:
@@ -183,19 +224,15 @@ def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance)
 
 
 def vec(a: AlgElement) -> np.ndarray:
-    """Coordinates of a in the canonical matrix-unit basis (row-major per block)."""
-    return np.concatenate(a.blocks, axis=None)
+    """Coordinates of a in the canonical matrix-unit basis: a's own read-only vector."""
+    return a._coords
 
 
 def unvec(s: AlgebraShape, v: np.ndarray) -> AlgElement:
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = np.array(v, dtype=complex).reshape(-1)
     if v.size != s.coord_dim:
         raise ShapeMismatch(f"coordinate vector of length {v.size}, expected {s.coord_dim}")
-    mats, pos = [], 0
-    for n in s.blocks:
-        mats.append(v[pos : pos + n * n].reshape(n, n))
-        pos += n * n
-    return AlgElement(s, tuple(mats))
+    return _adopt(s, v)
 
 
 def basis_index(s: AlgebraShape, block: int, i: int, j: int) -> int:
@@ -203,21 +240,9 @@ def basis_index(s: AlgebraShape, block: int, i: int, j: int) -> int:
     return s.offsets()[block] + i * s.blocks[block] + j
 
 
-def _basis_labels(s: AlgebraShape) -> Iterator[tuple[int, int, int]]:
-    for x, n in enumerate(s.blocks):
-        for i in range(n):
-            for j in range(n):
-                yield x, i, j
-
-
 def matrix_units(s: AlgebraShape) -> list[AlgElement]:
     """All matrix units of the algebra in canonical coordinate order."""
-    out = []
-    for x, i, j in _basis_labels(s):
-        e = zero(s)
-        e.blocks[x][i, j] = 1.0
-        out.append(e)
-    return out
+    return [_adopt(s, e) for e in np.eye(s.coord_dim, dtype=complex)]
 
 
 def tensor_shape(s1: AlgebraShape, s2: AlgebraShape) -> AlgebraShape:
@@ -227,8 +252,8 @@ def tensor_shape(s1: AlgebraShape, s2: AlgebraShape) -> AlgebraShape:
 
 def tensor_elem(a: AlgElement, b: AlgElement) -> AlgElement:
     """Kronecker product per block pair, in tensor_shape order."""
-    mats = [np.kron(x, y) for x in a.blocks for y in b.blocks]
-    return AlgElement(tensor_shape(a.shape, b.shape), tuple(mats))
+    left, right = tensor_index(a.shape, b.shape)
+    return _adopt(tensor_shape(a.shape, b.shape), a._coords[left] * b._coords[right])
 
 
 def is_self_adjoint_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -255,6 +280,75 @@ def min_eig(a: AlgElement) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Coordinate layout: index tables, shared by every caller, so read-only
+# ---------------------------------------------------------------------------
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _unit_labels(s: AlgebraShape) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Block offset, block size, row and column of every unit, canonical order."""
+    sizes = np.array(s.blocks)
+    n = np.repeat(sizes, sizes * sizes)
+    off = np.repeat(np.array(s.offsets()), sizes * sizes)
+    row, col = np.divmod(np.arange(s.coord_dim) - off, n)
+    return off, n, row, col
+
+
+@lru_cache(maxsize=64)
+def adjoint_index(s: AlgebraShape) -> np.ndarray:
+    """adj[a] is the index of E_a*."""
+    off, n, row, col = _unit_labels(s)
+    return _read_only(off + col * n + row)
+
+
+@lru_cache(maxsize=64)
+def product_index(s: AlgebraShape) -> np.ndarray:
+    """prod[a, b] is the index of E_a E_b, or coord_dim when the product is 0."""
+    off, n, row, col = _unit_labels(s)
+    joint = (off[:, None] == off[None, :]) & (col[:, None] == row[None, :])
+    return _read_only(np.where(joint, off[:, None] + row[:, None] * n[:, None] + col[None, :],
+                               s.coord_dim))
+
+
+@lru_cache(maxsize=64)
+def tensor_index(s1: AlgebraShape, s2: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right): the units of s1 and of s2 whose tensor product is each
+    unit of tensor_shape(s1, s2), canonical order.
+
+    Block (x, y) of the tensor shape has size m n; its unit at row (i, p),
+    column (j, q) is E_ij (x) E_pq.
+    """
+    t = tensor_shape(s1, s2)
+    _, _, row, col = _unit_labels(t)
+    block = np.repeat(np.arange(len(t.blocks)), np.array(t.blocks) ** 2)
+    x, y = np.divmod(block, len(s2.blocks))
+    m, n = np.array(s1.blocks)[x], np.array(s2.blocks)[y]
+    (i, p), (j, q) = np.divmod(row, n), np.divmod(col, n)
+    left = np.array(s1.offsets())[x] + i * m + j
+    right = np.array(s2.offsets())[y] + p * n + q
+    return _read_only(left), _read_only(right)
+
+
+@lru_cache(maxsize=64)
+def _embed_index(s: AlgebraShape) -> np.ndarray:
+    """Flat position of every unit in the block-diagonal total_dim x total_dim picture."""
+    _, _, row, col = _unit_labels(s)
+    start = np.repeat(np.cumsum((0,) + s.blocks[:-1]), np.array(s.blocks) ** 2)
+    return _read_only((start + row) * s.total_dim + start + col)
+
+
+@lru_cache(maxsize=64)
+def _unit_coords(s: AlgebraShape) -> np.ndarray:
+    """vec(1)."""
+    _, _, row, col = _unit_labels(s)
+    return _read_only((row == col).astype(complex))
+
+
+# ---------------------------------------------------------------------------
 # Stacked layout: the blocks of each size as one array
 # ---------------------------------------------------------------------------
 
@@ -266,22 +360,9 @@ _SLACK = 1e-12     # relative margin on the cheap norm bounds, far above roundin
 @lru_cache(maxsize=64)
 def _groups(s: AlgebraShape) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """(m, the blocks of size m, their coordinate rows) for each block size of s."""
-    offs = s.offsets()
-    out = []
-    for m in dict.fromkeys(s.blocks):
-        ids = np.flatnonzero(np.array(s.blocks) == m)
-        out.append((m, ids, np.concatenate([offs[x] + np.arange(m * m) for x in ids])))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _unit_coords(s: AlgebraShape) -> np.ndarray:
-    """vec(1); shared by every caller, so read-only."""
-    v = np.zeros(s.coord_dim, dtype=complex)
-    for m, _, rows in _groups(s):
-        v[rows.reshape(-1, m * m)[:, :: m + 1]] = 1.0
-    v.flags.writeable = False
-    return v
+    sizes, n = np.array(s.blocks), _unit_labels(s)[1]
+    return tuple((m, np.flatnonzero(sizes == m), np.flatnonzero(n == m))
+                 for m in dict.fromkeys(s.blocks))
 
 
 def _finite(x: np.ndarray) -> None:
@@ -302,11 +383,22 @@ def _element_stacks(a: AlgElement) -> Stacks:
 
 
 def _join(s: AlgebraShape, xs: Stacks) -> np.ndarray:
-    """Coordinates on s from the stacks (k, m, m) of one element; inverts `_stacks`."""
-    v = np.empty(s.coord_dim, dtype=complex)
+    """Coordinates (..., coord_dim) on s from stacks (..., k, m, m); inverts `_stacks`."""
+    lead = xs[0].shape[:-3]
+    v = np.empty(lead + (s.coord_dim,), dtype=complex)
     for (_, _, rows), x in zip(_groups(s), xs):
-        v[rows] = x.reshape(-1)
+        v[..., rows] = x.reshape(lead + (-1,))
     return v
+
+
+def _mul_coords(s: AlgebraShape, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coordinates of the blockwise products of elements with coordinates u and v."""
+    return _join(s, [x @ y for x, y in zip(_stacks(s, u), _stacks(s, v))])
+
+
+def _adjoint_coords(s: AlgebraShape, u: np.ndarray) -> np.ndarray:
+    """Coordinates of the adjoints of elements with coordinates u."""
+    return u[..., adjoint_index(s)].conj()
 
 
 def _dagger(x: np.ndarray) -> np.ndarray:
@@ -361,20 +453,26 @@ def _min_eig(xs: Stacks) -> np.ndarray:
 def block_embed(a: AlgElement) -> np.ndarray:
     """Faithful block-diagonal matrix picture of a on the total Hilbert space."""
     n = a.shape.total_dim
-    out = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for b, k in zip(a.blocks, a.shape.blocks):
-        out[pos : pos + k, pos : pos + k] = b
-        pos += k
-    return out
+    out = np.zeros(n * n, dtype=complex)
+    out[_embed_index(a.shape)] = a._coords
+    return out.reshape(n, n)
+
+
+def _random_coords(s: AlgebraShape, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
+    """Coordinates (*lead, coord_dim) of standard complex Gaussian elements.
+
+    Each element is one flat draw split in block order, real part then
+    imaginary part per block, so it holds the numbers per-block draws give.
+    """
+    off, n, _, _ = _unit_labels(s)
+    re = np.arange(s.coord_dim) + off
+    z = rng.standard_normal(lead + (2 * s.coord_dim,))
+    return z[..., re] + 1j * z[..., re + n * n]
 
 
 def random_element(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
     """Independent standard complex Gaussian entries in every block."""
-    mats = tuple(
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in s.blocks
-    )
-    return AlgElement(s, mats)
+    return _adopt(s, _random_coords(s, rng))
 
 
 def random_self_adjoint(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:

@@ -112,7 +112,7 @@ def _product_form(state: State) -> np.ndarray:
     coords(X)^T T coords(Y).
     """
     values = np.append(_transposed_coords(state.density), 0.0)   # entry coord_dim is 0
-    return values[_grid.product_index(state.shape)]
+    return values[alg.product_index(state.shape)]
 
 
 def verify_bayes(
@@ -259,7 +259,7 @@ def petz_recovery(prob: BayesProblem) -> Channel:
 
 def _transposed_coords(a: AlgElement) -> np.ndarray:
     """Coordinates of the blockwise transpose of a: tr(a X) = this . coords(X)."""
-    return alg.vec(a)[_grid.adjoint_index(a.shape)]
+    return alg.vec(a)[alg.adjoint_index(a.shape)]
 
 
 def verify_disintegration(
@@ -321,10 +321,11 @@ def commutative_disintegration(
     nx = len(f.codomain.blocks)
     dom = f.domain
     sizes = np.array(dom.blocks)
-    p_diag = np.array([omega.density.blocks[x][0, 0].real for x in range(nx)])
-    supp = np.flatnonzero([omega.support.blocks[x][0, 0].real > 0.5 for x in range(nx)])
+    # on an all-ones codomain the coordinates are the values at the points
+    p_diag = alg.vec(omega.density).real
+    supp = np.flatnonzero(alg.vec(omega.support).real > 0.5)
     # diagonal coordinates of every domain block; F(1_y) at x sums block y's columns
-    diag = np.concatenate([off + np.arange(n) * (n + 1) for n, off in zip(dom.blocks, dom.offsets())])
+    diag = np.flatnonzero(alg._unit_coords(dom))
     starts = np.cumsum(sizes) - sizes
     hits = np.abs(np.add.reduceat(f.matrix[np.ix_(supp, diag)], starts, axis=1)) > 0.5
     block_of = hits.argmax(axis=1)

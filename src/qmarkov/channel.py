@@ -144,7 +144,7 @@ def identity_channel(s: AlgebraShape) -> Channel:
 
 def transpose_channel(s: AlgebraShape) -> Channel:
     """Blockwise transpose in the canonical basis: E_a |-> E_a* permutes the units."""
-    return Channel(s, s, np.eye(s.coord_dim, dtype=np.int8)[_grid.adjoint_index(s)])
+    return Channel(s, s, np.eye(s.coord_dim, dtype=np.int8)[alg.adjoint_index(s)])
 
 
 def ad_channel(v: np.ndarray) -> Channel:
@@ -191,18 +191,18 @@ def mult_map(s: AlgebraShape) -> Channel:
     tensor basis, E_ij^(x) (x) E_kl^(y) maps to delta_xy delta_jk E_il^(x).
     """
     dom = alg.tensor_shape(s, s)
-    left, right = _grid.tensor_index(s, s)
+    left, right = alg.tensor_index(s, s)
     # 0/1 entries: a narrow dtype keeps the Channel's own complex copy the only large array;
     # row coord_dim collects the products that vanish
     mat = np.zeros((s.coord_dim + 1, dom.coord_dim), dtype=np.int8)
-    mat[_grid.product_index(s)[left, right], np.arange(dom.coord_dim)] = 1
+    mat[alg.product_index(s)[left, right], np.arange(dom.coord_dim)] = 1
     return Channel(dom, s, mat[:-1])
 
 
 def apply(f: Channel, b: AlgElement) -> AlgElement:
     if b.shape != f.domain:
         raise ShapeMismatch("element does not live in the channel domain")
-    return alg.unvec(f.codomain, f.matrix @ alg.vec(b))
+    return alg._adopt(f.codomain, f.matrix @ alg.vec(b))
 
 
 def compose(f: Channel, g: Channel) -> Channel:
@@ -220,8 +220,8 @@ def tensor(f: Channel, g: Channel) -> Channel:
     """
     dom = alg.tensor_shape(f.domain, g.domain)
     cod = alg.tensor_shape(f.codomain, g.codomain)
-    rf, rg = _grid.tensor_index(f.codomain, g.codomain)
-    cf, cg = _grid.tensor_index(f.domain, g.domain)
+    rf, rg = alg.tensor_index(f.codomain, g.codomain)
+    cf, cg = alg.tensor_index(f.domain, g.domain)
     return Channel(dom, cod, f.matrix[np.ix_(rf, cf)] * g.matrix[np.ix_(rg, cg)])
 
 
@@ -254,12 +254,8 @@ def choi(f: Channel) -> list[np.ndarray]:
     block-diagonally on its total Hilbert space; F is CP iff every one of
     them is positive semidefinite.
     """
-    cod = f.codomain
-    big = cod.total_dim
-    # position of each codomain coordinate in the block-diagonal big x big picture
-    _, _, row, col = _grid._unit_labels(cod)
-    start = np.repeat(np.cumsum((0,) + cod.blocks[:-1]), np.array(cod.blocks) ** 2)
-    embed = (start + row) * big + (start + col)
+    big = f.codomain.total_dim
+    embed = alg._embed_index(f.codomain)
     out = []
     for n, off_y in zip(f.domain.blocks, f.domain.offsets()):
         img = np.zeros((n * n, big * big), dtype=complex)
@@ -354,7 +350,7 @@ def is_star_preserving(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyRepo
 
     def compute():
         img = _grid.images(f.codomain, f.matrix)
-        adj = _grid.adjoint_index(f.domain)
+        adj = alg.adjoint_index(f.domain)
         bad = _grid.first_failure(
             f.codomain, f.domain.coord_dim, 1,
             lambda r0, r1: ([x[adj[r0:r1]] for x in img], [alg._dagger(x[r0:r1]) for x in img]),
@@ -395,38 +391,60 @@ def is_deterministic(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport
     return f.cached(("deterministic", tol), compute)
 
 
-def _sampled_check(f, prop, trials, seed, tol, violation) -> PropertyReport:
+def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
+    """Decide a sampled property on batches of random inputs.
+
+    gap maps the coordinates (T, d) of T random domain elements to those
+    (T, c) of codomain elements that must be positive.  A trial fails when
+    its element is not self-adjoint (reasons[0]) or has a negative
+    eigenvalue (reasons[1]), as `is_self_adjoint_elem` and `min_eig` decide.
+    A batch holds _grid._CHUNK // max(d, c) trials; the first batch with a
+    failure reports its first failing trial.  A batch with a non-finite
+    element raises ValueError.
+    """
     rng = np.random.default_rng(seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for t in range(trials):
-        b = alg.random_element(f.domain, rng)
-        bad = violation(b)
-        if bad is not None:
+    dom, cod = f.domain, f.codomain
+    step = max(1, _grid._CHUNK // max(dom.coord_dim, cod.coord_dim))
+    for t0 in range(0, trials, step):
+        x = alg._random_coords(dom, rng, (min(step, trials - t0),))
+        out = gap(x)
+        alg._finite(out)
+        xs = alg._stacks(cod, out)
+        scale = np.maximum(1.0, alg._op_norm(xs))
+        not_sa = alg._max_abs([y - alg._dagger(y) for y in xs]) > tol.herm * scale
+        low = alg._min_eig(xs)
+        fail = not_sa | (low < -tol.psd * scale)
+        if fail.any():
+            t = int(fail.argmax())
+            bad = ({"reason": reasons[0]} if not_sa[t]
+                   else {"reason": reasons[1], "min_eigenvalue": float(low[t])})
             return _report(
-                prop, False, tol.psd, witness={"trial": t, "input": b, **bad},
-                detail=f"violation found at trial {t}",
+                prop, False, tol.psd,
+                witness={"trial": t0 + t, "input": alg.unvec(dom, x[t]), **bad},
+                detail=f"violation found at trial {t0 + t}",
             )
     return _report(prop, True, tol.psd, detail=f"{trials} trials", sampled=True)
+
+
+def _apply_batch(f: Channel, x: np.ndarray) -> np.ndarray:
+    """F on coordinates (T, d): one matrix-vector product per row, as `apply` computes."""
+    return np.matmul(f.matrix, x[..., None])[..., 0]
+
+
+def _gram(s: AlgebraShape, x: np.ndarray) -> np.ndarray:
+    """Coordinates of B*B for the elements B with coordinates x."""
+    return alg._mul_coords(s, alg._adjoint_coords(s, x), x)
 
 
 def is_positive_sampled(
     f: Channel, trials: int = 64, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
     """Sampled check that F maps positive elements to positive elements."""
-
-    def violation(b):
-        arg = alg.mul(alg.adjoint(b), b)
-        out = apply(f, arg)
-        scale = tol.scale(alg.norm(out))
-        if not alg.is_self_adjoint_elem(out, tol):
-            return {"reason": "image of a positive element is not self-adjoint"}
-        low = alg.min_eig(out)
-        if low < -tol.psd * scale:
-            return {"reason": "negative eigenvalue", "min_eigenvalue": low}
-        return None
-
-    return _sampled_check(f, "positive", trials, seed, tol, violation)
+    return _sampled_check(
+        f, "positive", trials, seed, tol, lambda x: _apply_batch(f, _gram(f.domain, x)),
+        ("image of a positive element is not self-adjoint", "negative eigenvalue"))
 
 
 def is_schwarz_sampled(
@@ -435,18 +453,12 @@ def is_schwarz_sampled(
     """Sampled Kadison-Schwarz check F(B*B) >= ||F(1)|| F(B)* F(B)."""
     unit_norm = alg.norm(apply(f, alg.unit(f.domain)))
 
-    def violation(b):
-        fb = apply(f, b)
-        gap = apply(f, alg.mul(alg.adjoint(b), b)) - unit_norm * alg.mul(alg.adjoint(fb), fb)
-        scale = tol.scale(alg.norm(gap))
-        if not alg.is_self_adjoint_elem(gap, tol):
-            return {"reason": "Schwarz gap is not self-adjoint"}
-        low = alg.min_eig(gap)
-        if low < -tol.psd * scale:
-            return {"reason": "Schwarz inequality violated", "min_eigenvalue": low}
-        return None
+    def gap(x):
+        fb = _apply_batch(f, x)
+        return _apply_batch(f, _gram(f.domain, x)) - unit_norm * _gram(f.codomain, fb)
 
-    return _sampled_check(f, "schwarz", trials, seed, tol, violation)
+    return _sampled_check(f, "schwarz", trials, seed, tol, gap,
+                          ("Schwarz gap is not self-adjoint", "Schwarz inequality violated"))
 
 
 def s_positivity_equation(

@@ -385,8 +385,7 @@ def _build_mu_norm() -> list[CheckResult]:
         checks.append(_check(f"||mu_{n}(A({n}))|| = {n}", abs(norm_mu_a - n) <= 1e-9,
                              f"got {norm_mu_a!r}"))
         if n == 3:
-            expected = alg.zero(AlgebraShape((3,)))
-            expected.blocks[0][0, 0] = 3.0
+            expected = 3.0 * alg.matrix_units(AlgebraShape((3,)))[0]
             checks.append(_check("mu_3(A(3)) = 3 E_11", alg.elem_equal(image, expected)))
     return checks
 
@@ -436,13 +435,11 @@ def doubling_pair(lam: float) -> tuple[Channel, Channel]:
     m2 = AlgebraShape((2,))
 
     def f_act(x: AlgElement) -> AlgElement:
-        a, b = x.blocks[0][0, 0], x.blocks[0][0, 1]
-        c, d = x.blocks[0][1, 0], x.blocks[0][1, 1]
+        (a, b), (c, d) = x.block(0)
         return _single((2,), [np.array([[a, lam * b], [lam * c, (1 - lam) * a + lam * d]])])
 
     def g_act(x: AlgElement) -> AlgElement:
-        a, b = x.blocks[0][0, 0], x.blocks[0][0, 1]
-        c, d = x.blocks[0][1, 0], x.blocks[0][1, 1]
+        (a, b), (c, d) = x.block(0)
         return _single((2,), [np.array([[a, lam * b], [lam * c, d]])])
 
     return channel_from_action(m2, m2, f_act), channel_from_action(m2, m2, g_act)
@@ -517,8 +514,7 @@ def unreasonable_pair() -> tuple[Channel, Channel]:
     m2, m4 = AlgebraShape((2,)), AlgebraShape((4,))
 
     def f_act(x: AlgElement) -> AlgElement:
-        b11, b12 = x.blocks[0][0, 0], x.blocks[0][0, 1]
-        b21, b22 = x.blocks[0][1, 0], x.blocks[0][1, 1]
+        (b11, b12), (b21, b22) = x.block(0)
         return _single((4,), [np.array([
             [b11, b12, 0, 0],
             [b21, b22, b21, b21],
@@ -599,7 +595,7 @@ def strict_positivity_triple() -> tuple[Channel, Channel, State]:
         return AlgElement(m4, (out,))
 
     def g_act(a: AlgElement) -> AlgElement:
-        return AlgElement(m3, (a.blocks[0][:3, :3].copy(),))
+        return AlgElement(m3, (a.block(0)[:3, :3],))
 
     f = channel_from_action(m2, m4, f_act)
     g = channel_from_action(m4, m3, g_act)

@@ -87,32 +87,34 @@ def _combine(*operands, tol: Tolerance = DEFAULT_TOL) -> tuple[list[np.ndarray],
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
 
 
-def _numerators(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Python-int numerators of a Fraction (or int) array over the lcm of its denominators."""
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """A float array with None, or an exact one as Python-int numerators (each
+    with its entry's sign) over the lcm of its denominators: `_arith` operands."""
+    if a.dtype != object:
+        return a, None
     ratios = [v.as_integer_ratio() for v in a.flat]
     den = math.lcm(*(d for _, d in ratios))
     return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(a.shape), den
 
 
-def _arith(op, *operands: np.ndarray, over: np.ndarray | None = None) -> np.ndarray:
+def _arith(op, *operands: tuple[np.ndarray, int | None], over=None) -> np.ndarray:
     """op(*operands) / over, for an op linear in each operand separately
     (a product, or a sum over one operand; not a difference of two).
 
-    Float arrays go through as they are.  Exact operands are scaled by the lcm
-    of their denominators, op runs on the Python-int numerators and one
-    Fraction is built per output entry.  Since every term of op's result holds
-    one entry of each operand, dividing by the product of the lcms undoes the
-    scaling; Python ints do not overflow, so the result is exact for any
-    denominators.  over, broadcast against the result, divides it entrywise.
+    Operands and over come from `_scaled`.  Float arrays go through as they
+    are.  For exact ones op runs on the Python-int numerators and one
+    Fraction is built per output entry.  Since every term of op's result
+    holds one entry of each operand, dividing by the product of the lcms
+    undoes the scaling; Python ints do not overflow, so the result is exact
+    for any denominators.  over, broadcast against the result, divides it
+    entrywise.
     """
-    if operands[0].dtype != object:
-        out = op(*operands)
-        return out if over is None else out / over
-    scaled = [_numerators(a) for a in operands]
-    out = op(*(n for n, _ in scaled))
-    den = math.prod(d for _, d in scaled)
+    out = op(*(a for a, _ in operands))
+    if operands[0][1] is None:
+        return out if over is None else out / over[0]
+    den = math.prod(d for _, d in operands)
     if over is not None:
-        num, d = _numerators(over)
+        num, d = over
         out, den = out * d, den * num
     return _FRACTION(out, den)
 
@@ -127,8 +129,9 @@ def _column_sums(arr: np.ndarray) -> np.ndarray:
 def _first_bad_column(arr: np.ndarray, thr):
     """(column, has a negative entry, column sum) of the first column with an
     entry below -thr or a sum off 1, or None when every column is fine."""
-    negative = (arr < -thr).any(axis=0)
-    total = _arith(_column_sums, arr)
+    scaled = _scaled(arr)
+    negative = (scaled[0] < -thr).any(axis=0)   # exact entries have thr 0
+    total = _arith(_column_sums, scaled)
     mag = np.abs(total)
     ok = (np.abs(total - 1) <= thr * np.maximum(1, mag)) & (mag < np.inf)
     bad = np.flatnonzero(negative | ~ok)
@@ -220,20 +223,20 @@ def compose(g: StochasticMatrix, f: StochasticMatrix) -> StochasticMatrix:
     if g.n_cols != f.n_rows:
         raise ShapeMismatch(f"cannot compose {g.n_cols} columns with {f.n_rows} rows")
     (ge, fe), exact, _ = _combine(g, f)
-    return StochasticMatrix(_arith(np.matmul, ge, fe), exact)
+    return StochasticMatrix(_arith(np.matmul, _scaled(ge), _scaled(fe)), exact)
 
 
 def product(f: StochasticMatrix, f2: StochasticMatrix) -> StochasticMatrix:
     """Kernel on product spaces, output pairs ordered first-factor major."""
     (fe, f2e), exact, _ = _combine(f, f2)
-    return StochasticMatrix(_arith(np.kron, fe, f2e), exact)
+    return StochasticMatrix(_arith(np.kron, _scaled(fe), _scaled(f2e)), exact)
 
 
 def push(f: StochasticMatrix, p: ProbVector) -> ProbVector:
     """Pushforward measure (matrix times vector)."""
     _check_columns(f, p)
     (fe, pe), exact, _ = _combine(f, p)
-    return ProbVector(_arith(np.matmul, fe, pe), exact)
+    return ProbVector(_arith(np.matmul, _scaled(fe), _scaled(pe)), exact)
 
 
 def bayes_inverse(f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_TOL) -> StochasticMatrix:
@@ -244,9 +247,10 @@ def bayes_inverse(f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_T
     """
     _check_columns(f, p)
     (fe, pe), exact, thr = _combine(f, p, tol=tol)
-    q = _arith(np.matmul, fe, pe)
+    fs, ps = _scaled(fe), _scaled(pe)
+    q = _arith(np.matmul, fs, ps)
     null = np.abs(q) <= thr
-    out = _arith(lambda fa, pa: fa.T * pa[:, None], fe, pe, over=np.where(null, 1, q))
+    out = _arith(lambda fa, pa: fa.T * pa[:, None], fs, ps, over=_scaled(np.where(null, 1, q)))
     out[:, null] = Fraction(1, p.size)
     return StochasticMatrix(out, exact)
 

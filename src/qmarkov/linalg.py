@@ -76,9 +76,9 @@ def pinv_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues <= tol.rank * lambda_max are treated as exact zeros, as for
     the support of a state, so m @ pinv = pinv @ m is the support projection.
     """
-    return _decompose(m, tol, psd=True).inverse_power(1.0).blocks[0]
+    return _decompose(m, tol, psd=True).inverse_power(1.0).block(0).copy()
 
 
 def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """PSD square root of a PSD Hermitian matrix."""
-    return _decompose(m, tol, psd=True).sqrt().blocks[0]
+    return _decompose(m, tol, psd=True).sqrt().block(0).copy()

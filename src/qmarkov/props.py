@@ -94,6 +94,17 @@ def _random_star_preserving(s: AlgebraShape, t: AlgebraShape, rng) -> Channel:
     return channel_from_action(s, t, sym)
 
 
+def _random_projection(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
+    """Projection onto a random nonzero subspace of every block."""
+    proj_blocks = []
+    for n in s.blocks:
+        keep = int(rng.integers(1, n + 1))
+        u = random_unitary(n, rng) if n > 1 else np.ones((1, 1), dtype=complex)
+        cols = u[:, :keep]
+        proj_blocks.append(cols @ cols.conj().T)
+    return AlgElement(s, tuple(proj_blocks))
+
+
 def random_rank_deficient_state(
     s: AlgebraShape, rng: np.random.Generator, full: bool = False
 ) -> State:
@@ -101,13 +112,7 @@ def random_rank_deficient_state(
     rho = alg.random_density(s, rng)
     if full:
         return state_from_density(rho)
-    proj_blocks = []
-    for n in s.blocks:
-        keep = int(rng.integers(1, n + 1))
-        u = random_unitary(n, rng) if n > 1 else np.ones((1, 1), dtype=complex)
-        cols = u[:, :keep]
-        proj_blocks.append(cols @ cols.conj().T)
-    proj = AlgElement(s, tuple(proj_blocks))
+    proj = _random_projection(s, rng)
     compressed = alg.mul(alg.mul(proj, rho), proj)
     tr = alg.trace(compressed).real
     if tr <= 1e-9:
@@ -146,10 +151,10 @@ def disintegration_instance(
 
         def f_act(b: AlgElement) -> AlgElement:
             avg = np.trace(b.blocks[0]) / n
-            return AlgElement(cod, (b.blocks[0].copy(), avg * np.eye(k, dtype=complex)))
+            return AlgElement(cod, (b.block(0), avg * np.eye(k, dtype=complex)))
 
         def g_act(a: AlgElement) -> AlgElement:
-            return AlgElement(dom, (a.blocks[0].copy(),))
+            return AlgElement(dom, (a.block(0),))
 
         f = channel_from_action(dom, cod, f_act)
         g = channel_from_action(cod, dom, g_act)
@@ -382,13 +387,7 @@ def suite_state(seed: int = 0, trials: int = 64) -> SuiteReport:
         s = shapes[int(rng.integers(0, len(shapes)))]
         # rank-deficient density: compress a random one by a random projection
         rho = alg.random_density(s, rng)
-        proj_blocks = []
-        for n in s.blocks:
-            keep = int(rng.integers(1, n + 1))
-            u = random_unitary(n, rng) if n > 1 else np.ones((1, 1), dtype=complex)
-            cols = u[:, :keep]
-            proj_blocks.append(cols @ cols.conj().T)
-        proj = AlgElement(s, tuple(proj_blocks))
+        proj = _random_projection(s, rng)
         compressed = alg.mul(alg.mul(proj, rho), proj)
         tr = alg.trace(compressed).real
         if tr <= 1e-12:

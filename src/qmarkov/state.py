@@ -64,7 +64,7 @@ class Spectrum:
 
     def _function(self, values) -> AlgElement:
         """sum_i v_i u_i u_i* per block, for eigenvalue functions v."""
-        return alg.unvec(self.shape, alg._join(self.shape, [
+        return alg._adopt(self.shape, alg._join(self.shape, [
             (u * v[:, None, :]) @ alg._dagger(u) for (_, u, _), v in zip(self.stacks, values)]))
 
 
@@ -99,9 +99,7 @@ class State:
     def expect(self, a: AlgElement) -> complex:
         if a.shape != self.shape:
             raise ShapeMismatch("element does not live on the state's algebra")
-        return complex(
-            sum(np.trace(r @ b) for r, b in zip(self.density.blocks, a.blocks))
-        )
+        return alg.trace(alg.mul(self.density, a))
 
 
 def state_from_density(density: AlgElement, tol: Tolerance = DEFAULT_TOL) -> State:
@@ -144,7 +142,7 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
     top = max(np.abs(w).max() for w, _, _ in spec.stacks)   # the operator norm
     if low < -tol.psd * tol.scale(top):
         raise PullbackNotPSD("pullback density has a negative eigenvalue")
-    sym = alg.unvec(s, alg._join(s, herm))
+    sym = alg._adopt(s, alg._join(s, herm))
     tr = alg.trace(sym)
     if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
         raise PullbackNotPSD(f"pullback density has trace {tr}, expected 1")

@@ -7,8 +7,10 @@ on the support; the constructions apply a callback to every matrix unit, and
 `is_cp` decides the full Choi matrix of each domain block; the classical
 kernel operations visit every entry, with one branch for Fractions and one
 for floats; the dense-matrix primitives call LAPACK once per matrix, with
-their own Hermiticity test, PSD test and rank cutoff.  The differential
-tests run both and require the same verdicts, witnesses and matrices.
+their own Hermiticity test, PSD test and rank cutoff; the element operations
+build an element block by block, and the sampled checks draw and decide one
+random element per trial.  The differential tests run both and require the
+same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
 
@@ -306,17 +308,15 @@ def tensor(f: Channel, g: Channel) -> Channel:
     g_units = [apply(g, e) for e in alg.matrix_units(g.domain)]
     mat = np.zeros((cod.coord_dim, dom.coord_dim), dtype=complex)
     col = 0
-    idx_f = {lab: i for i, lab in enumerate(alg._basis_labels(f.domain))}
-    idx_g = {lab: i for i, lab in enumerate(alg._basis_labels(g.domain))}
     for x, m in enumerate(f.domain.blocks):
         for y, n in enumerate(g.domain.blocks):
             for i in range(m):
                 for p in range(n):
                     for j in range(m):
                         for q in range(n):
-                            fa = f_units[idx_f[(x, i, j)]]
-                            gb = g_units[idx_g[(y, p, q)]]
-                            mat[:, col] = alg.vec(alg.tensor_elem(fa, gb))
+                            fa = f_units[alg.basis_index(f.domain, x, i, j)]
+                            gb = g_units[alg.basis_index(g.domain, y, p, q)]
+                            mat[:, col] = vec(tensor_elem(fa, gb))
                             col += 1
     return Channel(dom, cod, mat)
 
@@ -328,9 +328,8 @@ def choi(f: Channel) -> list[np.ndarray]:
         c = np.zeros((n * ncod, n * ncod), dtype=complex)
         for i in range(n):
             for j in range(n):
-                e = alg.zero(f.domain)
-                e.blocks[y][i, j] = 1.0
-                img = alg.block_embed(apply(f, e))
+                e = matrix_units(f.domain)[alg.basis_index(f.domain, y, i, j)]
+                img = block_embed(apply(f, e))
                 eij = np.zeros((n, n), dtype=complex)
                 eij[i, j] = 1.0
                 c += np.kron(eij, img)
@@ -414,9 +413,8 @@ def commutative_disintegration(f: Channel, omega: State, tol: Tolerance = DEFAUL
     p_supp = np.array([omega.support.blocks[x][0, 0].real > 0.5 for x in range(nx)])
     unit_images = []
     for y in range(len(dom.blocks)):
-        e = alg.zero(dom)
-        np.fill_diagonal(e.blocks[y], 1.0)
-        unit_images.append(apply(f, e))
+        mats = [np.eye(n, dtype=complex) * (x == y) for x, n in enumerate(dom.blocks)]
+        unit_images.append(apply(f, AlgElement(dom, tuple(mats))))
     block_of = {}
     for x in np.flatnonzero(p_supp):
         vals = np.array([abs(unit_images[y].blocks[x][0, 0]) for y in range(len(dom.blocks))])
@@ -451,6 +449,143 @@ def commutative_disintegration(f: Channel, omega: State, tol: Tolerance = DEFAUL
         return AlgElement(dom, tuple(out))
 
     return channel_from_action(f.codomain, dom, act)
+
+
+# ---------------------------------------------------------------------------
+# element operations: one step per block, elements as tuples of blocks
+# ---------------------------------------------------------------------------
+
+def zero(s: AlgebraShape) -> AlgElement:
+    return AlgElement(s, tuple(np.zeros((n, n), dtype=complex) for n in s.blocks))
+
+
+def add(a: AlgElement, b: AlgElement) -> AlgElement:
+    return AlgElement(a.shape, tuple(x + y for x, y in zip(a.blocks, b.blocks)))
+
+
+def sub(a: AlgElement, b: AlgElement) -> AlgElement:
+    return AlgElement(a.shape, tuple(x - y for x, y in zip(a.blocks, b.blocks)))
+
+
+def scale(scalar: complex, a: AlgElement) -> AlgElement:
+    return AlgElement(a.shape, tuple(scalar * b for b in a.blocks))
+
+
+def mul(a: AlgElement, b: AlgElement) -> AlgElement:
+    return AlgElement(a.shape, tuple(x @ y for x, y in zip(a.blocks, b.blocks)))
+
+
+def adjoint(a: AlgElement) -> AlgElement:
+    return AlgElement(a.shape, tuple(b.conj().T for b in a.blocks))
+
+
+def trace(a: AlgElement) -> complex:
+    return complex(sum(np.trace(b) for b in a.blocks))
+
+
+def vec(a: AlgElement) -> np.ndarray:
+    return np.concatenate(a.blocks, axis=None)
+
+
+def unvec(s: AlgebraShape, v: np.ndarray) -> AlgElement:
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.size != s.coord_dim:
+        raise ShapeMismatch(f"coordinate vector of length {v.size}, expected {s.coord_dim}")
+    mats, pos = [], 0
+    for n in s.blocks:
+        mats.append(v[pos : pos + n * n].reshape(n, n))
+        pos += n * n
+    return AlgElement(s, tuple(mats))
+
+
+def matrix_units(s: AlgebraShape) -> list[AlgElement]:
+    out = []
+    for x, n in enumerate(s.blocks):
+        for i in range(n):
+            for j in range(n):
+                mats = [np.zeros((k, k), dtype=complex) for k in s.blocks]
+                mats[x][i, j] = 1.0
+                out.append(AlgElement(s, tuple(mats)))
+    return out
+
+
+def tensor_elem(a: AlgElement, b: AlgElement) -> AlgElement:
+    mats = [np.kron(x, y) for x in a.blocks for y in b.blocks]
+    return AlgElement(alg.tensor_shape(a.shape, b.shape), tuple(mats))
+
+
+def block_embed(a: AlgElement) -> np.ndarray:
+    n = a.shape.total_dim
+    out = np.zeros((n, n), dtype=complex)
+    pos = 0
+    for b, k in zip(a.blocks, a.shape.blocks):
+        out[pos : pos + k, pos : pos + k] = b
+        pos += k
+    return out
+
+
+def random_element(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
+    mats = tuple(
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in s.blocks
+    )
+    return AlgElement(s, mats)
+
+
+def expect(omega: State, a: AlgElement) -> complex:
+    return complex(sum(np.trace(r @ b) for r, b in zip(omega.density.blocks, a.blocks)))
+
+
+# ---------------------------------------------------------------------------
+# sampled checks: one random element per trial
+# ---------------------------------------------------------------------------
+
+def _sampled_check(f, prop, trials, seed, tol, violation) -> PropertyReport:
+    rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    for t in range(trials):
+        b = random_element(f.domain, rng)
+        bad = violation(b)
+        if bad is not None:
+            return _report(
+                prop, False, tol.psd, witness={"trial": t, "input": b, **bad},
+                detail=f"violation found at trial {t}",
+            )
+    return _report(prop, True, tol.psd, detail=f"{trials} trials", sampled=True)
+
+
+def is_positive_sampled(f: Channel, trials: int = 64, seed: int = 0,
+                        tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    def violation(b):
+        arg = mul(adjoint(b), b)
+        out = apply(f, arg)
+        scale = tol.scale(alg.norm(out))
+        if not alg.is_self_adjoint_elem(out, tol):
+            return {"reason": "image of a positive element is not self-adjoint"}
+        low = alg.min_eig(out)
+        if low < -tol.psd * scale:
+            return {"reason": "negative eigenvalue", "min_eigenvalue": low}
+        return None
+
+    return _sampled_check(f, "positive", trials, seed, tol, violation)
+
+
+def is_schwarz_sampled(f: Channel, trials: int = 64, seed: int = 0,
+                       tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    unit_norm = alg.norm(apply(f, unit(f.domain)))
+
+    def violation(b):
+        fb = apply(f, b)
+        gap = sub(apply(f, mul(adjoint(b), b)), scale(unit_norm, mul(adjoint(fb), fb)))
+        bound = tol.scale(alg.norm(gap))
+        if not alg.is_self_adjoint_elem(gap, tol):
+            return {"reason": "Schwarz gap is not self-adjoint"}
+        low = alg.min_eig(gap)
+        if low < -tol.psd * bound:
+            return {"reason": "Schwarz inequality violated", "min_eigenvalue": low}
+        return None
+
+    return _sampled_check(f, "schwarz", trials, seed, tol, violation)
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,8 @@ def test_criterion_3_multiplication_pathologies():
         s = AlgebraShape((n,))
         witness = None
         for i in range(n):
-            e1i = alg.zero(s); e1i.blocks[0][0, i] = 1.0
-            ei1 = alg.zero(s); ei1.blocks[0][i, 0] = 1.0
+            e1i = alg.unvec(s, np.eye(s.coord_dim)[alg.basis_index(s, 0, 0, i)])
+            ei1 = alg.unvec(s, np.eye(s.coord_dim)[alg.basis_index(s, 0, i, 0)])
             term = alg.tensor_elem(e1i, ei1)
             witness = term if witness is None else witness + term
         ok &= abs(alg.norm(witness) - 1.0) <= 1e-10

@@ -6,12 +6,11 @@ from qmarkov import corpus
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import apply, mult_map
 from qmarkov.errors import NotSelfAdjoint, ShapeMismatch
+from qmarkov.state import state_from_density
 
 
 def unit_of(shape, block, i, j):
-    e = alg.zero(shape)
-    e.blocks[block][i, j] = 1.0
-    return e
+    return alg.unvec(shape, np.eye(shape.coord_dim)[alg.basis_index(shape, block, i, j)])
 
 
 def test_shape_validation():
@@ -152,8 +151,8 @@ def test_mult_map_norm_witness_small_cases():
         s = AlgebraShape((n,))
         witness = None
         for i in range(n):
-            e1i = alg.zero(s); e1i.blocks[0][0, i] = 1.0
-            ei1 = alg.zero(s); ei1.blocks[0][i, 0] = 1.0
+            e1i = alg.unvec(s, np.eye(s.coord_dim)[alg.basis_index(s, 0, 0, i)])
+            ei1 = alg.unvec(s, np.eye(s.coord_dim)[alg.basis_index(s, 0, i, 0)])
             term = alg.tensor_elem(e1i, ei1)
             witness = term if witness is None else witness + term
         assert abs(alg.norm(witness) - 1.0) <= 1e-12
@@ -162,8 +161,7 @@ def test_mult_map_norm_witness_small_cases():
         assert np.array_equal(closed.blocks[0], witness.blocks[0])
         image = apply(mult_map(s), witness)
         assert abs(alg.norm(image) - n) <= 1e-12
-        expected = alg.zero(s)
-        expected.blocks[0][0, 0] = n
+        expected = alg.unvec(s, n * np.eye(s.coord_dim)[0])
         assert alg.elem_equal(image, expected)
 
 
@@ -172,3 +170,49 @@ def test_random_density_is_a_density():
     rho = alg.random_density(AlgebraShape((2, 3)), rng)
     assert alg.is_positive_elem(rho)
     assert abs(alg.trace(rho) - 1.0) <= 1e-12
+
+
+def test_elements_are_read_only_copies_of_their_blocks():
+    s = AlgebraShape((1, 2))
+    mats = [np.array([[1.0]]), np.arange(4.0).reshape(2, 2)]
+    a = AlgElement(s, mats)
+    mats[1][0, 0] = 9.0
+    assert a.block(1)[0, 0] == 0.0 and not np.shares_memory(alg.vec(a), mats[1])
+    writes = [
+        lambda: a.blocks[1].__setitem__((0, 1), 5.0),
+        lambda: a.block(0).__setitem__((0, 0), 5.0),
+        lambda: alg.vec(a).__setitem__(0, 5.0),
+        lambda: alg.unit(s).blocks[1].__setitem__((0, 1), 5.0),
+        lambda: alg.unit(s).block(0).__setitem__((0, 0), 5.0),
+    ]
+    for write in writes:
+        with pytest.raises(ValueError):
+            write()
+    with pytest.raises(AttributeError):
+        a.shape = AlgebraShape((2,))
+    assert np.array_equal(alg.vec(a), [1, 0, 1, 2, 3])
+    assert np.array_equal(alg.vec(alg.unit(s)), [1, 1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("s", [AlgebraShape((2,)), AlgebraShape((1, 1)), AlgebraShape((1, 2))],
+                         ids=str)
+def test_equality_compares_shapes_and_coordinates_exactly(s):
+    one = alg.unit(s)
+    assert one == alg.unit(s) and not one != alg.unit(s)
+    assert one != alg.zero(s)
+    nudged = alg.unvec(s, alg.vec(one) + np.eye(1, s.coord_dim)[0] * 2.0 ** -52)
+    assert alg.elem_equal(one, nudged) and one != nudged
+    assert one != 1 and one != alg.vec(one).tolist()
+    with pytest.raises(TypeError):
+        hash(one)
+    rng = np.random.default_rng(31)
+    rho = alg.random_density(s, rng)
+    omega = state_from_density(rho)
+    assert omega == state_from_density(alg.unvec(s, alg.vec(rho)))
+    assert omega != state_from_density(alg.random_density(s, rng))
+
+
+def test_equal_coordinates_on_different_shapes_are_unequal():
+    m2, c4 = AlgebraShape((2,)), AlgebraShape((1, 1, 1, 1))
+    assert alg.vec(alg.zero(m2)).shape == alg.vec(alg.zero(c4)).shape
+    assert alg.zero(m2) != alg.zero(c4)

@@ -218,3 +218,15 @@ def test_entry_points_fail_like_the_per_matrix_reference(name):
 def test_old_error_names_are_aliases():
     assert qmarkov.NotHermitian is qmarkov.NotSelfAdjoint
     assert qmarkov.DimensionMismatch is qmarkov.ShapeMismatch
+
+
+def test_results_are_writable_arrays_of_their_own():
+    m = np.array([[2.0, 0.5], [0.5, 1.0]])
+    element = qmarkov.AlgElement(qmarkov.AlgebraShape((2,)), (m,))
+    for fn in (lambda x: herm_eig(x)[0], lambda x: herm_eig(x)[1], pinv_psd, sqrt_psd):
+        out = fn(m)
+        assert out.flags.writeable and out.flags.owndata
+        assert not np.shares_memory(out, m) and not np.shares_memory(out, qmarkov.vec(element))
+        want = out.copy()
+        out[...] = 0.0
+        assert np.array_equal(fn(m), want)

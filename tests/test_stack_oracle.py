@@ -307,6 +307,7 @@ def test_modularity_chain_pulls_back_once(monkeypatch):
 def test_unit_is_a_fresh_writable_element():
     s = AlgebraShape((1, 2))
     one = alg.unit(s)
-    one.blocks[1][0, 1] = 5.0
+    with pytest.raises(ValueError):
+        one.blocks[1][0, 1] = 5.0
     assert alg.elem_equal(alg.unit(s), ref.unit(s))
     assert np.array_equal(alg.vec(alg.unit(s)), alg.vec(ref.unit(s)))

@@ -229,3 +229,18 @@ def test_ae_unital_variants():
     zero = Channel(M2, M2, np.zeros((4, 4)))
     rep = ae_unital(zero, omega_corner, "right")
     assert not rep.passed and rep.witness is not None
+
+
+def test_a_state_cannot_go_stale_through_its_density():
+    mat = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
+    rho = AlgElement(M2, (mat,))
+    omega = state_from_density(rho)
+    support_before = alg.vec(omega.support).copy()
+    mat[0, 0] = 0.9
+    with pytest.raises(ValueError):
+        rho.blocks[0][0, 0] = 0.9
+    with pytest.raises(ValueError):
+        omega.density.block(0)[0, 0] = 0.9
+    assert omega.density.block(0)[0, 0] == 0.7
+    assert np.array_equal(alg.vec(omega.support), support_before)
+    assert omega == state_from_density(AlgElement(M2, (np.array([[0.7, 0.1], [0.1, 0.3]]),)))
