@@ -45,7 +45,7 @@ _CHUNK = 1 << 13
 
 def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
     """The columns of `matrix`, coordinates on s, as stacks per block size."""
-    return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, _, rows in _groups(s)]
+    return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, _, rows, *_ in _groups(s)]
 
 
 def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
@@ -57,7 +57,7 @@ def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
     per block size; a stack (1, m, m) stands for the same factor in every block.
     """
     out = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
-    for (m, ids, rows), a, b in zip(_groups(s), left, right):
+    for (m, ids, rows, *_), a, b in zip(_groups(s), left, right):
         at = rows.reshape(len(ids), m * m, 1)
         prod = a[:, :, None, :, None] * b[:, None, :, None, :]
         out[at, at.swapaxes(1, 2)] = prod.reshape(len(ids), m * m, m * m)
@@ -74,9 +74,9 @@ def choi_blocks(f) -> list[tuple[np.ndarray, Stacks]]:
     read from the channel matrix by a reshape and a transpose.
     """
     out = []
-    for n, ys, cols in _groups(f.domain):
+    for n, ys, cols, *_ in _groups(f.domain):
         stacks = []
-        for m, xs, rows in _groups(f.codomain):
+        for m, xs, rows, *_ in _groups(f.codomain):
             c = f.matrix[np.ix_(rows, cols)].reshape(len(xs), m, m, len(ys), n, n)
             stacks.append(c.transpose(3, 0, 4, 1, 5, 2).reshape(len(ys), len(xs), n * m, n * m))
         out.append((ys, stacks))

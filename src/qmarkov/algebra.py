@@ -9,10 +9,10 @@ coordinates in that basis; its blocks are views into the vector.
 The adjoint, products of units and tensor products of units are index
 tables on coordinates.  Products, norms, comparisons and spectra read an
 element as stacks: the k blocks of size m form one array (k, m, m), one per
-block size, gathered from the coordinates, with any leading batch
-dimensions.  A batch of elements of many equal blocks then costs one array
-operation, not one per block or element, and the finiteness of an element
-is checked once, when it is stacked.
+block size, with any leading batch dimensions: a view of the coordinates
+when the blocks of that size are adjacent, a gather otherwise.  A batch of
+elements of many equal blocks costs one array operation, not one per block
+or element, and the finiteness of an element is checked once, when stacked.
 """
 from __future__ import annotations
 
@@ -156,8 +156,8 @@ class AlgElement:
 
 
 def _adopt(s: AlgebraShape, v: np.ndarray, a: AlgElement | None = None) -> AlgElement:
-    """The element (a, or a new one) with coordinates v, a complex vector that
-    no caller writes to, taken without a copy."""
+    """The element (a, or a new one) with coordinates v, taken without a copy:
+    a complex vector, or a view of the stacks given to `_join`, that no caller writes to."""
     a = object.__new__(AlgElement) if a is None else a
     object.__setattr__(a, "shape", s)
     object.__setattr__(a, "_coords", _read_only(v))
@@ -165,7 +165,7 @@ def _adopt(s: AlgebraShape, v: np.ndarray, a: AlgElement | None = None) -> AlgEl
 
 
 def _check_same_shape(a: AlgElement, b: AlgElement):
-    if a.shape != b.shape:
+    if a.shape is not b.shape and a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
 
 
@@ -192,8 +192,8 @@ def adjoint(a: AlgElement) -> AlgElement:
 def trace(a: AlgElement) -> complex:
     """Unweighted trace, summed over blocks."""
     per_block = np.zeros(len(a.shape.blocks) + 1, dtype=complex)
-    for (_, ids, _), x in zip(_groups(a.shape), _stacks(a.shape, a._coords)):
-        per_block[ids + 1] = np.trace(x, axis1=-2, axis2=-1)
+    for m, ids, _, _, diag in _groups(a.shape):   # the diagonal, summed as np.trace sums it
+        per_block[ids + 1] = a._coords[diag].reshape(-1, m).sum(-1)
     # a running sum from 0, so the blocks add up in order, as a per-block sum() adds them
     return complex(np.cumsum(per_block)[-1])
 
@@ -358,11 +358,16 @@ _SLACK = 1e-12     # relative margin on the cheap norm bounds, far above roundin
 
 
 @lru_cache(maxsize=64)
-def _groups(s: AlgebraShape) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """(m, the blocks of size m, their coordinate rows) for each block size of s."""
-    sizes, n = np.array(s.blocks), _unit_labels(s)[1]
-    return tuple((m, np.flatnonzero(sizes == m), np.flatnonzero(n == m))
-                 for m in dict.fromkeys(s.blocks))
+def _groups(s: AlgebraShape) -> tuple[tuple, ...]:
+    """(m, the blocks of size m, their coordinate rows, those rows as a slice or None when they
+    are not one range, the rows of their diagonal entries) for each block size of s, in order."""
+    sizes, (_, n, row, col) = np.array(s.blocks), _unit_labels(s)
+    out = []
+    for m in dict.fromkeys(s.blocks):
+        rows = np.flatnonzero(n == m)
+        span = slice(int(rows[0]), int(rows[-1]) + 1) if np.all(np.diff(rows) == 1) else None
+        out.append((m, np.flatnonzero(sizes == m), rows, span, rows[row[rows] == col[rows]]))
+    return tuple(out)
 
 
 def _finite(x: np.ndarray) -> None:
@@ -371,8 +376,9 @@ def _finite(x: np.ndarray) -> None:
 
 
 def _stacks(s: AlgebraShape, v: np.ndarray) -> Stacks:
-    """Coordinates (..., coord_dim) on s as stacks (..., k, m, m)."""
-    return [v[..., rows].reshape(v.shape[:-1] + (len(ids), m, m)) for m, ids, rows in _groups(s)]
+    """Coordinates (..., coord_dim) on s as stacks (..., k, m, m), views of v where they can be."""
+    return [v[..., rows if span is None else span].reshape(v.shape[:-1] + (len(ids), m, m))
+            for m, ids, rows, span, _ in _groups(s)]
 
 
 def _element_stacks(a: AlgElement) -> Stacks:
@@ -383,11 +389,15 @@ def _element_stacks(a: AlgElement) -> Stacks:
 
 
 def _join(s: AlgebraShape, xs: Stacks) -> np.ndarray:
-    """Coordinates (..., coord_dim) on s from stacks (..., k, m, m); inverts `_stacks`."""
-    lead = xs[0].shape[:-3]
+    """Coordinates (..., coord_dim) on s from complex stacks (..., k, m, m);
+    inverts `_stacks`.  The result may be a view of xs[0]."""
+    lead, groups = xs[0].shape[:-3], _groups(s)
+    flat = [x.reshape(lead + (-1,)) for x in xs]
+    if all(span is not None for _, _, _, span, _ in groups):   # the spans follow in order
+        return flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
     v = np.empty(lead + (s.coord_dim,), dtype=complex)
-    for (_, _, rows), x in zip(_groups(s), xs):
-        v[..., rows] = x.reshape(lead + (-1,))
+    for (_, _, rows, _, _), x in zip(groups, flat):
+        v[..., rows] = x
     return v
 
 
@@ -434,6 +444,10 @@ def _op_norm(xs: Stacks) -> np.ndarray:
     for x in xs:
         if x.shape[-2:] == (1, 1):
             out.append(np.abs(x[..., 0, 0]).max(axis=-1))
+        elif np.abs(x).max(initial=0.0) > 2.0 ** 500:   # x* x may overflow
+            # scale each element by a power of two, exactly, and take the norm again
+            e = np.frexp(np.abs(x).max(axis=(-3, -2, -1)))[1]
+            out.append(np.ldexp(_op_norm([x * np.ldexp(1.0, -e)[..., None, None, None]]), e))
         else:
             top = np.linalg.eigvalsh(_dagger(x) @ x)[..., -1]
             out.append(np.sqrt(np.maximum(top, 0.0)).max(axis=-1))

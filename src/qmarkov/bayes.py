@@ -17,6 +17,7 @@ from .algebra import AlgElement
 from .channel import (
     Channel,
     PropertyReport,
+    _owned,
     _report,
     compose,
     hs_adjoint,
@@ -203,7 +204,7 @@ def bayes_candidate(
         comp_row = _transposed_coords(completion.density)
     main = _left_mult(xi.spectrum.inverse_power(1.0)) @ hs_adjoint(f).matrix \
         @ _left_mult(omega.density)
-    g = Channel(f.codomain, f.domain, main + np.outer(complement, comp_row))
+    g = _owned(f.codomain, f.domain, main + np.outer(complement, comp_row))
     t_xi, t_omega = _product_form(xi), _product_form(omega)
     left = _bayes_report(f, g, t_xi, t_omega, "left", tol)
     right = _bayes_report(f, g, t_xi, t_omega, "right", tol)
@@ -254,7 +255,7 @@ def petz_recovery(prob: BayesProblem) -> Channel:
     f, omega, xi = prob.channel, prob.prior, prob.pullback
     mat = _conj_mult(xi.spectrum.inverse_power(0.5)) @ hs_adjoint(f).matrix \
         @ _conj_mult(omega.spectrum.sqrt())
-    return Channel(f.codomain, f.domain, mat)
+    return _owned(f.codomain, f.domain, mat)
 
 
 def _transposed_coords(a: AlgElement) -> np.ndarray:
@@ -349,7 +350,7 @@ def commutative_disintegration(
     weights[block_of, supp] = p_diag[supp] / q[block_of]
     mat = np.zeros((dom.coord_dim, nx), dtype=complex)
     mat[diag] = np.repeat(weights, sizes, axis=0)
-    return Channel(f.codomain, dom, mat)
+    return _owned(f.codomain, dom, mat)
 
 
 @dataclass

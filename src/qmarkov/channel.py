@@ -108,13 +108,16 @@ class Channel:
     _flags: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        self._own(np.array(self.matrix, dtype=complex))
+
+    def _own(self, m: np.ndarray) -> "Channel":
         want = (self.codomain.coord_dim, self.domain.coord_dim)
         if m.shape != want:
             raise ShapeMismatch(f"channel matrix is {m.shape}, expected {want}")
         alg._finite(m.ravel("K").view(float))   # a float view scans faster than complex
         m.flags.writeable = False
         self.matrix = m
+        return self
 
     def __call__(self, a: AlgElement) -> AlgElement:
         return apply(self, a)
@@ -125,6 +128,14 @@ class Channel:
         return self._flags[key]
 
 
+def _owned(domain: AlgebraShape, codomain: AlgebraShape, m: np.ndarray) -> Channel:
+    """Channel(domain, codomain, m), checked as the constructor checks it, for
+    a complex matrix m that no caller writes to, taken without a copy."""
+    f = object.__new__(Channel)
+    f.domain, f.codomain, f._flags = domain, codomain, {}
+    return f._own(m)
+
+
 def channel_from_action(
     domain: AlgebraShape, codomain: AlgebraShape, action: Callable[[AlgElement], AlgElement]
 ) -> Channel:
@@ -132,14 +143,14 @@ def channel_from_action(
     cols = []
     for e in alg.matrix_units(domain):
         out = action(e)
-        if out.shape != codomain:
+        if out.shape is not codomain and out.shape != codomain:
             raise ShapeMismatch("action output does not live in the stated codomain")
         cols.append(alg.vec(out))
-    return Channel(domain, codomain, np.stack(cols, axis=1))
+    return _owned(domain, codomain, np.stack(cols, axis=1))
 
 
 def identity_channel(s: AlgebraShape) -> Channel:
-    return Channel(s, s, np.eye(s.coord_dim, dtype=complex))
+    return _owned(s, s, np.eye(s.coord_dim, dtype=complex))
 
 
 def transpose_channel(s: AlgebraShape) -> Channel:
@@ -154,13 +165,13 @@ def ad_channel(v: np.ndarray) -> Channel:
     """
     v = np.asarray(v, dtype=complex)
     p, q = v.shape
-    return Channel(AlgebraShape((q,)), AlgebraShape((p,)), np.kron(v, v.conj()))
+    return _owned(AlgebraShape((q,)), AlgebraShape((p,)), np.kron(v, v.conj()))
 
 
 def conjugation_by(e: AlgElement) -> Channel:
     """Blockwise conjugation A |-> e A e* by an element of the same algebra."""
     xs = alg._stacks(e.shape, alg.vec(e))
-    return Channel(e.shape, e.shape, _grid.block_kron(e.shape, xs, [x.conj() for x in xs]))
+    return _owned(e.shape, e.shape, _grid.block_kron(e.shape, xs, [x.conj() for x in xs]))
 
 
 def kraus_channel(
@@ -181,7 +192,7 @@ def kraus_channel(
     mat = np.zeros((m * m, n * n), dtype=complex)
     for k in ops:
         mat += np.kron(k.conj().T, k.T)
-    return Channel(domain, codomain, mat)
+    return _owned(domain, codomain, mat)
 
 
 def mult_map(s: AlgebraShape) -> Channel:
@@ -200,16 +211,16 @@ def mult_map(s: AlgebraShape) -> Channel:
 
 
 def apply(f: Channel, b: AlgElement) -> AlgElement:
-    if b.shape != f.domain:
+    if b.shape is not f.domain and b.shape != f.domain:
         raise ShapeMismatch("element does not live in the channel domain")
     return alg._adopt(f.codomain, f.matrix @ alg.vec(b))
 
 
 def compose(f: Channel, g: Channel) -> Channel:
     """Composite f after g (apply g first)."""
-    if g.codomain != f.domain:
+    if g.codomain is not f.domain and g.codomain != f.domain:
         raise ShapeMismatch("codomain of the inner channel must match the outer domain")
-    return Channel(g.domain, f.codomain, f.matrix @ g.matrix)
+    return _owned(g.domain, f.codomain, f.matrix @ g.matrix)
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
@@ -222,7 +233,7 @@ def tensor(f: Channel, g: Channel) -> Channel:
     cod = alg.tensor_shape(f.codomain, g.codomain)
     rf, rg = alg.tensor_index(f.codomain, g.codomain)
     cf, cg = alg.tensor_index(f.domain, g.domain)
-    return Channel(dom, cod, f.matrix[np.ix_(rf, cf)] * g.matrix[np.ix_(rg, cg)])
+    return _owned(dom, cod, f.matrix[np.ix_(rf, cf)] * g.matrix[np.ix_(rg, cg)])
 
 
 _COND_LIMIT = 1e12
@@ -235,7 +246,7 @@ def invert(f: Channel) -> Channel:
     cond = np.linalg.cond(f.matrix)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise Singular(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
-    return Channel(f.codomain, f.domain, np.linalg.inv(f.matrix))
+    return _owned(f.codomain, f.domain, np.linalg.inv(f.matrix))
 
 
 def hs_adjoint(f: Channel) -> Channel:
@@ -244,7 +255,7 @@ def hs_adjoint(f: Channel) -> Channel:
     The matrix-unit basis is orthonormal for this pairing, so the adjoint is
     the conjugate transpose of the channel matrix.
     """
-    return Channel(f.codomain, f.domain, f.matrix.conj().T)
+    return _owned(f.codomain, f.domain, f.matrix.conj().T)
 
 
 def choi(f: Channel) -> list[np.ndarray]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -293,7 +294,9 @@ def _add_common(parser, out=True):
         parser.add_argument("--out", default=None, help="write the main artifact to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: each parse_args returns a fresh Namespace, no handler edits it."""
     parser = argparse.ArgumentParser(
         prog="qmarkov",
         description="checks and constructions for channels between matrix algebras",

@@ -8,8 +8,9 @@ on the support; the constructions apply a callback to every matrix unit, and
 kernel operations visit every entry, with one branch for Fractions and one
 for floats; the dense-matrix primitives call LAPACK once per matrix, with
 their own Hermiticity test, PSD test and rank cutoff; the element operations
-build an element block by block, and the sampled checks draw and decide one
-random element per trial.  The differential tests run both and require the
+build an element block by block, the stacked layout gathers and scatters
+every block size on its coordinate rows, and the sampled checks draw and
+decide one random element per trial.  The differential tests run both and require the
 same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
@@ -533,6 +534,43 @@ def random_element(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
 
 def expect(omega: State, a: AlgElement) -> complex:
     return complex(sum(np.trace(r @ b) for r, b in zip(omega.density.blocks, a.blocks)))
+
+
+# ---------------------------------------------------------------------------
+# stacked layout: every block size gathered from, and scattered to, its
+# coordinate rows, whether or not they are one range
+# ---------------------------------------------------------------------------
+
+def _groups(s: AlgebraShape) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(m, the blocks of size m, their coordinate rows) for each block size of s."""
+    sizes = np.array(s.blocks)
+    n = np.repeat(sizes, sizes * sizes)
+    return [(m, np.flatnonzero(sizes == m), np.flatnonzero(n == m))
+            for m in dict.fromkeys(s.blocks)]
+
+
+def stacks(s: AlgebraShape, v: np.ndarray) -> list[np.ndarray]:
+    return [v[..., rows].reshape(v.shape[:-1] + (len(ids), m, m)) for m, ids, rows in _groups(s)]
+
+
+def join(s: AlgebraShape, xs: list[np.ndarray]) -> np.ndarray:
+    lead = xs[0].shape[:-3]
+    v = np.empty(lead + (s.coord_dim,), dtype=complex)
+    for (_, _, rows), x in zip(_groups(s), xs):
+        v[..., rows] = x.reshape(lead + (-1,))
+    return v
+
+
+def stacked_mul(s: AlgebraShape, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return join(s, [x @ y for x, y in zip(stacks(s, u), stacks(s, v))])
+
+
+def stacked_trace(a: AlgElement) -> complex:
+    """np.trace of every block-size stack, the block traces summed in block order from 0."""
+    per_block = np.zeros(len(a.shape.blocks) + 1, dtype=complex)
+    for (_, ids, _), x in zip(_groups(a.shape), stacks(a.shape, alg.vec(a))):
+        per_block[ids + 1] = np.trace(x, axis1=-2, axis2=-1)
+    return complex(np.cumsum(per_block)[-1])
 
 
 # ---------------------------------------------------------------------------

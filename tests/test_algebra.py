@@ -216,3 +216,14 @@ def test_equal_coordinates_on_different_shapes_are_unequal():
     m2, c4 = AlgebraShape((2,)), AlgebraShape((1, 1, 1, 1))
     assert alg.vec(alg.zero(m2)).shape == alg.vec(alg.zero(c4)).shape
     assert alg.zero(m2) != alg.zero(c4)
+
+
+def test_norms_of_finite_elements_with_huge_entries_stay_finite():
+    # x* x overflows for entries above about 1e154, which the norm must not square
+    m2 = AlgebraShape((2,))
+    assert alg.norm(alg.unvec(m2, [1e200, 0, 0, 1])) == pytest.approx(1e200, rel=1e-15)
+    assert alg.norm(alg.unvec(m2, [0, 3e300j, 4e300, 0])) == pytest.approx(4e300, rel=1e-15)
+    # each matrix of a stack is scaled by its own power of two, so a small one keeps its norm
+    x = np.array([[[[1e250, 1], [0, 1]]], [[[3, 0], [0, 4]]]], dtype=complex)
+    assert alg._op_norm([x]) == pytest.approx([1e250, 4.0], rel=1e-15)
+    assert alg.is_positive_elem(alg.unvec(m2, [1e306, 0, 0, 1e306]))

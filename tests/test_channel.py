@@ -5,6 +5,7 @@ from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import (
     Channel,
+    _owned,
     ad_channel,
     apply,
     channel_from_action,
@@ -275,6 +276,29 @@ def test_channel_matrix_is_a_read_only_copy():
     source[:] = 0   # the caller's array is not the channel's
     assert np.array_equal(h.matrix, np.eye(4))
     assert is_unital(h).passed
+
+
+def test_built_channels_keep_their_own_matrix_and_still_scan_it():
+    rng = np.random.default_rng(4)
+    f = Channel(M2, M2, rng.standard_normal((4, 4)))
+    e = m2_elem(rng.standard_normal((2, 2)))
+    for g in (compose(f, f), tensor(f, f), hs_adjoint(f), invert(f), conjugation_by(e),
+              identity_channel(M2)):
+        with pytest.raises(ValueError):
+            g.matrix[0, 0] = 1.0
+    m = np.eye(4, dtype=complex)
+    assert _owned(M2, M2, m).matrix is m and not m.flags.writeable
+    with pytest.raises(ShapeMismatch):
+        _owned(M2, M2, np.eye(3, dtype=complex))
+    # a product of finite matrices can overflow
+    huge = Channel(M2, M2, 1e200 * np.eye(4))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+        compose(huge, huge)
+
+
+def test_positivity_sampling_on_huge_finite_images():
+    # the norms of images with entries above about 1e154 used to overflow
+    assert is_positive_sampled(Channel(M2, M2, 1e306 * np.eye(4))).passed
 
 
 def test_scalar_algebra_channels():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qmarkov import cli
 from qmarkov import serialize as ser
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import identity_channel, transpose_channel
@@ -269,3 +270,26 @@ def test_corpus_json_is_byte_identical_across_runs(capsys):
 def test_usage_error_exit_code():
     assert main(["check"]) == 2
     assert main([]) == 2
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli.props_mod, "run_all", lambda seed, trials: seen.append(trials) or [])
+    calls = [["corpus", "run", "epr", "--format", "json"], ["corpus", "run", "epr"],
+             ["nosuch"], ["props", "--trials", "3"], ["props"]]
+
+    def run(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    reused = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+    json.loads(reused[0][1])
+    assert reused[1][1].startswith("epr ")   # text: no --format leaks from the first call
+    assert seen == [3, 64, 3, 64]

@@ -2,9 +2,11 @@
 on stacked trial batches, against per-block and per-trial loops.
 
 `loop_reference.py` keeps the versions that build an element block by block
-and decide a sampled check one random element at a time.  Results must be
-bitwise equal: the same coordinates, the same generator state after a draw,
-and the same verdict, trial, reason, witness input and min_eigenvalue.
+and decide a sampled check one random element at a time, and the stacked
+layout that gathers and scatters every block size on its coordinate rows.
+Results must be bitwise equal: the same coordinates, the same generator
+state after a draw, and the same verdict, trial, reason, witness input and
+min_eigenvalue.
 """
 import numpy as np
 import pytest
@@ -12,15 +14,16 @@ import pytest
 import loop_reference as ref
 from qmarkov import _grid, props
 from qmarkov import algebra as alg
-from qmarkov.algebra import AlgebraShape
+from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import (
     Channel,
+    conjugation_by,
     identity_channel,
     is_positive_sampled,
     is_schwarz_sampled,
     transpose_channel,
 )
-from qmarkov.state import state_from_density
+from qmarkov.state import pullback_state, state_from_density
 
 SHAPES = [AlgebraShape((1, 1, 2, 3, 3, 1)), AlgebraShape((1,) * 128),
           AlgebraShape((4,)), AlgebraShape((2, 1, 3))]
@@ -154,3 +157,61 @@ def test_sampled_checks_agree_with_the_trial_loop(monkeypatch, chunk):
                 else:
                     where.add("first" if want.witness["trial"] < _batch(f) else "later")
     assert where == {"none", "first", "later"}
+
+
+CONTIGUOUS = [AlgebraShape((3,)), AlgebraShape((2, 2)), AlgebraShape((1, 3)),
+              AlgebraShape((2, 3)), AlgebraShape((12,)), AlgebraShape((9, 2)),
+              AlgebraShape((1,) * 64)]
+INTERLEAVED = [AlgebraShape((2, 1, 2)), AlgebraShape((1, 2, 1, 3)),
+               AlgebraShape((1, 1, 2, 3, 3, 1))]
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=lambda t: "x".join(map(str, t)) or "one")
+@pytest.mark.parametrize("s", CONTIGUOUS + INTERLEAVED, ids=_name)
+def test_stacks_join_mul_and_trace_are_bitwise_equal_to_gather_and_scatter(s, lead):
+    rng = np.random.default_rng(sum(s.blocks) + len(lead))
+    u = alg._random_coords(s, rng, lead)
+    v = alg._random_coords(s, rng, lead)
+    got, want = alg._stacks(s, u), ref.stacks(s, u)
+    assert len(got) == len(want) and all(_same(x, y) for x, y in zip(got, want))
+    xs = [x * 1.5 for x in want]
+    assert _same(alg._join(s, xs), ref.join(s, xs))
+    assert _same(alg._join(s, got), u)
+    assert _same(alg._mul_coords(s, u, v), ref.stacked_mul(s, u, v))
+    a, b = (alg.unvec(s, w.reshape(-1, s.coord_dim)[0]) for w in (u, v))
+    assert _same(alg.vec(alg.mul(a, b)), ref.stacked_mul(s, alg.vec(a), alg.vec(b)))
+    assert _same(alg.trace(a), ref.stacked_trace(a))
+
+
+@pytest.mark.parametrize("s", CONTIGUOUS + INTERLEAVED, ids=_name)
+def test_stacks_of_an_element_cannot_change_it(s):
+    a = alg.random_element(s, np.random.default_rng(5))
+    before = alg.vec(a).copy()
+    for x in alg._stacks(s, alg.vec(a)):
+        if s in CONTIGUOUS:   # a view of the read-only coordinates
+            assert np.shares_memory(x, alg.vec(a))
+            with pytest.raises(ValueError):
+                x[...] = 0.0
+        elif not np.shares_memory(x, alg.vec(a)):   # a gathered copy
+            x[...] = 0.0
+    assert _same(alg.vec(a), before)
+
+
+@pytest.mark.parametrize("s", CONTIGUOUS[:5] + INTERLEAVED, ids=_name)
+def test_built_elements_share_no_memory_with_writable_arrays_they_escape_with(s):
+    rng = np.random.default_rng(len(s.blocks))
+    a, b = alg.random_element(s, rng), alg.random_element(s, rng)
+    omega = state_from_density(alg.random_density(s, rng))
+    unitary = AlgElement(s, [props.random_unitary(n, rng) for n in s.blocks])
+    xi = pullback_state(omega, conjugation_by(unitary))
+    spectra = [omega.spectrum, xi.spectrum]
+    built = [alg.mul(a, b), xi.density, xi.support]
+    built += [f(spec) for spec in spectra for f in (
+        lambda sp: sp.sqrt(), lambda sp: sp.inverse_power(1.0), lambda sp: sp.inverse_power(0.5))]
+    escaping = [arr for spec in spectra for stack in spec.stacks for arr in stack]
+    escaping += [x for e in (a, b) for x in alg._stacks(s, alg.vec(e))]
+    for e in built:
+        v = alg.vec(e)
+        assert not v.flags.writeable
+        for arr in escaping:
+            assert not (arr.flags.writeable and np.shares_memory(v, arr))
