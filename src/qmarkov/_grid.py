@@ -53,8 +53,7 @@ def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
 
     Coordinates are row-major per block, so vec(A X B) = (A (x) B^T) vec(X):
     with left = A and right = B^T per block, this is the coordinate matrix
-    of X |-> A X B applied blockwise.  left and right are stacks (k, m, m)
-    per block size; a stack (1, m, m) stands for the same factor in every block.
+    of X |-> A X B applied blockwise.  left and right are stacks (k, m, m) per block size.
     """
     out = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
     for (m, ids, rows, *_), a, b in zip(_groups(s), left, right):
@@ -71,13 +70,15 @@ def choi_blocks(f) -> list[tuple[np.ndarray, Stacks]]:
     blocks x, with blocks C_yx[(i, a), (j, b)] = F(E_ij)_x[a, b] of size n m.
     One entry per domain block size n: the domain blocks y of that size and,
     per codomain block size m, their blocks as a stack (k_n, k_m, n m, n m),
-    read from the channel matrix by a reshape and a transpose.
+    read from the channel matrix by a slice (a gather for interleaved blocks)
+    and a transpose: a copy, or a read-only view where the transpose allows.
     """
     out = []
-    for n, ys, cols, *_ in _groups(f.domain):
+    for n, ys, cols, col_span, _ in _groups(f.domain):
         stacks = []
-        for m, xs, rows, *_ in _groups(f.codomain):
-            c = f.matrix[np.ix_(rows, cols)].reshape(len(xs), m, m, len(ys), n, n)
+        for m, xs, rows, row_span, _ in _groups(f.codomain):
+            c = f.matrix[rows if row_span is None else row_span][
+                :, cols if col_span is None else col_span].reshape(len(xs), m, m, len(ys), n, n)
             stacks.append(c.transpose(3, 0, 4, 1, 5, 2).reshape(len(ys), len(xs), n * m, n * m))
         out.append((ys, stacks))
     return out

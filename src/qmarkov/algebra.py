@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraShape:
     """Block dimensions (n_1, ..., n_k) of a direct sum of matrix algebras."""
 
@@ -63,9 +63,19 @@ class AlgebraShape:
         if len(blocks) < 1 or any(n < 1 for n in blocks):
             raise ValueError(f"invalid block dimensions {self.blocks}")
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_hash", hash(blocks))
 
-    # the shape is frozen, so its derived sizes are computed once and kept in
-    # the instance dict; equality, hashing and repr still read `blocks` only
+    # the shape is frozen, so its hash and derived sizes are computed once and kept
+    # in the instance dict; equality (identity first, as every cached index table
+    # looks a shape up), hashing and repr read `blocks` only
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return self.blocks == other.blocks if isinstance(other, AlgebraShape) else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
     @cached_property
     def coord_dim(self) -> int:
         return sum(n * n for n in self.blocks)
@@ -431,8 +441,15 @@ def _lower(xs: Stacks) -> np.ndarray:
 
 
 def _upper(xs: Stacks) -> np.ndarray:
-    frob = [(x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1)).max(axis=-1) for x in xs]
-    return np.sqrt(np.maximum.reduce(frob)) * (1 + _SLACK)
+    return np.maximum.reduce([_frobenius(x) for x in xs]) * (1 + _SLACK)
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Largest blockwise Frobenius norm of each element of one stack."""
+    if np.abs(x).max(initial=0.0) > 2.0 ** 500:   # the squares may overflow: scale, as _op_norm
+        e = np.frexp(np.abs(x).max(axis=(-3, -2, -1)))[1]
+        return np.ldexp(_frobenius(x * np.ldexp(1.0, -e)[..., None, None, None]), e)
+    return np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1)).max(axis=-1))
 
 
 def _op_norm(xs: Stacks) -> np.ndarray:

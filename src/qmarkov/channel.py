@@ -294,16 +294,20 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
         k = len(f.domain.blocks)
         skew, low = np.zeros(k), np.full(k, np.inf)
         herm_norm, skew_frob = np.zeros(k), np.zeros(k)
-        blocks = _grid.choi_blocks(f)
-        for ys, stacks in blocks:
+        for ys, stacks in _grid.choi_blocks(f):
             for c in stacks:
+                c = c if c.flags.writeable else c.copy()   # never write the channel matrix
                 c_star = alg._dagger(c)
-                diff, h = c - c_star, 0.5 * (c + c_star)
+                diff = c - c_star
+                h = np.multiply(np.add(c, c_star, out=c), 0.5, out=c)   # H, in place of C
                 w = h.real[..., 0] if c.shape[-1] == 1 else np.linalg.eigvalsh(h)
-                skew[ys] = np.maximum(skew[ys], np.abs(diff).max(axis=(1, 2, 3)))
+                mag = np.abs(diff)
+                skew[ys] = np.maximum(skew[ys], mag.max(axis=(1, 2, 3)))
                 low[ys] = np.minimum(low[ys], w[..., 0].min(axis=1))
                 herm_norm[ys] = np.maximum(herm_norm[ys], np.abs(w).max(axis=(1, 2)))
-                frob = 0.5 * np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=(2, 3)))
+                sq = np.add(np.square(diff.real, out=diff.real),
+                            np.square(diff.imag, out=diff.imag), out=mag)
+                frob = 0.5 * np.sqrt(sq.sum(axis=(2, 3)))
                 skew_frob[ys] = np.maximum(skew_frob[ys], frob.max(axis=1))
         lo = np.maximum(1.0, herm_norm * (1 - alg._SLACK))
         hi = np.maximum(1.0, (herm_norm + skew_frob) * (1 + alg._SLACK))
@@ -311,7 +315,7 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
         scale = lo.copy()
         open_ = ((skew > tol.herm * lo) != (skew > tol.herm * hi)) | (
             (low < -tol.psd * lo) != (low < -tol.psd * hi))
-        for ys, stacks in blocks if open_.any() else ():
+        for ys, stacks in _grid.choi_blocks(f) if open_.any() else ():   # C again, not H
             pick = open_[ys]
             if pick.any():
                 scale[ys[pick]] = np.maximum(1.0, _grid._op_norm([c[pick] for c in stacks]))
@@ -322,18 +326,14 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
         y = int(bad.argmax())
         if not_herm[y]:
             return _report(
-                "cp",
-                False,
-                tol.psd,
+                "cp", False, tol.psd,
                 witness={"domain_block": y, "skew_norm": float(skew[y]),
                          "min_eigenvalue": float(low[y])},
                 detail=f"Choi matrix of domain block {y} is not Hermitian "
                        f"(skew {skew[y]:.3g}); Hermitian part has eigenvalue {low[y]:.6g}",
             )
         return _report(
-            "cp",
-            False,
-            tol.psd,
+            "cp", False, tol.psd,
             witness={"domain_block": y, "min_eigenvalue": float(low[y])},
             detail=f"Choi matrix of domain block {y} has eigenvalue {low[y]:.6g}",
         )

@@ -226,6 +226,47 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
     return _report("petz-exists", True, tol.eq)
 
 
+def bayes_sides(f: Channel, omega: State, xi: State, g: Channel, side: str = "left"):
+    """lhs[a][b] and rhs[a][b] of the Bayes condition on every pair of units E_a of
+    the codomain and E_b of the domain: states of products of elements, block by block."""
+    def table(w: State, first, second):   # [i][j] = w(X_i Y_j)
+        return [[complex(sum(np.trace(p @ q) for p, q in zip(wx, y.blocks))) for y in second]
+                for wx in ([r @ b for r, b in zip(w.density.blocks, x.blocks)] for x in first)]
+
+    cod_units, dom_units = matrix_units(f.codomain), matrix_units(f.domain)
+    g_img = [apply(g, e) for e in cod_units]
+    f_img = [apply(f, e) for e in dom_units]
+    if side == "left":     # xi(G(A) B) = omega(A F(B))
+        return table(xi, g_img, dom_units), table(omega, cod_units, f_img)
+    # xi(B G(A)) = omega(F(B) A), tabulated [b][a]
+    return tuple(list(zip(*t)) for t in (table(xi, dom_units, g_img),
+                                         table(omega, f_img, cod_units)))
+
+
+def verify_bayes(f: Channel, omega: State, xi: State, g: Channel, side: str = "left",
+                 tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    """The Bayes condition pair by pair; the witness is the pair that fails by most
+    over its bound, the first of equals in row-major order."""
+    lhs, rhs = bayes_sides(f, omega, xi, g, side)
+    cod_units, dom_units = matrix_units(f.codomain), matrix_units(f.domain)
+    worst, worst_dev, witness = None, 0.0, None
+    for a, ea in enumerate(cod_units):
+        for b, eb in enumerate(dom_units):
+            dev = abs(lhs[a][b] - rhs[a][b])
+            worst_dev = max(worst_dev, dev)
+            over = dev - tol.eq * max(1.0, abs(lhs[a][b]), abs(rhs[a][b]))
+            if over > 0 and (worst is None or over > worst):
+                worst, witness = over, (ea, eb, lhs[a][b], rhs[a][b], dev)
+    if witness is None:
+        return _report(f"bayes-{side}", True, tol.eq, detail=f"max deviation {worst_dev:.3g}")
+    ea, eb, lhs, rhs, dev = witness
+    return _report(
+        f"bayes-{side}", False, tol.eq,
+        witness={"a_input": ea, "b_input": eb, "lhs": lhs, "rhs": rhs},
+        detail=f"Bayes condition fails by {dev:.6g}",
+    )
+
+
 def verify_disintegration(f: Channel, omega: State, g: Channel,
                           tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     if g.domain != f.codomain or g.codomain != f.domain:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,18 @@ def test_equality_compares_shapes_and_coordinates_exactly(s):
     assert omega != state_from_density(alg.random_density(s, rng))
 
 
+def test_equal_shapes_compare_and_hash_equal():
+    s, fresh = AlgebraShape((1, 2, 3)), AlgebraShape([1, 2, 3])
+    assert s is not fresh and s == fresh and not s != fresh and hash(s) == hash(fresh)
+    assert s == s and s != AlgebraShape((1, 2)) and s != AlgebraShape((3, 2, 1))
+    assert {s: 1}[fresh] == 1 and alg.adjoint_index(fresh) is alg.adjoint_index(s)
+    for other in ((1, 2, 3), [1, 2, 3], s.blocks, "AlgebraShape([1, 2, 3])", None, alg.unit(s)):
+        assert s != other and not s == other and other != s
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and hash(copy) == hash(s) and copy.coord_dim == s.coord_dim
+    assert repr(copy) == "AlgebraShape([1, 2, 3])"
+
+
 def test_equal_coordinates_on_different_shapes_are_unequal():
     m2, c4 = AlgebraShape((2,)), AlgebraShape((1, 1, 1, 1))
     assert alg.vec(alg.zero(m2)).shape == alg.vec(alg.zero(c4)).shape
@@ -227,3 +241,30 @@ def test_norms_of_finite_elements_with_huge_entries_stay_finite():
     x = np.array([[[[1e250, 1], [0, 1]]], [[[3, 0], [0, 4]]]], dtype=complex)
     assert alg._op_norm([x]) == pytest.approx([1e250, 4.0], rel=1e-15)
     assert alg.is_positive_elem(alg.unvec(m2, [1e306, 0, 0, 1e306]))
+
+
+def _frobenius_unscaled(xs):
+    frob = [(x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1)).max(axis=-1) for x in xs]
+    return np.sqrt(np.maximum.reduce(frob)) * (1 + alg._SLACK)
+
+
+def test_frobenius_bound_of_huge_entries_stays_finite():
+    # the squares of entries above about 1e154 overflow; every element of a
+    # batch is scaled by its own power of two, so a small one keeps its bound
+    for big in (1e200, 1e250, 1e306):
+        scalars = np.array([1.0, 2.0, big / 4], dtype=complex).reshape(3, 1, 1, 1)
+        mats = np.array([[[[big, 1], [0, 1]]], [[[3, 0], [0, 4j]]],
+                         [[[0, 1j * big], [big / 2, 0]]]])
+        want = np.array([big, 5.0, np.hypot(big, big / 2)]) * (1 + alg._SLACK)
+        assert np.all(np.isfinite(alg._upper([scalars, mats])))
+        assert alg._upper([scalars, mats]) == pytest.approx(want, rel=1e-15)
+        assert alg._upper([mats[1:2] * 1e-300, mats[:1]]) == pytest.approx(want[:1], rel=1e-15)
+
+
+def test_frobenius_bound_below_the_threshold_is_unchanged():
+    rng = np.random.default_rng(41)
+    for top in (1.0, 1e-200, 1e100, 1e150):
+        xs = [top * (rng.standard_normal((5, k, m, m)) + 1j * rng.standard_normal((5, k, m, m)))
+              for k, m in ((3, 1), (2, 2), (1, 4))]
+        assert np.array_equal(alg._upper(xs), _frobenius_unscaled(xs))
+        assert np.array_equal(alg._upper(xs[1:]), _frobenius_unscaled(xs[1:]))

@@ -301,6 +301,14 @@ def test_positivity_sampling_on_huge_finite_images():
     assert is_positive_sampled(Channel(M2, M2, 1e306 * np.eye(4))).passed
 
 
+def test_exact_checks_on_huge_finite_images():
+    # the Frobenius bounds of the pair grid squared entries above about 1e154
+    for c in (1e200, 1e306):
+        report = is_star_preserving(Channel(M2, M2, 1j * c * np.eye(4)))
+        assert report.verdict == "fail" and report.witness["input"] == alg.unvec(M2, np.eye(4)[0])
+        assert is_star_preserving(Channel(M2, M2, c * np.eye(4))).passed
+
+
 def test_scalar_algebra_channels():
     # the unit inclusion and the normalized trace, both in channel form
     scalar = AlgebraShape((1,))

@@ -1,12 +1,14 @@
 """Differential oracle: the closed-form constructions against their loops.
 
-`choi`, `tensor`, `mult_map`, `transpose_channel` and `_product_form` only
-copy or multiply single entries, so they must match the loops in
-`loop_reference.py` exactly.  `ad_channel`, `conjugation_by`,
-`kraus_channel`, the Bayes and Petz candidates and the commutative
-disintegration sum in another order, so they must match to
+`choi`, `tensor`, `mult_map` and `transpose_channel` only copy or multiply
+single entries, so they must match the loops in `loop_reference.py`
+exactly.  `ad_channel`, `conjugation_by`, `kraus_channel`, the Bayes and
+Petz candidates, the blockwise sides of the Bayes condition and the
+commutative disintegration sum in another order, so they must match to
 1e-13 * max(1, ||M||).  `is_cp` must give the same verdict and witness
-block as the loop that decides the full Choi matrix of each domain block.
+block as the loop that decides the full Choi matrix of each domain block,
+and `verify_bayes` the same verdict and witness pair as the loop over
+pairs of units.
 """
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from qmarkov import _grid, corpus, props
 from qmarkov import algebra as alg
 from qmarkov import finstoch as fs
 from qmarkov.algebra import AlgebraShape, AlgElement
-from qmarkov.bayes import _product_form, bayes_candidate, bayes_problem, commutative_disintegration
-from qmarkov.bayes import petz_recovery
+from qmarkov.bayes import _bayes_sides, bayes_candidate, bayes_problem
+from qmarkov.bayes import commutative_disintegration, petz_recovery, verify_bayes
 from qmarkov.channel import (
     Channel,
     ad_channel,
@@ -119,12 +121,22 @@ def test_choi_tensor_mult_transpose_are_bitwise_identical():
         assert np.array_equal(transpose_channel(s).matrix, ref.transpose_channel(s).matrix), blocks
 
 
-def test_product_form_is_bitwise_identical():
+def test_bayes_sides_agree_with_product_form():
+    # the dense form: lhs and rhs as products with T[i, j] = state(E_i E_j)
     rng = np.random.default_rng(32)
-    for blocks in SHAPES:
-        for full in (True, False):
-            omega = props.random_rank_deficient_state(_shape(blocks), rng, full=full)
-            assert np.array_equal(_product_form(omega), ref.product_form(omega)), blocks
+    for dom in SHAPES:
+        for cod in ((2,), (1, 2), (2, 1, 2)):
+            dom_s, cod_s = _shape(dom), _shape(cod)
+            f, g = _random_map(dom_s, cod_s, rng), _random_map(cod_s, dom_s, rng)
+            for full in (True, False):
+                xi = props.random_rank_deficient_state(dom_s, rng, full=full)
+                omega = props.random_rank_deficient_state(cod_s, rng, full=full)
+                t_xi, t_omega = ref.product_form(xi), ref.product_form(omega)
+                want = {"left": (g.matrix.T @ t_xi, t_omega @ f.matrix),
+                        "right": ((t_xi @ g.matrix).T, (f.matrix.T @ t_omega).T)}
+                for side, (lhs, rhs) in want.items():
+                    got = _bayes_sides(f, g, alg.vec(xi.density), alg.vec(omega.density), side)
+                    assert _close(got[0], lhs) and _close(got[1], rhs), (dom, cod, side)
 
 
 def test_conjugations_and_kraus_agree_with_loops():
@@ -170,6 +182,82 @@ def test_bayes_and_petz_candidates_agree_with_loops():
         assert _close(bayes_candidate(prob).candidate.matrix,
                       ref.bayes_candidate_channel(prob).matrix), label
         assert _close(petz_recovery(prob).matrix, ref.petz_recovery(prob).matrix), label
+
+
+def _bayes_key(report):
+    w = report.witness or {}
+    pair = tuple(int(alg.vec(w[k]).argmax()) for k in ("a_input", "b_input") if k in w)
+    return report.verdict, pair
+
+
+def _bayes_instances(rng):
+    """(f, omega, xi, g): Bayes candidates, which pass on the left, the transpose
+    channel, and candidates perturbed past the tolerance, on many shapes."""
+    shapes = [_shape(b) for b in SHAPES] + [_shape((2, 1, 2)), AlgebraShape((1,) * 16)]
+    shapes.sort(key=lambda s: s.total_dim)   # _random_cp is unital into a smaller algebra
+    problems = []
+    for i, (dom, cod) in enumerate(zip(shapes, shapes[:1] + shapes[:-1])):
+        full = bool(i % 2)
+        problems.append(bayes_problem(_random_cp(dom, cod, rng),
+                                      props.random_rank_deficient_state(cod, rng, full)))
+    for blocks in ((2,), (1, 2), (2, 1, 2)):
+        s = _shape(blocks)
+        problems.append(bayes_problem(transpose_channel(s),
+                                      props.random_rank_deficient_state(s, rng, True)))
+    for i, prob in enumerate(problems):
+        f, omega, xi = prob.channel, prob.prior, prob.pullback
+        g = bayes_candidate(prob).candidate
+        noise = (1e-3, 1e-6)[i % 2] * _random_map(g.domain, g.codomain, rng).matrix
+        yield f, omega, xi, g
+        yield f, omega, xi, Channel(g.domain, g.codomain, g.matrix + noise)
+    prob = bayes_problem(props.random_cpu_channel(12, 12, rng),
+                         state_from_density(alg.random_density(AlgebraShape((12,)), rng)))
+    yield prob.channel, prob.prior, prob.pullback, bayes_candidate(prob).candidate
+
+
+def _tied(inst, side, got, want) -> bool:
+    """Whether the loop's two witness pairs fail by the same excess over their
+    bounds up to rounding, as pairs related by a symmetry of the problem do."""
+    lhs, rhs = ref.bayes_sides(*inst, side)
+    tol = Tolerance()
+
+    def excess(key):
+        u, v = lhs[key[1][0]][key[1][1]], rhs[key[1][0]][key[1][1]]
+        return abs(u - v) - tol.eq * max(1.0, abs(u), abs(v)), max(1.0, abs(u), abs(v))
+
+    (e_got, scale), (e_want, _) = excess(_bayes_key(got)), excess(_bayes_key(want))
+    return got.verdict == want.verdict == "fail" and abs(e_got - e_want) <= 1e-13 * scale
+
+
+def test_verify_bayes_agrees_with_loop():
+    rng = np.random.default_rng(39)
+    keys = set()
+    for f, omega, xi, g in _bayes_instances(rng):
+        for side in ("left", "right"):
+            got, want = verify_bayes(f, omega, xi, g, side), ref.verify_bayes(f, omega, xi, g, side)
+            label = (f.domain, f.codomain, side)
+            assert _bayes_key(got) == _bayes_key(want) or _tied((f, omega, xi, g), side, got,
+                                                                want), label
+            keys.add((side, got.verdict))
+            if not got.passed:
+                for k in ("lhs", "rhs"):
+                    assert abs(got.witness[k] - want.witness[k]) <= 1e-13 * max(
+                        1.0, abs(want.witness[k])), label
+    assert keys == {(side, v) for side in ("left", "right") for v in ("pass", "fail")}
+
+
+def test_verify_bayes_bounds_a_deviation_above_tol_eq_by_its_scale():
+    # lhs and rhs near 1e6, so a deviation above tol.eq can be within tol.eq |lhs|
+    s, tol = AlgebraShape((2,)), Tolerance()
+    omega = state_from_density(alg.unvec(s, [0.5, 0, 0, 0.5]))
+    f = Channel(s, s, 2e6 * np.eye(4))
+    for dev, verdict in ((1e-5, "pass"), (5e-4, "pass"), (1e-2, "fail")):
+        g = Channel(s, s, 2e6 * np.eye(4) + np.diag([2 * dev, 0, 0, 0]))
+        got = verify_bayes(f, omega, omega, g, "left", tol)
+        assert got.verdict == verdict and _bayes_key(got) == _bayes_key(
+            ref.verify_bayes(f, omega, omega, g, "left", tol)), dev
+        if verdict == "pass":
+            assert tol.eq < float(got.detail.split()[-1]) == pytest.approx(dev, rel=1e-3)
 
 
 def _commutative_instances(rng):
