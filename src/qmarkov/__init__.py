@@ -51,12 +51,10 @@ from .channel import (
     transpose_channel,
 )
 from .errors import (
-    DimensionMismatch,
     NoConvergence,
     NonscalarImageBlock,
     NotAeDeterministic,
     NotCommutative,
-    NotHermitian,
     NotPSD,
     NotSelfAdjoint,
     PreconditionsUnmet,

@@ -273,20 +273,25 @@ def is_self_adjoint_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_positive_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether a is positive (equals some b*b), decided spectrally per block.
+    """Whether a is positive (equals some b*b), per block against max(1, ||a||).
 
-    Raises NotSelfAdjoint when a is not self-adjoint within tolerance.
+    A pass is proved by `_psd_pass` where it can be; the rest is decided
+    spectrally.  Raises NotSelfAdjoint when a is not self-adjoint within tolerance.
     """
     xs = _element_stacks(a)
+    skew, hs = _max_abs([x - _dagger(x) for x in xs]), _hermitian(xs)
+    floor = np.maximum(1.0, _lower(xs))
+    if skew <= tol.herm * floor and _psd_pass(hs, floor, tol):
+        return True
     scale = tol.scale(_op_norm(xs))
-    if _max_abs([x - _dagger(x) for x in xs]) > tol.herm * scale:
+    if skew > tol.herm * scale:
         raise NotSelfAdjoint("element is not self-adjoint within tolerance")
-    return bool(_min_eig(xs) >= -tol.psd * scale)
+    return bool(_lowest(hs) >= -tol.psd * scale)
 
 
 def min_eig(a: AlgElement) -> float:
     """Smallest eigenvalue across blocks of the self-adjoint part of a."""
-    return float(_min_eig(_element_stacks(a)))
+    return float(_lowest(_hermitian(_element_stacks(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +476,66 @@ def _op_norm(xs: Stacks) -> np.ndarray:
     return np.maximum.reduce(out)
 
 
-def _min_eig(xs: Stacks) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each element."""
+def _hermitian(xs: Stacks) -> Stacks:
+    """The Hermitian parts (x + x*) / 2, exactly Hermitian in floating point."""
+    return [0.5 * (x + _dagger(x)) for x in xs]
+
+
+def _lowest(hs: Stacks) -> np.ndarray:
+    """Smallest eigenvalue of each element, from the stacks of its Hermitian part."""
     lows = []
-    for x in xs:
-        h = 0.5 * (x + _dagger(x))
-        w = h.real[..., 0] if x.shape[-1] == 1 else np.linalg.eigvalsh(h)
+    for h in hs:
+        w = h.real[..., 0] if h.shape[-1] == 1 else np.linalg.eigvalsh(h)
         lows.append(w[..., 0].min(axis=-1))
     return np.minimum.reduce(lows)
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+_LEAD = 64
+
+
+def _psd_pass(hs: Stacks, lo: np.ndarray, tol: Tolerance) -> bool:
+    """Whether one Cholesky factorization per stack proves lambda_min(H) >= -tol.psd * lo
+    for every matrix H of the Hermitian stacks hs (..., k, m, m).
+
+    lo, of shape (...), is max(1, max|entry| (1 - _SLACK)) of each element:
+    at most the caller's scale, so a certified pass is a pass there too.  The
+    stacks are writable; each is shifted in place and restored exactly.  False
+    means "not certified", never "not positive": the caller decides those
+    spectrally.  With t = tol.psd * lo, a factorization of H + (t - r) I that
+    succeeds proves the bound, where r = 8 (m + 2) m u (lo / (1 - _SLACK) + t)
+    bounds the rounding of forming the shift and Cholesky's backward error
+    (see README, "How exact checks are decided").  numpy raises for a whole
+    stack when one member fails, so one failure, or a diagonal entry below
+    -t, leaves the stack uncertified.  For 1 x 1 blocks that diagonal test
+    is the whole decision, as in the spectral test.
+    """
+    if (lo > 2.0 ** 500).any():   # products could overflow: leave it to the spectrum
+        return False
+    for h in hs:
+        m = h.shape[-1]
+        diag = np.einsum("...ii->...i", h)   # a writable view
+        if (diag.real < -tol.psd * lo[..., None, None]).any():   # lambda_min <= min H_ii
+            return False
+        if m == 1:   # the diagonal is the spectrum
+            continue
+        # (t - r) / lo: the shift per unit of scale, the same for every element
+        shift = tol.psd - 8 * (m + 2) * m * _UNIT_ROUNDOFF * (1 / (1 - _SLACK) + tol.psd)
+        if shift <= 0:
+            return False
+        saved = diag.copy()
+        diag += (shift * lo)[..., None, None]
+        try:
+            # numpy's Cholesky of a large matrix runs on past a bad pivot, so the
+            # leading block, a principal submatrix, is factored first: it ends an
+            # attempt that fails there early and costs (64 / m)^3 of the whole
+            for lead in (_LEAD, m) if m > 2 * _LEAD else (m,):
+                np.linalg.cholesky(h[..., :lead, :lead])
+        except np.linalg.LinAlgError:
+            return False
+        finally:
+            diag[...] = saved
+    return True
 
 
 def block_embed(a: AlgElement) -> np.ndarray:

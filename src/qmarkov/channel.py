@@ -284,29 +284,39 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     the Choi matrix C_y of domain block y.
 
     C_y is block-diagonal over the codomain blocks, so every quantity comes
-    from its blocks C_yx, one batched eigvalsh of their Hermitian parts H per
-    block size.  ||H|| <= ||C_y|| <= ||H|| + ||(C - C*) / 2||_F, each widened
-    by alg._SLACK; only a block whose verdict differs between the two
-    bounds pays for the exact norm.
+    from its blocks C_yx and their Hermitian parts H.  max|H_ij| <= ||C_y||
+    gives a lower bound lo on the scale: the domain blocks of one size pass
+    together when their skew is within tol.herm * lo and `alg._psd_pass`
+    proves the PSD test at lo.  Any other group is decided by one batched
+    eigvalsh of H per block size, with ||H|| <= ||C_y|| <= ||H|| +
+    ||(C - C*) / 2||_F, each widened by alg._SLACK; only a block whose
+    verdict differs between the two bounds pays for the exact norm.
     """
 
     def compute():
         k = len(f.domain.blocks)
-        skew, low = np.zeros(k), np.full(k, np.inf)
+        skew, low, passed = np.zeros(k), np.full(k, np.inf), np.zeros(k, dtype=bool)
         herm_norm, skew_frob = np.zeros(k), np.zeros(k)
         for ys, stacks in _grid.choi_blocks(f):
+            parts, top = [], np.zeros(len(ys))
             for c in stacks:
                 c = c if c.flags.writeable else c.copy()   # never write the channel matrix
                 c_star = alg._dagger(c)
                 diff = c - c_star
                 h = np.multiply(np.add(c, c_star, out=c), 0.5, out=c)   # H, in place of C
-                w = h.real[..., 0] if c.shape[-1] == 1 else np.linalg.eigvalsh(h)
-                mag = np.abs(diff)
-                skew[ys] = np.maximum(skew[ys], mag.max(axis=(1, 2, 3)))
+                skew[ys] = np.maximum(skew[ys], np.abs(diff).max(axis=(1, 2, 3)))
+                top = np.maximum(top, np.abs(h).max(axis=(1, 2, 3)))   # max|H_ij|
+                parts.append((h, diff))
+            hs = [h for h, _ in parts]
+            floor = np.maximum(1.0, top * (1 - alg._SLACK))   # max|H_ij| <= ||H|| <= ||C_y||
+            if (skew[ys] <= tol.herm * floor).all() and alg._psd_pass(hs, floor, tol):
+                passed[ys] = True
+                continue
+            for h, diff in parts:
+                w = h.real[..., 0] if h.shape[-1] == 1 else np.linalg.eigvalsh(h)
                 low[ys] = np.minimum(low[ys], w[..., 0].min(axis=1))
                 herm_norm[ys] = np.maximum(herm_norm[ys], np.abs(w).max(axis=(1, 2)))
-                sq = np.add(np.square(diff.real, out=diff.real),
-                            np.square(diff.imag, out=diff.imag), out=mag)
+                sq = np.add(np.square(diff.real, out=diff.real), np.square(diff.imag, out=diff.imag))
                 frob = 0.5 * np.sqrt(sq.sum(axis=(2, 3)))
                 skew_frob[ys] = np.maximum(skew_frob[ys], frob.max(axis=1))
         lo = np.maximum(1.0, herm_norm * (1 - alg._SLACK))
@@ -320,7 +330,7 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
             if pick.any():
                 scale[ys[pick]] = np.maximum(1.0, _grid._op_norm([c[pick] for c in stacks]))
         not_herm = skew > tol.herm * scale
-        bad = not_herm | (low < -tol.psd * scale)
+        bad = ~passed & (not_herm | (low < -tol.psd * scale))
         if not bad.any():
             return _report("cp", True, tol.psd)
         y = int(bad.argmax())
@@ -409,9 +419,11 @@ def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
     (T, c) of codomain elements that must be positive.  A trial fails when
     its element is not self-adjoint (reasons[0]) or has a negative
     eigenvalue (reasons[1]), as `is_self_adjoint_elem` and `min_eig` decide.
-    A batch holds _grid._CHUNK // max(d, c) trials; the first batch with a
-    failure reports its first failing trial.  A batch with a non-finite
-    element raises ValueError.
+    A batch holds _grid._CHUNK // max(d, c) trials; a batch whose skew is
+    within tol.herm * max(1, max|entry|) and whose positivity
+    `alg._psd_pass` proves at that scale passes, any other is decided
+    spectrally, and the first batch with a failure reports its first failing
+    trial.  A batch with a non-finite element raises ValueError.
     """
     rng = np.random.default_rng(seed)
     if trials < 1:
@@ -423,9 +435,13 @@ def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
         out = gap(x)
         alg._finite(out)
         xs = alg._stacks(cod, out)
+        skew, hs = alg._max_abs([y - alg._dagger(y) for y in xs]), alg._hermitian(xs)
+        floor = np.maximum(1.0, alg._lower(xs))
+        if (skew <= tol.herm * floor).all() and alg._psd_pass(hs, floor, tol):
+            continue
         scale = np.maximum(1.0, alg._op_norm(xs))
-        not_sa = alg._max_abs([y - alg._dagger(y) for y in xs]) > tol.herm * scale
-        low = alg._min_eig(xs)
+        not_sa = skew > tol.herm * scale
+        low = alg._lowest(hs)
         fail = not_sa | (low < -tol.psd * scale)
         if fail.any():
             t = int(fail.argmax())

@@ -1,9 +1,14 @@
 """Command-line interface.
 
 Exit discipline: 0 when every requested check passes, 1 when any check
-fails (with witnesses in the output), 2 for malformed input or usage
-errors.  JSON output (--format json) is the stable machine contract;
-text output is for humans and may change.
+fails (with witnesses in the output), 2 when no verdict is reached: usage
+errors, unreadable or malformed input, and every library error, whether an
+input the command cannot take (ShapeMismatch, NotSelfAdjoint, NotPSD,
+Singular, UnknownFixture), a precondition the input does not meet
+(SupportNotFull, PreconditionsUnmet, PullbackNotPSD, NotCommutative,
+NotAeDeterministic, NonscalarImageBlock) or a computation that does not
+converge (NoConvergence).  JSON output (--format json) is the stable
+machine contract; text output is for humans and may change.
 """
 from __future__ import annotations
 
@@ -370,9 +375,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError, KeyError, UnknownFixture) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QmarkovError as exc:
+    except QmarkovError as exc:   # an error, never a verdict
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

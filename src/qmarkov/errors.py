@@ -51,8 +51,3 @@ class PreconditionsUnmet(QmarkovError):
 
 class UnknownFixture(QmarkovError):
     pass
-
-
-# older names, kept importable
-NotHermitian = NotSelfAdjoint
-DimensionMismatch = ShapeMismatch

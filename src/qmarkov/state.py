@@ -17,7 +17,7 @@ from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
 from .channel import Channel, PropertyReport, _report, apply, hs_adjoint, is_star_preserving
-from .errors import PullbackNotPSD, ShapeMismatch
+from .errors import NotSelfAdjoint, PullbackNotPSD, ShapeMismatch
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -77,10 +77,6 @@ def _spectrum(s: AlgebraShape, herm: alg.Stacks, tol: Tolerance) -> Spectrum:
     return Spectrum(s, tuple((w, u[:, :, ::-1], w > cutoff) for w, (_, u) in zip(values, eigs)))
 
 
-def _hermitian_part(xs: alg.Stacks) -> alg.Stacks:
-    return [0.5 * (x + alg._dagger(x)) for x in xs]
-
-
 @dataclass(frozen=True)
 class State:
     """Positive unital functional omega = tr(rho .) with the spectrum of rho."""
@@ -103,14 +99,35 @@ class State:
 
 
 def state_from_density(density: AlgElement, tol: Tolerance = DEFAULT_TOL) -> State:
-    """Validate a density element (PSD, unit trace) and build the state."""
-    if not alg.is_positive_elem(density, tol):
+    """Validate a density element (PSD, unit trace) and build the state.
+
+    Self-adjointness and positivity are the tests of `is_positive_elem`,
+    against max(1, ||rho||), read from the one spectrum the state keeps.  With
+    H the Hermitian part, ||H|| <= ||rho|| <= ||H|| + ||(rho - rho*) / 2||_F,
+    each bound widened by alg._SLACK; only a verdict that differs between the
+    two bounds pays for the exact norm.
+    """
+    xs = alg._element_stacks(density)
+    diff = [x - alg._dagger(x) for x in xs]
+    skew, spec = alg._max_abs(diff), _spectrum(density.shape, alg._hermitian(xs), tol)
+    low = min(w[:, -1].min() for w, _, _ in spec.stacks)
+    top = max(np.abs(w).max() for w, _, _ in spec.stacks)   # ||H||
+
+    def failures(scale):
+        return skew > tol.herm * scale, low < -tol.psd * scale
+
+    scale = tol.scale(top * (1 - alg._SLACK))
+    if failures(scale) != failures(tol.scale(top * (1 + alg._SLACK) + 0.5 * alg._upper(diff))):
+        scale = tol.scale(alg._op_norm(xs))
+    not_self_adjoint, negative = failures(scale)
+    if not_self_adjoint:
+        raise NotSelfAdjoint("element is not self-adjoint within tolerance")
+    if negative:
         raise ValueError("density is not positive semidefinite within tolerance")
     tr = alg.trace(density)
     if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
         raise ValueError(f"density trace {tr} is not 1 within tolerance")
-    herm = _hermitian_part(alg._element_stacks(density))
-    return State(density.shape, density, _spectrum(density.shape, herm, tol))
+    return State(density.shape, density, spec)
 
 
 def support(omega: State) -> AlgElement:
@@ -136,7 +153,7 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
         dev = alg._op_norm(skew)
         if dev > 2 * tol.herm * tol.scale(alg._op_norm(sigma)):
             raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev:.3e}")
-    herm = _hermitian_part(sigma)
+    herm = alg._hermitian(sigma)
     spec = _spectrum(s, herm, tol)
     low = min(w[:, -1].min() for w, _, _ in spec.stacks)
     top = max(np.abs(w).max() for w, _, _ in spec.stacks)   # the operator norm

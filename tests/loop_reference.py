@@ -4,7 +4,9 @@ These are the straightforward versions of what the library computes in
 closed form: the checks visit every matrix unit, or every pair of matrix
 units, and decide each comparison with `elem_equal` or an operator-norm test
 on the support; the constructions apply a callback to every matrix unit, and
-`is_cp` decides the full Choi matrix of each domain block; the classical
+`is_cp` decides the full Choi matrix of each domain block (and
+`is_cp_spectral` every stack of Choi blocks by eigvalsh, the decision the
+Cholesky certificate stands in for); the classical
 kernel operations visit every entry, with one branch for Fractions and one
 for floats; the dense-matrix primitives call LAPACK once per matrix, with
 their own Hermiticity test, PSD test and rank cutoff; the element operations
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qmarkov import _grid
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.bayes import BayesProblem
@@ -399,6 +402,63 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
                 detail=f"Choi matrix of domain block {y} has eigenvalue {w[-1]:.6g}",
             )
     return _report("cp", True, tol.psd)
+
+
+# ---------------------------------------------------------------------------
+# spectral PSD decisions: the tests the Cholesky certificate stands in for
+# ---------------------------------------------------------------------------
+
+def psd_by_spectrum(h: np.ndarray, lo: float, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """lambda_min(H) >= -tol.psd * lo for one Hermitian matrix, by eigvalsh."""
+    low = h.real[0, 0] if h.shape == (1, 1) else np.linalg.eigvalsh(h)[0]
+    return bool(low >= -tol.psd * lo)
+
+
+def is_cp_spectral(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
+    """`is_cp` decided by one batched eigvalsh of every stack of Choi blocks, with no
+    certificate: the same numbers, so the same report, bit for bit."""
+    k = len(f.domain.blocks)
+    skew, low = np.zeros(k), np.full(k, np.inf)
+    herm_norm, skew_frob = np.zeros(k), np.zeros(k)
+    for ys, stacks in _grid.choi_blocks(f):
+        for c in stacks:
+            c = c.copy()
+            c_star = alg._dagger(c)
+            diff = c - c_star
+            h = 0.5 * (c + c_star)
+            w = h.real[..., 0] if c.shape[-1] == 1 else np.linalg.eigvalsh(h)
+            skew[ys] = np.maximum(skew[ys], np.abs(diff).max(axis=(1, 2, 3)))
+            low[ys] = np.minimum(low[ys], w[..., 0].min(axis=1))
+            herm_norm[ys] = np.maximum(herm_norm[ys], np.abs(w).max(axis=(1, 2)))
+            sq = np.square(diff.real) + np.square(diff.imag)
+            skew_frob[ys] = np.maximum(skew_frob[ys], (0.5 * np.sqrt(sq.sum(axis=(2, 3)))).max(axis=1))
+    lo = np.maximum(1.0, herm_norm * (1 - alg._SLACK))
+    hi = np.maximum(1.0, (herm_norm + skew_frob) * (1 + alg._SLACK))
+    scale = lo.copy()
+    open_ = ((skew > tol.herm * lo) != (skew > tol.herm * hi)) | (
+        (low < -tol.psd * lo) != (low < -tol.psd * hi))
+    for ys, stacks in _grid.choi_blocks(f):
+        pick = open_[ys]
+        if pick.any():
+            scale[ys[pick]] = np.maximum(1.0, _grid._op_norm([c[pick] for c in stacks]))
+    not_herm = skew > tol.herm * scale
+    bad = not_herm | (low < -tol.psd * scale)
+    if not bad.any():
+        return _report("cp", True, tol.psd)
+    y = int(bad.argmax())
+    if not_herm[y]:
+        return _report(
+            "cp", False, tol.psd,
+            witness={"domain_block": y, "skew_norm": float(skew[y]),
+                     "min_eigenvalue": float(low[y])},
+            detail=f"Choi matrix of domain block {y} is not Hermitian "
+                   f"(skew {skew[y]:.3g}); Hermitian part has eigenvalue {low[y]:.6g}",
+        )
+    return _report(
+        "cp", False, tol.psd,
+        witness={"domain_block": y, "min_eigenvalue": float(low[y])},
+        detail=f"Choi matrix of domain block {y} has eigenvalue {low[y]:.6g}",
+    )
 
 
 def product_form(state: State) -> np.ndarray:

@@ -27,7 +27,7 @@ from qmarkov.channel import (
     tensor,
     transpose_channel,
 )
-from qmarkov.errors import DimensionMismatch, ShapeMismatch, Singular
+from qmarkov.errors import ShapeMismatch, Singular
 from qmarkov.linalg import herm_eig
 from qmarkov.tolerances import Tolerance
 
@@ -170,9 +170,9 @@ def test_kraus_identity_and_pinching():
 
 
 def test_kraus_dimension_checks():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         kraus_channel(M2, M2, [np.eye(3)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         kraus_channel(AlgebraShape((1, 1)), M2, [np.ones((2, 2))])
 
 

@@ -92,9 +92,9 @@ def test_bayes_command_writes_candidate(files, tmp_path, capsys):
 def test_petz_commands(files, capsys):
     assert main(["petz", "--channel", files["identity.json"],
                  "--state", files["state.json"]]) == 0
-    # deficient support is an input-level error
+    # deficient support is an unmet precondition, not a failed check
     assert main(["petz", "--channel", files["identity.json"],
-                 "--state", files["corner.json"]]) == 1
+                 "--state", files["corner.json"]]) == 2
 
 
 def test_disint_verify_runs_modularity(files, tmp_path, capsys):
@@ -118,7 +118,7 @@ def test_disint_construct_on_noncommutative_codomain_fails(files, tmp_path, caps
     # identity on M_2 has a noncommutative codomain: construction must refuse
     code = main(["disint", "construct", "--channel", files["identity.json"],
                  "--state", files["state.json"]])
-    assert code == 1
+    assert code == 2
     assert "NotCommutative" in capsys.readouterr().err
 
 
@@ -293,3 +293,84 @@ def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
     json.loads(reused[0][1])
     assert reused[1][1].startswith("epr ")   # text: no --format leaks from the first call
     assert seen == [3, 64, 3, 64]
+
+
+def _write(tmp_path, name, payload) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _shift_channel(n: int, t: float):
+    """X |-> X - t tr(X) / n 1 on M_n: not positive for t > 1 / n on a corner."""
+    from qmarkov import algebra as alg
+    from qmarkov.channel import Channel
+    s = AlgebraShape((n,))
+    u = alg.vec(alg.unit(s))
+    return Channel(s, s, np.eye(s.coord_dim) - t / n * np.outer(u, u))
+
+
+def _triggers(files, tmp_path):
+    """(error class name, argv) for every library error a command line can reach."""
+    from qmarkov import finstoch
+    shift = _write(tmp_path, "shift.json", ser.channel_to_json(_shift_channel(2, 0.5)))
+    m3 = AlgebraShape((3,))
+    state3 = _write(tmp_path, "state3.json", ser.state_to_json(state_from_density(
+        AlgElement(m3, (np.eye(3, dtype=complex) / 3,)))))
+    skew = _write(tmp_path, "skew.json", {"shape": {"blocks": [2]}, "density": [
+        [[[0.5, 0.0], [0.0, 0.1]], [[0.0, 0.0], [0.5, 0.0]]]]})
+    kernel = finstoch.stochastic([["1/2", "1/3"], ["1/2", "2/3"]])
+    mixing = _write(tmp_path, "mixing.json", ser.channel_to_json(finstoch.embed(kernel)))
+    return [
+        ("SupportNotFull", ["petz", "--channel", files["identity.json"],
+                            "--state", files["corner.json"]]),
+        ("PullbackNotPSD", ["bayes", "--channel", shift, "--state", files["corner.json"]]),
+        ("ShapeMismatch", ["bayes", "--channel", files["identity.json"], "--state", state3]),
+        ("ShapeMismatch", ["classical", "bayes", "--kernel", files["kernel.json"],
+                           "--prob", files["p3.json"]]),
+        ("UnknownFixture", ["corpus", "run", "nosuch"]),
+        ("NotSelfAdjoint", ["petz", "--channel", files["identity.json"], "--state", skew]),
+        ("NotCommutative", ["disint", "construct", "--channel", files["identity.json"],
+                            "--state", files["state.json"]]),
+        ("NotAeDeterministic", ["disint", "construct", "--channel", mixing,
+                                "--state", _write(tmp_path, "p2_state.json", {
+                                    "shape": {"blocks": [1, 1]},
+                                    "density": [[[[0.25, 0.0]]], [[[0.75, 0.0]]]]})]),
+    ]
+
+
+def test_reachable_library_errors_exit_2(files, tmp_path, capsys):
+    raised = set()
+    for name, argv in _triggers(files, tmp_path):
+        capsys.readouterr()
+        assert main(argv) == 2, (name, argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (name in err or name == "UnknownFixture"), (name, err)
+        raised.add(name)
+    assert len(raised) == 7
+
+
+def _library_errors():
+    from qmarkov.errors import QmarkovError
+    return sorted(QmarkovError.__subclasses__(), key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("error", _library_errors(), ids=lambda c: c.__name__)
+def test_every_library_error_exits_2(error, monkeypatch, capsys):
+    """Errors are never verdicts: each QmarkovError subclass exits 2, as usage errors do."""
+    def handler(args):
+        raise error("raised by the handler")
+
+    monkeypatch.setitem(cli._HANDLERS, "corpus", handler)
+    assert main(["corpus", "list"]) == 2
+    err = capsys.readouterr().err
+    assert "raised by the handler" in err and err.startswith("error: ")
+
+
+def test_the_error_classes_are_the_documented_ones():
+    names = {c.__name__ for c in _library_errors()}
+    assert names == {"NotSelfAdjoint", "NotPSD", "NoConvergence", "ShapeMismatch", "Singular",
+                     "PullbackNotPSD", "SupportNotFull", "NotCommutative", "NotAeDeterministic",
+                     "NonscalarImageBlock", "PreconditionsUnmet", "UnknownFixture"}
+    doc = cli.__doc__
+    assert all(name in doc for name in names)

@@ -5,7 +5,7 @@ import pytest
 
 from qmarkov import finstoch as fs
 from qmarkov.channel import compose as chan_compose, is_cp, is_unital
-from qmarkov.errors import DimensionMismatch
+from qmarkov.errors import ShapeMismatch
 
 
 def test_stochastic_validation():
@@ -23,7 +23,7 @@ def test_compose_identity_and_dimensions():
     ident = fs.deterministic_kernel(lambda x: x, 3, 3)
     f = fs.stochastic([["1/2", "1/4", "0"], ["1/2", "1/2", "1"], ["0", "1/4", "0"]])
     assert np.array_equal(fs.compose(ident, f).entries, f.entries)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         fs.compose(f, fs.deterministic_kernel(lambda x: 0, 2, 2))
 
 
@@ -196,7 +196,7 @@ def test_deterministic_kernel_rejects_images_out_of_range(image):
 def test_ae_relations_need_a_prior_on_the_kernel_inputs():
     f = fs.stochastic([["1", "0"], ["0", "1"]])
     p = fs.prob_vector(["1/3", "1/3", "1/3"])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         fs.ae_equal(f, f, p)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         fs.is_ae_deterministic(f, p)

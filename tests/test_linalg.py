@@ -215,9 +215,9 @@ def test_entry_points_fail_like_the_per_matrix_reference(name):
     assert raised == want_raised.get(name, {ValueError, NotSelfAdjoint, NotPSD})
 
 
-def test_old_error_names_are_aliases():
-    assert qmarkov.NotHermitian is qmarkov.NotSelfAdjoint
-    assert qmarkov.DimensionMismatch is qmarkov.ShapeMismatch
+def test_old_error_names_are_removed():
+    for name in ("NotHermitian", "DimensionMismatch"):
+        assert not hasattr(qmarkov, name) and not hasattr(qmarkov.errors, name)
 
 
 def test_results_are_writable_arrays_of_their_own():

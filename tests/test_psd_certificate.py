@@ -1,0 +1,363 @@
+"""The Cholesky certificate against the spectral PSD test it stands in for.
+
+`algebra._psd_pass` proves lambda_min(H) >= -tol.psd * lo for Hermitian
+stacks by one Cholesky factorization of H + (tol.psd * lo - r) I; it only
+ever decides passes.  Every pass it certifies must be a pass of
+`loop_reference.psd_by_spectrum` (eigvalsh), and the checks that use it,
+`is_cp`, the sampled checks, `is_positive_elem` and `state_from_density`,
+must give the reports of their spectral references bit for bit.  The
+boundary cases put lambda_min at -c tol.psd lo on either side of the bound,
+and one 144 x 144 case makes the rounding allowance r decide.
+"""
+import numpy as np
+import pytest
+
+import loop_reference as ref
+from qmarkov import _grid, corpus, props
+from qmarkov import algebra as alg
+from qmarkov.algebra import AlgebraShape, AlgElement
+from qmarkov.channel import (
+    Channel,
+    identity_channel,
+    is_cp,
+    is_positive_sampled,
+    is_schwarz_sampled,
+    kraus_channel,
+    mult_map,
+    transpose_channel,
+)
+from qmarkov.errors import NotSelfAdjoint
+from qmarkov.state import state_from_density
+from qmarkov.tolerances import DEFAULT_TOL, Tolerance
+
+TOL = DEFAULT_TOL
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """Records the result of every call of the certificate."""
+    seen = []
+    certify = alg._psd_pass
+
+    def recording(hs, lo, tol):
+        seen.append(certify(hs, lo, tol))
+        return seen[-1]
+
+    monkeypatch.setattr(alg, "_psd_pass", recording)
+    return seen
+
+
+def _choi_hermitian(f: Channel):
+    """Per domain-block group: the Hermitian parts of its Choi stacks and the floor lo."""
+    out = []
+    for ys, stacks in _grid.choi_blocks(f):
+        hs = [0.5 * (c + alg._dagger(c)) for c in stacks]
+        out.append((hs, np.maximum(1.0, alg._lower(hs))))
+    return out
+
+
+def _spectral(hs, lo) -> bool:
+    return all(ref.psd_by_spectrum(h, lo[y]) for x in hs for y in range(len(x)) for h in x[y])
+
+
+def _from_choi(c: np.ndarray, n: int, m: int) -> Channel:
+    """The map M_n ~> M_m whose single Choi block is c."""
+    mat = c.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
+    return Channel(AlgebraShape((n,)), AlgebraShape((m,)), mat)
+
+
+def _families(rng):
+    """(label, channel): CPU, CP, star-preserving, raw, transposed, classical and corpus maps."""
+    out = [(f"cpu-{n}-{m}", props.random_cpu_channel(n, m, rng))
+           for n, m in ((1, 1), (2, 2), (2, 3), (3, 2), (4, 4), (6, 6))]
+    for blocks in ((2,), (3,), (12,), (1, 2), (2, 1, 3), (1, 2, 2, 3), (1,) * 8):
+        s = AlgebraShape(blocks)
+        out += [(f"identity-{blocks}", identity_channel(s)),
+                (f"transpose-{blocks}", transpose_channel(s))]
+    for dom, cod in (((1, 2), (2, 1)), ((2, 1, 3), (1, 1, 2)), ((1, 1, 1), (2,))):
+        dom, cod = AlgebraShape(dom), AlgebraShape(cod)
+        out.append((f"star-{dom}", props._random_star_preserving(dom, cod, rng)))
+        out.append((f"raw-{dom}", Channel(dom, cod, 0.3 * rng.standard_normal(
+            (cod.coord_dim, dom.coord_dim)))))
+    k = [rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)) for _ in range(2)]
+    out.append(("kraus-3-4", kraus_channel(AlgebraShape((3,)), AlgebraShape((4,)), k)))
+    c = AlgebraShape((1,) * 6)
+    stoch = rng.random((6, 6))
+    out.append(("classical", Channel(c, c, stoch / stoch.sum(axis=0))))
+    out.append(("classical-negative", Channel(c, c, stoch - 0.1)))
+    _, _, kl_f, kl_g = corpus.kl_channels(0.5)
+    out += [("knill-laflamme-f", kl_f), ("knill-laflamme-g", kl_g),
+            ("mult-m2", mult_map(AlgebraShape((2,)))), ("epr", corpus.epr_conditional()[0])]
+    return out
+
+
+FAMILIES = _families(np.random.default_rng(41))
+
+
+@pytest.mark.parametrize("label,f", FAMILIES, ids=[label for label, _ in FAMILIES])
+def test_certified_passes_are_spectral_passes_and_reports_are_unchanged(label, f, verdicts):
+    for hs, lo in _choi_hermitian(f):
+        if alg._psd_pass([h.copy() for h in hs], lo, TOL):
+            assert _spectral(hs, lo), label
+    for tol in (TOL, Tolerance(herm=1e-3)):
+        got = is_cp(Channel(f.domain, f.codomain, f.matrix), tol)
+        assert got.to_dict() == ref.is_cp_spectral(f, tol).to_dict(), label
+        want = ref.is_cp(f, tol)
+        assert (got.verdict, (got.witness or {}).get("domain_block")) == (
+            want.verdict, (want.witness or {}).get("domain_block")), label
+
+
+def test_the_families_reach_both_outcomes(verdicts):
+    for _, f in FAMILIES:
+        is_cp(Channel(f.domain, f.codomain, f.matrix))
+    assert {True, False} <= set(verdicts)
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3,), (12,), (2, 1, 3), (1,) * 16])
+def test_identity_channels_pass_without_a_spectrum(blocks, monkeypatch):
+    """Rank-one Choi blocks are PSD with no margin, yet the shift certifies them."""
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    assert is_cp(identity_channel(AlgebraShape(blocks))).passed
+
+
+def test_transpose_falls_back_to_the_spectrum(verdicts):
+    for blocks in ((2,), (3,), (2, 1, 3)):
+        f = transpose_channel(AlgebraShape(blocks))
+        got = is_cp(f)
+        assert not got.passed and got.to_dict() == ref.is_cp_spectral(f).to_dict()
+    # every group of blocks of size > 1 falls back; (2, 1, 3) has a PSD group of 1 x 1 blocks
+    assert verdicts == [False, False, False, True, False]
+
+
+def test_classical_blocks_compare_with_the_bound_directly():
+    """1 x 1 blocks: an entry at -t is certified, one just below is not."""
+    c = AlgebraShape((1,) * 4)
+    for entry, certified in ((-1e-9, True), (-1e-9 * (1 + 1e-6), False), (0.0, True)):
+        mat = np.eye(4)
+        mat[1, 2] = entry
+        f = Channel(c, c, mat)
+        (hs, lo), = _choi_hermitian(f)
+        assert alg._psd_pass(hs, lo, TOL) is certified
+        assert is_cp(f).to_dict() == ref.is_cp_spectral(f).to_dict()
+
+
+def _boundary(n: int, m: int, c: float, rng, big: float = 4.0) -> np.ndarray:
+    """A Hermitian n m x n m matrix with largest entry `big`, on the diagonal, so that
+    lo = big (1 - _SLACK), and smallest eigenvalue -c tol.psd lo along a unit vector v
+    orthogonal to the first axis; every other eigenvalue is `big`."""
+    size = n * m
+    v = np.zeros(size, dtype=complex)
+    v[1:] = rng.standard_normal(size - 1) + 1j * rng.standard_normal(size - 1)
+    v /= np.linalg.norm(v)
+    lo = big * (1 - alg._SLACK)
+    return big * np.eye(size) - (big + c * TOL.psd * lo) * np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("c", [0.5, 0.99, 1.01, 2.0])
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 2)])
+def test_boundary_blocks_certify_below_the_bound_and_fall_back_above(n, m, c, verdicts):
+    rng = np.random.default_rng(int(100 * c) + n * m)
+    h = _boundary(n, m, c, rng)
+    low = np.linalg.eigvalsh(h)[0]
+    lo = 4.0 * (1 - alg._SLACK)
+    assert abs(low + c * TOL.psd * lo) <= 1e-6 * TOL.psd * lo   # the construction is accurate
+    f = _from_choi(h, n, m)
+    got = is_cp(f)
+    assert verdicts == [c < 1]
+    assert got.to_dict() == ref.is_cp_spectral(f).to_dict()
+    assert got.passed is (c < 1)   # ||C|| = 4 is the scale, within _SLACK of lo
+    a = AlgElement(AlgebraShape((n * m,)), (h,))
+    assert alg.is_positive_elem(a) is ref.is_positive_elem(a) is (c < 1)
+    assert verdicts == [c < 1, c < 1]
+
+
+def test_skew_exactly_at_the_hermiticity_bound_is_certified(verdicts):
+    """Skew tol.herm * lo passes the skew test at lo; one ulp more skips the certificate."""
+    rng = np.random.default_rng(5)
+    k = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    h = k @ k.conj().T
+    h = (h + h.conj().T) / (8 * np.abs(h).max())   # exactly Hermitian, entries at most 1/4
+    h[0, 1] = h[1, 0] = 0.0                     # a change of norm at most 1/4 ...
+    h += 0.5 * np.eye(6)                       # ... that this margin absorbs; lo = 1
+    for x, certified in ((TOL.herm / 2, True), (np.nextafter(TOL.herm / 2, 1.0), None)):
+        c = h.copy()
+        c[0, 1], c[1, 0] = x, -x                # C - C* has entries +-2x, H is unchanged
+        f = _from_choi(c, 2, 3)
+        hs, lo = _choi_hermitian(f)[0]
+        assert np.array_equal(hs[0][0, 0], h) and lo[0] == 1.0
+        verdicts.clear()
+        got = is_cp(f)
+        assert got.to_dict() == ref.is_cp_spectral(f).to_dict()
+        assert verdicts == ([] if certified is None else [True])
+
+
+def test_the_rounding_allowance_decides_a_144_by_144_block(verdicts):
+    """At N = 144 the rounding allowance r is about 2 % of t:
+    lambda_min = -0.999 t is left to the spectrum, -0.95 t is certified; both pass."""
+    n = m = 12
+    size = n * m
+    lo = 4.0 * (1 - alg._SLACK)
+    t = TOL.psd * lo
+    r = 8 * (size + 2) * size * 2.0 ** -53 * (lo / (1 - alg._SLACK) + t)   # the allowance
+    assert 0.01 * t < r < 0.03 * t
+    for c, certified in ((0.999, False), (0.95, True)):
+        h = _boundary(n, m, c, np.random.default_rng(7))
+        f = _from_choi(h, n, m)
+        verdicts.clear()
+        got = is_cp(f)
+        assert verdicts == [certified]
+        assert got.passed and got.to_dict() == ref.is_cp_spectral(f).to_dict()
+
+
+def _shift(n: int, t: float) -> Channel:
+    """X |-> X - t tr(X) / n 1 on M_n: positive fails only on inputs with a small eigenvalue."""
+    s = AlgebraShape((n,))
+    u = alg.vec(alg.unit(s))
+    return Channel(s, s, np.eye(s.coord_dim) - t / n * np.outer(u, u))
+
+
+def _mix(n: int, d: float) -> Channel:
+    """(1 - d) id + d transpose on M_n: a Schwarz gap that dips below -tol.psd on few inputs."""
+    s = AlgebraShape((n,))
+    return Channel(s, s, (1 - d) * identity_channel(s).matrix + d * transpose_channel(s).matrix)
+
+
+@pytest.mark.parametrize("check,loop,f,trials,seed,first", [
+    (is_positive_sampled, ref.is_positive_sampled, _shift(8, 1e-4), 64, 0, 62),
+    (is_positive_sampled, ref.is_positive_sampled, _shift(8, 1e-4), 256, 3, 132),
+    (is_schwarz_sampled, ref.is_schwarz_sampled, _mix(8, 5e-11), 64, 1, 11),
+    (is_schwarz_sampled, ref.is_schwarz_sampled, _mix(8, 3e-11), 500, 5, 459),
+], ids=["positive-one-batch", "positive-two-batches", "schwarz-one-batch", "schwarz-four-batches"])
+def test_a_batch_with_one_failing_trial_falls_back_whole(check, loop, f, trials, seed, first,
+                                                          verdicts):
+    """numpy's Cholesky raises for the whole batch; the spectral path then finds the
+    first failing trial, its input and its eigenvalue, as the trial loop does."""
+    batch = _grid._CHUNK // f.domain.coord_dim
+    got, want = check(f, trials, seed), loop(f, trials, seed)
+    assert got.witness["trial"] == want.witness["trial"] == first
+    assert got.witness["min_eigenvalue"] == want.witness["min_eigenvalue"]
+    assert alg.vec(got.witness["input"]).tolist() == alg.vec(want.witness["input"]).tolist()
+    assert got.to_dict() == want.to_dict()
+    assert verdicts == [True] * (first // batch) + [False]   # earlier batches were certified
+
+
+@pytest.mark.parametrize("c", [0.5, 1.5])
+def test_sampled_checks_certify_at_the_lower_scale(c, verdicts):
+    """F(x) = x A from C to M_10: every image is |b|^2 A, whose smallest eigenvalue is
+    -c tol.psd times its norm, and whose Frobenius norm is 3 times its norm."""
+    a = _boundary(2, 5, c, np.random.default_rng(13), big=100.0)
+    f = Channel(AlgebraShape((1,)), AlgebraShape((10,)), a.reshape(-1, 1))
+    got, want = is_positive_sampled(f, 64, 0), ref.is_positive_sampled(f, 64, 0)
+    assert got.to_dict() == want.to_dict() and got.passed is (c < 1)
+    if c < 1:
+        assert verdicts == [True]
+
+
+def test_a_non_self_adjoint_image_with_a_positive_hermitian_part_fails():
+    """The certificate reads H only, so the skew test gates it."""
+    skewed = np.eye(3) + 1e-6 * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    f = Channel(AlgebraShape((1,)), AlgebraShape((3,)), skewed.reshape(-1, 1))
+    got, want = is_positive_sampled(f, 8, 0), ref.is_positive_sampled(f, 8, 0)
+    assert not got.passed and got.to_dict() == want.to_dict()
+    with pytest.raises(NotSelfAdjoint, match="element is not self-adjoint within tolerance"):
+        alg.is_positive_elem(AlgElement(AlgebraShape((3,)), (skewed,)))
+
+
+def test_nothing_is_certified_when_the_rounding_allowance_exceeds_the_slack():
+    """With tol.psd far below the rounding of a factorization, even 2 I is left to the
+    spectrum, which passes it."""
+    tol = Tolerance(psd=1e-15)
+    h = 2.0 * np.eye(6, dtype=complex)
+    assert not alg._psd_pass([h[None]], np.array(1.0), tol)
+    assert alg._psd_pass([h[None]], np.array(1.0), TOL)
+    assert alg.is_positive_elem(AlgElement(AlgebraShape((6,)), (h,)), tol)
+
+
+def test_a_passing_sampled_check_needs_no_spectrum(monkeypatch):
+    """Only ||F(1)||, the factor of the Schwarz inequality, takes an eigvalsh."""
+    calls = []
+    spectrum = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h.shape) or spectrum(h))
+    f = props.random_cpu_channel(4, 4, np.random.default_rng(3))
+    assert is_positive_sampled(f, 300, 2).passed and not calls
+    assert is_schwarz_sampled(f, 300, 2).passed and calls == [(1, 4, 4)]
+
+
+def test_is_positive_elem_falls_back_for_non_self_adjoint_and_large_elements():
+    s = AlgebraShape((2, 3))
+    rng = np.random.default_rng(9)
+    b = alg.random_element(s, rng)
+    with pytest.raises(NotSelfAdjoint, match="element is not self-adjoint within tolerance"):
+        alg.is_positive_elem(b)
+    p = alg.mul(alg.adjoint(b), b)
+    for a in (p, alg.unvec(AlgebraShape((2,)), [1.0, 2.0, 2.0, 1.0])):
+        assert alg.is_positive_elem(a) is ref.is_positive_elem(a)
+    # entries above 2^500 are left to the spectrum, which scales them
+    assert alg.is_positive_elem(p * 1e200)
+    assert alg.is_positive_elem(alg.unvec(AlgebraShape((2,)), [1e306, 0, 0, 1e306]))
+
+
+def _parent_state_error(rho: AlgElement, tol: Tolerance):
+    """What state_from_density raised before it read one spectrum: the positivity
+    test of is_positive_elem, then the trace."""
+    try:
+        if not ref.is_positive_elem(rho, tol):
+            return ValueError, "density is not positive semidefinite within tolerance"
+    except NotSelfAdjoint as exc:
+        return NotSelfAdjoint, str(exc)
+    tr = alg.trace(rho)
+    if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
+        return ValueError, f"density trace {tr} is not 1 within tolerance"
+    return None, None
+
+
+def _state_error(rho: AlgElement, tol: Tolerance):
+    try:
+        state_from_density(rho, tol)
+    except (ValueError, NotSelfAdjoint) as exc:
+        return type(exc), str(exc)
+    return None, None
+
+
+def _densities(rng):
+    for n in (2, 5):
+        v = np.zeros(n, dtype=complex)
+        v[1:] = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        v /= np.linalg.norm(v)
+        for c in (0.5, 0.99, 1.01, 2.0):   # lambda_min = -c tol.psd at scale 1, trace 1
+            h = (np.eye(n) - np.outer(v, v.conj())) / (n - 1) - c * TOL.psd * np.outer(v, v.conj())
+            h[0, 0] += c * TOL.psd
+            yield AlgElement(AlgebraShape((n,)), (h,)), TOL
+    s = AlgebraShape((1, 2, 2))
+    yield alg.random_density(s, rng), TOL
+    rho = alg.random_density(s, rng)
+    yield rho + alg.unvec(s, 1e-9j * (alg.vec(alg.unit(s)) - 1) * (np.arange(9) % 2)), TOL
+    yield rho * 1.01, TOL
+
+
+def test_state_from_density_fails_as_before():
+    for rho, tol in _densities(np.random.default_rng(11)):
+        assert _state_error(rho, tol) == _parent_state_error(rho, tol)
+
+
+def test_state_from_density_takes_the_exact_norm_only_between_the_bounds(monkeypatch):
+    """Eigenvalues (1.5, -0.5) with tol.psd = 0.33: the PSD test fails at ||H|| = 1.5
+    and passes at ||H|| + ||K||_F once the skew K is large enough, so only that case
+    pays for the exact norm; the outcome is the one of the exact test either way."""
+    calls = []
+    exact = alg._op_norm
+    monkeypatch.setattr(alg, "_op_norm", lambda xs: calls.append(1) or exact(xs))
+    tol = Tolerance(psd=0.33, herm=0.5)
+    h = np.array([[0.5, 1.0], [1.0, 0.5]])
+    outcomes = set()
+    for k, opened in ((0.0, False), (0.1, True), (0.3, True)):
+        rho = AlgElement(AlgebraShape((2,)), (h + k * np.array([[0, 1], [-1, 0]]),))
+        calls.clear()
+        got = _state_error(rho, tol)
+        assert bool(calls) is opened
+        assert got == _parent_state_error(rho, tol)
+        outcomes.add(got[0])
+    assert outcomes == {ValueError, None}
