@@ -106,9 +106,10 @@ class AlgElement:
     coordinates in the canonical basis, one read-only complex vector.
 
     AlgElement(shape, blocks) copies the blocks into the vector, so no array
-    the caller holds can change the element; `blocks` and `block(x)` are
-    read-only views into it.  Two elements are equal when their shapes and
-    coordinates are exactly equal; elements are not hashable.
+    the caller holds can change the element, and raises ValueError on NaN or
+    Inf entries, as a `Channel` does; `blocks` and `block(x)` are read-only
+    views into it.  Two elements are equal when their shapes and coordinates
+    are exactly equal; elements are not hashable.
     """
 
     __slots__ = ("shape", "_coords")
@@ -122,7 +123,9 @@ class AlgElement:
             if m.shape != (n, n):
                 raise ShapeMismatch(f"block of shape {m.shape}, expected ({n}, {n})")
             parts.append(m.reshape(-1))
-        _adopt(shape, np.concatenate(parts), self)
+        v = np.concatenate(parts)
+        _finite(v)
+        _adopt(shape, v, self)
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -239,9 +242,11 @@ def vec(a: AlgElement) -> np.ndarray:
 
 
 def unvec(s: AlgebraShape, v: np.ndarray) -> AlgElement:
+    """The element with coordinates v (copied); raises ValueError on NaN or Inf entries."""
     v = np.array(v, dtype=complex).reshape(-1)
     if v.size != s.coord_dim:
         raise ShapeMismatch(f"coordinate vector of length {v.size}, expected {s.coord_dim}")
+    _finite(v)
     return _adopt(s, v)
 
 
@@ -526,15 +531,27 @@ def _psd_pass(hs: Stacks, lo: np.ndarray, tol: Tolerance) -> bool:
         saved = diag.copy()
         diag += (shift * lo)[..., None, None]
         try:
-            # numpy's Cholesky of a large matrix runs on past a bad pivot, so the
-            # leading block, a principal submatrix, is factored first: it ends an
-            # attempt that fails there early and costs (64 / m)^3 of the whole
-            for lead in (_LEAD, m) if m > 2 * _LEAD else (m,):
-                np.linalg.cholesky(h[..., :lead, :lead])
-        except np.linalg.LinAlgError:
-            return False
+            factored = _factors(h)
         finally:
             diag[...] = saved
+        if not factored:
+            return False
+    return True
+
+
+def _factors(h: np.ndarray) -> bool:
+    """Whether `np.linalg.cholesky` factors every matrix of the stack h (..., m, m).
+
+    numpy's Cholesky of a large matrix runs on past a bad pivot, so the
+    leading block, a principal submatrix, is factored first: it ends an
+    attempt that fails there early and costs (64 / m)^3 of the whole.
+    """
+    m = h.shape[-1]
+    try:
+        for lead in (_LEAD, m) if m > 2 * _LEAD else (m,):
+            np.linalg.cholesky(h[..., :lead, :lead])
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 

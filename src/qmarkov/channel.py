@@ -297,16 +297,11 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
         k = len(f.domain.blocks)
         skew, low, passed = np.zeros(k), np.full(k, np.inf), np.zeros(k, dtype=bool)
         herm_norm, skew_frob = np.zeros(k), np.zeros(k)
-        for ys, stacks in _grid.choi_blocks(f):
-            parts, top = [], np.zeros(len(ys))
-            for c in stacks:
-                c = c if c.flags.writeable else c.copy()   # never write the channel matrix
-                c_star = alg._dagger(c)
-                diff = c - c_star
-                h = np.multiply(np.add(c, c_star, out=c), 0.5, out=c)   # H, in place of C
+        for ys, parts in _grid.choi_parts(f):
+            top = np.zeros(len(ys))
+            for h, diff in parts:
                 skew[ys] = np.maximum(skew[ys], np.abs(diff).max(axis=(1, 2, 3)))
                 top = np.maximum(top, np.abs(h).max(axis=(1, 2, 3)))   # max|H_ij|
-                parts.append((h, diff))
             hs = [h for h, _ in parts]
             floor = np.maximum(1.0, top * (1 - alg._SLACK))   # max|H_ij| <= ||H|| <= ||C_y||
             if (skew[ys] <= tol.herm * floor).all() and alg._psd_pass(hs, floor, tol):
@@ -398,7 +393,7 @@ def is_deterministic(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport
                 detail="not star-preserving",
             )
         d = f.domain.coord_dim
-        bad = _grid.first_failure(f.codomain, d, d, _grid.multiplicativity(f), tol)
+        bad = _grid.multiplicative_failure(f, tol)
         if bad is not None:
             a, b = divmod(bad, d)
             return _report(

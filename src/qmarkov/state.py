@@ -239,8 +239,7 @@ def ae_deterministic(
             stacklevel=2,
         )
     d = f.domain.coord_dim
-    bad = _grid.first_failure(f.codomain, d, d, _grid.multiplicativity(f, adjoint=True), tol,
-                              omega.support, side)
+    bad = _grid.multiplicative_failure(f, tol, True, omega.support, side)
     if bad is not None:
         a, b = divmod(bad, d)
         return _report(

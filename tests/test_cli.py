@@ -208,6 +208,19 @@ def test_channel_with_a_nan_entry_exits_2(files, tmp_path, capsys):
     assert main(["bayes", "--channel", str(chan), "--state", files["state.json"]]) == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_state_with_a_non_finite_entry_exits_2(files, tmp_path, capsys, bad):
+    payload = json.loads(open(files["state.json"]).read())
+    payload["density"][0][0][1] = [bad, 0.0]
+    state = tmp_path / "bad_state.json"
+    state.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["check", files["identity.json"], "--props", "ae-det",
+                 "--state", str(state)]) == 2
+    assert capsys.readouterr().err == "error: matrix contains NaN or Inf entries\n"
+    assert main(["bayes", "--channel", files["identity.json"], "--state", str(state)]) == 2
+
+
 def test_bayes_command_on_embedded_classical_problem(files, tmp_path):
     kernel = ser.stochastic_from_json(json.loads(open(files["kernel.json"]).read()))
     from qmarkov.finstoch import embed

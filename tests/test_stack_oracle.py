@@ -271,7 +271,11 @@ def test_non_finite_entries_raise(bad, coord):
     good = alg.random_density(s, np.random.default_rng(408))
     v = alg.vec(good).copy()
     v[coord] = bad
-    a = alg.unvec(s, v)
+    with pytest.raises(ValueError, match="NaN or Inf"):   # checked at the boundary
+        alg.unvec(s, v)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        AlgElement(s, tuple(b.copy() for b in alg._adopt(s, v).blocks))
+    a = alg._adopt(s, v)   # the unchecked internal path: every stacked read checks again
     for call in (lambda: alg.norm(a), lambda: alg.elem_equal(a, good),
                  lambda: alg.elem_equal(good, a), lambda: alg.min_eig(a),
                  lambda: alg.is_positive_elem(a), lambda: alg.is_self_adjoint_elem(a),
