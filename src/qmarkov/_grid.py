@@ -157,9 +157,7 @@ def multiplicative_failure(f, tol: Tolerance, adjoint: bool = False,
     padded = np.zeros((f.codomain.coord_dim, d + 1), dtype=complex)   # entry d is 0
     padded[:, :d] = f.matrix
     img = images(f.codomain, padded)
-    top = np.vdot(f.matrix, f.matrix).real   # entries above 2^500 only when this is above 2^1000
-    top = _max_abs(img).max() if not top <= 2.0 ** 1000 else 0.0
-    e = int(np.frexp(top)[1]) - 500 if top > 2.0 ** 500 else 0
+    e = scale_exponent(f.matrix, 500)
     c = np.ldexp(1.0, -e)
     img = [x * c for x in img] if e else img
     prod = product_index(f.domain)
@@ -170,6 +168,59 @@ def multiplicative_failure(f, tol: Tolerance, adjoint: bool = False,
         return [x * c for x in lhs] if e else lhs, [products(x[r0:r1], x[:d], adjoint) for x in img]
 
     return first_failure(f.codomain, d, d, operands, tol, support, side, c * c)
+
+
+def scale_exponent(matrix: np.ndarray, bits: int) -> int:
+    """0 when every entry of matrix is at most 2^bits in absolute value; otherwise
+    the e > 0 that puts the largest entry of matrix 2^-e in [2^(bits - 1), 2^bits).
+
+    The scaling is exact, so checks whose products or differences could
+    overflow compare operands scaled by 2^-e instead.
+    """
+    top = np.vdot(matrix, matrix).real   # an entry above 2^bits only when this is above 2^2bits
+    if top <= 2.0 ** (2 * bits):
+        return 0
+    top = np.abs(matrix).max()
+    return int(np.frexp(top)[1]) - bits if top > 2.0 ** bits else 0
+
+
+def star_failure(f, tol: Tolerance) -> int | None:
+    """Index of the first unit E_a with F(E_a*) != F(E_a)*, decided as
+    `first_failure` decides it; None when every unit passes.
+
+    Column a of D = M[:, adj_dom] - conj(M[adj_cod, :]), for the channel
+    matrix M, holds the entries of that grid's difference F(E_a*) - F(E_a)*:
+    the same floats from the same subtraction.  With no support the grid
+    measures a deviation by its largest entry against a bound of at least
+    tol.eq, so a column with max|D| <= tol.eq is a pass of the grid as it
+    computes it.  Only the other units run the grid, on their own images.  D
+    is read in chunks of columns, in canonical order, the first one small, so
+    a map that fails early reads little of M and no chunk is larger than the
+    grid's.  Above 2^500 both compare operands scaled by 2^-e and the floor 1
+    of the grid scaled alike, as `multiplicative_failure` does, so no
+    difference overflows.
+    """
+    cod, adj = f.codomain, adjoint_index(f.domain)
+    back = adjoint_index(cod)
+    e = scale_exponent(f.matrix, 500)
+    c = np.ldexp(1.0, -e)
+    m = f.matrix * c if e else f.matrix
+    d, rows = f.domain.coord_dim, cod.coord_dim
+    a0, step = 0, max(1, _CHUNK // (8 * rows))
+    while a0 < d:
+        a1 = min(d, a0 + step)
+        dev = np.abs(m[:, adj[a0:a1]] - m[back, a0:a1].conj()).max(axis=0)
+        live = a0 + np.flatnonzero(dev > tol.eq * c)
+        if live.size:
+            img, img_adj = images(cod, m[:, live]), images(cod, m[:, adj[live]])
+            bad = first_failure(
+                cod, live.size, 1,
+                lambda r0, r1: ([x[r0:r1] for x in img_adj], [_dagger(x[r0:r1]) for x in img]),
+                tol, unit=c)
+            if bad is not None:
+                return int(live[bad])
+        a0, step = a1, max(1, _CHUNK // rows)
+    return None
 
 
 def times_unit(s: AlgebraShape, x: np.ndarray, b: np.ndarray, left: bool = False) -> np.ndarray:

@@ -19,8 +19,6 @@ from .channel import (
     PropertyReport,
     _owned,
     _report,
-    compose,
-    identity_channel,
     is_cp,
     is_star_preserving,
     is_unital,
@@ -33,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     SupportNotFull,
 )
-from .state import State, ae_deterministic, ae_equal, pullback_state
+from .state import State, _ae_failure, ae_deterministic, pullback_state
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -275,10 +273,14 @@ def _disintegration(
                      "lhs": complex(lhs[bad]), "rhs": complex(rhs[bad])},
             detail="state preservation fails: xi(G(A)) != omega(A)",
         )
-    section = ae_equal(compose(g, f), identity_channel(f.domain), xi, "right", tol)
-    if not section.passed:
+    # G o F against the identity, as ae_equal compares them, with the finiteness check of
+    # the composite channel
+    gf = g.matrix @ f.matrix
+    alg._finite(gf)
+    bad = _ae_failure(f.domain, gf, np.eye(f.domain.coord_dim, dtype=complex), xi, "right", tol)
+    if bad is not None:
         return _report(
-            "disintegration", False, tol.eq, witness=section.witness,
+            "disintegration", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
             detail="G o F is not a.e. equal to the identity",
         )
     return _report("disintegration", True, tol.eq,

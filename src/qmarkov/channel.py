@@ -287,7 +287,8 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     from its blocks C_yx and their Hermitian parts H.  max|H_ij| <= ||C_y||
     gives a lower bound lo on the scale: the domain blocks of one size pass
     together when their skew is within tol.herm * lo and `alg._psd_pass`
-    proves the PSD test at lo.  Any other group is decided by one batched
+    proves the PSD test at lo, and when every group passes so, F passes
+    before any scale is formed.  Any other group is decided by one batched
     eigvalsh of H per block size, with ||H|| <= ||C_y|| <= ||H|| +
     ||(C - C*) / 2||_F, each widened by alg._SLACK; only a block whose
     verdict differs between the two bounds pays for the exact norm.
@@ -314,6 +315,8 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
                 sq = np.add(np.square(diff.real, out=diff.real), np.square(diff.imag, out=diff.imag))
                 frob = 0.5 * np.sqrt(sq.sum(axis=(2, 3)))
                 skew_frob[ys] = np.maximum(skew_frob[ys], frob.max(axis=1))
+        if passed.all():
+            return _report("cp", True, tol.psd)
         lo = np.maximum(1.0, herm_norm * (1 - alg._SLACK))
         hi = np.maximum(1.0, (herm_norm + skew_frob) * (1 + alg._SLACK))
         # any scale between the bounds settles a block whose verdict agrees at both
@@ -362,16 +365,10 @@ def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
 
 
 def is_star_preserving(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
-    """F(B*) = F(B)* for all B, checked on matrix units."""
+    """F(B*) = F(B)* for all B, checked on matrix units (`_grid.star_failure`)."""
 
     def compute():
-        img = _grid.images(f.codomain, f.matrix)
-        adj = alg.adjoint_index(f.domain)
-        bad = _grid.first_failure(
-            f.codomain, f.domain.coord_dim, 1,
-            lambda r0, r1: ([x[adj[r0:r1]] for x in img], [alg._dagger(x[r0:r1]) for x in img]),
-            tol,
-        )
+        bad = _grid.star_failure(f, tol)
         if bad is not None:
             return _report(
                 "star-preserving", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
@@ -410,15 +407,18 @@ def is_deterministic(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport
 def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
     """Decide a sampled property on batches of random inputs.
 
-    gap maps the coordinates (T, d) of T random domain elements to those
-    (T, c) of codomain elements that must be positive.  A trial fails when
-    its element is not self-adjoint (reasons[0]) or has a negative
-    eigenvalue (reasons[1]), as `is_self_adjoint_elem` and `min_eig` decide.
-    A batch holds _grid._CHUNK // max(d, c) trials; a batch whose skew is
-    within tol.herm * max(1, max|entry|) and whose positivity
-    `alg._psd_pass` proves at that scale passes, any other is decided
-    spectrally, and the first batch with a failure reports its first failing
-    trial.  A batch with a non-finite element raises ValueError.
+    gap maps the coordinates (T, d) of T random domain elements to (y, s):
+    the coordinates y (T, c) of codomain elements that must be positive, each
+    scaled by an exact 2^-s, where s is one exponent or one per trial.  A
+    trial fails when its element is not self-adjoint (reasons[0]) or has a
+    negative eigenvalue (reasons[1]), as `is_self_adjoint_elem` and `min_eig`
+    decide, with the floor 1 of the scale scaled by 2^-s alike.  A batch
+    holds _grid._CHUNK // max(d, c) trials; a batch whose skew is within
+    tol.herm * max(2^-s, max|entry|) and whose positivity `alg._psd_pass`
+    proves at that scale passes, any other is decided spectrally, and the
+    first batch with a failure reports its first failing trial, with
+    "scale_exponent": -s when its batch was scaled.  A batch with a
+    non-finite element raises ValueError.
     """
     rng = np.random.default_rng(seed)
     if trials < 1:
@@ -427,14 +427,15 @@ def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
     step = max(1, _grid._CHUNK // max(dom.coord_dim, cod.coord_dim))
     for t0 in range(0, trials, step):
         x = alg._random_coords(dom, rng, (min(step, trials - t0),))
-        out = gap(x)
+        out, s = gap(x)
         alg._finite(out)
+        unit = np.ldexp(1.0, -s)
         xs = alg._stacks(cod, out)
         skew, hs = alg._max_abs([y - alg._dagger(y) for y in xs]), alg._hermitian(xs)
-        floor = np.maximum(1.0, alg._lower(xs))
+        floor = np.maximum(unit, alg._lower(xs))
         if (skew <= tol.herm * floor).all() and alg._psd_pass(hs, floor, tol):
             continue
-        scale = np.maximum(1.0, alg._op_norm(xs))
+        scale = np.maximum(unit, alg._op_norm(xs))
         not_sa = skew > tol.herm * scale
         low = alg._lowest(hs)
         fail = not_sa | (low < -tol.psd * scale)
@@ -442,6 +443,8 @@ def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
             t = int(fail.argmax())
             bad = ({"reason": reasons[0]} if not_sa[t]
                    else {"reason": reasons[1], "min_eigenvalue": float(low[t])})
+            if np.any(s):
+                bad["scale_exponent"] = -int(np.broadcast_to(s, fail.shape)[t])
             return _report(
                 prop, False, tol.psd,
                 witness={"trial": t0 + t, "input": alg.unvec(dom, x[t]), **bad},
@@ -450,9 +453,10 @@ def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
     return _report(prop, True, tol.psd, detail=f"{trials} trials", sampled=True)
 
 
-def _apply_batch(f: Channel, x: np.ndarray) -> np.ndarray:
-    """F on coordinates (T, d): one matrix-vector product per row, as `apply` computes."""
-    return np.matmul(f.matrix, x[..., None])[..., 0]
+def _apply_batch(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The channel matrix m on coordinates (T, d): one matrix-vector product per row,
+    as `apply` computes."""
+    return np.matmul(m, x[..., None])[..., 0]
 
 
 def _gram(s: AlgebraShape, x: np.ndarray) -> np.ndarray:
@@ -460,24 +464,57 @@ def _gram(s: AlgebraShape, x: np.ndarray) -> np.ndarray:
     return alg._mul_coords(s, alg._adjoint_coords(s, x), x)
 
 
+def _exponent(y: np.ndarray) -> np.ndarray:
+    """The binary exponent of the largest absolute entry of each row of y, far below
+    any other for a zero row."""
+    top = np.abs(y).max(axis=-1)
+    return np.where(top > 0, np.frexp(top)[1], -(1 << 20))
+
+
+def _ldexp(y: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Each row of the complex y times 2^k of its row, exactly: a zero stays zero at any k."""
+    return np.ldexp(np.ascontiguousarray(y).view(float), k[:, None]).view(complex)
+
+
 def is_positive_sampled(
     f: Channel, trials: int = 64, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
-    """Sampled check that F maps positive elements to positive elements."""
+    """Sampled check that F maps positive elements to positive elements.
+
+    Above 2^500 the images are formed from F 2^-e, whose entries are at most
+    2^500, and decided scaled by 2^-e, as `is_schwarz_sampled` decides its gap.
+    """
+    e = _grid.scale_exponent(f.matrix, 500)
+    m = f.matrix * np.ldexp(1.0, -e) if e else f.matrix
     return _sampled_check(
-        f, "positive", trials, seed, tol, lambda x: _apply_batch(f, _gram(f.domain, x)),
+        f, "positive", trials, seed, tol,
+        lambda x: (_apply_batch(m, _gram(f.domain, x)), e),
         ("image of a positive element is not self-adjoint", "negative eigenvalue"))
 
 
 def is_schwarz_sampled(
     f: Channel, trials: int = 64, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
-    """Sampled Kadison-Schwarz check F(B*B) >= ||F(1)|| F(B)* F(B)."""
-    unit_norm = alg.norm(apply(f, alg.unit(f.domain)))
+    """Sampled Kadison-Schwarz check F(B*B) >= ||F(1)|| F(B)* F(B).
+
+    The second term is cubic in F, so above 2^250 it could overflow.  There
+    the terms are formed from F 2^-e, whose entries are at most 2^250, and
+    each trial's gap 2^e F'(B*B) - 2^3e ||F'(1)|| F'(B)* F'(B) is decided
+    scaled by 2^-s, with s >= 0 the binary exponent of its larger nonzero term,
+    so that term is not lost to the other's exponent.  A failure then reports
+    the eigenvalue of the scaled gap.
+    """
+    e = _grid.scale_exponent(f.matrix, 250)
+    m = f.matrix * np.ldexp(1.0, -e) if e else f.matrix
+    unit_norm = alg.norm(alg._adopt(f.codomain, m @ alg.vec(alg.unit(f.domain))))
 
     def gap(x):
-        fb = _apply_batch(f, x)
-        return _apply_batch(f, _gram(f.domain, x)) - unit_norm * _gram(f.codomain, fb)
+        fb = _apply_batch(m, x)
+        lhs, rhs = _apply_batch(m, _gram(f.domain, x)), unit_norm * _gram(f.codomain, fb)
+        if not e:
+            return lhs - rhs, 0
+        s = np.maximum(np.maximum(e + _exponent(lhs), 3 * e + _exponent(rhs)), 0)
+        return _ldexp(lhs, e - s) - _ldexp(rhs, 3 * e - s), s
 
     return _sampled_check(f, "schwarz", trials, seed, tol, gap,
                           ("Schwarz gap is not self-adjoint", "Schwarz inequality violated"))

@@ -16,7 +16,7 @@ import numpy as np
 from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
-from .channel import Channel, PropertyReport, _report, apply, hs_adjoint, is_star_preserving
+from .channel import Channel, PropertyReport, _report, apply, is_star_preserving
 from .errors import NotSelfAdjoint, PullbackNotPSD, ShapeMismatch
 from .tolerances import DEFAULT_TOL, Tolerance
 
@@ -146,7 +146,9 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the channel codomain")
     s = f.domain
-    sigma = alg._element_stacks(apply(hs_adjoint(f), omega.density))
+    v = f.matrix.conj().T @ alg.vec(omega.density)   # the product apply(hs_adjoint(f), .) forms
+    alg._finite(v)
+    sigma = alg._stacks(s, v)
     skew = [x - alg._dagger(x) for x in sigma]
     # the Frobenius bound settles a skew part within 2 tol.herm at any scale
     if alg._upper(skew) > 2 * tol.herm:
@@ -205,19 +207,25 @@ def ae_equal(
         raise ShapeMismatch("channels must share domain and codomain")
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the common codomain")
-    img_f = _grid.images(f.codomain, f.matrix)
-    img_g = _grid.images(g.codomain, g.matrix)
-    bad = _grid.first_failure(
-        f.codomain, f.domain.coord_dim, 1,
-        lambda r0, r1: ([x[r0:r1] for x in img_f], [x[r0:r1] for x in img_g]),
-        tol, omega.support, side,
-    )
+    bad = _ae_failure(f.codomain, f.matrix, g.matrix, omega, side, tol)
     if bad is not None:
         return _report(
             f"ae-equal-{side}", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
             detail="(F - G)(B) does not vanish on the support",
         )
     return _report(f"ae-equal-{side}", True, tol.eq)
+
+
+def _ae_failure(s: AlgebraShape, left: np.ndarray, right: np.ndarray, omega: State, side: str,
+                tol: Tolerance) -> int | None:
+    """Index of the first unit B where (F - G)(B) does not vanish on the support of
+    omega, for the matrices left of F and right of G into s; None when every unit passes."""
+    img_f, img_g = _grid.images(s, left), _grid.images(s, right)
+    return _grid.first_failure(
+        s, left.shape[1], 1,
+        lambda r0, r1: ([x[r0:r1] for x in img_f], [x[r0:r1] for x in img_g]),
+        tol, omega.support, side,
+    )
 
 
 def ae_deterministic(

@@ -17,6 +17,7 @@ from qmarkov.bayes import (
     verify_disintegration,
 )
 from qmarkov.channel import (
+    Channel,
     apply,
     channel_from_action,
     conjugation_by,
@@ -238,6 +239,17 @@ def test_disintegration_detects_broken_state_preservation():
     )
     rep = verify_disintegration(f, omega, bad)
     assert not rep.passed and "state preservation" in rep.detail
+
+
+def test_disintegration_section_refuses_an_overflowing_composite():
+    """On C^2 with omega = (1, 0), F = G = diag(1, 1e200) pass state preservation off the
+    support, and G o F overflows: the a.e. section raises the ValueError a composite
+    channel with Inf entries raises."""
+    c2 = AlgebraShape((1, 1))
+    f = g = Channel(c2, c2, np.diag([1.0, 1e200]))
+    omega = state_from_density(alg.unvec(c2, [1.0, 0.0]))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+        verify_disintegration(f, omega, g)
 
 
 def test_commutative_disintegration_recovers_classical_formula():

@@ -6,7 +6,7 @@ import pytest
 from qmarkov import cli
 from qmarkov import serialize as ser
 from qmarkov.algebra import AlgebraShape, AlgElement
-from qmarkov.channel import identity_channel, transpose_channel
+from qmarkov.channel import Channel, identity_channel, transpose_channel
 from qmarkov.cli import main
 from qmarkov.state import state_from_density
 
@@ -47,6 +47,21 @@ def test_check_fails_on_transpose_schwarz(files, capsys):
     code = main(["check", files["transpose2.json"], "--props", "schwarz"])
     assert code == 1
     assert "witness" in capsys.readouterr().out
+
+
+def test_check_decides_a_huge_finite_channel(tmp_path, capsys):
+    """1e200 id of M_2 is finite: the exact checks and the Schwarz gap decide it on
+    scaled operands, with finite JSON, instead of reporting NaN or Inf entries."""
+    m2 = AlgebraShape((2,))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(ser.channel_to_json(Channel(m2, m2, 1e200 * np.eye(4)))))
+    code = main(["check", str(path), "--props", "star,cp,det,pos,schwarz", "--format", "json"])
+    assert code == 1
+    out = capsys.readouterr().out
+    verdicts = {c["property"]: c["verdict"] for c in json.loads(out)["checks"]}
+    assert verdicts == {"star-preserving": "pass", "cp": "pass", "deterministic": "fail",
+                        "positive": "sampled-pass", "schwarz": "fail"}
+    assert "Infinity" not in out and "NaN" not in out
 
 
 def test_check_state_properties(files):

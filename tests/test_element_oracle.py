@@ -121,6 +121,12 @@ def _channels():
             dom, cod, 0.3 * rng.standard_normal((cod.coord_dim, dom.coord_dim)))))
     out += [("shift-8", _shift(8, 2e-4)), ("shift-6", _shift(6, 5e-4)),
             ("mix-2", _mix(AlgebraShape((2,)), 3e-10)), ("mix-3", _mix(AlgebraShape((3,)), 3e-10))]
+    # entries up to 2^250, the largest the sampled checks take unscaled
+    big = props.random_cpu_channel(2, 2, rng)
+    out += [("transpose-2-1e60", Channel(AlgebraShape((2,)), AlgebraShape((2,)),
+                                         1e60 * transpose_channel(AlgebraShape((2,))).matrix)),
+            ("cpu-2-2-2^250", Channel(big.domain, big.codomain,
+                                      big.matrix * (2.0 ** 250 / np.abs(big.matrix).max())))]
     return out
 
 
