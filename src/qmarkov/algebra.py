@@ -227,13 +227,22 @@ def elem_equal(a: AlgElement, b: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bo
 
 
 def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
-    """elem_equal on coordinate vectors: max|u - v| <= tol.eq * max(1, ||u||, ||v||)."""
-    _finite(u)
-    _finite(v)
+    """elem_equal on coordinate vectors: max|u - v| <= tol.eq * max(1, ||u||, ||v||).
+
+    Entries above 2^500 (|u|^2 or |v|^2 above 2^1000), where u - v may overflow,
+    are compared with u, v and the floor 1 scaled alike by an exact 2^-e.
+    """
+    unit = 1.0
+    if not (np.vdot(u, u).real <= 2.0 ** 1000 and np.vdot(v, v).real <= 2.0 ** 1000):
+        top = np.maximum(np.abs(u).max(), np.abs(v).max())   # NaN propagates
+        _finite(top)
+        if top > 2.0 ** 500:
+            unit = np.ldexp(1.0, 500 - int(np.frexp(top)[1]))
+            u, v = u * unit, v * unit
     dev = np.abs(u - v).max()
-    # the scale is at least 1, so a deviation within tol.eq needs no norm
-    return bool(dev <= tol.eq or dev <= tol.eq * tol.scale(
-        max(_op_norm(_stacks(s, u)), _op_norm(_stacks(s, v)))))
+    # the scale is at least the floor, so a deviation within tol.eq times it needs no norm
+    return bool(dev <= tol.eq * unit or dev <= tol.eq * max(
+        unit, _op_norm(_stacks(s, u)), _op_norm(_stacks(s, v))))
 
 
 def vec(a: AlgElement) -> np.ndarray:

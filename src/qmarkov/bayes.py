@@ -277,7 +277,8 @@ def _disintegration(
     # the composite channel
     gf = g.matrix @ f.matrix
     alg._finite(gf)
-    bad = _ae_failure(f.domain, gf, np.eye(f.domain.coord_dim, dtype=complex), xi, "right", tol)
+    bad = _ae_failure(f.domain, gf, np.eye(f.domain.coord_dim, dtype=complex), xi.support,
+                      "right", tol)
     if bad is not None:
         return _report(
             "disintegration", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},

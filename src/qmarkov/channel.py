@@ -527,20 +527,37 @@ def s_positivity_equation(
 
     This is the equational consequence that holds for Schwarz-positive unital
     F, G whenever the composite F o G is deterministic.
+
+    The grid runs on F and G as they are unless a product overflows.  Then
+    it runs on F 2^-e and G 2^-k, entries at most 2^250 and 2^500, with the
+    left side scaled by a further 2^-e and the floor 1 by 2^-(2e + k); an
+    entry whose operands all fall below 2^(2e + k - 1074) then compares zeros.
     """
     if g.codomain != f.domain:
         raise ShapeMismatch("channels are not composable")
     d = f.domain.coord_dim
-    img = _grid.images(f.codomain, f.matrix)
-    outer = _grid.images(f.codomain, f.matrix @ g.matrix)
 
-    def operands(r0, r1):
-        rows = np.repeat(g.matrix[:, r0:r1], d, axis=1)
-        inner = _grid.times_unit(f.domain, rows, np.tile(np.arange(d), r1 - r0))  # G(E_c) E_b
-        lhs = _grid.images(f.codomain, f.matrix @ inner)
-        return lhs, [_grid.products(x[r0:r1], y) for x, y in zip(outer, img)]
+    def grid(e: int, k: int) -> int | None:
+        c = np.ldexp(1.0, -e)
+        fm, gm = (f.matrix * c, g.matrix * np.ldexp(1.0, -k)) if e or k else (f.matrix, g.matrix)
+        img = _grid.images(f.codomain, fm)
+        outer = _grid.images(f.codomain, fm @ gm)
 
-    bad = _grid.first_failure(f.codomain, g.domain.coord_dim, d, operands, tol)
+        def operands(r0, r1):
+            rows = np.repeat(gm[:, r0:r1], d, axis=1)
+            inner = _grid.times_unit(f.domain, rows, np.tile(np.arange(d), r1 - r0))  # G(E_c) E_b
+            lhs = _grid.images(f.codomain, fm @ inner)
+            return ([x * c for x in lhs] if e else lhs,
+                    [_grid.products(x[r0:r1], y) for x, y in zip(outer, img)])
+
+        return _grid.first_failure(f.codomain, g.domain.coord_dim, d, operands, tol,
+                                   unit=np.ldexp(1.0, -(2 * e + k)))
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            bad = grid(0, 0)
+    except FloatingPointError:
+        bad = grid(_grid.scale_exponent(f.matrix, 250), _grid.scale_exponent(g.matrix, 500))
     if bad is not None:
         ci, bi = divmod(bad, d)
         return _report(

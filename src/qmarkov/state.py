@@ -207,7 +207,7 @@ def ae_equal(
         raise ShapeMismatch("channels must share domain and codomain")
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the common codomain")
-    bad = _ae_failure(f.codomain, f.matrix, g.matrix, omega, side, tol)
+    bad = _ae_failure(f.codomain, f.matrix, g.matrix, omega.support, side, tol)
     if bad is not None:
         return _report(
             f"ae-equal-{side}", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
@@ -216,15 +216,16 @@ def ae_equal(
     return _report(f"ae-equal-{side}", True, tol.eq)
 
 
-def _ae_failure(s: AlgebraShape, left: np.ndarray, right: np.ndarray, omega: State, side: str,
-                tol: Tolerance) -> int | None:
-    """Index of the first unit B where (F - G)(B) does not vanish on the support of
-    omega, for the matrices left of F and right of G into s; None when every unit passes."""
+def _ae_failure(s: AlgebraShape, left: np.ndarray, right: np.ndarray,
+                support: AlgElement | None, side: str, tol: Tolerance) -> int | None:
+    """Index of the first unit B where (F - G)(B) does not vanish on the support, or
+    where F(B) != G(B) with no support, for the matrices left of F and right of G into
+    s; None when every unit passes."""
     img_f, img_g = _grid.images(s, left), _grid.images(s, right)
     return _grid.first_failure(
         s, left.shape[1], 1,
         lambda r0, r1: ([x[r0:r1] for x in img_f], [x[r0:r1] for x in img_g]),
-        tol, omega.support, side,
+        tol, support, side,
     )
 
 

@@ -6,9 +6,10 @@ import pytest
 from qmarkov import algebra as alg
 from qmarkov import corpus
 from qmarkov.algebra import AlgebraShape, AlgElement
-from qmarkov.channel import apply, mult_map
+from qmarkov.channel import Channel, apply, is_unital, mult_map
 from qmarkov.errors import NotSelfAdjoint, ShapeMismatch
 from qmarkov.state import state_from_density
+from qmarkov.tolerances import DEFAULT_TOL
 
 
 def unit_of(shape, block, i, j):
@@ -268,3 +269,24 @@ def test_frobenius_bound_below_the_threshold_is_unchanged():
               for k, m in ((3, 1), (2, 2), (1, 4))]
         assert np.array_equal(alg._upper(xs), _frobenius_unscaled(xs))
         assert np.array_equal(alg._upper(xs[1:]), _frobenius_unscaled(xs[1:]))
+
+
+def test_elem_equal_of_huge_entries_does_not_overflow():
+    # u - v overflows for entries near 1e308; both sides and the floor 1 are scaled alike
+    m2 = AlgebraShape((2,))
+    big, neg = alg.unvec(m2, [1e308, 0, 0, 0]), alg.unvec(m2, [-1e308, 0, 0, 0])
+    assert not alg.elem_equal(big, neg)
+    assert alg.elem_equal(big, big)
+    assert not is_unital(Channel(m2, m2, 1e308 * np.eye(4))).passed
+
+
+@pytest.mark.parametrize("top", [1.0, 1e100, 2.0 ** 500, 1e200, 1e300])
+def test_elem_equal_decides_at_the_bound_on_every_scale(top):
+    # a deviation just inside and just outside tol.eq * ||a|| at one entry, on either
+    # side of the 2^500 threshold of the scaled comparison
+    m2 = AlgebraShape((2,))
+    a = alg.unvec(m2, [top, 0.5 * top, 0, 0.25 * top])
+    bound = DEFAULT_TOL.eq * alg.norm(a)
+    for factor, equal in ((0.99, True), (1.01, False)):
+        b = alg.unvec(m2, alg.vec(a) + np.array([0, 0, factor * bound, 0]))
+        assert alg.elem_equal(a, b) == equal

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,32 @@ def test_scalar_algebra_channels():
     assert is_cp(tr_state).passed and is_unital(tr_state).passed
     # duality: the adjoint of the inclusion is the unnormalized trace
     assert np.allclose(hs_adjoint(incl).matrix, 2 * tr_state.matrix)
+
+
+def test_s_positivity_equation_on_huge_finite_images():
+    # the right side is quadratic in F; where a product of the grid overflows, the grid
+    # runs again on F and G scaled by powers of two, so no warning escapes
+    huge = [Channel(M2, M2, c * np.eye(4)) for c in (1e200, 1e300)]
+    t = transpose_channel(M2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for f, g in ((huge[0], identity_channel(M2)), (huge[0], huge[1]), (huge[1], huge[1])):
+            rep = s_positivity_equation(f, g)
+            assert rep.verdict == "fail"
+            assert (rep.witness["outer_index"], rep.witness["inner_index"]) == (0, 0)
+        assert s_positivity_equation(identity_channel(M2), huge[1]).passed
+        # both sides are linear in G: a huge multiple of G fails where G fails
+        want = s_positivity_equation(t, t).witness
+        got = s_positivity_equation(t, Channel(M2, M2, 1e300 * t.matrix)).witness
+        assert got["outer_index"] == want["outer_index"]
+        assert got["inner_index"] == want["inner_index"]
+        # A |-> S A S^-1 for S = diag(1e300, 1) is multiplicative, and no product of its
+        # images overflows, so the grid runs unscaled: doubling F(E21) fails at
+        # F(E12 E21) = E11 != 2 E11, which scaling by 2^-(2e + k) would lose to underflow
+        similar = np.diag([1.0, 1e300, 1e-300, 1.0]).astype(complex)
+        assert s_positivity_equation(Channel(M2, M2, similar), identity_channel(M2)).passed
+        similar[2, 2] *= 2
+        rep = s_positivity_equation(Channel(M2, M2, similar), identity_channel(M2))
+        assert rep.verdict == "fail"
+        assert (rep.witness["outer_index"], rep.witness["inner_index"]) == (1, 2)
+    assert not caught

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qmarkov import corpus
+from qmarkov.channel import Channel, is_unital
 from qmarkov.errors import UnknownFixture
 
 
@@ -69,3 +73,110 @@ def test_epr_solution_form():
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         got = apply(chan, AlgElement(AlgebraShape((2,)), (b,))).blocks[0]
         assert np.allclose(got, j @ b.T @ j.conj().T, atol=1e-10)
+
+
+def _scaled(f, c=1.0001):
+    return Channel(f.domain, f.codomain, c * f.matrix)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("scaled, descs", [
+    (0, ["error channel is unital", "F o G = id on M_2"]),
+    (1, ["sum R_i* R_i = 1", "F o G = id on M_2"]),
+])
+def test_kl_checks_fail_on_scaled_kraus_operators(monkeypatch, gamma, scaled, descs):
+    real = corpus._kl_operators
+
+    def operators(g):
+        ops = list(real(g))
+        ops[scaled] = [1.0001 * k for k in ops[scaled]]
+        return tuple(ops)
+
+    chan_e, chan_r, _, _ = corpus.kl_channels(gamma)
+    assert is_unital(chan_e).passed and is_unital(chan_r).passed
+    monkeypatch.setattr(corpus, "_kl_operators", operators)
+    # no sampled states: the scaled error map no longer pulls states back to states
+    checks = {c.desc: c.passed for c in corpus._build_kl_single(gamma, n_states=0)}
+    for desc in descs:
+        assert not checks[f"{desc} (gamma={gamma})"], desc
+
+
+def _zero_map(s):
+    return Channel(s, s, np.zeros((s.coord_dim, s.coord_dim)))
+
+
+def _scale_second(real):
+    def triple():
+        f, g, xi = real()
+        return f, _scaled(g), xi
+
+    return triple
+
+
+def _scale_solution(real):
+    def solve():
+        chan, residual = real()
+        return _scaled(chan), residual + 0.001   # and a residual far off the solution
+
+    return solve
+
+
+# (fixture, checks, ingredient, mutation): each check of a fixture must fail
+# once the ingredient it tests is broken
+_MUTATIONS = [
+    ("transpose-spos", ["transpose squared is the identity"], "transpose_channel",
+     lambda real: lambda s: _scaled(real(s))),
+    ("mu-norm", [f"||A({n})|| = 1" for n in range(2, 9)]
+     + [f"||mu_{n}(A({n}))|| = {n}" for n in range(2, 9)], "_a_n",
+     lambda real: lambda n: real(n) * 1.0001),
+    ("strict-pos", ["mirrored equation holds in this example"], "strict_positivity_triple",
+     _scale_second),
+    # with the identity in place of the transpose the hypothesis reads the projection
+    ("pu-not-causal", ["causality hypothesis holds: F G (A H(B)) = F G (A K(B))"],
+     "transpose_channel", lambda real: corpus.identity_channel),
+    ("pu-not-causal", ["causality conclusion fails once C is inserted"], "transpose_channel",
+     lambda real: _zero_map),
+    # a faint transpose breaks the conclusion only by 7.5e-7: above rounding, below the
+    # designed separation
+    ("pu-not-causal", ["causality conclusion fails once C is inserted"], "transpose_channel",
+     lambda real: lambda s: _scaled(real(s), 1e-5)),
+    ("epr", ["joint-state equation solved with tiny residual",
+             "solution is the spin-flip conjugated transpose",
+             "Choi eigenvalues are -1 and +1 (multiplicities 1 and 3)"], "epr_conditional",
+     _scale_solution),
+]
+
+
+@pytest.mark.parametrize("name, descs, ingredient, mutation", _MUTATIONS)
+def test_every_check_fails_on_a_mutated_ingredient(monkeypatch, name, descs, ingredient,
+                                                   mutation):
+    monkeypatch.setattr(corpus, ingredient, mutation(getattr(corpus, ingredient)))
+    checks = {c.desc: c for c in corpus.counterexample(name).run().checks}
+    for desc in descs:
+        assert not checks[desc].passed, checks[desc]
+
+
+_COMPARISON = re.compile(r"<=|>=|(?<![<>-])[<>](?![<>=])|\batol\s*=")
+_EXPONENT_LITERAL = re.compile(r"\b\d+(\.\d*)?e-\d+")
+
+
+def _threshold_literals(source: str) -> list[str]:
+    """The lines of source that compare against a literal with a negative exponent."""
+    return [line.strip() for line in source.splitlines()
+            if _COMPARISON.search(line) and _EXPONENT_LITERAL.search(line)]
+
+
+def test_threshold_guard_sees_every_comparison_form():
+    for bad in ("x <= 1e-9", "x < 2.5e-10 * s", "1e-12 >= x", "x > 1e-3", "if y>1e-8:",
+                "np.isclose(a, b, atol=1e-9)"):
+        assert _threshold_literals(bad), bad
+    for fine in ("x <= tol.eq * tol.scale(n)", "y > 0.1", "z = 1e-9", "v >> 1",
+                 "def f() -> float:", "f'{x:.3e}'"):
+        assert not _threshold_literals(fine), fine
+
+
+@pytest.mark.parametrize("module", ["props", "corpus"])
+def test_no_bare_threshold_literals(module):
+    # every pass/fail decision goes through a verifier or the one Tolerance
+    path = Path(__file__).resolve().parents[1] / "src" / "qmarkov" / f"{module}.py"
+    assert _threshold_literals(path.read_text()) == []

@@ -1,6 +1,14 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from qmarkov import props
+from qmarkov import algebra as alg
+from qmarkov import corpus, props
+from qmarkov.bayes import verify_disintegration
+from qmarkov.channel import Channel, is_cp, is_star_preserving, is_unital
+from qmarkov.linalg import pinv_psd
+from qmarkov.state import State
 
 
 @pytest.mark.parametrize("name", props.suite_names())
@@ -22,11 +30,6 @@ def test_unknown_suite():
 
 
 def test_instance_families_are_well_formed():
-    import numpy as np
-
-    from qmarkov.bayes import verify_disintegration
-    from qmarkov.channel import is_cp, is_star_preserving, is_unital
-
     rng = np.random.default_rng(0)
     for kind in ("unitary", "padded-block", "classical"):
         f, omega, g = props.disintegration_instance(kind, rng)
@@ -55,10 +58,6 @@ def test_matrix_kernel_suite_passes_on_ill_conditioned_draws(seed):
 
 
 def test_moore_penrose_check_still_catches_a_wrong_eigenvalue():
-    import numpy as np
-
-    from qmarkov.linalg import pinv_psd
-
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(2, 9))
@@ -75,3 +74,111 @@ def test_moore_penrose_check_still_catches_a_wrong_eigenvalue():
         inv[k] /= 1 + 1e-3   # one eigenvalue of the pseudo-inverse off by 1e-3
         wrong = (u * inv) @ u.conj().T
         assert props.moore_penrose_deviation(psd, wrong) > 1e-10, k
+
+
+def _scaled(f, c=1.0001):
+    return Channel(f.domain, f.codomain, c * f.matrix)
+
+
+def _scale_output(real):
+    return lambda *args, **kwargs: _scaled(real(*args, **kwargs))
+
+
+def _scale_candidate(real, only_completed=False):
+    def candidate(prob, *args, **kwargs):
+        result = real(prob, *args, **kwargs)
+        if only_completed and kwargs.get("completion") is None:
+            return result
+        return dataclasses.replace(result, candidate=_scaled(result.candidate))
+
+    return candidate
+
+
+def _zero_star_preserving(real):
+    return lambda s, t, rng: Channel(s, t, np.zeros((t.coord_dim, s.coord_dim)))
+
+
+def _non_associative(real):
+    return lambda a, b: real(a, b) + 0.001 * a
+
+
+def _support_zero(real):
+    return property(lambda omega: alg.zero(omega.shape))
+
+
+def _scale_instance_inverse(real):
+    def instance(*args, **kwargs):
+        f, omega, g = real(*args, **kwargs)
+        return f, omega, _scaled(g)
+
+    return instance
+
+
+def _target(name):
+    owner, _, attr = name.rpartition(".")
+    return {"": props, "algebra": alg, "corpus": corpus, "State": State}[owner], attr
+
+
+# (suite, check, ingredient, mutation): each check of a suite must report a
+# failure once the ingredient it tests is broken
+_MUTATIONS = [
+    ("matrix-kernel", "eigendecomposition reconstructs Hermitian inputs", "herm_eig",
+     lambda real: lambda h: (real(h)[0] * 1.0001, real(h)[1])),
+    ("matrix-kernel", "eigenvector matrices are unitary", "herm_eig",
+     lambda real: lambda h: (real(h)[0], real(h)[1] * 1.0001)),
+    ("matrix-kernel", "pseudo-inverse satisfies the Moore-Penrose identities", "pinv_psd",
+     lambda real: lambda a: real(a) * 1.0001),
+    # the smallest singular value is supermultiplicative
+    ("matrix-kernel", "operator norm is submultiplicative", "op_norm",
+     lambda real: lambda x: np.linalg.norm(x, -2)),
+    ("algebra", "multiplication is associative on random elements", "algebra.mul",
+     _non_associative),
+    ("algebra", "involution reverses products", "algebra.mul", _non_associative),
+    ("algebra", "tensor of elements is multiplicative", "algebra.mul", _non_associative),
+    ("algebra", "multiplication map reaches norm n on the unit-norm witness", "corpus._a_n",
+     lambda real: lambda n: real(n) * 1.0001),
+    ("channel", "Hilbert-Schmidt adjoint is involutive and dual to the pairing", "hs_adjoint",
+     _scale_output),
+    # the transpose without conjugation is involutive, but not dual to the pairing
+    ("channel", "Hilbert-Schmidt adjoint is involutive and dual to the pairing", "hs_adjoint",
+     lambda real: lambda f: type(f)(f.codomain, f.domain, f.matrix.T)),
+    ("channel", "adjoint reverses composition", "hs_adjoint", _scale_output),
+    ("channel", "one multiplicative input extends to all mixed products", "channel_from_action",
+     _scale_output),
+    ("channel", "invertible conjugations are deterministic", "invert", _scale_output),
+    ("channel", "transpose is invertible yet not deterministic, consistent with failing Schwarz",
+     "invert", _scale_output),
+    ("state-ae", "support is dominated by any projection carrying the state", "State.support",
+     _support_zero),
+    ("state-ae", "right-multiplying into the support complement lands in the nullspace",
+     "State.support", _support_zero),
+    ("state-ae", "single-variable multiplicativity on the support upgrades to two variables",
+     "padded_inclusion", _scale_output),
+    ("bayes", "Bayes candidates of CPU channels pass the left condition and preserve states",
+     "bayes_candidate", _scale_candidate),
+    ("bayes", "two completions of the Bayes candidate are left a.e. equal", "bayes_candidate",
+     lambda real: _scale_candidate(real, only_completed=True)),
+    ("bayes", "Bayes maps of a.e. deterministic channels disintegrate them", "bayes_candidate",
+     _scale_candidate),
+    ("bayes", "relative conditional expectation holds on disintegration instances",
+     "disintegration_instance", _scale_instance_inverse),
+    # with no shift off the support the candidates stay right a.e. equal
+    ("bayes", "left Bayes maps report one-sided: left a.e. equal yet right-separated, "
+     "a.e. unital without unitality", "_random_star_preserving", _zero_star_preserving),
+    ("bayes", "one vanishing Schwarz gap extends to mixed products under the state",
+     "padded_inclusion", _scale_output),
+    ("finstoch", "embedding reverses composition (contravariant functor)", "compose",
+     _scale_output),
+    ("finstoch", "quantum Bayes candidate matches the classical inverse on the support",
+     "bayes_candidate", _scale_candidate),
+]
+
+
+@pytest.mark.parametrize("suite, desc, ingredient, mutation", _MUTATIONS)
+def test_every_check_fails_on_a_mutated_ingredient(monkeypatch, suite, desc, ingredient,
+                                                   mutation):
+    owner, attr = _target(ingredient)
+    real = getattr(props, attr) if owner is props else owner.__dict__[attr]
+    monkeypatch.setattr(owner, attr, mutation(real))
+    checks = {c.desc: c for c in props.run_suite(suite, seed=0, trials=16).checks}
+    assert not checks[desc].passed, checks[desc]
