@@ -147,27 +147,35 @@ def multiplicative_failure(f, tol: Tolerance, adjoint: bool = False,
     every pair passes.
 
     A pass that `gram_bound` proves needs no grid.  Anything else runs the
-    grid.  When entries exceed 2^500, where products could overflow, the
-    grid compares operands scaled by a power of two 2^-e, the products by
-    2^-2e, with the floor 1 of the scale scaled alike.
+    grid on F as it is unless a product overflows.  Then it compares
+    operands scaled by a power of two 2^-e, entries at most 2^500, the
+    products by 2^-2e, with the floor 1 of the scale scaled alike; an entry
+    whose operands all fall below 2^(2e - 1074) then compares zeros.
     """
     if gram_bound(f, adjoint, support, side, tol.eq) <= tol.eq:
         return None
     d = f.domain.coord_dim
     padded = np.zeros((f.codomain.coord_dim, d + 1), dtype=complex)   # entry d is 0
     padded[:, :d] = f.matrix
-    img = images(f.codomain, padded)
-    e = scale_exponent(f.matrix, 500)
-    c = np.ldexp(1.0, -e)
-    img = [x * c for x in img] if e else img
     prod = product_index(f.domain)
     left = adjoint_index(f.domain) if adjoint else np.arange(d)
 
-    def operands(r0, r1):
-        lhs = [x[prod[left[r0:r1]].ravel()] for x in img]
-        return [x * c for x in lhs] if e else lhs, [products(x[r0:r1], x[:d], adjoint) for x in img]
+    def grid(e: int) -> int | None:
+        c = np.ldexp(1.0, -e)
+        img = images(f.codomain, padded * c if e else padded)
 
-    return first_failure(f.codomain, d, d, operands, tol, support, side, c * c)
+        def operands(r0, r1):
+            lhs = [x[prod[left[r0:r1]].ravel()] for x in img]
+            return ([x * c for x in lhs] if e else lhs,
+                    [products(x[r0:r1], x[:d], adjoint) for x in img])
+
+        return first_failure(f.codomain, d, d, operands, tol, support, side, c * c)
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return grid(0)
+    except FloatingPointError:
+        return grid(scale_exponent(f.matrix, 500))
 
 
 def scale_exponent(matrix: np.ndarray, bits: int) -> int:
@@ -197,8 +205,7 @@ def star_failure(f, tol: Tolerance) -> int | None:
     is read in chunks of columns, in canonical order, the first one small, so
     a map that fails early reads little of M and no chunk is larger than the
     grid's.  Above 2^500 both compare operands scaled by 2^-e and the floor 1
-    of the grid scaled alike, as `multiplicative_failure` does, so no
-    difference overflows.
+    of the grid scaled alike, so no difference overflows.
     """
     cod, adj = f.codomain, adjoint_index(f.domain)
     back = adjoint_index(cod)

@@ -465,7 +465,9 @@ def _upper(xs: Stacks) -> np.ndarray:
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """Largest blockwise Frobenius norm of each element of one stack."""
-    if np.abs(x).max(initial=0.0) > 2.0 ** 500:   # the squares may overflow: scale, as _op_norm
+    # an entry is above 2^500 only when the sum of all squares is above 2^1000 (or NaN)
+    if not np.vdot(x, x).real <= 2.0 ** 1000 and np.abs(x).max() > 2.0 ** 500:
+        # the squares may overflow: scale, as _op_norm
         e = np.frexp(np.abs(x).max(axis=(-3, -2, -1)))[1]
         return np.ldexp(_frobenius(x * np.ldexp(1.0, -e)[..., None, None, None]), e)
     return np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1)).max(axis=-1))

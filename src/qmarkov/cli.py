@@ -286,14 +286,17 @@ def cmd_props(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _add_common(parser, out=True):
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the relative equality/PSD tolerance")
-    parser.add_argument("--rank-tol", type=float, default=None,
-                        help="override the rank cutoff for supports and pseudo-inverses")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (falls back to QMARKOV_SEED, then 0)")
-    parser.add_argument("--trials", type=int, default=64, help="sampling trials")
+def _add_options(parser, tol=True, sampling=False, out=True):
+    """The options a command reads, so any other option is a usage error."""
+    if tol:
+        parser.add_argument("--tol", type=float, default=None,
+                            help="override the relative equality/PSD tolerance")
+        parser.add_argument("--rank-tol", type=float, default=None,
+                            help="override the rank cutoff for supports and pseudo-inverses")
+    if sampling:
+        parser.add_argument("--seed", type=int, default=None,
+                            help="RNG seed (falls back to QMARKOV_SEED, then 0)")
+        parser.add_argument("--trials", type=int, default=64, help="sampling trials")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     if out:
         parser.add_argument("--out", default=None, help="write the main artifact to this path")
@@ -313,39 +316,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--props", default="cp,unital,star,det",
                          help="comma list from cp,unital,star,det,pos,schwarz,ae-det,ae-unital")
     p_check.add_argument("--state", default=None, help="state JSON for ae-* checks")
-    _add_common(p_check, out=False)
+    _add_options(p_check, sampling=True, out=False)
 
     p_bayes = sub.add_parser("bayes", help="construct and verify a Bayes-map candidate")
     p_bayes.add_argument("--channel", required=True)
     p_bayes.add_argument("--state", required=True)
-    _add_common(p_bayes)
+    _add_options(p_bayes)
 
     p_petz = sub.add_parser("petz", help="Petz recovery for a full-support problem")
     p_petz.add_argument("--channel", required=True)
     p_petz.add_argument("--state", required=True)
-    _add_common(p_petz)
+    _add_options(p_petz)
 
     p_disint = sub.add_parser("disint", help="verify or construct disintegrations")
     p_disint.add_argument("mode", choices=("verify", "construct"))
     p_disint.add_argument("--channel", required=True)
     p_disint.add_argument("--state", required=True)
     p_disint.add_argument("--candidate", default=None)
-    _add_common(p_disint)
+    _add_options(p_disint)
 
     p_classical = sub.add_parser("classical", help="classical kernels: bayes, disint, check")
     p_classical.add_argument("mode", choices=("bayes", "disint", "check"))
     p_classical.add_argument("--kernel", required=True)
     p_classical.add_argument("--prob", default=None)
-    _add_common(p_classical)
+    _add_options(p_classical)
 
     p_corpus = sub.add_parser("corpus", help="run the example/counterexample corpus")
     p_corpus.add_argument("action", choices=("list", "run"))
     p_corpus.add_argument("name", nargs="?", default=None)
     p_corpus.add_argument("--all", action="store_true")
-    _add_common(p_corpus, out=False)
+    _add_options(p_corpus, tol=False, out=False)
 
     p_props = sub.add_parser("props", help="run the randomized invariant suites")
-    _add_common(p_props, out=False)
+    _add_options(p_props, tol=False, sampling=True, out=False)
     return parser
 
 

@@ -113,32 +113,34 @@ _H = np.concatenate([np.eye(3, dtype=int), _Q], axis=1)
 _M = np.concatenate([_Q, np.eye(4, dtype=int)], axis=0)
 
 
-def _bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=int)
+def _masks(rows: np.ndarray) -> tuple[int, ...]:
+    """Each 0/1 row as an int, its first entry the most significant bit."""
+    return tuple(int("".join(map(str, row)), 2) for row in rows)
 
 
-def _index(bits: np.ndarray) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
+# A word is an int whose most significant bit is the first entry of its bit
+# vector, so entry i of a codeword is bit 6 - i.  Entry r of a Z2 matrix times
+# a word is the parity of (row mask r & word).
+_PARITY = _masks(_Q)
+_CHECKS = _masks(_H)
+# syndrome -> the bit to flip: the syndrome of a flip at entry i is column i of H
+_FLIP = {s: 1 << (6 - i) for i, s in enumerate(_masks(_H.T))}
+
+
+def _parity(mask: int, word: int) -> int:
+    return bin(mask & word).count("1") & 1
 
 
 def hamming_encode(x: int) -> int:
-    return _index(_M @ _bits(x, 4) % 2)
+    """The codeword M x over Z2: three check bits, then the four message bits."""
+    x &= 0b1111
+    return sum(_parity(q, x) << (6 - r) for r, q in enumerate(_PARITY)) | x
 
 
 def hamming_decode(y: int) -> int:
     """Syndrome decoding: correct at most one flipped bit, then project."""
-    yv = _bits(y, 7)
-    syndrome = _H @ yv % 2
-    if syndrome.any():
-        for i in range(7):
-            if np.array_equal(syndrome, _H[:, i]):
-                yv = yv.copy()
-                yv[i] ^= 1
-                break
-    return _index(yv[3:])
+    syndrome = sum(_parity(h, y) << (2 - r) for r, h in enumerate(_CHECKS))
+    return (y ^ _FLIP.get(syndrome, 0)) & 0b1111
 
 
 def _hamming_error_kernel(eps: Fraction) -> fs.StochasticMatrix:
@@ -590,9 +592,30 @@ def strict_positivity_triple() -> tuple[Channel, Channel, State]:
     return f, g, xi
 
 
+def _strict_positivity_violations(f: Channel, g: Channel, p: AlgElement):
+    """(max, first maximizing (a, b), max of the mirror) of the deviations
+    ||P (G(E_a F(E_b)) - G(E_a) G(F(E_b)))|| and ||P (G(F(E_b) E_a) - G(F(E_b)) G(E_a))||
+    over the units E_a of F's codomain and E_b of its domain; the pair is
+    None when every deviation is 0.
+
+    Both grids, (a, b) row-major, are one stack of products, one product
+    with G's matrix, one with P and one batched operator norm.
+    """
+    big, small = f.codomain, g.codomain
+    units = np.eye(big.coord_dim, dtype=complex)[:, None]   # E_a, against every b
+    fb, ga = f.matrix.T[None], g.matrix.T[:, None]
+    gfb = (g.matrix @ f.matrix).T[None]
+    inner = np.stack([alg._mul_coords(big, units, fb), alg._mul_coords(big, fb, units)])
+    outer = np.stack([alg._mul_coords(small, ga, gfb), alg._mul_coords(small, gfb, ga)])
+    gap = alg._mul_coords(small, alg.vec(p), inner @ g.matrix.T - outer)
+    direct, mirror = alg._op_norm(alg._stacks(small, gap))
+    worst = direct.max()
+    witness = divmod(int(direct.argmax()), direct.shape[1]) if worst > 0 else None
+    return worst, witness, mirror.max()
+
+
 def _build_strict_pos() -> list[CheckResult]:
     f, g, xi = strict_positivity_triple()
-    p = xi.support
     checks = []
     checks.append(_check("F and G are CPU",
                          is_cp(f).passed and is_unital(f).passed
@@ -603,18 +626,7 @@ def _build_strict_pos() -> list[CheckResult]:
                          ae_deterministic(compose(g, f), xi, "right").passed))
     # strict positivity: P G(A F(B)) = P G(A) G(F(B)) should FAIL,
     # while the mirrored P G(F(B) A) = P G(F(B)) G(A) holds here.
-    worst_direct, worst_mirror = 0.0, 0.0
-    direct_witness = None
-    for a_unit in alg.matrix_units(f.codomain):
-        ga = apply(g, a_unit)
-        for b_unit in alg.matrix_units(f.domain):
-            fb = apply(f, b_unit)
-            gfb = apply(g, fb)
-            direct = alg.norm(alg.mul(p, apply(g, alg.mul(a_unit, fb)) - alg.mul(ga, gfb)))
-            mirror = alg.norm(alg.mul(p, apply(g, alg.mul(fb, a_unit)) - alg.mul(gfb, ga)))
-            if direct > worst_direct:
-                worst_direct, direct_witness = direct, (a_unit, b_unit)
-            worst_mirror = max(worst_mirror, mirror)
+    worst_direct, direct_witness, worst_mirror = _strict_positivity_violations(f, g, xi.support)
     checks.append(_check("strict-positivity equation fails", worst_direct > 0.1,
                          f"max violation {worst_direct:.3f}"))
     checks.append(_check("violation carries a witness pair", direct_witness is not None))
@@ -624,10 +636,13 @@ def _build_strict_pos() -> list[CheckResult]:
     return checks
 
 
-def _build_pu_not_causal() -> list[CheckResult]:
+_CAUSAL_PROJ = 0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)
+
+
+def _causality_pair() -> tuple[Channel, Channel]:
+    """PU maps H, K: M_3 -> M_2 that agree against every F G (A .) but not once C is inserted."""
     m2, m3 = AlgebraShape((2,)), AlgebraShape((3,))
-    proj = 0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)
-    proj_perp = np.eye(2) - proj
+    proj, proj_perp = _CAUSAL_PROJ, np.eye(2) - _CAUSAL_PROJ
     lam = 0.2
 
     def h_act(b: AlgElement) -> AlgElement:
@@ -638,31 +653,42 @@ def _build_pu_not_causal() -> list[CheckResult]:
         x = b.blocks[0]
         return _single((2,), [x[0, 0] * proj_perp + (lam * x[1, 1] + (1 - lam) * x[2, 2]) * proj])
 
-    h = channel_from_action(m3, m2, h_act)
-    k = channel_from_action(m3, m2, k_act)
-    g = transpose_channel(m2)
+    return channel_from_action(m3, m2, h_act), channel_from_action(m3, m2, k_act)
 
-    def f_scalar(a: AlgElement) -> complex:
-        return complex(np.trace(proj @ a.blocks[0]))
 
+def _causality_violations(h: Channel, k: Channel, g: Channel, proj: np.ndarray):
+    """(max of the hypothesis, max of the conclusion, its first maximizing (c, a, b)) of
+    |tr(P G(E_a H(E_b))) - tr(P G(E_a K(E_b)))| on the (b, a) grid and
+    |tr(P E_c G(E_a H(E_b))) - tr(P E_c G(E_a K(E_b)))| on the (b, a, c) grid,
+    over the units E_b of H's domain and E_a, E_c of its codomain, one
+    matrix block; the triple is None when every conclusion deviation is 0.
+
+    Both grids are stacks of unit products with one product with G's matrix,
+    and tr(P X) is one contraction of the coordinates of X.
+    """
+    s = g.domain
+    units = np.eye(s.coord_dim, dtype=complex)
+    images = np.stack([h.matrix.T, k.matrix.T])[:, :, None]                 # (2, b, 1, d)
+    hyp = alg._mul_coords(s, units, images) @ g.matrix.T                     # (2, b, a, d)
+    conc = alg._mul_coords(s, units, hyp[..., None, :])                      # (2, b, a, c, d)
+    trace = proj.T.reshape(-1)       # tr(P X) = sum_ij P_ij X_ji
+    worst_hyp = np.abs(np.subtract(*(hyp @ trace))).max()
+    dev = np.abs(np.subtract(*(conc @ trace)))
+    worst = dev.max()
+    if not worst > 0:
+        return worst_hyp, worst, None
+    b, a, c = np.unravel_index(int(dev.argmax()), dev.shape)
+    return worst_hyp, worst, (int(c), int(a), int(b))
+
+
+def _build_pu_not_causal() -> list[CheckResult]:
+    h, k = _causality_pair()
+    g = transpose_channel(AlgebraShape((2,)))
     checks = []
     checks.append(_check("H and K are CPU",
                          is_cp(h).passed and is_unital(h).passed
                          and is_cp(k).passed and is_unital(k).passed))
-    worst_hyp, worst_conc = 0.0, 0.0
-    conc_witness = None
-    for b_unit in alg.matrix_units(m3):
-        hb, kb = apply(h, b_unit), apply(k, b_unit)
-        for a_unit in alg.matrix_units(m2):
-            lhs = f_scalar(apply(g, alg.mul(a_unit, hb)))
-            rhs = f_scalar(apply(g, alg.mul(a_unit, kb)))
-            worst_hyp = max(worst_hyp, abs(lhs - rhs))
-            for c_unit in alg.matrix_units(m2):
-                lhs2 = f_scalar(alg.mul(c_unit, apply(g, alg.mul(a_unit, hb))))
-                rhs2 = f_scalar(alg.mul(c_unit, apply(g, alg.mul(a_unit, kb))))
-                if abs(lhs2 - rhs2) > worst_conc:
-                    worst_conc = abs(lhs2 - rhs2)
-                    conc_witness = (c_unit, a_unit, b_unit)
+    worst_hyp, worst_conc, conc_witness = _causality_violations(h, k, g, _CAUSAL_PROJ)
     # |tr(P X)| <= ||X||, and units and their images under the PU maps H, K and the
     # transpose have norm at most 1: the hypothesis is decided at scale 1
     checks.append(_check("causality hypothesis holds: F G (A H(B)) = F G (A K(B))",

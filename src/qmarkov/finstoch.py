@@ -85,6 +85,7 @@ def _combine(*operands, tol: Tolerance = DEFAULT_TOL) -> tuple[list[np.ndarray],
 
 
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
+_ZERO = Fraction(0)
 
 
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int | None]:
@@ -103,7 +104,8 @@ def _arith(op, *operands: tuple[np.ndarray, int | None], over=None) -> np.ndarra
 
     Operands and over come from `_scaled`.  Float arrays go through as they
     are.  For exact ones op runs on the Python-int numerators and one
-    Fraction is built per output entry.  Since every term of op's result
+    Fraction is built per nonzero output entry; the zeros share one
+    Fraction(0), as Fractions are immutable.  Since every term of op's result
     holds one entry of each operand, dividing by the product of the lcms
     undoes the scaling; Python ints do not overflow, so the result is exact
     for any denominators.  over, broadcast against the result, divides it
@@ -116,7 +118,12 @@ def _arith(op, *operands: tuple[np.ndarray, int | None], over=None) -> np.ndarra
     if over is not None:
         num, d = over
         out, den = out * d, den * num
-    return _FRACTION(out, den)
+    nonzero = out != 0
+    if isinstance(den, np.ndarray):
+        den = np.broadcast_to(den, out.shape)[nonzero]
+    result = np.full(out.shape, _ZERO, dtype=object)
+    result[nonzero] = _FRACTION(out[nonzero], den)
+    return result
 
 
 def _column_sums(arr: np.ndarray) -> np.ndarray:
@@ -208,7 +215,7 @@ def deterministic_kernel(func, n_in: int, n_out: int) -> StochasticMatrix:
     for x, y in enumerate(images):
         if y not in range(n_out):
             raise ValueError(f"column {x} sums to 0, expected 1")
-    entries = np.full((n_out, n_in), Fraction(0), dtype=object)
+    entries = np.full((n_out, n_in), _ZERO, dtype=object)
     entries[np.array(images, dtype=int), np.arange(n_in)] = Fraction(1)
     return StochasticMatrix(entries, True)
 

@@ -12,8 +12,9 @@ for floats; the dense-matrix primitives call LAPACK once per matrix, with
 their own Hermiticity test, PSD test and rank cutoff; the element operations
 build an element block by block, the stacked layout gathers and scatters
 every block size on its coordinate rows, and the sampled checks draw and
-decide one random element per trial.  The differential tests run both and require the
-same verdicts, witnesses and matrices.
+decide one random element per trial; the strict-positivity and causality
+grids of the corpus visit one pair, or triple, of matrix units per step.  The
+differential tests run both and require the same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
 
@@ -955,3 +956,49 @@ def classical_is_ae_deterministic(f, p, tol: Tolerance = DEFAULT_TOL) -> Propert
                     detail=f"column {x} is supported but not an indicator",
                 )
     return _report("classical-ae-deterministic", True, tol.eq)
+
+
+# ---------------------------------------------------------------------------
+# corpus counterexamples: one pair, or triple, of matrix units per step
+# ---------------------------------------------------------------------------
+
+def strict_positivity_violations(f: Channel, g: Channel, p: AlgElement):
+    """(max, first maximizing (a, b), max of the mirror) of ||P (G(E_a F(E_b)) - G(E_a)
+    G(F(E_b)))|| and ||P (G(F(E_b) E_a) - G(F(E_b)) G(E_a))||, a-major."""
+    worst_direct, worst_mirror = 0.0, 0.0
+    direct_witness = None
+    for a, a_unit in enumerate(alg.matrix_units(f.codomain)):
+        ga = apply(g, a_unit)
+        for b, b_unit in enumerate(alg.matrix_units(f.domain)):
+            fb = apply(f, b_unit)
+            gfb = apply(g, fb)
+            direct = alg.norm(alg.mul(p, apply(g, alg.mul(a_unit, fb)) - alg.mul(ga, gfb)))
+            mirror = alg.norm(alg.mul(p, apply(g, alg.mul(fb, a_unit)) - alg.mul(gfb, ga)))
+            if direct > worst_direct:
+                worst_direct, direct_witness = direct, (a, b)
+            worst_mirror = max(worst_mirror, mirror)
+    return worst_direct, direct_witness, worst_mirror
+
+
+def causality_violations(h: Channel, k: Channel, g: Channel, proj: np.ndarray):
+    """(max of the hypothesis, max of the conclusion, its first maximizing (c, a, b)) of
+    |tr(P G(E_a H(E_b))) - tr(P G(E_a K(E_b)))| and, with E_c inserted,
+    |tr(P E_c G(E_a H(E_b))) - tr(P E_c G(E_a K(E_b)))|, in (b, a, c) order."""
+    def f_scalar(a: AlgElement) -> complex:
+        return complex(np.trace(proj @ a.blocks[0]))
+
+    worst_hyp, worst_conc = 0.0, 0.0
+    conc_witness = None
+    for b, b_unit in enumerate(alg.matrix_units(h.domain)):
+        hb, kb = apply(h, b_unit), apply(k, b_unit)
+        for a, a_unit in enumerate(alg.matrix_units(g.domain)):
+            lhs = f_scalar(apply(g, alg.mul(a_unit, hb)))
+            rhs = f_scalar(apply(g, alg.mul(a_unit, kb)))
+            worst_hyp = max(worst_hyp, abs(lhs - rhs))
+            for c, c_unit in enumerate(alg.matrix_units(g.domain)):
+                lhs2 = f_scalar(alg.mul(c_unit, apply(g, alg.mul(a_unit, hb))))
+                rhs2 = f_scalar(alg.mul(c_unit, apply(g, alg.mul(a_unit, kb))))
+                if abs(lhs2 - rhs2) > worst_conc:
+                    worst_conc = abs(lhs2 - rhs2)
+                    conc_witness = (c, a, b)
+    return worst_hyp, worst_conc, conc_witness

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qmarkov import _grid
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import (
@@ -31,7 +32,7 @@ from qmarkov.channel import (
 )
 from qmarkov.errors import ShapeMismatch, Singular
 from qmarkov.linalg import herm_eig
-from qmarkov.tolerances import Tolerance
+from qmarkov.tolerances import DEFAULT_TOL, Tolerance
 
 
 M2 = AlgebraShape((2,))
@@ -353,4 +354,20 @@ def test_s_positivity_equation_on_huge_finite_images():
         rep = s_positivity_equation(Channel(M2, M2, similar), identity_channel(M2))
         assert rep.verdict == "fail"
         assert (rep.witness["outer_index"], rep.witness["inner_index"]) == (1, 2)
+    assert not caught
+
+
+def test_multiplicative_grid_runs_unscaled_unless_a_product_overflows():
+    # A |-> S A S^-1 for S = diag(big, 1) with F(E21) doubled fails at the pair (E12, E21),
+    # index 6: F(E12 E21) = E11 != 2 E11.  Scaling the grid by 2^-e for entries above 2^500
+    # made F(E21) = 2e-300 underflow to 0, and the 1e300 map passed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for big in (1e150, 1e300):
+            similar = Channel(M2, M2, np.diag([1.0, big, 2 / big, 1.0]).astype(complex))
+            assert _grid.multiplicative_failure(similar, DEFAULT_TOL) == 6
+            assert _grid.multiplicative_failure(similar, DEFAULT_TOL, adjoint=True) == 4
+        # where a product does overflow, the grid runs again scaled
+        for c in (1e200, 1e306):
+            assert _grid.multiplicative_failure(Channel(M2, M2, c * np.eye(4)), DEFAULT_TOL) == 0
     assert not caught

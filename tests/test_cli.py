@@ -272,6 +272,32 @@ def test_props_command(capsys):
     assert payload["seed"] == 0 and payload["trials"] == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ["corpus", "run", "--all", "--tol", "1e-12"],
+    ["corpus", "run", "epr", "--rank-tol", "1e-9"],
+    ["corpus", "run", "epr", "--seed", "1"],
+    ["corpus", "run", "--all", "--trials", "8"],
+    ["corpus", "list", "--out", "names.json"],
+    ["props", "--tol", "1e-12"],
+    ["props", "--rank-tol", "1e-9"],
+    ["props", "--out", "suites.json"],
+])
+def test_commands_reject_options_they_do_not_read(argv, capsys):
+    # corpus reads no tolerance, seed or trial count, and props no tolerance: each
+    # registers only what it reads, so an option it would ignore is a usage error
+    assert main(argv) == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+def test_constructions_reject_sampling_options(files, capsys):
+    for argv in (["bayes", "--channel", files["identity.json"], "--state", files["state.json"]],
+                 ["classical", "check", "--kernel", files["kernel.json"]]):
+        for extra in (["--seed", "1"], ["--trials", "8"]):
+            assert main(argv + extra) == 2
+            assert "unrecognized arguments: " + extra[0] in capsys.readouterr().err
+        assert main(argv + ["--tol", "1e-9", "--rank-tol", "1e-9"]) == 0
+
+
 def test_seed_env_fallback(files, monkeypatch, capsys):
     monkeypatch.setenv("QMARKOV_SEED", "3")
     assert main(["props", "--trials", "8", "--format", "json"]) == 0

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmarkov import corpus
-from qmarkov.channel import Channel, is_unital
+import loop_reference as ref
+from qmarkov import corpus, props
+from qmarkov.algebra import AlgebraShape, AlgElement
+from qmarkov.channel import Channel, compose, identity_channel, is_unital, transpose_channel
 from qmarkov.errors import UnknownFixture
 
 
@@ -154,6 +156,75 @@ def test_every_check_fails_on_a_mutated_ingredient(monkeypatch, name, descs, ing
     checks = {c.desc: c for c in corpus.counterexample(name).run().checks}
     for desc in descs:
         assert not checks[desc].passed, checks[desc]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _projection(n: int, rank: int, rng) -> np.ndarray:
+    v, _ = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+    return v @ v.conj().T
+
+
+def _strict_positivity_instances():
+    """(label, F, G, P): the fixture, its mutation, and random CPU maps M_2 -> M_4 -> M_3."""
+    f, g, xi = corpus.strict_positivity_triple()
+    yield "fixture", f, g, xi.support
+    yield "scaled G", f, _scaled(g), xi.support
+    # maxima tied across rows and columns: the witness is the first in (a, b) order
+    yield "transposed G", f, compose(g, transpose_channel(f.codomain)), xi.support
+    rng = np.random.default_rng(17)
+    m3 = AlgebraShape((3,))
+    for i in range(6):
+        f, g = props.random_cpu_channel(2, 4, rng), props.random_cpu_channel(4, 3, rng)
+        yield f"random {i}", f, g, AlgElement(m3, (_projection(3, 1 + i % 3, rng),))
+
+
+def _causality_instances():
+    """(label, H, K, G, P): the fixture, its mutations, and random CPU maps M_3 -> M_2."""
+    h, k = corpus._causality_pair()
+    m2, proj = AlgebraShape((2,)), corpus._CAUSAL_PROJ
+    t = transpose_channel(m2)
+    for label, g in (("fixture", t), ("identity", identity_channel(m2)),
+                     ("zero", _zero_map(m2)), ("faint", _scaled(t, 1e-5))):
+        yield label, h, k, g, proj
+    rng = np.random.default_rng(23)
+    for i in range(6):
+        h, k = props.random_cpu_channel(3, 2, rng), props.random_cpu_channel(3, 2, rng)
+        g = props.random_cpu_channel(2, 2, rng) if i % 2 else t
+        yield f"random {i}", h, k, g, _projection(2, 1, rng)
+
+
+@pytest.mark.parametrize("label, f, g, p", list(_strict_positivity_instances()))
+def test_strict_positivity_grid_matches_the_loop(label, f, g, p):
+    direct, witness, mirror = corpus._strict_positivity_violations(f, g, p)
+    want_direct, want_witness, want_mirror = ref.strict_positivity_violations(f, g, p)
+    assert _close(direct, want_direct) and _close(mirror, want_mirror)
+    assert witness == want_witness
+    assert f"max violation {direct:.3f}" == f"max violation {want_direct:.3f}"
+    assert f"max deviation {mirror:.3g}" == f"max deviation {want_mirror:.3g}"
+
+
+@pytest.mark.parametrize("label, h, k, g, proj", list(_causality_instances()))
+def test_causality_grid_matches_the_loop(label, h, k, g, proj):
+    hyp, conc, witness = corpus._causality_violations(h, k, g, proj)
+    want_hyp, want_conc, want_witness = ref.causality_violations(h, k, g, proj)
+    assert _close(hyp, want_hyp) and _close(conc, want_conc)
+    assert witness == want_witness
+    assert f"max deviation {hyp:.3g}" == f"max deviation {want_hyp:.3g}"
+    assert f"max violation {conc:.4f}" == f"max violation {want_conc:.4f}"
+
+
+def test_grid_fixture_details_are_pinned():
+    details = {(name, c.desc): c.detail for name in ("strict-pos", "pu-not-causal")
+               for c in corpus.counterexample(name).run().checks}
+    assert details["strict-pos", "strict-positivity equation fails"] == "max violation 1.000"
+    assert details["strict-pos", "mirrored equation holds in this example"] == "max deviation 0"
+    hypothesis = "causality hypothesis holds: F G (A H(B)) = F G (A K(B))"
+    assert details["pu-not-causal", hypothesis] == "max deviation 0"
+    assert (details["pu-not-causal", "causality conclusion fails once C is inserted"]
+            == "max violation 0.0750")
 
 
 _COMPARISON = re.compile(r"<=|>=|(?<![<>-])[<>](?![<>=])|\batol\s*=")
