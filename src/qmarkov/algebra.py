@@ -281,31 +281,28 @@ def tensor_elem(a: AlgElement, b: AlgElement) -> AlgElement:
 
 
 def is_self_adjoint_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether a is self-adjoint: the skew half of the rule of `_psd_verdicts` at
+    unit 1.  A skew within tol.herm passes with no norm taken."""
     xs = _element_stacks(a)
     dev = _max_abs([x - _dagger(x) for x in xs])
     return bool(dev <= tol.herm or dev <= tol.herm * tol.scale(_op_norm(xs)))
 
 
 def is_positive_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether a is positive (equals some b*b), per block against max(1, ||a||).
-
-    A pass is proved by `_psd_pass` where it can be; the rest is decided
-    spectrally.  Raises NotSelfAdjoint when a is not self-adjoint within tolerance.
+    """Whether a is positive (equals some b*b), per block against max(1, ||a||),
+    as `_psd_verdicts` decides it.  Raises NotSelfAdjoint when a is not
+    self-adjoint within tolerance.
     """
     xs = _element_stacks(a)
-    skew, hs = _max_abs([x - _dagger(x) for x in xs]), _hermitian(xs)
-    floor = np.maximum(1.0, _lower(xs))
-    if skew <= tol.herm * floor and _psd_pass(hs, floor, tol):
-        return True
-    scale = tol.scale(_op_norm(xs))
-    if skew > tol.herm * scale:
+    not_sa, negative, _, _ = _psd_verdicts(_hermitian(xs), [x - _dagger(x) for x in xs], 1.0, tol)
+    if not_sa:
         raise NotSelfAdjoint("element is not self-adjoint within tolerance")
-    return bool(_lowest(hs) >= -tol.psd * scale)
+    return not negative
 
 
 def min_eig(a: AlgElement) -> float:
     """Smallest eigenvalue across blocks of the self-adjoint part of a."""
-    return float(_lowest(_hermitian(_element_stacks(a))))
+    return float(_lowest(_eigvalsh(_hermitian(_element_stacks(a)))))
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +494,59 @@ def _hermitian(xs: Stacks) -> Stacks:
     return [0.5 * (x + _dagger(x)) for x in xs]
 
 
-def _lowest(hs: Stacks) -> np.ndarray:
-    """Smallest eigenvalue of each element, from the stacks of its Hermitian part."""
-    lows = []
-    for h in hs:
-        w = h.real[..., 0] if h.shape[-1] == 1 else np.linalg.eigvalsh(h)
-        lows.append(w[..., 0].min(axis=-1))
-    return np.minimum.reduce(lows)
+def _eigvalsh(hs: Stacks) -> Stacks:
+    """Ascending eigenvalues (..., k, m) of every matrix of the Hermitian stacks hs."""
+    return [h.real[..., 0] if h.shape[-1] == 1 else np.linalg.eigvalsh(h) for h in hs]
+
+
+def _lowest(w: Stacks) -> np.ndarray:
+    """Smallest eigenvalue of each element, from the stacks of its ascending eigenvalues."""
+    return np.minimum.reduce([v[..., 0].min(axis=-1) for v in w])
+
+
+def _psd_verdicts(hs: Stacks, diff: Stacks, unit, tol: Tolerance, w: Stacks | None = None):
+    """Decide, for every element x of a batch, the rule
+
+        max|x - x*| <= tol.herm s   and   lambda_min(H) >= -tol.psd s,
+
+    with H = (x + x*) / 2 and s = max(unit, ||x||); unit is one floor for all
+    elements or one per element.  x is given by the writable stacks hs of H and
+    diff of x - x*, (..., k, m, m).  Returns (not self-adjoint, not PSD,
+    max|x - x*|, lowest eigenvalue), one value per element; the eigenvalue is
+    +inf when no spectrum was taken.  A caller that holds the ascending
+    eigenvalues of H passes them (w, stacks (..., k, m)).
+
+    The ladder: a pass that `_psd_pass` proves at lo = max(unit, max|H_ij| (1 - _SLACK)),
+    with the skew within tol.herm lo, needs no spectrum; otherwise one batched
+    eigvalsh bounds the scale by max(unit, ||H|| (1 - _SLACK)) and
+    max(unit, (||H|| + ||x - x*||_F / 2)(1 + _SLACK)), and only an element whose
+    verdict differs between the two pays for its exact norm, taken of
+    H + (x - x*) / 2, which is x up to one rounding per entry.
+    """
+    skew = _max_abs(diff)
+    if w is None:
+        floor = np.maximum(unit, _lower(hs))
+        if (skew <= tol.herm * floor).all() and _psd_pass(hs, floor, tol):
+            passed = np.zeros(np.shape(skew), dtype=bool)
+            return passed, passed, skew, np.inf
+        w = _eigvalsh(hs)
+    low, top = _lowest(w), np.maximum.reduce([np.abs(v).max(axis=(-2, -1)) for v in w])   # ||H||
+
+    def fails(scale):
+        return skew > tol.herm * scale, low < -tol.psd * scale
+
+    lo = np.maximum(unit, top * (1 - _SLACK))
+    not_sa, negative = fails(lo)
+    if not (not_sa | negative).any():   # a pass at lo is a pass at every larger scale
+        return not_sa, negative, skew, low
+    not_sa_hi, negative_hi = fails(np.maximum(unit, top * (1 + _SLACK) + 0.5 * _upper(diff)))
+    open_ = (not_sa != not_sa_hi) | (negative != negative_hi)
+    if open_.any():   # any scale between the bounds settles the other elements
+        scale = np.array(lo, dtype=float)
+        scale[open_] = np.maximum(np.broadcast_to(unit, open_.shape)[open_],
+                                  _op_norm([h[open_] + 0.5 * d[open_] for h, d in zip(hs, diff)]))
+        not_sa, negative = fails(scale)
+    return not_sa, negative, skew, low
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53

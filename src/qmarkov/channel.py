@@ -278,61 +278,27 @@ def choi(f: Channel) -> list[np.ndarray]:
 def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     """Complete positivity via the blockwise Choi matrices.
 
-    A CP map has Hermitian PSD Choi matrices, so a non-Hermitian Choi block
-    fails outright; otherwise the verdict is the minimum eigenvalue test.
-    Both tests are relative to scale = max(1, ||C_y||), the operator norm of
-    the Choi matrix C_y of domain block y.
-
-    C_y is block-diagonal over the codomain blocks, so every quantity comes
-    from its blocks C_yx and their Hermitian parts H.  max|H_ij| <= ||C_y||
-    gives a lower bound lo on the scale: the domain blocks of one size pass
-    together when their skew is within tol.herm * lo and `alg._psd_pass`
-    proves the PSD test at lo, and when every group passes so, F passes
-    before any scale is formed.  Any other group is decided by one batched
-    eigvalsh of H per block size, with ||H|| <= ||C_y|| <= ||H|| +
-    ||(C - C*) / 2||_F, each widened by alg._SLACK; only a block whose
-    verdict differs between the two bounds pays for the exact norm.
+    A CP map has Hermitian PSD Choi matrices, so the Choi matrix C_y of every
+    domain block y must pass the rule of `alg._psd_verdicts` at unit 1: skew
+    first, then the minimum eigenvalue of the Hermitian part, each against
+    max(1, ||C_y||).  C_y is block-diagonal over the codomain blocks, so the
+    domain blocks of one size are one batch of elements, decided from the
+    Hermitian and skew parts of `_grid.choi_parts`; the first failing domain
+    block is the witness.
     """
 
     def compute():
         k = len(f.domain.blocks)
-        skew, low, passed = np.zeros(k), np.full(k, np.inf), np.zeros(k, dtype=bool)
-        herm_norm, skew_frob = np.zeros(k), np.zeros(k)
+        not_sa, negative = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+        skew, low = np.zeros(k), np.zeros(k)
         for ys, parts in _grid.choi_parts(f):
-            top = np.zeros(len(ys))
-            for h, diff in parts:
-                skew[ys] = np.maximum(skew[ys], np.abs(diff).max(axis=(1, 2, 3)))
-                top = np.maximum(top, np.abs(h).max(axis=(1, 2, 3)))   # max|H_ij|
-            hs = [h for h, _ in parts]
-            floor = np.maximum(1.0, top * (1 - alg._SLACK))   # max|H_ij| <= ||H|| <= ||C_y||
-            if (skew[ys] <= tol.herm * floor).all() and alg._psd_pass(hs, floor, tol):
-                passed[ys] = True
-                continue
-            for h, diff in parts:
-                w = h.real[..., 0] if h.shape[-1] == 1 else np.linalg.eigvalsh(h)
-                low[ys] = np.minimum(low[ys], w[..., 0].min(axis=1))
-                herm_norm[ys] = np.maximum(herm_norm[ys], np.abs(w).max(axis=(1, 2)))
-                sq = np.add(np.square(diff.real, out=diff.real), np.square(diff.imag, out=diff.imag))
-                frob = 0.5 * np.sqrt(sq.sum(axis=(2, 3)))
-                skew_frob[ys] = np.maximum(skew_frob[ys], frob.max(axis=1))
-        if passed.all():
-            return _report("cp", True, tol.psd)
-        lo = np.maximum(1.0, herm_norm * (1 - alg._SLACK))
-        hi = np.maximum(1.0, (herm_norm + skew_frob) * (1 + alg._SLACK))
-        # any scale between the bounds settles a block whose verdict agrees at both
-        scale = lo.copy()
-        open_ = ((skew > tol.herm * lo) != (skew > tol.herm * hi)) | (
-            (low < -tol.psd * lo) != (low < -tol.psd * hi))
-        for ys, stacks in _grid.choi_blocks(f) if open_.any() else ():   # C again, not H
-            pick = open_[ys]
-            if pick.any():
-                scale[ys[pick]] = np.maximum(1.0, _grid._op_norm([c[pick] for c in stacks]))
-        not_herm = skew > tol.herm * scale
-        bad = ~passed & (not_herm | (low < -tol.psd * scale))
+            hs, diffs = zip(*parts)
+            not_sa[ys], negative[ys], skew[ys], low[ys] = alg._psd_verdicts(hs, diffs, 1.0, tol)
+        bad = not_sa | negative
         if not bad.any():
             return _report("cp", True, tol.psd)
         y = int(bad.argmax())
-        if not_herm[y]:
+        if not_sa[y]:
             return _report(
                 "cp", False, tol.psd,
                 witness={"domain_block": y, "skew_norm": float(skew[y]),
@@ -411,14 +377,11 @@ def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
     the coordinates y (T, c) of codomain elements that must be positive, each
     scaled by an exact 2^-s, where s is one exponent or one per trial.  A
     trial fails when its element is not self-adjoint (reasons[0]) or has a
-    negative eigenvalue (reasons[1]), as `is_self_adjoint_elem` and `min_eig`
-    decide, with the floor 1 of the scale scaled by 2^-s alike.  A batch
-    holds _grid._CHUNK // max(d, c) trials; a batch whose skew is within
-    tol.herm * max(2^-s, max|entry|) and whose positivity `alg._psd_pass`
-    proves at that scale passes, any other is decided spectrally, and the
-    first batch with a failure reports its first failing trial, with
-    "scale_exponent": -s when its batch was scaled.  A batch with a
-    non-finite element raises ValueError.
+    negative eigenvalue (reasons[1]), as `alg._psd_verdicts` decides with the
+    floor 1 of the scale scaled by 2^-s alike.  A batch holds
+    _grid._CHUNK // max(d, c) trials, and the first batch with a failure
+    reports its first failing trial, with "scale_exponent": -s when its batch
+    was scaled.  A batch with a non-finite element raises ValueError.
     """
     rng = np.random.default_rng(seed)
     if trials < 1:
@@ -429,16 +392,10 @@ def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
         x = alg._random_coords(dom, rng, (min(step, trials - t0),))
         out, s = gap(x)
         alg._finite(out)
-        unit = np.ldexp(1.0, -s)
-        xs = alg._stacks(cod, out)
-        skew, hs = alg._max_abs([y - alg._dagger(y) for y in xs]), alg._hermitian(xs)
-        floor = np.maximum(unit, alg._lower(xs))
-        if (skew <= tol.herm * floor).all() and alg._psd_pass(hs, floor, tol):
-            continue
-        scale = np.maximum(unit, alg._op_norm(xs))
-        not_sa = skew > tol.herm * scale
-        low = alg._lowest(hs)
-        fail = not_sa | (low < -tol.psd * scale)
+        xs, unit = alg._stacks(cod, out), np.ldexp(1.0, -s)
+        not_sa, negative, _, low = alg._psd_verdicts(
+            alg._hermitian(xs), [y - alg._dagger(y) for y in xs], unit, tol)
+        fail = not_sa | negative
         if fail.any():
             t = int(fail.argmax())
             bad = ({"reason": reasons[0]} if not_sa[t]

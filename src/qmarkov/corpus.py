@@ -48,7 +48,6 @@ __all__ = [
     "CheckResult",
     "FixtureReport",
     "Fixture",
-    "hamming74",
     "knill_laflamme",
     "counterexample",
     "registry_names",
@@ -216,10 +215,6 @@ def _build_hamming() -> list[CheckResult]:
     checks.append(_check("embedded classical Bayes inverse passes the Bayes condition",
                          bayes_rep.passed, bayes_rep.detail))
     return checks
-
-
-def hamming74() -> Fixture:
-    return Fixture("hamming-7-4", "binary (7,4) block code with syndrome decoding", _build_hamming)
 
 
 # ---------------------------------------------------------------------------
@@ -705,29 +700,29 @@ def epr_conditional() -> tuple[Channel, float]:
 
     Returns the unique solving channel and the residual of the linear system.
     """
+    coeff, rhs = _epr_system()
+    sol = np.linalg.lstsq(coeff, rhs, rcond=None)[0]
+    residual = float(np.linalg.norm(coeff @ sol - rhs))
     m2 = AlgebraShape((2,))
+    return Channel(m2, m2, sol.reshape(4, 4)), residual
+
+
+def _epr_system() -> tuple[np.ndarray, np.ndarray]:
+    """The joint-state equation omega_A(A F(B)) = tr(rho (A (x) B)) for the EPR density
+    rho, on the unit pairs (A, B) = (E_a, E_b) of M_2, as 16 equations (row 4 a + b) in
+    the 16 entries of the channel matrix (unknown 4 c + b is coordinate c of F(E_b)).
+
+    omega_A(E_a E_c) = 0.5 tr(E_a E_c) is 1/2 when E_c = E_a* and 0 otherwise, and
+    tr(rho (E_kl (x) E_pq)) is the entry rho[2 l + q, 2 k + p].
+    """
     rho = 0.5 * np.array(
         [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
     )
-    units = [e.blocks[0] for e in alg.matrix_units(m2)]
-    # unknowns: 16 entries of the channel matrix; equations indexed by (A, B) pairs
-    rows, rhs = [], []
-    for a_mat in units:
-        for bi, b_mat in enumerate(units):
-            row = np.zeros(16, dtype=complex)
-            # omega_A(A F(B)) = 0.5 tr(A F(B)); F(B) = unvec(col_bi of matrix)
-            for out_idx in range(4):
-                i, j = divmod(out_idx, 2)
-                basis_out = np.zeros((2, 2), dtype=complex)
-                basis_out[i, j] = 1.0
-                row[out_idx * 4 + bi] = 0.5 * np.trace(a_mat @ basis_out)
-            rows.append(row)
-            rhs.append(np.trace(rho @ np.kron(a_mat, b_mat)))
-    coeff = np.stack(rows)
-    sol, _, rank, _ = np.linalg.lstsq(coeff, np.array(rhs), rcond=None)
-    residual = float(np.linalg.norm(coeff @ sol - np.array(rhs)))
-    chan = Channel(m2, m2, sol.reshape(4, 4))
-    return chan, residual
+    a, b = np.divmod(np.arange(16), 4)
+    coeff = np.zeros((16, 16), dtype=complex)
+    coeff[np.arange(16), 4 * alg.adjoint_index(AlgebraShape((2,)))[a] + b] = 0.5
+    (k, l), (p, q) = np.divmod(a, 2), np.divmod(b, 2)
+    return coeff, rho[2 * l + q, 2 * k + p]
 
 
 def _build_epr() -> list[CheckResult]:

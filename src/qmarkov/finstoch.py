@@ -316,8 +316,12 @@ def embed(f: StochasticMatrix) -> Channel:
     """
     dom = AlgebraShape((1,) * f.n_rows)
     cod = AlgebraShape((1,) * f.n_cols)
-    mat = np.asarray(f.entries, dtype=float).T.astype(complex)
-    return Channel(dom, cod, mat)
+    if f.exact:   # one Fraction.__float__ per nonzero entry; float(Fraction(0)) is 0.0
+        nonzero, mat = f.entries.astype(bool), np.zeros(f.entries.shape)
+        mat[nonzero] = f.entries[nonzero].astype(float)
+    else:
+        mat = np.asarray(f.entries, dtype=float)
+    return Channel(dom, cod, mat.T.astype(complex))
 
 
 def embed_prob(p: ProbVector, tol: Tolerance = DEFAULT_TOL) -> State:

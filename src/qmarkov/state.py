@@ -102,24 +102,15 @@ def state_from_density(density: AlgElement, tol: Tolerance = DEFAULT_TOL) -> Sta
     """Validate a density element (PSD, unit trace) and build the state.
 
     Self-adjointness and positivity are the tests of `is_positive_elem`,
-    against max(1, ||rho||), read from the one spectrum the state keeps.  With
-    H the Hermitian part, ||H|| <= ||rho|| <= ||H|| + ||(rho - rho*) / 2||_F,
-    each bound widened by alg._SLACK; only a verdict that differs between the
-    two bounds pays for the exact norm.
+    decided by `alg._psd_verdicts` from the eigenvalues of the one spectrum
+    the state keeps.
     """
     xs = alg._element_stacks(density)
-    diff = [x - alg._dagger(x) for x in xs]
-    skew, spec = alg._max_abs(diff), _spectrum(density.shape, alg._hermitian(xs), tol)
-    low = min(w[:, -1].min() for w, _, _ in spec.stacks)
-    top = max(np.abs(w).max() for w, _, _ in spec.stacks)   # ||H||
-
-    def failures(scale):
-        return skew > tol.herm * scale, low < -tol.psd * scale
-
-    scale = tol.scale(top * (1 - alg._SLACK))
-    if failures(scale) != failures(tol.scale(top * (1 + alg._SLACK) + 0.5 * alg._upper(diff))):
-        scale = tol.scale(alg._op_norm(xs))
-    not_self_adjoint, negative = failures(scale)
+    hs = alg._hermitian(xs)
+    spec = _spectrum(density.shape, hs, tol)
+    not_self_adjoint, negative, _, _ = alg._psd_verdicts(
+        hs, [x - alg._dagger(x) for x in xs], 1.0, tol,
+        [v[:, ::-1] for v, _, _ in spec.stacks])   # ascending
     if not_self_adjoint:
         raise NotSelfAdjoint("element is not self-adjoint within tolerance")
     if negative:

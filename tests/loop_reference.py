@@ -13,7 +13,8 @@ their own Hermiticity test, PSD test and rank cutoff; the element operations
 build an element block by block, the stacked layout gathers and scatters
 every block size on its coordinate rows, and the sampled checks draw and
 decide one random element per trial; the strict-positivity and causality
-grids of the corpus visit one pair, or triple, of matrix units per step.  The
+grids of the corpus visit one pair, or triple, of matrix units per step, and
+the EPR system takes one trace per coefficient.  The
 differential tests run both and require the same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
@@ -1002,3 +1003,25 @@ def causality_violations(h: Channel, k: Channel, g: Channel, proj: np.ndarray):
                     worst_conc = abs(lhs2 - rhs2)
                     conc_witness = (c, a, b)
     return worst_hyp, worst_conc, conc_witness
+
+
+def epr_system() -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients and right-hand side of the joint-state equation of the EPR
+    density, one trace per entry: 0.5 tr(A E_out) and tr(rho (A (x) B)) for every pair
+    of units (A, B) of M_2 and every output unit E_out."""
+    rho = 0.5 * np.array(
+        [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
+    )
+    units = [e.blocks[0] for e in alg.matrix_units(AlgebraShape((2,)))]
+    rows, rhs = [], []
+    for a_mat in units:
+        for bi, b_mat in enumerate(units):
+            row = np.zeros(16, dtype=complex)
+            for out_idx in range(4):
+                i, j = divmod(out_idx, 2)
+                basis_out = np.zeros((2, 2), dtype=complex)
+                basis_out[i, j] = 1.0
+                row[out_idx * 4 + bi] = 0.5 * np.trace(a_mat @ basis_out)
+            rows.append(row)
+            rhs.append(np.trace(rho @ np.kron(a_mat, b_mat)))
+    return np.stack(rows), np.array(rhs)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from qmarkov import _grid, corpus, props
+from qmarkov import corpus, props
 from qmarkov import algebra as alg
 from qmarkov import finstoch as fs
 from qmarkov.algebra import AlgebraShape, AlgElement
@@ -305,13 +305,13 @@ def _cp_key(report):
 def exact_norms(monkeypatch):
     """Counts the domain blocks whose Choi scale needed an exact norm."""
     seen = []
-    exact = _grid._op_norm
+    exact = alg._op_norm
 
     def counting(xs):
         seen.append(len(xs[0]))
         return exact(xs)
 
-    monkeypatch.setattr(_grid, "_op_norm", counting)
+    monkeypatch.setattr(alg, "_op_norm", counting)
     return seen
 
 

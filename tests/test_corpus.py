@@ -49,7 +49,7 @@ def test_hamming_codec_exhaustively():
 
 
 def test_hamming_factory_runs():
-    assert corpus.hamming74().run().passed
+    assert corpus.counterexample("hamming-7-4").run().passed
 
 
 def test_kl_factory_accepts_gamma():
@@ -75,6 +75,14 @@ def test_epr_solution_form():
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         got = apply(chan, AlgElement(AlgebraShape((2,)), (b,))).blocks[0]
         assert np.allclose(got, j @ b.T @ j.conj().T, atol=1e-10)
+
+
+def test_epr_system_matches_the_loop():
+    """Assembled by index, the system holds the floats of one trace per entry, so the
+    solution, its residual and the fixture's details keep their bits."""
+    coeff, rhs = corpus._epr_system()
+    want_coeff, want_rhs = ref.epr_system()
+    assert np.array_equal(coeff, want_coeff) and np.array_equal(rhs, want_rhs)
 
 
 def _scaled(f, c=1.0001):

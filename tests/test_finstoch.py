@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qmarkov import corpus
 from qmarkov import finstoch as fs
 from qmarkov.channel import compose as chan_compose, is_cp, is_unital
 from qmarkov.errors import ShapeMismatch
@@ -130,6 +131,30 @@ def test_embed_identity_and_functoriality():
         lhs = fs.embed(fs.compose(g, f))
         rhs = chan_compose(fs.embed(f), fs.embed(g))
         assert np.allclose(lhs.matrix, rhs.matrix)
+
+
+def _rational_kernel(rng, rows: int, cols: int) -> fs.StochasticMatrix:
+    """Columns w / sum(w) of random integer weights up to 2^102, about 40 % of them 0."""
+    columns = []
+    for _ in range(cols):
+        w = [0 if rng.random() < 0.4 else int(rng.integers(1, 2**62)) << 40 | int(
+            rng.integers(2**40)) for _ in range(rows)]
+        w[0] += 1
+        columns.append([Fraction(v, sum(w)) for v in w])
+    return fs.stochastic([list(row) for row in zip(*columns)])
+
+
+def test_embed_converts_exact_entries_as_numpy_does():
+    """Only the nonzero Fractions are converted; the floats keep every bit."""
+    f = corpus._hamming_error_kernel(Fraction(1, 100))
+    kernels = [f, fs.deterministic_kernel(corpus.hamming_decode, 128, 16),
+               fs.bayes_inverse(f, fs.prob_vector([Fraction(1, 16)] * 16))]
+    rng = np.random.default_rng(8)
+    kernels += [_rational_kernel(rng, rows, cols) for rows, cols in ((1, 1), (5, 3), (16, 40))]
+    for k in kernels:
+        assert k.exact
+        want = np.asarray(k.entries, dtype=float).T.astype(complex)
+        assert fs.embed(k).matrix.tobytes() == want.tobytes()
 
 
 def test_embedded_kernels_are_cpu():

@@ -9,6 +9,9 @@ must give the reports of their spectral references bit for bit.  The
 boundary cases put lambda_min at -c tol.psd lo on either side of the bound,
 and one 144 x 144 case makes the rounding allowance r decide.
 """
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -361,3 +364,166 @@ def test_state_from_density_takes_the_exact_norm_only_between_the_bounds(monkeyp
         assert got == _parent_state_error(rho, tol)
         outcomes.add(got[0])
     assert outcomes == {ValueError, None}
+
+
+# ---------------------------------------------------------------------------
+# the one rule: every caller of alg._psd_verdicts against its oracle at the threshold
+# ---------------------------------------------------------------------------
+
+def _straddling() -> np.ndarray:
+    """x = H + K on C^6 with tr x = 1, lambda_min(H) = -0.05, ||H|| = 0.4 and K skew with
+    zero diagonal and largest entry 1.5: its norm s lies well inside both pairs of
+    scale bounds, (max(1, ||H||), ||H|| + ||K||_F) and (max|x_ij|, ||x||_F)."""
+    rng = np.random.default_rng(17)
+    q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    h = (q * np.array([-0.05, 0.05, 0.1, 0.2, 0.3, 0.4])) @ q.conj().T
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    k = a - a.conj().T
+    np.fill_diagonal(k, 0.0)
+    x = 0.5 * (h + h.conj().T) + 1.5 * k / np.abs(k).max()
+    s = np.linalg.norm(x, 2)
+    herm = 0.5 * (x + x.conj().T)
+    frob = np.linalg.norm(x - x.conj().T) / 2
+    for lo, hi in ((max(1.0, np.linalg.norm(herm, 2)), np.linalg.norm(herm, 2) + frob),
+                   (np.abs(x).max(), np.linalg.norm(x))):
+        assert 1.01 * lo < s < 0.99 * hi and hi < 10 * s
+    return x
+
+
+X = _straddling()
+
+
+def _at(c: float, skew: bool) -> Tolerance:
+    """The Tolerance that puts the skew of X (skew) or lambda_min of its Hermitian part
+    at c times its bound at the scale ||X||, and the other test far inside its bound."""
+    s = np.linalg.norm(X, 2)
+    if skew:
+        return Tolerance(herm=np.abs(X - X.conj().T).max() / (c * s), psd=1.0)
+    low = np.linalg.eigvalsh(0.5 * (X + X.conj().T))[0]
+    return Tolerance(herm=10.0, psd=-low / (c * s))
+
+
+def _raised(call):
+    try:
+        return call()
+    except NotSelfAdjoint as exc:
+        return NotSelfAdjoint, str(exc)
+
+
+def _elem(x):
+    return AlgElement(AlgebraShape((x.shape[0],)), (x,))
+
+
+def test_the_threshold_inputs_straddle_the_rule():
+    below, above = _at(1 - 1e-6, True), _at(1 + 1e-6, True)
+    assert ref.is_hermitian(X, below) and not ref.is_hermitian(X, above)
+    below, above = _at(1 - 1e-6, False), _at(1 + 1e-6, False)
+    assert ref.is_positive_elem(_elem(X), below) and not ref.is_positive_elem(_elem(X), above)
+
+
+def _image_map(x):
+    """C ~> M_6, b |-> b 1000 x: the images of the trials are |b|^2 1000 x."""
+    return Channel(AlgebraShape((1,)), AlgebraShape((6,)), 1000 * x.reshape(-1, 1))
+
+
+_CALLERS = {
+    "is_cp": (
+        lambda x, tol: is_cp(_from_choi(x, 2, 3), tol).to_dict(),
+        lambda x, tol: ref.is_cp_spectral(_from_choi(x, 2, 3), tol).to_dict(),
+        lambda f=identity_channel(AlgebraShape((3,))): is_cp(f),
+    ),
+    "sampled": (
+        lambda x, tol: is_positive_sampled(_image_map(x), 64, 0, tol).to_dict(),
+        lambda x, tol: ref.is_positive_sampled(_image_map(x), 64, 0, tol).to_dict(),
+        lambda f=props.random_cpu_channel(4, 4, np.random.default_rng(3)): is_positive_sampled(f),
+    ),
+    "is_positive_elem": (
+        lambda x, tol: _raised(lambda: alg.is_positive_elem(_elem(x), tol)),
+        lambda x, tol: _raised(lambda: ref.is_positive_elem(_elem(x), tol)),
+        lambda a=alg.random_positive(AlgebraShape((2, 3)), np.random.default_rng(4)):
+            alg.is_positive_elem(a),
+    ),
+    "is_self_adjoint_elem": (
+        lambda x, tol: alg.is_self_adjoint_elem(_elem(x), tol),
+        lambda x, tol: ref.is_hermitian(x, tol),
+        lambda a=alg.random_self_adjoint(AlgebraShape((2, 3)), np.random.default_rng(5)):
+            alg.is_self_adjoint_elem(a),
+    ),
+    "state_from_density": (
+        lambda x, tol: _state_error(_elem(x), tol),
+        lambda x, tol: _parent_state_error(_elem(x), tol),
+        lambda a=alg.random_density(AlgebraShape((3, 3)), np.random.default_rng(6)):
+            state_from_density(a),
+    ),
+}
+
+
+def _counted(calls: dict, name: str, real):
+    def counting(*args):
+        calls[name] += 1
+        return real(*args)
+
+    return counting
+
+
+@pytest.mark.parametrize("caller", list(_CALLERS))
+def test_every_caller_decides_the_rule_at_the_threshold_as_its_oracle(caller, monkeypatch):
+    """Skew at tol.herm s (1 +- 1e-6) and lambda_min at -tol.psd s (1 +- 1e-6), with the norm
+    s strictly between the cheap bounds: each takes the exact norm and gets the oracle's
+    verdict and witness.  c = 10 fails at both bounds with no exact norm, except in
+    `is_self_adjoint_elem`, which takes the norm for every skew above tol.herm, and a
+    certified pass takes no spectrum (a state takes the one eigh it keeps)."""
+    run, oracle, certified = _CALLERS[caller]
+    skew_only = caller == "is_self_adjoint_elem"
+    calls = dict.fromkeys(("_op_norm", "eigvalsh", "eigh"), 0)
+    for owner, name in ((alg, "_op_norm"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+        monkeypatch.setattr(owner, name, _counted(calls, name, getattr(owner, name)))
+    for skew in (True,) if skew_only else (True, False):
+        for c, exact in ((1 - 1e-6, True), (1 + 1e-6, True), (10.0, skew_only)):
+            tol = _at(c, skew)
+            calls["_op_norm"] = 0
+            got = run(X, tol)
+            assert (calls["_op_norm"] > 0) is exact, (skew, c)
+            assert got == oracle(X, tol), (skew, c)
+    calls.update(dict.fromkeys(calls, 0))
+    certified()
+    assert calls == {"_op_norm": 0, "eigvalsh": 0, "eigh": int(caller == "state_from_density")}
+
+
+# the rule is decided in `algebra._psd_verdicts` and its certificate `_psd_pass`, its
+# skew half alone in `algebra.is_self_adjoint_elem`; the pullback's skew test (2 tol.herm
+# against the norm of the skew part) and the NotPSD test of linalg (scale
+# max(1, lambda_max)) keep rules of their own
+_TOLERANCE_PLACES = {("algebra", "_psd_verdicts"), ("algebra", "_psd_pass"),
+                     ("algebra", "is_self_adjoint_elem"),
+                     ("state", "pullback_state"), ("linalg", "_decompose")}
+
+
+def _tolerance_comparisons(source: str) -> set[str | None]:
+    """The top-level functions and classes (None outside any) of source holding a
+    comparison with an operand that reads an attribute `psd` or `herm`."""
+    found = set()
+    for node in ast.parse(source).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Compare) and any(
+                    isinstance(a, ast.Attribute) and a.attr in ("psd", "herm")
+                    for a in ast.walk(sub)):
+                found.add(getattr(node, "name", None))
+    return found
+
+
+def test_tolerance_guard_sees_every_comparison_form():
+    for bad in ("x <= tol.herm", "-tol.psd * s > low", "ok = a < b < 2 * self.tol.herm",
+                "def f(t):\n    def g():\n        return (low\n                < -t.psd)",
+                "class C:\n    def m(self, tol):\n        return x >= tol.psd * s"):
+        assert _tolerance_comparisons(bad), bad
+    for fine in ("x = tol.psd * s", "_report('cp', True, tol.psd)", "x <= tol.eq * s",
+                 "# low < -tol.psd * s", "'low < -tol.psd * s'"):
+        assert not _tolerance_comparisons(fine), fine
+
+
+def test_only_the_rule_compares_against_the_psd_and_herm_tolerances():
+    src = Path(__file__).resolve().parents[1] / "src" / "qmarkov"
+    places = {(path.stem, name) for path in sorted(src.glob("*.py"))
+              for name in _tolerance_comparisons(path.read_text())}
+    assert places == _TOLERANCE_PLACES
