@@ -1,6 +1,21 @@
 """Computation and verification for channels between direct sums of matrix
 algebras: states and supports, almost-everywhere relations, Bayes maps,
-Petz recovery, disintegrations, and an executable corpus of examples."""
+Petz recovery, disintegrations, and an executable corpus of examples.
+
+Importing the package before numpy sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where they are unset: on the small
+matrices the verifiers take, threaded BLAS only adds start-up stalls.  A
+value already set is kept, and so is whatever numpy chose when it was
+imported first.
+"""
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:   # BLAS reads its thread count when numpy loads
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+    del _var
+del _os, _sys
 
 from .algebra import (
     AlgebraShape,

@@ -36,7 +36,6 @@ from .algebra import (
     _UNIT_ROUNDOFF,
     _dagger,
     _factors,
-    _groups,
     _lower,
     _max_abs,
     _op_norm,
@@ -55,7 +54,7 @@ _CHUNK = 1 << 13
 
 def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
     """The columns of `matrix`, coordinates on s, as stacks per block size."""
-    return [matrix[rows].T.reshape(matrix.shape[1], -1, m, m) for m, _, rows, *_ in _groups(s)]
+    return [matrix[g.rows].T.reshape((matrix.shape[1],) + g.tail) for g in s._layout.groups]
 
 
 def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
@@ -66,7 +65,7 @@ def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
     of X |-> A X B applied blockwise.  left and right are stacks (k, m, m) per block size.
     """
     out = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
-    for (m, ids, rows, *_), a, b in zip(_groups(s), left, right):
+    for (m, ids, rows, *_), a, b in zip(s._layout.groups, left, right):
         at = rows.reshape(len(ids), m * m, 1)
         prod = a[:, :, None, :, None] * b[:, None, :, None, :]
         out[at, at.swapaxes(1, 2)] = prod.reshape(len(ids), m * m, m * m)
@@ -84,11 +83,10 @@ def choi_blocks(f) -> list[tuple[np.ndarray, Stacks]]:
     and a transpose: a copy, or a read-only view where the transpose allows.
     """
     out = []
-    for n, ys, cols, col_span, _ in _groups(f.domain):
+    for n, ys, _, cols, *_ in f.domain._layout.groups:
         stacks = []
-        for m, xs, rows, row_span, _ in _groups(f.codomain):
-            c = f.matrix[rows if row_span is None else row_span][
-                :, cols if col_span is None else col_span].reshape(len(xs), m, m, len(ys), n, n)
+        for m, xs, _, rows, *_ in f.codomain._layout.groups:
+            c = f.matrix[rows][:, cols].reshape(len(xs), m, m, len(ys), n, n)
             stacks.append(c.transpose(3, 0, 4, 1, 5, 2).reshape(len(ys), len(xs), n * m, n * m))
         out.append((ys, stacks))
     return out
@@ -382,8 +380,8 @@ def _gram_bound(f, adjoint: bool, support: AlgElement | None, side: str,
         return np.inf, {}
     proj = None if support is None else _stacks(support.shape, alg.vec(support))
     groups = []
-    for i, (m, ids, rows, span, _) in enumerate(_groups(cod)):
-        at, k = rows if span is None else span, len(ids)
+    for i, (m, ids, _, at, *_) in enumerate(cod._layout.groups):
+        k = len(ids)
         big, one = nu[at].T.reshape(2, k, m, m)
         if m == 1:   # sum_a |F(E_a)_x|^2 is the squared norm of row x
             v = np.ascontiguousarray(mat[at]).view(float)

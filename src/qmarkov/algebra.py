@@ -17,8 +17,9 @@ or element, and the finiteness of an element is checked once, when stacked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AlgebraShape:
-    """Block dimensions (n_1, ..., n_k) of a direct sum of matrix algebras."""
+    """Block dimensions (n_1, ..., n_k) of a direct sum of matrix algebras;
+    coord_dim, the sum of the n_i^2, is the number of coordinates."""
 
     blocks: tuple[int, ...]
 
@@ -62,12 +64,14 @@ class AlgebraShape:
         blocks = tuple(int(n) for n in self.blocks)
         if len(blocks) < 1 or any(n < 1 for n in blocks):
             raise ValueError(f"invalid block dimensions {self.blocks}")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_hash", hash(blocks))
+        layout = _layout_of(blocks)
+        # coord_dim, the hash and the coordinate layout are kept in the instance dict, so
+        # each is one attribute read; equal shapes share one layout
+        self.__dict__.update(blocks=blocks, _hash=hash(blocks), _layout=layout,
+                             coord_dim=layout.coord_dim)
 
-    # the shape is frozen, so its hash and derived sizes are computed once and kept
-    # in the instance dict; equality (identity first, as every cached index table
-    # looks a shape up), hashing and repr read `blocks` only
+    # equality (identity first, as every cached index table looks a shape up),
+    # hashing, pickling and repr read `blocks` only
     def __eq__(self, other):
         if self is other:
             return True
@@ -76,9 +80,8 @@ class AlgebraShape:
     def __hash__(self):
         return self._hash
 
-    @cached_property
-    def coord_dim(self) -> int:
-        return sum(n * n for n in self.blocks)
+    def __reduce__(self):
+        return AlgebraShape, (self.blocks,)
 
     @property
     def total_dim(self) -> int:
@@ -168,12 +171,16 @@ class AlgElement:
         return self * (-1.0)
 
 
+_set_shape, _set_coords = AlgElement.shape.__set__, AlgElement._coords.__set__
+
+
 def _adopt(s: AlgebraShape, v: np.ndarray, a: AlgElement | None = None) -> AlgElement:
     """The element (a, or a new one) with coordinates v, taken without a copy:
     a complex vector, or a view of the stacks given to `_join`, that no caller writes to."""
     a = object.__new__(AlgElement) if a is None else a
-    object.__setattr__(a, "shape", s)
-    object.__setattr__(a, "_coords", _read_only(v))
+    _set_shape(a, s)   # the slot descriptors: AlgElement.__setattr__ refuses every write
+    v.setflags(write=False)
+    _set_coords(a, v)
     return a
 
 
@@ -205,10 +212,11 @@ def adjoint(a: AlgElement) -> AlgElement:
 def trace(a: AlgElement) -> complex:
     """Unweighted trace, summed over blocks."""
     per_block = np.zeros(len(a.shape.blocks) + 1, dtype=complex)
-    for m, ids, _, _, diag in _groups(a.shape):   # the diagonal, summed as np.trace sums it
-        per_block[ids + 1] = a._coords[diag].reshape(-1, m).sum(-1)
+    blocks = per_block[1:]
+    for g in a.shape._layout.groups:   # the diagonal, summed as np.trace sums it
+        blocks[g.ids] = a._coords[g.diag].reshape(g.tail[:2]).sum(-1)
     # a running sum from 0, so the blocks add up in order, as a per-block sum() adds them
-    return complex(np.cumsum(per_block)[-1])
+    return complex(np.add.accumulate(per_block)[-1])
 
 
 def normalized_trace(a: AlgElement) -> complex:
@@ -270,8 +278,14 @@ def matrix_units(s: AlgebraShape) -> list[AlgElement]:
 
 
 def tensor_shape(s1: AlgebraShape, s2: AlgebraShape) -> AlgebraShape:
-    """Tensor product shape, block pairs ordered left-factor major."""
-    return AlgebraShape(tuple(m * n for m in s1.blocks for n in s2.blocks))
+    """Tensor product shape, block pairs ordered left-factor major: one object
+    per pair of block dimensions, so its layout and index tables are built once."""
+    return _tensor_shape(s1.blocks, s2.blocks)
+
+
+@lru_cache(maxsize=64)
+def _tensor_shape(left: tuple[int, ...], right: tuple[int, ...]) -> AlgebraShape:
+    return AlgebraShape(tuple(m * n for m in left for n in right))
 
 
 def tensor_elem(a: AlgElement, b: AlgElement) -> AlgElement:
@@ -314,27 +328,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=64)
-def _unit_labels(s: AlgebraShape) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _labels(blocks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Block offset, block size, row and column of every unit, canonical order."""
-    sizes = np.array(s.blocks)
+    sizes = np.array(blocks)
     n = np.repeat(sizes, sizes * sizes)
-    off = np.repeat(np.array(s.offsets()), sizes * sizes)
-    row, col = np.divmod(np.arange(s.coord_dim) - off, n)
+    off = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes * sizes)
+    row, col = np.divmod(np.arange(n.size) - off, n)
     return off, n, row, col
 
 
 @lru_cache(maxsize=64)
 def adjoint_index(s: AlgebraShape) -> np.ndarray:
     """adj[a] is the index of E_a*."""
-    off, n, row, col = _unit_labels(s)
+    off, n, row, col = _labels(s.blocks)
     return _read_only(off + col * n + row)
 
 
 @lru_cache(maxsize=64)
 def product_index(s: AlgebraShape) -> np.ndarray:
     """prod[a, b] is the index of E_a E_b, or coord_dim when the product is 0."""
-    off, n, row, col = _unit_labels(s)
+    off, n, row, col = _labels(s.blocks)
     joint = (off[:, None] == off[None, :]) & (col[:, None] == row[None, :])
     return _read_only(np.where(joint, off[:, None] + row[:, None] * n[:, None] + col[None, :],
                                s.coord_dim))
@@ -349,7 +362,7 @@ def tensor_index(s1: AlgebraShape, s2: AlgebraShape) -> tuple[np.ndarray, np.nda
     column (j, q) is E_ij (x) E_pq.
     """
     t = tensor_shape(s1, s2)
-    _, _, row, col = _unit_labels(t)
+    _, _, row, col = _labels(t.blocks)
     block = np.repeat(np.arange(len(t.blocks)), np.array(t.blocks) ** 2)
     x, y = np.divmod(block, len(s2.blocks))
     m, n = np.array(s1.blocks)[x], np.array(s2.blocks)[y]
@@ -362,7 +375,7 @@ def tensor_index(s1: AlgebraShape, s2: AlgebraShape) -> tuple[np.ndarray, np.nda
 @lru_cache(maxsize=64)
 def _embed_index(s: AlgebraShape) -> np.ndarray:
     """Flat position of every unit in the block-diagonal total_dim x total_dim picture."""
-    _, _, row, col = _unit_labels(s)
+    _, _, row, col = _labels(s.blocks)
     start = np.repeat(np.cumsum((0,) + s.blocks[:-1]), np.array(s.blocks) ** 2)
     return _read_only((start + row) * s.total_dim + start + col)
 
@@ -370,7 +383,7 @@ def _embed_index(s: AlgebraShape) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _unit_coords(s: AlgebraShape) -> np.ndarray:
     """vec(1)."""
-    _, _, row, col = _unit_labels(s)
+    _, _, row, col = _labels(s.blocks)
     return _read_only((row == col).astype(complex))
 
 
@@ -383,17 +396,47 @@ Stacks = list  # one array (..., k, m, m) per block size of a shape
 _SLACK = 1e-12     # relative margin on the cheap norm bounds, far above rounding
 
 
-@lru_cache(maxsize=64)
-def _groups(s: AlgebraShape) -> tuple[tuple, ...]:
-    """(m, the blocks of size m, their coordinate rows, those rows as a slice or None when they
-    are not one range, the rows of their diagonal entries) for each block size of s, in order."""
-    sizes, (_, n, row, col) = np.array(s.blocks), _unit_labels(s)
-    out = []
-    for m in dict.fromkeys(s.blocks):
-        rows = np.flatnonzero(n == m)
-        span = slice(int(rows[0]), int(rows[-1]) + 1) if np.all(np.diff(rows) == 1) else None
-        out.append((m, np.flatnonzero(sizes == m), rows, span, rows[row[rows] == col[rows]]))
-    return tuple(out)
+class _Group(NamedTuple):
+    """The k blocks of one size m of a shape."""
+
+    m: int
+    ids: np.ndarray              # the blocks of size m
+    rows: np.ndarray             # their coordinate rows
+    at: slice | np.ndarray       # the rows as a slice when they are one range: stacks are views
+    tail: tuple[int, int, int]   # (k, m, m)
+    diag: np.ndarray             # the rows of their diagonal entries
+
+
+class _Layout(NamedTuple):
+    """How the coordinates of a shape split into stacks, built once per block dimensions."""
+
+    coord_dim: int
+    groups: tuple[_Group, ...]   # one per block size, in order of first appearance
+    in_order: bool               # every group is one range: stacks concatenate to coordinates
+    re: slice | np.ndarray       # where `_random_coords` reads the real and imaginary
+    im: slice | np.ndarray       # parts of every coordinate in one flat draw
+
+
+def _as_slice(idx: np.ndarray, step: int) -> slice | np.ndarray:
+    """idx as a slice when it is idx[0], idx[0] + step, ..., else idx."""
+    if (idx == idx[0] + step * np.arange(idx.size)).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
+
+
+@lru_cache(maxsize=256)
+def _layout_of(blocks: tuple[int, ...]) -> _Layout:
+    sizes, (off, n, row, col) = np.array(blocks), _labels(blocks)
+    groups = []
+    for m in dict.fromkeys(blocks):
+        ids, rows = np.flatnonzero(sizes == m), np.flatnonzero(n == m)
+        diag = rows[row[rows] == col[rows]]
+        groups.append(_Group(m, _read_only(ids), _read_only(rows), _as_slice(rows, 1),
+                             (len(ids), m, m), _read_only(diag)))
+    re = np.arange(n.size) + off   # block by block: n^2 real parts, then n^2 imaginary parts
+    step = int(re[1] - re[0]) if re.size > 1 else 1
+    return _Layout(n.size, tuple(groups), all(isinstance(g.at, slice) for g in groups),
+                   _as_slice(_read_only(re), step), _as_slice(_read_only(re + n * n), step))
 
 
 def _finite(x: np.ndarray) -> None:
@@ -403,8 +446,8 @@ def _finite(x: np.ndarray) -> None:
 
 def _stacks(s: AlgebraShape, v: np.ndarray) -> Stacks:
     """Coordinates (..., coord_dim) on s as stacks (..., k, m, m), views of v where they can be."""
-    return [v[..., rows if span is None else span].reshape(v.shape[:-1] + (len(ids), m, m))
-            for m, ids, rows, span, _ in _groups(s)]
+    lead = v.shape[:-1]
+    return [v[..., g.at].reshape(lead + g.tail) for g in s._layout.groups]
 
 
 def _element_stacks(a: AlgElement) -> Stacks:
@@ -417,13 +460,13 @@ def _element_stacks(a: AlgElement) -> Stacks:
 def _join(s: AlgebraShape, xs: Stacks) -> np.ndarray:
     """Coordinates (..., coord_dim) on s from complex stacks (..., k, m, m);
     inverts `_stacks`.  The result may be a view of xs[0]."""
-    lead, groups = xs[0].shape[:-3], _groups(s)
+    lead, layout = xs[0].shape[:-3], s._layout
     flat = [x.reshape(lead + (-1,)) for x in xs]
-    if all(span is not None for _, _, _, span, _ in groups):   # the spans follow in order
+    if layout.in_order:
         return flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
     v = np.empty(lead + (s.coord_dim,), dtype=complex)
-    for (_, _, rows, _, _), x in zip(groups, flat):
-        v[..., rows] = x
+    for g, x in zip(layout.groups, flat):
+        v[..., g.rows] = x
     return v
 
 
@@ -442,6 +485,18 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
+def _fold_max(values: list) -> np.ndarray:
+    """np.maximum.reduce(values), one pairwise maximum at a time, in order: the same
+    values (NaN included) with no conversion of the list to an array.  One entry is
+    returned as it is, so callers must not write into the result."""
+    return reduce(np.maximum, values)
+
+
+def _fold_min(values: list) -> np.ndarray:
+    """np.minimum.reduce(values), folded as `_fold_max` folds."""
+    return reduce(np.minimum, values)
+
+
 # The norm of an element is its largest blockwise operator norm.  It lies
 # between the largest absolute entry and the largest blockwise Frobenius
 # norm; both bounds are widened by _SLACK to cover rounding.  Each function
@@ -449,7 +504,7 @@ def _dagger(x: np.ndarray) -> np.ndarray:
 
 def _max_abs(xs: Stacks) -> np.ndarray:
     """Largest absolute entry of each element, as `elem_equal` measures it."""
-    return np.maximum.reduce([np.abs(x).max(axis=(-3, -2, -1)) for x in xs])
+    return _fold_max([np.abs(x).max(axis=(-3, -2, -1)) for x in xs])
 
 
 def _lower(xs: Stacks) -> np.ndarray:
@@ -457,7 +512,7 @@ def _lower(xs: Stacks) -> np.ndarray:
 
 
 def _upper(xs: Stacks) -> np.ndarray:
-    return np.maximum.reduce([_frobenius(x) for x in xs]) * (1 + _SLACK)
+    return _fold_max([_frobenius(x) for x in xs]) * (1 + _SLACK)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -486,7 +541,7 @@ def _op_norm(xs: Stacks) -> np.ndarray:
         else:
             top = np.linalg.eigvalsh(_dagger(x) @ x)[..., -1]
             out.append(np.sqrt(np.maximum(top, 0.0)).max(axis=-1))
-    return np.maximum.reduce(out)
+    return _fold_max(out)
 
 
 def _hermitian(xs: Stacks) -> Stacks:
@@ -501,7 +556,7 @@ def _eigvalsh(hs: Stacks) -> Stacks:
 
 def _lowest(w: Stacks) -> np.ndarray:
     """Smallest eigenvalue of each element, from the stacks of its ascending eigenvalues."""
-    return np.minimum.reduce([v[..., 0].min(axis=-1) for v in w])
+    return _fold_min([v[..., 0].min(axis=-1) for v in w])
 
 
 def _psd_verdicts(hs: Stacks, diff: Stacks, unit, tol: Tolerance, w: Stacks | None = None):
@@ -530,7 +585,7 @@ def _psd_verdicts(hs: Stacks, diff: Stacks, unit, tol: Tolerance, w: Stacks | No
             passed = np.zeros(np.shape(skew), dtype=bool)
             return passed, passed, skew, np.inf
         w = _eigvalsh(hs)
-    low, top = _lowest(w), np.maximum.reduce([np.abs(v).max(axis=(-2, -1)) for v in w])   # ||H||
+    low, top = _lowest(w), _fold_max([np.abs(v).max(axis=(-2, -1)) for v in w])   # ||H||
 
     def fails(scale):
         return skew > tol.herm * scale, low < -tol.psd * scale
@@ -623,10 +678,9 @@ def _random_coords(s: AlgebraShape, rng: np.random.Generator, lead: tuple = ()) 
     Each element is one flat draw split in block order, real part then
     imaginary part per block, so it holds the numbers per-block draws give.
     """
-    off, n, _, _ = _unit_labels(s)
-    re = np.arange(s.coord_dim) + off
+    layout = s._layout
     z = rng.standard_normal(lead + (2 * s.coord_dim,))
-    return z[..., re] + 1j * z[..., re + n * n]
+    return z[..., layout.re] + 1j * z[..., layout.im]
 
 
 def random_element(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:

@@ -221,3 +221,82 @@ def test_built_elements_share_no_memory_with_writable_arrays_they_escape_with(s)
         assert not v.flags.writeable
         for arr in escaping:
             assert not (arr.flags.writeable and np.shares_memory(v, arr))
+
+
+LAYOUT_SHAPES = [AlgebraShape((2, 1, 2)), AlgebraShape((1, 3, 1, 3, 2)),
+                 AlgebraShape((1,) * 5), AlgebraShape((4,))]
+LEADS = [(), (3,), (2, 3)]
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=lambda t: "x".join(map(str, t)) or "one")
+@pytest.mark.parametrize("s", LAYOUT_SHAPES, ids=_name)
+def test_the_shape_layout_is_bitwise_equal_to_gather_scatter_and_block_draws(s, lead):
+    """`_stacks`, `_join`, `trace` and `_random_coords` read the layout kept on
+    the shape; the loops rebuild every row set from the block dimensions."""
+    rng, rng_ref = (np.random.default_rng(len(lead) + s.coord_dim) for _ in range(2))
+    u = alg._random_coords(s, rng, lead)
+    count = int(np.prod(lead))
+    drawn = [ref.vec(ref.random_element(s, rng_ref)) for _ in range(count)]
+    assert _same(u, np.reshape(drawn, lead + (s.coord_dim,)))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    got, want = alg._stacks(s, u), ref.stacks(s, u)
+    assert len(got) == len(want) and all(_same(x, y) for x, y in zip(got, want))
+    xs = [x * (0.5 - 2j) for x in want]
+    assert _same(alg._join(s, xs), ref.join(s, xs)) and _same(alg._join(s, got), u)
+    for w in u.reshape(count, s.coord_dim):
+        a = alg.unvec(s, w)
+        assert _same(alg.trace(a), ref.stacked_trace(a))
+
+
+def test_equal_shapes_share_one_layout_and_one_tensor_shape():
+    s, t = AlgebraShape((2, 1, 2)), AlgebraShape([2, 1, 2])
+    assert s is not t and s._layout is t._layout
+    assert alg.tensor_shape(s, t) is alg.tensor_shape(s, t) is alg.tensor_shape(t, s)
+    m, c = AlgebraShape((2,)), AlgebraShape((1, 1))
+    st = alg.tensor_shape(m, c)
+    assert st.blocks == (2, 2) and st._layout is AlgebraShape((2, 2))._layout
+    assert alg.tensor_shape(AlgebraShape((2,)), AlgebraShape((1, 1))) is st
+    for g in s._layout.groups:   # shared by every caller, so read-only
+        assert not any(arr.flags.writeable for arr in (g.ids, g.rows, g.diag))
+
+
+FOLD_VALUES = [
+    [np.float64(2.0)],
+    [np.float64(-1.0), np.float64(3.0), np.float64(0.5)],
+    [np.float64(np.nan), np.float64(1.0)],
+    [np.float64(1.0), np.float64(np.nan), np.float64(-np.inf)],
+    [np.float64(np.inf), np.float64(-np.inf)],
+    [np.float64(-0.0), np.float64(0.0)],
+    [np.float64(0.0), np.float64(-0.0)],
+    [np.array(1.5), np.array(-2.0)],
+    [np.array(np.nan), np.array(np.inf)],
+    [np.array([1.0, np.nan, -np.inf, 0.0]), np.array([np.inf, 2.0, np.nan, -0.0]),
+     np.array([-1.0, 5.0, 7.0, np.nan])],
+    [np.arange(6.0).reshape(2, 3) - 2.5, np.full((2, 3), -np.inf), np.eye(2, 3)],
+]
+
+
+@pytest.mark.parametrize("values", FOLD_VALUES)
+def test_the_pairwise_folds_are_bitwise_equal_to_the_list_reductions(values):
+    for fold, reduction in ((alg._fold_max, np.maximum.reduce), (alg._fold_min, np.minimum.reduce)):
+        got, want = np.asarray(fold(values)), np.asarray(reduction(values))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=lambda t: "x".join(map(str, t)) or "one")
+@pytest.mark.parametrize("s", LAYOUT_SHAPES, ids=_name)
+def test_the_folded_norms_are_bitwise_equal_to_the_list_reductions(s, lead):
+    rng = np.random.default_rng(s.coord_dim + len(lead))
+    xs = alg._stacks(s, alg._random_coords(s, rng, lead))
+    hs = alg._hermitian(xs)
+    w = alg._eigvalsh(hs)
+    pairs = [
+        (alg._max_abs(xs), np.maximum.reduce([np.abs(x).max(axis=(-3, -2, -1)) for x in xs])),
+        (alg._upper(xs), np.maximum.reduce([alg._frobenius(x) for x in xs]) * (1 + alg._SLACK)),
+        (alg._lowest(w), np.minimum.reduce([v[..., 0].min(axis=-1) for v in w])),
+        (alg._op_norm(xs), np.maximum.reduce([alg._op_norm([x]) for x in xs])),
+    ]
+    for got, want in pairs:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape == lead and got.tobytes() == want.tobytes()

@@ -191,7 +191,7 @@ def _families(rng):
     for blocks in ((1, 2), (2, 2, 1), (3, 1, 3), (2, 1, 2)):
         s = AlgebraShape(blocks)
         u = alg._join(s, [np.stack([props.random_unitary(m, rng) for _ in ids])
-                          for m, ids, *_ in alg._groups(s)])
+                          for m, ids, *_ in s._layout.groups])
         omega = state_from_density(alg.random_density(s, rng))
         out += [(f"unitary-{blocks}", conjugation_by(alg._adopt(s, u)), omega),
                 (f"identity-{blocks}", identity_channel(s), omega)]

@@ -42,7 +42,7 @@ def _near(got: float, want: float, scale: float = 1.0) -> bool:
 def _per_block(spec, part: int) -> list:
     """Part 0 (values), 1 (vectors) or 2 (keep) of a Spectrum, one array per block."""
     out = [None] * len(spec.shape.blocks)
-    for (_, ids, *_), stack in zip(alg._groups(spec.shape), spec.stacks):
+    for (_, ids, *_), stack in zip(spec.shape._layout.groups, spec.stacks):
         for x, arr in zip(ids, stack[part]):
             out[x] = arr
     return out
