@@ -235,11 +235,15 @@ def elem_equal(a: AlgElement, b: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bo
 
 
 def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
-    """elem_equal on coordinate vectors: max|u - v| <= tol.eq * max(1, ||u||, ||v||).
+    """elem_equal on coordinates: max|u - v| <= tol.eq * max(1, ||u||, ||v||).
 
     Entries above 2^500 (|u|^2 or |v|^2 above 2^1000), where u - v may overflow,
-    are compared with u, v and the floor 1 scaled alike by an exact 2^-e.
+    are compared with u, v and the floor 1 scaled alike by an exact 2^-e.  On
+    coordinates (..., coord_dim) of batches of elements, whether every element
+    pair passes, each decided as one vector pair is: its own 2^-e, its own norms.
     """
+    if u.ndim > 1 or v.ndim > 1:
+        return _rows_equal(s, u, v, tol)
     unit = 1.0
     if not (np.vdot(u, u).real <= 2.0 ** 1000 and np.vdot(v, v).real <= 2.0 ** 1000):
         top = np.maximum(np.abs(u).max(), np.abs(v).max())   # NaN propagates
@@ -251,6 +255,27 @@ def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance)
     # the scale is at least the floor, so a deviation within tol.eq times it needs no norm
     return bool(dev <= tol.eq * unit or dev <= tol.eq * max(
         unit, _op_norm(_stacks(s, u)), _op_norm(_stacks(s, v))))
+
+
+def _rows_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
+    """`_coords_equal` on coordinates with leading batch dimensions, one verdict per row."""
+    u, v = np.broadcast_arrays(u, v)
+    u, v = u.reshape(-1, s.coord_dim), v.reshape(-1, s.coord_dim)
+    top = np.maximum(np.abs(u).max(axis=-1), np.abs(v).max(axis=-1))
+    _finite(top)   # NaN propagates
+    unit = np.ones_like(top)
+    big = top > 2.0 ** 500
+    if big.any():
+        unit[big] = np.ldexp(1.0, 500 - np.frexp(top[big])[1])
+        u, v = u * unit[:, None], v * unit[:, None]
+    dev = np.abs(u - v).max(axis=-1)
+    # as on one vector: a deviation within tol.eq times the floor needs no norm
+    open_ = ~(dev <= tol.eq * unit)
+    if not open_.any():
+        return True
+    scale = np.maximum(unit[open_], np.maximum(_op_norm(_stacks(s, u[open_])),
+                                               _op_norm(_stacks(s, v[open_]))))
+    return bool((dev[open_] <= tol.eq * scale).all())
 
 
 def vec(a: AlgElement) -> np.ndarray:
@@ -290,8 +315,14 @@ def _tensor_shape(left: tuple[int, ...], right: tuple[int, ...]) -> AlgebraShape
 
 def tensor_elem(a: AlgElement, b: AlgElement) -> AlgElement:
     """Kronecker product per block pair, in tensor_shape order."""
-    left, right = tensor_index(a.shape, b.shape)
-    return _adopt(tensor_shape(a.shape, b.shape), a._coords[left] * b._coords[right])
+    return _adopt(tensor_shape(a.shape, b.shape), _tensor_coords(a.shape, b.shape, a._coords,
+                                                                 b._coords))
+
+
+def _tensor_coords(s1: AlgebraShape, s2: AlgebraShape, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coordinates of the tensor products of elements with coordinates u on s1 and v on s2."""
+    left, right = tensor_index(s1, s2)
+    return u[..., left] * v[..., right]
 
 
 def is_self_adjoint_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -461,6 +492,8 @@ def _join(s: AlgebraShape, xs: Stacks) -> np.ndarray:
     """Coordinates (..., coord_dim) on s from complex stacks (..., k, m, m);
     inverts `_stacks`.  The result may be a view of xs[0]."""
     lead, layout = xs[0].shape[:-3], s._layout
+    if not xs[0].size:   # an empty batch, whose rows reshape cannot infer
+        return np.empty(lead + (s.coord_dim,), dtype=complex)
     flat = [x.reshape(lead + (-1,)) for x in xs]
     if layout.in_order:
         return flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)

@@ -18,6 +18,9 @@ from .algebra import AlgebraShape, AlgElement
 from .bayes import bayes_candidate, bayes_problem, verify_bayes, verify_disintegration
 from .channel import (
     Channel,
+    _apply_batch,
+    _gram,
+    _owned,
     apply,
     channel_from_action,
     compose,
@@ -87,15 +90,16 @@ def random_cpu_channel(n_dom: int, n_cod: int, rng: np.random.Generator,
 
 
 def _random_star_preserving(s: AlgebraShape, t: AlgebraShape, rng) -> Channel:
+    """The star-preserving part b |-> (F(b) + F(b*)*) / 2 of a random map F.
+
+    Column a of its matrix is (F(E_a) + F(E_a*)*) / 2, read off the matrix of F
+    at the adjoint indices of s and t.
+    """
     raw = rng.standard_normal((t.coord_dim, s.coord_dim)) + 1j * rng.standard_normal(
         (t.coord_dim, s.coord_dim)
     )
-    f = Channel(s, t, raw)
-
-    def sym(b: AlgElement) -> AlgElement:
-        return 0.5 * (apply(f, b) + alg.adjoint(apply(f, alg.adjoint(b))))
-
-    return channel_from_action(s, t, sym)
+    mirror = raw[np.ix_(alg.adjoint_index(t), alg.adjoint_index(s))].conj()
+    return _owned(s, t, 0.5 * (raw + mirror))
 
 
 def _random_projection(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
@@ -231,33 +235,65 @@ def suite_matrix_kernel(seed: int = 0, trials: int = 64) -> SuiteReport:
     return SuiteReport("matrix-kernel", tuple(checks))
 
 
+_ALGEBRA_SHAPES = (AlgebraShape((2,)), AlgebraShape((1, 2)), AlgebraShape((2, 3)),
+                   AlgebraShape((1, 1, 1)))
+
+
+def _unit_laws() -> bool:
+    """1 E = E 1 = E for every matrix unit E of every shape of the algebra suite."""
+    for s in _ALGEBRA_SHAPES:
+        one, units = alg.vec(alg.unit(s)), np.eye(s.coord_dim, dtype=complex)
+        if not (alg._coords_equal(s, alg._mul_coords(s, one, units), units, DEFAULT_TOL)
+                and alg._coords_equal(s, alg._mul_coords(s, units, one), units, DEFAULT_TOL)):
+            return False
+    return True
+
+
+def _algebra_laws(rng: np.random.Generator, trials: int) -> tuple[bool, bool, bool]:
+    """Associativity, the involution reversing products and the multiplicativity
+    of the tensor product, each on `trials` random triples (a, b, c) of one drawn
+    shape and pairs (a2, b2) of another.
+
+    Every trial draws its shapes and elements in turn, as one trial after another
+    would; the laws are then decided once per shape, and per shape pair, on the
+    stacked coordinates of all trials that drew it.
+    """
+    n = len(_ALGEBRA_SHAPES)
+    first, second = np.empty(trials, dtype=int), np.empty(trials, dtype=int)
+    abc, ab2 = [], []
+    for t in range(trials):
+        first[t] = rng.integers(0, n)
+        abc.append(alg._random_coords(_ALGEBRA_SHAPES[first[t]], rng, (3,)))
+        second[t] = rng.integers(0, n)
+        ab2.append(alg._random_coords(_ALGEBRA_SHAPES[second[t]], rng, (2,)))
+
+    def stacked(draws, rows, k, s):   # the k operands of the given trials, each (rows, d)
+        return np.array([draws[t] for t in rows], dtype=complex).reshape(
+            rows.size, k, s.coord_dim).swapaxes(0, 1)
+
+    eq, mul, adj, tensor, tol = (alg._coords_equal, alg._mul_coords, alg._adjoint_coords,
+                                 alg._tensor_coords, DEFAULT_TOL)
+    assoc_ok, star_ok, tensor_ok = True, True, True
+    for i, s in enumerate(_ALGEBRA_SHAPES):
+        rows = np.flatnonzero(first == i)
+        a, b, c = stacked(abc, rows, 3, s)
+        ab = mul(s, a, b)
+        assoc_ok = assoc_ok and eq(s, mul(s, ab, c), mul(s, a, mul(s, b, c)), tol)
+        star_ok = star_ok and eq(s, adj(s, ab), mul(s, adj(s, b), adj(s, a)), tol)
+        for j, s2 in enumerate(_ALGEBRA_SHAPES):
+            pick = second[rows] == j
+            a2, b2 = stacked(ab2, rows[pick], 2, s2)
+            ts = alg.tensor_shape(s, s2)
+            tensor_ok = tensor_ok and eq(
+                ts, mul(ts, tensor(s, s2, a[pick], a2), tensor(s, s2, b[pick], b2)),
+                tensor(s, s2, ab[pick], mul(s2, a2, b2)), tol)
+    return assoc_ok, star_ok, tensor_ok
+
+
 def suite_algebra(seed: int = 0, trials: int = 64) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    checks = []
-    shapes = [AlgebraShape((2,)), AlgebraShape((1, 2)), AlgebraShape((2, 3)),
-              AlgebraShape((1, 1, 1))]
-
-    unit_ok = True
-    for s in shapes:
-        one = alg.unit(s)
-        for e in alg.matrix_units(s):
-            unit_ok = unit_ok and alg.elem_equal(alg.mul(one, e), e)
-            unit_ok = unit_ok and alg.elem_equal(alg.mul(e, one), e)
-    checks.append(_check("unit laws hold exactly on matrix units", unit_ok))
-
-    assoc_ok, star_ok, tensor_ok = True, True, True
-    for _ in range(trials):
-        s = shapes[int(rng.integers(0, len(shapes)))]
-        a, b, c = (alg.random_element(s, rng) for _ in range(3))
-        assoc_ok = assoc_ok and alg.elem_equal(alg.mul(alg.mul(a, b), c),
-                                               alg.mul(a, alg.mul(b, c)))
-        star_ok = star_ok and alg.elem_equal(alg.adjoint(alg.mul(a, b)),
-                                             alg.mul(alg.adjoint(b), alg.adjoint(a)))
-        s2 = shapes[int(rng.integers(0, len(shapes)))]
-        a2, b2 = alg.random_element(s2, rng), alg.random_element(s2, rng)
-        tensor_ok = tensor_ok and alg.elem_equal(
-            alg.mul(alg.tensor_elem(a, a2), alg.tensor_elem(b, b2)),
-            alg.tensor_elem(alg.mul(a, b), alg.mul(a2, b2)))
+    checks = [_check("unit laws hold exactly on matrix units", _unit_laws())]
+    assoc_ok, star_ok, tensor_ok = _algebra_laws(rng, trials)
     checks.append(_check("multiplication is associative on random elements", assoc_ok))
     checks.append(_check("involution reverses products", star_ok))
     checks.append(_check("tensor of elements is multiplicative", tensor_ok))
@@ -435,21 +471,13 @@ def suite_state(seed: int = 0, trials: int = 64) -> SuiteReport:
         sym_ok = sym_ok and (det_l == det_r)
     checks.append(_check("left and right verdicts agree for star-preserving channels", sym_ok))
 
-    weak_ok = True
     f_pad = padded_inclusion(2, 3)
     sigma = alg.random_density(AlgebraShape((2,)), rng).blocks[0]
     rho = np.zeros((3, 3), dtype=complex)
     rho[:2, :2] = sigma
     omega_pad = state_from_density(AlgElement(AlgebraShape((3,)), (rho,)))
-    p = omega_pad.support
-    for _ in range(128):
-        b = alg.random_element(AlgebraShape((2,)), rng)
-        fb = apply(f_pad, b)
-        if not alg.elem_equal(alg.mul(apply(f_pad, alg.mul(alg.adjoint(b), b)), p),
-                              alg.mul(alg.mul(alg.adjoint(fb), fb), p)):
-            weak_ok = False
-            break
-    weak_ok = weak_ok and ae_deterministic(f_pad, omega_pad, "right").passed
+    weak_ok = (_weakly_multiplicative(f_pad, omega_pad.support, rng, 128)
+               and ae_deterministic(f_pad, omega_pad, "right").passed)
     checks.append(_check(
         "single-variable multiplicativity on the support upgrades to two variables",
         weak_ok))
@@ -465,6 +493,17 @@ def suite_state(seed: int = 0, trials: int = 64) -> SuiteReport:
     )
     checks.append(_check("doubling breaks a.e. equality on the corner state", doubling_fails))
     return SuiteReport("state-ae", tuple(checks))
+
+
+def _weakly_multiplicative(f: Channel, p: AlgElement, rng: np.random.Generator,
+                           trials: int) -> bool:
+    """Whether F(b* b) P = F(b)* F(b) P on `trials` random elements b, drawn one after
+    another and decided as one stack."""
+    s, t = f.domain, f.codomain
+    x = alg._random_coords(s, rng, (trials,))
+    fx, p = _apply_batch(f.matrix, x), alg.vec(p)
+    return alg._coords_equal(t, alg._mul_coords(t, _apply_batch(f.matrix, _gram(s, x)), p),
+                             alg._mul_coords(t, _gram(t, fx), p), DEFAULT_TOL)
 
 
 def _drop_smallest_eigenvalue(omega: State) -> State:
@@ -621,34 +660,39 @@ def suite_bayes(seed: int = 0, trials: int = 64) -> SuiteReport:
     return SuiteReport("bayes", tuple(checks))
 
 
+def _rational_weights(rng: np.random.Generator, n: int, zero_last: bool = False) -> list:
+    """n exact probabilities from integer weights drawn in 0..6, the last forced to 0 when
+    zero_last, the first to 1 when all are 0."""
+    weights = rng.integers(0, 7, size=n).tolist()
+    if zero_last:
+        weights[-1] = 0
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
+
+
+def _random_rational_prob(rng: np.random.Generator, n: int) -> fs.ProbVector:
+    return fs.prob_vector(_rational_weights(rng, n))
+
+
+def _random_rational_kernel(rng: np.random.Generator, ny: int, nx: int,
+                            zero_row: bool = False) -> fs.StochasticMatrix:
+    """An exact ny x nx kernel, one column of weights drawn after another; with zero_row,
+    its last row is 0."""
+    cols = [_rational_weights(rng, ny, zero_row) for _ in range(nx)]
+    return fs.stochastic([[cols[x][y] for x in range(nx)] for y in range(ny)])
+
+
 def suite_finstoch(seed: int = 0, trials: int = 64) -> SuiteReport:
     rng = np.random.default_rng(seed)
     checks = []
 
-    def random_rational_prob(n):
-        weights = [Fraction(int(w), 1) for w in rng.integers(0, 7, size=n)]
-        if sum(weights) == 0:
-            weights[0] = Fraction(1)
-        total = sum(weights)
-        return fs.prob_vector([w / total for w in weights])
-
-    def random_rational_kernel(ny, nx, zero_row=False):
-        cols = []
-        for _ in range(nx):
-            weights = [Fraction(int(w), 1) for w in rng.integers(0, 7, size=ny)]
-            if zero_row:
-                weights[-1] = Fraction(0)
-            if sum(weights) == 0:
-                weights[0] = Fraction(1)
-            total = sum(weights)
-            cols.append([w / total for w in weights])
-        return fs.stochastic([[cols[x][y] for x in range(nx)] for y in range(ny)])
-
     diagram_ok, preserve_ok = True, True
     for _ in range(max(8, trials // 4)):
         nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        f = random_rational_kernel(ny, nx)
-        p = random_rational_prob(nx)
+        f = _random_rational_kernel(rng, ny, nx)
+        p = _random_rational_prob(rng, nx)
         g = fs.bayes_inverse(f, p)
         q = fs.push(f, p)
         for x in range(nx):
@@ -665,16 +709,16 @@ def suite_finstoch(seed: int = 0, trials: int = 64) -> SuiteReport:
 
     functor_ok = True
     for _ in range(max(4, trials // 16)):
-        f = random_rational_kernel(3, 4)
-        g = random_rational_kernel(2, 3)
+        f = _random_rational_kernel(rng, 3, 4)
+        g = _random_rational_kernel(rng, 2, 3)
         lhs = fs.embed(fs.compose(g, f))
         rhs = compose(fs.embed(f), fs.embed(g))
         functor_ok = functor_ok and _same_map(lhs, rhs)
     checks.append(_check("embedding reverses composition (contravariant functor)", functor_ok))
 
     # dropping normalization on null columns keeps a.e. unitality
-    f = random_rational_kernel(4, 3, zero_row=True)
-    p = random_rational_prob(3)
+    f = _random_rational_kernel(rng, 4, 3, zero_row=True)
+    p = _random_rational_prob(rng, 3)
     q = fs.push(f, p)
     g = fs.bayes_inverse(f, p)
     entries = g.entries.copy()
@@ -695,8 +739,8 @@ def suite_finstoch(seed: int = 0, trials: int = 64) -> SuiteReport:
     cross_ok = True
     for _ in range(max(4, trials // 16)):
         nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        f = random_rational_kernel(ny, nx)
-        p = random_rational_prob(nx)
+        f = _random_rational_kernel(rng, ny, nx)
+        p = _random_rational_prob(rng, nx)
         chan = fs.embed(f)
         omega = fs.embed_prob(p)
         prob = bayes_problem(chan, omega)

@@ -14,7 +14,9 @@ build an element block by block, the stacked layout gathers and scatters
 every block size on its coordinate rows, and the sampled checks draw and
 decide one random element per trial; the strict-positivity and causality
 grids of the corpus visit one pair, or triple, of matrix units per step, and
-the EPR system takes one trace per coefficient.  The
+the EPR system takes one trace per coefficient; the props suites draw and
+decide one trial at a time, build the star-preserving part of a map by
+`channel_from_action` and normalize weights by a Fraction sum.  The
 differential tests run both and require the same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
@@ -1025,3 +1027,73 @@ def epr_system() -> tuple[np.ndarray, np.ndarray]:
             rows.append(row)
             rhs.append(np.trace(rho @ np.kron(a_mat, b_mat)))
     return np.stack(rows), np.array(rhs)
+
+
+# ---------------------------------------------------------------------------
+# props suites: one trial, and one matrix unit, per step
+# ---------------------------------------------------------------------------
+
+def unit_laws(shapes) -> bool:
+    """1 E = E 1 = E, one matrix unit E of each shape at a time."""
+    ok = True
+    for s in shapes:
+        one = alg.unit(s)
+        for e in alg.matrix_units(s):
+            ok = ok and alg.elem_equal(alg.mul(one, e), e)
+            ok = ok and alg.elem_equal(alg.mul(e, one), e)
+    return ok
+
+
+def algebra_laws(shapes, rng: np.random.Generator, trials: int) -> tuple[bool, bool, bool]:
+    """(associativity, involution reversing products, tensor multiplicativity), one
+    trial at a time: a shape and three elements, then a shape and two elements."""
+    assoc_ok, star_ok, tensor_ok = True, True, True
+    for _ in range(trials):
+        s = shapes[int(rng.integers(0, len(shapes)))]
+        a, b, c = (alg.random_element(s, rng) for _ in range(3))
+        assoc_ok = assoc_ok and alg.elem_equal(alg.mul(alg.mul(a, b), c),
+                                               alg.mul(a, alg.mul(b, c)))
+        star_ok = star_ok and alg.elem_equal(alg.adjoint(alg.mul(a, b)),
+                                             alg.mul(alg.adjoint(b), alg.adjoint(a)))
+        s2 = shapes[int(rng.integers(0, len(shapes)))]
+        a2, b2 = alg.random_element(s2, rng), alg.random_element(s2, rng)
+        tensor_ok = tensor_ok and alg.elem_equal(
+            alg.mul(alg.tensor_elem(a, a2), alg.tensor_elem(b, b2)),
+            alg.tensor_elem(alg.mul(a, b), alg.mul(a2, b2)))
+    return assoc_ok, star_ok, tensor_ok
+
+
+def weakly_multiplicative(f: Channel, p: AlgElement, rng: np.random.Generator,
+                          trials: int) -> bool:
+    """F(b* b) P = F(b)* F(b) P, one random b at a time, up to the first failure."""
+    for _ in range(trials):
+        b = alg.random_element(f.domain, rng)
+        fb = apply(f, b)
+        if not alg.elem_equal(alg.mul(apply(f, alg.mul(alg.adjoint(b), b)), p),
+                              alg.mul(alg.mul(alg.adjoint(fb), fb), p)):
+            return False
+    return True
+
+
+def random_star_preserving(s: AlgebraShape, t: AlgebraShape, rng: np.random.Generator) -> Channel:
+    """b |-> (F(b) + F(b*)*) / 2 of a random map F, applied to every matrix unit."""
+    raw = rng.standard_normal((t.coord_dim, s.coord_dim)) + 1j * rng.standard_normal(
+        (t.coord_dim, s.coord_dim)
+    )
+    f = Channel(s, t, raw)
+
+    def sym(b: AlgElement) -> AlgElement:
+        return 0.5 * (apply(f, b) + alg.adjoint(apply(f, alg.adjoint(b))))
+
+    return channel_from_action(s, t, sym)
+
+
+def rational_weights(rng: np.random.Generator, n: int, zero_last: bool = False) -> list:
+    """n weights drawn in 0..6 as Fractions, normalized by their Fraction sum."""
+    weights = [Fraction(int(w), 1) for w in rng.integers(0, 7, size=n)]
+    if zero_last:
+        weights[-1] = Fraction(0)
+    if sum(weights) == 0:
+        weights[0] = Fraction(1)
+    total = sum(weights)
+    return [w / total for w in weights]

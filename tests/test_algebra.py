@@ -290,3 +290,72 @@ def test_elem_equal_decides_at_the_bound_on_every_scale(top):
     for factor, equal in ((0.99, True), (1.01, False)):
         b = alg.unvec(m2, alg.vec(a) + np.array([0, 0, factor * bound, 0]))
         assert alg.elem_equal(a, b) == equal
+
+
+def _rows_near_the_bound(s, rng):
+    """Pairs of coordinate rows on s, each at a deviation just inside or just outside
+    tol.eq * max(1, ||u||), on scales below, at and above the 2^500 threshold."""
+    us, vs = [], []
+    for top in (1e-3, 1.0, 1e100, 2.0 ** 500, 1e200, 1e300):
+        for factor in (0.99, 1.01):
+            u = alg._random_coords(s, rng)
+            u *= top / np.abs(u).max()
+            bound = DEFAULT_TOL.eq * max(1.0, alg.norm(alg.unvec(s, u)))
+            v = u.copy()
+            v[int(rng.integers(0, s.coord_dim))] += factor * bound
+            us.append(u)
+            vs.append(v)
+    return np.array(us), np.array(vs)
+
+
+@pytest.mark.parametrize("s", [AlgebraShape((2,)), AlgebraShape((1, 2, 3)),
+                               AlgebraShape((2, 1, 2))])
+def test_batched_coords_equal_decides_each_row_as_elem_equal(s):
+    rng = np.random.default_rng(3)
+    u, v = _rows_near_the_bound(s, rng)
+    rows = [alg.elem_equal(alg.unvec(s, x), alg.unvec(s, y)) for x, y in zip(u, v)]
+    assert any(rows) and not all(rows)
+    for r in range(len(u)):   # every row alone, as a batch of one
+        assert alg._coords_equal(s, u[r:r + 1], v[r:r + 1], DEFAULT_TOL) == rows[r]
+        # 1-D: the verdict of elem_equal itself
+        assert alg._coords_equal(s, u[r], v[r], DEFAULT_TOL) == rows[r]
+    passing = np.flatnonzero(rows)
+    # rows above 2^500 beside ordinary ones, each decided on its own scale
+    assert alg._coords_equal(s, u[passing], v[passing], DEFAULT_TOL)
+    for r in np.flatnonzero(~np.array(rows)):   # one failing row among passing ones
+        pick = np.append(passing, r)
+        assert not alg._coords_equal(s, u[pick], v[pick], DEFAULT_TOL)
+        assert not alg._coords_equal(s, u[pick][None], v[pick][None], DEFAULT_TOL)
+    # one element against a batch, broadcast
+    assert alg._coords_equal(s, u[passing[0]], u[passing], DEFAULT_TOL) == all(
+        alg.elem_equal(alg.unvec(s, u[passing[0]]), alg.unvec(s, x)) for x in u[passing])
+
+
+def test_batched_coords_equal_of_huge_rows_does_not_overflow():
+    # u - v overflows in the rows near 1e308 unless each is scaled, as one vector is
+    s = AlgebraShape((2,))
+    small = np.array([1.0, 0, 0, 1.0])
+    big, neg = np.array([1e308, 0, 0, 0]), np.array([-1e308, 0, 0, 0])
+    assert alg._coords_equal(s, np.array([small, big]), np.array([small, big]), DEFAULT_TOL)
+    assert not alg._coords_equal(s, np.array([small, big]), np.array([small, neg]), DEFAULT_TOL)
+    assert not alg._coords_equal(s, np.array([big, small]), np.array([neg, small]), DEFAULT_TOL)
+
+
+def test_batched_coords_equal_of_an_empty_batch_passes():
+    s = AlgebraShape((1, 2))
+    empty = np.zeros((0, s.coord_dim), dtype=complex)
+    assert alg._coords_equal(s, empty, empty, DEFAULT_TOL)
+    assert alg._coords_equal(s, empty.reshape(0, 3, s.coord_dim),
+                             empty.reshape(0, 3, s.coord_dim), DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_batched_coords_equal_raises_on_a_non_finite_row(bad):
+    s = AlgebraShape((2,))
+    u = np.zeros((3, s.coord_dim), dtype=complex)
+    v = u.copy()
+    v[1, 2] = bad
+    with pytest.raises(ValueError):
+        alg._coords_equal(s, u, v, DEFAULT_TOL)
+    with pytest.raises(ValueError):
+        alg._coords_equal(s, v, u, DEFAULT_TOL)

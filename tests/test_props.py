@@ -1,14 +1,18 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qmarkov import algebra as alg
 from qmarkov import corpus, props
+from qmarkov import finstoch as fs
 from qmarkov.bayes import verify_disintegration
-from qmarkov.channel import Channel, is_cp, is_star_preserving, is_unital
+from qmarkov.channel import (Channel, apply, channel_from_action, is_cp, is_star_preserving,
+                             is_unital)
 from qmarkov.linalg import pinv_psd
-from qmarkov.state import State
+from qmarkov.state import State, state_from_density
+from qmarkov.tolerances import DEFAULT_TOL
 
 
 @pytest.mark.parametrize("name", props.suite_names())
@@ -16,6 +20,15 @@ def test_suite_passes_at_default_point(name):
     rep = props.run_suite(name, seed=0, trials=64)
     bad = [(c.desc, c.detail) for c in rep.checks if not c.passed]
     assert not bad, bad
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_every_suite_passes_with_few_trials(seed, trials):
+    # some shapes and shape pairs are drawn by no trial, so their stacks are empty
+    for rep in props.run_all(seed=seed, trials=trials):
+        bad = [(c.desc, c.detail) for c in rep.checks if not c.passed]
+        assert not bad, (rep.name, bad)
 
 
 def test_suites_are_reproducible():
@@ -99,7 +112,70 @@ def _zero_star_preserving(real):
 
 
 def _non_associative(real):
-    return lambda a, b: real(a, b) + 0.001 * a
+    return lambda s, u, v: real(s, u, v) + 0.001 * u
+
+
+def _scale_element(real):
+    return lambda *args: real(*args) * 1.0001
+
+
+def _negate_output(real):
+    return lambda *args, **kwargs: _scaled(real(*args, **kwargs), -1.0)
+
+
+def _scale_up_map(real):
+    def pair(*args):
+        down, up = real(*args)
+        return down, _scaled(up)
+
+    return pair
+
+
+def _left_ignores_support(real):
+    # the left verdict decides plain equality, as on a faithful state
+    def ae_equal(f, g, omega, side="right", tol=DEFAULT_TOL):
+        if side == "left":
+            omega = state_from_density(alg.unit(omega.shape) * (1 / omega.shape.total_dim))
+        return real(f, g, omega, side, tol)
+
+    return ae_equal
+
+
+def _equal_pair(real):
+    def pair(*args):
+        f, _ = real(*args)
+        return f, f
+
+    return pair
+
+
+def _off_support_tail(real):
+    # F + (.)(1 - P) for the support P of omega on the codomain: omega(A F(B)) and
+    # omega o F stay as they are, so the Bayes condition still holds one way, but not the
+    # other way round, where omega(F(A) B) picks up the tail
+    def instance(*args, **kwargs):
+        f, omega, g = real(*args, **kwargs)
+        if f.domain != f.codomain:
+            return f, omega, g
+        comp = alg.unit(omega.shape) - omega.support
+        return channel_from_action(f.domain, f.codomain,
+                                   lambda b: apply(f, b) + alg.mul(b, comp)), omega, g
+
+    return instance
+
+
+def _scale_entries(real):
+    return lambda *args: dataclasses.replace(
+        r := real(*args), entries=r.entries * Fraction(10001, 10000))
+
+
+def _reverse_entries(real):
+    # the pushforward puts the mass of each outcome on its mirror
+    return lambda *args: dataclasses.replace(r := real(*args), entries=r.entries[::-1])
+
+
+def _everywhere_null(real):
+    return lambda p, tol=DEFAULT_TOL: list(range(p.size))
 
 
 def _support_zero(real):
@@ -116,7 +192,8 @@ def _scale_instance_inverse(real):
 
 def _target(name):
     owner, _, attr = name.rpartition(".")
-    return {"": props, "algebra": alg, "corpus": corpus, "State": State}[owner], attr
+    return {"": props, "algebra": alg, "corpus": corpus, "State": State, "finstoch": fs,
+            "ProbVector": fs.ProbVector}[owner], attr
 
 
 # (suite, check, ingredient, mutation): each check of a suite must report a
@@ -131,10 +208,14 @@ _MUTATIONS = [
     # the smallest singular value is supermultiplicative
     ("matrix-kernel", "operator norm is submultiplicative", "op_norm",
      lambda real: lambda x: np.linalg.norm(x, -2)),
-    ("algebra", "multiplication is associative on random elements", "algebra.mul",
+    ("algebra", "unit laws hold exactly on matrix units", "algebra.unit", _scale_element),
+    # the product kernel of `mul` and of the stacked trials
+    ("algebra", "multiplication is associative on random elements", "algebra._mul_coords",
      _non_associative),
-    ("algebra", "involution reverses products", "algebra.mul", _non_associative),
-    ("algebra", "tensor of elements is multiplicative", "algebra.mul", _non_associative),
+    ("algebra", "involution reverses products", "algebra._mul_coords", _non_associative),
+    ("algebra", "tensor of elements is multiplicative", "algebra._mul_coords",
+     _non_associative),
+    ("algebra", "involution is involutive", "algebra.adjoint", _scale_element),
     ("algebra", "multiplication map reaches norm n on the unit-norm witness", "corpus._a_n",
      lambda real: lambda n: real(n) * 1.0001),
     ("channel", "Hilbert-Schmidt adjoint is involutive and dual to the pairing", "hs_adjoint",
@@ -143,17 +224,25 @@ _MUTATIONS = [
     ("channel", "Hilbert-Schmidt adjoint is involutive and dual to the pairing", "hs_adjoint",
      lambda real: lambda f: type(f)(f.codomain, f.domain, f.matrix.T)),
     ("channel", "adjoint reverses composition", "hs_adjoint", _scale_output),
+    ("channel", "CP is closed under composition and tensor", "tensor", _negate_output),
     ("channel", "one multiplicative input extends to all mixed products", "channel_from_action",
      _scale_output),
     ("channel", "invertible conjugations are deterministic", "invert", _scale_output),
     ("channel", "transpose is invertible yet not deterministic, consistent with failing Schwarz",
      "invert", _scale_output),
+    # the scaled composite of the compression pair is not multiplicative
+    ("channel", "S-positivity equation holds for CPU compressions and fails for the transpose",
+     "compression_pair", _scale_up_map),
     ("state-ae", "support is dominated by any projection carrying the state", "State.support",
      _support_zero),
     ("state-ae", "right-multiplying into the support complement lands in the nullspace",
      "State.support", _support_zero),
+    ("state-ae", "left and right verdicts agree for star-preserving channels", "ae_equal",
+     _left_ignores_support),
     ("state-ae", "single-variable multiplicativity on the support upgrades to two variables",
      "padded_inclusion", _scale_output),
+    ("state-ae", "doubling breaks a.e. equality on the corner state", "doubling_pair",
+     _equal_pair),
     ("bayes", "Bayes candidates of CPU channels pass the left condition and preserve states",
      "bayes_candidate", _scale_candidate),
     ("bayes", "two completions of the Bayes candidate are left a.e. equal", "bayes_candidate",
@@ -165,8 +254,20 @@ _MUTATIONS = [
     # with no shift off the support the candidates stay right a.e. equal
     ("bayes", "left Bayes maps report one-sided: left a.e. equal yet right-separated, "
      "a.e. unital without unitality", "_random_star_preserving", _zero_star_preserving),
+    # both candidates scaled: the joint one twice, the composite channel not at all
+    ("bayes", "Bayes candidates compose along composable problems", "bayes_candidate",
+     _scale_candidate),
+    ("bayes", "star-preserving Bayesian inverses invert symmetrically",
+     "disintegration_instance", _off_support_tail),
     ("bayes", "one vanishing Schwarz gap extends to mixed products under the state",
      "padded_inclusion", _scale_output),
+    ("finstoch", "Bayes diagram holds exactly in rational arithmetic", "finstoch.bayes_inverse",
+     _scale_entries),
+    ("finstoch", "Bayes inverse pushes the output measure back to the input", "finstoch.push",
+     _reverse_entries),
+    # zeroing the columns on the support breaks a.e. unitality
+    ("finstoch", "denormalized null columns stay a.e. unital", "ProbVector.nullset",
+     _everywhere_null),
     ("finstoch", "embedding reverses composition (contravariant functor)", "compose",
      _scale_output),
     ("finstoch", "quantum Bayes candidate matches the classical inverse on the support",
