@@ -134,6 +134,8 @@ def cmd_check(args) -> int:
     tol = _tolerance(args)
     chan = ser.channel_from_json(_load_json(args.channel_file))
     wanted = [p.strip() for p in args.props.split(",") if p.strip()]
+    if not wanted:
+        raise ValueError("no property requested")
     known = set(_CHECKS) | set(_SAMPLED_CHECKS) | set(_STATE_CHECKS)
     for name in wanted:
         if name not in known:
@@ -248,15 +250,15 @@ def cmd_classical(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.action == "list":
+        if args.name or args.all:
+            raise ValueError("corpus list takes no fixture name and no --all")
         names = corpus_mod.registry_names()
         _emit({"fixtures": names}, args, names)
         return 0
-    if args.all:
-        fixtures = corpus_mod.all_fixtures()
-    else:
-        if not args.name:
-            raise ValueError("corpus run requires a fixture name or --all")
-        fixtures = [corpus_mod.counterexample(args.name)]
+    if bool(args.name) == args.all:
+        raise ValueError("corpus run takes either a fixture name or --all")
+    fixtures = ([corpus_mod.counterexample(args.name)] if args.name
+                else corpus_mod.all_fixtures())
     reports = [f.run() for f in fixtures]
     lines = []
     for rep in reports:

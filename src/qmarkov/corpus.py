@@ -20,6 +20,7 @@ from .algebra import AlgebraShape, AlgElement
 from .bayes import bayes_problem, verify_bayes, verify_disintegration
 from .channel import (
     Channel,
+    _owned,
     ad_channel,
     apply,
     channel_from_action,
@@ -458,19 +459,17 @@ def _build_doubling_ae() -> list[CheckResult]:
     return checks
 
 
+def _padded(j: Channel) -> Channel:
+    """B |-> J(B) + tr(B)/n (1 - J(1)) for a map J out of M_n: the matrix of J plus
+    vec(1 - J(1)) vec(1_n / n)^T, so the leftover part of the unit carries the average."""
+    one = alg._unit_coords(j.domain)
+    rest = alg._unit_coords(j.codomain) - j.matrix @ one
+    return _owned(j.domain, j.codomain, j.matrix + np.outer(rest, one / j.domain.blocks[0]))
+
+
 def padded_inclusion(n: int, m: int) -> Channel:
     """M_n -> M_m embedding B |-> diag(B, tr(B)/n 1) on the leftover corner."""
-    dom, cod = AlgebraShape((n,)), AlgebraShape((m,))
-
-    def act(b: AlgElement) -> AlgElement:
-        out = np.zeros((m, m), dtype=complex)
-        out[:n, :n] = b.blocks[0]
-        avg = np.trace(b.blocks[0]) / n
-        for k in range(n, m):
-            out[k, k] = avg
-        return AlgElement(cod, (out,))
-
-    return channel_from_action(dom, cod, act)
+    return _padded(ad_channel(np.eye(m, n)))
 
 
 def _build_pad_ae_det() -> list[CheckResult]:
@@ -493,6 +492,11 @@ def _build_pad_ae_det() -> list[CheckResult]:
     return checks
 
 
+def _doubling() -> Channel:
+    """The doubling embedding B |-> diag(B, B) of M_2 in M_4."""
+    return kraus_channel(AlgebraShape((2,)), AlgebraShape((4,)), [np.eye(2, 4), np.eye(2, 4, 2)])
+
+
 def unreasonable_pair() -> tuple[Channel, Channel]:
     """Unital star-preserving F with off-block leakage, and the diagonal G."""
     m2, m4 = AlgebraShape((2,)), AlgebraShape((4,))
@@ -506,13 +510,7 @@ def unreasonable_pair() -> tuple[Channel, Channel]:
             [0, b12, b21, b22],
         ])])
 
-    def g_act(x: AlgElement) -> AlgElement:
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = x.blocks[0]
-        out[2:, 2:] = x.blocks[0]
-        return AlgElement(m4, (out,))
-
-    return channel_from_action(m2, m4, f_act), channel_from_action(m2, m4, g_act)
+    return channel_from_action(m2, m4, f_act), _doubling()
 
 
 def _build_not_det_reasonable() -> list[CheckResult]:
@@ -570,21 +568,8 @@ def _build_transpose_bayes() -> list[CheckResult]:
 
 def strict_positivity_triple() -> tuple[Channel, Channel, State]:
     """Doubling embedding M_2 -> M_4, corner compression M_4 -> M_3, corner state."""
-    m2, m3, m4 = AlgebraShape((2,)), AlgebraShape((3,)), AlgebraShape((4,))
-
-    def f_act(b: AlgElement) -> AlgElement:
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = b.blocks[0]
-        out[2:, 2:] = b.blocks[0]
-        return AlgElement(m4, (out,))
-
-    def g_act(a: AlgElement) -> AlgElement:
-        return AlgElement(m3, (a.block(0)[:3, :3],))
-
-    f = channel_from_action(m2, m4, f_act)
-    g = channel_from_action(m4, m3, g_act)
     xi = state_from_density(_single((3,), [np.diag([0.5, 0.5, 0.0]).astype(complex)]))
-    return f, g, xi
+    return _doubling(), ad_channel(np.eye(3, 4)), xi
 
 
 def _strict_positivity_violations(f: Channel, g: Channel, p: AlgElement):
@@ -731,12 +716,7 @@ def _build_epr() -> list[CheckResult]:
     # the right-hand side, the entries +-1/2 of the EPR density, has norm 1: the scale is 1
     checks.append(_check("joint-state equation solved with tiny residual",
                          residual <= tol.eq, f"residual {residual:.3g}"))
-    expected = channel_from_action(
-        AlgebraShape((2,)), AlgebraShape((2,)),
-        lambda a: _single((2,), [np.array(
-            [[a.blocks[0][1, 1], -a.blocks[0][0, 1]],
-             [-a.blocks[0][1, 0], a.blocks[0][0, 0]]])]),
-    )
+    expected = compose(ad_channel([[0, 1], [-1, 0]]), transpose_channel(AlgebraShape((2,))))
     checks.append(_check("solution is the spin-flip conjugated transpose",
                          _same_map(chan, expected)))
     checks.append(_check("conditional is unital", is_unital(chan).passed))
@@ -764,19 +744,7 @@ def compression_pair(n: int, m: int, rng: np.random.Generator) -> tuple[Channel,
     """
     gin = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     v, _ = np.linalg.qr(gin)
-    proj = v @ v.conj().T
-    dom_small, dom_big = AlgebraShape((n,)), AlgebraShape((m,))
-
-    def up_act(c: AlgElement) -> AlgElement:
-        avg = np.trace(c.blocks[0]) / n
-        return AlgElement(dom_big, (v @ c.blocks[0] @ v.conj().T + avg * (np.eye(m) - proj),))
-
-    def down_act(b: AlgElement) -> AlgElement:
-        return AlgElement(dom_small, (v.conj().T @ b.blocks[0] @ v,))
-
-    up = channel_from_action(dom_small, dom_big, up_act)
-    down = channel_from_action(dom_big, dom_small, down_act)
-    return down, up
+    return ad_channel(v.conj().T), _padded(ad_channel(v))
 
 
 _REGISTRY: dict[str, Fixture] = {}

@@ -1,9 +1,10 @@
 """Randomized invariant suites for every module, with seeded generators.
 
 Each suite draws its own instances from a seeded RNG, checks the invariants
-that should hold on them, and reports one CheckResult per invariant with
-the first witness found on failure.  The CLI `props` command and the
-acceptance tests both run these.
+that should hold on them, and reports one CheckResult per invariant: its
+verdict, with a detail string where the check measures a worst deviation or
+names the step that failed.  The CLI `props` command and the acceptance
+tests both run these.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .channel import (
     _apply_batch,
     _gram,
     _owned,
+    ad_channel,
     apply,
     channel_from_action,
     compose,
@@ -38,7 +40,7 @@ from .channel import (
     tensor,
     transpose_channel,
 )
-from .corpus import (CheckResult, _build_mu_norm, _check, _same_map, compression_pair,
+from .corpus import (CheckResult, _build_mu_norm, _check, _padded, _same_map, compression_pair,
                      doubling_pair, padded_inclusion)
 from .linalg import herm_eig, op_norm, pinv_psd
 from .state import (NullspaceTest, State, ae_deterministic, ae_equal, ae_unital, pullback_state,
@@ -154,18 +156,9 @@ def disintegration_instance(
     if kind == "padded-block":
         n = int(rng.integers(2, max_dim))
         k = int(rng.integers(1, max_dim + 1))
-        dom = AlgebraShape((n,))
-        cod = AlgebraShape((n, k))
-
-        def f_act(b: AlgElement) -> AlgElement:
-            avg = np.trace(b.blocks[0]) / n
-            return AlgElement(cod, (b.block(0), avg * np.eye(k, dtype=complex)))
-
-        def g_act(a: AlgElement) -> AlgElement:
-            return AlgElement(dom, (a.block(0),))
-
-        f = channel_from_action(dom, cod, f_act)
-        g = channel_from_action(cod, dom, g_act)
+        dom, cod = AlgebraShape((n,)), AlgebraShape((n, k))
+        inclusion = Channel(dom, cod, np.eye(cod.coord_dim, n * n))   # B |-> (B, 0)
+        f, g = _padded(inclusion), hs_adjoint(inclusion)
         rho_n = alg.random_density(dom, rng).blocks[0]
         density = AlgElement(cod, (rho_n, np.zeros((k, k), dtype=complex)))
         return f, state_from_density(density), g
@@ -347,13 +340,8 @@ def suite_channel(seed: int = 0, trials: int = 64) -> SuiteReport:
         # element of the multiplicative domain: compression plus a complement part
         c_small = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         d_big = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        proj = v @ v.conj().T
-        comp = np.eye(m) - proj
-
-        def down_act(x, v=v, n=n):
-            return AlgElement(AlgebraShape((n,)), (v.conj().T @ x.blocks[0] @ v,))
-
-        f = channel_from_action(AlgebraShape((m,)), AlgebraShape((n,)), down_act)
+        comp = np.eye(m) - v @ v.conj().T
+        f = ad_channel(v.conj().T)   # X |-> V* X V
         b_elem = AlgElement(AlgebraShape((m,)),
                             (v @ c_small @ v.conj().T + comp @ d_big @ comp,))
         fb = apply(f, b_elem)
@@ -456,11 +444,7 @@ def suite_state(seed: int = 0, trials: int = 64) -> SuiteReport:
             # perturb only on the support complement so the verdicts flip to pass
             comp = alg.unit(t) - omega.support
             bump = _random_star_preserving(s, t, rng)
-
-            def masked(b, f=f, bump=bump, comp=comp):
-                return apply(f, b) + alg.mul(alg.mul(comp, apply(bump, b)), comp)
-
-            g = channel_from_action(s, t, masked)
+            g = _owned(s, t, f.matrix + compose(conjugation_by(comp), bump).matrix)
         else:
             g = _random_star_preserving(s, t, rng)
         left = ae_equal(f, g, omega, "left").passed
@@ -769,6 +753,8 @@ def suite_names() -> list[str]:
 def run_suite(name: str, seed: int = 0, trials: int = 64) -> SuiteReport:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     return _SUITES[name](seed, trials)
 
 

@@ -14,8 +14,11 @@ build an element block by block, the stacked layout gathers and scatters
 every block size on its coordinate rows, and the sampled checks draw and
 decide one random element per trial; the strict-positivity and causality
 grids of the corpus visit one pair, or triple, of matrix units per step, and
-the EPR system takes one trace per coefficient; the props suites draw and
-decide one trial at a time, build the star-preserving part of a map by
+the EPR system takes one trace per coefficient; the compressions, the
+doubling, padded and padded-block embeddings, the EPR spin flip and the
+masked map of the `state-ae` suite, which the library builds from its
+constructors, apply a callback to every matrix unit; the props suites draw
+and decide one trial at a time, build the star-preserving part of a map by
 `channel_from_action` and normalize weights by a Fraction sum.  The
 differential tests run both and require the same verdicts, witnesses and matrices.
 """
@@ -1027,6 +1030,99 @@ def epr_system() -> tuple[np.ndarray, np.ndarray]:
             rows.append(row)
             rhs.append(np.trace(rho @ np.kron(a_mat, b_mat)))
     return np.stack(rows), np.array(rhs)
+
+
+# ---------------------------------------------------------------------------
+# the maps of the corpus fixtures and props suites: one callback per matrix unit
+# ---------------------------------------------------------------------------
+
+def compression(v: np.ndarray) -> Channel:
+    """X |-> V* X V from M_m to M_n, for the isometry V of shape (m, n)."""
+    m, n = v.shape
+
+    def down_act(x: AlgElement) -> AlgElement:
+        return AlgElement(AlgebraShape((n,)), (v.conj().T @ x.blocks[0] @ v,))
+
+    return channel_from_action(AlgebraShape((m,)), AlgebraShape((n,)), down_act)
+
+
+def compression_pair(n: int, m: int, rng: np.random.Generator) -> tuple[Channel, Channel]:
+    """(down, up) of a random isometry V: X |-> V* X V, and C |-> V C V* + tr(C)/n (1 - V V*)."""
+    gin = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    v, _ = np.linalg.qr(gin)
+    proj = v @ v.conj().T
+    dom_small, dom_big = AlgebraShape((n,)), AlgebraShape((m,))
+
+    def up_act(c: AlgElement) -> AlgElement:
+        avg = np.trace(c.blocks[0]) / n
+        return AlgElement(dom_big, (v @ c.blocks[0] @ v.conj().T + avg * (np.eye(m) - proj),))
+
+    return compression(v), channel_from_action(dom_small, dom_big, up_act)
+
+
+def padded_inclusion(n: int, m: int) -> Channel:
+    """B |-> diag(B, tr(B)/n 1) from M_n to M_m."""
+    dom, cod = AlgebraShape((n,)), AlgebraShape((m,))
+
+    def act(b: AlgElement) -> AlgElement:
+        out = np.zeros((m, m), dtype=complex)
+        out[:n, :n] = b.blocks[0]
+        avg = np.trace(b.blocks[0]) / n
+        for k in range(n, m):
+            out[k, k] = avg
+        return AlgElement(cod, (out,))
+
+    return channel_from_action(dom, cod, act)
+
+
+def padded_block(n: int, k: int) -> tuple[Channel, Channel]:
+    """B |-> (B, tr(B)/n 1_k) from M_n to M_n + M_k, and (A, D) |-> A back."""
+    dom, cod = AlgebraShape((n,)), AlgebraShape((n, k))
+
+    def f_act(b: AlgElement) -> AlgElement:
+        avg = np.trace(b.blocks[0]) / n
+        return AlgElement(cod, (b.block(0), avg * np.eye(k, dtype=complex)))
+
+    def g_act(a: AlgElement) -> AlgElement:
+        return AlgElement(dom, (a.block(0),))
+
+    return channel_from_action(dom, cod, f_act), channel_from_action(cod, dom, g_act)
+
+
+def doubling_embedding() -> Channel:
+    """B |-> diag(B, B) from M_2 to M_4."""
+    m4 = AlgebraShape((4,))
+
+    def act(b: AlgElement) -> AlgElement:
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, :2] = b.blocks[0]
+        out[2:, 2:] = b.blocks[0]
+        return AlgElement(m4, (out,))
+
+    return channel_from_action(AlgebraShape((2,)), m4, act)
+
+
+def corner_compression() -> Channel:
+    """A |-> the upper left 3x3 corner of A, from M_4 to M_3."""
+    m3 = AlgebraShape((3,))
+    return channel_from_action(AlgebraShape((4,)), m3,
+                               lambda a: AlgElement(m3, (a.block(0)[:3, :3],)))
+
+
+def epr_spin_flip() -> Channel:
+    """B |-> J B^T J* on M_2, J = [[0, 1], [-1, 0]], written out entry by entry."""
+    m2 = AlgebraShape((2,))
+    return channel_from_action(m2, m2, lambda a: AlgElement(m2, (np.array(
+        [[a.blocks[0][1, 1], -a.blocks[0][0, 1]],
+         [-a.blocks[0][1, 0], a.blocks[0][0, 0]]]),)))
+
+
+def masked(f: Channel, bump: Channel, comp: AlgElement) -> Channel:
+    """b |-> F(b) + C bump(b) C: F changed only on the corner C."""
+    def act(b: AlgElement) -> AlgElement:
+        return apply(f, b) + alg.mul(alg.mul(comp, apply(bump, b)), comp)
+
+    return channel_from_action(f.domain, f.codomain, act)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,33 @@ def test_commands_reject_options_they_do_not_read(argv, capsys):
     assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["corpus", "run", "epr", "--all"], "corpus run takes either a fixture name or --all"),
+    (["corpus", "run"], "corpus run takes either a fixture name or --all"),
+    (["corpus", "list", "epr"], "corpus list takes no fixture name and no --all"),
+    (["corpus", "list", "--all"], "corpus list takes no fixture name and no --all"),
+])
+def test_corpus_rejects_arguments_it_would_ignore(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_props_rejects_fewer_than_one_trial(trials, capsys):
+    # rejected before any suite runs: no suite reports a vacuous pass
+    assert main(["props", "--trials", trials, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "trials must be >= 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("props", [",", "", " , "])
+def test_check_rejects_an_empty_property_list(files, props, capsys):
+    assert main(["check", files["identity.json"], "--props", props, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "no property requested" in captured.err and captured.out == ""
+
+
 def test_constructions_reject_sampling_options(files, capsys):
     for argv in (["bayes", "--channel", files["identity.json"], "--state", files["state.json"]],
                  ["classical", "check", "--kernel", files["kernel.json"]]):

@@ -1,0 +1,132 @@
+"""Differential oracle: the maps of the corpus fixtures and props suites, built
+from the library's constructors, against the callbacks they replace.
+
+The compressions are `ad_channel(V*)`, the doubling embedding one
+`kraus_channel`, the corner compression `ad_channel` of a 3x4 identity, the
+padded embeddings `corpus._padded` of an `ad_channel` or a block inclusion
+(whose `hs_adjoint` is the padded-block G), the EPR spin flip a `compose` with
+`transpose_channel`, and the masked map of the `state-ae` suite a `compose`
+with `conjugation_by`.  `loop_reference.py` keeps the callbacks that applied
+each of them to every matrix unit.  Each map must equal its callback bit for
+bit, except two that sum in another order: the up map of `compression_pair`,
+whose leftover 1 - V V* is read off `ad_channel(V)` at the unit, and the
+masked map, a Kronecker product in place of two products per unit.  Those two
+are held to 8 ulp of max(1, max |entry|), as is the compression by a
+one-column V, which no fixture or suite builds: its callback's products are
+vector products, which round their own way.
+"""
+import numpy as np
+import pytest
+
+import loop_reference as ref
+from qmarkov import corpus, props
+from qmarkov.state import ae_equal
+
+SEEDS = range(20)
+
+
+def _ulp_close(got: np.ndarray, want: np.ndarray) -> bool:
+    bound = 8 * np.finfo(float).eps * max(1.0, np.abs(want).max())
+    return got.shape == want.shape and np.abs(got - want).max() <= bound
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 2), (2, 3), (2, 5), (3, 4)])
+def test_padded_inclusion_is_bitwise_the_callback(n, m):
+    got = corpus.padded_inclusion(n, m)
+    want = ref.padded_inclusion(n, m)
+    assert (got.domain, got.codomain) == (want.domain, want.codomain)
+    assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 3), (2, 5), (3, 4)])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compression_pair_matches_the_callbacks(n, m, seed):
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    down, up = corpus.compression_pair(n, m, got)
+    ref_down, ref_up = ref.compression_pair(n, m, want)
+    assert got.bit_generator.state == want.bit_generator.state
+    if n > 1:
+        assert np.array_equal(down.matrix, ref_down.matrix)
+    else:   # the callback's products with a one-column V round as vector products
+        assert _ulp_close(down.matrix, ref_down.matrix)
+    assert (up.domain, up.codomain) == (ref_up.domain, ref_up.codomain)
+    assert _ulp_close(up.matrix, ref_up.matrix)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_padded_block_instance_is_bitwise_the_callbacks(seed):
+    f, _, g = props.disintegration_instance("padded-block", np.random.default_rng(seed))
+    n, k = f.codomain.blocks
+    ref_f, ref_g = ref.padded_block(n, k)
+    assert (f.domain, f.codomain, g.domain, g.codomain) == (
+        ref_f.domain, ref_f.codomain, ref_g.domain, ref_g.codomain)
+    assert np.array_equal(f.matrix, ref_f.matrix)
+    assert np.array_equal(g.matrix, ref_g.matrix)
+
+
+def test_doubling_and_corner_maps_are_bitwise_the_callbacks():
+    f, g, _ = corpus.strict_positivity_triple()
+    doubling = ref.doubling_embedding().matrix
+    assert np.array_equal(f.matrix, doubling)
+    assert np.array_equal(g.matrix, ref.corner_compression().matrix)
+    assert np.array_equal(corpus.unreasonable_pair()[1].matrix, doubling)
+
+
+def test_epr_spin_flip_is_bitwise_the_callback(monkeypatch):
+    compared = []
+
+    def spy(f, g):
+        compared.append(g)
+        return real(f, g)
+
+    real = corpus._same_map
+    monkeypatch.setattr(corpus, "_same_map", spy)
+    assert corpus.counterexample("epr").run().passed
+    (expected,) = compared
+    assert np.array_equal(expected.matrix, ref.epr_spin_flip().matrix)
+
+
+@pytest.mark.parametrize("trials", [1, 16, 64])
+@pytest.mark.parametrize("seed", range(5))
+def test_channel_suite_compressions_are_bitwise_the_callback(monkeypatch, seed, trials):
+    built = []
+
+    def spy(v):
+        built.append((np.asarray(v), real(v)))
+        return built[-1][1]
+
+    real = props.ad_channel
+    monkeypatch.setattr(props, "ad_channel", spy)
+    assert props.run_suite("channel", seed=seed, trials=trials).passed
+    assert len(built) == max(4, trials // 8)
+    for v_star, f in built:
+        assert np.array_equal(f.matrix, ref.compression(v_star.conj().T).matrix)
+
+
+@pytest.mark.parametrize("trials", [1, 16, 64])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_state_suite_masked_maps_match_the_callback(monkeypatch, seed, trials):
+    drawn, corners, masked = [], [], []
+
+    def draw(s, t, rng):
+        drawn.append(real_draw(s, t, rng))
+        return drawn[-1]
+
+    def conjugation(e):
+        corners.append(e)
+        return real_conjugation(e)
+
+    def equal(f, g, omega, side, *args):
+        if side == "left" and all(g is not h for h in drawn):
+            masked.append((f, g))
+        return ae_equal(f, g, omega, side, *args)
+
+    real_draw, real_conjugation = props._random_star_preserving, props.conjugation_by
+    monkeypatch.setattr(props, "_random_star_preserving", draw)
+    monkeypatch.setattr(props, "conjugation_by", conjugation)
+    monkeypatch.setattr(props, "ae_equal", equal)
+    assert props.run_suite("state-ae", seed=seed, trials=trials).passed
+    assert masked and len(masked) == len(corners)
+    for (f, g), comp in zip(masked, corners):
+        bump = drawn[[h is f for h in drawn].index(True) + 1]   # drawn right after F
+        assert _ulp_close(g.matrix, ref.masked(f, bump, comp).matrix)

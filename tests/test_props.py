@@ -225,7 +225,7 @@ _MUTATIONS = [
      lambda real: lambda f: type(f)(f.codomain, f.domain, f.matrix.T)),
     ("channel", "adjoint reverses composition", "hs_adjoint", _scale_output),
     ("channel", "CP is closed under composition and tensor", "tensor", _negate_output),
-    ("channel", "one multiplicative input extends to all mixed products", "channel_from_action",
+    ("channel", "one multiplicative input extends to all mixed products", "ad_channel",
      _scale_output),
     ("channel", "invertible conjugations are deterministic", "invert", _scale_output),
     ("channel", "transpose is invertible yet not deterministic, consistent with failing Schwarz",
@@ -283,3 +283,10 @@ def test_every_check_fails_on_a_mutated_ingredient(monkeypatch, suite, desc, ing
     monkeypatch.setattr(owner, attr, mutation(real))
     checks = {c.desc: c for c in props.run_suite(suite, seed=0, trials=16).checks}
     assert not checks[desc].passed, checks[desc]
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("suite", props.suite_names())
+def test_suites_reject_fewer_than_one_trial(suite, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        props.run_suite(suite, seed=0, trials=trials)
