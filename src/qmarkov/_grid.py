@@ -53,8 +53,14 @@ _CHUNK = 1 << 13
 
 
 def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
-    """The columns of `matrix`, coordinates on s, as stacks per block size."""
-    return [matrix[g.rows].T.reshape((matrix.shape[1],) + g.tail) for g in s._layout.groups]
+    """The columns of `matrix`, coordinates on s, as stacks per block size.
+
+    matrix is (..., coord_dim, d), leading axes a batch of matrices, and the
+    stacks (..., d, k, m, m).
+    """
+    lead = matrix.shape[:-2] + matrix.shape[-1:]
+    return [matrix[..., g.rows, :].swapaxes(-1, -2).reshape(lead + g.tail)
+            for g in s._layout.groups]
 
 
 def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
@@ -117,24 +123,33 @@ def products(x: np.ndarray, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
 
     One matrix product per block: stacking the rows of every x[r] against
     the columns of every y[c] turns the grid of block products into a
-    single (R m) x (C m) product.
+    single (R m) x (C m) product.  x and y are (..., R, k, m, m) and
+    (..., C, k, m, m); leading axes are a batch, with one product per block
+    of each batch entry, and the result is (..., R C, k, m, m).
     """
-    r, k, m, _ = x.shape
-    c = len(y)
-    left = (_dagger(x) if adjoint else x).transpose(1, 0, 2, 3).reshape(k, r * m, m)
-    right = y.transpose(1, 2, 0, 3).reshape(k, m, c * m)
-    out = (left @ right).reshape(k, r, m, c, m)
-    return out.transpose(1, 3, 0, 2, 4).reshape(r * c, k, m, m)
+    lead, (r, k, m, _), c = x.shape[:-4], x.shape[-4:], y.shape[-4]
+    b = len(lead)
+    at = tuple(range(b))
+    left = (_dagger(x) if adjoint else x).swapaxes(-4, -3).reshape(lead + (k, r * m, m))
+    right = y.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(lead + (k, m, c * m))
+    out = (left @ right).reshape(lead + (k, r, m, c, m))
+    return out.transpose(at + (b + 1, b + 3, b, b + 2, b + 4)).reshape(lead + (r * c, k, m, m))
 
 
 def _with_support(x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
-    """x[n] p (side "right") or p x[n] (side "left") for every n, one product per block."""
-    n, k, m, _ = x.shape
+    """x[n] p (side "right") or p x[n] (side "left") for every n, one product per block.
+
+    x is (..., n, k, m, m) and p (..., k, m, m): with leading axes, each
+    batch entry of x is multiplied by its own support.
+    """
+    lead, (n, k, m, _) = x.shape[:-4], x.shape[-4:]
     if side == "right":
-        out = x.transpose(1, 0, 2, 3).reshape(k, n * m, m) @ p
-        return out.reshape(k, n, m, m).transpose(1, 0, 2, 3)
-    out = p @ x.transpose(1, 2, 0, 3).reshape(k, m, n * m)
-    return out.reshape(k, m, n, m).transpose(2, 0, 1, 3)
+        out = x.swapaxes(-4, -3).reshape(lead + (k, n * m, m)) @ p
+        return out.reshape(lead + (k, n, m, m)).swapaxes(-4, -3)
+    b = len(lead)
+    at = tuple(range(b))
+    out = p @ x.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(lead + (k, m, n * m))
+    return out.reshape(lead + (k, m, n, m)).transpose(at + (b + 2, b, b + 1, b + 3))
 
 
 def multiplicative_failure(f, tol: Tolerance, adjoint: bool = False,
@@ -259,33 +274,51 @@ def first_failure(
     """Row-major index of the first failing entry of a rows x cols grid.
 
     operands(r0, r1) returns (lhs, rhs): the stacked codomain elements of
-    every entry in rows r0 to r1 - 1, row-major.  With no support an entry
-    passes when max|lhs - rhs| <= tol.eq * max(unit, ||lhs||, ||rhs||), as
-    `elem_equal` decides; with a support projection P it passes when the
-    operator norm of (lhs - rhs) P (side "right") or P (lhs - rhs) (side
-    "left") is within the same bound, as the a.e. checks decide.  ||.|| is
-    the operator norm: the largest blockwise one.  The floor unit is 1 but
-    for operands scaled by a power of two, where it is scaled alike.
+    every entry in rows r0 to r1 - 1, row-major.  Each entry is decided by
+    `failing_entries`, with the support, if given, on the given side.  The
+    grid runs in chunks of whole rows and stops at the first chunk that
+    holds a failure.
+    """
+    proj = None if support is None else alg._element_stacks(support)
+    step = max(1, _CHUNK // (cols * codomain.coord_dim))
+    for r0 in range(0, rows, step):
+        fail = failing_entries(*operands(r0, min(r0 + step, rows)), tol, proj, side, unit)
+        if fail.any():
+            return r0 * cols + int(fail.argmax())
+    return None
+
+
+def failing_entries(lhs: Stacks, rhs: Stacks, tol: Tolerance, proj: Stacks | None = None,
+                    side: str = "right", unit: float = 1.0) -> np.ndarray:
+    """Whether each entry of a grid fails: the one entry rule of the exact checks.
+
+    lhs and rhs are stacks (..., n, k, m, m) of codomain elements; the result
+    is a bool per entry (..., n).  With no support an entry passes when
+    max|lhs - rhs| <= tol.eq * max(unit, ||lhs||, ||rhs||), as `elem_equal`
+    decides; with a support projection P, stacks proj (..., k, m, m), one per
+    batch entry of the leading axes, it passes when the operator norm of
+    (lhs - rhs) P (side "right") or P (lhs - rhs) (side "left") is within
+    the same bound, as the a.e. checks decide.  ||.|| is the operator norm:
+    the largest blockwise one.  The floor unit is 1 but for operands scaled
+    by a power of two, where it is scaled alike.
 
     max-abs entry <= operator norm <= Frobenius norm, so the cheap bounds
     settle most entries.  An entry whose deviation is at most tol.eq * unit passes
     whatever its scale.  Otherwise it passes under the upper bound on its
     deviation and the lower bound on its scale, or fails under the lower
     bound on its deviation and the upper bound on its scale.  Only the rest
-    pay for exact operator norms.  The grid runs in chunks of whole rows and
-    stops at the first chunk that holds a failure.
+    pay for exact operator norms.
     """
-    proj = None if support is None else alg._element_stacks(support)
-    step = max(1, _CHUNK // (cols * codomain.coord_dim))
-    for r0 in range(0, rows, step):
-        lhs, rhs = operands(r0, min(r0 + step, rows))
-        diff = [a - b for a, b in zip(lhs, rhs)]
-        if proj is not None:
-            diff = [_with_support(x, p, side) for x, p in zip(diff, proj)]
-        dev_hi = _upper(diff)
-        live = np.flatnonzero(dev_hi > tol.eq * unit)
-        if not live.size:
-            continue
+    diff = [a - b for a, b in zip(lhs, rhs)]
+    if proj is not None:
+        diff = [_with_support(x, p, side) for x, p in zip(diff, proj)]
+    shape = diff[0].shape[:-3]
+    if len(shape) > 1:   # one flat run of entries
+        lhs, rhs, diff = ([x.reshape((-1,) + x.shape[-3:]) for x in xs] for xs in (lhs, rhs, diff))
+    dev_hi = _upper(diff)
+    out = dev_hi > tol.eq * unit   # the live entries; True stays only where they fail
+    if out.any():
+        live = np.flatnonzero(out)
         lhs, rhs, diff = ([x[live] for x in xs] for xs in (lhs, rhs, diff))
         dev_lo, dev_hi = _lower(diff), dev_hi[live]
         fail = dev_lo > tol.eq * np.maximum(unit, np.maximum(_upper(lhs), _upper(rhs)))
@@ -296,9 +329,8 @@ def first_failure(
             dev = _max_abs(pick(diff)) if proj is None else _op_norm(pick(diff))
             scale = np.maximum(_op_norm(pick(lhs)), _op_norm(pick(rhs)))
             fail[open_] = dev > tol.eq * np.maximum(unit, scale)
-        if fail.any():
-            return r0 * cols + int(live[fail.argmax()])
-    return None
+        out[live] = fail
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

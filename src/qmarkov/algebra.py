@@ -211,12 +211,24 @@ def adjoint(a: AlgElement) -> AlgElement:
 
 def trace(a: AlgElement) -> complex:
     """Unweighted trace, summed over blocks."""
-    per_block = np.zeros(len(a.shape.blocks) + 1, dtype=complex)
+    return complex(_trace_coords(a.shape, a._coords))
+
+
+def _trace_coords(s: AlgebraShape, v: np.ndarray) -> np.ndarray:
+    """Traces of the elements with coordinates v (..., coord_dim), one per element.
+
+    The coordinates are indexed transposed, so one element costs plain
+    indexing; each element's diagonal is summed contiguously, as it would be
+    alone, so every trace has the bits `trace` gives.
+    """
+    lead = v.shape[:-1]
+    per_block = np.zeros((len(s.blocks) + 1,) + lead[::-1], dtype=complex)
     blocks = per_block[1:]
-    for g in a.shape._layout.groups:   # the diagonal, summed as np.trace sums it
-        blocks[g.ids] = a._coords[g.diag].reshape(g.tail[:2]).sum(-1)
+    for g in s._layout.groups:   # the diagonal, summed as np.trace sums it
+        diag = np.ascontiguousarray(v.T[g.diag].T).reshape(lead + g.tail[:2])
+        blocks[g.ids] = diag.sum(-1).T
     # a running sum from 0, so the blocks add up in order, as a per-block sum() adds them
-    return complex(np.add.accumulate(per_block)[-1])
+    return np.add.accumulate(per_block)[-1].T
 
 
 def normalized_trace(a: AlgElement) -> complex:

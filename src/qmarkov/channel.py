@@ -165,7 +165,20 @@ def ad_channel(v: np.ndarray) -> Channel:
     """
     v = np.asarray(v, dtype=complex)
     p, q = v.shape
-    return _owned(AlgebraShape((q,)), AlgebraShape((p,)), np.kron(v, v.conj()))
+    return _owned(AlgebraShape((q,)), AlgebraShape((p,)), _kron(v, v.conj()))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, or of two vectors, as one broadcast product.
+
+    Entry (i r + k, j s + l) is a_ij b_kl, the one product np.kron forms, so
+    the two agree bit for bit; the product is written in the result's layout
+    at once, where np.kron reorders an outer product.
+    """
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def conjugation_by(e: AlgElement) -> Channel:
@@ -191,7 +204,7 @@ def kraus_channel(
             raise ShapeMismatch(f"Kraus operator of shape {k.shape}, expected ({n}, {m})")
     mat = np.zeros((m * m, n * n), dtype=complex)
     for k in ops:
-        mat += np.kron(k.conj().T, k.T)
+        mat += _kron(k.conj().T, k.T)
     return _owned(domain, codomain, mat)
 
 

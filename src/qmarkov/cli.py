@@ -100,9 +100,17 @@ def _write_out(args, payload: dict, key: str, lines: list[str], what: str):
 
 def _emit(payload: dict, args, text_lines: list[str]):
     if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        print("\n".join(text_lines))
+        text = "\n".join(text_lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (`qmarkov corpus list | head -1`): point it at
+        # os.devnull, so the interpreter's final flush of the rest cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _report_lines(reports) -> list[str]:

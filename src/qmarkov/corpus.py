@@ -20,6 +20,7 @@ from .algebra import AlgebraShape, AlgElement
 from .bayes import bayes_problem, verify_bayes, verify_disintegration
 from .channel import (
     Channel,
+    _kron,
     _owned,
     ad_channel,
     apply,
@@ -232,7 +233,7 @@ def _kl_operators(gamma: float):
     eye = np.eye(2, dtype=complex)
 
     def kron3(a, b, c):
-        return np.kron(np.kron(a, b), c)
+        return _kron(_kron(a, b), c)
 
     lam_p = a_plus * eye
     lam_m = a_minus * sz
@@ -245,8 +246,8 @@ def _kl_operators(gamma: float):
     errs = [e / np.sqrt(big_gamma) for e in errs]
     plus = np.array([1.0, 1.0], dtype=complex)
     minus = np.array([1.0, -1.0], dtype=complex)
-    logical0 = np.kron(np.kron(plus, plus), plus) / 2**1.5
-    logical1 = np.kron(np.kron(minus, minus), minus) / 2**1.5
+    logical0 = kron3(plus, plus, plus) / 2**1.5
+    logical1 = kron3(minus, minus, minus) / 2**1.5
     v = np.stack([logical0, logical1], axis=1)
     p_code = np.outer(logical0, logical0.conj()) + np.outer(logical1, logical1.conj())
     recs = [

@@ -135,17 +135,28 @@ def _column_sums(arr: np.ndarray) -> np.ndarray:
 
 def _first_bad_column(arr: np.ndarray, thr):
     """(column, has a negative entry, column sum) of the first column with an
-    entry below -thr or a sum off 1, or None when every column is fine."""
-    scaled = _scaled(arr)
-    negative = (scaled[0] < -thr).any(axis=0)   # exact entries have thr 0
-    total = _arith(_column_sums, scaled)
-    mag = np.abs(total)
-    ok = (np.abs(total - 1) <= thr * np.maximum(1, mag)) & (mag < np.inf)
+    entry below -thr or a sum off 1, or None when every column is fine.
+
+    Exact entries are decided on their integer numerators over the common
+    denominator den (thr is 0): an entry is negative when its numerator is,
+    and a column sums to 1 when its numerators sum to den.  Only the sum of
+    the column reported is built as a Fraction.
+    """
+    num, den = _scaled(arr)
+    if den is None:
+        negative = (arr < -thr).any(axis=0)
+        total = _column_sums(arr)
+        mag = np.abs(total)
+        ok = (np.abs(total - 1) <= thr * np.maximum(1, mag)) & (mag < np.inf)
+    else:
+        negative = (num < 0).any(axis=0)
+        total = num.sum(axis=0)
+        ok = total == den
     bad = np.flatnonzero(negative | ~ok)
     if not bad.size:
         return None
     x = int(bad[0])
-    return x, bool(negative[x]), total[x]
+    return x, bool(negative[x]), total[x] if den is None else Fraction(total[x], den)
 
 
 def _indicator_mask(entries: np.ndarray, thr) -> np.ndarray:

@@ -43,8 +43,8 @@ from .channel import (
 from .corpus import (CheckResult, _build_mu_norm, _check, _padded, _same_map, compression_pair,
                      doubling_pair, padded_inclusion)
 from .linalg import herm_eig, op_norm, pinv_psd
-from .state import (NullspaceTest, State, ae_deterministic, ae_equal, ae_unital, pullback_state,
-                    state_from_density)
+from .state import (State, _ae_verdicts, _states, ae_deterministic, ae_equal, ae_unital,
+                    pullback_state, state_from_density)
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
@@ -123,11 +123,19 @@ def random_rank_deficient_state(
     if full:
         return state_from_density(rho)
     proj = _random_projection(s, rng)
-    compressed = alg.mul(alg.mul(proj, rho), proj)
-    tr = alg.trace(compressed).real
-    if tr <= DEFAULT_TOL.eq:   # the compression of a unit-trace density carries no weight
-        return state_from_density(rho)
-    return state_from_density(compressed * (1.0 / tr))
+    return state_from_density(alg._adopt(s, _compressed(s, alg.vec(rho), alg.vec(proj))[0]))
+
+
+def _compressed(s: AlgebraShape, rho: np.ndarray, proj: np.ndarray):
+    """(density, weight) for the coordinates (..., coord_dim) of densities rho and
+    projections Q: the compression Q rho Q divided by its trace, or rho where
+    that trace is at most tol.eq, as the compression of a unit-trace density
+    then carries no weight; and whether it carried weight."""
+    c = alg._mul_coords(s, alg._mul_coords(s, proj, rho), proj)
+    tr = alg._trace_coords(s, c).real
+    weight = tr > DEFAULT_TOL.eq
+    scaled = c * (1.0 / np.where(weight, tr, 1.0))[..., None]
+    return np.where(weight[..., None], scaled, rho), weight
 
 
 # ---------------------------------------------------------------------------
@@ -393,67 +401,118 @@ def suite_channel(seed: int = 0, trials: int = 64) -> SuiteReport:
     return SuiteReport("channel", tuple(checks))
 
 
+_STATE_SHAPES = (AlgebraShape((3,)), AlgebraShape((2, 2)), AlgebraShape((1, 3)))
+
+
+def _by_shape(drawn: list[tuple]):
+    """(shape, stacked fields) for every shape of _STATE_SHAPES that some trial
+    drew, from trials (shape index, field, ...)."""
+    for i, s in enumerate(_STATE_SHAPES):
+        rows = [t[1:] for t in drawn if t[0] == i]
+        if rows:
+            yield s, [np.array(x) for x in zip(*rows)]
+
+
+def _minimal_supports(rng: np.random.Generator, trials: int) -> bool:
+    """Whether the support P of every compressed random density is dominated by
+    the compressing projection Q (Q P = P) and its state omega is blind to the
+    complement: |omega((1 - P) a)| <= tol.eq max(1, ||a||) for a random a.
+
+    Every trial draws a shape, a density, a projection and, when the
+    compression carries weight, the element a, as one trial after another
+    would; the states, their supports and both checks are then decided per
+    shape on the stacked trials.
+    """
+    tol, drawn = DEFAULT_TOL, []
+    for _ in range(trials):
+        i = int(rng.integers(0, len(_STATE_SHAPES)))
+        s = _STATE_SHAPES[i]
+        rho = alg.vec(alg.random_density(s, rng))
+        proj = alg.vec(_random_projection(s, rng))
+        density, weight = _compressed(s, rho, proj)
+        if weight:   # a compression with no weight is skipped and draws no element
+            drawn.append((i, proj, density, alg._random_coords(s, rng)))
+    ok = True
+    for s, (proj, density, a) in _by_shape(drawn):
+        p = np.array([alg.vec(omega.support) for omega in _states(s, density)])
+        x = alg._mul_coords(s, alg._unit_coords(s) - p, a)
+        # |omega(X)| <= ||X|| <= ||a||
+        blind = np.abs(alg._trace_coords(s, alg._mul_coords(s, density, x)))
+        ok = ok and alg._coords_equal(s, alg._mul_coords(s, proj, p), p, tol) and bool(
+            (blind <= tol.eq * np.maximum(1.0, alg._op_norm(alg._stacks(s, a)))).all())
+    return ok
+
+
+def _nullspace_trials(rng: np.random.Generator, trials: int) -> bool:
+    """Whether a = m (1 - P), for the support P of a random state omega and a
+    random m, has omega(a* a) = 0 within tol.eq max(1, ||a||^2) and lies in
+    the right nullspace, as `NullspaceTest` decides it: ||a P|| within
+    tol.eq max(1, ||a||).
+
+    Every trial draws a shape, a density and m in turn; the states, their
+    supports and the checks are then decided per shape on the stacked trials.
+    """
+    tol, drawn = DEFAULT_TOL, []
+    for _ in range(trials):
+        i = int(rng.integers(0, len(_STATE_SHAPES)))
+        s = _STATE_SHAPES[i]
+        drawn.append((i, alg.vec(alg.random_density(s, rng)), alg._random_coords(s, rng)))
+    ok = True
+    for s, (density, m) in _by_shape(drawn):
+        p = np.array([alg.vec(omega.support) for omega in _states(s, density)])
+        a = alg._mul_coords(s, m, alg._unit_coords(s) - p)
+        norm = alg._op_norm(alg._stacks(s, a))
+        val = alg._trace_coords(s, alg._mul_coords(s, density, _gram(s, a)))
+        null = alg._op_norm(alg._stacks(s, alg._mul_coords(s, a, p)))
+        ok = ok and bool((np.abs(val) <= tol.eq * np.maximum(1.0, norm ** 2)).all()
+                         and (null <= tol.eq * np.maximum(1.0, norm)).all())
+    return ok
+
+
+def _ae_trials(rng: np.random.Generator, trials: int) -> np.ndarray:
+    """(ae_equal left, ae_equal right, ae_deterministic left, ae_deterministic
+    right) of every trial, one row each: a random star-preserving F: M_2 ~> M_3,
+    a rank-deficient state omega, and G = F changed only on the complement of
+    its support (a coin flip) or another random map.
+
+    Every trial draws F, the density, the projection, the coin and then the
+    change or G, as one trial after another would.  The states come from one
+    stacked eigh, and the four verdicts of all trials from one grid per check
+    and side (`state._ae_verdicts`).
+    """
+    s, t = AlgebraShape((2,)), AlgebraShape((3,))
+    fs, rho, proj, coins, bump_or_g = [], [], [], [], []
+    for _ in range(trials):
+        fs.append(_random_star_preserving(s, t, rng))
+        rho.append(alg.vec(alg.random_density(t, rng)))
+        proj.append(alg.vec(_random_projection(t, rng)))
+        coins.append(bool(rng.integers(0, 2)))
+        bump_or_g.append(_random_star_preserving(s, t, rng))
+    omegas = _states(t, _compressed(t, np.array(rho), np.array(proj))[0])
+    gs = []
+    for f, omega, coin, h in zip(fs, omegas, coins, bump_or_g):
+        if coin:   # change F only on the support complement, so the verdicts flip to pass
+            comp = alg.unit(t) - omega.support
+            h = _owned(s, t, f.matrix + compose(conjugation_by(comp), h).matrix)
+        gs.append(h)
+    runs = list(zip(fs, gs, omegas))
+    equal_l, det_l = _ae_verdicts(runs, "left")
+    equal_r, det_r = _ae_verdicts(runs, "right")
+    return np.stack([equal_l, equal_r, det_l, det_r], axis=1)
+
+
 def suite_state(seed: int = 0, trials: int = 64) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    tol, checks = DEFAULT_TOL, []
-    shapes = [AlgebraShape((3,)), AlgebraShape((2, 2)), AlgebraShape((1, 3))]
-
-    minimal_ok = True
-    for _ in range(max(4, trials // 8)):
-        s = shapes[int(rng.integers(0, len(shapes)))]
-        # rank-deficient density: compress a random one by a random projection
-        rho = alg.random_density(s, rng)
-        proj = _random_projection(s, rng)
-        compressed = alg.mul(alg.mul(proj, rho), proj)
-        tr = alg.trace(compressed).real
-        if tr <= tol.eq:   # as in `random_rank_deficient_state`
-            continue
-        omega = state_from_density(compressed * (1.0 / tr))
-        p = omega.support
-        # the compressing projection dominates: Q P = P
-        minimal_ok = minimal_ok and alg.elem_equal(alg.mul(proj, p), p)
-        # and omega is blind to the complement
-        comp = alg.unit(s) - p
-        a = alg.random_element(s, rng)
-        # |omega(X)| <= ||X|| <= ||a||
-        minimal_ok = minimal_ok and (
-            abs(omega.expect(alg.mul(comp, a))) <= tol.eq * tol.scale(alg.norm(a)))
-    checks.append(_check("support is dominated by any projection carrying the state",
-                         minimal_ok))
-
-    null_ok = True
-    for _ in range(max(4, trials // 8)):
-        s = shapes[int(rng.integers(0, len(shapes)))]
-        omega = state_from_density(alg.random_density(s, rng))
-        p = omega.support
-        comp = alg.unit(s) - p
-        m = alg.random_element(s, rng)
-        a = alg.mul(m, comp)
-        val = omega.expect(alg.mul(alg.adjoint(a), a))
-        null_ok = null_ok and abs(val) <= tol.eq * tol.scale(alg.norm(a) ** 2)
-        null_ok = null_ok and NullspaceTest("right", omega).contains(a)
-    checks.append(_check("right-multiplying into the support complement lands in the nullspace",
-                         null_ok))
-
-    sym_ok = True
-    for _ in range(max(8, trials // 4)):
-        s, t = AlgebraShape((2,)), AlgebraShape((3,))
-        f = _random_star_preserving(s, t, rng)
-        omega = random_rank_deficient_state(t, rng)
-        if int(rng.integers(0, 2)):
-            # perturb only on the support complement so the verdicts flip to pass
-            comp = alg.unit(t) - omega.support
-            bump = _random_star_preserving(s, t, rng)
-            g = _owned(s, t, f.matrix + compose(conjugation_by(comp), bump).matrix)
-        else:
-            g = _random_star_preserving(s, t, rng)
-        left = ae_equal(f, g, omega, "left").passed
-        right = ae_equal(f, g, omega, "right").passed
-        sym_ok = sym_ok and (left == right)
-        det_l = ae_deterministic(f, omega, "left").passed
-        det_r = ae_deterministic(f, omega, "right").passed
-        sym_ok = sym_ok and (det_l == det_r)
-    checks.append(_check("left and right verdicts agree for star-preserving channels", sym_ok))
+    checks = [
+        _check("support is dominated by any projection carrying the state",
+               _minimal_supports(rng, max(4, trials // 8))),
+        _check("right-multiplying into the support complement lands in the nullspace",
+               _nullspace_trials(rng, max(4, trials // 8))),
+    ]
+    verdicts = _ae_trials(rng, max(8, trials // 4))
+    checks.append(_check("left and right verdicts agree for star-preserving channels",
+                         bool((verdicts[:, 0] == verdicts[:, 1]).all()
+                              and (verdicts[:, 2] == verdicts[:, 3]).all())))
 
     f_pad = padded_inclusion(2, 3)
     sigma = alg.random_density(AlgebraShape((2,)), rng).blocks[0]

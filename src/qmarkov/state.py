@@ -70,11 +70,21 @@ class Spectrum:
 
 def _spectrum(s: AlgebraShape, herm: alg.Stacks, tol: Tolerance) -> Spectrum:
     """Spectrum of the Hermitian element with stacks herm: one eigh per block size."""
+    return Spectrum(s, _decompose(herm, tol))
+
+
+def _decompose(herm: alg.Stacks, tol: Tolerance) -> tuple:
+    """The `Spectrum` stacks of the Hermitian elements with stacks herm (..., k, m, m):
+    one eigh per block size for the whole batch, each element with its own rank cutoff.
+
+    numpy decomposes every matrix of a stack on its own, so an element gets the
+    same floats in a batch as alone.
+    """
     eigs = [np.linalg.eigh(h) for h in herm]
-    values = [w[:, ::-1] for w, _ in eigs]
-    lam_max = max(w[:, 0].max() for w in values)
-    cutoff = tol.rank * max(lam_max, 0.0)
-    return Spectrum(s, tuple((w, u[:, :, ::-1], w > cutoff) for w, (_, u) in zip(values, eigs)))
+    values = [w[..., ::-1] for w, _ in eigs]
+    lam_max = alg._fold_max([w[..., 0].max(axis=-1) for w in values])
+    cutoff = (tol.rank * np.maximum(lam_max, 0.0))[..., None, None]
+    return tuple((w, u[..., ::-1], w > cutoff) for w, (_, u) in zip(values, eigs))
 
 
 @dataclass(frozen=True)
@@ -108,17 +118,44 @@ def state_from_density(density: AlgElement, tol: Tolerance = DEFAULT_TOL) -> Sta
     xs = alg._element_stacks(density)
     hs = alg._hermitian(xs)
     spec = _spectrum(density.shape, hs, tol)
-    not_self_adjoint, negative, _, _ = alg._psd_verdicts(
-        hs, [x - alg._dagger(x) for x in xs], 1.0, tol,
-        [v[:, ::-1] for v, _, _ in spec.stacks])   # ascending
+    tr = alg.trace(density)
+    not_self_adjoint, negative, off = _refusals(xs, hs, spec.stacks, tr, tol)
     if not_self_adjoint:
         raise NotSelfAdjoint("element is not self-adjoint within tolerance")
     if negative:
         raise ValueError("density is not positive semidefinite within tolerance")
-    tr = alg.trace(density)
-    if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
+    if off:
         raise ValueError(f"density trace {tr} is not 1 within tolerance")
     return State(density.shape, density, spec)
+
+
+def _refusals(xs: alg.Stacks, hs: alg.Stacks, spec: tuple, tr, tol: Tolerance):
+    """(not self-adjoint, not PSD, trace off 1) of densities with stacks xs
+    (..., k, m, m), Hermitian parts hs, spectra spec and traces tr: the rule of
+    `state_from_density`."""
+    not_self_adjoint, negative, _, _ = alg._psd_verdicts(
+        hs, [x - alg._dagger(x) for x in xs], 1.0, tol,
+        [w[..., ::-1] for w, _, _ in spec])   # ascending
+    return not_self_adjoint, negative, abs(tr - 1.0) > tol.eq * np.maximum(1.0, abs(tr))
+
+
+def _states(s: AlgebraShape, densities: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[State]:
+    """`state_from_density` of the density in every row of densities (N, coord_dim),
+    with one eigh per block size for all of them.
+
+    Every density is decided by the constructor's rule at its own scale, and
+    gets the spectrum it would get alone; the first one the rule refuses
+    raises the constructor's error.
+    """
+    v = np.array(densities, dtype=complex)   # the states' own coordinates
+    xs = alg._stacks(s, v)
+    hs = alg._hermitian(xs)
+    stacks = _decompose(hs, tol)
+    refused = np.logical_or.reduce(_refusals(xs, hs, stacks, alg._trace_coords(s, v), tol))
+    if refused.any():
+        state_from_density(alg.unvec(s, v[refused.argmax()]), tol)   # raises its error
+    return [State(s, alg._adopt(s, row), Spectrum(s, tuple(tuple(x[i] for x in g) for g in stacks)))
+            for i, row in enumerate(v)]
 
 
 def support(omega: State) -> AlgElement:
@@ -249,6 +286,49 @@ def ae_deterministic(
             detail="F(B*C) != F(B)*F(C) on the support",
         )
     return _report(f"ae-deterministic-{side}", True, tol.eq)
+
+
+def _ae_verdicts(trials, side: str = "right",
+                 tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Whether `ae_equal(F, G, omega, side)` and `ae_deterministic(F, omega, side)`
+    pass, for every trial (F, G, omega) of a list whose maps share one domain
+    and one codomain.
+
+    The unit grids of all trials are one grid, and so are their pair grids;
+    every entry is decided by `_grid.failing_entries` under its own trial's
+    support.  The operands, and their products with the supports, are those
+    of one verifier call, stacked over the trials, so every trial is decided
+    on the same floats.  ae_deterministic asks `gram_bound` for a certificate
+    before its grid, but a certified pass is a pass of the grid as well: the
+    bound holds the deviation of every entry, as the grid measures it,
+    within tol.eq, and such an entry passes at any scale.  So the grid alone
+    gives the verifier's verdict; unlike the verifier, no warning is raised
+    for a map that is not star-preserving.  When a product overflows, every
+    trial goes through the two verifiers, whose grids compare scaled operands.
+    """
+    _check_side(side)
+    s, t = trials[0][0].domain, trials[0][0].codomain
+    if any(f.domain != s or g.domain != s or f.codomain != t or g.codomain != t
+           or omega.shape != t for f, g, omega in trials):
+        raise ShapeMismatch("trials must share one domain and one codomain")
+    d = s.coord_dim
+    fm = np.zeros((len(trials), t.coord_dim, d + 1), dtype=complex)   # column d is 0
+    fm[:, :, :d] = [f.matrix for f, _, _ in trials]
+    supports = alg._stacks(t, np.array([alg.vec(omega.support) for *_, omega in trials]))
+    at = alg.product_index(s)[alg.adjoint_index(s)].ravel()   # E_a* E_b, row-major
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            img = _grid.images(t, fm)
+            img_g = _grid.images(t, np.array([g.matrix for _, g, _ in trials]))
+            equal = _grid.failing_entries([x[:, :d] for x in img], img_g, tol, supports, side)
+            det = _grid.failing_entries(
+                [x[:, at] for x in img],
+                [_grid.products(x[:, :d], x[:, :d], adjoint=True) for x in img],
+                tol, supports, side)
+    except FloatingPointError:
+        return (np.array([ae_equal(f, g, omega, side, tol).passed for f, g, omega in trials]),
+                np.array([ae_deterministic(f, omega, side, tol).passed for f, _, omega in trials]))
+    return ~equal.any(axis=-1), ~det.any(axis=-1)
 
 
 def ae_unital(

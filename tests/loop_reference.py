@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qmarkov import _grid
+from qmarkov import _grid, props, state
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.bayes import BayesProblem
@@ -53,7 +53,7 @@ from qmarkov.errors import (
     SupportNotFull,
 )
 from qmarkov.finstoch import ProbVector, StochasticMatrix, _parse_entry
-from qmarkov.state import State, pullback_state
+from qmarkov.state import NullspaceTest, State, pullback_state, state_from_density
 from qmarkov.tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -1182,6 +1182,73 @@ def random_star_preserving(s: AlgebraShape, t: AlgebraShape, rng: np.random.Gene
         return 0.5 * (apply(f, b) + alg.adjoint(apply(f, alg.adjoint(b))))
 
     return channel_from_action(s, t, sym)
+
+
+def minimal_supports(rng: np.random.Generator, trials: int) -> bool:
+    """Q P = P and omega((1 - P) a) = 0 for the support P of a compressed random
+    density, one trial at a time; a compression with no weight leaves the draw."""
+    tol, ok = DEFAULT_TOL, True
+    for _ in range(trials):
+        s = props._STATE_SHAPES[int(rng.integers(0, len(props._STATE_SHAPES)))]
+        rho = alg.random_density(s, rng)
+        proj = props._random_projection(s, rng)
+        compressed = alg.mul(alg.mul(proj, rho), proj)
+        tr = alg.trace(compressed).real
+        if tr <= tol.eq:
+            continue
+        omega = state_from_density(compressed * (1.0 / tr))
+        p = omega.support
+        ok = ok and alg.elem_equal(alg.mul(proj, p), p)
+        comp = alg.unit(s) - p
+        a = alg.random_element(s, rng)
+        ok = ok and abs(omega.expect(alg.mul(comp, a))) <= tol.eq * tol.scale(alg.norm(a))
+    return ok
+
+
+def nullspace_trials(rng: np.random.Generator, trials: int) -> bool:
+    """omega(a* a) = 0 and a in the right nullspace for a = m (1 - P), one trial at a time."""
+    tol, ok = DEFAULT_TOL, True
+    for _ in range(trials):
+        s = props._STATE_SHAPES[int(rng.integers(0, len(props._STATE_SHAPES)))]
+        omega = state_from_density(alg.random_density(s, rng))
+        p = omega.support
+        comp = alg.unit(s) - p
+        m = alg.random_element(s, rng)
+        a = alg.mul(m, comp)
+        val = omega.expect(alg.mul(alg.adjoint(a), a))
+        ok = ok and abs(val) <= tol.eq * tol.scale(alg.norm(a) ** 2)
+        ok = ok and NullspaceTest("right", omega).contains(a)
+    return ok
+
+
+def ae_trials(rng: np.random.Generator, trials: int) -> np.ndarray:
+    """The four a.e. verdicts of every trial of the `state-ae` suite, drawn and
+    decided one trial at a time by the verifiers."""
+    s, t = AlgebraShape((2,)), AlgebraShape((3,))
+    out = []
+    for _ in range(trials):
+        f = props._random_star_preserving(s, t, rng)
+        omega = props.random_rank_deficient_state(t, rng)
+        if int(rng.integers(0, 2)):
+            comp = alg.unit(t) - omega.support
+            bump = props._random_star_preserving(s, t, rng)
+            g = Channel(s, t, f.matrix + compose(props.conjugation_by(comp), bump).matrix)
+        else:
+            g = props._random_star_preserving(s, t, rng)
+        out.append([state.ae_equal(f, g, omega, "left").passed,
+                    state.ae_equal(f, g, omega, "right").passed,
+                    state.ae_deterministic(f, omega, "left").passed,
+                    state.ae_deterministic(f, omega, "right").passed])
+    return np.array(out, dtype=bool).reshape(-1, 4)
+
+
+def kron_channel_matrix(ops) -> np.ndarray:
+    """sum_i kron(K_i*, K_i^T) by `np.kron`, the matrix of a Heisenberg Kraus channel."""
+    n, m = ops[0].shape
+    mat = np.zeros((m * m, n * n), dtype=complex)
+    for k in ops:
+        mat += np.kron(k.conj().T, k.T)
+    return mat
 
 
 def rational_weights(rng: np.random.Generator, n: int, zero_last: bool = False) -> list:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qmarkov
 
 from qmarkov import cli
 from qmarkov import serialize as ser
@@ -455,3 +461,34 @@ def test_the_error_classes_are_the_documented_ones():
                      "NonscalarImageBlock", "PreconditionsUnmet", "UnknownFixture"}
     doc = cli.__doc__
     assert all(name in doc for name in names)
+
+
+_COMMANDS = [["corpus", "list"], ["corpus", "run", "--all", "--format", "json"]]
+
+
+def _cli_process(args, stdout):
+    env = dict(os.environ, PYTHONPATH=str(Path(qmarkov.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "qmarkov", *args], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("args", _COMMANDS)
+def test_a_reader_that_stops_after_one_line_leaves_no_traceback(args):
+    proc = _cli_process(args, subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b"" and proc.returncode == 0
+
+
+@pytest.mark.parametrize("args", _COMMANDS)
+def test_a_closed_stdout_leaves_no_traceback(args):
+    # the read end is closed before the CLI writes, so every write it makes fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(args, write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=120)
+    assert err == b"" and proc.returncode == 0

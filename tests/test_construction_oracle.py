@@ -5,7 +5,8 @@ single entries, so they must match the loops in `loop_reference.py`
 exactly.  `ad_channel`, `conjugation_by`, `kraus_channel`, the Bayes and
 Petz candidates, the blockwise sides of the Bayes condition and the
 commutative disintegration sum in another order, so they must match to
-1e-13 * max(1, ||M||).  `is_cp` must give the same verdict and witness
+1e-13 * max(1, ||M||); `kraus_channel` and `ad_channel` must also equal
+the sums of `np.kron` products bit for bit.  `is_cp` must give the same verdict and witness
 block as the loop that decides the full Choi matrix of each domain block,
 and `verify_bayes` the same verdict and witness pair as the loop over
 pairs of units.
@@ -22,6 +23,7 @@ from qmarkov.bayes import _bayes_sides, bayes_candidate, bayes_problem
 from qmarkov.bayes import commutative_disintegration, petz_recovery, verify_bayes
 from qmarkov.channel import (
     Channel,
+    _kron,
     ad_channel,
     channel_from_action,
     choi,
@@ -152,6 +154,19 @@ def test_conjugations_and_kraus_agree_with_loops():
         dom, cod = AlgebraShape((n,)), AlgebraShape((m,))
         assert _close(kraus_channel(dom, cod, ops).matrix,
                       ref.kraus_channel(dom, cod, ops).matrix), (n, m, k)
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 1, 1), (2, 3, 2), (3, 2, 3), (8, 8, 4)])
+def test_kraus_and_ad_channels_are_bitwise_the_kron_sums(n, m, k):
+    # the broadcast products are np.kron's own products, summed in the same order
+    rng = np.random.default_rng(100 * n + 10 * m + k)
+    ops = [rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) for _ in range(k)]
+    got = kraus_channel(AlgebraShape((n,)), AlgebraShape((m,)), ops).matrix
+    assert np.array_equal(got, ref.kron_channel_matrix(ops))
+    v = ops[-1]
+    assert np.array_equal(ad_channel(v).matrix, np.kron(v, v.conj()))
+    for a, b in ((v, ops[0].T), (v[0], ops[0][:, 0]), (v[:1, :1], v)):
+        assert np.array_equal(_kron(a, b), np.kron(a, b))
 
 
 def _problems(rng):

@@ -187,6 +187,9 @@ def test_stacks_join_mul_and_trace_are_bitwise_equal_to_gather_and_scatter(s, le
     a, b = (alg.unvec(s, w.reshape(-1, s.coord_dim)[0]) for w in (u, v))
     assert _same(alg.vec(alg.mul(a, b)), ref.stacked_mul(s, alg.vec(a), alg.vec(b)))
     assert _same(alg.trace(a), ref.stacked_trace(a))
+    # the traces of a batch are those of its elements, one at a time
+    rows = [ref.stacked_trace(alg.unvec(s, w)) for w in u.reshape(-1, s.coord_dim)]
+    assert _same(alg._trace_coords(s, u), np.reshape(rows, lead))
 
 
 @pytest.mark.parametrize("s", CONTIGUOUS + INTERLEAVED, ids=_name)

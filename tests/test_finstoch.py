@@ -191,6 +191,29 @@ def test_column_sum_overflow_is_rejected():
         fs.prob_vector([1e308, 1e308])
 
 
+@pytest.mark.parametrize("make, entries, message", [
+    # exact entries are decided on their integer numerators, and the sum reported
+    # is one Fraction in lowest terms
+    (fs.stochastic, [["1/2", "-1/3"], ["1/2", "4/3"]], "negative probability in column 1"),
+    (fs.stochastic, [["1/2", "1/3"], ["1/2", "1/3"]], "column 1 sums to 2/3, expected 1"),
+    (fs.stochastic, [[1, 0], [1, 1]], "column 0 sums to 2, expected 1"),
+    (fs.stochastic, [["2/6", 0], ["1/3", 1], ["1/6", 0]], "column 0 sums to 5/6, expected 1"),
+    (fs.stochastic, [[Fraction(3, 4), 0], [Fraction(1, 2), 1]],
+     "column 0 sums to 5/4, expected 1"),
+    (fs.prob_vector, ["1/2", "-1/2", 1], "negative probability entry"),
+    (fs.prob_vector, ["1/2", "1/3"], "probabilities sum to 5/6, expected 1"),
+    (fs.stochastic, [[0.5, -0.25], [0.5, 1.25]], "negative probability in column 1"),
+    (fs.stochastic, [[0.5, 0.25], [0.5, 0.25]], "column 1 sums to 0.5, expected 1"),
+    (fs.stochastic, [["1/2", 0.5], ["1/2", 0.25]], "column 1 sums to 0.75, expected 1"),
+    (fs.prob_vector, [0.5, -0.1, 0.6], "negative probability entry"),
+    (fs.prob_vector, [0.5, 0.25], "probabilities sum to 0.75, expected 1"),
+])
+def test_bad_columns_are_reported_exactly(make, entries, message):
+    with pytest.raises(ValueError) as err:
+        make(entries)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("rows", [[["1/2", "1/2"], ["1/2"]], [[0.5, 0.5], [0.5]],
                                   [["1/2"], ["1/2", 0.5]]])
 def test_ragged_rows_raise_one_value_error(rows):

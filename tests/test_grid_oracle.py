@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from qmarkov import _grid, corpus, props
+from qmarkov import _grid, corpus, props, state
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.bayes import bayes_problem, petz_exists, verify_disintegration
@@ -182,3 +182,47 @@ def test_corpus_channels_agree_with_loops():
     found, compared = _mismatches(cases)
     assert found == [], found
     assert compared > 100
+
+
+def _stacked_ae_cases():
+    """Trials (F, G, omega) for the stacked a.e. checks: the instance families with
+    F perturbed around the equality threshold, star-preserving or not, against
+    the plain map, and a map whose pair products overflow."""
+    rng = np.random.default_rng(4242)
+    trials = []
+    for kind in ("unitary", "padded-block", "classical"):
+        for _ in range(3):
+            f, omega, _ = props.disintegration_instance(kind, rng, max_dim=4)
+            trials.append((f, f, omega))
+            for eps in NOISE:
+                for star in (False, True):
+                    trials.append((_perturbed(f, eps, rng, star), f, omega))
+    f, omega, _ = props.disintegration_instance("padded-block", rng, max_dim=4)
+    huge = Channel(f.domain, f.codomain, 2.0 ** 600 * f.matrix)
+    trials.append((huge, huge, omega))
+    # one-sided on the pure state P = E11: X -> X P is a.e. deterministic on the left only,
+    # and X -> X + (1 - P) X a.e. equal to the identity on the left only
+    m2 = AlgebraShape((2,))
+    corner = state_from_density(AlgElement(m2, (np.diag([1.0, 0.0]),)))
+    p, comp = alg.unit(m2) - alg.unvec(m2, [0, 0, 0, 1]), alg.unvec(m2, [0, 0, 0, 1])
+    right = channel_from_action(m2, m2, lambda b: alg.mul(b, p))
+    ident = channel_from_action(m2, m2, lambda b: b)
+    lifted = channel_from_action(m2, m2, lambda b: b + alg.mul(comp, b))
+    trials += [(right, right, corner), (ident, lifted, corner)]
+    return trials
+
+
+def test_stacked_ae_verdicts_match_the_verifiers(exact_norms):
+    groups = {}
+    for f, g, omega in _stacked_ae_cases():
+        groups.setdefault((f.domain, f.codomain), []).append((f, g, omega))
+    for trials in groups.values():
+        for side in ("left", "right"):
+            equal, det = state._ae_verdicts(trials, side)
+            assert equal.tolist() == [ae_equal(f, g, o, side).passed for f, g, o in trials]
+            assert det.tolist() == [ae_deterministic(f, o, side).passed for f, _, o in trials]
+    assert len(groups) > 5 and sum(exact_norms) > 0
+    one_sided = groups[(AlgebraShape((2,)), AlgebraShape((2,)))][-2:]
+    assert [v.tolist() for v in state._ae_verdicts(one_sided, "left")] == [[True] * 2] * 2
+    assert [v.tolist() for v in state._ae_verdicts(one_sided, "right")] == [[True, False],
+                                                                             [False, True]]

@@ -132,13 +132,14 @@ def _scale_up_map(real):
 
 
 def _left_ignores_support(real):
-    # the left verdict decides plain equality, as on a faithful state
-    def ae_equal(f, g, omega, side="right", tol=DEFAULT_TOL):
+    # the left verdicts decide plain equality, as on a faithful state
+    def verdicts(trials, side="right", tol=DEFAULT_TOL):
         if side == "left":
-            omega = state_from_density(alg.unit(omega.shape) * (1 / omega.shape.total_dim))
-        return real(f, g, omega, side, tol)
+            trials = [(f, g, state_from_density(alg.unit(o.shape) * (1 / o.shape.total_dim)))
+                      for f, g, o in trials]
+        return real(trials, side, tol)
 
-    return ae_equal
+    return verdicts
 
 
 def _equal_pair(real):
@@ -237,7 +238,8 @@ _MUTATIONS = [
      _support_zero),
     ("state-ae", "right-multiplying into the support complement lands in the nullspace",
      "State.support", _support_zero),
-    ("state-ae", "left and right verdicts agree for star-preserving channels", "ae_equal",
+    # the a.e. checks of all trials at once
+    ("state-ae", "left and right verdicts agree for star-preserving channels", "_ae_verdicts",
      _left_ignores_support),
     ("state-ae", "single-variable multiplicativity on the support upgrades to two variables",
      "padded_inclusion", _scale_output),

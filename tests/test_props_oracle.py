@@ -7,14 +7,16 @@ at a time, the star-preserving map built by `channel_from_action` and the
 weights normalized by a Fraction sum.  Each suite must leave its generator
 in the same state and report the same checks with either, the maps must be
 bitwise equal and the weights equal, and the verdicts must agree under a
-broken `_mul_coords` too.
+broken `_mul_coords` too.  The `state-ae` a.e. trials must give every trial
+the verdicts of the per-call `ae_equal` and `ae_deterministic`, also under a
+broken support or a broken entry rule on some of the trials.
 """
 import numpy as np
 import pytest
 
 import loop_reference as ref
+from qmarkov import _grid, corpus, props, state
 from qmarkov import algebra as alg
-from qmarkov import corpus, props
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.state import state_from_density
 
@@ -27,6 +29,9 @@ _LOOPS = {
     "_unit_laws": lambda: ref.unit_laws(SHAPES),
     "_algebra_laws": lambda rng, trials: ref.algebra_laws(SHAPES, rng, trials),
     "_weakly_multiplicative": ref.weakly_multiplicative,
+    "_minimal_supports": ref.minimal_supports,
+    "_nullspace_trials": ref.nullspace_trials,
+    "_ae_trials": ref.ae_trials,
     "_random_star_preserving": ref.random_star_preserving,
     "_rational_weights": ref.rational_weights,
 }
@@ -42,20 +47,24 @@ def _non_associative_on_some(real):
     return lambda s, u, v: real(s, u, v) + 0.001 * u * (np.abs(u[..., :1]) > 2.5)
 
 
-def _run(monkeypatch, suite, seed, trials, loops):
+def _run(monkeypatch, suite, seed, trials, loops, verdicts=None, parts=tuple(_LOOPS)):
     """The suite's report and its generator's state at the end, with the stacked
-    parts or the loops."""
+    parts or the loops (of the given parts, the others stacked); the a.e.
+    verdicts of the `state-ae` trials are added to the list verdicts, if given."""
     seen = []
 
-    def spy(fn):
+    def spy(name, fn):
         def call(*args):
             seen.extend(a for a in args if isinstance(a, np.random.Generator))
-            return fn(*args)
+            out = fn(*args)
+            if verdicts is not None and name == "_ae_trials":
+                verdicts.append(out)
+            return out
         return call
 
     with monkeypatch.context() as m:
-        for name, loop in _LOOPS.items():
-            m.setattr(props, name, spy(loop if loops else getattr(props, name)))
+        for name in parts:
+            m.setattr(props, name, spy(name, _LOOPS[name] if loops else getattr(props, name)))
         report = props.run_suite(suite, seed=seed, trials=trials)
     states = {id(g): g.bit_generator.state for g in seen}
     assert len(states) <= 1
@@ -69,6 +78,64 @@ def test_suites_match_the_trial_loops(monkeypatch, suite, seed, trials):
     stacked = _run(monkeypatch, suite, seed, trials, loops=False)
     assert stacked == _run(monkeypatch, suite, seed, trials, loops=True)
     assert stacked[1] is not None
+
+
+@pytest.mark.parametrize("seed", range(10, 200))
+def test_state_suite_matches_the_trial_loops_on_more_seeds(monkeypatch, seed):
+    # with 4 trials the suite draws its fewest: 8 a.e. trials, 4 of each other loop; the
+    # loops of the state trials are the costly ones, the others run stacked on these seeds
+    parts, got, want = ("_minimal_supports", "_nullspace_trials", "_ae_trials"), [], []
+    stacked = _run(monkeypatch, "state-ae", seed, 4, False, got, parts)
+    assert stacked == _run(monkeypatch, "state-ae", seed, 4, True, want, parts)
+    assert stacked[1] is not None
+    # left and right ae_equal, left and right ae_deterministic, per trial
+    (got,), (want,) = got, want
+    assert got.shape == (8, 4) and np.array_equal(got, want)
+
+
+def _flips_left_entries(real):
+    # the left side reverses the verdict of every entry whose first operand has a (0, 0)
+    # entry above 1.5 in modulus, so it hits some trials of a seed and misses others
+    def entries(lhs, rhs, tol, proj=None, side="right", unit=1.0):
+        fail = real(lhs, rhs, tol, proj, side, unit)
+        return fail ^ (np.abs(lhs[0][..., 0, 0, 0]) > 1.5) if side == "left" else fail
+
+    return entries
+
+
+def _drops_some_supports(real):
+    # keeps no eigenvalue of a density whose largest one is above 0.9: the support of
+    # most compressions onto one dimension is then 0, and that of other states is kept
+    def decompose(herm, tol):
+        stacks = real(herm, tol)
+        top = alg._fold_max([w[..., 0].max(axis=-1) for w, _, _ in stacks])
+        return tuple((w, u, keep & ~(top > 0.9)[..., None, None]) for w, u, keep in stacks)
+
+    return decompose
+
+
+@pytest.mark.parametrize("owner, attr, fault", [(_grid, "failing_entries", _flips_left_entries),
+                                                (state, "_decompose", _drops_some_supports)])
+def test_state_trials_agree_under_a_fault_on_some_trials(monkeypatch, owner, attr, fault):
+    seeds = range(12)
+    before = [props._ae_trials(np.random.default_rng(seed), 8) for seed in seeds]
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+    flipped, reports = [], set()
+    for seed, clean in zip(seeds, before):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        verdicts = props._ae_trials(got, 8)
+        assert np.array_equal(verdicts, ref.ae_trials(want, 8))
+        assert got.bit_generator.state == want.bit_generator.state
+        flipped.extend((verdicts != clean).any(axis=1))
+        for name in ("minimal_supports", "nullspace_trials"):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert getattr(props, "_" + name)(got, 8) == getattr(ref, name)(want, 8)
+            assert got.bit_generator.state == want.bit_generator.state
+        stacked = _run(monkeypatch, "state-ae", seed, 4, loops=False)
+        assert stacked == _run(monkeypatch, "state-ae", seed, 4, loops=True)
+        reports.add(tuple(c["pass"] for c in stacked[0]["checks"]))
+    assert 0 < sum(flipped) < len(flipped)   # the fault hits some trials and misses others
+    assert len(reports) > 1                   # and so flips some checks of some seeds
 
 
 @pytest.mark.parametrize("trials", TRIALS)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmarkov import algebra as alg
+from qmarkov import state
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import Channel, apply, channel_from_action, identity_channel, transpose_channel
 from qmarkov.corpus import padded_inclusion, unreasonable_pair
@@ -93,6 +94,23 @@ def test_rank_cutoff_is_relative_to_the_largest_eigenvalue_of_all_blocks():
     omega = density(s, [[1 - 2e-11]], np.diag([1e-11, 1e-11]))
     assert np.allclose(omega.support.blocks[1], 0)
     assert np.allclose(omega.spectrum.inverse_power(1.0).blocks[1], 0)
+
+
+def test_stacked_states_keep_each_rank_cutoff_and_raise_the_first_refusal():
+    # 0.7e-10 is above tol.rank times 0.5, the largest eigenvalue of its own density,
+    # and below tol.rank times that of the first: only a cutoff per density keeps it
+    s = AlgebraShape((1, 2))
+    dens = [np.diag([1 - 0.6e-10, 0.6e-10, 0.0]), np.diag([0.5, 0.5 - 0.7e-10, 0.7e-10])]
+    v = np.array([alg.vec(AlgElement(s, (d[:1, :1], d[1:, 1:]))) for d in dens])
+    stacked = state._states(s, v)
+    for omega, row in zip(stacked, v):
+        alone = state_from_density(alg.unvec(s, row))
+        assert alg.vec(omega.density).tobytes() == alg.vec(alone.density).tobytes()
+        assert alg.vec(omega.support).tobytes() == alg.vec(alone.support).tobytes()
+    assert [int(alg.trace(o.support).real) for o in stacked] == [1, 3]
+    bad = np.array([v[1], 2 * v[0], -v[1]])   # trace 2, then not positive
+    with pytest.raises(ValueError, match="density trace"):
+        state._states(s, bad)
 
 
 def test_nullspace_membership_matches_expectation():
