@@ -5,8 +5,9 @@ unit, or every ordered pair of matrix units, of a domain algebra.  The image
 of a unit is a column of the channel matrix, and a product of two units is a
 unit or zero (E_ij E_kl = delta_jk E_il), so every operand of such a check is
 an index lookup into the stacked images, a conjugate transpose, or a batched
-matrix product of them.  `first_failure` evaluates the whole grid of
-comparisons in numpy and returns the first failing entry in canonical order.
+matrix product of them.  `first_failure` evaluates the grids of a batch of
+trials in numpy and returns each trial's first failing entry in canonical
+order; a per-call check is a batch of one.
 
 The pair grids of multiplicativity, F(E_a E_b) = F(E_a) F(E_b), are O(n^7)
 on M_n.  `gram_bound` bounds all their entries at once from one
@@ -130,8 +131,8 @@ def products(x: np.ndarray, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
     lead, (r, k, m, _), c = x.shape[:-4], x.shape[-4:], y.shape[-4]
     b = len(lead)
     at = tuple(range(b))
-    left = (_dagger(x) if adjoint else x).swapaxes(-4, -3).reshape(lead + (k, r * m, m))
-    right = y.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(lead + (k, m, c * m))
+    left = (_dagger(x) if adjoint else x).swapaxes(-4, -3).reshape(-1, r * m, m)
+    right = y.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(-1, m, c * m)
     out = (left @ right).reshape(lead + (k, r, m, c, m))
     return out.transpose(at + (b + 1, b + 3, b, b + 2, b + 4)).reshape(lead + (r * c, k, m, m))
 
@@ -139,70 +140,113 @@ def products(x: np.ndarray, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
 def _with_support(x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
     """x[n] p (side "right") or p x[n] (side "left") for every n, one product per block.
 
-    x is (..., n, k, m, m) and p (..., k, m, m): with leading axes, each
-    batch entry of x is multiplied by its own support.
+    x is (..., n, k, m, m) and p (..., k, m, m), with the leading axes of x:
+    each batch entry of x is multiplied by its own support.
     """
     lead, (n, k, m, _) = x.shape[:-4], x.shape[-4:]
+    p = p.reshape(-1, m, m)
     if side == "right":
-        out = x.swapaxes(-4, -3).reshape(lead + (k, n * m, m)) @ p
+        out = x.swapaxes(-4, -3).reshape(-1, n * m, m) @ p
         return out.reshape(lead + (k, n, m, m)).swapaxes(-4, -3)
     b = len(lead)
     at = tuple(range(b))
-    out = p @ x.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(lead + (k, m, n * m))
+    out = p @ x.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(-1, m, n * m)
     return out.reshape(lead + (k, m, n, m)).transpose(at + (b + 2, b, b + 1, b + 3))
 
 
-def multiplicative_failure(f, tol: Tolerance, adjoint: bool = False,
-                           support: AlgElement | None = None, side: str = "right") -> int | None:
-    """Row-major index of the first failing pair of F(E_a E_b) = F(E_a) F(E_b),
-    or of F(E_a* E_b) = F(E_a)* F(E_b) with adjoint, decided as `first_failure`
-    decides it (with the support, if given, on the given side); None when
+def multiplicative_failure(fs, tol: Tolerance, adjoint: bool = False,
+                           supports: list[AlgElement] | None = None,
+                           side: str = "right") -> list[int | None]:
+    """Per channel F of fs, which share one domain and one codomain: the row-major
+    index of the first failing pair of F(E_a E_b) = F(E_a) F(E_b), or of
+    F(E_a* E_b) = F(E_a)* F(E_b) with adjoint, decided as `first_failure`
+    decides it (with F's support, if given, on the given side); None when
     every pair passes.
 
-    A pass that `gram_bound` proves needs no grid.  Anything else runs the
-    grid on F as it is unless a product overflows.  Then it compares
-    operands scaled by a power of two 2^-e, entries at most 2^500, the
-    products by 2^-2e, with the floor 1 of the scale scaled alike; an entry
-    whose operands all fall below 2^(2e - 1074) then compares zeros.
+    A pass that `gram_bound` proves for F needs no grid; the channels it does
+    not certify share one grid.  That grid runs on the channels as they are
+    unless a product overflows.  Then each compares operands scaled by a power
+    of two 2^-e, entries at most 2^500, the products by 2^-2e, with the floor
+    1 of the scale scaled alike; an entry whose operands all fall below
+    2^(2e - 1074) then compares zeros.  e is 0 for entries at most 2^500, so
+    only a larger channel batched with one that overflows can differ from its
+    own call, by being compared scaled.
     """
-    if gram_bound(f, adjoint, support, side, tol.eq) <= tol.eq:
-        return None
-    d = f.domain.coord_dim
-    padded = np.zeros((f.codomain.coord_dim, d + 1), dtype=complex)   # entry d is 0
-    padded[:, :d] = f.matrix
-    prod = product_index(f.domain)
-    left = adjoint_index(f.domain) if adjoint else np.arange(d)
+    out: list[int | None] = [None] * len(fs)
+    ps = [None] * len(fs) if supports is None else supports
+    todo = [i for i, (f, p) in enumerate(zip(fs, ps))
+            if gram_bound(f, adjoint, p, side, tol.eq) > tol.eq]
+    if not todo:
+        return out
+    dom, cod = fs[0].domain, fs[0].codomain
+    d = dom.coord_dim
+    padded = np.zeros((len(todo), cod.coord_dim, d + 1), dtype=complex)   # entry d is 0
+    padded[:, :, :d] = [fs[i].matrix for i in todo]
+    proj = None if supports is None else alg._stacks(
+        cod, np.array([alg.vec(supports[i]) for i in todo]))
+    prod = product_index(dom)
+    left = adjoint_index(dom) if adjoint else np.arange(d)
 
-    def grid(e: int) -> int | None:
-        c = np.ldexp(1.0, -e)
-        img = images(f.codomain, padded * c if e else padded)
+    def grid(e: np.ndarray) -> list[int | None]:
+        scaled, c = e.any(), np.ldexp(1.0, -e)[:, None, None]
+        img = images(cod, padded * c if scaled else padded)
 
-        def operands(r0, r1):
-            lhs = [x[prod[left[r0:r1]].ravel()] for x in img]
-            return ([x * c for x in lhs] if e else lhs,
-                    [products(x[r0:r1], x[:d], adjoint) for x in img])
+        def operands(live, r0, r1):
+            xs = [_live(x, live) for x in img]
+            lhs = [x[:, prod[left[r0:r1]].ravel()] for x in xs]
+            return ([x * _live(c, live)[..., None, None] for x in lhs] if scaled else lhs,
+                    [products(x[:, r0:r1], x[:, :d], adjoint) for x in xs])
 
-        return first_failure(f.codomain, d, d, operands, tol, support, side, c * c)
+        return first_failure(cod, d, d, operands, tol, proj, side, (c * c).ravel())
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return grid(0)
+            bad = grid(np.zeros(len(todo), dtype=int))
     except FloatingPointError:
-        return grid(scale_exponent(f.matrix, 500))
+        bad = grid(scale_exponent(padded, 500))
+    for i, b in zip(todo, bad):
+        out[i] = b
+    return out
 
 
-def scale_exponent(matrix: np.ndarray, bits: int) -> int:
+def equal_failure(s: AlgebraShape, left: np.ndarray, right: np.ndarray, tol: Tolerance,
+                  supports: list[AlgElement] | None = None,
+                  side: str = "right") -> list[int | None]:
+    """Per trial of the matrices left (T, coord_dim, d) of maps F and right of maps G
+    into s: the index of the first unit E_a where (F - G)(E_a) does not vanish on
+    the trial's support, on the given side, or where F(E_a) != G(E_a) with no
+    supports, decided as `first_failure` decides it; None when every unit passes.
+
+    As in `star_failure`, a trial whose entries exceed 2^500 compares both maps
+    scaled by 2^-e, the larger exponent of the two, with the floor 1 scaled
+    alike, so no difference overflows.
+    """
+    e = np.maximum(scale_exponent(left, 500), scale_exponent(right, 500))
+    c = np.ldexp(1.0, -e)
+    if e.any():
+        left, right = left * c[:, None, None], right * c[:, None, None]
+    img_f, img_g = images(s, left), images(s, right)
+    proj = None if supports is None else alg._stacks(s, np.array([alg.vec(p) for p in supports]))
+    return first_failure(
+        s, left.shape[-1], 1,
+        lambda live, r0, r1: ([_live(x, live)[:, r0:r1] for x in img_f],
+                              [_live(x, live)[:, r0:r1] for x in img_g]),
+        tol, proj, side, c)
+
+
+def scale_exponent(matrix: np.ndarray, bits: int) -> np.ndarray:
     """0 when every entry of matrix is at most 2^bits in absolute value; otherwise
     the e > 0 that puts the largest entry of matrix 2^-e in [2^(bits - 1), 2^bits).
+    One exponent per matrix of a stack (..., r, c).
 
     The scaling is exact, so checks whose products or differences could
     overflow compare operands scaled by 2^-e instead.
     """
-    top = np.vdot(matrix, matrix).real   # an entry above 2^bits only when this is above 2^2bits
-    if top <= 2.0 ** (2 * bits):
-        return 0
-    top = np.abs(matrix).max()
-    return int(np.frexp(top)[1]) - bits if top > 2.0 ** bits else 0
+    # an entry above 2^bits only when the sum of all squares is above 2^2bits
+    if np.vdot(matrix, matrix).real <= 2.0 ** (2 * bits):
+        return np.zeros(matrix.shape[:-2], dtype=int)
+    top = np.abs(matrix).max(axis=(-2, -1))
+    return np.where(top > 2.0 ** bits, np.frexp(top)[1] - bits, 0)
 
 
 def star_failure(f, tol: Tolerance) -> int | None:
@@ -233,9 +277,10 @@ def star_failure(f, tol: Tolerance) -> int | None:
         live = a0 + np.flatnonzero(dev > tol.eq * c)
         if live.size:
             img, img_adj = images(cod, m[:, live]), images(cod, m[:, adj[live]])
-            bad = first_failure(
+            bad, = first_failure(
                 cod, live.size, 1,
-                lambda r0, r1: ([x[r0:r1] for x in img_adj], [_dagger(x[r0:r1]) for x in img]),
+                lambda _, r0, r1: ([x[None, r0:r1] for x in img_adj],
+                                   [_dagger(x[None, r0:r1]) for x in img]),
                 tol, unit=c)
             if bad is not None:
                 return int(live[bad])
@@ -265,31 +310,50 @@ def first_failure(
     codomain: AlgebraShape,
     rows: int,
     cols: int,
-    operands: Callable[[int, int], tuple[Stacks, Stacks]],
+    operands: Callable[[np.ndarray, int, int], tuple[Stacks, Stacks]],
     tol: Tolerance,
-    support: AlgElement | None = None,
+    supports: Stacks | None = None,
     side: str = "right",
-    unit: float = 1.0,
-) -> int | None:
-    """Row-major index of the first failing entry of a rows x cols grid.
+    unit: float | np.ndarray = 1.0,
+) -> list[int | None]:
+    """Per trial, the row-major index of the first failing entry of its rows x cols
+    grid, or None when every entry passes.
 
-    operands(r0, r1) returns (lhs, rhs): the stacked codomain elements of
-    every entry in rows r0 to r1 - 1, row-major.  Each entry is decided by
-    `failing_entries`, with the support, if given, on the given side.  The
-    grid runs in chunks of whole rows and stops at the first chunk that
-    holds a failure.
+    unit holds the floor of each trial's scale, so its length is the number T
+    of trials; supports, if given, one support projection per trial, stacks
+    (T, k, m, m).  operands(live, r0, r1) returns (lhs, rhs): the codomain
+    elements (len(live), (r1 - r0) cols, k, m, m) of the entries in rows r0 to
+    r1 - 1, row-major, of the trials live, an ascending index array.  Each
+    entry is decided by `failing_entries`, under its trial's support.  The
+    grids run together in chunks of whole rows, at most _CHUNK codomain
+    entries per operand over the live trials and at least one row.  A trial
+    that fails drops out of later chunks, and the run stops when no trial is
+    live: a single grid stops at its first failing chunk.
     """
-    proj = None if support is None else alg._element_stacks(support)
-    step = max(1, _CHUNK // (cols * codomain.coord_dim))
-    for r0 in range(0, rows, step):
-        fail = failing_entries(*operands(r0, min(r0 + step, rows)), tol, proj, side, unit)
+    floor = np.array(unit, dtype=float, ndmin=1)
+    out: list[int | None] = [None] * len(floor)
+    live, r0 = np.arange(len(floor)), 0
+    while r0 < rows and live.size:
+        r1 = min(rows, r0 + max(1, _CHUNK // (live.size * cols * codomain.coord_dim)))
+        proj = None if supports is None else [_live(p, live) for p in supports]
+        fail = failing_entries(*operands(live, r0, r1), tol, proj, side,
+                               _live(floor, live).repeat((r1 - r0) * cols))
         if fail.any():
-            return r0 * cols + int(fail.argmax())
-    return None
+            hit = fail.any(axis=-1)
+            for i in np.flatnonzero(hit):
+                out[live[i]] = r0 * cols + int(fail[i].argmax())
+            live = live[~hit]
+        r0 = r1
+    return out
 
 
-def failing_entries(lhs: Stacks, rhs: Stacks, tol: Tolerance, proj: Stacks | None = None,
-                    side: str = "right", unit: float = 1.0) -> np.ndarray:
+def _live(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The entries live of x along its leading trial axis: x itself if all are live."""
+    return x if len(live) == len(x) else x[live]
+
+
+def failing_entries(lhs: Stacks, rhs: Stacks, tol: Tolerance, proj: Stacks | None, side: str,
+                    unit: np.ndarray) -> np.ndarray:
     """Whether each entry of a grid fails: the one entry rule of the exact checks.
 
     lhs and rhs are stacks (..., n, k, m, m) of codomain elements; the result
@@ -299,8 +363,9 @@ def failing_entries(lhs: Stacks, rhs: Stacks, tol: Tolerance, proj: Stacks | Non
     batch entry of the leading axes, it passes when the operator norm of
     (lhs - rhs) P (side "right") or P (lhs - rhs) (side "left") is within
     the same bound, as the a.e. checks decide.  ||.|| is the operator norm:
-    the largest blockwise one.  The floor unit is 1 but for operands scaled
-    by a power of two, where it is scaled alike.
+    the largest blockwise one.  unit holds the floor of each entry's scale,
+    in row-major order: 1 but for operands scaled by a power of two, where it
+    is scaled alike.
 
     max-abs entry <= operator norm <= Frobenius norm, so the cheap bounds
     settle most entries.  An entry whose deviation is at most tol.eq * unit passes
@@ -313,14 +378,13 @@ def failing_entries(lhs: Stacks, rhs: Stacks, tol: Tolerance, proj: Stacks | Non
     if proj is not None:
         diff = [_with_support(x, p, side) for x, p in zip(diff, proj)]
     shape = diff[0].shape[:-3]
-    if len(shape) > 1:   # one flat run of entries
-        lhs, rhs, diff = ([x.reshape((-1,) + x.shape[-3:]) for x in xs] for xs in (lhs, rhs, diff))
-    dev_hi = _upper(diff)
-    out = dev_hi > tol.eq * unit   # the live entries; True stays only where they fail
+    dev_hi = _upper(diff).reshape(-1)   # one flat run of entries
+    out = dev_hi > tol.eq * unit        # the live entries; True stays only where they fail
     if out.any():
         live = np.flatnonzero(out)
-        lhs, rhs, diff = ([x[live] for x in xs] for xs in (lhs, rhs, diff))
-        dev_lo, dev_hi = _lower(diff), dev_hi[live]
+        lhs, rhs, diff = ([x.reshape((-1,) + x.shape[-3:])[live] for x in xs]
+                          for xs in (lhs, rhs, diff))
+        dev_lo, dev_hi, unit = _lower(diff), dev_hi[live], unit[live]
         fail = dev_lo > tol.eq * np.maximum(unit, np.maximum(_upper(lhs), _upper(rhs)))
         open_ = ~fail & (dev_hi > tol.eq * np.maximum(unit, np.maximum(_lower(lhs), _lower(rhs))))
         if open_.any():
@@ -328,7 +392,7 @@ def failing_entries(lhs: Stacks, rhs: Stacks, tol: Tolerance, proj: Stacks | Non
                 return [x[open_] for x in xs]
             dev = _max_abs(pick(diff)) if proj is None else _op_norm(pick(diff))
             scale = np.maximum(_op_norm(pick(lhs)), _op_norm(pick(rhs)))
-            fail[open_] = dev > tol.eq * np.maximum(unit, scale)
+            fail[open_] = dev > tol.eq * np.maximum(unit[open_], scale)
         out[live] = fail
     return out.reshape(shape)
 

@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     SupportNotFull,
 )
-from .state import State, _ae_failure, ae_deterministic, pullback_state
+from .state import State, ae_deterministic, pullback_state
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -208,14 +208,15 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
     rho = alg._element_stacks(omega.density)
     sigma = alg.vec(xi.density)[:, None]
 
-    def operands(r0, r1):
+    def operands(_, r0, r1):   # one trial
         units = np.arange(r0, r1)
         right = _grid.images(f.codomain, f.matrix @ _grid.times_unit(f.domain, sigma, units))
         left = _grid.images(f.codomain,
                             f.matrix @ _grid.times_unit(f.domain, sigma, units, left=True))
-        return [x @ r for x, r in zip(right, rho)], [r @ x for x, r in zip(left, rho)]
+        return ([(x @ r)[None] for x, r in zip(right, rho)],
+                [(r @ x)[None] for x, r in zip(left, rho)])
 
-    bad = _grid.first_failure(f.codomain, f.domain.coord_dim, 1, operands, tol)
+    bad, = _grid.first_failure(f.codomain, f.domain.coord_dim, 1, operands, tol)
     if bad is not None:
         return _report(
             "petz-exists", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
@@ -277,8 +278,8 @@ def _disintegration(
     # the composite channel
     gf = g.matrix @ f.matrix
     alg._finite(gf)
-    bad = _ae_failure(f.domain, gf, np.eye(f.domain.coord_dim, dtype=complex), xi.support,
-                      "right", tol)
+    bad, = _grid.equal_failure(f.domain, gf[None], np.eye(f.domain.coord_dim, dtype=complex)[None],
+                               tol, [xi.support])
     if bad is not None:
         return _report(
             "disintegration", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},

@@ -369,7 +369,7 @@ def is_deterministic(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport
                 detail="not star-preserving",
             )
         d = f.domain.coord_dim
-        bad = _grid.multiplicative_failure(f, tol)
+        bad, = _grid.multiplicative_failure([f], tol)
         if bad is not None:
             a, b = divmod(bad, d)
             return _report(
@@ -513,15 +513,15 @@ def s_positivity_equation(
         img = _grid.images(f.codomain, fm)
         outer = _grid.images(f.codomain, fm @ gm)
 
-        def operands(r0, r1):
+        def operands(_, r0, r1):   # one trial
             rows = np.repeat(gm[:, r0:r1], d, axis=1)
             inner = _grid.times_unit(f.domain, rows, np.tile(np.arange(d), r1 - r0))  # G(E_c) E_b
             lhs = _grid.images(f.codomain, fm @ inner)
-            return ([x * c for x in lhs] if e else lhs,
-                    [_grid.products(x[r0:r1], y) for x, y in zip(outer, img)])
+            return ([(x * c if e else x)[None] for x in lhs],
+                    [_grid.products(x[r0:r1], y)[None] for x, y in zip(outer, img)])
 
         return _grid.first_failure(f.codomain, g.domain.coord_dim, d, operands, tol,
-                                   unit=np.ldexp(1.0, -(2 * e + k)))
+                                   unit=np.ldexp(1.0, -(2 * e + k)))[0]
 
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _grid
 from . import algebra as alg
 from . import finstoch as fs
 from .algebra import AlgebraShape, AlgElement
@@ -42,8 +43,7 @@ from .channel import (
 )
 from .errors import UnknownFixture
 from .linalg import herm_eig
-from .state import (State, _ae_failure, ae_deterministic, ae_equal, pullback_state,
-                    state_from_density)
+from .state import State, ae_deterministic, ae_equal, pullback_state, state_from_density
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
@@ -102,7 +102,7 @@ def _check(desc: str, ok: bool, detail: str = "") -> CheckResult:
 def _same_map(f: Channel, g: Channel) -> bool:
     """F(E_a) = G(E_a) on every matrix unit, decided by the unit grid of `ae_equal`
     with no support: max|F(E_a) - G(E_a)| <= tol.eq * max(1, ||F(E_a)||, ||G(E_a)||)."""
-    return _ae_failure(f.codomain, f.matrix, g.matrix, None, "right", DEFAULT_TOL) is None
+    return _grid.equal_failure(f.codomain, f.matrix[None], g.matrix[None], DEFAULT_TOL) == [None]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra as alg
+from . import state
 from .algebra import AlgebraShape, AlgElement, is_self_adjoint_elem
 from .errors import NotPSD, NotSelfAdjoint
-from .state import Spectrum, _spectrum
+from .state import Spectrum
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = ["op_norm", "herm_eig", "pinv_psd", "sqrt_psd"]
@@ -52,7 +53,7 @@ def _decompose(m, tol: Tolerance, psd: bool = False) -> Spectrum:
     if not is_self_adjoint_elem(a, tol):
         dev = np.abs(x - alg._dagger(x)).max()
         raise NotSelfAdjoint(f"anti-Hermitian deviation {dev:.3e} exceeds tolerance")
-    spec = _spectrum(a.shape, alg._hermitian([x]), tol)
+    spec = Spectrum(a.shape, state._decompose(alg._hermitian([x]), tol))
     w = spec.stacks[0][0][0]
     if psd and w[-1] < -tol.psd * tol.scale(w[0]):
         raise NotPSD(f"minimum eigenvalue {w[-1]:.3e} is negative beyond tolerance")

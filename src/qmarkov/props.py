@@ -15,6 +15,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import finstoch as fs
+from ._grid import equal_failure, multiplicative_failure
 from .algebra import AlgebraShape, AlgElement
 from .bayes import bayes_candidate, bayes_problem, verify_bayes, verify_disintegration
 from .channel import (
@@ -43,7 +44,7 @@ from .channel import (
 from .corpus import (CheckResult, _build_mu_norm, _check, _padded, _same_map, compression_pair,
                      doubling_pair, padded_inclusion)
 from .linalg import herm_eig, op_norm, pinv_psd
-from .state import (State, _ae_verdicts, _states, ae_deterministic, ae_equal, ae_unital,
+from .state import (State, _from_densities, ae_deterministic, ae_equal, ae_unital,
                     pullback_state, state_from_density)
 from .tolerances import DEFAULT_TOL
 
@@ -434,7 +435,7 @@ def _minimal_supports(rng: np.random.Generator, trials: int) -> bool:
             drawn.append((i, proj, density, alg._random_coords(s, rng)))
     ok = True
     for s, (proj, density, a) in _by_shape(drawn):
-        p = np.array([alg.vec(omega.support) for omega in _states(s, density)])
+        p = np.array([alg.vec(omega.support) for omega in _from_densities(s, density)])
         x = alg._mul_coords(s, alg._unit_coords(s) - p, a)
         # |omega(X)| <= ||X|| <= ||a||
         blind = np.abs(alg._trace_coords(s, alg._mul_coords(s, density, x)))
@@ -459,7 +460,7 @@ def _nullspace_trials(rng: np.random.Generator, trials: int) -> bool:
         drawn.append((i, alg.vec(alg.random_density(s, rng)), alg._random_coords(s, rng)))
     ok = True
     for s, (density, m) in _by_shape(drawn):
-        p = np.array([alg.vec(omega.support) for omega in _states(s, density)])
+        p = np.array([alg.vec(omega.support) for omega in _from_densities(s, density)])
         a = alg._mul_coords(s, m, alg._unit_coords(s) - p)
         norm = alg._op_norm(alg._stacks(s, a))
         val = alg._trace_coords(s, alg._mul_coords(s, density, _gram(s, a)))
@@ -477,8 +478,8 @@ def _ae_trials(rng: np.random.Generator, trials: int) -> np.ndarray:
 
     Every trial draws F, the density, the projection, the coin and then the
     change or G, as one trial after another would.  The states come from one
-    stacked eigh, and the four verdicts of all trials from one grid per check
-    and side (`state._ae_verdicts`).
+    stacked eigh, and the four verdicts of all trials from the stacked cores of
+    `ae_equal` and `ae_deterministic`, one call per check and side.
     """
     s, t = AlgebraShape((2,)), AlgebraShape((3,))
     fs, rho, proj, coins, bump_or_g = [], [], [], [], []
@@ -488,17 +489,19 @@ def _ae_trials(rng: np.random.Generator, trials: int) -> np.ndarray:
         proj.append(alg.vec(_random_projection(t, rng)))
         coins.append(bool(rng.integers(0, 2)))
         bump_or_g.append(_random_star_preserving(s, t, rng))
-    omegas = _states(t, _compressed(t, np.array(rho), np.array(proj))[0])
+    omegas = _from_densities(t, _compressed(t, np.array(rho), np.array(proj))[0])
     gs = []
     for f, omega, coin, h in zip(fs, omegas, coins, bump_or_g):
         if coin:   # change F only on the support complement, so the verdicts flip to pass
             comp = alg.unit(t) - omega.support
             h = _owned(s, t, f.matrix + compose(conjugation_by(comp), h).matrix)
         gs.append(h)
-    runs = list(zip(fs, gs, omegas))
-    equal_l, det_l = _ae_verdicts(runs, "left")
-    equal_r, det_r = _ae_verdicts(runs, "right")
-    return np.stack([equal_l, equal_r, det_l, det_r], axis=1)
+    supports = [omega.support for omega in omegas]
+    fm, gm = np.array([f.matrix for f in fs]), np.array([g.matrix for g in gs])
+    sides = ("left", "right")
+    bad = ([equal_failure(t, fm, gm, DEFAULT_TOL, supports, side) for side in sides]
+           + [multiplicative_failure(fs, DEFAULT_TOL, True, supports, side) for side in sides])
+    return np.array([[b is None for b in trial] for trial in zip(*bad)])
 
 
 def suite_state(seed: int = 0, trials: int = 64) -> SuiteReport:

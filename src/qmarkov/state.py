@@ -68,11 +68,6 @@ class Spectrum:
             (u * v[:, None, :]) @ alg._dagger(u) for (_, u, _), v in zip(self.stacks, values)]))
 
 
-def _spectrum(s: AlgebraShape, herm: alg.Stacks, tol: Tolerance) -> Spectrum:
-    """Spectrum of the Hermitian element with stacks herm: one eigh per block size."""
-    return Spectrum(s, _decompose(herm, tol))
-
-
 def _decompose(herm: alg.Stacks, tol: Tolerance) -> tuple:
     """The `Spectrum` stacks of the Hermitian elements with stacks herm (..., k, m, m):
     one eigh per block size for the whole batch, each element with its own rank cutoff.
@@ -109,53 +104,42 @@ class State:
 
 
 def state_from_density(density: AlgElement, tol: Tolerance = DEFAULT_TOL) -> State:
-    """Validate a density element (PSD, unit trace) and build the state.
-
-    Self-adjointness and positivity are the tests of `is_positive_elem`,
-    decided by `alg._psd_verdicts` from the eigenvalues of the one spectrum
-    the state keeps.
-    """
-    xs = alg._element_stacks(density)
-    hs = alg._hermitian(xs)
-    spec = _spectrum(density.shape, hs, tol)
-    tr = alg.trace(density)
-    not_self_adjoint, negative, off = _refusals(xs, hs, spec.stacks, tr, tol)
-    if not_self_adjoint:
-        raise NotSelfAdjoint("element is not self-adjoint within tolerance")
-    if negative:
-        raise ValueError("density is not positive semidefinite within tolerance")
-    if off:
-        raise ValueError(f"density trace {tr} is not 1 within tolerance")
-    return State(density.shape, density, spec)
+    """Validate a density element (PSD, unit trace) and build the state."""
+    return _from_densities(density.shape, alg.vec(density)[None], tol)[0]
 
 
-def _refusals(xs: alg.Stacks, hs: alg.Stacks, spec: tuple, tr, tol: Tolerance):
-    """(not self-adjoint, not PSD, trace off 1) of densities with stacks xs
-    (..., k, m, m), Hermitian parts hs, spectra spec and traces tr: the rule of
-    `state_from_density`."""
-    not_self_adjoint, negative, _, _ = alg._psd_verdicts(
-        hs, [x - alg._dagger(x) for x in xs], 1.0, tol,
-        [w[..., ::-1] for w, _, _ in spec])   # ascending
-    return not_self_adjoint, negative, abs(tr - 1.0) > tol.eq * np.maximum(1.0, abs(tr))
+def _from_densities(s: AlgebraShape, densities: np.ndarray,
+                    tol: Tolerance = DEFAULT_TOL) -> list[State]:
+    """The state of the density in every row of densities (N, coord_dim), with one
+    eigh per block size for all of them; `state_from_density` is its batch of one.
 
-
-def _states(s: AlgebraShape, densities: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[State]:
-    """`state_from_density` of the density in every row of densities (N, coord_dim),
-    with one eigh per block size for all of them.
-
-    Every density is decided by the constructor's rule at its own scale, and
-    gets the spectrum it would get alone; the first one the rule refuses
-    raises the constructor's error.
+    Every density is decided at its own scale: self-adjointness and positivity
+    are the tests of `is_positive_elem`, decided by `alg._psd_verdicts` from the
+    eigenvalues of the one spectrum the state keeps, and the trace must be 1.
+    The first row refused raises its error; a NaN or Inf entry in any row
+    raises first.  numpy decomposes every matrix of a stack on its own, so a
+    state gets the same spectrum in a batch as alone.
     """
     v = np.array(densities, dtype=complex)   # the states' own coordinates
+    alg._finite(v)
     xs = alg._stacks(s, v)
     hs = alg._hermitian(xs)
     stacks = _decompose(hs, tol)
-    refused = np.logical_or.reduce(_refusals(xs, hs, stacks, alg._trace_coords(s, v), tol))
+    not_self_adjoint, negative, _, _ = alg._psd_verdicts(
+        hs, [x - alg._dagger(x) for x in xs], 1.0, tol,
+        [w[..., ::-1] for w, _, _ in stacks])   # ascending
+    tr = alg._trace_coords(s, v)
+    refused = not_self_adjoint | negative | (abs(tr - 1.0) > tol.eq * np.maximum(1.0, abs(tr)))
     if refused.any():
-        state_from_density(alg.unvec(s, v[refused.argmax()]), tol)   # raises its error
-    return [State(s, alg._adopt(s, row), Spectrum(s, tuple(tuple(x[i] for x in g) for g in stacks)))
-            for i, row in enumerate(v)]
+        i = refused.argmax()
+        if not_self_adjoint[i]:
+            raise NotSelfAdjoint("element is not self-adjoint within tolerance")
+        if negative[i]:
+            raise ValueError("density is not positive semidefinite within tolerance")
+        raise ValueError(f"density trace {complex(tr[i])} is not 1 within tolerance")
+    return [State(s, alg._adopt(s, v[i]),
+                  Spectrum(s, tuple([(w[i], u[i], k[i]) for w, u, k in stacks])))
+            for i in range(len(v))]
 
 
 def support(omega: State) -> AlgElement:
@@ -184,7 +168,7 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
         if dev > 2 * tol.herm * tol.scale(alg._op_norm(sigma)):
             raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev:.3e}")
     herm = alg._hermitian(sigma)
-    spec = _spectrum(s, herm, tol)
+    spec = Spectrum(s, _decompose(herm, tol))
     low = min(w[:, -1].min() for w, _, _ in spec.stacks)
     top = max(np.abs(w).max() for w, _, _ in spec.stacks)   # the operator norm
     if low < -tol.psd * tol.scale(top):
@@ -235,26 +219,14 @@ def ae_equal(
         raise ShapeMismatch("channels must share domain and codomain")
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the common codomain")
-    bad = _ae_failure(f.codomain, f.matrix, g.matrix, omega.support, side, tol)
+    bad, = _grid.equal_failure(f.codomain, f.matrix[None], g.matrix[None], tol, [omega.support],
+                               side)
     if bad is not None:
         return _report(
             f"ae-equal-{side}", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
             detail="(F - G)(B) does not vanish on the support",
         )
     return _report(f"ae-equal-{side}", True, tol.eq)
-
-
-def _ae_failure(s: AlgebraShape, left: np.ndarray, right: np.ndarray,
-                support: AlgElement | None, side: str, tol: Tolerance) -> int | None:
-    """Index of the first unit B where (F - G)(B) does not vanish on the support, or
-    where F(B) != G(B) with no support, for the matrices left of F and right of G into
-    s; None when every unit passes."""
-    img_f, img_g = _grid.images(s, left), _grid.images(s, right)
-    return _grid.first_failure(
-        s, left.shape[1], 1,
-        lambda r0, r1: ([x[r0:r1] for x in img_f], [x[r0:r1] for x in img_g]),
-        tol, support, side,
-    )
 
 
 def ae_deterministic(
@@ -276,7 +248,7 @@ def ae_deterministic(
             stacklevel=2,
         )
     d = f.domain.coord_dim
-    bad = _grid.multiplicative_failure(f, tol, True, omega.support, side)
+    bad, = _grid.multiplicative_failure([f], tol, True, [omega.support], side)
     if bad is not None:
         a, b = divmod(bad, d)
         return _report(
@@ -286,49 +258,6 @@ def ae_deterministic(
             detail="F(B*C) != F(B)*F(C) on the support",
         )
     return _report(f"ae-deterministic-{side}", True, tol.eq)
-
-
-def _ae_verdicts(trials, side: str = "right",
-                 tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Whether `ae_equal(F, G, omega, side)` and `ae_deterministic(F, omega, side)`
-    pass, for every trial (F, G, omega) of a list whose maps share one domain
-    and one codomain.
-
-    The unit grids of all trials are one grid, and so are their pair grids;
-    every entry is decided by `_grid.failing_entries` under its own trial's
-    support.  The operands, and their products with the supports, are those
-    of one verifier call, stacked over the trials, so every trial is decided
-    on the same floats.  ae_deterministic asks `gram_bound` for a certificate
-    before its grid, but a certified pass is a pass of the grid as well: the
-    bound holds the deviation of every entry, as the grid measures it,
-    within tol.eq, and such an entry passes at any scale.  So the grid alone
-    gives the verifier's verdict; unlike the verifier, no warning is raised
-    for a map that is not star-preserving.  When a product overflows, every
-    trial goes through the two verifiers, whose grids compare scaled operands.
-    """
-    _check_side(side)
-    s, t = trials[0][0].domain, trials[0][0].codomain
-    if any(f.domain != s or g.domain != s or f.codomain != t or g.codomain != t
-           or omega.shape != t for f, g, omega in trials):
-        raise ShapeMismatch("trials must share one domain and one codomain")
-    d = s.coord_dim
-    fm = np.zeros((len(trials), t.coord_dim, d + 1), dtype=complex)   # column d is 0
-    fm[:, :, :d] = [f.matrix for f, _, _ in trials]
-    supports = alg._stacks(t, np.array([alg.vec(omega.support) for *_, omega in trials]))
-    at = alg.product_index(s)[alg.adjoint_index(s)].ravel()   # E_a* E_b, row-major
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            img = _grid.images(t, fm)
-            img_g = _grid.images(t, np.array([g.matrix for _, g, _ in trials]))
-            equal = _grid.failing_entries([x[:, :d] for x in img], img_g, tol, supports, side)
-            det = _grid.failing_entries(
-                [x[:, at] for x in img],
-                [_grid.products(x[:, :d], x[:, :d], adjoint=True) for x in img],
-                tol, supports, side)
-    except FloatingPointError:
-        return (np.array([ae_equal(f, g, omega, side, tol).passed for f, g, omega in trials]),
-                np.array([ae_deterministic(f, omega, side, tol).passed for f, _, omega in trials]))
-    return ~equal.any(axis=-1), ~det.any(axis=-1)
 
 
 def ae_unital(

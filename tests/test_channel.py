@@ -365,9 +365,10 @@ def test_multiplicative_grid_runs_unscaled_unless_a_product_overflows():
         warnings.simplefilter("always")
         for big in (1e150, 1e300):
             similar = Channel(M2, M2, np.diag([1.0, big, 2 / big, 1.0]).astype(complex))
-            assert _grid.multiplicative_failure(similar, DEFAULT_TOL) == 6
-            assert _grid.multiplicative_failure(similar, DEFAULT_TOL, adjoint=True) == 4
+            assert _grid.multiplicative_failure([similar], DEFAULT_TOL) == [6]
+            assert _grid.multiplicative_failure([similar], DEFAULT_TOL, adjoint=True) == [4]
         # where a product does overflow, the grid runs again scaled
         for c in (1e200, 1e306):
-            assert _grid.multiplicative_failure(Channel(M2, M2, c * np.eye(4)), DEFAULT_TOL) == 0
+            huge = Channel(M2, M2, c * np.eye(4))
+            assert _grid.multiplicative_failure([huge], DEFAULT_TOL) == [0]
     assert not caught

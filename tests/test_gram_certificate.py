@@ -52,8 +52,8 @@ def _grid_only(f, adjoint, omega, side, monkeypatch):
     """The first failing pair with the certificate switched off."""
     with monkeypatch.context() as m:
         m.setattr(_grid, "gram_bound", lambda *args: np.inf)
-        return _grid.multiplicative_failure(f, TOL, adjoint, omega.support if adjoint else None,
-                                            side)
+        return _grid.multiplicative_failure([f], TOL, adjoint,
+                                            [omega.support] if adjoint else None, side)[0]
 
 
 def _grid_deviation(f, adjoint, omega=None, side="right") -> float:
@@ -152,9 +152,9 @@ def test_m16_passes_on_the_operator_norm_of_the_support(monkeypatch):
     for side in ("right", "left"):
         assert _bound(f, True, omega, side) > TOL.eq >= _bound(f, True, omega, side, TOL.eq)
     monkeypatch.setattr(_grid, "first_failure", lambda *args, **kw: pytest.fail("grid ran"))
-    assert _grid.multiplicative_failure(f, TOL) is None
+    assert _grid.multiplicative_failure([f], TOL) == [None]
     for side in ("right", "left"):
-        assert _grid.multiplicative_failure(f, TOL, True, omega.support, side) is None
+        assert _grid.multiplicative_failure([f], TOL, True, [omega.support], side) == [None]
 
 
 def test_a_non_unital_homomorphism_passes_on_the_operator_norm_of_f1(monkeypatch):
@@ -169,9 +169,9 @@ def test_a_non_unital_homomorphism_passes_on_the_operator_norm_of_f1(monkeypatch
     omega = state_from_density(alg.random_density(f.codomain, np.random.default_rng(23)))
     assert _bound(f, False) > TOL.eq >= _bound(f, False, cap=TOL.eq)
     monkeypatch.setattr(_grid, "first_failure", lambda *args, **kw: pytest.fail("grid ran"))
-    assert _grid.multiplicative_failure(f, TOL) is None
+    assert _grid.multiplicative_failure([f], TOL) == [None]
     for side in ("right", "left"):
-        assert _grid.multiplicative_failure(f, TOL, True, omega.support, side) is None
+        assert _grid.multiplicative_failure([f], TOL, True, [omega.support], side) == [None]
 
 
 def _families(rng):

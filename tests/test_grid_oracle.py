@@ -212,17 +212,101 @@ def _stacked_ae_cases():
     return trials
 
 
+def _unit_index(u: AlgElement) -> int:
+    return int(np.flatnonzero(alg.vec(u))[0])
+
+
+def _witness_index(report, d: int) -> int | None:
+    """The first failing unit, or pair in row-major order, of an a.e. report."""
+    if report.passed:
+        return None
+    w = report.witness
+    if "input" in w:
+        return _unit_index(w["input"])
+    return _unit_index(w["left_input"]) * d + _unit_index(w["right_input"])
+
+
+def _stacked_failures(trials, side):
+    """The first failing units of ae_equal and pairs of ae_deterministic, per trial,
+    from one call of each core for all trials."""
+    t = trials[0][0].codomain
+    supports = [omega.support for _, _, omega in trials]
+    return (_grid.equal_failure(t, np.array([f.matrix for f, _, _ in trials]),
+                                np.array([g.matrix for _, g, _ in trials]), state.DEFAULT_TOL,
+                                supports, side),
+            _grid.multiplicative_failure([f for f, _, _ in trials], state.DEFAULT_TOL, True,
+                                         supports, side))
+
+
+def _check_stacked(trials, side):
+    """Each trial's indices in a batch are those of its batch of one, of the verifiers'
+    witnesses and, below the float limit, of the loop oracle's."""
+    equal, det = _stacked_failures(trials, side)
+    for i, (f, g, omega) in enumerate(trials):
+        d = f.domain.coord_dim
+        alone = _stacked_failures(trials[i:i + 1], side)
+        assert (equal[i], det[i]) == (alone[0][0], alone[1][0]), (i, side)
+        assert equal[i] == _witness_index(ae_equal(f, g, omega, side), d), (i, side)
+        assert det[i] == _witness_index(ae_deterministic(f, omega, side), d), (i, side)
+        if np.abs(f.matrix).max() <= 2.0 ** 500:   # the loop's products would overflow
+            assert equal[i] == _witness_index(ref.ae_equal(f, g, omega, side), d), (i, side)
+            assert det[i] == _witness_index(ref.ae_deterministic(f, omega, side), d), (i, side)
+    return equal, det
+
+
 def test_stacked_ae_verdicts_match_the_verifiers(exact_norms):
     groups = {}
     for f, g, omega in _stacked_ae_cases():
         groups.setdefault((f.domain, f.codomain), []).append((f, g, omega))
     for trials in groups.values():
         for side in ("left", "right"):
-            equal, det = state._ae_verdicts(trials, side)
-            assert equal.tolist() == [ae_equal(f, g, o, side).passed for f, g, o in trials]
-            assert det.tolist() == [ae_deterministic(f, o, side).passed for f, _, o in trials]
+            _check_stacked(trials, side)
     assert len(groups) > 5 and sum(exact_norms) > 0
     one_sided = groups[(AlgebraShape((2,)), AlgebraShape((2,)))][-2:]
-    assert [v.tolist() for v in state._ae_verdicts(one_sided, "left")] == [[True] * 2] * 2
-    assert [v.tolist() for v in state._ae_verdicts(one_sided, "right")] == [[True, False],
-                                                                             [False, True]]
+    assert _stacked_failures(one_sided, "left") == ([None, None], [None, None])
+    assert _stacked_failures(one_sided, "right") == ([None, 2], [4, None])
+
+
+def test_stacked_ae_witnesses_hold_in_mixed_batches(monkeypatch):
+    """One batch on M_2 holds a certified pass, a grid pass, failures in the first and
+    in a later chunk of rows, and a 1e200 map whose pair grid overflows: only that
+    trial is compared scaled, and each trial keeps the index its own call finds."""
+    m2 = AlgebraShape((2,))
+    rng = np.random.default_rng(5)
+    omega = state_from_density(alg.random_density(m2, rng))
+    corner = state_from_density(AlgElement(m2, (np.diag([1.0, 0.0]),)))
+    ident = channel_from_action(m2, m2, lambda b: b)
+    p = alg.unit(m2) - alg.unvec(m2, [0, 0, 0, 1])
+    right = channel_from_action(m2, m2, lambda b: alg.mul(b, p))   # left a.e. deterministic
+    doubled = Channel(m2, m2, np.diag([1.0, 1.0, 1.0, 2.0]))       # F(E21 E12) = 2 F(E21) F(E12)
+    moved = Channel(m2, m2, np.diag([1.0, 1.0, 1.5, 1.0]))         # differs from F at E21 only
+    huge = Channel(m2, m2, 1e200 * np.eye(4))
+    trials = [(ident, ident, omega), (right, right, corner), (transpose_channel(m2), ident, omega),
+              (doubled, moved, omega), (huge, huge, omega)]
+    eq = state.DEFAULT_TOL.eq
+    assert [_grid.gram_bound(f, True, o.support, "left", eq) <= eq for f, _, o in trials] == [
+        True, False, False, False, False]   # only the first is certified
+    units, chunks, real = [], [], _grid.first_failure
+
+    def grid(codomain, rows, cols, operands, *args, **kw):
+        if len(args) > 3 and cols > 1:   # the floors of the pair grids, passed by position
+            units.append(np.atleast_1d(args[3]))
+
+        def counted(live, r0, r1):   # codomain entries per operand, and the rows, of a chunk
+            chunks.append((len(live) * (r1 - r0) * cols * codomain.coord_dim, r1 - r0))
+            return operands(live, r0, r1)
+
+        return real(codomain, rows, cols, counted, *args, **kw)
+
+    monkeypatch.setattr(_grid, "first_failure", grid)
+    for chunk in (_grid._CHUNK, 16):   # 16: one row of the pair grid per chunk
+        monkeypatch.setattr(_grid, "_CHUNK", chunk)
+        assert _check_stacked(trials, "left") == ([None, None, 1, 2, None], [None, None, 1, 5, 0])
+        assert _check_stacked(trials, "right") == ([None, None, 1, 2, None], [None, 4, 1, 5, 0])
+        # at most _CHUNK entries over the live trials, or one row
+        assert all(n <= chunk or r == 1 for n, r in chunks) and any(r > 1 for _, r in chunks)
+        chunks.clear()
+    # the overflowing run again with the huge map's own exponent, and 0 for the others
+    assert any(len(u) > 1 and (u == 1.0).sum() == len(u) - 1 for u in units)
+
+

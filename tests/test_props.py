@@ -11,7 +11,7 @@ from qmarkov.bayes import verify_disintegration
 from qmarkov.channel import (Channel, apply, channel_from_action, is_cp, is_star_preserving,
                              is_unital)
 from qmarkov.linalg import pinv_psd
-from qmarkov.state import State, state_from_density
+from qmarkov.state import State
 from qmarkov.tolerances import DEFAULT_TOL
 
 
@@ -132,14 +132,13 @@ def _scale_up_map(real):
 
 
 def _left_ignores_support(real):
-    # the left verdicts decide plain equality, as on a faithful state
-    def verdicts(trials, side="right", tol=DEFAULT_TOL):
+    # the left ae_equal verdicts decide plain equality, as on a faithful state
+    def failures(s, left, right, tol, supports=None, side="right"):
         if side == "left":
-            trials = [(f, g, state_from_density(alg.unit(o.shape) * (1 / o.shape.total_dim)))
-                      for f, g, o in trials]
-        return real(trials, side, tol)
+            supports = [alg.unit(s)] * len(left)
+        return real(s, left, right, tol, supports, side)
 
-    return verdicts
+    return failures
 
 
 def _equal_pair(real):
@@ -239,7 +238,7 @@ _MUTATIONS = [
     ("state-ae", "right-multiplying into the support complement lands in the nullspace",
      "State.support", _support_zero),
     # the a.e. checks of all trials at once
-    ("state-ae", "left and right verdicts agree for star-preserving channels", "_ae_verdicts",
+    ("state-ae", "left and right verdicts agree for star-preserving channels", "equal_failure",
      _left_ignores_support),
     ("state-ae", "single-variable multiplicativity on the support upgrades to two variables",
      "padded_inclusion", _scale_output),

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from qmarkov import _grid
 from qmarkov import algebra as alg
 from qmarkov import state
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import Channel, apply, channel_from_action, identity_channel, transpose_channel
 from qmarkov.corpus import padded_inclusion, unreasonable_pair
-from qmarkov.errors import PullbackNotPSD, ShapeMismatch
+from qmarkov.errors import NotSelfAdjoint, PullbackNotPSD, ShapeMismatch
+from qmarkov.props import random_rank_deficient_state
 from qmarkov.state import (
     NullspaceTest,
     ae_deterministic,
@@ -102,7 +104,7 @@ def test_stacked_states_keep_each_rank_cutoff_and_raise_the_first_refusal():
     s = AlgebraShape((1, 2))
     dens = [np.diag([1 - 0.6e-10, 0.6e-10, 0.0]), np.diag([0.5, 0.5 - 0.7e-10, 0.7e-10])]
     v = np.array([alg.vec(AlgElement(s, (d[:1, :1], d[1:, 1:]))) for d in dens])
-    stacked = state._states(s, v)
+    stacked = state._from_densities(s, v)
     for omega, row in zip(stacked, v):
         alone = state_from_density(alg.unvec(s, row))
         assert alg.vec(omega.density).tobytes() == alg.vec(alone.density).tobytes()
@@ -110,7 +112,44 @@ def test_stacked_states_keep_each_rank_cutoff_and_raise_the_first_refusal():
     assert [int(alg.trace(o.support).real) for o in stacked] == [1, 3]
     bad = np.array([v[1], 2 * v[0], -v[1]])   # trace 2, then not positive
     with pytest.raises(ValueError, match="density trace"):
-        state._states(s, bad)
+        state._from_densities(s, bad)
+
+
+# the refusals of one density, with their exact messages
+_SKEW = np.array([[0.5, 0.1], [0.0, 0.5]])
+_INDEFINITE = np.diag([1.5, -0.5])
+_TRACE_TWO = np.eye(2)
+_REFUSALS = [(_SKEW, NotSelfAdjoint, "element is not self-adjoint within tolerance"),
+             (_INDEFINITE, ValueError, "density is not positive semidefinite within tolerance"),
+             (_TRACE_TWO, ValueError, "density trace (2+0j) is not 1 within tolerance")]
+
+
+@pytest.mark.parametrize("rho, error, message", _REFUSALS)
+def test_a_refused_density_raises_its_own_message(rho, error, message):
+    with pytest.raises(error) as alone:
+        density(M2, rho)
+    assert str(alone.value) == message
+    good = alg.vec(alg.random_density(M2, np.random.default_rng(1)))
+    row = alg.vec(AlgElement(M2, (rho.astype(complex),)))
+    # the first refused row raises its own error, whatever the rows after it are refused for
+    for later, _, _ in _REFUSALS:
+        later_row = alg.vec(AlgElement(M2, (later.astype(complex),)))
+        with pytest.raises(error) as stacked:
+            state._from_densities(M2, np.array([good, row, later_row, good]))
+        assert type(stacked.value) is type(alone.value) and str(stacked.value) == message
+
+
+def test_stacked_spectra_are_those_of_single_builds():
+    rng = np.random.default_rng(8)
+    for blocks in ((3,), (1, 2, 2), (2, 1, 3)):
+        s = AlgebraShape(blocks)
+        v = np.array([alg.vec(alg.random_density(s, rng)) for _ in range(3)]
+                     + [alg.vec(random_rank_deficient_state(s, rng).density) for _ in range(3)])
+        for omega, row in zip(state._from_densities(s, v), v):
+            alone = state_from_density(alg.unvec(s, row)).spectrum.stacks
+            for got, want in zip(omega.spectrum.stacks, alone):
+                assert all(g.tobytes() == w.tobytes() and g.shape == w.shape
+                           for g, w in zip(got, want))
 
 
 def test_nullspace_membership_matches_expectation():
@@ -197,6 +236,21 @@ def test_ae_equal_leakage_example_passes_both_sides():
     assert ae_equal(f, g, omega, "right").passed
     assert not ae_deterministic(f, omega, "right").passed
     assert not ae_deterministic(f, omega, "left").passed
+
+
+@pytest.mark.parametrize("c", [1e308, 1.7e308])
+def test_ae_equal_decides_entries_near_the_float_limit(c):
+    # F - (-F) overflows unless both maps are compared scaled by a power of two
+    f, neg = Channel(M2, M2, c * np.eye(4)), Channel(M2, M2, -c * np.eye(4))
+    omega = density(M2, np.diag([1.0, 0.0]))
+    ident = identity_channel(M2).matrix
+    for side in ("left", "right"):
+        assert not ae_equal(f, neg, omega, side).passed
+        assert ae_equal(f, f, omega, side).passed
+        got = _grid.equal_failure(M2, np.array([f.matrix, f.matrix, ident]),
+                                  np.array([neg.matrix, f.matrix, ident]), state.DEFAULT_TOL,
+                                  3 * [omega.support], side)
+        assert got == [0, None, None]
 
 
 def test_ae_deterministic_for_homomorphisms_and_padding():
