@@ -6,8 +6,9 @@ of a unit is a column of the channel matrix, and a product of two units is a
 unit or zero (E_ij E_kl = delta_jk E_il), so every operand of such a check is
 an index lookup into the stacked images, a conjugate transpose, or a batched
 matrix product of them.  `first_failure` evaluates the grids of a batch of
-trials in numpy and returns each trial's first failing entry in canonical
-order; a per-call check is a batch of one.
+trials in numpy, each entry decided by the equality rule
+`algebra.failing_entries`, and returns each trial's first failing entry in
+canonical order; a per-call check is a batch of one.
 
 The pair grids of multiplicativity, F(E_a E_b) = F(E_a) F(E_b), are O(n^7)
 on M_n.  `gram_bound` bounds all their entries at once from one
@@ -37,14 +38,13 @@ from .algebra import (
     _UNIT_ROUNDOFF,
     _dagger,
     _factors,
-    _lower,
-    _max_abs,
-    _op_norm,
+    _join,
+    _some,
     _stacks,
     _unit_coords,
-    _upper,
     adjoint_index,
     product_index,
+    scale_exponent,
 )
 from .tolerances import Tolerance
 
@@ -137,23 +137,6 @@ def products(x: np.ndarray, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return out.transpose(at + (b + 1, b + 3, b, b + 2, b + 4)).reshape(lead + (r * c, k, m, m))
 
 
-def _with_support(x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
-    """x[n] p (side "right") or p x[n] (side "left") for every n, one product per block.
-
-    x is (..., n, k, m, m) and p (..., k, m, m), with the leading axes of x:
-    each batch entry of x is multiplied by its own support.
-    """
-    lead, (n, k, m, _) = x.shape[:-4], x.shape[-4:]
-    p = p.reshape(-1, m, m)
-    if side == "right":
-        out = x.swapaxes(-4, -3).reshape(-1, n * m, m) @ p
-        return out.reshape(lead + (k, n, m, m)).swapaxes(-4, -3)
-    b = len(lead)
-    at = tuple(range(b))
-    out = p @ x.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(-1, m, n * m)
-    return out.reshape(lead + (k, m, n, m)).transpose(at + (b + 2, b, b + 1, b + 3))
-
-
 def multiplicative_failure(fs, tol: Tolerance, adjoint: bool = False,
                            supports: list[AlgElement] | None = None,
                            side: str = "right") -> list[int | None]:
@@ -174,6 +157,8 @@ def multiplicative_failure(fs, tol: Tolerance, adjoint: bool = False,
     """
     out: list[int | None] = [None] * len(fs)
     ps = [None] * len(fs) if supports is None else supports
+    # the certificate bounds the deviation of every entry at once, and a deviation at most
+    # tol.eq passes the equality rule at any scale: a channel within it needs no grid
     todo = [i for i, (f, p) in enumerate(zip(fs, ps))
             if gram_bound(f, adjoint, p, side, tol.eq) > tol.eq]
     if not todo:
@@ -182,20 +167,20 @@ def multiplicative_failure(fs, tol: Tolerance, adjoint: bool = False,
     d = dom.coord_dim
     padded = np.zeros((len(todo), cod.coord_dim, d + 1), dtype=complex)   # entry d is 0
     padded[:, :, :d] = [fs[i].matrix for i in todo]
-    proj = None if supports is None else alg._stacks(
-        cod, np.array([alg.vec(supports[i]) for i in todo]))
+    proj = None if supports is None else np.array([alg.vec(supports[i]) for i in todo])
     prod = product_index(dom)
     left = adjoint_index(dom) if adjoint else np.arange(d)
 
     def grid(e: np.ndarray) -> list[int | None]:
         scaled, c = e.any(), np.ldexp(1.0, -e)[:, None, None]
-        img = images(cod, padded * c if scaled else padded)
+        m = padded * c if scaled else padded
+        img, cols = images(cod, m), m.swapaxes(1, 2)   # the images as stacks and as rows
 
         def operands(live, r0, r1):
             xs = [_live(x, live) for x in img]
-            lhs = [x[:, prod[left[r0:r1]].ravel()] for x in xs]
-            return ([x * _live(c, live)[..., None, None] for x in lhs] if scaled else lhs,
-                    [products(x[:, r0:r1], x[:, :d], adjoint) for x in xs])
+            lhs = _live(cols, live)[:, prod[left[r0:r1]].ravel()]
+            return (lhs * _live(c, live) if scaled else lhs,
+                    _join(cod, [products(x[:, r0:r1], x[:, :d], adjoint) for x in xs]))
 
         return first_failure(cod, d, d, operands, tol, proj, side, (c * c).ravel())
 
@@ -225,65 +210,37 @@ def equal_failure(s: AlgebraShape, left: np.ndarray, right: np.ndarray, tol: Tol
     c = np.ldexp(1.0, -e)
     if e.any():
         left, right = left * c[:, None, None], right * c[:, None, None]
-    img_f, img_g = images(s, left), images(s, right)
-    proj = None if supports is None else alg._stacks(s, np.array([alg.vec(p) for p in supports]))
+    rows_f, rows_g = left.swapaxes(1, 2), right.swapaxes(1, 2)   # F(E_a) and G(E_a) as rows
+    proj = None if supports is None else np.array([alg.vec(p) for p in supports])
     return first_failure(
         s, left.shape[-1], 1,
-        lambda live, r0, r1: ([_live(x, live)[:, r0:r1] for x in img_f],
-                              [_live(x, live)[:, r0:r1] for x in img_g]),
+        lambda live, r0, r1: (_live(rows_f, live)[:, r0:r1], _live(rows_g, live)[:, r0:r1]),
         tol, proj, side, c)
 
 
-def scale_exponent(matrix: np.ndarray, bits: int) -> np.ndarray:
-    """0 when every entry of matrix is at most 2^bits in absolute value; otherwise
-    the e > 0 that puts the largest entry of matrix 2^-e in [2^(bits - 1), 2^bits).
-    One exponent per matrix of a stack (..., r, c).
-
-    The scaling is exact, so checks whose products or differences could
-    overflow compare operands scaled by 2^-e instead.
-    """
-    # an entry above 2^bits only when the sum of all squares is above 2^2bits
-    if np.vdot(matrix, matrix).real <= 2.0 ** (2 * bits):
-        return np.zeros(matrix.shape[:-2], dtype=int)
-    top = np.abs(matrix).max(axis=(-2, -1))
-    return np.where(top > 2.0 ** bits, np.frexp(top)[1] - bits, 0)
-
-
 def star_failure(f, tol: Tolerance) -> int | None:
-    """Index of the first unit E_a with F(E_a*) != F(E_a)*, decided as
-    `first_failure` decides it; None when every unit passes.
+    """Index of the first unit E_a with F(E_a*) != F(E_a)*, decided by
+    `failing_entries` with no support; None when every unit passes.
 
-    Column a of D = M[:, adj_dom] - conj(M[adj_cod, :]), for the channel
-    matrix M, holds the entries of that grid's difference F(E_a*) - F(E_a)*:
-    the same floats from the same subtraction.  With no support the grid
-    measures a deviation by its largest entry against a bound of at least
-    tol.eq, so a column with max|D| <= tol.eq is a pass of the grid as it
-    computes it.  Only the other units run the grid, on their own images.  D
-    is read in chunks of columns, in canonical order, the first one small, so
-    a map that fails early reads little of M and no chunk is larger than the
-    grid's.  Above 2^500 both compare operands scaled by 2^-e and the floor 1
-    of the grid scaled alike, so no difference overflows.
+    Column a of M[:, adj_dom] holds the coordinates of F(E_a*) and column a of
+    conj(M[adj_cod, :]) those of F(E_a)*, for the channel matrix M.  They are
+    read in chunks of units, in canonical order, the first one small, so a
+    map that fails early reads little of M.  Above 2^500 both compare
+    operands scaled by 2^-e and the floor 1 scaled alike, so no difference
+    overflows.
     """
     cod, adj = f.codomain, adjoint_index(f.domain)
     back = adjoint_index(cod)
     e = scale_exponent(f.matrix, 500)
-    c = np.ldexp(1.0, -e)
+    c = np.ldexp(1.0, -e) if e else 1.0
     m = f.matrix * c if e else f.matrix
     d, rows = f.domain.coord_dim, cod.coord_dim
     a0, step = 0, max(1, _CHUNK // (8 * rows))
     while a0 < d:
         a1 = min(d, a0 + step)
-        dev = np.abs(m[:, adj[a0:a1]] - m[back, a0:a1].conj()).max(axis=0)
-        live = a0 + np.flatnonzero(dev > tol.eq * c)
-        if live.size:
-            img, img_adj = images(cod, m[:, live]), images(cod, m[:, adj[live]])
-            bad, = first_failure(
-                cod, live.size, 1,
-                lambda _, r0, r1: ([x[None, r0:r1] for x in img_adj],
-                                   [_dagger(x[None, r0:r1]) for x in img]),
-                tol, unit=c)
-            if bad is not None:
-                return int(live[bad])
+        fail = alg.failing_entries(cod, m[:, adj[a0:a1]].T, m[back, a0:a1].conj().T, tol, unit=c)
+        if _some(fail):
+            return a0 + int(fail.argmax())
         a0, step = a1, max(1, _CHUNK // rows)
     return None
 
@@ -310,9 +267,9 @@ def first_failure(
     codomain: AlgebraShape,
     rows: int,
     cols: int,
-    operands: Callable[[np.ndarray, int, int], tuple[Stacks, Stacks]],
+    operands: Callable[[np.ndarray, int, int], tuple[np.ndarray, np.ndarray]],
     tol: Tolerance,
-    supports: Stacks | None = None,
+    supports: np.ndarray | None = None,
     side: str = "right",
     unit: float | np.ndarray = 1.0,
 ) -> list[int | None]:
@@ -320,24 +277,25 @@ def first_failure(
     grid, or None when every entry passes.
 
     unit holds the floor of each trial's scale, so its length is the number T
-    of trials; supports, if given, one support projection per trial, stacks
-    (T, k, m, m).  operands(live, r0, r1) returns (lhs, rhs): the codomain
-    elements (len(live), (r1 - r0) cols, k, m, m) of the entries in rows r0 to
-    r1 - 1, row-major, of the trials live, an ascending index array.  Each
-    entry is decided by `failing_entries`, under its trial's support.  The
-    grids run together in chunks of whole rows, at most _CHUNK codomain
-    entries per operand over the live trials and at least one row.  A trial
-    that fails drops out of later chunks, and the run stops when no trial is
-    live: a single grid stops at its first failing chunk.
+    of trials; supports, if given, the coordinates (T, coord_dim) of one support
+    projection per trial.  operands(live, r0, r1) returns (lhs, rhs): the
+    coordinates (len(live), (r1 - r0) cols, coord_dim) of the codomain elements
+    of the entries in rows r0 to r1 - 1, row-major, of the trials live, an
+    ascending index array.  Each entry is decided by `alg.failing_entries`,
+    under its trial's support.  The grids run together in chunks of whole
+    rows, at most _CHUNK codomain entries per operand over the live trials
+    and at least one row.  A trial that fails drops out of later chunks, and
+    the run stops when no trial is live: a single grid stops at its first
+    failing chunk.
     """
     floor = np.array(unit, dtype=float, ndmin=1)
     out: list[int | None] = [None] * len(floor)
     live, r0 = np.arange(len(floor)), 0
     while r0 < rows and live.size:
         r1 = min(rows, r0 + max(1, _CHUNK // (live.size * cols * codomain.coord_dim)))
-        proj = None if supports is None else [_live(p, live) for p in supports]
-        fail = failing_entries(*operands(live, r0, r1), tol, proj, side,
-                               _live(floor, live).repeat((r1 - r0) * cols))
+        proj = None if supports is None else _live(supports, live)
+        fail = alg.failing_entries(codomain, *operands(live, r0, r1), tol, proj, side,
+                                   _live(floor, live)[:, None])
         if fail.any():
             hit = fail.any(axis=-1)
             for i in np.flatnonzero(hit):
@@ -350,51 +308,6 @@ def first_failure(
 def _live(x: np.ndarray, live: np.ndarray) -> np.ndarray:
     """The entries live of x along its leading trial axis: x itself if all are live."""
     return x if len(live) == len(x) else x[live]
-
-
-def failing_entries(lhs: Stacks, rhs: Stacks, tol: Tolerance, proj: Stacks | None, side: str,
-                    unit: np.ndarray) -> np.ndarray:
-    """Whether each entry of a grid fails: the one entry rule of the exact checks.
-
-    lhs and rhs are stacks (..., n, k, m, m) of codomain elements; the result
-    is a bool per entry (..., n).  With no support an entry passes when
-    max|lhs - rhs| <= tol.eq * max(unit, ||lhs||, ||rhs||), as `elem_equal`
-    decides; with a support projection P, stacks proj (..., k, m, m), one per
-    batch entry of the leading axes, it passes when the operator norm of
-    (lhs - rhs) P (side "right") or P (lhs - rhs) (side "left") is within
-    the same bound, as the a.e. checks decide.  ||.|| is the operator norm:
-    the largest blockwise one.  unit holds the floor of each entry's scale,
-    in row-major order: 1 but for operands scaled by a power of two, where it
-    is scaled alike.
-
-    max-abs entry <= operator norm <= Frobenius norm, so the cheap bounds
-    settle most entries.  An entry whose deviation is at most tol.eq * unit passes
-    whatever its scale.  Otherwise it passes under the upper bound on its
-    deviation and the lower bound on its scale, or fails under the lower
-    bound on its deviation and the upper bound on its scale.  Only the rest
-    pay for exact operator norms.
-    """
-    diff = [a - b for a, b in zip(lhs, rhs)]
-    if proj is not None:
-        diff = [_with_support(x, p, side) for x, p in zip(diff, proj)]
-    shape = diff[0].shape[:-3]
-    dev_hi = _upper(diff).reshape(-1)   # one flat run of entries
-    out = dev_hi > tol.eq * unit        # the live entries; True stays only where they fail
-    if out.any():
-        live = np.flatnonzero(out)
-        lhs, rhs, diff = ([x.reshape((-1,) + x.shape[-3:])[live] for x in xs]
-                          for xs in (lhs, rhs, diff))
-        dev_lo, dev_hi, unit = _lower(diff), dev_hi[live], unit[live]
-        fail = dev_lo > tol.eq * np.maximum(unit, np.maximum(_upper(lhs), _upper(rhs)))
-        open_ = ~fail & (dev_hi > tol.eq * np.maximum(unit, np.maximum(_lower(lhs), _lower(rhs))))
-        if open_.any():
-            def pick(xs):
-                return [x[open_] for x in xs]
-            dev = _max_abs(pick(diff)) if proj is None else _op_norm(pick(diff))
-            scale = np.maximum(_op_norm(pick(lhs)), _op_norm(pick(rhs)))
-            fail[open_] = dev > tol.eq * np.maximum(unit[open_], scale)
-        out[live] = fail
-    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

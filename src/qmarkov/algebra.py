@@ -7,12 +7,14 @@ matrix in the library.  An element is its shape and one read-only vector of
 coordinates in that basis; its blocks are views into the vector.
 
 The adjoint, products of units and tensor products of units are index
-tables on coordinates.  Products, norms, comparisons and spectra read an
-element as stacks: the k blocks of size m form one array (k, m, m), one per
-block size, with any leading batch dimensions: a view of the coordinates
-when the blocks of that size are adjacent, a gather otherwise.  A batch of
-elements of many equal blocks costs one array operation, not one per block
-or element, and the finiteness of an element is checked once, when stacked.
+tables on coordinates.  Products, norms and spectra read an element as
+stacks: the k blocks of size m form one array (k, m, m), one per block size,
+with any leading batch dimensions: a view of the coordinates when the blocks
+of that size are adjacent, a gather otherwise.  A batch of elements of many
+equal blocks costs one array operation, not one per block or element, and
+the finiteness of an element is checked once, when stacked.  Every tol.eq
+comparison of two elements is the one equality rule, `failing_entries`,
+which reads coordinates and takes stacks only for the norms it needs.
 """
 from __future__ import annotations
 
@@ -217,16 +219,15 @@ def trace(a: AlgElement) -> complex:
 def _trace_coords(s: AlgebraShape, v: np.ndarray) -> np.ndarray:
     """Traces of the elements with coordinates v (..., coord_dim), one per element.
 
-    The coordinates are indexed transposed, so one element costs plain
-    indexing; each element's diagonal is summed contiguously, as it would be
-    alone, so every trace has the bits `trace` gives.
+    `take` gathers each element's diagonal contiguously (an indexed gather
+    v[..., diag] of a batch is column-major), so it is summed as it would be
+    alone and every trace has the bits `trace` gives.
     """
     lead = v.shape[:-1]
     per_block = np.zeros((len(s.blocks) + 1,) + lead[::-1], dtype=complex)
     blocks = per_block[1:]
     for g in s._layout.groups:   # the diagonal, summed as np.trace sums it
-        diag = np.ascontiguousarray(v.T[g.diag].T).reshape(lead + g.tail[:2])
-        blocks[g.ids] = diag.sum(-1).T
+        blocks[g.ids] = v.take(g.diag, -1).reshape(lead + g.tail[:2]).sum(-1).T
     # a running sum from 0, so the blocks add up in order, as a per-block sum() adds them
     return np.add.accumulate(per_block)[-1].T
 
@@ -243,51 +244,25 @@ def norm(a: AlgElement) -> float:
 
 def elem_equal(a: AlgElement, b: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
     _check_same_shape(a, b)
-    return _coords_equal(a.shape, vec(a), vec(b), tol)
+    return _coords_equal(a.shape, a._coords, b._coords, tol)
 
 
 def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
-    """elem_equal on coordinates: max|u - v| <= tol.eq * max(1, ||u||, ||v||).
+    """Whether the elements with coordinates u and v (..., coord_dim), broadcast, are
+    equal in every pair: `failing_entries` with no support, one vector a batch of one.
 
-    Entries above 2^500 (|u|^2 or |v|^2 above 2^1000), where u - v may overflow,
-    are compared with u, v and the floor 1 scaled alike by an exact 2^-e.  On
-    coordinates (..., coord_dim) of batches of elements, whether every element
-    pair passes, each decided as one vector pair is: its own 2^-e, its own norms.
+    A pair with entries above 2^500, where u - v may overflow, is compared with u,
+    v and the floor 1 scaled alike by its own exact 2^-e from `scale_exponent`.
+    Raises ValueError on NaN or Inf entries.
     """
-    if u.ndim > 1 or v.ndim > 1:
-        return _rows_equal(s, u, v, tol)
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+    e = scale_exponent(np.concatenate((u, v), axis=-1)[..., None, :], 500)   # per pair
     unit = 1.0
-    if not (np.vdot(u, u).real <= 2.0 ** 1000 and np.vdot(v, v).real <= 2.0 ** 1000):
-        top = np.maximum(np.abs(u).max(), np.abs(v).max())   # NaN propagates
-        _finite(top)
-        if top > 2.0 ** 500:
-            unit = np.ldexp(1.0, 500 - int(np.frexp(top)[1]))
-            u, v = u * unit, v * unit
-    dev = np.abs(u - v).max()
-    # the scale is at least the floor, so a deviation within tol.eq times it needs no norm
-    return bool(dev <= tol.eq * unit or dev <= tol.eq * max(
-        unit, _op_norm(_stacks(s, u)), _op_norm(_stacks(s, v))))
-
-
-def _rows_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
-    """`_coords_equal` on coordinates with leading batch dimensions, one verdict per row."""
-    u, v = np.broadcast_arrays(u, v)
-    u, v = u.reshape(-1, s.coord_dim), v.reshape(-1, s.coord_dim)
-    top = np.maximum(np.abs(u).max(axis=-1), np.abs(v).max(axis=-1))
-    _finite(top)   # NaN propagates
-    unit = np.ones_like(top)
-    big = top > 2.0 ** 500
-    if big.any():
-        unit[big] = np.ldexp(1.0, 500 - np.frexp(top[big])[1])
-        u, v = u * unit[:, None], v * unit[:, None]
-    dev = np.abs(u - v).max(axis=-1)
-    # as on one vector: a deviation within tol.eq times the floor needs no norm
-    open_ = ~(dev <= tol.eq * unit)
-    if not open_.any():
-        return True
-    scale = np.maximum(unit[open_], np.maximum(_op_norm(_stacks(s, u[open_])),
-                                               _op_norm(_stacks(s, v[open_]))))
-    return bool((dev[open_] <= tol.eq * scale).all())
+    if _some(e):
+        unit = np.ldexp(1.0, -e)
+        u, v = u * unit[..., None], v * unit[..., None]
+    return not _some(failing_entries(s, u, v, tol, unit=unit))
 
 
 def vec(a: AlgElement) -> np.ndarray:
@@ -487,6 +462,12 @@ def _finite(x: np.ndarray) -> None:
         raise ValueError("matrix contains NaN or Inf entries")
 
 
+def _some(x: np.ndarray) -> bool:
+    """Whether some entry of x is nonzero: for one value its truth, else count_nonzero,
+    the cheaper test for each (`any` on a NumPy scalar costs several times either)."""
+    return bool(x) if x.ndim == 0 else np.count_nonzero(x) > 0
+
+
 def _stacks(s: AlgebraShape, v: np.ndarray) -> Stacks:
     """Coordinates (..., coord_dim) on s as stacks (..., k, m, m), views of v where they can be."""
     lead = v.shape[:-1]
@@ -587,6 +568,103 @@ def _op_norm(xs: Stacks) -> np.ndarray:
             top = np.linalg.eigvalsh(_dagger(x) @ x)[..., -1]
             out.append(np.sqrt(np.maximum(top, 0.0)).max(axis=-1))
     return _fold_max(out)
+
+
+# ---------------------------------------------------------------------------
+# The equality rule: every tol.eq decision of the exact checks
+# ---------------------------------------------------------------------------
+
+_SCALARS = AlgebraShape((1,))   # C: the rule compares scalars as 1 x 1 elements
+
+
+def scale_exponent(matrix: np.ndarray, bits: int) -> np.ndarray:
+    """0 when every entry of matrix is at most 2^bits in absolute value; otherwise
+    the e > 0 that puts the largest entry of matrix 2^-e in [2^(bits - 1), 2^bits).
+    One exponent per matrix of a stack (..., r, c).  Raises ValueError on NaN or
+    Inf entries.
+
+    The scaling is exact, so checks whose products or differences could
+    overflow compare operands scaled by 2^-e instead.
+    """
+    # an entry above 2^bits only when the sum of all squares is above 2^2bits (or NaN)
+    if np.vdot(matrix, matrix).real <= 2.0 ** (2 * bits):
+        return np.zeros(matrix.shape[:-2], dtype=int)
+    top = np.abs(matrix).max(axis=(-2, -1))
+    _finite(top)
+    return np.where(top > 2.0 ** bits, np.frexp(top)[1] - bits, 0)
+
+
+def _with_support(x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
+    """x[n] p (side "right") or p x[n] (side "left") for every n, one product per block.
+
+    x is (..., n, k, m, m) and p (..., k, m, m), with the leading axes of x:
+    each batch entry of x is multiplied by its own support.
+    """
+    lead, (n, k, m, _) = x.shape[:-4], x.shape[-4:]
+    p = p.reshape(-1, m, m)
+    if side == "right":
+        out = x.swapaxes(-4, -3).reshape(-1, n * m, m) @ p
+        return out.reshape(lead + (k, n, m, m)).swapaxes(-4, -3)
+    b = len(lead)
+    at = tuple(range(b))
+    out = p @ x.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(-1, m, n * m)
+    return out.reshape(lead + (k, m, n, m)).transpose(at + (b + 2, b, b + 1, b + 3))
+
+
+def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance,
+                    proj: np.ndarray | None = None, side: str = "right",
+                    unit: float | np.ndarray = 1.0) -> np.ndarray:
+    """Whether each entry of a batch of element pairs fails: the one equality rule.
+
+    lhs and rhs are the coordinates (..., coord_dim) on s of the two elements of
+    every entry; the result is a bool per entry (...).  With no support an
+    entry passes when max|lhs - rhs| <= tol.eq * max(unit, ||lhs||, ||rhs||),
+    the rule of `elem_equal`.  With supports, coordinates proj (..., coord_dim)
+    of one projection P per batch entry of the leading axes of lhs
+    (..., n, coord_dim), it passes when the operator norm of (lhs - rhs) P
+    (side "right") or P (lhs - rhs) (side "left") is within the same bound, the
+    rule of the a.e. checks.  ||.|| is the operator norm: the largest blockwise
+    one.  unit, broadcast against the entries, is the floor of each entry's
+    scale: 1 but for operands scaled by a power of two, where it is scaled
+    alike.  A scalar is an element of `_SCALARS`.
+
+    max-abs entry <= operator norm <= Frobenius norm, so cheap bounds settle
+    most entries.  With no support the deviation is the largest entry itself;
+    with one, it lies between the bounds of its product.  An entry whose
+    deviation is at most tol.eq * unit passes whatever its scale.  Otherwise
+    it passes under the upper bound on its deviation and the lower bound on
+    its scale, or fails under the lower bound on its deviation and the upper
+    bound on its scale.  Only the rest pay for exact operator norms.
+    """
+    diff = lhs - rhs
+    if proj is None:
+        dev_hi = np.maximum.reduce(np.abs(diff), axis=-1)
+    else:
+        diff = [_with_support(x, p, side) for x, p in zip(_stacks(s, diff), _stacks(s, proj))]
+        dev_hi = _upper(diff)
+    fail = dev_hi > tol.eq * unit   # the live entries; True stays only where they fail
+    if not _some(fail):
+        return fail
+    shape = fail.shape
+    fail, dev_hi = fail.reshape(-1), dev_hi.reshape(-1)   # one flat run of entries
+    live = np.flatnonzero(fail)
+    lhs, rhs = (_stacks(s, x.reshape(-1, s.coord_dim)[live]) for x in (lhs, rhs))
+    dev_hi, unit = dev_hi[live], np.full(shape, unit).reshape(-1)[live]
+    if proj is None:
+        dev_lo = dev_hi
+    else:
+        diff = [x.reshape((-1,) + x.shape[-3:])[live] for x in diff]
+        dev_lo = _lower(diff)
+    out = dev_lo > tol.eq * np.maximum(unit, np.maximum(_upper(lhs), _upper(rhs)))
+    open_ = ~out & (dev_hi > tol.eq * np.maximum(unit, np.maximum(_lower(lhs), _lower(rhs))))
+    if open_.any():
+        def pick(xs):
+            return [x[open_] for x in xs]
+        dev = dev_hi[open_] if proj is None else _op_norm(pick(diff))
+        scale = np.maximum(_op_norm(pick(lhs)), _op_norm(pick(rhs)))
+        out[open_] = dev > tol.eq * np.maximum(unit[open_], scale)
+    fail[live] = out
+    return fail.reshape(shape)
 
 
 def _hermitian(xs: Stacks) -> Stacks:

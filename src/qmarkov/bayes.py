@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     SupportNotFull,
 )
-from .state import State, ae_deterministic, pullback_state
+from .state import State, _check_side, ae_deterministic, pullback_state
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -110,8 +110,7 @@ def verify_bayes(f: Channel, omega: State, xi: State, g: Channel, side: str = "l
     Both sides are bilinear in (A, B), so matrix units decide them exactly;
     the pair grid is evaluated in closed form from the channel matrices.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     if g.domain != f.codomain or g.codomain != f.domain:
         raise ShapeMismatch("candidate must run opposite to the channel")
     if omega.shape != f.codomain or xi.shape != f.domain:
@@ -140,6 +139,8 @@ def _bayes_report(f: Channel, g: Channel, sigma: np.ndarray, rho: np.ndarray, si
     lhs, rhs = _bayes_sides(f, g, sigma, rho, side)
     dev = np.abs(lhs - rhs)
     worst = float(dev.max())
+    # the equality rule on scalars, written out because the report names the worst pair,
+    # the largest excess over the bound, where the rule finds the first failing one
     if worst > tol.eq:   # every bound is at least tol.eq, so a smaller deviation passes
         bound = tol.eq * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         if np.any(dev > bound):
@@ -213,8 +214,8 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
         right = _grid.images(f.codomain, f.matrix @ _grid.times_unit(f.domain, sigma, units))
         left = _grid.images(f.codomain,
                             f.matrix @ _grid.times_unit(f.domain, sigma, units, left=True))
-        return ([(x @ r)[None] for x, r in zip(right, rho)],
-                [(r @ x)[None] for x, r in zip(left, rho)])
+        return (alg._join(f.codomain, [x @ r for x, r in zip(right, rho)])[None],
+                alg._join(f.codomain, [r @ x for x, r in zip(left, rho)])[None])
 
     bad, = _grid.first_failure(f.codomain, f.domain.coord_dim, 1, operands, tol)
     if bad is not None:
@@ -264,8 +265,7 @@ def _disintegration(
     # omega(E_ij) = rho_ji, and xi(X) pairs the coordinates of X with those of sigma^T
     lhs = _transposed_coords(xi.density) @ g.matrix
     rhs = _transposed_coords(omega.density)
-    dev = np.abs(lhs - rhs)
-    fails = dev > tol.eq * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    fails = alg.failing_entries(alg._SCALARS, lhs[:, None], rhs[:, None], tol)
     if fails.any():
         bad = int(fails.argmax())
         return _report(

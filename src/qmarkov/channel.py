@@ -454,7 +454,7 @@ def is_positive_sampled(
     Above 2^500 the images are formed from F 2^-e, whose entries are at most
     2^500, and decided scaled by 2^-e, as `is_schwarz_sampled` decides its gap.
     """
-    e = _grid.scale_exponent(f.matrix, 500)
+    e = alg.scale_exponent(f.matrix, 500)
     m = f.matrix * np.ldexp(1.0, -e) if e else f.matrix
     return _sampled_check(
         f, "positive", trials, seed, tol,
@@ -474,7 +474,7 @@ def is_schwarz_sampled(
     so that term is not lost to the other's exponent.  A failure then reports
     the eigenvalue of the scaled gap.
     """
-    e = _grid.scale_exponent(f.matrix, 250)
+    e = alg.scale_exponent(f.matrix, 250)
     m = f.matrix * np.ldexp(1.0, -e) if e else f.matrix
     unit_norm = alg.norm(alg._adopt(f.codomain, m @ alg.vec(alg.unit(f.domain))))
 
@@ -516,9 +516,10 @@ def s_positivity_equation(
         def operands(_, r0, r1):   # one trial
             rows = np.repeat(gm[:, r0:r1], d, axis=1)
             inner = _grid.times_unit(f.domain, rows, np.tile(np.arange(d), r1 - r0))  # G(E_c) E_b
-            lhs = _grid.images(f.codomain, fm @ inner)
-            return ([(x * c if e else x)[None] for x in lhs],
-                    [_grid.products(x[r0:r1], y)[None] for x, y in zip(outer, img)])
+            lhs = (fm @ inner).T
+            return ((lhs * c if e else lhs)[None],
+                    alg._join(f.codomain, [_grid.products(x[r0:r1], y)
+                                           for x, y in zip(outer, img)])[None])
 
         return _grid.first_failure(f.codomain, g.domain.coord_dim, d, operands, tol,
                                    unit=np.ldexp(1.0, -(2 * e + k)))[0]
@@ -527,7 +528,7 @@ def s_positivity_equation(
         with np.errstate(over="raise", invalid="raise"):
             bad = grid(0, 0)
     except FloatingPointError:
-        bad = grid(_grid.scale_exponent(f.matrix, 250), _grid.scale_exponent(g.matrix, 500))
+        bad = grid(alg.scale_exponent(f.matrix, 250), alg.scale_exponent(g.matrix, 500))
     if bad is not None:
         ci, bi = divmod(bad, d)
         return _report(

@@ -129,7 +129,8 @@ def _from_densities(s: AlgebraShape, densities: np.ndarray,
         hs, [x - alg._dagger(x) for x in xs], 1.0, tol,
         [w[..., ::-1] for w, _, _ in stacks])   # ascending
     tr = alg._trace_coords(s, v)
-    refused = not_self_adjoint | negative | (abs(tr - 1.0) > tol.eq * np.maximum(1.0, abs(tr)))
+    refused = not_self_adjoint | negative | alg.failing_entries(
+        alg._SCALARS, tr[:, None], np.ones((len(tr), 1)), tol)
     if refused.any():
         i = refused.argmax()
         if not_self_adjoint[i]:
@@ -175,7 +176,7 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
         raise PullbackNotPSD("pullback density has a negative eigenvalue")
     sym = alg._adopt(s, alg._join(s, herm))
     tr = alg.trace(sym)
-    if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
+    if alg.failing_entries(alg._SCALARS, np.array([tr]), alg._unit_coords(alg._SCALARS), tol):
         raise PullbackNotPSD(f"pullback density has trace {tr}, expected 1")
     return State(s, sym, spec)
 
@@ -195,9 +196,12 @@ class NullspaceTest:
         _check_side(self.side)
 
     def contains(self, a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Whether A P (or P A) equals 0 under the equality rule, at the scale max(1, ||A||)."""
         p = self.state.support
-        prod = alg.mul(a, p) if self.side == "right" else alg.mul(p, a)
-        return alg.norm(prod) <= tol.eq * tol.scale(alg.norm(a))
+        alg._check_same_shape(*((a, p) if self.side == "right" else (p, a)))
+        s = a.shape
+        return not alg.failing_entries(s, alg.vec(a)[None], np.zeros((1, s.coord_dim)), tol,
+                                       alg.vec(p), self.side)[0]
 
 
 def _check_side(side: str):

@@ -447,7 +447,7 @@ def is_cp_spectral(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     for ys, stacks in _grid.choi_blocks(f):
         pick = open_[ys]
         if pick.any():
-            scale[ys[pick]] = np.maximum(1.0, _grid._op_norm([c[pick] for c in stacks]))
+            scale[ys[pick]] = np.maximum(1.0, alg._op_norm([c[pick] for c in stacks]))
     not_herm = skew > tol.herm * scale
     bad = not_herm | (low < -tol.psd * scale)
     if not bad.any():
@@ -797,6 +797,20 @@ def pullback_density(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL):
     if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
         raise PullbackNotPSD(f"pullback density has trace {tr}, expected 1")
     return sym, spectrum(sym, tol)
+
+
+def state_error(rho: AlgElement, tol: Tolerance = DEFAULT_TOL):
+    """What `state_from_density` raises, as (type, message), or (None, None): the
+    positivity test of is_positive_elem, then the trace."""
+    try:
+        if not is_positive_elem(rho, tol):
+            return ValueError, "density is not positive semidefinite within tolerance"
+    except NotSelfAdjoint as exc:
+        return NotSelfAdjoint, str(exc)
+    tr = alg.trace(rho)
+    if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
+        return ValueError, f"density trace {tr} is not 1 within tolerance"
+    return None, None
 
 
 def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:

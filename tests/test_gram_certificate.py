@@ -70,7 +70,7 @@ def _grid_deviation(f, adjoint, omega=None, side="right") -> float:
     if not adjoint:
         return float(alg._max_abs(diff).max())
     proj = alg._element_stacks(omega.support)
-    return float(alg._op_norm([_grid._with_support(x, p, side)
+    return float(alg._op_norm([alg._with_support(x, p, side)
                                for x, p in zip(diff, proj)]).max())
 
 

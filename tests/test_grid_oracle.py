@@ -99,15 +99,24 @@ def _perturbed(f: Channel, eps: float, rng, star: bool = False) -> Channel:
 
 @pytest.fixture
 def exact_norms(monkeypatch):
-    """Counts the entries that needed an exact operator norm."""
-    seen = []
-    exact = _grid._op_norm
+    """Counts the entries that needed an exact operator norm in the equality rule."""
+    seen, inside = [], []
+    exact, rule = alg._op_norm, alg.failing_entries
 
     def counting(xs):
-        seen.append(len(xs[0]))
+        if inside:
+            seen.append(len(xs[0]))
         return exact(xs)
 
-    monkeypatch.setattr(_grid, "_op_norm", counting)
+    def deciding(*args, **kw):
+        inside.append(1)
+        try:
+            return rule(*args, **kw)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(alg, "_op_norm", counting)
+    monkeypatch.setattr(alg, "failing_entries", deciding)
     return seen
 
 

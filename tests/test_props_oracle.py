@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from qmarkov import _grid, corpus, props, state
+from qmarkov import corpus, props, state
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.state import state_from_density
@@ -96,9 +96,9 @@ def test_state_suite_matches_the_trial_loops_on_more_seeds(monkeypatch, seed):
 def _flips_left_entries(real):
     # the left side reverses the verdict of every entry whose first operand has a (0, 0)
     # entry above 1.5 in modulus, so it hits some trials of a seed and misses others
-    def entries(lhs, rhs, tol, proj=None, side="right", unit=1.0):
-        fail = real(lhs, rhs, tol, proj, side, unit)
-        return fail ^ (np.abs(lhs[0][..., 0, 0, 0]) > 1.5) if side == "left" else fail
+    def entries(s, lhs, rhs, tol, proj=None, side="right", unit=1.0):
+        fail = real(s, lhs, rhs, tol, proj, side, unit)
+        return fail ^ (np.abs(lhs[..., 0]) > 1.5) if side == "left" else fail
 
     return entries
 
@@ -114,7 +114,7 @@ def _drops_some_supports(real):
     return decompose
 
 
-@pytest.mark.parametrize("owner, attr, fault", [(_grid, "failing_entries", _flips_left_entries),
+@pytest.mark.parametrize("owner, attr, fault", [(alg, "failing_entries", _flips_left_entries),
                                                 (state, "_decompose", _drops_some_supports)])
 def test_state_trials_agree_under_a_fault_on_some_trials(monkeypatch, owner, attr, fault):
     seeds = range(12)

@@ -303,20 +303,6 @@ def test_is_positive_elem_falls_back_for_non_self_adjoint_and_large_elements():
     assert alg.is_positive_elem(alg.unvec(AlgebraShape((2,)), [1e306, 0, 0, 1e306]))
 
 
-def _parent_state_error(rho: AlgElement, tol: Tolerance):
-    """What state_from_density raised before it read one spectrum: the positivity
-    test of is_positive_elem, then the trace."""
-    try:
-        if not ref.is_positive_elem(rho, tol):
-            return ValueError, "density is not positive semidefinite within tolerance"
-    except NotSelfAdjoint as exc:
-        return NotSelfAdjoint, str(exc)
-    tr = alg.trace(rho)
-    if abs(tr - 1.0) > tol.eq * tol.scale(abs(tr)):
-        return ValueError, f"density trace {tr} is not 1 within tolerance"
-    return None, None
-
-
 def _state_error(rho: AlgElement, tol: Tolerance):
     try:
         state_from_density(rho, tol)
@@ -343,7 +329,7 @@ def _densities(rng):
 
 def test_state_from_density_fails_as_before():
     for rho, tol in _densities(np.random.default_rng(11)):
-        assert _state_error(rho, tol) == _parent_state_error(rho, tol)
+        assert _state_error(rho, tol) == ref.state_error(rho, tol)
 
 
 def test_state_from_density_takes_the_exact_norm_only_between_the_bounds(monkeypatch):
@@ -361,7 +347,7 @@ def test_state_from_density_takes_the_exact_norm_only_between_the_bounds(monkeyp
         calls.clear()
         got = _state_error(rho, tol)
         assert bool(calls) is opened
-        assert got == _parent_state_error(rho, tol)
+        assert got == ref.state_error(rho, tol)
         outcomes.add(got[0])
     assert outcomes == {ValueError, None}
 
@@ -451,7 +437,7 @@ _CALLERS = {
     ),
     "state_from_density": (
         lambda x, tol: _state_error(_elem(x), tol),
-        lambda x, tol: _parent_state_error(_elem(x), tol),
+        lambda x, tol: ref.state_error(_elem(x), tol),
         lambda a=alg.random_density(AlgebraShape((3, 3)), np.random.default_rng(6)):
             state_from_density(a),
     ),
@@ -499,15 +485,14 @@ _TOLERANCE_PLACES = {("algebra", "_psd_verdicts"), ("algebra", "_psd_pass"),
                      ("state", "pullback_state"), ("linalg", "_decompose")}
 
 
-def _tolerance_comparisons(source: str) -> set[str | None]:
+def _tolerance_comparisons(source: str, attrs=("psd", "herm")) -> set[str | None]:
     """The top-level functions and classes (None outside any) of source holding a
-    comparison with an operand that reads an attribute `psd` or `herm`."""
+    comparison with an operand that reads an attribute named in attrs."""
     found = set()
     for node in ast.parse(source).body:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Compare) and any(
-                    isinstance(a, ast.Attribute) and a.attr in ("psd", "herm")
-                    for a in ast.walk(sub)):
+                    isinstance(a, ast.Attribute) and a.attr in attrs for a in ast.walk(sub)):
                 found.add(getattr(node, "name", None))
     return found
 
@@ -517,13 +502,33 @@ def test_tolerance_guard_sees_every_comparison_form():
                 "def f(t):\n    def g():\n        return (low\n                < -t.psd)",
                 "class C:\n    def m(self, tol):\n        return x >= tol.psd * s"):
         assert _tolerance_comparisons(bad), bad
+        assert not _tolerance_comparisons(bad, ("eq",)), bad
     for fine in ("x = tol.psd * s", "_report('cp', True, tol.psd)", "x <= tol.eq * s",
                  "# low < -tol.psd * s", "'low < -tol.psd * s'"):
         assert not _tolerance_comparisons(fine), fine
+    assert _tolerance_comparisons("x <= tol.eq * s", ("eq",)) == {None}
+
+
+def _sources():
+    return sorted((Path(__file__).resolve().parents[1] / "src" / "qmarkov").glob("*.py"))
 
 
 def test_only_the_rule_compares_against_the_psd_and_herm_tolerances():
-    src = Path(__file__).resolve().parents[1] / "src" / "qmarkov"
-    places = {(path.stem, name) for path in sorted(src.glob("*.py"))
+    places = {(path.stem, name) for path in _sources()
               for name in _tolerance_comparisons(path.read_text())}
     assert places == _TOLERANCE_PLACES
+
+
+# the equality rule is `algebra.failing_entries`; two places compare against tol.eq on
+# their own: the Gram certificate's cap in `_grid.multiplicative_failure` (a bound on
+# every entry of a pair grid, below which the grid need not run) and `bayes._bayes_report`,
+# whose entrywise bound also finds the worst pair the report names
+_EQ_PLACES = {("algebra", "failing_entries"), ("_grid", "multiplicative_failure"),
+              ("bayes", "_bayes_report")}
+_EQ_MODULES = {"algebra", "_grid", "channel", "state", "bayes", "finstoch", "linalg"}
+
+
+def test_only_the_rule_compares_against_the_eq_tolerance():
+    places = {(path.stem, name) for path in _sources() if path.stem in _EQ_MODULES
+              for name in _tolerance_comparisons(path.read_text(), ("eq",))}
+    assert places == _EQ_PLACES

@@ -1,11 +1,13 @@
-"""The one-pass star test of `is_star_preserving` against its loop, and scaled operands.
+"""The star test of `is_star_preserving` against its loop, and scaled operands.
 
-Column a of D = M[:, adj_dom] - conj(M[adj_cod, :]) holds the entries of the
-unit grid's difference F(E_a*) - F(E_a)*, so max|D| <= tol.eq passes every
-unit without the grid; any other unit runs the grid.  These tests move one
-entry of a star-preserving map so that the deviation lands on either side of
-tol.eq, on shapes whose columns span several chunks, and compare the verdict
-and the witness with `loop_reference.is_star_preserving`.
+`_grid.star_failure` reads F(E_a*) and F(E_a)* for chunks of units and decides
+them by `alg.failing_entries`, the one equality rule.  With no support the
+rule's first test is max|F(E_a*) - F(E_a)*| <= tol.eq, so a star-preserving
+map passes without any norm; only a unit that test declines reaches the cheap
+bounds on its scale, and only a unit those leave open the exact norm.  These
+tests move one entry of a star-preserving map so that the deviation lands on
+either side of tol.eq, on shapes whose columns span several chunks, and
+compare the verdict and the witness with `loop_reference.is_star_preserving`.
 """
 import json
 import warnings
@@ -14,7 +16,6 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from qmarkov import _grid
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape
 from qmarkov.channel import (
@@ -59,11 +60,15 @@ def _key(report):
     return report.verdict, {k: tuple(b.tobytes() for b in v.blocks) for k, v in witness.items()}
 
 
-def _grid_calls(monkeypatch) -> list:
-    calls = []
-    original = _grid.first_failure
-    monkeypatch.setattr(_grid, "first_failure",
-                        lambda *args, **kw: calls.append(1) or original(*args, **kw))
+def _rule_stages(monkeypatch) -> dict:
+    """Counts the calls of the rule's scale bounds (`alg._upper`; with no support the
+    first test reads none) and of its exact norms (`alg._op_norm`)."""
+    calls = {"bounds": 0, "exact": 0}
+    for stage, name in (("bounds", "_upper"), ("exact", "_op_norm")):
+        def counting(xs, stage=stage, real=getattr(alg, name)):
+            calls[stage] += 1
+            return real(xs)
+        monkeypatch.setattr(alg, name, counting)
     return calls
 
 
@@ -79,19 +84,20 @@ def test_moved_entry_agrees_with_the_loop(blocks, monkeypatch):
     s = AlgebraShape(blocks)
     rng = np.random.default_rng(list(blocks))
     base = _star_preserving(s, rng, 0.25)   # every scale is 1: a deviation above tol.eq fails
-    calls = _grid_calls(monkeypatch)
-    assert is_star_preserving(Channel(s, s, base)).passed and not calls
+    calls = _rule_stages(monkeypatch)
+    assert is_star_preserving(Channel(s, s, base)).passed and calls == {"bounds": 0, "exact": 0}
     adj = alg.adjoint_index(s)
     for c, a in _units(s):
         for delta in DEVIATIONS:
             m = _move(base, s, c, a, delta)
             dev = np.abs(m[:, adj] - m[alg.adjoint_index(s)].conj()).max()
             assert dev == delta
-            before = len(calls)
+            before = calls["bounds"]
             got = is_star_preserving(Channel(s, s, m))
+            # the bounds run on declined units only, and settle them: every scale is 1
+            assert (calls["bounds"] > before) == (delta > TOL.eq) and not calls["exact"]
             assert _key(got) == _key(ref.is_star_preserving(Channel(s, s, m))), (c, a, delta)
             assert got.passed == (delta <= TOL.eq)
-            assert (len(calls) > before) == (delta > TOL.eq)   # the grid runs on declines only
             if not got.passed:   # the first of the unit and its mirror
                 assert int(np.flatnonzero(alg.vec(got.witness["input"]))[0]) == min(a, adj[a])
 
@@ -111,14 +117,14 @@ def test_every_unit_is_read(blocks):
 
 @pytest.mark.parametrize("blocks", [(2,), (2, 1, 2), (12,)])
 def test_a_large_map_passes_in_the_grid(blocks, monkeypatch):
-    """Images of norm about 1e3 raise the grid's bound to 1e3 tol.eq: the one-pass test
-    declines a deviation of 2 tol.eq, and the grid passes it."""
+    """Images of norm about 1e3 raise the rule's bound to 1e3 tol.eq: its first test
+    declines a deviation of 2 tol.eq, and the bounds on the scale pass it."""
     s = AlgebraShape(blocks)
     rng = np.random.default_rng([3, *blocks])
     m = _move(_star_preserving(s, rng, 1e3), s, 1, 0, 2 * TOL.eq)
-    calls = _grid_calls(monkeypatch)
+    calls = _rule_stages(monkeypatch)
     got = is_star_preserving(Channel(s, s, m))
-    assert got.passed and calls
+    assert got.passed and calls["bounds"]
     assert _key(got) == _key(ref.is_star_preserving(Channel(s, s, m)))
 
 
