@@ -198,9 +198,10 @@ def equal_failure(s: AlgebraShape, left: np.ndarray, right: np.ndarray, tol: Tol
                   supports: list[AlgElement] | None = None,
                   side: str = "right") -> list[int | None]:
     """Per trial of the matrices left (T, coord_dim, d) of maps F and right of maps G
-    into s: the index of the first unit E_a where (F - G)(E_a) does not vanish on
-    the trial's support, on the given side, or where F(E_a) != G(E_a) with no
-    supports, decided as `first_failure` decides it; None when every unit passes.
+    into s, or right (1, coord_dim, d) of one map G for every trial: the index of
+    the first unit E_a where (F - G)(E_a) does not vanish on the trial's support,
+    on the given side, or where F(E_a) != G(E_a) with no supports, decided as
+    `first_failure` decides it; None when every unit passes.
 
     As in `star_failure`, a trial whose entries exceed 2^500 compares both maps
     scaled by 2^-e, the larger exponent of the two, with the floor 1 scaled
@@ -305,9 +306,10 @@ def first_failure(
     return out
 
 
-def _live(x: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The entries live of x along its leading trial axis: x itself if all are live."""
-    return x if len(live) == len(x) else x[live]
+def _live(x: np.ndarray, live) -> np.ndarray:
+    """The entries live of x along its leading trial axis: x itself if all are live, or
+    if x holds one entry that every trial shares and some trial is live."""
+    return x if len(live) == len(x) or (len(x) == 1 and len(live)) else x[live]
 
 
 # ---------------------------------------------------------------------------

@@ -626,7 +626,8 @@ def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tole
     rule of the a.e. checks.  ||.|| is the operator norm: the largest blockwise
     one.  unit, broadcast against the entries, is the floor of each entry's
     scale: 1 but for operands scaled by a power of two, where it is scaled
-    alike.  A scalar is an element of `_SCALARS`.
+    alike.  A scalar is an element of `_SCALARS`.  lhs and rhs broadcast against
+    each other.
 
     max-abs entry <= operator norm <= Frobenius norm, so cheap bounds settle
     most entries.  With no support the deviation is the largest entry itself;
@@ -637,6 +638,7 @@ def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tole
     bound on its scale.  Only the rest pay for exact operator norms.
     """
     diff = lhs - rhs
+    diff_shape = diff.shape
     if proj is None:
         dev_hi = np.maximum.reduce(np.abs(diff), axis=-1)
     else:
@@ -648,6 +650,8 @@ def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tole
     shape = fail.shape
     fail, dev_hi = fail.reshape(-1), dev_hi.reshape(-1)   # one flat run of entries
     live = np.flatnonzero(fail)
+    lhs, rhs = (x if x.shape == diff_shape else np.broadcast_to(x, diff_shape)
+                for x in (lhs, rhs))
     lhs, rhs = (_stacks(s, x.reshape(-1, s.coord_dim)[live]) for x in (lhs, rhs))
     dev_hi, unit = dev_hi[live], np.full(shape, unit).reshape(-1)[live]
     if proj is None:

@@ -8,12 +8,13 @@ genuinely differ for candidates that are not star-preserving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import _grid
 from . import algebra as alg
-from .algebra import AlgElement
+from .algebra import AlgebraShape, AlgElement
 from .channel import (
     Channel,
     PropertyReport,
@@ -261,32 +262,63 @@ def verify_disintegration(
 def _disintegration(
     f: Channel, omega: State, g: Channel, xi: State, tol: Tolerance
 ) -> PropertyReport:
-    """`verify_disintegration` given the pullback xi = omega o f."""
+    """`verify_disintegration` given the pullback xi = omega o f: a batch of one of
+    `_disintegrations`."""
+    return _disintegrations(f.domain, f.codomain, f.matrix[None], g.matrix[None],
+                            alg.vec(omega.density)[None], alg.vec(xi.density)[None],
+                            [xi.support], tol)[0]
+
+
+def _disintegrations(dom: AlgebraShape, cod: AlgebraShape, f: np.ndarray, g: np.ndarray,
+                     rho: np.ndarray, sigma: np.ndarray, supports: list[AlgElement],
+                     tol: Tolerance) -> list[PropertyReport]:
+    """Per trial t, the report of `verify_disintegration` for the channel with matrix
+    f[t] (cod_dim, dom_dim) from dom to cod, the candidate g[t] (dom_dim, cod_dim),
+    the prior on cod with density coordinates rho[t], and its pullback, with
+    density coordinates sigma[t] and support supports[t].
+
+    State preservation is decided for all trials by one `failing_entries` call,
+    and the a.e. section of the trials that preserve their states by one
+    `_grid.equal_failure` call, each G o F under its own pullback's support.
+    Each product is the one a batch of one forms, so every trial gets the
+    report its batch of one gives.
+    """
     # omega(E_ij) = rho_ji, and xi(X) pairs the coordinates of X with those of sigma^T
-    lhs = _transposed_coords(xi.density) @ g.matrix
-    rhs = _transposed_coords(omega.density)
-    fails = alg.failing_entries(alg._SCALARS, lhs[:, None], rhs[:, None], tol)
-    if fails.any():
-        bad = int(fails.argmax())
-        return _report(
-            "disintegration", False, tol.eq,
-            witness={"input": _grid.unit(f.codomain, bad),
-                     "lhs": complex(lhs[bad]), "rhs": complex(rhs[bad])},
-            detail="state preservation fails: xi(G(A)) != omega(A)",
-        )
-    # G o F against the identity, as ae_equal compares them, with the finiteness check of
-    # the composite channel
-    gf = g.matrix @ f.matrix
-    alg._finite(gf)
-    bad, = _grid.equal_failure(f.domain, gf[None], np.eye(f.domain.coord_dim, dtype=complex)[None],
-                               tol, [xi.support])
-    if bad is not None:
-        return _report(
-            "disintegration", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},
-            detail="G o F is not a.e. equal to the identity",
-        )
-    return _report("disintegration", True, tol.eq,
-                   detail="state preservation and a.e. section both hold")
+    lhs = (sigma.take(alg.adjoint_index(dom), -1)[:, None] @ g)[:, 0]
+    rhs = rho.take(alg.adjoint_index(cod), -1)
+    fails = alg.failing_entries(alg._SCALARS, lhs[..., None], rhs[..., None], tol)
+    broken = fails.any(axis=-1).tolist()
+    live = [t for t, b in enumerate(broken) if not b]
+    # G o F against the identity, as ae_equal compares them; equal_failure raises
+    # ValueError on a NaN or Inf entry of a composite
+    gf = _grid._live(g, live) @ _grid._live(f, live)
+    section = iter(_grid.equal_failure(dom, gf, _identity(dom.coord_dim)[None], tol,
+                                       [supports[t] for t in live]))
+    out = []
+    for t, b in enumerate(broken):
+        if b:
+            a = int(fails[t].argmax())
+            out.append(_report(
+                "disintegration", False, tol.eq,
+                witness={"input": _grid.unit(cod, a),
+                         "lhs": complex(lhs[t, a]), "rhs": complex(rhs[t, a])},
+                detail="state preservation fails: xi(G(A)) != omega(A)"))
+            continue
+        a = next(section)
+        if a is None:
+            out.append(_report("disintegration", True, tol.eq,
+                               detail="state preservation and a.e. section both hold"))
+        else:
+            out.append(_report(
+                "disintegration", False, tol.eq, witness={"input": _grid.unit(dom, a)},
+                detail="G o F is not a.e. equal to the identity"))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity matrix, read-only: the matrix of the identity channel."""
+    return alg._read_only(np.eye(d, dtype=complex))
 
 
 def commutative_disintegration(

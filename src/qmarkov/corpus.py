@@ -18,9 +18,10 @@ from . import _grid
 from . import algebra as alg
 from . import finstoch as fs
 from .algebra import AlgebraShape, AlgElement
-from .bayes import bayes_problem, verify_bayes, verify_disintegration
+from .bayes import _disintegrations, bayes_problem, verify_bayes, verify_disintegration
 from .channel import (
     Channel,
+    PropertyReport,
     _kron,
     _owned,
     ad_channel,
@@ -43,7 +44,8 @@ from .channel import (
 )
 from .errors import UnknownFixture
 from .linalg import herm_eig
-from .state import State, ae_deterministic, ae_equal, pullback_state, state_from_density
+from .state import (State, _from_densities, _pullback, _supports, ae_deterministic, ae_equal,
+                    pullback_state, state_from_density)
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
@@ -279,49 +281,62 @@ def kl_channels(gamma: float) -> tuple[Channel, Channel, Channel, Channel]:
     return chan_e, chan_r, f, g
 
 
-def _build_kl_single(gamma: float, n_states: int = 8, seed: int = 0) -> list[CheckResult]:
-    chan_e, chan_r, f, g = kl_channels(gamma)
-    checks = []
-    # the Heisenberg Kraus channel sends 1 to sum K_i* K_i
-    checks.append(_check(f"sum R_i* R_i = 1 (gamma={gamma})", is_unital(chan_r).passed))
-    checks.append(_check(f"error channel is unital (gamma={gamma})", is_unital(chan_e).passed))
-    checks.append(_check(f"F o G = id on M_2 (gamma={gamma})",
-                         _same_map(compose(f, g), identity_channel(f.codomain))))
-    checks.append(_check(f"recovery is deterministic (gamma={gamma})", is_deterministic(g).passed))
-    checks.append(_check(f"error map is CP (gamma={gamma})", is_cp(f).passed))
-    checks.append(_check(f"recovery map is CP (gamma={gamma})", is_cp(g).passed))
-
-    rng = np.random.default_rng(seed)
-    all_good = True
-    for _ in range(n_states):
-        omega = state_from_density(alg.random_density(AlgebraShape((2,)), rng))
-        # the triple is (recovery, omega o F, omega): the error map plays the
-        # disintegration and the transported state lives on the big algebra
-        transported = pullback_state(omega, f)
-        rep = verify_disintegration(g, transported, f)
-        all_good = all_good and rep.passed
-    checks.append(
-        _check(
+def _build_kl(gammas, n_states: int = 8, seed: int = 0) -> list[CheckResult]:
+    """The checks of the code at every damping strength of gammas, in order: six of
+    its channels, then whether the error map disintegrates the recovery for the
+    n_states states of `_kl_reports`."""
+    checks, pairs = [], []
+    for gamma in gammas:
+        chan_e, chan_r, f, g = kl_channels(gamma)
+        checks.append([
+            # the Heisenberg Kraus channel sends 1 to sum K_i* K_i
+            _check(f"sum R_i* R_i = 1 (gamma={gamma})", is_unital(chan_r).passed),
+            _check(f"error channel is unital (gamma={gamma})", is_unital(chan_e).passed),
+            _check(f"F o G = id on M_2 (gamma={gamma})",
+                   _same_map(compose(f, g), identity_channel(f.codomain))),
+            _check(f"recovery is deterministic (gamma={gamma})", is_deterministic(g).passed),
+            _check(f"error map is CP (gamma={gamma})", is_cp(f).passed),
+            _check(f"recovery map is CP (gamma={gamma})", is_cp(g).passed),
+        ])
+        pairs.append((f, g))
+    out = []
+    for gamma, six, reports in zip(gammas, checks, _kl_reports(pairs, n_states, seed)):
+        out += six + [_check(
             f"error disintegrates recovery for {n_states} sampled states (gamma={gamma})",
-            all_good,
-        )
-    )
-    return checks
+            all(r.passed for r in reports))]
+    return out
+
+
+def _kl_reports(pairs, n_states: int, seed: int) -> list[list[PropertyReport]]:
+    """Per pair (F, G) of an error map F: M_8 ~> M_2 and a recovery G: M_2 ~> M_8, the
+    report of verify_disintegration(G, omega o F, F) for n_states states omega of M_2.
+
+    The states are drawn once, as n_states successive `alg.random_density` calls
+    from the seed draw them, and every pair uses them.  In each triple the error
+    map plays the disintegration, and the transported state omega o F lives on
+    the big algebra.  All pullbacks and disintegrations are decided as one stack,
+    pair by pair, and every row as its own call decides it.
+    """
+    m2, m8 = AlgebraShape((2,)), AlgebraShape((8,))
+    z = alg._random_coords(m2, np.random.default_rng(seed), (n_states,))
+    p = alg._mul_coords(m2, alg._adjoint_coords(m2, z), z)   # Z* Z, as random_positive forms it
+    rho = p * (1.0 / alg._trace_coords(m2, p).real)[:, None]
+    _from_densities(m2, rho)   # each is a state, as state_from_density decides it
+    f_all = np.repeat(np.array([f.matrix for f, _ in pairs]), n_states, axis=0)
+    g_all = np.repeat(np.array([g.matrix for _, g in pairs]), n_states, axis=0)
+    transported, _ = _pullback(m8, np.tile(rho, (len(pairs), 1)), f_all)
+    sigma, stacks = _pullback(m2, transported, g_all)
+    reports = _disintegrations(m2, m8, g_all, f_all, transported, sigma, _supports(m2, stacks),
+                               DEFAULT_TOL)
+    return [reports[i * n_states:(i + 1) * n_states] for i in range(len(pairs))]
 
 
 def knill_laflamme(gamma: float = 0.5) -> Fixture:
     return Fixture(
         "knill-laflamme",
         "three-qubit phase code with recovery, parameterized by damping",
-        lambda: _build_kl_single(gamma),
+        lambda: _build_kl((gamma,)),
     )
-
-
-def _build_kl_all() -> list[CheckResult]:
-    out = []
-    for gamma in (0.0, 0.25, 0.5, 1.0):
-        out.extend(_build_kl_single(gamma))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +772,7 @@ def _register(name: str, location: str, builder: Callable[[], list[CheckResult]]
 
 _register("hamming-7-4", "binary (7,4) block code with syndrome decoding", _build_hamming)
 _register("knill-laflamme", "three-qubit phase code with recovery, four damping strengths",
-          _build_kl_all)
+          lambda: _build_kl((0.0, 0.25, 0.5, 1.0)))
 _register("transpose-spos", "transpose map breaks the S-positivity equation",
           _build_transpose_spos)
 _register("mu-norm", "norm growth of the multiplication map on M_n", _build_mu_norm)

@@ -64,8 +64,20 @@ class Spectrum:
 
     def _function(self, values) -> AlgElement:
         """sum_i v_i u_i u_i* per block, for eigenvalue functions v."""
-        return alg._adopt(self.shape, alg._join(self.shape, [
-            (u * v[:, None, :]) @ alg._dagger(u) for (_, u, _), v in zip(self.stacks, values)]))
+        return alg._adopt(self.shape, _spectral(self.shape, self.stacks, values))
+
+
+def _spectral(s: AlgebraShape, stacks: tuple, values) -> np.ndarray:
+    """The coordinates (..., coord_dim) of sum_i v_i u_i u_i* per block, from `Spectrum`
+    stacks with leading axes (...) and the eigenvalue functions v (..., k, m) per block size."""
+    return alg._join(s, [(u * v[..., None, :]) @ alg._dagger(u)
+                         for (_, u, _), v in zip(stacks, values)])
+
+
+def _supports(s: AlgebraShape, stacks: tuple) -> list[AlgElement]:
+    """The support projection of every state of a batch, from its `Spectrum` stacks
+    (N, k, m) and (N, k, m, m): the elements `Spectrum.support` gives, in one product."""
+    return [alg._adopt(s, p) for p in _spectral(s, stacks, [k for _, _, k in stacks])]
 
 
 def _decompose(herm: alg.Stacks, tol: Tolerance) -> tuple:
@@ -138,9 +150,15 @@ def _from_densities(s: AlgebraShape, densities: np.ndarray,
         if negative[i]:
             raise ValueError("density is not positive semidefinite within tolerance")
         raise ValueError(f"density trace {complex(tr[i])} is not 1 within tolerance")
-    return [State(s, alg._adopt(s, v[i]),
+    return _states(s, v, stacks)
+
+
+def _states(s: AlgebraShape, coords: np.ndarray, stacks: tuple) -> list[State]:
+    """The state of every row of coords (N, coord_dim), with the `Spectrum` stacks
+    (N, k, m) and (N, k, m, m) of its rows, as `_decompose` returns them."""
+    return [State(s, alg._adopt(s, coords[i]),
                   Spectrum(s, tuple([(w[i], u[i], k[i]) for w, u, k in stacks])))
-            for i in range(len(v))]
+            for i in range(len(coords))]
 
 
 def support(omega: State) -> AlgElement:
@@ -154,31 +172,60 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
     Raises PullbackNotPSD when the transported density fails positivity,
     which signals that f is not positive along the support of omega.  The
     positivity test, its scale and the state's support all come from one
-    eigendecomposition of the self-adjoint part.
+    eigendecomposition of the self-adjoint part.  A batch of one of `_pullback`.
     """
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the channel codomain")
-    s = f.domain
-    v = f.matrix.conj().T @ alg.vec(omega.density)   # the product apply(hs_adjoint(f), .) forms
+    return _states(f.domain, *_pullback(f.domain, alg.vec(omega.density)[None], f.matrix, tol))[0]
+
+
+def _pullback(s: AlgebraShape, densities: np.ndarray, matrix: np.ndarray,
+              tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, tuple]:
+    """The pullbacks F*(rho) onto s of the densities in every row of densities
+    (T, cod_dim), along one channel matrix M (cod_dim, coord_dim) for all rows
+    or one per row (T, cod_dim, coord_dim): their coordinates (T, coord_dim) and
+    their `Spectrum` stacks, from one eigh per block size.
+
+    Each row is decided as `pullback_state` decides one: a skew part above
+    2 tol.herm max(1, ||F*(rho)||), then an eigenvalue below -tol.psd
+    max(1, ||H||) of the self-adjoint part H, then a trace of H other than 1
+    under the equality rule.  The first row refused raises its PullbackNotPSD;
+    a NaN or Inf entry in any row raises first.  Each row's M* rho is the
+    matrix-vector product of a batch of one, and numpy decomposes every matrix
+    of a stack on its own, so a row gets the same floats in a batch as alone.
+    """
+    v = (matrix.conj().swapaxes(-1, -2) @ densities[..., None])[..., 0]
     alg._finite(v)
-    sigma = alg._stacks(s, v)
-    skew = [x - alg._dagger(x) for x in sigma]
-    # the Frobenius bound settles a skew part within 2 tol.herm at any scale
-    if alg._upper(skew) > 2 * tol.herm:
-        dev = alg._op_norm(skew)
-        if dev > 2 * tol.herm * tol.scale(alg._op_norm(sigma)):
-            raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev:.3e}")
-    herm = alg._hermitian(sigma)
-    spec = Spectrum(s, _decompose(herm, tol))
-    low = min(w[:, -1].min() for w, _, _ in spec.stacks)
-    top = max(np.abs(w).max() for w, _, _ in spec.stacks)   # the operator norm
-    if low < -tol.psd * tol.scale(top):
-        raise PullbackNotPSD("pullback density has a negative eigenvalue")
-    sym = alg._adopt(s, alg._join(s, herm))
-    tr = alg.trace(sym)
-    if alg.failing_entries(alg._SCALARS, np.array([tr]), alg._unit_coords(alg._SCALARS), tol):
-        raise PullbackNotPSD(f"pullback density has trace {tr}, expected 1")
-    return State(s, sym, spec)
+    adj = alg._adjoint_coords(s, v)   # the coordinates of F*(rho)*
+    skew = v - adj
+    # a Frobenius norm of the skew part within 2 tol.herm passes at any scale: of all rows
+    # at once first, then of each block of each row, and only the other rows pay for
+    # exact norms
+    asym = np.zeros(len(v), dtype=bool)
+    if not np.vdot(skew, skew).real <= (2 * tol.herm / (1 + alg._SLACK)) ** 2:
+        asym = alg._upper(alg._stacks(s, skew)) > 2 * tol.herm
+        rows, dev = np.flatnonzero(asym), np.zeros(len(v))
+        dev[rows] = alg._op_norm(alg._stacks(s, skew[rows]))
+        scale = np.maximum(1.0, alg._op_norm(alg._stacks(s, v[rows])))
+        asym[rows] = dev[rows] > 2 * tol.herm * scale
+    sym = 0.5 * (v + adj)   # the self-adjoint part, (x + x*) / 2 entry by entry
+    stacks = _decompose(alg._stacks(s, sym), tol)
+    low = alg._fold_min([w[..., -1].min(axis=-1) for w, _, _ in stacks])
+    negative = low < -tol.psd   # at scale 1: a larger scale only lowers the bound
+    if alg._some(negative):
+        top = alg._fold_max([np.abs(w).max(axis=(-2, -1)) for w, _, _ in stacks])   # ||H||
+        negative = low < -tol.psd * np.maximum(1.0, top)
+    tr = alg._trace_coords(s, sym)
+    refused = asym | negative | alg.failing_entries(
+        alg._SCALARS, tr[:, None], alg._unit_coords(alg._SCALARS), tol)
+    if alg._some(refused):
+        i = refused.argmax()
+        if asym[i]:
+            raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev[i]:.3e}")
+        if negative[i]:
+            raise PullbackNotPSD("pullback density has a negative eigenvalue")
+        raise PullbackNotPSD(f"pullback density has trace {complex(tr[i])}, expected 1")
+    return sym, stacks
 
 
 @dataclass(frozen=True)

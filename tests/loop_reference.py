@@ -14,7 +14,8 @@ build an element block by block, the stacked layout gathers and scatters
 every block size on its coordinate rows, and the sampled checks draw and
 decide one random element per trial; the strict-positivity and causality
 grids of the corpus visit one pair, or triple, of matrix units per step, and
-the EPR system takes one trace per coefficient; the compressions, the
+the EPR system takes one trace per coefficient, and the knill-laflamme
+sweep draws, pulls back and checks one state per step; the compressions, the
 doubling, padded and padded-block embeddings, the EPR spin flip and the
 masked map of the `state-ae` suite, which the library builds from its
 constructors, apply a callback to every matrix unit; the props suites draw
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qmarkov import _grid, props, state
+from qmarkov import _grid, bayes, corpus, props, state
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.bayes import BayesProblem
@@ -1044,6 +1045,31 @@ def epr_system() -> tuple[np.ndarray, np.ndarray]:
             rows.append(row)
             rhs.append(np.trace(rho @ np.kron(a_mat, b_mat)))
     return np.stack(rows), np.array(rhs)
+
+
+def kl_reports(pairs, n_states: int = 8, seed: int = 0) -> list[list[PropertyReport]]:
+    """`corpus._kl_reports` one state at a time: per pair (F, G), a generator from the
+    seed and, per state, `state_from_density` of one `random_density` draw,
+    `pullback_state` along F and `verify_disintegration` of (G, omega o F, F)."""
+    out = []
+    for f, g in pairs:
+        rng = np.random.default_rng(seed)
+        row = []
+        for _ in range(n_states):
+            omega = state_from_density(alg.random_density(AlgebraShape((2,)), rng))
+            row.append(bayes.verify_disintegration(g, pullback_state(omega, f), f))
+        out.append(row)
+    return out
+
+
+def kl_sampled_checks(gammas, n_states: int = 8, seed: int = 0) -> list:
+    """The sampled-states check of the knill-laflamme fixture at every strength, from the
+    channels of `corpus.kl_channels` and the reports of `kl_reports`."""
+    pairs = [corpus.kl_channels(gamma)[2:] for gamma in gammas]
+    return [corpus.CheckResult(
+                f"error disintegrates recovery for {n_states} sampled states (gamma={gamma})",
+                all(r.passed for r in row))
+            for gamma, row in zip(gammas, kl_reports(pairs, n_states, seed))]
 
 
 # ---------------------------------------------------------------------------

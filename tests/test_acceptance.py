@@ -58,7 +58,7 @@ def test_criterion_2_knill_laflamme():
         _, _, f, g = kl_channels(gamma)
         ok &= np.max(np.abs(compose(f, g).matrix - np.eye(4))) <= 1e-9
         ok &= is_deterministic(g).passed
-        checks = corpus._build_kl_single(gamma, n_states=8, seed=0)
+        checks = corpus._build_kl((gamma,), n_states=8, seed=0)
         bad = [c.desc for c in checks if not c.passed]
         if bad:
             ok = False

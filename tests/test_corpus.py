@@ -7,7 +7,8 @@ import pytest
 import loop_reference as ref
 from qmarkov import corpus, props
 from qmarkov.algebra import AlgebraShape, AlgElement
-from qmarkov.channel import Channel, compose, identity_channel, is_unital, transpose_channel
+from qmarkov.channel import (Channel, compose, conjugation_by, identity_channel, is_unital,
+                             transpose_channel)
 from qmarkov.errors import UnknownFixture
 
 
@@ -85,6 +86,52 @@ def test_epr_system_matches_the_loop():
     assert np.array_equal(coeff, want_coeff) and np.array_equal(rhs, want_rhs)
 
 
+KL_GAMMAS = (0.0, 0.25, 0.5, 1.0)
+
+
+def _sampled_checks(checks):
+    return [c for c in checks if c.desc.startswith("error disintegrates recovery")]
+
+
+def _dicts(rows):
+    return [[r.to_dict() for r in row] for row in rows]
+
+
+@pytest.mark.parametrize("n_states, seed", [(8, 0), (3, 5), (0, 0)])
+def test_kl_sweep_matches_the_loop(n_states, seed):
+    """Decided as one stack, every sampled state of every strength gets the report of its
+    own calls, and the fixture the loop's checks."""
+    pairs = [corpus.kl_channels(gamma)[2:] for gamma in KL_GAMMAS]
+    assert _dicts(corpus._kl_reports(pairs, n_states, seed)) == \
+        _dicts(ref.kl_reports(pairs, n_states, seed))
+    checks = corpus._build_kl(KL_GAMMAS, n_states, seed)
+    assert len(checks) == 7 * len(KL_GAMMAS)
+    assert _sampled_checks(checks) == ref.kl_sampled_checks(KL_GAMMAS, n_states, seed)
+    assert all(c.passed for c in checks)
+
+
+def test_kl_broken_recovery_flips_only_its_own_sampled_check(monkeypatch):
+    """The recovery at gamma = 0.5 followed by a unitary conjugation of M_2 no longer
+    preserves the sampled states; the other strengths still pass."""
+    real = corpus.kl_channels
+    m2 = AlgebraShape((2,))
+    twist = conjugation_by(AlgElement(m2, (props.random_unitary(2, np.random.default_rng(7)),)))
+
+    def channels(gamma):
+        chan_e, chan_r, f, g = real(gamma)
+        return chan_e, chan_r, f, compose(g, twist) if gamma == 0.5 else g
+
+    monkeypatch.setattr(corpus, "kl_channels", channels)
+    sampled = _sampled_checks(corpus._build_kl(KL_GAMMAS))
+    assert sampled == ref.kl_sampled_checks(KL_GAMMAS)
+    assert [c.passed for c in sampled] == [gamma != 0.5 for gamma in KL_GAMMAS]
+    # the witnesses of the broken strength name each state's own failing unit and values
+    pairs = [channels(gamma)[2:] for gamma in KL_GAMMAS]
+    got = corpus._kl_reports(pairs, 8, 0)
+    assert _dicts(got) == _dicts(ref.kl_reports(pairs, 8, 0))
+    assert all("state preservation" in r.detail for r in got[2])
+
+
 def _scaled(f, c=1.0001):
     return Channel(f.domain, f.codomain, c * f.matrix)
 
@@ -106,7 +153,7 @@ def test_kl_checks_fail_on_scaled_kraus_operators(monkeypatch, gamma, scaled, de
     assert is_unital(chan_e).passed and is_unital(chan_r).passed
     monkeypatch.setattr(corpus, "_kl_operators", operators)
     # no sampled states: the scaled error map no longer pulls states back to states
-    checks = {c.desc: c.passed for c in corpus._build_kl_single(gamma, n_states=0)}
+    checks = {c.desc: c.passed for c in corpus._build_kl((gamma,), n_states=0)}
     for desc in descs:
         assert not checks[f"{desc} (gamma={gamma})"], desc
 

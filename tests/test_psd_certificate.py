@@ -478,11 +478,11 @@ def test_every_caller_decides_the_rule_at_the_threshold_as_its_oracle(caller, mo
 
 # the rule is decided in `algebra._psd_verdicts` and its certificate `_psd_pass`, its
 # skew half alone in `algebra.is_self_adjoint_elem`; the pullback's skew test (2 tol.herm
-# against the norm of the skew part) and the NotPSD test of linalg (scale
-# max(1, lambda_max)) keep rules of their own
+# against the norm of the skew part, in the stacked core `state._pullback`) and the
+# NotPSD test of linalg (scale max(1, lambda_max)) keep rules of their own
 _TOLERANCE_PLACES = {("algebra", "_psd_verdicts"), ("algebra", "_psd_pass"),
                      ("algebra", "is_self_adjoint_elem"),
-                     ("state", "pullback_state"), ("linalg", "_decompose")}
+                     ("state", "_pullback"), ("linalg", "_decompose")}
 
 
 def _tolerance_comparisons(source: str, attrs=("psd", "herm")) -> set[str | None]:

@@ -7,15 +7,25 @@ batched call; `loop_reference.py` keeps the versions that call `op_norm` or
 the same, and norms and eigenvalues equal to 1e-13 relative.  The
 near-threshold cases put one eigenvalue, one deviation or one skew part
 within 1e-3 (relative) of its bound, on either side.
+
+The stacked cores `state._pullback` and `bayes._disintegrations` decide a
+batch of rows at once; `pullback_state` and `verify_disintegration` are their
+batches of one.  Every row of a batch must equal its batch of one bit for
+bit: the pullback's coordinates, eigenvalues, eigenvectors, keep masks and
+support, and the disintegration's verdict, witness and detail; a refused row
+raises the error and message of its own call.
 """
 import numpy as np
 import pytest
 
 import loop_reference as ref
 from qmarkov import algebra as alg
-from qmarkov import bayes, props
+from qmarkov import bayes, props, state
+from qmarkov import finstoch as fs
 from qmarkov.algebra import AlgebraShape, AlgElement
-from qmarkov.channel import Channel, conjugation_by, identity_channel, is_unital
+from qmarkov.channel import (Channel, apply, channel_from_action, compose, conjugation_by,
+                             identity_channel, is_unital)
+from qmarkov.corpus import kl_channels
 from qmarkov.errors import PullbackNotPSD, QmarkovError
 from qmarkov.state import pullback_state, state_from_density
 from qmarkov.tolerances import DEFAULT_TOL, Tolerance
@@ -25,6 +35,7 @@ C128 = AlgebraShape((1,) * 128)
 SHAPES = [MIXED, C128, AlgebraShape((4,)), AlgebraShape((2, 1, 3))]
 LOOSE = Tolerance(herm=1e-6, psd=1e-6)   # builds states that sit near the default bounds
 SIDES = (1 - 1e-3, 1 + 1e-3)
+KL_GAMMAS = (0.0, 0.25, 0.5, 1.0)
 
 
 def _outcome(fn, *args):
@@ -233,6 +244,150 @@ def test_pullback_near_threshold_agrees_with_loops(s):
             rho = _with_skew(_density_with(s, 1e-3, rng), DEFAULT_TOL.herm * scale * side / c, rng)
             got = _pullback_outcome(state_from_density(rho, LOOSE), f)
             assert (passes if side < 1 else "anti-self-adjoint") in got, (c, side)
+
+
+def _pullback_cases(rng):
+    """(name, F, densities (T, cod_dim)) for the stacked pullback: the
+    disintegration_instance families up to M_6, with their priors among the
+    densities, the knill-laflamme F and G at four strengths, and C^64."""
+    for kind in ("unitary", "padded-block", "classical"):
+        for i in range(4):
+            f, omega, _ = props.disintegration_instance(kind, rng, max_dim=6)
+            rho = [alg.vec(omega.density)]
+            rho += [alg.vec(alg.random_density(f.codomain, rng)) for _ in range(2)]
+            rho += [alg.vec(props.random_rank_deficient_state(f.codomain, rng).density)]
+            yield f"{kind}-{i}", f, np.array(rho)
+    for gamma in KL_GAMMAS:
+        _, _, f, g = kl_channels(gamma)
+        for name, h in (("f", f), ("g", g)):
+            rho = np.array([alg.vec(alg.random_density(h.codomain, rng)) for _ in range(5)])
+            yield f"knill-laflamme-{name}-{gamma}", h, rho
+    c64 = AlgebraShape((1,) * 64)
+    image = rng.integers(0, 64, size=64)
+    f = fs.embed(fs.deterministic_kernel(lambda x: int(image[x]), 64, 64))
+    yield "c64", f, np.array([alg.vec(alg.random_density(c64, rng)) for _ in range(3)])
+
+
+def _same_rows(coords, stacks, supports, i, xi) -> bool:
+    """Row i of a stacked pullback, bit for bit the State of its batch of one."""
+    return (np.array_equal(coords[i], alg.vec(xi.density))
+            and all(np.array_equal(x[i], y)
+                    for stack, one in zip(stacks, xi.spectrum.stacks) for x, y in zip(stack, one))
+            and np.array_equal(alg.vec(supports[i]), alg.vec(xi.support)))
+
+
+def test_stacked_pullback_rows_are_their_batches_of_one():
+    rng = np.random.default_rng(410)
+    for name, f, rho in _pullback_cases(rng):
+        coords, stacks = state._pullback(f.domain, rho, f.matrix)
+        supports = state._supports(f.domain, stacks)
+        assert coords.shape == (len(rho), f.domain.coord_dim) and len(supports) == len(rho)
+        for i, row in enumerate(rho):
+            xi = pullback_state(state_from_density(alg.unvec(f.codomain, row)), f)
+            assert _same_rows(coords, stacks, supports, i, xi), (name, i)
+
+
+def test_stacked_pullback_with_one_channel_per_row():
+    """The knill-laflamme sweep: each state pulled back along the F of every strength,
+    then along its G, each row by its own channel."""
+    rng = np.random.default_rng(412)
+    pairs = [kl_channels(gamma)[2:] for gamma in KL_GAMMAS]
+    omegas = [state_from_density(alg.random_density(AlgebraShape((2,)), rng)) for _ in range(3)]
+    rho = np.tile([alg.vec(o.density) for o in omegas], (len(pairs), 1))
+    fs_, gs = (np.repeat([c[j].matrix for c in pairs], len(omegas), axis=0) for j in (0, 1))
+    big, big_stacks = state._pullback(AlgebraShape((8,)), rho, fs_)
+    small, small_stacks = state._pullback(AlgebraShape((2,)), big, gs)
+    big_supports = state._supports(AlgebraShape((8,)), big_stacks)
+    small_supports = state._supports(AlgebraShape((2,)), small_stacks)
+    for t in range(len(rho)):
+        f, g = pairs[t // len(omegas)]
+        transported = pullback_state(omegas[t % len(omegas)], f)
+        assert _same_rows(big, big_stacks, big_supports, t, transported), t
+        assert _same_rows(small, small_stacks, small_supports, t, pullback_state(transported, g)), t
+
+
+def test_stacked_pullback_of_no_rows():
+    f = kl_channels(0.5)[2]
+    coords, stacks = state._pullback(f.domain, np.empty((0, f.codomain.coord_dim)), f.matrix)
+    assert coords.shape == (0, f.domain.coord_dim)
+    assert [x.shape[0] for stack in stacks for x in stack] == [0, 0, 0]
+    assert state._supports(f.domain, stacks) == []
+
+
+# the channel matrices F that pull a density back to i rho (skew), -rho (negative) and
+# 2 rho (trace 2), with the words of their refusals
+REFUSALS = [(1j, "anti-self-adjoint part"), (-1.0, "negative eigenvalue"), (2.0, "trace (2")]
+
+
+@pytest.mark.parametrize("c, words", REFUSALS, ids=["skew", "negative", "trace"])
+@pytest.mark.parametrize("at", [0, 2])
+def test_stacked_pullback_refuses_as_its_batch_of_one(c, words, at):
+    """A refused row at index `at` of four raises the error and message of its own call,
+    and a row refused for another reason after it does not change them."""
+    s = MIXED
+    rng = np.random.default_rng(413)
+    omega = state_from_density(alg.random_density(s, rng))
+    bad = Channel(s, s, np.conj(c) * np.eye(s.coord_dim))
+    want = _outcome(pullback_state, omega, bad)
+    assert want[0] is PullbackNotPSD and words in want[1]
+    mats = np.array([identity_channel(s).matrix] * 4)
+    mats[at] = bad.matrix
+    later = [other for other, _ in REFUSALS if other != c][0]
+    mats[3] = np.conj(later) * np.eye(s.coord_dim)
+    rho = np.tile(alg.vec(omega.density), (4, 1))
+    assert _outcome(state._pullback, s, rho, mats) == want
+    assert _outcome(state._pullback, s, rho[:at + 1], mats[:at + 1]) == want
+
+
+def _disintegration_trials(rng):
+    """(F, omega, G) on M_2 and the words of its report: a disintegration; a
+    recovery followed by a unitary conjugation, and one shifted by tr(A)/20 on
+    the diagonal (state preservation fails on every unit, and on the diagonal
+    units only); the collapse A |-> omega(A) 1 of the identity (state
+    preservation holds, the a.e. section fails); a disintegration of a
+    rank-deficient prior; and, for the pure state P, G(B) = B P + tr(B)/2 (1 - P),
+    which equals the identity on the support of P only."""
+    m2 = AlgebraShape((2,))
+
+    def unitary():
+        return AlgElement(m2, (props.random_unitary(2, rng),))
+
+    u, v, w = unitary(), unitary(), unitary()
+    omega = state_from_density(alg.random_density(m2, rng))
+    f, g = conjugation_by(u), conjugation_by(alg.adjoint(u))
+    one = alg.unit(m2)
+    shifted = channel_from_action(m2, m2, lambda a: apply(g, a) + 0.05 * alg.trace(a) * one)
+    collapse = channel_from_action(m2, m2, lambda a: omega(a) * one)
+    thin = props.random_rank_deficient_state(m2, rng, full=False)
+    pure = state_from_density(AlgElement(m2, (np.diag([1.0, 0.0]),)))
+    p = pure.support
+    on_support = channel_from_action(
+        m2, m2, lambda a: alg.mul(a, p) + 0.5 * alg.trace(a) * (one - p))
+    return [((f, omega, g), "both hold"),
+            ((f, omega, compose(g, conjugation_by(v))), "state preservation fails"),
+            ((f, omega, shifted), "state preservation fails"),
+            ((identity_channel(m2), omega, collapse), "not a.e. equal"),
+            ((conjugation_by(w), thin, conjugation_by(alg.adjoint(w))), "both hold"),
+            ((identity_channel(m2), pure, on_support), "both hold")]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4, 5), (5, 3, 2, 1, 4, 0), (1, 3), (2,)],
+                         ids=str)
+def test_stacked_disintegration_reports_are_their_batches_of_one(order):
+    rng = np.random.default_rng(414)
+    picked = [_disintegration_trials(rng)[i] for i in order]
+    trials = [t for t, _ in picked]
+    want = [bayes.verify_disintegration(f, omega, g) for f, omega, g in trials]
+    assert all(words in r.detail for r, (_, words) in zip(want, picked))
+    m2 = AlgebraShape((2,))
+    fm, gm = (np.array([t[j].matrix for t in trials]) for j in (0, 2))
+    rho = np.array([alg.vec(omega.density) for _, omega, _ in trials])
+    sigma, stacks = state._pullback(m2, rho, fm)
+    got = bayes._disintegrations(m2, m2, fm, gm, rho, sigma, state._supports(m2, stacks),
+                                 DEFAULT_TOL)
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+    assert bayes._disintegrations(m2, m2, fm[:0], gm[:0], rho[:0], sigma[:0], [],
+                                  DEFAULT_TOL) == []
 
 
 def _unital_key(report):
