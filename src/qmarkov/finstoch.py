@@ -2,28 +2,34 @@
 the embedding into commutative algebras.
 
 Entries are column-stochastic: f[y, x] is the probability of y given x.
-When every input is rational (int, Fraction, or a "p/q" string) the entries
-are an object array of Fractions and every operation is exact, so the Bayes
-diagram g_xy q_y = f_yx p_x is an identity, not an approximation.  Otherwise
-they are a float array, and non-finite entries are rejected when parsed.
-Both kinds run the same array code: an operation on a float and an exact
-operand is carried out in floats.  Exact sums and products run on Python-int
-numerators over one common denominator per operand (see `_arith`), so they
-cost integer arithmetic, not one Fraction operation per term.  Every check
-compares against one zero threshold, 0 for exact entries and tol.eq for
-floats, so "|v| <= thr" reads "v == 0" and "min(|v|, |v - 1|) <= thr" reads
-"v in (0, 1)" in exact mode.
+When every input is rational (int, Fraction, or a "p/q" string) the kernel
+is exact: it carries its entries as integer numerators over one positive
+common denominator, reduced by the gcd of all of them, and every operation
+reads and writes that form, so the Bayes diagram g_xy q_y = f_yx p_x is an
+identity, not an approximation.  The numerators are int64 when a bound on
+every integer the next operation forms stays below 2^63, and Python ints
+(object arrays) otherwise; `_ints` picks the dtype, and the same numpy call
+runs on either.  `.entries` of an exact kernel is a read-only object array
+of Fractions, built when first read.  Otherwise the entries are a float
+array, and non-finite entries are rejected when parsed.  An operation on a
+float and an exact operand is carried out in floats, and every float made
+from an exact entry is float(Fraction): one correctly rounded division.
+Every check compares against one zero threshold, 0 for exact entries and
+tol.eq for floats, so "|v| <= thr" reads "v == 0" and "min(|v|, |v - 1|) <=
+thr" reads "v in (0, 1)" in exact mode.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraShape, AlgElement
-from .channel import Channel, PropertyReport, _report
+from . import algebra as alg
+from .algebra import AlgebraShape
+from .channel import Channel, PropertyReport, _owned, _report
 from .errors import ShapeMismatch
 from .state import State, state_from_density
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -44,6 +50,9 @@ __all__ = [
     "embed_prob",
 ]
 
+_INT64 = 2**63   # int64 holds every integer of magnitude below this
+_FLOAT = 2**53   # float64 holds every integer of magnitude up to this
+
 
 def _parse_entry(v):
     """Return (value, exact) where exact entries are Fractions."""
@@ -60,70 +69,141 @@ def _parse_entry(v):
     raise TypeError(f"unsupported entry type {type(v)!r}")
 
 
-def _parse_array(rows) -> tuple[np.ndarray, bool]:
+def _parse_array(rows):
+    """The entries of rows as (numerators, denominator) when all are rational, else
+    as a float array; and whether they are exact."""
     parsed = [[_parse_entry(v) for v in row] for row in rows]
     width = len(parsed[0]) if parsed else 0
     if any(len(row) != width for row in parsed):
         raise ValueError("rows have different lengths")
-    exact = all(ok for row in parsed for _, ok in row)
-    values = [[v for v, _ in row] for row in parsed]
-    return np.array(values, dtype=object if exact else float).reshape(len(values), width), exact
+    flat, shape = [e for row in parsed for e in row], (len(parsed), width)
+    if all(ok for _, ok in flat):
+        return _ratio([v for v, _ in flat], shape), True
+    return np.array([v for v, _ in flat], dtype=float).reshape(shape), False
+
+
+def _ratio(values, shape) -> tuple[np.ndarray, int]:
+    """Rationals as numerators over the lcm of their denominators (int64 when
+    they fit, else Python ints)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = dict.fromkeys(d for _, d in ratios)
+    den = math.lcm(*scale)
+    scale = {d: den // d for d in scale}
+    num = [n * scale[d] for n, d in ratios]
+    [num] = _ints(max(den, max(num, default=0), -min(num, default=0)), num)
+    return num.reshape(shape), den
+
+
+def _peak(num: np.ndarray) -> int:
+    """The largest |numerator|, and at least 1: the factor num brings to a bound."""
+    if not num.size:
+        return 1
+    if num.dtype == object:
+        return max(1, *map(abs, num.flat))
+    return max(1, int(np.abs(num).max()))
+
+
+def _ints(bound: int, *nums) -> list[np.ndarray]:
+    """nums as int64 when bound, a bound on the magnitude of every integer an
+    operation forms from them and the scalars it mixes in, is below 2^63;
+    otherwise as Python ints, which do not overflow."""
+    dtype = np.int64 if bound < _INT64 else object
+    return [np.asarray(n, dtype=dtype) for n in nums]
+
+
+def _reduced(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """num / den with the gcd of den and all numerators divided out, the
+    numerators int64 when they fit."""
+    common = int(np.gcd.reduce(num, axis=None))
+    if not common:   # no nonzero numerator: 0 / 1
+        return np.zeros(num.shape, dtype=np.int64), 1
+    common = math.gcd(common, den)
+    if common > 1:
+        num, den = num // common, den // common
+    if num.dtype == object and _peak(num) < _INT64:
+        num = num.astype(np.int64)
+    return num, den
 
 
 def _threshold(exact: bool, tol: Tolerance):
     return 0 if exact else tol.eq
 
 
-def _combine(*operands, tol: Tolerance = DEFAULT_TOL) -> tuple[list[np.ndarray], bool, object]:
-    """The operands' entries in one dtype, whether that is exact, and its zero threshold.
+class _Carried:
+    """What kernels and vectors share: an exact one carries numerators `_num`
+    over the denominator `_den`, and builds `entries` from them when first
+    read.  One made by the constructor (or `dataclasses.replace`) takes a
+    read-only copy of the entries it is given, so its numerators cannot go
+    stale."""
 
-    One float operand makes every array float; otherwise they stay Fractions.
+    def __post_init__(self):
+        if self.exact:
+            entries = np.array(self.entries, dtype=object)
+            entries.flags.writeable = False
+            object.__setattr__(self, "entries", entries)
+            self._hold(*_reduced(*_ratio(entries.flat, entries.shape)))
+
+    def _hold(self, num: np.ndarray, den: int) -> None:
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _carry(cls, num: np.ndarray, den: int):
+        """The exact instance of num / den, reduced; its entries are built when read."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "exact", True)
+        obj._hold(*_reduced(num, den))
+        return obj
+
+    @classmethod
+    def _normalized(cls, weights: np.ndarray):
+        """The exact instance whose columns are the columns of the int weights, none
+        summing to 0, each divided by its sum."""
+        sums = weights.sum(axis=0)
+        den = math.lcm(*np.atleast_1d(sums).tolist())
+        weights, sums = _ints(_peak(weights) * den, weights, sums)
+        return cls._carry(weights * (den // sums), den)
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the entries of a carried instance
+        if name != "entries" or "_num" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        num, den = self._num, self._den
+        entries = np.array([Fraction(n, den) for n in num.ravel().tolist()], dtype=object)
+        entries = entries.reshape(num.shape)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        return entries
+
+    @cached_property
+    def _max(self) -> int:
+        """max |numerator| of an exact instance, and at least 1."""
+        return _peak(self._num)
+
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        return self._num.shape if self.exact else self.entries.shape
+
+    def _floats(self) -> np.ndarray:
+        """The entries in float64.  An exact one is rounded once, as float(Fraction) is:
+        a float64 division is correctly rounded while the numerator and the
+        denominator are exact floats, and beyond 2^53 the division of Python ints is."""
+        if not self.exact:
+            return np.asarray(self.entries, dtype=float)
+        num, den = self._num, self._den
+        if den <= _FLOAT and self._max <= _FLOAT:
+            return num.astype(float) / den
+        return np.array([n / den for n in num.ravel().tolist()], dtype=float).reshape(num.shape)
+
+
+def _combine(*operands, tol: Tolerance = DEFAULT_TOL) -> tuple[list, bool, object]:
+    """The operands' values, whether they are exact, and the zero threshold.
+
+    Exact operands are their own values, read through `_num`, `_den` and
+    `_max`; one float operand makes every value a float array.
     """
     exact = all(o.exact for o in operands)
-    arrays = [np.asarray(o.entries, dtype=object if exact else float) for o in operands]
-    return arrays, exact, _threshold(exact, tol)
-
-
-_FRACTION = np.frompyfunc(Fraction, 2, 1)
-_ZERO = Fraction(0)
-
-
-def _scaled(a: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """A float array with None, or an exact one as Python-int numerators (each
-    with its entry's sign) over the lcm of its denominators: `_arith` operands."""
-    if a.dtype != object:
-        return a, None
-    ratios = [v.as_integer_ratio() for v in a.flat]
-    den = math.lcm(*(d for _, d in ratios))
-    return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(a.shape), den
-
-
-def _arith(op, *operands: tuple[np.ndarray, int | None], over=None) -> np.ndarray:
-    """op(*operands) / over, for an op linear in each operand separately
-    (a product, or a sum over one operand; not a difference of two).
-
-    Operands and over come from `_scaled`.  Float arrays go through as they
-    are.  For exact ones op runs on the Python-int numerators and one
-    Fraction is built per nonzero output entry; the zeros share one
-    Fraction(0), as Fractions are immutable.  Since every term of op's result
-    holds one entry of each operand, dividing by the product of the lcms
-    undoes the scaling; Python ints do not overflow, so the result is exact
-    for any denominators.  over, broadcast against the result, divides it
-    entrywise.
-    """
-    out = op(*(a for a, _ in operands))
-    if operands[0][1] is None:
-        return out if over is None else out / over[0]
-    den = math.prod(d for _, d in operands)
-    if over is not None:
-        num, d = over
-        out, den = out * d, den * num
-    nonzero = out != 0
-    if isinstance(den, np.ndarray):
-        den = np.broadcast_to(den, out.shape)[nonzero]
-    result = np.full(out.shape, _ZERO, dtype=object)
-    result[nonzero] = _FRACTION(out[nonzero], den)
-    return result
+    return operands if exact else [o._floats() for o in operands], exact, _threshold(exact, tol)
 
 
 def _column_sums(arr: np.ndarray) -> np.ndarray:
@@ -133,39 +213,45 @@ def _column_sums(arr: np.ndarray) -> np.ndarray:
         return np.add.accumulate(np.vstack([np.zeros((1, arr.shape[1]), arr.dtype), arr]))[-1]
 
 
-def _first_bad_column(arr: np.ndarray, thr):
+def _first_bad_column(values, thr):
     """(column, has a negative entry, column sum) of the first column with an
     entry below -thr or a sum off 1, or None when every column is fine.
 
-    Exact entries are decided on their integer numerators over the common
-    denominator den (thr is 0): an entry is negative when its numerator is,
-    and a column sums to 1 when its numerators sum to den.  Only the sum of
-    the column reported is built as a Fraction.
+    Exact values (num, den) are decided on their numerators (thr is 0): an
+    entry is negative when its numerator is, and a column sums to 1 when its
+    numerators sum to den.  Only the sum of the column reported is built as
+    a Fraction.
     """
-    num, den = _scaled(arr)
-    if den is None:
-        negative = (arr < -thr).any(axis=0)
-        total = _column_sums(arr)
-        mag = np.abs(total)
-        ok = (np.abs(total - 1) <= thr * np.maximum(1, mag)) & (mag < np.inf)
-    else:
+    exact = isinstance(values, tuple)
+    if exact:
+        num, den = values
+        [num] = _ints(max(_peak(num) * num.shape[0], den), num)
         negative = (num < 0).any(axis=0)
         total = num.sum(axis=0)
         ok = total == den
+    else:
+        negative = (values < -thr).any(axis=0)
+        total = _column_sums(values)
+        mag = np.abs(total)
+        ok = (np.abs(total - 1) <= thr * np.maximum(1, mag)) & (mag < np.inf)
     bad = np.flatnonzero(negative | ~ok)
     if not bad.size:
         return None
     x = int(bad[0])
-    return x, bool(negative[x]), total[x] if den is None else Fraction(total[x], den)
+    return x, bool(negative[x]), Fraction(int(total[x]), den) if exact else total[x]
 
 
-def _indicator_mask(entries: np.ndarray, thr) -> np.ndarray:
+def _indicator_mask(f, thr) -> np.ndarray:
     """Entries within thr of 0 or 1."""
-    return np.minimum(np.abs(entries), np.abs(entries - 1)) <= thr
+    if f.exact:
+        [num] = _ints(max(f._max, f._den), f._num)
+        return (num == 0) | (num == f._den)
+    e = f._floats()
+    return np.minimum(np.abs(e), np.abs(e - 1)) <= thr
 
 
 @dataclass(frozen=True)
-class StochasticMatrix:
+class StochasticMatrix(_Carried):
     """Column-stochastic kernel from a set of size n_cols to one of size n_rows."""
 
     entries: np.ndarray
@@ -173,29 +259,29 @@ class StochasticMatrix:
 
     @property
     def n_rows(self) -> int:
-        return self.entries.shape[0]
+        return self._shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.entries.shape[1]
+        return self._shape[1]
 
     def is_deterministic(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every column is a 0/1 indicator."""
-        return bool(_indicator_mask(self.entries, _threshold(self.exact, tol)).all())
+        return bool(_indicator_mask(self, _threshold(self.exact, tol)).all())
 
 
 def stochastic(rows, tol: Tolerance = DEFAULT_TOL) -> StochasticMatrix:
-    arr, exact = _parse_array(rows)
-    bad = _first_bad_column(arr, _threshold(exact, tol))
+    values, exact = _parse_array(rows)
+    bad = _first_bad_column(values, _threshold(exact, tol))
     if bad is not None:
         x, negative, total = bad
         raise ValueError(f"negative probability in column {x}" if negative
                          else f"column {x} sums to {total}, expected 1")
-    return StochasticMatrix(arr, exact)
+    return StochasticMatrix._carry(*values) if exact else StochasticMatrix(values, False)
 
 
 @dataclass(frozen=True)
-class ProbVector:
+class ProbVector(_Carried):
     """Probability vector with its nullset."""
 
     entries: np.ndarray
@@ -203,21 +289,22 @@ class ProbVector:
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return self._shape[0]
 
     def nullset(self, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-        return np.flatnonzero(np.abs(self.entries) <= _threshold(self.exact, tol)).tolist()
+        values = self._num if self.exact else self._floats()   # a numerator is 0 with its entry
+        return np.flatnonzero(np.abs(values) <= _threshold(self.exact, tol)).tolist()
 
 
 def prob_vector(values, tol: Tolerance = DEFAULT_TOL) -> ProbVector:
-    arr, exact = _parse_array([list(values)])
-    vec = arr[0]
-    bad = _first_bad_column(vec[:, None], _threshold(exact, tol))
+    values, exact = _parse_array([list(values)])
+    column = (values[0].T, values[1]) if exact else values.T
+    bad = _first_bad_column(column, _threshold(exact, tol))
     if bad is not None:
         _, negative, total = bad
         raise ValueError("negative probability entry" if negative
                          else f"probabilities sum to {total}, expected 1")
-    return ProbVector(vec.copy(), exact)
+    return ProbVector._carry(values[0][0], values[1]) if exact else ProbVector(values[0], False)
 
 
 def deterministic_kernel(func, n_in: int, n_out: int) -> StochasticMatrix:
@@ -226,9 +313,9 @@ def deterministic_kernel(func, n_in: int, n_out: int) -> StochasticMatrix:
     for x, y in enumerate(images):
         if y not in range(n_out):
             raise ValueError(f"column {x} sums to 0, expected 1")
-    entries = np.full((n_out, n_in), _ZERO, dtype=object)
-    entries[np.array(images, dtype=int), np.arange(n_in)] = Fraction(1)
-    return StochasticMatrix(entries, True)
+    num = np.zeros((n_out, n_in), dtype=np.int64)
+    num[np.array(images, dtype=int), np.arange(n_in)] = 1
+    return StochasticMatrix._carry(num, 1)
 
 
 def _check_columns(f: StochasticMatrix, p: ProbVector) -> None:
@@ -236,41 +323,80 @@ def _check_columns(f: StochasticMatrix, p: ProbVector) -> None:
         raise ShapeMismatch(f"kernel has {f.n_cols} columns, measure has {p.size}")
 
 
+def _bilinear(cls, op, a, b, inner: int = 1):
+    """op(a, b) as a cls, for an op whose every output entry is a sum of inner
+    products of one entry of each operand: in floats, or exactly, as op of the
+    numerators over the product of the denominators."""
+    (ae, be), exact, _ = _combine(a, b)
+    if not exact:
+        return cls(op(ae, be), False)
+    an, bn = _ints(a._max * b._max * inner, a._num, b._num)
+    return cls._carry(op(an, bn), a._den * b._den)
+
+
 def compose(g: StochasticMatrix, f: StochasticMatrix) -> StochasticMatrix:
     """Chapman-Kolmogorov composite g after f."""
     if g.n_cols != f.n_rows:
         raise ShapeMismatch(f"cannot compose {g.n_cols} columns with {f.n_rows} rows")
-    (ge, fe), exact, _ = _combine(g, f)
-    return StochasticMatrix(_arith(np.matmul, _scaled(ge), _scaled(fe)), exact)
+    return _bilinear(StochasticMatrix, np.matmul, g, f, f.n_rows)
 
 
 def product(f: StochasticMatrix, f2: StochasticMatrix) -> StochasticMatrix:
     """Kernel on product spaces, output pairs ordered first-factor major."""
-    (fe, f2e), exact, _ = _combine(f, f2)
-    return StochasticMatrix(_arith(np.kron, _scaled(fe), _scaled(f2e)), exact)
+    return _bilinear(StochasticMatrix, np.kron, f, f2)
 
 
 def push(f: StochasticMatrix, p: ProbVector) -> ProbVector:
     """Pushforward measure (matrix times vector)."""
     _check_columns(f, p)
-    (fe, pe), exact, _ = _combine(f, p)
-    return ProbVector(_arith(np.matmul, _scaled(fe), _scaled(pe)), exact)
+    return _bilinear(ProbVector, np.matmul, f, p, p.size)
 
 
 def bayes_inverse(f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_TOL) -> StochasticMatrix:
     """Bayes rule g_xy = f_yx p_x / q_y, with uniform columns on the nullset of q.
 
     The result satisfies g_xy q_y = f_yx p_x for every x, y (exactly in
-    rational mode) and push(g, q) = p.
+    rational mode) and push(g, q) = p.  In rational mode, with f = F / df and
+    p = P / dp, q is Q / (df dp) for Q = F P, so g_xy = F_yx P_x / Q_y: over
+    the lcm L of the nonzero |Q_y| (and of the size of p, when q has a zero)
+    its numerators are F_yx P_x (L / Q_y), and L / size on a null column.
     """
     _check_columns(f, p)
     (fe, pe), exact, thr = _combine(f, p, tol=tol)
-    fs, ps = _scaled(fe), _scaled(pe)
-    q = _arith(np.matmul, fs, ps)
-    null = np.abs(q) <= thr
-    out = _arith(lambda fa, pa: fa.T * pa[:, None], fs, ps, over=_scaled(np.where(null, 1, q)))
-    out[:, null] = Fraction(1, p.size)
-    return StochasticMatrix(out, exact)
+    if not exact:
+        q = fe @ pe
+        null = np.abs(q) <= thr
+        out = (fe.T * pe[:, None]) / np.where(null, 1, q)
+        out[:, null] = 1 / p.size
+        return StochasticMatrix(out, False)
+    fn, pn = _ints(f._max * p._max * p.size, f._num, p._num)
+    q = (fn @ pn).tolist()
+    null = [not v for v in q]
+    den = math.lcm(*(abs(v) for v in q if v), *([p.size] if any(null) else []))
+    scale = np.array([den // v if v else 0 for v in q], dtype=object)
+    fn, pn, scale = _ints(max(f._max * p._max * _peak(scale), den), fn, pn, scale)
+    out = fn.T * pn[:, None] * scale
+    out[:, null] = den // p.size
+    return StochasticMatrix._carry(out, den)
+
+
+def _differ(a, b) -> np.ndarray:
+    """Where two exact arrays of one shape differ: their numerators cross-multiplied."""
+    an, bn = _ints(max(a._max * b._den, b._max * a._den), a._num, b._num)
+    return an * b._den != bn * a._den
+
+
+def _equal(a, b) -> bool:
+    """Two exact kernels, or two exact vectors, hold the same values."""
+    return a._shape == b._shape and not _differ(a, b).any()
+
+
+def _bayes_diagram(f: StochasticMatrix, p: ProbVector, g: StochasticMatrix,
+                   q: ProbVector) -> bool:
+    """g_xy q_y == f_yx p_x for every x and y, of exact operands, as two whole
+    arrays [x, y]."""
+    return _equal(_bilinear(StochasticMatrix, np.multiply, g, q),
+                  _bilinear(StochasticMatrix, lambda fe, pe: (fe * pe).T, f, p))
 
 
 def _supported_failure(bad: np.ndarray, p: ProbVector, tol: Tolerance):
@@ -287,11 +413,11 @@ def ae_equal(
     f: StochasticMatrix, h: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
     """Column equality off the nullset of p."""
-    if f.entries.shape != h.entries.shape:
+    if f._shape != h._shape:
         raise ShapeMismatch("kernels have different shapes")
     _check_columns(f, p)
-    (fe, he), _, thr = _combine(f, h, tol=tol)
-    bad = _supported_failure(np.abs(fe - he) > thr, p, tol)
+    (fe, he), exact, thr = _combine(f, h, tol=tol)
+    bad = _supported_failure(_differ(f, h) if exact else np.abs(fe - he) > thr, p, tol)
     if bad is not None:
         x, y = bad
         return _report(
@@ -307,12 +433,13 @@ def is_ae_deterministic(
 ) -> PropertyReport:
     """Every supported column is a 0/1 indicator."""
     _check_columns(f, p)
-    bad = _supported_failure(~_indicator_mask(f.entries, _threshold(f.exact, tol)), p, tol)
+    bad = _supported_failure(~_indicator_mask(f, _threshold(f.exact, tol)), p, tol)
     if bad is not None:
         x, y = bad
+        value = int(f._num[y, x]) / f._den if f.exact else float(f.entries[y, x])
         return _report(
             "classical-ae-deterministic", False, tol.eq,
-            witness={"point": x, "outcome": y, "value": float(f.entries[y, x])},
+            witness={"point": x, "outcome": y, "value": value},
             detail=f"column {x} is supported but not an indicator",
         )
     return _report("classical-ae-deterministic", True, tol.eq)
@@ -327,16 +454,10 @@ def embed(f: StochasticMatrix) -> Channel:
     """
     dom = AlgebraShape((1,) * f.n_rows)
     cod = AlgebraShape((1,) * f.n_cols)
-    if f.exact:   # one Fraction.__float__ per nonzero entry; float(Fraction(0)) is 0.0
-        nonzero, mat = f.entries.astype(bool), np.zeros(f.entries.shape)
-        mat[nonzero] = f.entries[nonzero].astype(float)
-    else:
-        mat = np.asarray(f.entries, dtype=float)
-    return Channel(dom, cod, mat.T.astype(complex))
+    return _owned(dom, cod, f._floats().T.astype(complex))
 
 
 def embed_prob(p: ProbVector, tol: Tolerance = DEFAULT_TOL) -> State:
     """Probability vector as a diagonal density on the all-ones algebra."""
-    s = AlgebraShape((1,) * p.size)
-    blocks = tuple(np.array([[complex(v)]]) for v in np.asarray(p.entries, dtype=float))
-    return state_from_density(AlgElement(s, blocks), tol)
+    # the coordinates of 1 x 1 blocks are their entries
+    return state_from_density(alg.unvec(AlgebraShape((1,) * p.size), p._floats()), tol)

@@ -706,28 +706,27 @@ def suite_bayes(seed: int = 0, trials: int = 64) -> SuiteReport:
     return SuiteReport("bayes", tuple(checks))
 
 
-def _rational_weights(rng: np.random.Generator, n: int, zero_last: bool = False) -> list:
-    """n exact probabilities from integer weights drawn in 0..6, the last forced to 0 when
-    zero_last, the first to 1 when all are 0."""
-    weights = rng.integers(0, 7, size=n).tolist()
+def _rational_weights(rng: np.random.Generator, n: int, zero_last: bool = False) -> np.ndarray:
+    """n integer weights drawn in 0..6, the last forced to 0 when zero_last, the first
+    to 1 when all are 0."""
+    weights = rng.integers(0, 7, size=n)
     if zero_last:
         weights[-1] = 0
-    if not any(weights):
+    if not weights.any():
         weights[0] = 1
-    total = sum(weights)
-    return [Fraction(w, total) for w in weights]
+    return weights
 
 
 def _random_rational_prob(rng: np.random.Generator, n: int) -> fs.ProbVector:
-    return fs.prob_vector(_rational_weights(rng, n))
+    return fs.ProbVector._normalized(_rational_weights(rng, n))
 
 
 def _random_rational_kernel(rng: np.random.Generator, ny: int, nx: int,
                             zero_row: bool = False) -> fs.StochasticMatrix:
-    """An exact ny x nx kernel, one column of weights drawn after another; with zero_row,
-    its last row is 0."""
+    """An exact ny x nx kernel, one column of weights drawn after another and divided
+    by its sum; with zero_row, its last row is 0."""
     cols = [_rational_weights(rng, ny, zero_row) for _ in range(nx)]
-    return fs.stochastic([[cols[x][y] for x in range(nx)] for y in range(ny)])
+    return fs.StochasticMatrix._normalized(np.stack(cols, axis=1))
 
 
 def suite_finstoch(seed: int = 0, trials: int = 64) -> SuiteReport:
@@ -741,14 +740,9 @@ def suite_finstoch(seed: int = 0, trials: int = 64) -> SuiteReport:
         p = _random_rational_prob(rng, nx)
         g = fs.bayes_inverse(f, p)
         q = fs.push(f, p)
-        for x in range(nx):
-            for y in range(ny):
-                diagram_ok = diagram_ok and (
-                    g.entries[x, y] * q.entries[y] == f.entries[y, x] * p.entries[x]
-                    or q.entries[y] == 0
-                )
-        back = fs.push(g, q)
-        preserve_ok = preserve_ok and all(back.entries[x] == p.entries[x] for x in range(nx))
+        # g_xy q_y = f_yx p_x on all of X x Y: where q_y = 0, every f_yx p_x is 0 too
+        diagram_ok = diagram_ok and fs._bayes_diagram(f, p, g, q)
+        preserve_ok = preserve_ok and fs._equal(fs.push(g, q), p)
     checks.append(_check("Bayes diagram holds exactly in rational arithmetic", diagram_ok))
     checks.append(_check("Bayes inverse pushes the output measure back to the input",
                          preserve_ok))
@@ -768,9 +762,7 @@ def suite_finstoch(seed: int = 0, trials: int = 64) -> SuiteReport:
     q = fs.push(f, p)
     g = fs.bayes_inverse(f, p)
     entries = g.entries.copy()
-    for y in q.nullset():
-        for x in range(g.n_rows):
-            entries[x, y] = Fraction(0)
+    entries[:, q.nullset()] = Fraction(0)
     if q.nullset():
         ragged = fs.StochasticMatrix(entries, True)
         chan = fs.embed(ragged)

@@ -1300,3 +1300,15 @@ def rational_weights(rng: np.random.Generator, n: int, zero_last: bool = False) 
         weights[0] = Fraction(1)
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def random_rational_prob(rng: np.random.Generator, n: int) -> ProbVector:
+    """An exact prior of Fraction-sum weights, validated entry by entry."""
+    return classical_prob_vector(rational_weights(rng, n))
+
+
+def random_rational_kernel(rng: np.random.Generator, ny: int, nx: int,
+                           zero_row: bool = False) -> StochasticMatrix:
+    """An exact kernel of Fraction-sum weight columns, validated entry by entry."""
+    cols = [rational_weights(rng, ny, zero_row) for _ in range(nx)]
+    return classical_stochastic([[cols[x][y] for x in range(nx)] for y in range(ny)])

@@ -52,7 +52,7 @@ def test_criterion_2_knill_laflamme():
     ok = True
     details = []
     for gamma in (0.0, 0.25, 0.5, 1.0):
-        errs, recs, _ = corpus._kl_operators(gamma)
+        recs, _ = corpus._kl_code()
         rec_sum = sum(r.conj().T @ r for r in recs)
         ok &= np.max(np.abs(rec_sum - np.eye(8))) <= 1e-10
         _, _, f, g = kl_channels(gamma)

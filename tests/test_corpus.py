@@ -58,7 +58,7 @@ def test_kl_factory_accepts_gamma():
 
 
 def test_kl_gamma_zero_degenerates_to_one_kraus_term():
-    errs, _, _ = corpus._kl_operators(0.0)
+    errs = corpus._kl_errors(0.0)
     assert np.allclose(errs[0], np.eye(8))
     for e in errs[1:]:
         assert np.max(np.abs(e)) <= 1e-12
@@ -110,23 +110,41 @@ def test_kl_sweep_matches_the_loop(n_states, seed):
     assert all(c.passed for c in checks)
 
 
+def test_kl_recovery_is_built_once_per_sweep(monkeypatch):
+    """The recovery side does not depend on the strength: the sweep builds it once,
+    and every channel is bitwise the one built for its strength alone."""
+    built, real = [], corpus._kl_recovery
+
+    def recovery():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(corpus, "_kl_recovery", recovery)
+    corpus._build_kl(KL_GAMMAS, n_states=1)
+    assert len(built) == 1
+    for gamma in KL_GAMMAS:
+        alone, shared = corpus.kl_channels(gamma), corpus._kl_channels(gamma, built[0])
+        for a, b in zip(alone, shared):
+            assert a.matrix.tobytes() == b.matrix.tobytes() and a.matrix.strides == b.matrix.strides
+
+
 def test_kl_broken_recovery_flips_only_its_own_sampled_check(monkeypatch):
     """The recovery at gamma = 0.5 followed by a unitary conjugation of M_2 no longer
     preserves the sampled states; the other strengths still pass."""
-    real = corpus.kl_channels
+    real = corpus._kl_channels
     m2 = AlgebraShape((2,))
     twist = conjugation_by(AlgElement(m2, (props.random_unitary(2, np.random.default_rng(7)),)))
 
-    def channels(gamma):
-        chan_e, chan_r, f, g = real(gamma)
+    def channels(gamma, recovery):
+        chan_e, chan_r, f, g = real(gamma, recovery)
         return chan_e, chan_r, f, compose(g, twist) if gamma == 0.5 else g
 
-    monkeypatch.setattr(corpus, "kl_channels", channels)
+    monkeypatch.setattr(corpus, "_kl_channels", channels)
     sampled = _sampled_checks(corpus._build_kl(KL_GAMMAS))
     assert sampled == ref.kl_sampled_checks(KL_GAMMAS)
     assert [c.passed for c in sampled] == [gamma != 0.5 for gamma in KL_GAMMAS]
     # the witnesses of the broken strength name each state's own failing unit and values
-    pairs = [channels(gamma)[2:] for gamma in KL_GAMMAS]
+    pairs = [corpus.kl_channels(gamma)[2:] for gamma in KL_GAMMAS]
     got = corpus._kl_reports(pairs, 8, 0)
     assert _dicts(got) == _dicts(ref.kl_reports(pairs, 8, 0))
     assert all("state preservation" in r.detail for r in got[2])
@@ -142,16 +160,19 @@ def _scaled(f, c=1.0001):
     (1, ["sum R_i* R_i = 1", "F o G = id on M_2"]),
 ])
 def test_kl_checks_fail_on_scaled_kraus_operators(monkeypatch, gamma, scaled, descs):
-    real = corpus._kl_operators
+    # the error operators of one strength, or the recovery operators of all
+    name = ("_kl_errors", "_kl_code")[scaled]
+    real = getattr(corpus, name)
 
-    def operators(g):
-        ops = list(real(g))
-        ops[scaled] = [1.0001 * k for k in ops[scaled]]
-        return tuple(ops)
+    def operators(*args):
+        ops = real(*args)
+        if scaled:
+            return [1.0001 * k for k in ops[0]], ops[1]
+        return [1.0001 * k for k in ops]
 
     chan_e, chan_r, _, _ = corpus.kl_channels(gamma)
     assert is_unital(chan_e).passed and is_unital(chan_r).passed
-    monkeypatch.setattr(corpus, "_kl_operators", operators)
+    monkeypatch.setattr(corpus, name, operators)
     # no sampled states: the scaled error map no longer pulls states back to states
     checks = {c.desc: c.passed for c in corpus._build_kl((gamma,), n_states=0)}
     for desc in descs:

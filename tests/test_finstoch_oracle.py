@@ -10,19 +10,30 @@ priors with zero rows and null points, their float copies, mixed
 exact/float operands, and float entries within 1e-3 (relative) of each
 tol.eq threshold, on either side.
 """
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import loop_reference as ref
+from qmarkov import algebra as alg
 from qmarkov import finstoch as fs
 from qmarkov.errors import QmarkovError
 from qmarkov.tolerances import DEFAULT_TOL, Tolerance
 
 EPS = DEFAULT_TOL.eq
 SIDES = (1 - 1e-3, 1 + 1e-3)
+
+
+def _lowest_terms(v) -> bool:
+    """The numerators an exact v carries are in lowest terms over its denominator, and
+    int64 when they fit."""
+    nums = v._num.ravel().tolist()
+    fits = max(map(abs, nums), default=0) < 2**63
+    return math.gcd(v._den, *nums) == 1 and v._den > 0 and (v._num.dtype == np.int64) == fits
 
 
 def _outcome(fn, *args):
@@ -34,7 +45,8 @@ def _outcome(fn, *args):
     if isinstance(v, (fs.StochasticMatrix, fs.ProbVector)):
         e = v.entries
         if e.dtype == object:
-            return "exact", v.exact, e.shape, {type(x) for x in e.flat} <= {Fraction}, e.tolist()
+            return ("exact", v.exact, e.shape, {type(x) for x in e.flat} <= {Fraction}, e.tolist(),
+                    _lowest_terms(v))
         return "float", v.exact, e.dtype.str, e.shape, e.tobytes()
     return "value", v
 
@@ -51,6 +63,8 @@ class Oracle:
             self.mismatches.append(f"{label}: {got!r} != {want!r}")
         if got[0] == "exact" and not got[3]:
             self.mismatches.append(f"{label}: exact result holds a non-Fraction entry")
+        if got[0] == "exact" and not got[5]:
+            self.mismatches.append(f"{label}: exact result not in lowest terms")
         return got
 
     def kernels(self, label, f, p, g=None, h=None):
@@ -357,9 +371,168 @@ def test_hamming_round_trip_matches_the_loops():
     p = fs.prob_vector([Fraction(1, 16)] * 16)
     got = oracle.same("round trip", fs.compose, ref.classical_compose, g, f)
     assert got[3] and got[4] == np.eye(16, dtype=int).tolist()
+    # reduced by the gcd: the identity and the decoder are over 1, in int64
+    for k in (fs.compose(g, f), fs.bayes_inverse(f, p)):
+        assert k._den == 1 and k._num.dtype == np.int64
     for name, new, old in (("push", fs.push, ref.classical_push),
                            ("bayes_inverse", fs.bayes_inverse, ref.classical_bayes_inverse)):
         got = oracle.same(name, new, old, f, p)
         assert got[0] == "exact" and got[3]
     oracle.same("error kernel", fs.stochastic, ref.classical_stochastic, f.entries.tolist())
+    assert oracle.mismatches == []
+
+
+# An exact kernel carries its entries as numerators over one denominator, and
+# builds `entries` only when it is read.  The tests below hold that form to
+# the loops: a kernel built directly or rebuilt by `dataclasses.replace` runs
+# on the entries it was given, both dtypes of the numerators (int64 and Python
+# ints) run at the int64 bound, and every float made from an exact entry is
+# float(Fraction), also past 2**53.
+
+def _embed_by_loop(k):
+    return np.array([[complex(float(v)) for v in row] for row in k.entries]).T
+
+
+def test_direct_and_replaced_kernels_run_on_their_own_entries():
+    rng = np.random.default_rng(11)
+    oracle = Oracle()
+    changed = 0
+    for trial in range(30):
+        nx, ny, nz = (int(v) for v in rng.integers(1, 6, size=3))
+        f = fs.stochastic(_rational_columns(rng, ny, nx))
+        other = fs.stochastic(_rational_columns(rng, ny, nx, zero_rows=int(rng.integers(0, ny))))
+        g = fs.stochastic(_rational_columns(rng, nz, ny))
+        p = fs.prob_vector(_rational_prior(rng, nx))
+        for k in (f, other, g, p):   # every operation has run on them before any replace
+            fs.push(f, p), fs.compose(g, f), fs.bayes_inverse(f, p)
+        direct = fs.StochasticMatrix(other.entries.copy(), True)
+        replaced = dataclasses.replace(f, entries=other.entries)
+        scaled = dataclasses.replace(f, entries=f.entries * Fraction(10001, 10000))
+        prior = dataclasses.replace(p, entries=p.entries[::-1])
+        changed += not np.array_equal(replaced.entries, f.entries)
+        for label, k, q in (("direct", direct, p), ("replaced", replaced, p),
+                            ("scaled", scaled, p), ("prior", f, prior)):
+            oracle.kernels(f"{trial} {label}", k, q, g, h=f)
+            oracle.same(f"{trial} {label} reverse ae_equal", fs.ae_equal, ref.classical_ae_equal,
+                        f, k, q)
+            assert fs.embed(k).matrix.tobytes() == _embed_by_loop(k).tobytes()
+            assert fs.push(k, q).entries.tolist() == ref.classical_push(k, q).entries.tolist()
+    assert changed > 20 and oracle.mismatches == []
+
+
+def test_exact_entries_are_a_read_only_snapshot():
+    rows = [[Fraction(1, 3), 1], [Fraction(2, 3), 0]]
+    given = np.array(rows, dtype=object)
+    k = fs.StochasticMatrix(given, True)
+    given[0, 0] = Fraction(1, 2)          # the caller's array, not the kernel's
+    assert k.entries[0, 0] == Fraction(1, 3)
+    assert fs.push(k, fs.prob_vector([1, 0])).entries.tolist() == [Fraction(1, 3), Fraction(2, 3)]
+    for built in (k, fs.stochastic(rows), fs.compose(k, fs.deterministic_kernel(int, 2, 2)),
+                  fs.prob_vector(["1/2", "1/2"])):
+        with pytest.raises(ValueError, match="read-only"):
+            built.entries[0] = 0
+
+
+@pytest.fixture
+def dtypes(monkeypatch):
+    """The dtypes `_ints` picks, in call order."""
+    seen, real = [], fs._ints
+
+    def ints(bound, *nums):
+        out = real(bound, *nums)
+        seen.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(fs, "_ints", ints)
+    return seen
+
+
+def _direct(rows, den=1):
+    return fs.StochasticMatrix(np.array([[Fraction(v, den) for v in row] for row in rows],
+                                        dtype=object), True)
+
+
+def _vector(values, den=1):
+    return fs.ProbVector(np.array([Fraction(v, den) for v in values], dtype=object), True)
+
+
+# 3037000499 * 3037000500 < 2**63 < 3037000500 * 3037000501
+_ROOT = 3037000499
+
+
+def _picks(dtypes, fn, *args):
+    """Whether each `_ints` call of fn(*args) picks int64."""
+    dtypes.clear()
+    fn(*args)
+    return [d == np.int64 for d in dtypes]
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_both_dtypes_at_the_int64_bound(dtypes, above):
+    oracle = Oracle()
+    a, b = 2**31, 2**31 - 1 + above          # 2 a b is 2**63 - 2**32, or 2**63
+    # the inner sums of two terms a b; one product 2a b, of Fractions over
+    # denominators near 2**32
+    cases = [("compose", fs.compose, ref.classical_compose, _direct([[a, a]]),
+              _direct([[b], [b]])),
+             ("push", fs.push, ref.classical_push, _direct([[a, -a]]), _vector([b, -b])),
+             ("product", fs.product, ref.classical_product, _direct([[2 * a, 1]], 2**32 + 15),
+              _direct([[b], [3]], 2**31 + 11))]
+    for name, new, old, x, y in cases:
+        got = oracle.same(name, new, old, x, y)
+        assert got[0] == "exact" and got[3]
+        assert _picks(dtypes, new, x, y) == [not above], name
+    # q = (t + 1, t), so the lcm of its entries is t (t + 1), and f has entries near t:
+    # q in int64, then the numerators over the lcm in int64 below the bound only
+    t = _ROOT + above
+    f, p = _direct([[t, 1], [t - 1, 1]]), _vector([1, 1], 2)
+    got = oracle.same("bayes_inverse", fs.bayes_inverse, ref.classical_bayes_inverse, f, p)
+    assert got[0] == "exact" and got[3]
+    assert _picks(dtypes, fs.bayes_inverse, f, p) == [True, not above]
+    oracle.kernels("lcm", f, p, g=_direct([[1, 1]]), h=f)
+    assert oracle.mismatches == []
+
+
+@pytest.mark.parametrize("den", [2**63 - 25, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 13])
+def test_denominators_at_the_int64_bound(den):
+    oracle = Oracle()
+    rows = [[Fraction(1, den), 1], [1 - Fraction(1, den), 0]]
+    off = [[Fraction(2, den)], [1 - Fraction(1, den)]]
+    prior = [1 - Fraction(3, den), Fraction(3, den)]
+    oracle.same("stochastic", fs.stochastic, ref.classical_stochastic, rows)
+    got = oracle.same("sum off 1", fs.stochastic, ref.classical_stochastic, off)
+    assert got == (ValueError, f"column 0 sums to {1 + Fraction(1, den)}, expected 1")
+    oracle.same("prob_vector", fs.prob_vector, ref.classical_prob_vector, prior)
+    f, p = fs.stochastic(rows), fs.prob_vector(prior)
+    d = fs.deterministic_kernel(lambda x: 0, 2, 2)
+    oracle.kernels("den", f, p, g=f, h=d)
+    oracle.kernels("indicator", d, p, g=f, h=f)
+    assert oracle.mismatches == []
+
+
+_PAST_2_53 = [Fraction(2**53 + 1, 2**54 + 3), Fraction(1, 3 * 2**53), Fraction(2**53 - 1, 2**53),
+              Fraction(2**60 + 7, 2**61 + 1), Fraction(2**53 + 1, 2**53 + 3),
+              Fraction(2**70 + 1, 3 * 2**70 + 5)]
+
+
+def test_floats_past_2_53_are_float_of_the_fraction():
+    oracle = Oracle()
+    for v in _PAST_2_53:
+        rows = [[v, Fraction(1, 7)], [1 - v, Fraction(6, 7)]]
+        prior = [v, 1 - v]
+        f, p = fs.stochastic(rows), fs.prob_vector(prior)
+        want = [[float(x) for x in row] for row in rows]
+        assert fs.embed(f).matrix.tobytes() == np.array(want).T.astype(complex).tobytes()
+        coords = alg.vec(fs.embed_prob(p).density)
+        assert coords.tobytes() == np.array([float(x) for x in prior], dtype=complex).tobytes()
+        # mixed operands run in floats made from the exact entries
+        floats = fs.stochastic(_floats(rows))
+        for label, a, b in (("float after exact", floats, f), ("exact after float", f, floats)):
+            oracle.same(f"{v} compose {label}", fs.compose, ref.classical_compose, a, b)
+            oracle.same(f"{v} product {label}", fs.product, ref.classical_product, a, b)
+        oracle.kernels(f"{v} mixed", floats, p, g=f, h=f)
+        oracle.kernels(f"{v} mixed prior", f, fs.prob_vector(_floats([prior])[0]), g=f, h=floats)
+        # the witness of a supported column that is no indicator
+        rep = fs.is_ae_deterministic(f, fs.prob_vector([1, 0]))
+        assert rep.witness["value"].hex() == float(v).hex()
     assert oracle.mismatches == []

@@ -264,6 +264,9 @@ _MUTATIONS = [
      "padded_inclusion", _scale_output),
     ("finstoch", "Bayes diagram holds exactly in rational arithmetic", "finstoch.bayes_inverse",
      _scale_entries),
+    # the diagram is read off the q that push gives, not recomputed
+    ("finstoch", "Bayes diagram holds exactly in rational arithmetic", "finstoch.push",
+     _reverse_entries),
     ("finstoch", "Bayes inverse pushes the output measure back to the input", "finstoch.push",
      _reverse_entries),
     # zeroing the columns on the support breaks a.e. unitality

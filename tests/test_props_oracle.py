@@ -3,14 +3,17 @@
 The `algebra`, `state-ae` and `finstoch` suites draw every trial's inputs in
 turn and decide each invariant once, on the coordinates of all trials
 stacked; `loop_reference.py` keeps the loops that draw and decide one trial
-at a time, the star-preserving map built by `channel_from_action` and the
-weights normalized by a Fraction sum.  Each suite must leave its generator
-in the same state and report the same checks with either, the maps must be
-bitwise equal and the weights equal, and the verdicts must agree under a
+at a time, the star-preserving map built by `channel_from_action`, and the
+exact kernels and priors of weights normalized by a Fraction sum and
+validated entry by entry.  Each suite must leave its generator in the same
+state and report the same checks with either, the maps must be bitwise
+equal and the kernels equal, and the verdicts must agree under a
 broken `_mul_coords` too.  The `state-ae` a.e. trials must give every trial
 the verdicts of the per-call `ae_equal` and `ae_deterministic`, also under a
 broken support or a broken entry rule on some of the trials.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,8 @@ _LOOPS = {
     "_nullspace_trials": ref.nullspace_trials,
     "_ae_trials": ref.ae_trials,
     "_random_star_preserving": ref.random_star_preserving,
-    "_rational_weights": ref.rational_weights,
+    "_random_rational_prob": ref.random_rational_prob,
+    "_random_rational_kernel": ref.random_rational_kernel,
 }
 
 
@@ -54,9 +58,9 @@ def _run(monkeypatch, suite, seed, trials, loops, verdicts=None, parts=tuple(_LO
     seen = []
 
     def spy(name, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             seen.extend(a for a in args if isinstance(a, np.random.Generator))
-            out = fn(*args)
+            out = fn(*args, **kwargs)
             if verdicts is not None and name == "_ae_trials":
                 verdicts.append(out)
             return out
@@ -199,8 +203,14 @@ def test_star_preserving_part_is_bitwise_the_action(s, t, seed):
 @pytest.mark.parametrize("zero_last", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rational_weights_match_the_fraction_sums(seed, zero_last):
+    # the integer weights over their sums, carried, against Fractions over a Fraction sum
     got, want = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in (1, 2, 3, 6) * 8:
-        assert props._rational_weights(got, n, zero_last) == ref.rational_weights(
-            want, n, zero_last)
+        for new, old in ((props._random_rational_kernel(got, n, 3, zero_last),
+                          ref.random_rational_kernel(want, n, 3, zero_last)),
+                         (props._random_rational_prob(got, n),
+                          ref.random_rational_prob(want, n))):
+            assert new.exact and old.exact
+            assert new.entries.tolist() == old.entries.tolist()
+            assert {type(v) for v in new.entries.flat} == {Fraction}
     assert got.bit_generator.state == want.bit_generator.state
