@@ -147,14 +147,15 @@ def hamming_decode(y: int) -> int:
 
 
 def _hamming_error_kernel(eps: Fraction) -> fs.StochasticMatrix:
-    """Single-error channel: stay put with 1 - 7 eps, flip one bit with eps each."""
-    rows = [[Fraction(0)] * 16 for _ in range(128)]
-    for x in range(16):
-        y0 = hamming_encode(x)
-        rows[y0][x] = 1 - 7 * eps
-        for i in range(7):
-            rows[y0 ^ (1 << i)][x] = eps
-    return fs.stochastic(rows)
+    """Single-error channel: stay put with 1 - 7 eps, flip one bit with eps each.
+    With eps = n / d (at most 1/7), each column holds the weights d - 7 n and n."""
+    n, d = eps.as_integer_ratio()
+    x = np.arange(16)
+    y0 = np.array([hamming_encode(v) for v in range(16)])
+    weights = np.zeros((128, 16), dtype=np.int64)
+    weights[y0 ^ (1 << np.arange(7))[:, None], x] = n
+    weights[y0, x] = d - 7 * n
+    return fs.StochasticMatrix._normalized(weights)
 
 
 def _rank_mod2(m: np.ndarray) -> int:

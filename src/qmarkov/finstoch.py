@@ -2,21 +2,21 @@
 the embedding into commutative algebras.
 
 Entries are column-stochastic: f[y, x] is the probability of y given x.
-When every input is rational (int, Fraction, or a "p/q" string) the kernel
-is exact: it carries its entries as integer numerators over one positive
-common denominator, reduced by the gcd of all of them, and every operation
-reads and writes that form, so the Bayes diagram g_xy q_y = f_yx p_x is an
-identity, not an approximation.  The numerators are int64 when a bound on
-every integer the next operation forms stays below 2^63, and Python ints
-(object arrays) otherwise; `_ints` picks the dtype, and the same numpy call
-runs on either.  `.entries` of an exact kernel is a read-only object array
-of Fractions, built when first read.  Otherwise the entries are a float
-array, and non-finite entries are rejected when parsed.  An operation on a
-float and an exact operand is carried out in floats, and every float made
-from an exact entry is float(Fraction): one correctly rounded division.
-Every check compares against one zero threshold, 0 for exact entries and
-tol.eq for floats, so "|v| <= thr" reads "v == 0" and "min(|v|, |v - 1|) <=
-thr" reads "v in (0, 1)" in exact mode.
+Every kernel and vector carries numerators `_num` over one positive
+denominator `_den`, and every operation reads and writes that form.  When
+every input is rational (int, Fraction, or a "p/q" string) the kernel is
+exact: integer numerators, reduced with the denominator by their gcd, so the
+Bayes diagram g_xy q_y = f_yx p_x is an identity, not an approximation.  They
+are int64 when a bound on every integer the next operation forms stays below
+2^63, else Python ints (object arrays); `_ints` picks the dtype, and the same
+numpy call runs on either.  `.entries` of an exact kernel is a read-only
+object array of Fractions, built when first read.  Otherwise the numerators
+are the read-only float64 entries over 1 (non-finite entries are rejected
+when parsed); a float and an exact operand combine in floats, each made from
+an exact entry as float(Fraction) is.  Each check is one formula with a zero
+threshold thr (0 for exact operands, tol.eq for floats) scaled by the
+denominator: "|num| <= thr den" reads "v == 0" when exact and "|v| <=
+tol.eq" for floats, and "min(|num|, |num - den|) <= thr den" reads "v is 0 or 1".
 """
 from __future__ import annotations
 
@@ -70,16 +70,16 @@ def _parse_entry(v):
 
 
 def _parse_array(rows):
-    """The entries of rows as (numerators, denominator) when all are rational, else
-    as a float array; and whether they are exact."""
+    """The entries of rows as (numerators, denominator, exact): integers over the
+    lcm of their denominators when all are rational, else floats over 1."""
     parsed = [[_parse_entry(v) for v in row] for row in rows]
     width = len(parsed[0]) if parsed else 0
     if any(len(row) != width for row in parsed):
         raise ValueError("rows have different lengths")
     flat, shape = [e for row in parsed for e in row], (len(parsed), width)
     if all(ok for _, ok in flat):
-        return _ratio([v for v, _ in flat], shape), True
-    return np.array([v for v, _ in flat], dtype=float).reshape(shape), False
+        return *_ratio([v for v, _ in flat], shape), True
+    return np.array([v for v, _ in flat], dtype=float).reshape(shape), 1, False
 
 
 def _ratio(values, shape) -> tuple[np.ndarray, int]:
@@ -125,34 +125,36 @@ def _reduced(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return num, den
 
 
-def _threshold(exact: bool, tol: Tolerance):
-    return 0 if exact else tol.eq
-
-
 class _Carried:
-    """What kernels and vectors share: an exact one carries numerators `_num`
-    over the denominator `_den`, and builds `entries` from them when first
-    read.  One made by the constructor (or `dataclasses.replace`) takes a
-    read-only copy of the entries it is given, so its numerators cannot go
-    stale."""
+    """What kernels and vectors share: numerators `_num` over a denominator `_den`.
+    An exact one builds `entries` from its integer numerators when first read; a
+    float one's numerators are its entries, over 1.  One made by the constructor
+    (or `dataclasses.replace`) takes a read-only copy of the entries it is given,
+    so its numerators cannot go stale."""
 
     def __post_init__(self):
-        if self.exact:
-            entries = np.array(self.entries, dtype=object)
-            entries.flags.writeable = False
-            object.__setattr__(self, "entries", entries)
-            self._hold(*_reduced(*_ratio(entries.flat, entries.shape)))
+        entries = np.array(self.entries, dtype=object if self.exact else float)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        held = _reduced(*_ratio(entries.flat, entries.shape)) if self.exact else (entries, 1)
+        self._hold(*held)
 
     def _hold(self, num: np.ndarray, den: int) -> None:
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _carry(cls, num: np.ndarray, den: int):
-        """The exact instance of num / den, reduced; its entries are built when read."""
+    def _carry(cls, num: np.ndarray, den: int, exact: bool = True):
+        """The instance of num / den: reduced when exact, its entries built when read;
+        a float num, which the library has just built, is held over 1 uncopied."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "exact", True)
-        obj._hold(*_reduced(num, den))
+        object.__setattr__(obj, "exact", exact)
+        if exact:
+            num, den = _reduced(num, den)
+        else:
+            num.flags.writeable = False
+            object.__setattr__(obj, "entries", num)
+        obj._hold(num, den)
         return obj
 
     @classmethod
@@ -182,14 +184,14 @@ class _Carried:
 
     @property
     def _shape(self) -> tuple[int, ...]:
-        return self._num.shape if self.exact else self.entries.shape
+        return self._num.shape
 
     def _floats(self) -> np.ndarray:
         """The entries in float64.  An exact one is rounded once, as float(Fraction) is:
         a float64 division is correctly rounded while the numerator and the
         denominator are exact floats, and beyond 2^53 the division of Python ints is."""
         if not self.exact:
-            return np.asarray(self.entries, dtype=float)
+            return self._num
         num, den = self._num, self._den
         if den <= _FLOAT and self._max <= _FLOAT:
             return num.astype(float) / den
@@ -197,13 +199,12 @@ class _Carried:
 
 
 def _combine(*operands, tol: Tolerance = DEFAULT_TOL) -> tuple[list, bool, object]:
-    """The operands' values, whether they are exact, and the zero threshold.
-
-    Exact operands are their own values, read through `_num`, `_den` and
-    `_max`; one float operand makes every value a float array.
-    """
+    """The operands as (numerators, denominator) pairs, whether all are exact, and
+    the zero threshold: 0 when every operand is exact and is its own `_num` and
+    `_den`; otherwise tol.eq, and every operand is its floats over 1."""
     exact = all(o.exact for o in operands)
-    return operands if exact else [o._floats() for o in operands], exact, _threshold(exact, tol)
+    pairs = [(o._num, o._den) if exact else (o._floats(), 1) for o in operands]
+    return pairs, exact, 0 if exact else tol.eq
 
 
 def _column_sums(arr: np.ndarray) -> np.ndarray:
@@ -213,27 +214,25 @@ def _column_sums(arr: np.ndarray) -> np.ndarray:
         return np.add.accumulate(np.vstack([np.zeros((1, arr.shape[1]), arr.dtype), arr]))[-1]
 
 
-def _first_bad_column(values, thr):
-    """(column, has a negative entry, column sum) of the first column with an
-    entry below -thr or a sum off 1, or None when every column is fine.
+def _first_bad_column(v, tol: Tolerance):
+    """(column, has a negative entry, column sum) of the first column of v (a
+    vector is one column) with an entry below -thr or a sum off 1, or None when
+    every column is fine.
 
-    Exact values (num, den) are decided on their numerators (thr is 0): an
-    entry is negative when its numerator is, and a column sums to 1 when its
-    numerators sum to den.  Only the sum of the column reported is built as
-    a Fraction.
+    On numerators over den, an entry is below -thr when its numerator is below
+    -thr den, and a column of numerators summing to total sums to 1 when
+    |total - den| <= thr max(den, |total|): total == den when exact.  Only the
+    sum of an exact column reported is built as a Fraction.
     """
-    exact = isinstance(values, tuple)
+    [(num, den)], exact, thr = _combine(v, tol=tol)
+    if num.ndim == 1:
+        num = num[:, None]
     if exact:
-        num, den = values
-        [num] = _ints(max(_peak(num) * num.shape[0], den), num)
-        negative = (num < 0).any(axis=0)
-        total = num.sum(axis=0)
-        ok = total == den
-    else:
-        negative = (values < -thr).any(axis=0)
-        total = _column_sums(values)
-        mag = np.abs(total)
-        ok = (np.abs(total - 1) <= thr * np.maximum(1, mag)) & (mag < np.inf)
+        [num] = _ints(_peak(num) * len(num) + den, num)
+    negative = (num < -thr * den).any(axis=0)
+    total = _column_sums(num)
+    mag = np.abs(total)
+    ok = (np.abs(total - den) <= thr * np.maximum(den, mag)) & (mag < np.inf)
     bad = np.flatnonzero(negative | ~ok)
     if not bad.size:
         return None
@@ -241,13 +240,12 @@ def _first_bad_column(values, thr):
     return x, bool(negative[x]), Fraction(int(total[x]), den) if exact else total[x]
 
 
-def _indicator_mask(f, thr) -> np.ndarray:
-    """Entries within thr of 0 or 1."""
-    if f.exact:
-        [num] = _ints(max(f._max, f._den), f._num)
-        return (num == 0) | (num == f._den)
-    e = f._floats()
-    return np.minimum(np.abs(e), np.abs(e - 1)) <= thr
+def _indicator_mask(f, tol: Tolerance) -> np.ndarray:
+    """Entries within thr of 0 or 1: min(|num|, |num - den|) <= thr den."""
+    [(num, den)], exact, thr = _combine(f, tol=tol)
+    if exact:
+        [num] = _ints(f._max + den, num)
+    return np.minimum(np.abs(num), np.abs(num - den)) <= thr * den
 
 
 @dataclass(frozen=True)
@@ -267,17 +265,17 @@ class StochasticMatrix(_Carried):
 
     def is_deterministic(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every column is a 0/1 indicator."""
-        return bool(_indicator_mask(self, _threshold(self.exact, tol)).all())
+        return bool(_indicator_mask(self, tol).all())
 
 
 def stochastic(rows, tol: Tolerance = DEFAULT_TOL) -> StochasticMatrix:
-    values, exact = _parse_array(rows)
-    bad = _first_bad_column(values, _threshold(exact, tol))
+    f = StochasticMatrix._carry(*_parse_array(rows))
+    bad = _first_bad_column(f, tol)
     if bad is not None:
         x, negative, total = bad
         raise ValueError(f"negative probability in column {x}" if negative
                          else f"column {x} sums to {total}, expected 1")
-    return StochasticMatrix._carry(*values) if exact else StochasticMatrix(values, False)
+    return f
 
 
 @dataclass(frozen=True)
@@ -292,19 +290,19 @@ class ProbVector(_Carried):
         return self._shape[0]
 
     def nullset(self, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-        values = self._num if self.exact else self._floats()   # a numerator is 0 with its entry
-        return np.flatnonzero(np.abs(values) <= _threshold(self.exact, tol)).tolist()
+        [(num, den)], _, thr = _combine(self, tol=tol)
+        return np.flatnonzero(np.abs(num) <= thr * den).tolist()
 
 
 def prob_vector(values, tol: Tolerance = DEFAULT_TOL) -> ProbVector:
-    values, exact = _parse_array([list(values)])
-    column = (values[0].T, values[1]) if exact else values.T
-    bad = _first_bad_column(column, _threshold(exact, tol))
+    num, den, exact = _parse_array([list(values)])
+    p = ProbVector._carry(num[0], den, exact)
+    bad = _first_bad_column(p, tol)
     if bad is not None:
         _, negative, total = bad
         raise ValueError("negative probability entry" if negative
                          else f"probabilities sum to {total}, expected 1")
-    return ProbVector._carry(values[0][0], values[1]) if exact else ProbVector(values[0], False)
+    return p
 
 
 def deterministic_kernel(func, n_in: int, n_out: int) -> StochasticMatrix:
@@ -325,13 +323,12 @@ def _check_columns(f: StochasticMatrix, p: ProbVector) -> None:
 
 def _bilinear(cls, op, a, b, inner: int = 1):
     """op(a, b) as a cls, for an op whose every output entry is a sum of inner
-    products of one entry of each operand: in floats, or exactly, as op of the
-    numerators over the product of the denominators."""
-    (ae, be), exact, _ = _combine(a, b)
-    if not exact:
-        return cls(op(ae, be), False)
-    an, bn = _ints(a._max * b._max * inner, a._num, b._num)
-    return cls._carry(op(an, bn), a._den * b._den)
+    products of one entry of each operand: op of the numerators over the product
+    of the denominators."""
+    ((an, ad), (bn, bd)), exact, _ = _combine(a, b)
+    if exact:
+        an, bn = _ints(a._max * b._max * inner, an, bn)
+    return cls._carry(op(an, bn), ad * bd, exact)
 
 
 def compose(g: StochasticMatrix, f: StochasticMatrix) -> StochasticMatrix:
@@ -362,28 +359,30 @@ def bayes_inverse(f: StochasticMatrix, p: ProbVector, tol: Tolerance = DEFAULT_T
     its numerators are F_yx P_x (L / Q_y), and L / size on a null column.
     """
     _check_columns(f, p)
-    (fe, pe), exact, thr = _combine(f, p, tol=tol)
-    if not exact:
-        q = fe @ pe
-        null = np.abs(q) <= thr
-        out = (fe.T * pe[:, None]) / np.where(null, 1, q)
-        out[:, null] = 1 / p.size
-        return StochasticMatrix(out, False)
-    fn, pn = _ints(f._max * p._max * p.size, f._num, p._num)
-    q = (fn @ pn).tolist()
-    null = [not v for v in q]
-    den = math.lcm(*(abs(v) for v in q if v), *([p.size] if any(null) else []))
-    scale = np.array([den // v if v else 0 for v in q], dtype=object)
-    fn, pn, scale = _ints(max(f._max * p._max * _peak(scale), den), fn, pn, scale)
-    out = fn.T * pn[:, None] * scale
-    out[:, null] = den // p.size
-    return StochasticMatrix._carry(out, den)
+    ((fn, fd), (pn, pd)), exact, thr = _combine(f, p, tol=tol)
+    if exact:
+        fn, pn = _ints(f._max * p._max * p.size, fn, pn)
+    q = fn @ pn
+    null = np.abs(q) <= thr * fd * pd
+    if exact:
+        q = q.tolist()
+        den = math.lcm(*(abs(v) for v in q if v), *([p.size] if null.any() else []))
+        scale = np.array([den // v if v else 0 for v in q], dtype=object)
+        fn, pn, scale = _ints(max(f._max * p._max * _peak(scale), den), fn, pn, scale)
+        out, fill = fn.T * pn[:, None] * scale, den // p.size
+    else:
+        den, out, fill = 1, (fn.T * pn[:, None]) / np.where(null, 1, q), 1 / p.size
+    out[:, null] = fill
+    return StochasticMatrix._carry(out, den, exact)
 
 
-def _differ(a, b) -> np.ndarray:
-    """Where two exact arrays of one shape differ: their numerators cross-multiplied."""
-    an, bn = _ints(max(a._max * b._den, b._max * a._den), a._num, b._num)
-    return an * b._den != bn * a._den
+def _differ(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Where two arrays of one shape differ: |a d_b - b d_a| > thr d_a d_b on their
+    numerators a, b over d_a, d_b."""
+    ((an, ad), (bn, bd)), exact, thr = _combine(a, b, tol=tol)
+    if exact:
+        an, bn = _ints(a._max * bd + b._max * ad, an, bn)
+    return np.abs(an * bd - bn * ad) > thr * ad * bd
 
 
 def _equal(a, b) -> bool:
@@ -416,8 +415,7 @@ def ae_equal(
     if f._shape != h._shape:
         raise ShapeMismatch("kernels have different shapes")
     _check_columns(f, p)
-    (fe, he), exact, thr = _combine(f, h, tol=tol)
-    bad = _supported_failure(_differ(f, h) if exact else np.abs(fe - he) > thr, p, tol)
+    bad = _supported_failure(_differ(f, h, tol), p, tol)
     if bad is not None:
         x, y = bad
         return _report(
@@ -433,7 +431,7 @@ def is_ae_deterministic(
 ) -> PropertyReport:
     """Every supported column is a 0/1 indicator."""
     _check_columns(f, p)
-    bad = _supported_failure(~_indicator_mask(f, _threshold(f.exact, tol)), p, tol)
+    bad = _supported_failure(~_indicator_mask(f, tol), p, tol)
     if bad is not None:
         x, y = bad
         value = int(f._num[y, x]) / f._den if f.exact else float(f.entries[y, x])

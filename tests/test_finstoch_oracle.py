@@ -10,7 +10,9 @@ priors with zero rows and null points, their float copies, mixed
 exact/float operands, and float entries within 1e-3 (relative) of each
 tol.eq threshold, on either side.
 """
+import ast
 import dataclasses
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -382,6 +384,30 @@ def test_hamming_round_trip_matches_the_loops():
     assert oracle.mismatches == []
 
 
+def _hamming_rows(eps):
+    """The single-error channel of the Hamming code as rows of Fractions."""
+    from qmarkov import corpus
+
+    rows = [[Fraction(0)] * 16 for _ in range(128)]
+    for x in range(16):
+        y0 = corpus.hamming_encode(x)
+        rows[y0][x] = 1 - 7 * eps
+        for i in range(7):
+            rows[y0 ^ (1 << i)][x] = eps
+    return rows
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 100), Fraction(1, 7), Fraction(0),
+                                 Fraction(3, 2**40 + 1)])
+def test_hamming_error_kernel_is_the_kernel_of_its_fraction_rows(eps):
+    from qmarkov import corpus
+
+    got, want = corpus._hamming_error_kernel(eps), fs.stochastic(_hamming_rows(eps))
+    assert (got._den, got._num.dtype) == (want._den, want._num.dtype)
+    assert np.array_equal(got._num, want._num)
+    assert got.entries.tolist() == want.entries.tolist()
+
+
 # An exact kernel carries its entries as numerators over one denominator, and
 # builds `entries` only when it is read.  The tests below hold that form to
 # the loops: a kernel built directly or rebuilt by `dataclasses.replace` runs
@@ -431,6 +457,29 @@ def test_exact_entries_are_a_read_only_snapshot():
                   fs.prob_vector(["1/2", "1/2"])):
         with pytest.raises(ValueError, match="read-only"):
             built.entries[0] = 0
+
+
+def test_float_entries_are_a_read_only_snapshot():
+    rows = [[0.5, 1.0], [0.5, 0.0]]
+    # lists construct, as they do for exact entries
+    k, p = fs.StochasticMatrix(rows, False), fs.ProbVector([0.5, 0.5], False)
+    assert (k.n_rows, k.n_cols, p.size) == (2, 2, 2)
+    assert k.entries.dtype == p.entries.dtype == np.float64
+    # the caller's arrays, not the kernel's
+    given, prior = np.array(rows), np.array([0.5, 0.5])
+    k, p = fs.StochasticMatrix(given, False), fs.ProbVector(prior, False)
+    given[0, 0], prior[0] = 0.9, 0.9
+    assert fs.push(k, p).entries.tolist() == [0.75, 0.25]
+    replaced = dataclasses.replace(k, entries=given)
+    given[0, 0] = 0.5
+    assert replaced.entries[0, 0] == 0.9
+    exact = fs.stochastic([["1/2", "1"], ["1/2", "0"]])
+    built = [fs.stochastic(rows), fs.prob_vector([0.5, 0.5]), fs.compose(k, k), fs.product(k, k),
+             fs.push(k, p), fs.bayes_inverse(k, p), fs.compose(exact, k), fs.push(exact, p)]
+    for v in [k, p, replaced, fs.StochasticMatrix(rows, False)] + built:
+        with pytest.raises(ValueError, match="read-only"):
+            v.entries[0] = 0
+        assert v._num is v.entries and v._den == 1
 
 
 @pytest.fixture
@@ -493,6 +542,49 @@ def test_both_dtypes_at_the_int64_bound(dtypes, above):
     assert oracle.mismatches == []
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_both_dtypes_at_the_subtracting_bounds(dtypes, above):
+    oracle = Oracle()
+    # column sums: |total - den| of a column of n numerators up to m over den is at
+    # most m n + den; here 2 a + d is 2**63 - 1, or 2**63.  The parse picks first.
+    d = 2**62 - 1 - above
+    a = (2**63 - 1 + above - d) // 2
+    rows = [[Fraction(a, d)], [Fraction(d - a, d)]]
+    for name, new, old, arg in (("stochastic", fs.stochastic, ref.classical_stochastic, rows),
+                                ("prob_vector", fs.prob_vector, ref.classical_prob_vector,
+                                 [v for [v] in rows])):
+        got = oracle.same(name, new, old, arg)
+        assert got[0] == "exact" and got[3]
+        assert _picks(dtypes, new, arg) == [True, not above], name
+    off = [[Fraction(a, d)], [Fraction(d - a - 1, d)]]
+    got = oracle.same("sum off 1", fs.stochastic, ref.classical_stochastic, off)
+    assert got == (ValueError, f"column 0 sums to {Fraction(d - 1, d)}, expected 1")
+    dtypes.clear()
+    with pytest.raises(ValueError):
+        fs.stochastic(off)
+    assert [t == np.int64 for t in dtypes] == [True, not above]
+    # the indicator mask: |num - den| is at most max|num| + den; -(d - 1) and 1 over
+    # d = 2**62 give 2**63 - 1, and -d and 1 give num - den = -2**63
+    d = 2**62
+    f, p = _direct([[-(d - 1 + above), 1]], d), _vector([1, 1], 2)
+    # ae_equal: |a d_h - h d_a| is at most max|a| d_h + max|h| d_a; the entries 1 and
+    # 1/a against -1 and 1/b give a b + b a = 2**63 - 2**32, or 2**63
+    a, b = 2**31, 2**31 - 1 + above
+    one, minus_one = _direct([[a, 1]], a), _direct([[-b, 1]], b)
+    for name, new, old, args in (
+            ("is_deterministic", fs.StochasticMatrix.is_deterministic,
+             ref.classical_is_deterministic, (f,)),
+            ("is_ae_deterministic", fs.is_ae_deterministic, ref.classical_is_ae_deterministic,
+             (f, p)),
+            ("ae_equal", fs.ae_equal, ref.classical_ae_equal, (one, minus_one, p))):
+        got = oracle.same(name, new, old, *args)
+        assert got[0] == "value"
+        assert _picks(dtypes, new, *args) == [not above], name
+    assert not fs.ae_equal(one, minus_one, p).passed
+    assert not fs.is_ae_deterministic(f, p).passed
+    assert oracle.mismatches == []
+
+
 @pytest.mark.parametrize("den", [2**63 - 25, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 13])
 def test_denominators_at_the_int64_bound(den):
     oracle = Oracle()
@@ -536,3 +628,89 @@ def test_floats_past_2_53_are_float_of_the_fraction():
         rep = fs.is_ae_deterministic(f, fs.prob_vector([1, 0]))
         assert rep.witness["value"].hex() == float(v).hex()
     assert oracle.mismatches == []
+
+
+# A branch on exactness is an `if`, a conditional expression, a `while` or a
+# comprehension filter whose test reads a name or an attribute `exact`.  Each check
+# is one formula on numerators over a denominator, so the only branch allowed in
+# one is an `_ints` widening: `if exact:` with no `else`, assigning the values of
+# `_ints` calls and nothing else.  Other branches belong where the arithmetic
+# itself differs: the parse, the constructor and its dispatch `_carry`, the float
+# conversion and `_combine`; and one branch each, found by a name it holds, in
+# bayes_inverse (the lcm step), _first_bad_column (the Fraction of the column-sum
+# message) and is_ae_deterministic (the witness value).
+_FORK_FUNCTIONS = {"_parse_array", "_Carried.__post_init__", "_Carried._carry",
+                   "_Carried._floats", "_combine"}
+_FORK_PLACES = {"bayes_inverse": "lcm", "_first_bad_column": "Fraction",
+                "is_ae_deterministic": "value"}
+
+
+def _reads_exact(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "exact"
+               or isinstance(n, ast.Attribute) and n.attr == "exact" for n in ast.walk(node))
+
+
+def _is_widening(node) -> bool:
+    return isinstance(node, ast.If) and not node.orelse and all(
+        isinstance(s, ast.Assign) and isinstance(s.value, ast.Call)
+        and isinstance(s.value.func, ast.Name) and s.value.func.id == "_ints" for s in node.body)
+
+
+def _names(node, parent) -> set[str]:
+    """The names and attributes node reads, and those it is assigned to."""
+    nodes = [node, *(parent.targets if isinstance(parent, ast.Assign) else [])]
+    return {n.id if isinstance(n, ast.Name) else n.attr for m in nodes for n in ast.walk(m)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _exactness_forks(source: str) -> set[str | None]:
+    """The qualified names of the functions and classes (None outside any) of source
+    holding a branch on exactness that is not an `_ints` widening or an allowed fork."""
+    found = set()
+
+    def visit(node, qual, parent):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qual = f"{qual}.{node.name}" if qual else node.name
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            tests = [node.test]
+        else:
+            tests = node.ifs if isinstance(node, ast.comprehension) else []
+        if (any(_reads_exact(t) for t in tests) and not _is_widening(node)
+                and qual not in _FORK_FUNCTIONS
+                and _FORK_PLACES.get(qual) not in _names(node, parent)):
+            found.add(qual or None)
+        for child in ast.iter_child_nodes(node):
+            visit(child, qual, node)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def test_fork_guard_sees_every_branch_form():
+    for bad, where in (
+            ("def f(x, exact):\n    if exact:\n        return x\n    return -x", "f"),
+            ("def f(v):\n    return v._num if v.exact else v._floats()", "f"),
+            ("class C:\n    def m(self):\n        while self.exact:\n            pass", "C.m"),
+            ("def f(vs):\n    return [v for v in vs if v.exact]", "f"),
+            ("def f(n, exact):\n    if exact:\n        [n] = _ints(1, n)\n    else:\n"
+             "        n = -n", "f"),
+            ("def f(n, exact):\n    if exact:\n        [n] = _ints(1, n)\n        n = n + 1",
+             "f"),
+            ("def f(n, exact):\n    if not exact:\n        [n] = _ints(1, n)\n"
+             "    return n if exact else -n", "f"),
+            ("def bayes_inverse(q, exact):\n    if exact:\n        den = 1", "bayes_inverse"),
+            ("if exact:\n    x = 1", None)):
+        assert _exactness_forks(bad) == {where}, bad
+    for fine in ("def f(n, exact):\n    if exact:\n        [n] = _ints(1, n)\n    return n",
+                 "def f(a, b, exact):\n    if exact:\n        a, b = _ints(1, a, b)",
+                 "def _combine(o):\n    return 1 if o.exact else 2",
+                 "def bayes_inverse(q, exact):\n    if exact:\n        den = math.lcm(*q)",
+                 "def is_ae_deterministic(f):\n    value = 1 if f.exact else 2",
+                 "def f(os):\n    exact = all(o.exact for o in os)\n    return exact",
+                 "def f(n):\n    if n.dtype == object:\n        return n",
+                 "# if exact: n = -n", "'n if exact else -n'"):
+        assert _exactness_forks(fine) == set(), fine
+
+
+def test_only_the_arithmetic_forks_on_exactness():
+    assert _exactness_forks(inspect.getsource(fs)) == set()
