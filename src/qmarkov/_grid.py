@@ -79,36 +79,42 @@ def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
     return out
 
 
-def choi_blocks(f) -> list[tuple[np.ndarray, Stacks]]:
-    """The Choi blocks C_yx of a channel f, grouped by block size.
+def choi_blocks(dom: AlgebraShape, cod: AlgebraShape,
+                matrix: np.ndarray) -> list[tuple[np.ndarray, Stacks]]:
+    """The Choi blocks C_yx of the maps dom ~> cod with matrices (..., c, d), grouped
+    by block size.
 
     The Choi matrix of domain block y is block-diagonal over the codomain
     blocks x, with blocks C_yx[(i, a), (j, b)] = F(E_ij)_x[a, b] of size n m.
     One entry per domain block size n: the domain blocks y of that size and,
-    per codomain block size m, their blocks as a stack (k_n, k_m, n m, n m),
-    read from the channel matrix by a slice (a gather for interleaved blocks)
-    and a transpose: a copy, or a read-only view where the transpose allows.
+    per codomain block size m, their blocks as a stack (..., k_n, k_m, n m, n m),
+    read from the matrices by a slice (a gather for interleaved blocks) and a
+    transpose: a copy, or a read-only view where the transpose allows.
     """
+    lead = matrix.shape[:-2]
+    b = len(lead)
+    axes = tuple(range(b)) + tuple(b + i for i in (3, 0, 4, 1, 5, 2))
     out = []
-    for n, ys, _, cols, *_ in f.domain._layout.groups:
+    for n, ys, _, cols, *_ in dom._layout.groups:
         stacks = []
-        for m, xs, _, rows, *_ in f.codomain._layout.groups:
-            c = f.matrix[rows][:, cols].reshape(len(xs), m, m, len(ys), n, n)
-            stacks.append(c.transpose(3, 0, 4, 1, 5, 2).reshape(len(ys), len(xs), n * m, n * m))
+        for m, xs, _, rows, *_ in cod._layout.groups:
+            c = matrix[..., rows, :][..., cols].reshape(lead + (len(xs), m, m, len(ys), n, n))
+            stacks.append(c.transpose(axes).reshape(lead + (len(ys), len(xs), n * m, n * m)))
         out.append((ys, stacks))
     return out
 
 
-def choi_parts(f) -> list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
-    """The Choi blocks of a channel f as pairs (H, C - C*), grouped as `choi_blocks`.
+def choi_parts(dom: AlgebraShape, cod: AlgebraShape,
+               matrix: np.ndarray) -> list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
+    """The Choi blocks as pairs (H, C - C*), grouped as `choi_blocks` groups them.
 
     H = (C + C*) / 2 is the Hermitian part; both are fresh writable stacks
-    (k_n, k_m, n m, n m).  C is read once, H is formed in place in that
+    (..., k_n, k_m, n m, n m).  C is read once, H is formed in place in that
     copy, and C* is one contiguous conjugate transpose that both sums read
     in memory order, so `is_cp` and the Gram certificate share one pass.
     """
     out = []
-    for ys, stacks in choi_blocks(f):
+    for ys, stacks in choi_blocks(dom, cod, matrix):
         parts = []
         for c in stacks:
             c = c if c.flags.writeable else c.copy()   # never write the channel matrix
@@ -249,14 +255,15 @@ def star_failure(f, tol: Tolerance) -> int | None:
 def times_unit(s: AlgebraShape, x: np.ndarray, b: np.ndarray, left: bool = False) -> np.ndarray:
     """Coordinates of X E_b (or E_b X when left) for the columns X of x.
 
-    x holds coordinates on s, one column per entry of b.  Each term x_a E_a
-    lands on the single unit E_a E_b, so the product is a scatter of x.
+    x holds coordinates on s, one column per entry of b, with any leading batch
+    axes: (..., coord_dim, len(b)).  Each term x_a E_a lands on the single unit
+    E_a E_b, so the product is a scatter of x.
     """
     prod = product_index(s)
     target = prod[b, :].T if left else prod[:, b]
-    out = np.zeros((s.coord_dim + 1, len(b)), dtype=complex)
-    out[target, np.arange(len(b))] = x
-    return out[:-1]
+    out = np.zeros(x.shape[:-2] + (s.coord_dim + 1, len(b)), dtype=complex)
+    out[..., target, np.arange(len(b))] = x
+    return out[..., :-1, :]
 
 
 def unit(s: AlgebraShape, index: int) -> AlgElement:
@@ -496,7 +503,7 @@ def _choi_floor(f) -> tuple[float, ...] | None:
     """
     u = _UNIT_ROUNDOFF
     n2e = ne = ne2 = e_max = backward = skew2 = 0.0
-    for ys, parts in choi_parts(f):
+    for ys, parts in choi_parts(f.domain, f.codomain, f.matrix):
         n = f.domain.blocks[ys[0]]
         for h, diff in parts:
             size = h.shape[-1]

@@ -255,6 +255,9 @@ def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance)
     v and the floor 1 scaled alike by its own exact 2^-e from `scale_exponent`.
     Raises ValueError on NaN or Inf entries.
     """
+    big = 2.0 ** 1000   # one pair whose sums of squares are at most 2^1000 needs no scaling
+    if u.ndim == 1 == v.ndim and np.vdot(u, u).real <= big and np.vdot(v, v).real <= big:
+        return not _some(failing_entries(s, u, v, tol))
     if u.shape != v.shape:
         u, v = np.broadcast_arrays(u, v)
     e = scale_exponent(np.concatenate((u, v), axis=-1)[..., None, :], 500)   # per pair
@@ -635,7 +638,10 @@ def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tole
     deviation is at most tol.eq * unit passes whatever its scale.  Otherwise
     it passes under the upper bound on its deviation and the lower bound on
     its scale, or fails under the lower bound on its deviation and the upper
-    bound on its scale.  Only the rest pay for exact operator norms.
+    bound on its scale.  Only the rest pay for exact operator norms.  With a
+    support, a batch of one entry that the first bound leaves live takes its
+    exact norms at once, the deviation's and the scale's in one call, where the
+    norm of a zero operand is 0 and not taken.
     """
     diff = lhs - rhs
     diff_shape = diff.shape
@@ -647,6 +653,11 @@ def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tole
     fail = dev_hi > tol.eq * unit   # the live entries; True stays only where they fail
     if not _some(fail):
         return fail
+    if proj is not None and fail.size == 1:   # the deviation, then the nonzero operands
+        one = [[x.reshape((1,) + x.shape[-3:]) for x in diff]]
+        one += [_stacks(s, x.reshape(1, s.coord_dim)) for x in (lhs, rhs) if _some(x)]
+        norms = _op_norm([np.concatenate(xs) for xs in zip(*one)])
+        return np.reshape(norms[0] > tol.eq * np.maximum(unit, norms[1:].max()), np.shape(fail))
     shape = fail.shape
     fail, dev_hi = fail.reshape(-1), dev_hi.reshape(-1)   # one flat run of entries
     live = np.flatnonzero(fail)
@@ -827,5 +838,11 @@ def random_positive(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
 
 def random_density(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
     """Random faithful-in-expectation density: positive with unit total trace."""
-    p = random_positive(s, rng)
-    return p * (1.0 / trace(p).real)
+    return _adopt(s, _densities(s, _random_coords(s, rng)))
+
+
+def _densities(s: AlgebraShape, x: np.ndarray) -> np.ndarray:
+    """Coordinates of b* b / tr(b* b) for the elements b with coordinates x
+    (..., coord_dim): the densities `random_density` makes of those draws."""
+    p = _mul_coords(s, _adjoint_coords(s, x), x)
+    return p * (1.0 / _trace_coords(s, p).real)[..., None]

@@ -165,7 +165,13 @@ def ad_channel(v: np.ndarray) -> Channel:
     """
     v = np.asarray(v, dtype=complex)
     p, q = v.shape
-    return _owned(AlgebraShape((q,)), AlgebraShape((p,)), _kron(v, v.conj()))
+    return _owned(AlgebraShape((q,)), AlgebraShape((p,)), _ad_matrix(v))
+
+
+def _ad_matrix(v: np.ndarray) -> np.ndarray:
+    """The matrix of X |-> v X v* for complex v (..., p, q): (..., p^2, q^2), one per
+    matrix of a stack."""
+    return _kron(v, v.conj())
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,12 +179,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Entry (i r + k, j s + l) is a_ij b_kl, the one product np.kron forms, so
     the two agree bit for bit; the product is written in the result's layout
-    at once, where np.kron reorders an outer product.
+    at once, where np.kron reorders an outer product.  Matrices (..., p, q) and
+    (..., r, s) may carry leading batch axes: one product per batch entry.
     """
     if a.ndim == 1:
         return (a[:, None] * b).reshape(-1)
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (p * r, q * s))
 
 
 def conjugation_by(e: AlgElement) -> Channel:
@@ -202,10 +210,19 @@ def kraus_channel(
     for k in ops:
         if k.shape != (n, m):
             raise ShapeMismatch(f"Kraus operator of shape {k.shape}, expected ({n}, {m})")
-    mat = np.zeros((m * m, n * n), dtype=complex)
-    for k in ops:
-        mat += _kron(k.conj().T, k.T)
-    return _owned(domain, codomain, mat)
+    return _owned(domain, codomain, _kraus_matrix(np.array(ops).reshape(len(ops), n, m)))
+
+
+def _kraus_matrix(ops: np.ndarray) -> np.ndarray:
+    """sum_i _kron(K_i*, K_i^T), the matrix of B |-> sum_i K_i* B K_i, for complex
+    Kraus operators ops (..., r, n, m): (..., m^2, n^2), one per leading batch entry.
+    The r terms are added in order, from 0, so each sum has the bits of a loop."""
+    lead, (r, n, m) = ops.shape[:-3], ops.shape[-3:]
+    mat = np.zeros(lead + (m * m, n * n), dtype=complex)
+    for i in range(r):
+        k = ops[..., i, :, :]
+        mat += _kron(alg._dagger(k), k.swapaxes(-1, -2))
+    return mat
 
 
 def mult_map(s: AlgebraShape) -> Channel:
@@ -244,9 +261,15 @@ def tensor(f: Channel, g: Channel) -> Channel:
     """
     dom = alg.tensor_shape(f.domain, g.domain)
     cod = alg.tensor_shape(f.codomain, g.codomain)
-    rf, rg = alg.tensor_index(f.codomain, g.codomain)
-    cf, cg = alg.tensor_index(f.domain, g.domain)
-    return _owned(dom, cod, f.matrix[np.ix_(rf, cf)] * g.matrix[np.ix_(rg, cg)])
+    return _owned(dom, cod, _tensor_matrix((f.codomain, g.codomain), (f.domain, g.domain),
+                                           f.matrix, g.matrix))
+
+
+def _tensor_matrix(cods: tuple, doms: tuple, fm: np.ndarray, gm: np.ndarray) -> np.ndarray:
+    """The matrix of F (x) G from the matrices fm (..., c_F, d_F) and gm (..., c_G, d_G)
+    of maps F and G with codomains cods and domains doms, one per leading batch entry."""
+    (rf, rg), (cf, cg) = alg.tensor_index(*cods), alg.tensor_index(*doms)
+    return fm[..., rf[:, None], cf] * gm[..., rg[:, None], cg]
 
 
 _COND_LIMIT = 1e12
@@ -256,10 +279,18 @@ def invert(f: Channel) -> Channel:
     """Inverse channel; raises Singular for non-square or ill-conditioned maps."""
     if f.domain.coord_dim != f.codomain.coord_dim:
         raise Singular("channel matrix is not square")
-    cond = np.linalg.cond(f.matrix)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise Singular(f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
-    return _owned(f.codomain, f.domain, np.linalg.inv(f.matrix))
+    return _owned(f.codomain, f.domain, _inverses(f.matrix))
+
+
+def _inverses(m: np.ndarray) -> np.ndarray:
+    """The inverses of the square matrices m (..., n, n); raises Singular, naming the
+    first, when the condition estimate of one is not finite or exceeds _COND_LIMIT."""
+    cond = np.linalg.cond(m)
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if bad.any():
+        raise Singular(f"condition estimate {np.extract(bad, cond)[0]:.3e} exceeds "
+                       f"{_COND_LIMIT:.0e}")
+    return np.linalg.inv(m)
 
 
 def hs_adjoint(f: Channel) -> Channel:
@@ -268,7 +299,13 @@ def hs_adjoint(f: Channel) -> Channel:
     The matrix-unit basis is orthonormal for this pairing, so the adjoint is
     the conjugate transpose of the channel matrix.
     """
-    return _owned(f.codomain, f.domain, f.matrix.conj().T)
+    return _owned(f.codomain, f.domain, _hs_adjoints(f.matrix))
+
+
+def _hs_adjoints(m: np.ndarray) -> np.ndarray:
+    """The matrices of the Hilbert-Schmidt adjoints of the maps with matrices m
+    (..., c, d): their conjugate transposes."""
+    return alg._dagger(m)
 
 
 def choi(f: Channel) -> list[np.ndarray]:
@@ -289,24 +326,11 @@ def choi(f: Channel) -> list[np.ndarray]:
 
 
 def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
-    """Complete positivity via the blockwise Choi matrices.
-
-    A CP map has Hermitian PSD Choi matrices, so the Choi matrix C_y of every
-    domain block y must pass the rule of `alg._psd_verdicts` at unit 1: skew
-    first, then the minimum eigenvalue of the Hermitian part, each against
-    max(1, ||C_y||).  C_y is block-diagonal over the codomain blocks, so the
-    domain blocks of one size are one batch of elements, decided from the
-    Hermitian and skew parts of `_grid.choi_parts`; the first failing domain
-    block is the witness.
-    """
+    """Complete positivity via the blockwise Choi matrices, decided by `_cp_verdicts`;
+    the first failing domain block is the witness."""
 
     def compute():
-        k = len(f.domain.blocks)
-        not_sa, negative = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
-        skew, low = np.zeros(k), np.zeros(k)
-        for ys, parts in _grid.choi_parts(f):
-            hs, diffs = zip(*parts)
-            not_sa[ys], negative[ys], skew[ys], low[ys] = alg._psd_verdicts(hs, diffs, 1.0, tol)
+        not_sa, negative, skew, low = _cp_verdicts(f.domain, f.codomain, f.matrix, tol)
         bad = not_sa | negative
         if not bad.any():
             return _report("cp", True, tol.psd)
@@ -326,6 +350,31 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
         )
 
     return f.cached(("cp", tol), compute)
+
+
+def _cp_verdicts(dom: AlgebraShape, cod: AlgebraShape, matrix: np.ndarray, tol: Tolerance):
+    """(not self-adjoint, not PSD, max skew, lowest eigenvalue) of the Choi matrix C_y of
+    every domain block y, for the maps dom ~> cod with matrices (..., c, d): each
+    (..., k) over the k domain blocks, the eigenvalue +inf where no spectrum was taken.
+
+    A CP map has Hermitian PSD Choi matrices, so every C_y must pass the rule of
+    `alg._psd_verdicts` at unit 1: skew first, then the minimum eigenvalue of the
+    Hermitian part, each against max(1, ||C_y||).  C_y is block-diagonal over the
+    codomain blocks, so the domain blocks of one size, of every map of the batch,
+    are one batch of elements, decided from the Hermitian and skew parts of
+    `_grid.choi_parts`.
+    """
+    groups = _grid.choi_parts(dom, cod, matrix)
+    if len(groups) == 1:   # one domain block size: the verdicts are every block's, in order
+        return alg._psd_verdicts(*zip(*groups[0][1]), 1.0, tol)
+    shape = matrix.shape[:-2] + (len(dom.blocks),)
+    not_sa, negative = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    skew, low = np.zeros(shape), np.zeros(shape)
+    for ys, parts in groups:
+        hs, diffs = zip(*parts)
+        not_sa[..., ys], negative[..., ys], skew[..., ys], low[..., ys] = alg._psd_verdicts(
+            hs, diffs, 1.0, tol)
+    return not_sa, negative, skew, low
 
 
 def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
@@ -493,44 +542,17 @@ def is_schwarz_sampled(
 def s_positivity_equation(
     f: Channel, g: Channel, tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
-    """Check F(G(C) B) = F(G(C)) F(B) on all basis pairs.
+    """Check F(G(C) B) = F(G(C)) F(B) on all basis pairs (`_s_positivity_failures`).
 
     This is the equational consequence that holds for Schwarz-positive unital
     F, G whenever the composite F o G is deterministic.
-
-    The grid runs on F and G as they are unless a product overflows.  Then
-    it runs on F 2^-e and G 2^-k, entries at most 2^250 and 2^500, with the
-    left side scaled by a further 2^-e and the floor 1 by 2^-(2e + k); an
-    entry whose operands all fall below 2^(2e + k - 1074) then compares zeros.
     """
     if g.codomain != f.domain:
         raise ShapeMismatch("channels are not composable")
-    d = f.domain.coord_dim
-
-    def grid(e: int, k: int) -> int | None:
-        c = np.ldexp(1.0, -e)
-        fm, gm = (f.matrix * c, g.matrix * np.ldexp(1.0, -k)) if e or k else (f.matrix, g.matrix)
-        img = _grid.images(f.codomain, fm)
-        outer = _grid.images(f.codomain, fm @ gm)
-
-        def operands(_, r0, r1):   # one trial
-            rows = np.repeat(gm[:, r0:r1], d, axis=1)
-            inner = _grid.times_unit(f.domain, rows, np.tile(np.arange(d), r1 - r0))  # G(E_c) E_b
-            lhs = (fm @ inner).T
-            return ((lhs * c if e else lhs)[None],
-                    alg._join(f.codomain, [_grid.products(x[r0:r1], y)
-                                           for x, y in zip(outer, img)])[None])
-
-        return _grid.first_failure(f.codomain, g.domain.coord_dim, d, operands, tol,
-                                   unit=np.ldexp(1.0, -(2 * e + k)))[0]
-
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            bad = grid(0, 0)
-    except FloatingPointError:
-        bad = grid(alg.scale_exponent(f.matrix, 250), alg.scale_exponent(g.matrix, 500))
+    bad, = _s_positivity_failures((g.domain, f.domain, f.codomain), f.matrix[None],
+                                  g.matrix[None], tol)
     if bad is not None:
-        ci, bi = divmod(bad, d)
+        ci, bi = divmod(bad, f.domain.coord_dim)
         return _report(
             "s-positivity-equation", False, tol.eq,
             witness={"outer_input": _grid.unit(g.domain, ci),
@@ -539,3 +561,43 @@ def s_positivity_equation(
             detail="F(G(C) B) != F(G(C)) F(B)",
         )
     return _report("s-positivity-equation", True, tol.eq)
+
+
+def _s_positivity_failures(shapes: tuple, fm: np.ndarray, gm: np.ndarray,
+                           tol: Tolerance) -> list[int | None]:
+    """Per trial of the matrices fm (T, c, d) of maps F: mid ~> cod and gm (T, d, r) of
+    maps G: dom ~> mid, shapes (dom, mid, cod): the row-major index c d + b of the
+    first pair (E_c, E_b) with F(G(E_c) E_b) != F(G(E_c)) F(E_b), decided by
+    `_grid.first_failure`; None when every pair passes.
+
+    The grids run on F and G as they are unless a product overflows.  Then each
+    trial runs on F 2^-e and G 2^-k, with its own e and k that put the entries at
+    most 2^250 and 2^500 (0 where they are already), with the left side scaled by
+    a further 2^-e and the floor 1 by 2^-(2e + k); an entry whose operands all
+    fall below 2^(2e + k - 1074) then compares zeros.
+    """
+    dom, mid, cod = shapes
+    d, live = mid.coord_dim, _grid._live
+
+    def grid(e: np.ndarray, k: np.ndarray) -> list[int | None]:
+        scaled, c = e.any() or k.any(), np.ldexp(1.0, -e)[:, None, None]
+        f, g = (fm * c, gm * np.ldexp(1.0, -k)[:, None, None]) if scaled else (fm, gm)
+        img = _grid.images(cod, f)
+        outer = _grid.images(cod, f @ g)
+
+        def operands(on, r0, r1):
+            rows = np.repeat(live(g, on)[:, :, r0:r1], d, axis=-1)
+            inner = _grid.times_unit(mid, rows, np.tile(np.arange(d), r1 - r0))  # G(E_c) E_b
+            lhs = (live(f, on) @ inner).swapaxes(-1, -2)
+            return (lhs * live(c, on) if scaled else lhs,
+                    alg._join(cod, [_grid.products(live(x, on)[:, r0:r1], live(y, on))
+                                    for x, y in zip(outer, img)]))
+
+        return _grid.first_failure(cod, dom.coord_dim, d, operands, tol,
+                                   unit=np.ldexp(1.0, -(2 * e + k)))
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return grid(*2 * [np.zeros(len(fm), dtype=int)])
+    except FloatingPointError:
+        return grid(alg.scale_exponent(fm, 250), alg.scale_exponent(gm, 500))

@@ -22,6 +22,7 @@ from .bayes import _disintegrations, bayes_problem, verify_bayes, verify_disinte
 from .channel import (
     Channel,
     PropertyReport,
+    _ad_matrix,
     _kron,
     _owned,
     ad_channel,
@@ -493,11 +494,17 @@ def _build_doubling_ae() -> list[CheckResult]:
 
 
 def _padded(j: Channel) -> Channel:
-    """B |-> J(B) + tr(B)/n (1 - J(1)) for a map J out of M_n: the matrix of J plus
-    vec(1 - J(1)) vec(1_n / n)^T, so the leftover part of the unit carries the average."""
-    one = alg._unit_coords(j.domain)
-    rest = alg._unit_coords(j.codomain) - j.matrix @ one
-    return _owned(j.domain, j.codomain, j.matrix + np.outer(rest, one / j.domain.blocks[0]))
+    """B |-> J(B) + tr(B)/n (1 - J(1)) for a map J out of M_n (`_padded_matrix`)."""
+    return _owned(j.domain, j.codomain, _padded_matrix(j.domain, j.codomain, j.matrix))
+
+
+def _padded_matrix(dom: AlgebraShape, cod: AlgebraShape, m: np.ndarray) -> np.ndarray:
+    """The matrix of B |-> J(B) + tr(B)/n (1 - J(1)) for maps J: M_n ~> cod with matrices
+    m (..., c, n^2): m plus vec(1 - J(1)) vec(1_n / n)^T, so the leftover part of the
+    unit carries the average."""
+    one = alg._unit_coords(dom)
+    rest = alg._unit_coords(cod) - m @ one
+    return m + rest[..., None] * (one / dom.blocks[0])
 
 
 def padded_inclusion(n: int, m: int) -> Channel:
@@ -777,7 +784,17 @@ def compression_pair(n: int, m: int, rng: np.random.Generator) -> tuple[Channel,
     """
     gin = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     v, _ = np.linalg.qr(gin)
-    return ad_channel(v.conj().T), _padded(ad_channel(v))
+    down, up = _compression_matrices(v)
+    small, big = AlgebraShape((n,)), AlgebraShape((m,))
+    return _owned(big, small, down), _owned(small, big, up)
+
+
+def _compression_matrices(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of X |-> V* X V and of `_padded` C |-> V C V*, for isometries v
+    (..., m, n): the pair of `compression_pair`."""
+    m, n = v.shape[-2:]
+    return (_ad_matrix(alg._dagger(v)),
+            _padded_matrix(AlgebraShape((n,)), AlgebraShape((m,)), _ad_matrix(v)))
 
 
 _REGISTRY: dict[str, Fixture] = {}

@@ -186,6 +186,16 @@ class _Carried:
     def _shape(self) -> tuple[int, ...]:
         return self._num.shape
 
+    # equality reads the values, as `_equal` compares them (within tol.eq unless both are
+    # exact), so the hash reads the shape only: equal instances share it
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(self, other)
+
+    def __hash__(self):
+        return hash(self._shape)
+
     def _floats(self) -> np.ndarray:
         """The entries in float64.  An exact one is rounded once, as float(Fraction) is:
         a float64 division is correctly rounded while the numerator and the
@@ -248,7 +258,7 @@ def _indicator_mask(f, tol: Tolerance) -> np.ndarray:
     return np.minimum(np.abs(num), np.abs(num - den)) <= thr * den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix(_Carried):
     """Column-stochastic kernel from a set of size n_cols to one of size n_rows."""
 
@@ -278,7 +288,7 @@ def stochastic(rows, tol: Tolerance = DEFAULT_TOL) -> StochasticMatrix:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbVector(_Carried):
     """Probability vector with its nullset."""
 
@@ -386,7 +396,8 @@ def _differ(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def _equal(a, b) -> bool:
-    """Two exact kernels, or two exact vectors, hold the same values."""
+    """Two kernels, or two vectors, of one shape hold the same values: exactly when
+    both are exact, within tol.eq otherwise."""
     return a._shape == b._shape and not _differ(a, b).any()
 
 

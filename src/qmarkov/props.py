@@ -15,25 +15,29 @@ import numpy as np
 
 from . import algebra as alg
 from . import finstoch as fs
-from ._grid import equal_failure, multiplicative_failure
+from ._grid import equal_failure, multiplicative_failure, star_failure
 from .algebra import AlgebraShape, AlgElement
 from .bayes import bayes_candidate, bayes_problem, verify_bayes, verify_disintegration
 from .channel import (
     Channel,
+    _ad_matrix,
     _apply_batch,
+    _cp_verdicts,
     _gram,
+    _hs_adjoints,
+    _inverses,
+    _kraus_matrix,
     _owned,
-    ad_channel,
+    _s_positivity_failures,
+    _tensor_matrix,
     apply,
     channel_from_action,
     compose,
     conjugation_by,
     invert,
-    is_cp,
     is_deterministic,
     is_schwarz_sampled,
     is_star_preserving,
-    kraus_channel,
     hs_adjoint,
     identity_channel,
     mult_map,
@@ -41,8 +45,8 @@ from .channel import (
     tensor,
     transpose_channel,
 )
-from .corpus import (CheckResult, _build_mu_norm, _check, _padded, _same_map, compression_pair,
-                     doubling_pair, padded_inclusion)
+from .corpus import (CheckResult, _build_mu_norm, _check, _compression_matrices, _padded,
+                     _same_map, doubling_pair, padded_inclusion)
 from .linalg import herm_eig, op_norm, pinv_psd
 from .state import (State, _from_densities, ae_deterministic, ae_equal, ae_unital,
                     pullback_state, state_from_density)
@@ -73,36 +77,57 @@ class SuiteReport:
         return {"suite": self.name, "checks": [c.to_dict() for c in self.checks]}
 
 
+def _gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """A standard complex Gaussian array: its real parts drawn, then its imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    gin = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _unitaries(_gaussian(rng, (n, n)))
+
+
+def _unitaries(gin: np.ndarray) -> np.ndarray:
+    """The unitaries of `random_unitary` from its draws gin (..., n, n), one stacked QR:
+    Q with each column times the phase of R's diagonal entry."""
     q, r = np.linalg.qr(gin)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _isometry_draw(n_dom: int, n_cod: int) -> tuple[int, int]:
+    """The shape of the draw of `random_cpu_channel` with its default Kraus count."""
+    return max(2, -(-n_cod // n_dom) + 1) * n_dom, n_cod
 
 
 def random_cpu_channel(n_dom: int, n_cod: int, rng: np.random.Generator,
                        n_kraus: int | None = None) -> Channel:
     """Random CPU map M_n_dom ~> M_n_cod from a stacked-isometry Kraus family."""
-    if n_kraus is None:
-        n_kraus = max(2, -(-n_cod // n_dom) + 1)
-    gin = rng.standard_normal((n_kraus * n_dom, n_cod)) + 1j * rng.standard_normal(
-        (n_kraus * n_dom, n_cod)
-    )
-    iso, _ = np.linalg.qr(gin)
-    ops = [iso[i * n_dom : (i + 1) * n_dom, :] for i in range(n_kraus)]
-    return kraus_channel(AlgebraShape((n_dom,)), AlgebraShape((n_cod,)), ops)
+    rows = _isometry_draw(n_dom, n_cod)[0] if n_kraus is None else n_kraus * n_dom
+    return _owned(AlgebraShape((n_dom,)), AlgebraShape((n_cod,)),
+                  _cpu_matrices(_gaussian(rng, (rows, n_cod)), n_dom))
+
+
+def _cpu_matrices(gin: np.ndarray, n_dom: int) -> np.ndarray:
+    """The matrices of `random_cpu_channel` from its draws gin (..., r n_dom, n_cod), one
+    stacked QR: the Kraus operators are the r blocks of n_dom rows of each isometry."""
+    iso = np.linalg.qr(gin)[0]
+    return _kraus_matrix(iso.reshape(iso.shape[:-2] + (-1, n_dom, iso.shape[-1])))
 
 
 def _random_star_preserving(s: AlgebraShape, t: AlgebraShape, rng) -> Channel:
-    """The star-preserving part b |-> (F(b) + F(b*)*) / 2 of a random map F.
+    """The star-preserving part b |-> (F(b) + F(b*)*) / 2 of a random map F."""
+    return _owned(s, t, _star_preserving_parts(s, t, _gaussian(rng, (t.coord_dim, s.coord_dim))))
 
-    Column a of its matrix is (F(E_a) + F(E_a*)*) / 2, read off the matrix of F
-    at the adjoint indices of s and t.
+
+def _star_preserving_parts(s: AlgebraShape, t: AlgebraShape, raw: np.ndarray) -> np.ndarray:
+    """The matrices of the star-preserving parts of the maps s ~> t with matrices raw
+    (..., t.coord_dim, s.coord_dim).
+
+    Column a of a part is (F(E_a) + F(E_a*)*) / 2, read off the matrix of F at
+    the adjoint indices of s and t.
     """
-    raw = rng.standard_normal((t.coord_dim, s.coord_dim)) + 1j * rng.standard_normal(
-        (t.coord_dim, s.coord_dim)
-    )
-    mirror = raw[np.ix_(alg.adjoint_index(t), alg.adjoint_index(s))].conj()
-    return _owned(s, t, 0.5 * (raw + mirror))
+    mirror = raw[..., alg.adjoint_index(t)[:, None], alg.adjoint_index(s)].conj()
+    return 0.5 * (raw + mirror)
 
 
 def _random_projection(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
@@ -111,9 +136,19 @@ def _random_projection(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
     for n in s.blocks:
         keep = int(rng.integers(1, n + 1))
         u = random_unitary(n, rng) if n > 1 else np.ones((1, 1), dtype=complex)
-        cols = u[:, :keep]
-        proj_blocks.append(cols @ cols.conj().T)
+        proj_blocks.append(_leading_projections(u[None], np.array([keep]))[0])
     return AlgElement(s, tuple(proj_blocks))
+
+
+def _leading_projections(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The projections onto the first keep[i] columns of the unitaries u[i] (T, n, n):
+    C C* for those columns C, one product per unitary, stacked per column count."""
+    out = np.empty_like(u)
+    for k in np.unique(keep):
+        rows = keep == k
+        cols = u[rows, :, :k]
+        out[rows] = cols @ alg._dagger(cols)
+    return out
 
 
 def random_rank_deficient_state(
@@ -312,72 +347,17 @@ def suite_algebra(seed: int = 0, trials: int = 64) -> SuiteReport:
 
 def suite_channel(seed: int = 0, trials: int = 64) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    tol, checks = DEFAULT_TOL, []
-
-    adj_ok, contra_ok = True, True
-    for _ in range(max(4, trials // 8)):
-        f = random_cpu_channel(2, 3, rng)
-        g = random_cpu_channel(3, 2, rng)
-        adj_ok = adj_ok and _same_map(hs_adjoint(hs_adjoint(f)), f)
-        contra_ok = contra_ok and _same_map(hs_adjoint(compose(f, g)),
-                                            compose(hs_adjoint(g), hs_adjoint(f)))
-        a = alg.random_self_adjoint(f.codomain, rng)
-        b = alg.random_element(f.domain, rng)
-        pairing_gap = abs(
-            alg.trace(alg.mul(alg.adjoint(a), apply(f, b)))
-            - alg.trace(alg.mul(alg.adjoint(apply(hs_adjoint(f), a)), b))
-        )
-        # both sides are <vec a, M vec b> for the channel matrix M, at most |vec a| |M|_F |vec b|
-        scale = np.linalg.norm(alg.vec(a)) * np.linalg.norm(f.matrix) * np.linalg.norm(alg.vec(b))
-        adj_ok = adj_ok and pairing_gap <= tol.eq * tol.scale(scale)
-    checks.append(_check("Hilbert-Schmidt adjoint is involutive and dual to the pairing", adj_ok))
-    checks.append(_check("adjoint reverses composition", contra_ok))
-
-    cp_ok = True
-    for _ in range(max(4, trials // 16)):
-        f = random_cpu_channel(2, 3, rng)
-        g = random_cpu_channel(3, 2, rng)
-        cp_ok = cp_ok and is_cp(compose(f, g)).passed and is_cp(tensor(f, g)).passed
-    checks.append(_check("CP is closed under composition and tensor", cp_ok))
-
-    mult_ok = True
-    mult_detail = ""
-    for _ in range(max(4, trials // 8)):
-        n, m = 2, 5
-        gin = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        v, _ = np.linalg.qr(gin)
-        # element of the multiplicative domain: compression plus a complement part
-        c_small = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        d_big = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        comp = np.eye(m) - v @ v.conj().T
-        f = ad_channel(v.conj().T)   # X |-> V* X V
-        b_elem = AlgElement(AlgebraShape((m,)),
-                            (v @ c_small @ v.conj().T + comp @ d_big @ comp,))
-        fb = apply(f, b_elem)
-        if not alg.elem_equal(apply(f, alg.mul(alg.adjoint(b_elem), b_elem)),
-                              alg.mul(alg.adjoint(fb), fb)):
-            mult_ok, mult_detail = False, "constructed element left the multiplicative domain"
-            break
-        c_probe = alg.random_element(AlgebraShape((m,)), rng)
-        fc = apply(f, c_probe)
-        if not (alg.elem_equal(apply(f, alg.mul(alg.adjoint(b_elem), c_probe)),
-                               alg.mul(alg.adjoint(fb), fc))
-                and alg.elem_equal(apply(f, alg.mul(alg.adjoint(c_probe), b_elem)),
-                                   alg.mul(alg.adjoint(fc), fb))):
-            mult_ok, mult_detail = False, "two-sided conclusion fails"
-            break
-    checks.append(_check(
-        "one multiplicative input extends to all mixed products",
-        mult_ok, mult_detail))
-
-    inv_ok = True
-    for _ in range(max(4, trials // 16)):
-        n = int(rng.integers(2, 5))
-        u = random_unitary(n, rng)
-        f = conjugation_by(AlgElement(AlgebraShape((n,)), (u,)))
-        inv_ok = inv_ok and _same_map(compose(invert(f), f), identity_channel(f.domain))
-        inv_ok = inv_ok and is_deterministic(f).passed
-    checks.append(_check("invertible conjugations are deterministic", inv_ok))
+    adj_ok, contra_ok = _adjoint_laws(rng, max(4, trials // 8))
+    checks = [
+        _check("Hilbert-Schmidt adjoint is involutive and dual to the pairing", adj_ok),
+        _check("adjoint reverses composition", contra_ok),
+        _check("CP is closed under composition and tensor",
+               _cp_closure(rng, max(4, trials // 16))),
+        _check("one multiplicative input extends to all mixed products",
+               *_multiplicative_domain(rng, max(4, trials // 8))),
+        _check("invertible conjugations are deterministic",
+               _invertible_conjugations(rng, max(4, trials // 16))),
+    ]
 
     t = transpose_channel(AlgebraShape((3,)))
     consistent = (
@@ -389,17 +369,132 @@ def suite_channel(seed: int = 0, trials: int = 64) -> SuiteReport:
         "transpose is invertible yet not deterministic, consistent with failing Schwarz",
         consistent))
 
-    spos_ok = True
-    for _ in range(max(3, trials // 16)):
-        down, up = compression_pair(2, 5, rng)
-        spos_ok = spos_ok and is_deterministic(compose(down, up)).passed
-        spos_ok = spos_ok and s_positivity_equation(down, up).passed
     t2 = transpose_channel(AlgebraShape((2,)))
-    spos_ok = spos_ok and not s_positivity_equation(t2, t2).passed
+    spos_ok = (_compressions_pass(rng, max(3, trials // 16))
+               and not s_positivity_equation(t2, t2).passed)
     checks.append(_check(
         "S-positivity equation holds for CPU compressions and fails for the transpose",
         spos_ok))
     return SuiteReport("channel", tuple(checks))
+
+
+# Each part of the channel suite below draws its trials in turn, as one trial after
+# another would, and then decides each law once, on the stacked trials.  A part that
+# finds a failure has drawn every trial, where a loop would have stopped at it.
+
+def _cpu_pairs(rng: np.random.Generator, trials: int, extra=lambda: ()) -> tuple[np.ndarray, ...]:
+    """The matrices (T, 9, 4) of `trials` random CPU maps F: M_2 ~> M_3 and (T, 4, 9) of
+    G: M_3 ~> M_2, each trial drawing F, G and then extra(), and the stacked draws of
+    extra, one array per value it returns."""
+    draws = [(_gaussian(rng, _isometry_draw(2, 3)), _gaussian(rng, _isometry_draw(3, 2)),
+              *extra()) for _ in range(trials)]
+    f, g, *rest = (np.array(x) for x in zip(*draws))
+    return (_cpu_matrices(f, 2), _cpu_matrices(g, 3), *rest)
+
+
+def _adjoint_laws(rng: np.random.Generator, trials: int) -> tuple[bool, bool]:
+    """(the Hilbert-Schmidt adjoint is involutive and dual to the trace pairing, it
+    reverses composition) on `trials` random CPU maps F: M_2 ~> M_3 and G: M_3 ~> M_2,
+    with a random self-adjoint a in M_3 and b in M_2 per trial for the pairing.
+
+    Both maps are compared as `_same_map` compares them, by `equal_failure`.  The two
+    sides of the pairing tr(a* F(b)) = tr(F*(a)* b) are <vec a, M vec b> for the
+    channel matrix M, at most |vec a| |M|_F |vec b|: the bound of the gap, at 1 or more.
+    """
+    m2, m3, tol = AlgebraShape((2,)), AlgebraShape((3,)), DEFAULT_TOL
+    f, g, a, b = _cpu_pairs(rng, trials, lambda: (alg._random_coords(m3, rng),
+                                                  alg._random_coords(m2, rng)))
+    a = 0.5 * (a + alg._adjoint_coords(m3, a))
+    f_star, g_star = _hs_adjoints(f), _hs_adjoints(g)
+    adj_ok = equal_failure(m3, _hs_adjoints(f_star), f, tol) == [None] * trials
+    contra_ok = equal_failure(m3, _hs_adjoints(f @ g), g_star @ f_star, tol) == [None] * trials
+    mul, adj, trace = alg._mul_coords, alg._adjoint_coords, alg._trace_coords
+    lhs = trace(m3, mul(m3, adj(m3, a), _apply_batch(f, b)))
+    rhs = trace(m2, mul(m2, adj(m2, _apply_batch(f_star, a)), b))
+    scale = (np.linalg.norm(a, axis=-1) * np.linalg.norm(f, axis=(-2, -1))
+             * np.linalg.norm(b, axis=-1))
+    return adj_ok and bool((np.abs(lhs - rhs) <= tol.eq * np.maximum(1.0, scale)).all()), contra_ok
+
+
+def _cp_closure(rng: np.random.Generator, trials: int) -> bool:
+    """Whether F o G and F (x) G are CP for `trials` random CPU maps F: M_2 ~> M_3 and
+    G: M_3 ~> M_2, by `_cp_verdicts` on the stacked composites and tensor products."""
+    m2, m3 = AlgebraShape((2,)), AlgebraShape((3,))
+    f, g = _cpu_pairs(rng, trials)
+    m6 = alg.tensor_shape(m2, m3)
+    for dom, cod, mat in ((m3, m3, f @ g), (m6, m6, _tensor_matrix((m3, m2), (m2, m3), f, g))):
+        not_sa, negative, _, _ = _cp_verdicts(dom, cod, mat, DEFAULT_TOL)
+        if (not_sa | negative).any():
+            return False
+    return True
+
+
+def _multiplicative_domain(rng: np.random.Generator, trials: int) -> tuple[bool, str]:
+    """(passed, detail) on `trials` random isometries V: C^2 -> C^5 and F: X |-> V* X V:
+    whether b = V c V* + Q d Q, Q = 1 - V V*, for random c and d, satisfies
+    F(b* b) = F(b)* F(b), and then F(b* x) = F(b)* F(x) and F(x* b) = F(x)* F(b) for
+    a random x.  Each trial draws V, c, d and x; every law of every trial is one
+    entry of one `failing_entries` call, the rule of `elem_equal`, and the detail
+    names the law a loop would have stopped at.
+    """
+    n, m = 2, 5
+    small, big = AlgebraShape((n,)), AlgebraShape((m,))
+    draws = [(_gaussian(rng, (m, n)), _gaussian(rng, (n, n)), _gaussian(rng, (m, m)),
+              alg._random_coords(big, rng)) for _ in range(trials)]
+    gin, c, d, x = (np.array(z) for z in zip(*draws))
+    v = np.linalg.qr(gin)[0]
+    vh = alg._dagger(v)
+    comp = np.eye(m) - v @ vh
+    f = _ad_matrix(vh)   # X |-> V* X V
+    b = (v @ c @ vh + comp @ d @ comp).reshape(trials, m * m)
+    fb, fx = _apply_batch(f, b), _apply_batch(f, x)
+    mul, adj = alg._mul_coords, alg._adjoint_coords
+    lhs = [_apply_batch(f, _gram(big, b)), _apply_batch(f, mul(big, adj(big, b), x)),
+           _apply_batch(f, mul(big, adj(big, x), b))]
+    rhs = [_gram(small, fb), mul(small, adj(small, fb), fx), mul(small, adj(small, fx), fb)]
+    fail = alg.failing_entries(small, np.stack(lhs, axis=1), np.stack(rhs, axis=1), DEFAULT_TOL)
+    bad = np.flatnonzero(fail.any(axis=1))
+    if not bad.size:
+        return True, ""
+    return False, ("constructed element left the multiplicative domain" if fail[bad[0], 0]
+                   else "two-sided conclusion fails")
+
+
+def _deterministic(s: AlgebraShape, mats: np.ndarray) -> bool:
+    """Whether the maps s ~> s with matrices mats (T, d, d) are all deterministic, as
+    `is_deterministic` decides each: the star test, then `multiplicative_failure`."""
+    maps = [_owned(s, s, m) for m in mats]
+    return (all(star_failure(f, DEFAULT_TOL) is None for f in maps)
+            and multiplicative_failure(maps, DEFAULT_TOL) == [None] * len(maps))
+
+
+def _invertible_conjugations(rng: np.random.Generator, trials: int) -> bool:
+    """Whether F^-1 o F is the identity and F is deterministic for the conjugations
+    F: A |-> u A u* by `trials` random unitaries u of sizes 2 to 4.  Each trial draws
+    its size and its u; the maps of one size are one stack."""
+    draws = []
+    for _ in range(trials):
+        n = int(rng.integers(2, 5))
+        draws.append((n, _gaussian(rng, (n, n))))
+    for n in sorted({n for n, _ in draws}):
+        s = AlgebraShape((n,))
+        f = _ad_matrix(_unitaries(np.array([gin for k, gin in draws if k == n])))
+        if not (equal_failure(s, _inverses(f) @ f, np.eye(n * n)[None], DEFAULT_TOL)
+                == [None] * len(f) and _deterministic(s, f)):
+            return False
+    return True
+
+
+def _compressions_pass(rng: np.random.Generator, trials: int) -> bool:
+    """Whether the composite of every `compression_pair(2, 5, rng)` (down, up) of
+    `trials` is deterministic and the pair satisfies the S-positivity equation, as
+    `s_positivity_equation(down, up)` decides it.  Each trial draws its isometry."""
+    small, big = AlgebraShape((2,)), AlgebraShape((5,))
+    v = np.linalg.qr(np.array([_gaussian(rng, (5, 2)) for _ in range(trials)]))[0]
+    down, up = _compression_matrices(v)
+    return (_deterministic(small, down @ up)
+            and _s_positivity_failures((small, big, small), down, up, DEFAULT_TOL)
+            == [None] * trials)
 
 
 _STATE_SHAPES = (AlgebraShape((3,)), AlgebraShape((2, 2)), AlgebraShape((1, 3)))
@@ -477,27 +572,27 @@ def _ae_trials(rng: np.random.Generator, trials: int) -> np.ndarray:
     its support (a coin flip) or another random map.
 
     Every trial draws F, the density, the projection, the coin and then the
-    change or G, as one trial after another would.  The states come from one
-    stacked eigh, and the four verdicts of all trials from the stacked cores of
+    change or G, as one trial after another would.  The star-preserving parts,
+    the densities, the projections (from one stacked QR), the states (from one
+    stacked eigh) and the changed maps are then built on the stacks of all
+    trials, and the four verdicts of all trials come from the stacked cores of
     `ae_equal` and `ae_deterministic`, one call per check and side.
     """
     s, t = AlgebraShape((2,)), AlgebraShape((3,))
-    fs, rho, proj, coins, bump_or_g = [], [], [], [], []
-    for _ in range(trials):
-        fs.append(_random_star_preserving(s, t, rng))
-        rho.append(alg.vec(alg.random_density(t, rng)))
-        proj.append(alg.vec(_random_projection(t, rng)))
-        coins.append(bool(rng.integers(0, 2)))
-        bump_or_g.append(_random_star_preserving(s, t, rng))
-    omegas = _from_densities(t, _compressed(t, np.array(rho), np.array(proj))[0])
-    gs = []
-    for f, omega, coin, h in zip(fs, omegas, coins, bump_or_g):
-        if coin:   # change F only on the support complement, so the verdicts flip to pass
-            comp = alg.unit(t) - omega.support
-            h = _owned(s, t, f.matrix + compose(conjugation_by(comp), h).matrix)
-        gs.append(h)
+    n, shape = t.blocks[0], (t.coord_dim, s.coord_dim)
+    draws = [(_gaussian(rng, shape), alg._random_coords(t, rng), int(rng.integers(1, n + 1)),
+              _gaussian(rng, (n, n)), bool(rng.integers(0, 2)), _gaussian(rng, shape))
+             for _ in range(trials)]
+    raw_f, rho, keep, gin, coins, raw_g = (np.array(x) for x in zip(*draws))
+    fm, gm = _star_preserving_parts(s, t, raw_f), _star_preserving_parts(s, t, raw_g)
+    proj = _leading_projections(_unitaries(gin), keep).reshape(trials, -1)
+    omegas = _from_densities(t, _compressed(t, alg._densities(t, rho), proj)[0])
     supports = [omega.support for omega in omegas]
-    fm, gm = np.array([f.matrix for f in fs]), np.array([g.matrix for g in gs])
+    # change F only on the support complement C, where the coin says so: F + C G(.) C, so
+    # the verdicts flip to pass
+    comp = alg._unit_coords(t) - np.array([alg.vec(p) for p in supports])[coins]
+    gm[coins] = fm[coins] + _ad_matrix(comp.reshape(-1, n, n)) @ gm[coins]
+    fs = [_owned(s, t, m) for m in fm]
     sides = ("left", "right")
     bad = ([equal_failure(t, fm, gm, DEFAULT_TOL, supports, side) for side in sides]
            + [multiplicative_failure(fs, DEFAULT_TOL, True, supports, side) for side in sides])

@@ -20,7 +20,8 @@ doubling, padded and padded-block embeddings, the EPR spin flip and the
 masked map of the `state-ae` suite, which the library builds from its
 constructors, apply a callback to every matrix unit; the props suites draw
 and decide one trial at a time, build the star-preserving part of a map by
-`channel_from_action` and normalize weights by a Fraction sum.  The
+`channel_from_action`, each random CPU map and unitary from a QR of its own
+and normalize weights by a Fraction sum.  The
 differential tests run both and require the same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
@@ -30,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from qmarkov import _grid, bayes, corpus, props, state
+from qmarkov import channel as ch
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.bayes import BayesProblem
@@ -428,7 +430,7 @@ def is_cp_spectral(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     k = len(f.domain.blocks)
     skew, low = np.zeros(k), np.full(k, np.inf)
     herm_norm, skew_frob = np.zeros(k), np.zeros(k)
-    for ys, stacks in _grid.choi_blocks(f):
+    for ys, stacks in _grid.choi_blocks(f.domain, f.codomain, f.matrix):
         for c in stacks:
             c = c.copy()
             c_star = alg._dagger(c)
@@ -445,7 +447,7 @@ def is_cp_spectral(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     scale = lo.copy()
     open_ = ((skew > tol.herm * lo) != (skew > tol.herm * hi)) | (
         (low < -tol.psd * lo) != (low < -tol.psd * hi))
-    for ys, stacks in _grid.choi_blocks(f):
+    for ys, stacks in _grid.choi_blocks(f.domain, f.codomain, f.matrix):
         pick = open_[ys]
         if pick.any():
             scale[ys[pick]] = np.maximum(1.0, alg._op_norm([c[pick] for c in stacks]))
@@ -1280,6 +1282,119 @@ def ae_trials(rng: np.random.Generator, trials: int) -> np.ndarray:
                     state.ae_deterministic(f, omega, "left").passed,
                     state.ae_deterministic(f, omega, "right").passed])
     return np.array(out, dtype=bool).reshape(-1, 4)
+
+
+def random_cpu_channel(n_dom: int, n_cod: int, rng: np.random.Generator) -> Channel:
+    """A random CPU map M_n_dom ~> M_n_cod: one QR of its own draw, whose blocks of
+    n_dom rows are the Kraus operators of one `kraus_channel` call."""
+    n_kraus = max(2, -(-n_cod // n_dom) + 1)
+    gin = rng.standard_normal((n_kraus * n_dom, n_cod)) + 1j * rng.standard_normal(
+        (n_kraus * n_dom, n_cod))
+    iso, _ = np.linalg.qr(gin)
+    ops = [iso[i * n_dom:(i + 1) * n_dom, :] for i in range(n_kraus)]
+    return ch.kraus_channel(AlgebraShape((n_dom,)), AlgebraShape((n_cod,)), ops)
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random unitary from one QR of its own draw, its columns times the phases of R."""
+    gin = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(gin)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_projection(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The projection onto the first `keep` columns of a random unitary of M_n, keep
+    drawn first: one matrix product per call."""
+    keep = int(rng.integers(1, n + 1))
+    cols = random_unitary(n, rng)[:, :keep]
+    return cols @ cols.conj().T
+
+
+def random_density(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
+    """b* b / tr(b* b) for a random b, by the element operations of one call."""
+    b = alg.random_element(s, rng)
+    p = alg.mul(alg.adjoint(b), b)
+    return p * (1.0 / alg.trace(p).real)
+
+
+def adjoint_laws(rng: np.random.Generator, trials: int) -> tuple[bool, bool]:
+    """(adjoint involutive and dual to the pairing, adjoint reverses composition) of the
+    `channel` suite, one trial at a time: F, G, a and b drawn, then every law decided."""
+    tol = DEFAULT_TOL
+    adj_ok, contra_ok = True, True
+    for _ in range(trials):
+        f = random_cpu_channel(2, 3, rng)
+        g = random_cpu_channel(3, 2, rng)
+        adj_ok = adj_ok and corpus._same_map(hs_adjoint(hs_adjoint(f)), f)
+        contra_ok = contra_ok and corpus._same_map(hs_adjoint(compose(f, g)),
+                                                   compose(hs_adjoint(g), hs_adjoint(f)))
+        a = alg.random_self_adjoint(f.codomain, rng)
+        b = alg.random_element(f.domain, rng)
+        pairing_gap = abs(
+            alg.trace(alg.mul(alg.adjoint(a), apply(f, b)))
+            - alg.trace(alg.mul(alg.adjoint(apply(hs_adjoint(f), a)), b))
+        )
+        scale = np.linalg.norm(alg.vec(a)) * np.linalg.norm(f.matrix) * np.linalg.norm(alg.vec(b))
+        adj_ok = adj_ok and pairing_gap <= tol.eq * tol.scale(scale)
+    return adj_ok, contra_ok
+
+
+def cp_closure(rng: np.random.Generator, trials: int) -> bool:
+    """Whether F o G and F (x) G are CP, one pair of random CPU maps at a time."""
+    ok = True
+    for _ in range(trials):
+        f = random_cpu_channel(2, 3, rng)
+        g = random_cpu_channel(3, 2, rng)
+        ok = ok and ch.is_cp(compose(f, g)).passed and ch.is_cp(ch.tensor(f, g)).passed
+    return ok
+
+
+def multiplicative_domain(rng: np.random.Generator, trials: int) -> tuple[bool, str]:
+    """(passed, detail) of the multiplicative-domain laws, one trial at a time, up to
+    the first failure: V, c and d drawn, F(b* b) = F(b)* F(b) decided, then x drawn
+    and both mixed products decided."""
+    n, m = 2, 5
+    for _ in range(trials):
+        gin = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        v, _ = np.linalg.qr(gin)
+        c_small = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        d_big = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        comp = np.eye(m) - v @ v.conj().T
+        f = ch.ad_channel(v.conj().T)   # X |-> V* X V
+        b = AlgElement(AlgebraShape((m,)), (v @ c_small @ v.conj().T + comp @ d_big @ comp,))
+        fb = apply(f, b)
+        if not alg.elem_equal(apply(f, alg.mul(alg.adjoint(b), b)), alg.mul(alg.adjoint(fb), fb)):
+            return False, "constructed element left the multiplicative domain"
+        x = alg.random_element(AlgebraShape((m,)), rng)
+        fx = apply(f, x)
+        if not (alg.elem_equal(apply(f, alg.mul(alg.adjoint(b), x)), alg.mul(alg.adjoint(fb), fx))
+                and alg.elem_equal(apply(f, alg.mul(alg.adjoint(x), b)),
+                                   alg.mul(alg.adjoint(fx), fb))):
+            return False, "two-sided conclusion fails"
+    return True, ""
+
+
+def invertible_conjugations(rng: np.random.Generator, trials: int) -> bool:
+    """Whether F^-1 o F = id and F is deterministic, one conjugation by a random unitary
+    at a time."""
+    ok = True
+    for _ in range(trials):
+        n = int(rng.integers(2, 5))
+        f = ch.conjugation_by(AlgElement(AlgebraShape((n,)), (random_unitary(n, rng),)))
+        ok = ok and corpus._same_map(compose(ch.invert(f), f), identity_channel(f.domain))
+        ok = ok and ch.is_deterministic(f).passed
+    return ok
+
+
+def compressions_pass(rng: np.random.Generator, trials: int) -> bool:
+    """Whether down o up is deterministic and (down, up) satisfies the S-positivity
+    equation, one compression pair, built by callbacks, at a time."""
+    ok = True
+    for _ in range(trials):
+        down, up = compression_pair(2, 5, rng)
+        ok = ok and ch.is_deterministic(compose(down, up)).passed
+        ok = ok and ch.s_positivity_equation(down, up).passed
+    return ok
 
 
 def kron_channel_matrix(ops) -> np.ndarray:

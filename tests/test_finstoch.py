@@ -248,3 +248,28 @@ def test_ae_relations_need_a_prior_on_the_kernel_inputs():
         fs.ae_equal(f, f, p)
     with pytest.raises(ShapeMismatch):
         fs.is_ae_deterministic(f, p)
+
+
+def test_kernels_and_vectors_compare_by_value():
+    # equality is `_equal`: exact against exact compares values exactly, any float
+    # one within tol.eq; equal kernels hash alike, and other shapes or types differ
+    exact = fs.stochastic([["1/3", "1"], ["2/3", "0"]])
+    floats = fs.stochastic([[1 / 3, 1.0], [2 / 3, 0.0]])
+    assert exact == fs.stochastic([[Fraction(2, 6), 1], [Fraction(4, 6), 0]])
+    assert exact == floats and floats == exact and floats == fs.stochastic(floats.entries)
+    assert hash(exact) == hash(floats) and len({exact, floats}) == 1
+    assert not exact != fs.stochastic([["1/3", "1"], ["2/3", "0"]])
+    near = fs.stochastic([[1 / 3 + 1e-12, 1.0], [2 / 3 - 1e-12, 0.0]])
+    off = fs.stochastic([[1 / 3 + 1e-6, 1.0], [2 / 3 - 1e-6, 0.0]])
+    assert near == exact and off != exact and off != floats
+    assert exact != fs.stochastic([["1/3", "1/3"], ["2/3", "2/3"]])   # one exact entry moved
+    wide = fs.stochastic([["1/3", "1", "0"], ["2/3", "0", "1"]])
+    tall = fs.stochastic([["1/3", "1"], ["2/3", "0"], ["0", "0"]])
+    assert exact != wide and exact != tall and wide != exact
+    p = fs.prob_vector(["1/4", "3/4"])
+    assert p == fs.prob_vector([0.25, 0.75]) and p != fs.prob_vector(["1/2", "1/2"])
+    assert p != fs.prob_vector(["1/4", "3/4", "0"])
+    assert hash(p) == hash(fs.prob_vector([0.25, 0.75]))
+    # a vector is no kernel, whatever its entries
+    assert fs.prob_vector(["1", "0"]) != fs.stochastic([["1"], ["0"]])
+    assert fs.stochastic([["1"], ["0"]]) != fs.prob_vector(["1", "0"])

@@ -1,25 +1,28 @@
 """Differential oracle: the maps of the corpus fixtures and props suites, built
 from the library's constructors, against the callbacks they replace.
 
-The compressions are `ad_channel(V*)`, the doubling embedding one
-`kraus_channel`, the corner compression `ad_channel` of a 3x4 identity, the
-padded embeddings `corpus._padded` of an `ad_channel` or a block inclusion
-(whose `hs_adjoint` is the padded-block G), the EPR spin flip a `compose` with
-`transpose_channel`, and the masked map of the `state-ae` suite a `compose`
-with `conjugation_by`.  `loop_reference.py` keeps the callbacks that applied
-each of them to every matrix unit.  Each map must equal its callback bit for
-bit, except two that sum in another order: the up map of `compression_pair`,
-whose leftover 1 - V V* is read off `ad_channel(V)` at the unit, and the
-masked map, a Kronecker product in place of two products per unit.  Those two
-are held to 8 ulp of max(1, max |entry|), as is the compression by a
-one-column V, which no fixture or suite builds: its callback's products are
-vector products, which round their own way.
+The compressions are `ad_channel(V*)`, or `_ad_matrix` of a stack of V* in the
+`channel` suite, the doubling embedding one `kraus_channel`, the corner
+compression `ad_channel` of a 3x4 identity, the padded embeddings
+`corpus._padded` of an `ad_channel` or a block inclusion (whose `hs_adjoint`
+is the padded-block G), the EPR spin flip a `compose` with
+`transpose_channel`, and the masked map of the `state-ae` suite a product with
+the conjugations `_ad_matrix` of a stack of complements.  `loop_reference.py`
+keeps the callbacks that applied each of them to every matrix unit.  Each map
+must equal its callback bit for bit, except two that sum in another order: the
+up map of `compression_pair`, whose leftover 1 - V V* is read off
+`ad_channel(V)` at the unit, and the masked map, a Kronecker product in place
+of two products per unit.  Those two are held to 8 ulp of max(1, max |entry|),
+as is the compression by a one-column V, which no fixture or suite builds: its
+callback's products are vector products, which round their own way.
 """
 import numpy as np
 import pytest
 
 import loop_reference as ref
 from qmarkov import corpus, props
+from qmarkov.algebra import AlgebraShape, AlgElement
+from qmarkov.channel import Channel
 
 SEEDS = range(20)
 
@@ -90,16 +93,17 @@ def test_epr_spin_flip_is_bitwise_the_callback(monkeypatch):
 def test_channel_suite_compressions_are_bitwise_the_callback(monkeypatch, seed, trials):
     built = []
 
-    def spy(v):
-        built.append((np.asarray(v), real(v)))
+    def spy(v):   # a stack of V* (T, 2, 5) for the compressions, of unitaries otherwise
+        built.append((v, real(v)))
         return built[-1][1]
 
-    real = props.ad_channel
-    monkeypatch.setattr(props, "ad_channel", spy)
+    real = props._ad_matrix
+    monkeypatch.setattr(props, "_ad_matrix", spy)
     assert props.run_suite("channel", seed=seed, trials=trials).passed
+    built = [(v, f) for vs, fs in built if vs.shape[-2:] == (2, 5) for v, f in zip(vs, fs)]
     assert len(built) == max(4, trials // 8)
     for v_star, f in built:
-        assert np.array_equal(f.matrix, ref.compression(v_star.conj().T).matrix)
+        assert np.array_equal(f, ref.compression(v_star.conj().T).matrix)
 
 
 @pytest.mark.parametrize("trials", [1, 16, 64])
@@ -107,28 +111,28 @@ def test_channel_suite_compressions_are_bitwise_the_callback(monkeypatch, seed, 
 def test_state_suite_masked_maps_match_the_callback(monkeypatch, seed, trials):
     drawn, corners, masked = [], [], []
 
-    def draw(s, t, rng):
-        drawn.append(real_draw(s, t, rng))
-        return drawn[-1]
+    def parts(s, t, raw):   # the maps F of all trials, then their G or change
+        drawn.append(real_parts(s, t, raw))
+        return drawn[-1].copy()   # the suite changes G in place
 
-    def conjugation(e):
-        corners.append(e)
-        return real_conjugation(e)
+    def conjugation(c):   # the complements C of the trials that change F
+        corners.extend(AlgElement(AlgebraShape((3,)), (x,)) for x in c)
+        return real_conjugation(c)
 
     def failures(s, left, right, tol, supports, side):   # ae_equal of every trial, at once
         if side == "left":
-            masked.extend((f, g) for f, g in zip(left, right)
-                          if all(g.tobytes() != h.matrix.tobytes() for h in drawn))
+            masked.extend((t, g) for t, g in enumerate(right)
+                          if g.tobytes() != drawn[1][t].tobytes())
         return real_failures(s, left, right, tol, supports, side)
 
-    real_draw, real_conjugation = props._random_star_preserving, props.conjugation_by
+    real_parts, real_conjugation = props._star_preserving_parts, props._ad_matrix
     real_failures = props.equal_failure
-    monkeypatch.setattr(props, "_random_star_preserving", draw)
-    monkeypatch.setattr(props, "conjugation_by", conjugation)
+    monkeypatch.setattr(props, "_star_preserving_parts", parts)
+    monkeypatch.setattr(props, "_ad_matrix", conjugation)
     monkeypatch.setattr(props, "equal_failure", failures)
     assert props.run_suite("state-ae", seed=seed, trials=trials).passed
     assert masked and len(masked) == len(corners)
-    for (f, g), comp in zip(masked, corners):
-        at = [h.matrix.tobytes() == f.tobytes() for h in drawn].index(True)
-        bump = drawn[at + 1]   # drawn right after F
-        assert _ulp_close(g, ref.masked(drawn[at], bump, comp).matrix)
+    (m2, m3), (fs, bumps) = (AlgebraShape((2,)), AlgebraShape((3,))), drawn
+    for (t, g), comp in zip(masked, corners):
+        f, bump = Channel(m2, m3, fs[t]), Channel(m2, m3, bumps[t])
+        assert _ulp_close(g, ref.masked(f, bump, comp).matrix)

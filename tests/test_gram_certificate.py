@@ -282,7 +282,7 @@ def test_choi_eigenvalue_of_minus_half_tol_psd_is_left_to_the_grid(monkeypatch):
     n, eta = 3, TOL.psd / 2
     one = np.eye(n).ravel()
     f = Channel(AlgebraShape((n,)), AlgebraShape((n,)), np.eye(n * n) - eta * np.outer(one, one))
-    (_, ((h, _),)), = _grid.choi_parts(f)
+    (_, ((h, _),)), = _grid.choi_parts(f.domain, f.codomain, f.matrix)
     assert abs(np.linalg.eigvalsh(h[0, 0])[0] + eta) <= 1e-3 * eta
     assert is_cp(_fresh(f)).passed
     assert _grid._choi_floor(f) is None
@@ -349,7 +349,7 @@ def test_choi_term_covers_the_negative_eigenvalue():
     shift = 0.25 * _grid._gamma(n * m) * (n * m - 1)
     values[0] = -0.9 * shift
     f = _from_choi((q * values) @ q.conj().T, n, m)
-    (_, ((h, _),)), = _grid.choi_parts(f)
+    (_, ((h, _),)), = _grid.choi_parts(f.domain, f.codomain, f.matrix)
     low = np.linalg.eigvalsh(h[0, 0])[0]
     assert -low > 0.5 * shift                       # negative well beyond rounding
     b, terms = _terms(f, False)
@@ -364,7 +364,7 @@ def test_choi_term_covers_the_backward_error_of_the_factorization():
     n = 5
     s = AlgebraShape((n,))
     f = conjugation_by(AlgElement(s, (props.random_unitary(n, np.random.default_rng(2)),)))
-    (_, ((h, _),)), = _grid.choi_parts(f)
+    (_, ((h, _),)), = _grid.choi_parts(f.domain, f.codomain, f.matrix)
     a = h[0, 0].copy()
     a[np.diag_indices(n * n)] += 0.25 * _grid._gamma(n * n) * np.trace(a).real + _grid._TINY
     r = np.linalg.cholesky(a).astype(np.clongdouble)

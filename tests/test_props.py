@@ -119,14 +119,18 @@ def _scale_element(real):
     return lambda *args: real(*args) * 1.0001
 
 
-def _negate_output(real):
-    return lambda *args, **kwargs: _scaled(real(*args, **kwargs), -1.0)
+def _scale_matrices(real):
+    return lambda *args: real(*args) * 1.0001
 
 
-def _scale_up_map(real):
+def _negate_matrices(real):
+    return lambda *args: -real(*args)
+
+
+def _scale_up_matrices(real):
     def pair(*args):
         down, up = real(*args)
-        return down, _scaled(up)
+        return down, up * 1.0001
 
     return pair
 
@@ -218,21 +222,24 @@ _MUTATIONS = [
     ("algebra", "involution is involutive", "algebra.adjoint", _scale_element),
     ("algebra", "multiplication map reaches norm n on the unit-norm witness", "corpus._a_n",
      lambda real: lambda n: real(n) * 1.0001),
-    ("channel", "Hilbert-Schmidt adjoint is involutive and dual to the pairing", "hs_adjoint",
-     _scale_output),
+    # the suite's parts build the stacked matrices of all trials: the adjoints, tensor
+    # products, conjugations, inverses and compression pairs of `_hs_adjoints`,
+    # `_tensor_matrix`, `_ad_matrix`, `_inverses` and `_compression_matrices`
+    ("channel", "Hilbert-Schmidt adjoint is involutive and dual to the pairing", "_hs_adjoints",
+     _scale_matrices),
     # the transpose without conjugation is involutive, but not dual to the pairing
-    ("channel", "Hilbert-Schmidt adjoint is involutive and dual to the pairing", "hs_adjoint",
-     lambda real: lambda f: type(f)(f.codomain, f.domain, f.matrix.T)),
-    ("channel", "adjoint reverses composition", "hs_adjoint", _scale_output),
-    ("channel", "CP is closed under composition and tensor", "tensor", _negate_output),
-    ("channel", "one multiplicative input extends to all mixed products", "ad_channel",
-     _scale_output),
-    ("channel", "invertible conjugations are deterministic", "invert", _scale_output),
+    ("channel", "Hilbert-Schmidt adjoint is involutive and dual to the pairing", "_hs_adjoints",
+     lambda real: lambda m: m.swapaxes(-1, -2)),
+    ("channel", "adjoint reverses composition", "_hs_adjoints", _scale_matrices),
+    ("channel", "CP is closed under composition and tensor", "_tensor_matrix", _negate_matrices),
+    ("channel", "one multiplicative input extends to all mixed products", "_ad_matrix",
+     _scale_matrices),
+    ("channel", "invertible conjugations are deterministic", "_inverses", _scale_matrices),
     ("channel", "transpose is invertible yet not deterministic, consistent with failing Schwarz",
      "invert", _scale_output),
     # the scaled composite of the compression pair is not multiplicative
     ("channel", "S-positivity equation holds for CPU compressions and fails for the transpose",
-     "compression_pair", _scale_up_map),
+     "_compression_matrices", _scale_up_matrices),
     ("state-ae", "support is dominated by any projection carrying the state", "State.support",
      _support_zero),
     ("state-ae", "right-multiplying into the support complement lands in the nullspace",

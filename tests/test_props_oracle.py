@@ -1,14 +1,16 @@
 """Differential oracle: the stacked props trials against one trial per step.
 
-The `algebra`, `state-ae` and `finstoch` suites draw every trial's inputs in
-turn and decide each invariant once, on the coordinates of all trials
-stacked; `loop_reference.py` keeps the loops that draw and decide one trial
-at a time, the star-preserving map built by `channel_from_action`, and the
-exact kernels and priors of weights normalized by a Fraction sum and
-validated entry by entry.  Each suite must leave its generator in the same
-state and report the same checks with either, the maps must be bitwise
-equal and the kernels equal, and the verdicts must agree under a
-broken `_mul_coords` too.  The `state-ae` a.e. trials must give every trial
+The `algebra`, `channel`, `state-ae` and `finstoch` suites draw every trial's
+inputs in turn and decide each invariant once, on the coordinates or channel
+matrices of all trials stacked; `loop_reference.py` keeps the loops that draw
+and decide one trial at a time, the star-preserving map built by
+`channel_from_action`, the random CPU maps, unitaries and compressions built
+one per trial, and the exact kernels and priors of weights normalized by a
+Fraction sum and validated entry by entry.  Each suite must leave its
+generator in the same state and report the same checks with either, the
+maps, densities and projections must be bitwise equal (the compressions' up
+maps, summed in another order, excepted) and the kernels equal, and the
+verdicts must agree under a broken `_mul_coords` too.  The `state-ae` a.e. trials must give every trial
 the verdicts of the per-call `ae_equal` and `ae_deterministic`, also under a
 broken support or a broken entry rule on some of the trials.
 """
@@ -21,6 +23,7 @@ import loop_reference as ref
 from qmarkov import corpus, props, state
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
+from qmarkov.channel import ad_channel, conjugation_by
 from qmarkov.state import state_from_density
 
 SEEDS = range(10)
@@ -35,6 +38,11 @@ _LOOPS = {
     "_minimal_supports": ref.minimal_supports,
     "_nullspace_trials": ref.nullspace_trials,
     "_ae_trials": ref.ae_trials,
+    "_adjoint_laws": ref.adjoint_laws,
+    "_cp_closure": ref.cp_closure,
+    "_multiplicative_domain": ref.multiplicative_domain,
+    "_invertible_conjugations": ref.invertible_conjugations,
+    "_compressions_pass": ref.compressions_pass,
     "_random_star_preserving": ref.random_star_preserving,
     "_random_rational_prob": ref.random_rational_prob,
     "_random_rational_kernel": ref.random_rational_kernel,
@@ -75,7 +83,7 @@ def _run(monkeypatch, suite, seed, trials, loops, verdicts=None, parts=tuple(_LO
     return report.to_dict(), next(iter(states.values()), None)
 
 
-@pytest.mark.parametrize("suite", ["algebra", "state-ae", "finstoch"])
+@pytest.mark.parametrize("suite", ["algebra", "channel", "state-ae", "finstoch"])
 @pytest.mark.parametrize("trials", TRIALS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_suites_match_the_trial_loops(monkeypatch, suite, seed, trials):
@@ -198,6 +206,62 @@ def test_star_preserving_part_is_bitwise_the_action(s, t, seed):
     want = ref.random_star_preserving(s, t, np.random.default_rng(seed)).matrix
     # equal bits, the signs of zeros included
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stacked_channel_matrices_are_bitwise_the_constructors(seed):
+    # the stacks the channel suite builds from its draws, against one constructor per
+    # trial on the same draws: Kraus sums of random CPU maps, conjugations by random
+    # unitaries, and compressions, the one-trial call of which is a batch of one
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n_dom, n_cod in ((2, 3), (3, 2)):
+        stacked = props._cpu_matrices(np.array(
+            [props._gaussian(got, props._isometry_draw(n_dom, n_cod)) for _ in range(6)]), n_dom)
+        loop = [ref.random_cpu_channel(n_dom, n_cod, want).matrix for _ in range(6)]
+        assert stacked.tobytes() == np.array(loop).tobytes()
+    for n in (2, 3, 4):
+        stacked = props._ad_matrix(props._unitaries(np.array(
+            [props._gaussian(got, (n, n)) for _ in range(5)])))
+        loop = [conjugation_by(AlgElement(AlgebraShape((n,)), (ref.random_unitary(n, want),)))
+                .matrix for _ in range(5)]
+        assert stacked.tobytes() == np.array(loop).tobytes()
+    v = np.linalg.qr(np.array([props._gaussian(got, (5, 2)) for _ in range(5)]))[0]
+    pairs = [corpus.compression_pair(2, 5, want) for _ in range(5)]
+    assert props._ad_matrix(alg._dagger(v)).tobytes() == np.array(
+        [ad_channel(x.conj().T).matrix for x in v]).tobytes()
+    for stacked, loop in zip(props._compression_matrices(v), zip(*pairs)):
+        assert stacked.tobytes() == np.array([f.matrix for f in loop]).tobytes()
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stacked_state_draws_are_bitwise_the_constructors(seed):
+    # the densities and projections of the a.e. trials, built on stacks, against one
+    # per-call construction of each on the same draws
+    t = AlgebraShape((3,))
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = [(alg._random_coords(t, got), int(got.integers(1, 4)), props._gaussian(got, (3, 3)))
+             for _ in range(12)]
+    x, keep, gin = (np.array(z) for z in zip(*draws))
+    densities = alg._densities(t, x)
+    projections = props._leading_projections(props._unitaries(gin), keep)
+    for density, projection in zip(densities, projections):
+        assert density.tobytes() == alg.vec(ref.random_density(t, want)).tobytes()
+        assert projection.tobytes() == ref.random_projection(3, want).tobytes()
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_multiplicative_domain_agrees_under_a_fault_on_some_draws(monkeypatch):
+    # the stacked laws report the law of the first failing trial, as the loop that stops
+    # there does; the loop draws no more after it, so only the verdicts are compared
+    monkeypatch.setattr(alg, "_mul_coords", _non_associative_on_some(alg._mul_coords))
+    seen = set()
+    for seed in range(40):
+        for trials in (1, 2, 4):
+            got = props._multiplicative_domain(np.random.default_rng(seed), trials)
+            assert got == ref.multiplicative_domain(np.random.default_rng(seed), trials)
+            seen.add(got)
+    assert len(seen) == 3   # passes, and a failure of either law
 
 
 @pytest.mark.parametrize("zero_last", [False, True])

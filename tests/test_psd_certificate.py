@@ -53,7 +53,7 @@ def verdicts(monkeypatch):
 def _choi_hermitian(f: Channel):
     """Per domain-block group: the Hermitian parts of its Choi stacks and the floor lo."""
     out = []
-    for ys, stacks in _grid.choi_blocks(f):
+    for ys, stacks in _grid.choi_blocks(f.domain, f.codomain, f.matrix):
         hs = [0.5 * (c + alg._dagger(c)) for c in stacks]
         out.append((hs, np.maximum(1.0, alg._lower(hs))))
     return out
