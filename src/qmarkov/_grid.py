@@ -22,11 +22,13 @@ blocks costs one array operation, not one per block.
 The index tables of `algebra` also build channel matrices: a tensor
 product, the multiplication map and the Choi blocks are gathers or scatters
 of matrix entries, and blockwise A X B is the Kronecker product `block_kron`.
+A tensor product is written straight into its one output, in the row chunks
+of `row_chunks`.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,9 +50,18 @@ from .algebra import (
 )
 from .tolerances import Tolerance
 
-# codomain entries per operand in one chunk of the grid, and coordinates per
-# element times trials in one batch of a sampled check
+# codomain entries per operand in one chunk of the grid, coordinates per element
+# times trials in one batch of a sampled check, and entries in one row chunk of a
+# channel matrix: 128 KiB of complex128, glibc's default mmap threshold
 _CHUNK = 1 << 13
+
+
+def row_chunks(rows: int, width: int) -> Iterator[tuple[int, int]]:
+    """The bounds (r0, r1) of consecutive chunks of `rows` rows of `width` entries:
+    at most _CHUNK entries per chunk, and at least one row."""
+    step = max(1, _CHUNK // max(1, width))
+    for r0 in range(0, rows, step):
+        yield r0, min(rows, r0 + step)
 
 
 def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:

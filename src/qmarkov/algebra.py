@@ -461,7 +461,9 @@ def _layout_of(blocks: tuple[int, ...]) -> _Layout:
 
 
 def _finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
+    """Raises ValueError on a NaN or Inf entry of x.  Every entry is finite when the sum
+    of their squares is, so only a sum that is not takes the entrywise test."""
+    if not np.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
         raise ValueError("matrix contains NaN or Inf entries")
 
 

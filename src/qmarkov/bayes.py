@@ -182,7 +182,8 @@ def bayes_candidate(
             raise ShapeMismatch("completion state must live on the prior's algebra")
         comp_row = _transposed_coords(completion.density)
     # a row R of F* pairs with rho A as rho^T R pairs with A: the rows of F* L(rho)
-    h = alg._mul_coords(f.codomain, _transposed_coords(omega.density), f.matrix.conj().T)
+    h = alg._mul_coords(f.codomain, _transposed_coords(omega.density),
+                        np.conj(f.matrix.T, order="C"))
     main = alg._mul_coords(f.domain, alg.vec(xi.spectrum.inverse_power(1.0)), h.T).T
     g = _owned(f.codomain, f.domain, main + np.outer(complement, comp_row))
     sigma, rho = alg.vec(xi.density), alg.vec(omega.density)
@@ -237,7 +238,7 @@ def petz_recovery(prob: BayesProblem) -> Channel:
     f, omega, xi = prob.channel, prob.prior, prob.pullback
     cod, dom = f.codomain, f.domain
     r, s = _transposed_coords(omega.spectrum.sqrt()), alg.vec(xi.spectrum.inverse_power(0.5))
-    h = alg._mul_coords(cod, alg._mul_coords(cod, r, f.matrix.conj().T), r)
+    h = alg._mul_coords(cod, alg._mul_coords(cod, r, np.conj(f.matrix.T, order="C")), r)
     return _owned(cod, dom, alg._mul_coords(dom, alg._mul_coords(dom, s, h.T), s).T)
 
 

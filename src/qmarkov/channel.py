@@ -155,7 +155,10 @@ def identity_channel(s: AlgebraShape) -> Channel:
 
 def transpose_channel(s: AlgebraShape) -> Channel:
     """Blockwise transpose in the canonical basis: E_a |-> E_a* permutes the units."""
-    return Channel(s, s, np.eye(s.coord_dim, dtype=np.int8)[alg.adjoint_index(s)])
+    d = s.coord_dim
+    mat = np.zeros((d, d), dtype=complex)
+    mat[np.arange(d), alg.adjoint_index(s)] = 1
+    return _owned(s, s, mat)
 
 
 def ad_channel(v: np.ndarray) -> Channel:
@@ -233,11 +236,10 @@ def mult_map(s: AlgebraShape) -> Channel:
     """
     dom = alg.tensor_shape(s, s)
     left, right = alg.tensor_index(s, s)
-    # 0/1 entries: a narrow dtype keeps the Channel's own complex copy the only large array;
     # row coord_dim collects the products that vanish
-    mat = np.zeros((s.coord_dim + 1, dom.coord_dim), dtype=np.int8)
+    mat = np.zeros((s.coord_dim + 1, dom.coord_dim), dtype=complex)
     mat[alg.product_index(s)[left, right], np.arange(dom.coord_dim)] = 1
-    return Channel(dom, s, mat[:-1])
+    return _owned(dom, s, mat[:-1])
 
 
 def apply(f: Channel, b: AlgElement) -> AlgElement:
@@ -267,9 +269,17 @@ def tensor(f: Channel, g: Channel) -> Channel:
 
 def _tensor_matrix(cods: tuple, doms: tuple, fm: np.ndarray, gm: np.ndarray) -> np.ndarray:
     """The matrix of F (x) G from the matrices fm (..., c_F, d_F) and gm (..., c_G, d_G)
-    of maps F and G with codomains cods and domains doms, one per leading batch entry."""
+    of maps F and G with codomains cods and domains doms, one per leading batch entry.
+
+    Every entry is one product of an entry of F and one of G.  The columns of F
+    and G are gathered once, and their rows per chunk of `_grid.row_chunks`,
+    straight into the one output."""
     (rf, rg), (cf, cg) = alg.tensor_index(*cods), alg.tensor_index(*doms)
-    return fm[..., rf[:, None], cf] * gm[..., rg[:, None], cg]
+    fc, gc = fm.take(cf, -1), gm.take(cg, -1)
+    out = np.empty(fm.shape[:-2] + (len(rf), len(cf)), dtype=complex)
+    for r0, r1 in _grid.row_chunks(len(rf), out.size // len(rf)):
+        np.multiply(fc.take(rf[r0:r1], -2), gc.take(rg[r0:r1], -2), out=out[..., r0:r1, :])
+    return out
 
 
 _COND_LIMIT = 1e12
@@ -440,18 +450,17 @@ def _sampled_check(f, prop, trials, seed, tol, gap, reasons) -> PropertyReport:
     scaled by an exact 2^-s, where s is one exponent or one per trial.  A
     trial fails when its element is not self-adjoint (reasons[0]) or has a
     negative eigenvalue (reasons[1]), as `alg._psd_verdicts` decides with the
-    floor 1 of the scale scaled by 2^-s alike.  A batch holds
-    _grid._CHUNK // max(d, c) trials, and the first batch with a failure
-    reports its first failing trial, with "scale_exponent": -s when its batch
+    floor 1 of the scale scaled by 2^-s alike.  A batch is one chunk of
+    `_grid.row_chunks`, max(d, c) entries per trial, and the first batch with
+    a failure reports its first failing trial, with "scale_exponent": -s when its batch
     was scaled.  A batch with a non-finite element raises ValueError.
     """
     rng = np.random.default_rng(seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dom, cod = f.domain, f.codomain
-    step = max(1, _grid._CHUNK // max(dom.coord_dim, cod.coord_dim))
-    for t0 in range(0, trials, step):
-        x = alg._random_coords(dom, rng, (min(step, trials - t0),))
+    for t0, t1 in _grid.row_chunks(trials, max(dom.coord_dim, cod.coord_dim)):
+        x = alg._random_coords(dom, rng, (t1 - t0,))
         out, s = gap(x)
         alg._finite(out)
         xs, unit = alg._stacks(cod, out), np.ldexp(1.0, -s)

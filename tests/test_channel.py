@@ -270,6 +270,18 @@ def test_is_cp_rejects_non_finite_matrices(shape, bad):
         Channel(shape, shape, mat)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_finiteness_holds_when_the_sum_of_squares_overflows(scale, bad):
+    # at 1e200 the sum of squares is inf, so the entrywise test decides, with no warning
+    s = AlgebraShape((12,))
+    mat = scale * np.eye(s.coord_dim, dtype=complex)
+    assert np.array_equal(Channel(s, s, mat).matrix, mat)
+    mat[5, 7] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Channel(s, s, mat)
+
+
 def test_channel_matrix_is_a_read_only_copy():
     source = np.eye(4, dtype=complex)
     h = Channel(M2, M2, source)

@@ -11,11 +11,13 @@ block as the loop that decides the full Choi matrix of each domain block,
 and `verify_bayes` the same verdict and witness pair as the loop over
 pairs of units.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import loop_reference as ref
-from qmarkov import corpus, props
+from qmarkov import _grid, corpus, props
 from qmarkov import algebra as alg
 from qmarkov import finstoch as fs
 from qmarkov.algebra import AlgebraShape, AlgElement
@@ -24,6 +26,7 @@ from qmarkov.bayes import commutative_disintegration, petz_recovery, verify_baye
 from qmarkov.channel import (
     Channel,
     _kron,
+    _tensor_matrix,
     ad_channel,
     channel_from_action,
     choi,
@@ -121,6 +124,54 @@ def test_choi_tensor_mult_transpose_are_bitwise_identical():
         s = _shape(blocks)
         assert np.array_equal(mult_map(s).matrix, ref.mult_map(s).matrix), blocks
         assert np.array_equal(transpose_channel(s).matrix, ref.transpose_channel(s).matrix), blocks
+
+
+@pytest.mark.parametrize("dims", [((4,), (4,), (4,), (4,)), ((5,), (5,), (3,), (3,)),
+                                  ((1, 2), (3, 2), (3, 2), (3, 2)),
+                                  ((2, 1, 3), (3, 2), (3, 2), (1, 2))])
+def test_tensor_above_one_chunk_is_bitwise_the_loop(dims):
+    # domains and codomains of F and G: every entry of F (x) G is one product,
+    # whichever row chunk of the output writes it
+    df, cf, dg, cg = (_shape(d) for d in dims)
+    rng = np.random.default_rng(sum(map(sum, dims)))
+    f, g = _random_map(df, cf, rng), _random_map(dg, cg, rng)
+    for a, b in ((f, g), (g, f)):
+        got = tensor(a, b).matrix
+        assert got.size > _grid._CHUNK
+        assert np.array_equal(got, ref.tensor(a, b).matrix), dims
+
+
+@pytest.mark.parametrize("lead, dims", [((3,), ((3,), (3,), (3,), (3,))),
+                                        ((2, 3), ((3,), (1, 2), (3,), (2, 1))),
+                                        ((40,), ((4,), (1,), (4,), (1,)))])
+def test_stacked_tensor_matrix_is_one_tensor_per_entry(lead, dims):
+    # domains and codomains of F and G; the stacks span several row chunks, and the
+    # last has rows wider than a chunk
+    df, cf, dg, cg = (_shape(d) for d in dims)
+    rng = np.random.default_rng(len(lead) + lead[-1])
+    fm = rng.standard_normal(lead + (cf.coord_dim, df.coord_dim)) + 1j * rng.standard_normal(
+        lead + (cf.coord_dim, df.coord_dim))
+    gm = rng.standard_normal(lead + (cg.coord_dim, dg.coord_dim)) + 1j * rng.standard_normal(
+        lead + (cg.coord_dim, dg.coord_dim))
+    got = _tensor_matrix((cf, cg), (df, dg), fm, gm)
+    assert got.size > _grid._CHUNK
+    for i in np.ndindex(*lead):
+        want = tensor(Channel(df, cf, fm[i]), Channel(dg, cg, gm[i])).matrix
+        assert np.array_equal(got[i], want), i
+
+
+def test_tensor_allocates_little_beyond_its_output():
+    # the product is written in row chunks into the one output: no full-size gathers
+    rng = np.random.default_rng(35)
+    f = props.random_cpu_channel(5, 5, rng)
+    out = tensor(f, f).matrix.nbytes   # warms the index tables
+    tracemalloc.start()
+    try:
+        tensor(f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * out, (peak, out)
 
 
 def test_bayes_sides_agree_with_product_form():
