@@ -249,7 +249,7 @@ def star_failure(f, tol: Tolerance) -> int | None:
     """
     cod, adj = f.codomain, adjoint_index(f.domain)
     back = adjoint_index(cod)
-    e = scale_exponent(f.matrix, 500)
+    e = f._exponent   # scale_exponent(f.matrix, 500), read when f was built
     c = np.ldexp(1.0, -e) if e else 1.0
     m = f.matrix * c if e else f.matrix
     d, rows = f.domain.coord_dim, cod.coord_dim

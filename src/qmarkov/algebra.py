@@ -247,24 +247,23 @@ def elem_equal(a: AlgElement, b: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bo
     return _coords_equal(a.shape, a._coords, b._coords, tol)
 
 
-def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
-    """Whether the elements with coordinates u and v (..., coord_dim), broadcast, are
-    equal in every pair: `failing_entries` with no support, one vector a batch of one.
+def _coords_equal(s: AlgebraShape, u: np.ndarray, v: np.ndarray, tol: Tolerance, unit=1.0) -> bool:
+    """Whether the elements with coordinates u and v (..., coord_dim), broadcast, are equal
+    in every pair: `failing_entries` with no support and floor unit, one vector a batch of one.
 
     A pair with entries above 2^500, where u - v may overflow, is compared with u,
-    v and the floor 1 scaled alike by its own exact 2^-e from `scale_exponent`.
+    v and the floor scaled alike by its own exact 2^-e from `scale_exponent`.
     Raises ValueError on NaN or Inf entries.
     """
     big = 2.0 ** 1000   # one pair whose sums of squares are at most 2^1000 needs no scaling
     if u.ndim == 1 == v.ndim and np.vdot(u, u).real <= big and np.vdot(v, v).real <= big:
-        return not _some(failing_entries(s, u, v, tol))
+        return not _some(failing_entries(s, u, v, tol, unit=unit))
     if u.shape != v.shape:
         u, v = np.broadcast_arrays(u, v)
     e = scale_exponent(np.concatenate((u, v), axis=-1)[..., None, :], 500)   # per pair
-    unit = 1.0
     if _some(e):
-        unit = np.ldexp(1.0, -e)
-        u, v = u * unit[..., None], v * unit[..., None]
+        c = np.ldexp(1.0, -e)
+        u, v, unit = u * c[..., None], v * c[..., None], unit * c
     return not _some(failing_entries(s, u, v, tol, unit=unit))
 
 
@@ -460,11 +459,13 @@ def _layout_of(blocks: tuple[int, ...]) -> _Layout:
                    _as_slice(_read_only(re), step), _as_slice(_read_only(re + n * n), step))
 
 
-def _finite(x: np.ndarray) -> None:
-    """Raises ValueError on a NaN or Inf entry of x.  Every entry is finite when the sum
-    of their squares is, so only a sum that is not takes the entrywise test."""
-    if not np.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
+def _finite(x: np.ndarray):
+    """The sum of the squares of the entries of x, or ValueError on a NaN or Inf entry.
+    Every entry is finite when that sum is, so only a sum that is not takes the entrywise test."""
+    squares = np.vdot(x, x)
+    if not np.isfinite(squares) and not np.isfinite(x).all():
         raise ValueError("matrix contains NaN or Inf entries")
+    return squares
 
 
 def _some(x: np.ndarray) -> bool:
@@ -504,6 +505,24 @@ def _join(s: AlgebraShape, xs: Stacks) -> np.ndarray:
 def _mul_coords(s: AlgebraShape, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Coordinates of the blockwise products of elements with coordinates u and v."""
     return _join(s, [x @ y for x, y in zip(_stacks(s, u), _stacks(s, v))])
+
+
+def _mul_columns(s: AlgebraShape, a: np.ndarray, m: np.ndarray, left: bool) -> np.ndarray:
+    """a X (left) or X a for every column X of m (coord_dim, N): a F(E_j) or F(E_j) a in
+    column j of a channel matrix.  One call per block size k x (r, r): a @ M (k, r, r N) on
+    the left, a^T @ M[i] per row i of M (k, r, r, N) on the right, a broadcast multiply for
+    r = 1.  BLAS sums in its own order: the last bits may differ from `_mul_coords`."""
+    n, groups = m.shape[1], s._layout.groups
+    out = None if len(groups) == 1 else np.empty(m.shape, dtype=complex)
+    for g, x in zip(groups, _stacks(s, a)):
+        k, r, _ = g.tail
+        c = m[g.at].reshape(k, r, r * n)
+        y = (x * c if r == 1 else x @ c if left
+             else np.matmul(x.swapaxes(1, 2)[:, None], c.reshape(k, r, r, n)))
+        if out is None:
+            return y.reshape(m.shape)
+        out[g.at] = y.reshape(-1, n)
+    return out
 
 
 def _adjoint_coords(s: AlgebraShape, u: np.ndarray) -> np.ndarray:

@@ -109,7 +109,7 @@ def verify_bayes(f: Channel, omega: State, xi: State, g: Channel, side: str = "l
 
     Left:  xi(G(A) B) = omega(A F(B));  right:  xi(B G(A)) = omega(F(B) A).
     Both sides are bilinear in (A, B), so matrix units decide them exactly;
-    the pair grid is evaluated in closed form from the channel matrices.
+    the pair grid is two column products of the densities with the channel matrices.
     """
     _check_side(side)
     if g.domain != f.codomain or g.codomain != f.domain:
@@ -122,38 +122,48 @@ def verify_bayes(f: Channel, omega: State, xi: State, g: Channel, side: str = "l
 def _bayes_sides(f: Channel, g: Channel, sigma: np.ndarray, rho: np.ndarray, side: str):
     """lhs[a, b] and rhs[a, b] of the Bayes condition on units E_a of the codomain and
     E_b of the domain, given the coordinates sigma of xi's density and rho of omega's.
-    xi(Y E_rs) = (sigma Y)_sr, so each side is one blockwise product of a density with
-    the images of all units, read at the transposed unit."""
-    adj_dom, adj_cod = alg.adjoint_index(f.domain), alg.adjoint_index(f.codomain)
-    if side == "left":
-        lhs = alg._mul_coords(f.domain, sigma, g.matrix.T)[:, adj_dom]       # xi(G(E_a) E_b)
-        rhs = alg._mul_coords(f.codomain, f.matrix.T, rho)[:, adj_cod].T     # omega(E_a F(E_b))
-    else:
-        lhs = alg._mul_coords(f.domain, g.matrix.T, sigma)[:, adj_dom]       # xi(E_b G(E_a))
-        rhs = alg._mul_coords(f.codomain, rho, f.matrix.T)[:, adj_cod].T     # omega(F(E_b) E_a)
+    xi(Y E_rs) = (sigma Y)_sr, so each side is one column product of a density with a
+    channel matrix, whose columns are the images of all units, read at the transposed unit."""
+    left = side == "left"
+    # xi(G(E_a) E_b) or xi(E_b G(E_a)): rows of the product, so lhs lies transposed in memory
+    lhs = alg._mul_columns(f.domain, sigma, g.matrix, left).T[:, alg.adjoint_index(f.domain)]
+    # omega(E_a F(E_b)) or omega(F(E_b) E_a)
+    rhs = alg._mul_columns(f.codomain, rho, f.matrix, not left)[alg.adjoint_index(f.codomain)]
     return lhs, rhs
 
 
 def _bayes_report(f: Channel, g: Channel, sigma: np.ndarray, rho: np.ndarray, side: str,
                   tol: Tolerance) -> PropertyReport:
-    """The Bayes condition of verify_bayes, given the coordinates of the densities."""
-    lhs, rhs = _bayes_sides(f, g, sigma, rho, side)
-    dev = np.abs(lhs - rhs)
+    """The Bayes condition of verify_bayes, given the coordinates of the densities.
+
+    Above 2^500, where a side could overflow, both sides are formed from the densities
+    scaled by 2^-e, for the larger exponent of F and G, and decided with the floor scaled
+    alike; a failure then says "scale_exponent": -e.  A NaN deviation fails.
+    """
+    e = max(f._exponent, g._exponent)
+    unit, scaled = 2.0 ** -e, f" * 2^{e}" if e else ""
+    lhs, rhs = _bayes_sides(f, g, sigma * unit, rho * unit, side)
+    diff = lhs - rhs
+    dev = np.abs(diff)
     worst = float(dev.max())
     # the equality rule on scalars, written out because the report names the worst pair,
     # the largest excess over the bound, where the rule finds the first failing one
-    if worst > tol.eq:   # every bound is at least tol.eq, so a smaller deviation passes
-        bound = tol.eq * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        if np.any(dev > bound):
-            ia, ib = np.unravel_index(int((dev - bound).argmax()), dev.shape)
+    if not worst <= tol.eq * unit:   # every bound is at least tol.eq * unit
+        over = np.abs(lhs, out=np.empty_like(dev))   # dev - tol.eq max(unit, |lhs|, |rhs|)
+        np.maximum(over, np.maximum(np.abs(rhs, out=diff.real), unit, out=diff.real), out=over)
+        np.subtract(dev, np.multiply(over, tol.eq, out=over), out=over)
+        at = int(over.argmax())
+        if not over.flat[at] <= 0:
+            ia, ib = np.unravel_index(at, dev.shape)
             return _report(
                 f"bayes-{side}", False, tol.eq,
                 witness={"a_input": _grid.unit(f.codomain, ia),
                          "b_input": _grid.unit(f.domain, ib),
-                         "lhs": complex(lhs[ia, ib]), "rhs": complex(rhs[ia, ib])},
-                detail=f"Bayes condition fails by {dev[ia, ib]:.6g}",
+                         "lhs": complex(lhs[ia, ib]), "rhs": complex(rhs[ia, ib]),
+                         **({"scale_exponent": -e} if e else {})},
+                detail=f"Bayes condition fails by {dev[ia, ib]:.6g}{scaled}",
             )
-    return _report(f"bayes-{side}", True, tol.eq, detail=f"max deviation {worst:.3g}")
+    return _report(f"bayes-{side}", True, tol.eq, detail=f"max deviation {worst:.3g}{scaled}")
 
 
 def bayes_candidate(
@@ -171,7 +181,9 @@ def bayes_candidate(
     pullback's spectrum, made with the tolerance `bayes_problem` was given;
     tol here decides the verdicts of the five checks.  In coordinates the candidate is
     L(pinv sigma) F* L(rho) + vec(1 - P) coords(completion^T)^T, with L(a)
-    the matrix of left multiplication by a; both products run blockwise.
+    the matrix of left multiplication by a.  A row R = conj(F(E_c)) of F* pairs with
+    rho A as rho^T R = conj(rho* F(E_c)) pairs with A, so F* L(rho) is the conjugate
+    transpose of rho* F: both products are column products (`alg._mul_columns`).
     """
     f, omega, xi = prob.channel, prob.prior, prob.pullback
     complement = alg._unit_coords(xi.shape) - alg.vec(xi.support)
@@ -180,12 +192,11 @@ def bayes_candidate(
     else:
         if completion.shape != omega.shape:
             raise ShapeMismatch("completion state must live on the prior's algebra")
-        comp_row = _transposed_coords(completion.density)
-    # a row R of F* pairs with rho A as rho^T R pairs with A: the rows of F* L(rho)
-    h = alg._mul_coords(f.codomain, _transposed_coords(omega.density),
-                        np.conj(f.matrix.T, order="C"))
-    main = alg._mul_coords(f.domain, alg.vec(xi.spectrum.inverse_power(1.0)), h.T).T
-    g = _owned(f.codomain, f.domain, main + np.outer(complement, comp_row))
+        comp_row = alg.vec(completion.density)[alg.adjoint_index(omega.shape)]   # its transpose
+    rho_star = alg._adjoint_coords(f.codomain, alg.vec(omega.density))
+    h = np.conj(alg._mul_columns(f.codomain, rho_star, f.matrix, True).T, order="C")
+    main = alg._mul_columns(f.domain, alg.vec(xi.spectrum.inverse_power(1.0)), h, True)
+    g = _owned(f.codomain, f.domain, np.add(main, np.outer(complement, comp_row), out=main))
     sigma, rho = alg.vec(xi.density), alg.vec(omega.density)
     left = _bayes_report(f, g, sigma, rho, "left", tol)
     right = _bayes_report(f, g, sigma, rho, "right", tol)
@@ -233,18 +244,16 @@ def petz_recovery(prob: BayesProblem) -> Channel:
 
     sqrt(pinv sigma) takes its rank from the pullback's spectrum, as the
     support does: the rank cutoff is the tolerance `bayes_problem` was given.
-    Both conjugations run blockwise: a row R of F* pairs with r A r as r^T R r^T pairs with A.
+    As in `bayes_candidate`, F* Ad_r for r = sqrt(rho) is the conjugate transpose of
+    r* F r*, so both conjugations are column products.
     """
     f, omega, xi = prob.channel, prob.prior, prob.pullback
     cod, dom = f.codomain, f.domain
-    r, s = _transposed_coords(omega.spectrum.sqrt()), alg.vec(xi.spectrum.inverse_power(0.5))
-    h = alg._mul_coords(cod, alg._mul_coords(cod, r, np.conj(f.matrix.T, order="C")), r)
-    return _owned(cod, dom, alg._mul_coords(dom, alg._mul_coords(dom, s, h.T), s).T)
-
-
-def _transposed_coords(a: AlgElement) -> np.ndarray:
-    """Coordinates of the blockwise transpose of a: tr(a X) = this . coords(X)."""
-    return alg.vec(a)[alg.adjoint_index(a.shape)]
+    r = alg._adjoint_coords(cod, alg.vec(omega.spectrum.sqrt()))
+    s = alg.vec(xi.spectrum.inverse_power(0.5))
+    rfr = alg._mul_columns(cod, r, alg._mul_columns(cod, r, f.matrix, True), False)   # r* F r*
+    h = np.conj(rfr.T, order="C")   # F* Ad_r, rows by the domain
+    return _owned(cod, dom, alg._mul_columns(dom, s, alg._mul_columns(dom, s, h, True), False))
 
 
 def verify_disintegration(

@@ -114,7 +114,10 @@ class Channel:
         want = (self.codomain.coord_dim, self.domain.coord_dim)
         if m.shape != want:
             raise ShapeMismatch(f"channel matrix is {m.shape}, expected {want}")
-        alg._finite(m.ravel("K").view(float))   # a float view scans faster than complex
+        # a float view scans faster than complex; where the sum of squares is at most 2^1000,
+        # so is every entry's square, and _exponent, `alg.scale_exponent(m, 500)`, is 0
+        squares = alg._finite(m.ravel("K").view(float))
+        self._exponent = 0 if squares <= 2.0 ** 1000 else int(alg.scale_exponent(m, 500))
         m.flags.writeable = False
         self.matrix = m
         return self
@@ -337,67 +340,73 @@ def choi(f: Channel) -> list[np.ndarray]:
 
 def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
     """Complete positivity via the blockwise Choi matrices, decided by `_cp_verdicts`;
-    the first failing domain block is the witness."""
+    the first failing domain block is the witness.  Above 2^500, where a Choi sum could
+    overflow, it is decided on F 2^-e and the floor 2^-e, and the witness is unscaled."""
 
     def compute():
-        not_sa, negative, skew, low = _cp_verdicts(f.domain, f.codomain, f.matrix, tol)
+        e = f._exponent
+        not_sa, negative, skew, low = _cp_verdicts(
+            f.domain, f.codomain, f.matrix * 2.0 ** -e if e else f.matrix, tol, 2.0 ** -e)
         bad = not_sa | negative
         if not bad.any():
             return _report("cp", True, tol.psd)
         y = int(bad.argmax())
+        skew_y, low_y = float(skew[y]) * 2.0 ** e, float(low[y]) * 2.0 ** e
         if not_sa[y]:
             return _report(
                 "cp", False, tol.psd,
-                witness={"domain_block": y, "skew_norm": float(skew[y]),
-                         "min_eigenvalue": float(low[y])},
+                witness={"domain_block": y, "skew_norm": skew_y, "min_eigenvalue": low_y},
                 detail=f"Choi matrix of domain block {y} is not Hermitian "
-                       f"(skew {skew[y]:.3g}); Hermitian part has eigenvalue {low[y]:.6g}",
+                       f"(skew {skew_y:.3g}); Hermitian part has eigenvalue {low_y:.6g}",
             )
         return _report(
             "cp", False, tol.psd,
-            witness={"domain_block": y, "min_eigenvalue": float(low[y])},
-            detail=f"Choi matrix of domain block {y} has eigenvalue {low[y]:.6g}",
+            witness={"domain_block": y, "min_eigenvalue": low_y},
+            detail=f"Choi matrix of domain block {y} has eigenvalue {low_y:.6g}",
         )
 
     return f.cached(("cp", tol), compute)
 
 
-def _cp_verdicts(dom: AlgebraShape, cod: AlgebraShape, matrix: np.ndarray, tol: Tolerance):
+def _cp_verdicts(dom: AlgebraShape, cod: AlgebraShape, matrix: np.ndarray, tol: Tolerance,
+                 unit: float = 1.0):
     """(not self-adjoint, not PSD, max skew, lowest eigenvalue) of the Choi matrix C_y of
     every domain block y, for the maps dom ~> cod with matrices (..., c, d): each
     (..., k) over the k domain blocks, the eigenvalue +inf where no spectrum was taken.
 
     A CP map has Hermitian PSD Choi matrices, so every C_y must pass the rule of
-    `alg._psd_verdicts` at unit 1: skew first, then the minimum eigenvalue of the
-    Hermitian part, each against max(1, ||C_y||).  C_y is block-diagonal over the
+    `alg._psd_verdicts` at the floor unit: skew first, then the minimum eigenvalue of the
+    Hermitian part, each against max(unit, ||C_y||).  C_y is block-diagonal over the
     codomain blocks, so the domain blocks of one size, of every map of the batch,
     are one batch of elements, decided from the Hermitian and skew parts of
     `_grid.choi_parts`.
     """
     groups = _grid.choi_parts(dom, cod, matrix)
     if len(groups) == 1:   # one domain block size: the verdicts are every block's, in order
-        return alg._psd_verdicts(*zip(*groups[0][1]), 1.0, tol)
+        return alg._psd_verdicts(*zip(*groups[0][1]), unit, tol)
     shape = matrix.shape[:-2] + (len(dom.blocks),)
     not_sa, negative = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
     skew, low = np.zeros(shape), np.zeros(shape)
     for ys, parts in groups:
         hs, diffs = zip(*parts)
         not_sa[..., ys], negative[..., ys], skew[..., ys], low[..., ys] = alg._psd_verdicts(
-            hs, diffs, 1.0, tol)
+            hs, diffs, unit, tol)
     return not_sa, negative, skew, low
 
 
 def is_unital(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
-    """F(1) = 1, compared as `elem_equal` does, on coordinates."""
+    """F(1) = 1, compared as `elem_equal` does, on coordinates.  Above 2^500, where F(1)
+    could overflow, F, 1 and the floor are scaled by 2^-e, as a failure says ("scale_exponent")."""
 
     def compute():
-        img = f.matrix @ alg._unit_coords(f.domain)
-        if alg._coords_equal(f.codomain, img, alg._unit_coords(f.codomain), tol):
+        e = f._exponent
+        c = 2.0 ** -e
+        img = f.matrix @ (alg._unit_coords(f.domain) * c)
+        if alg._coords_equal(f.codomain, img, alg._unit_coords(f.codomain) * c, tol, c):
             return _report("unital", True, tol.eq)
-        return _report(
-            "unital", False, tol.eq, witness={"image_of_unit": alg.unvec(f.codomain, img)},
-            detail="F(1) differs from 1",
-        )
+        return _report("unital", False, tol.eq, detail="F(1) differs from 1",
+                       witness={"image_of_unit": alg.unvec(f.codomain, img),
+                                **({"scale_exponent": -e} if e else {})})
 
     return f.cached(("unital", tol), compute)
 

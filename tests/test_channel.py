@@ -384,3 +384,54 @@ def test_multiplicative_grid_runs_unscaled_unless_a_product_overflows():
             huge = Channel(M2, M2, c * np.eye(4))
             assert _grid.multiplicative_failure([huge], DEFAULT_TOL) == [0]
     assert not caught
+
+
+M3 = AlgebraShape((3,))
+
+
+@pytest.mark.parametrize("c", [6e307, 1e308, 1.7e308, -1.7e308])
+def test_unital_and_cp_decide_an_all_equal_map_at_any_finite_scale(c):
+    # F = c ones(9, 9): F(1) = 3c ones overflows from 6e307 and C + C* of the Choi matrix
+    # c ones(9, 9) from 1e308, so both are decided on F 2^-e, with no numpy warning
+    f = Channel(M3, M3, c * np.ones((9, 9)))
+    e = int(alg.scale_exponent(f.matrix, 500))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        unital, cp = is_unital(f), is_cp(f)
+    assert not caught
+    assert unital.verdict == "fail" and unital.witness["scale_exponent"] == -e
+    assert np.allclose(alg.vec(unital.witness["image_of_unit"]), 3 * (c * 2.0 ** -e), rtol=1e-15)
+    if c > 0:   # a rank-one PSD Choi matrix
+        assert cp.passed
+    else:       # its one nonzero eigenvalue 9c lies below -1.8e308
+        assert cp.verdict == "fail" and cp.witness["min_eigenvalue"] == -np.inf
+
+
+def test_cp_reports_an_unscaled_eigenvalue_when_its_choi_sum_overflows():
+    # M_1 -> M_2 with Choi matrix [[a, b], [b, a]]: C + C* overflows, and the eigenvalue
+    # a - b = -5e307 is reported unscaled
+    a, b = 1e308, 1.5e308
+    f = Channel(AlgebraShape((1,)), M2, np.array([[a], [b], [b], [a]]))
+    rep = is_cp(f)
+    assert rep.verdict == "fail" and rep.witness["domain_block"] == 0
+    assert rep.witness["min_eigenvalue"] == pytest.approx(a - b, rel=1e-12)
+    assert is_cp(Channel(AlgebraShape((1,)), M2, np.array([[b], [a], [a], [b]]))).passed
+
+
+def test_unital_and_cp_run_unscaled_up_to_2_500():
+    # entries at most 2^500 overflow no sum: the reports are those of the unscaled checks;
+    # above, both run on F 2^-e, as the star pass does, and the eigenvalue is unscaled
+    t = transpose_channel(M2).matrix
+    f = Channel(M2, M2, 2.0 ** 500 * t)
+    unital = is_unital(f)
+    assert "scale_exponent" not in unital.witness
+    assert np.array_equal(alg.vec(unital.witness["image_of_unit"]),
+                          f.matrix @ alg.vec(alg.unit(M2)))
+    assert is_cp(f).witness["min_eigenvalue"] == pytest.approx(-2.0 ** 500)
+    g = Channel(M2, M2, 1e300 * t)
+    e = int(alg.scale_exponent(g.matrix, 500))
+    unital = is_unital(g)
+    assert e > 0 and unital.witness["scale_exponent"] == -e
+    assert np.array_equal(alg.vec(unital.witness["image_of_unit"]),
+                          (g.matrix * 2.0 ** -e) @ alg.vec(alg.unit(M2)))
+    assert is_cp(g).witness["min_eigenvalue"] == pytest.approx(-1e300)

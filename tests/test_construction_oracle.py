@@ -3,13 +3,15 @@
 `choi`, `tensor`, `mult_map` and `transpose_channel` only copy or multiply
 single entries, so they must match the loops in `loop_reference.py`
 exactly.  `ad_channel`, `conjugation_by`, `kraus_channel`, the Bayes and
-Petz candidates, the blockwise sides of the Bayes condition and the
+Petz candidates, the column-product sides of the Bayes condition and the
 commutative disintegration sum in another order, so they must match to
 1e-13 * max(1, ||M||); `kraus_channel` and `ad_channel` must also equal
 the sums of `np.kron` products bit for bit.  `is_cp` must give the same verdict and witness
 block as the loop that decides the full Choi matrix of each domain block,
 and `verify_bayes` the same verdict and witness pair as the loop over
-pairs of units.
+pairs of units.  The column products run one BLAS call per block size, so the
+shapes cover the sizes BLAS takes (M_8, M_12, C^32), interleaved block sizes,
+and 1 x 1 blocks whose broadcast products make signed zeros.
 """
 import tracemalloc
 
@@ -21,7 +23,7 @@ from qmarkov import _grid, corpus, props
 from qmarkov import algebra as alg
 from qmarkov import finstoch as fs
 from qmarkov.algebra import AlgebraShape, AlgElement
-from qmarkov.bayes import _bayes_sides, bayes_candidate, bayes_problem
+from qmarkov.bayes import _bayes_report, _bayes_sides, bayes_candidate, bayes_problem
 from qmarkov.bayes import commutative_disintegration, petz_recovery, verify_bayes
 from qmarkov.channel import (
     Channel,
@@ -42,6 +44,10 @@ from qmarkov.state import state_from_density
 from qmarkov.tolerances import Tolerance
 
 SHAPES = [(1,), (2,), (3,), (1, 1, 1), (1, 2), (2, 1, 3), (1, 2, 2, 3)]
+# (domain, codomain) pairs at the sizes one BLAS call per block size takes, and with the
+# block sizes of both interleaved
+BLAS_PAIRS = [((8,), (8,)), ((12,), (12,)), ((1,) * 32, (1,) * 32), ((2, 1, 2), (1, 3, 1)),
+              ((1, 3, 1), (2, 1, 2))]
 
 
 def _shape(blocks) -> AlgebraShape:
@@ -177,19 +183,19 @@ def test_tensor_allocates_little_beyond_its_output():
 def test_bayes_sides_agree_with_product_form():
     # the dense form: lhs and rhs as products with T[i, j] = state(E_i E_j)
     rng = np.random.default_rng(32)
-    for dom in SHAPES:
-        for cod in ((2,), (1, 2), (2, 1, 2)):
-            dom_s, cod_s = _shape(dom), _shape(cod)
-            f, g = _random_map(dom_s, cod_s, rng), _random_map(cod_s, dom_s, rng)
-            for full in (True, False):
-                xi = props.random_rank_deficient_state(dom_s, rng, full=full)
-                omega = props.random_rank_deficient_state(cod_s, rng, full=full)
-                t_xi, t_omega = ref.product_form(xi), ref.product_form(omega)
-                want = {"left": (g.matrix.T @ t_xi, t_omega @ f.matrix),
-                        "right": ((t_xi @ g.matrix).T, (f.matrix.T @ t_omega).T)}
-                for side, (lhs, rhs) in want.items():
-                    got = _bayes_sides(f, g, alg.vec(xi.density), alg.vec(omega.density), side)
-                    assert _close(got[0], lhs) and _close(got[1], rhs), (dom, cod, side)
+    pairs = [(dom, cod) for dom in SHAPES for cod in ((2,), (1, 2), (2, 1, 2))] + BLAS_PAIRS
+    for dom, cod in pairs:
+        dom_s, cod_s = _shape(dom), _shape(cod)
+        f, g = _random_map(dom_s, cod_s, rng), _random_map(cod_s, dom_s, rng)
+        for full in (True, False):
+            xi = props.random_rank_deficient_state(dom_s, rng, full=full)
+            omega = props.random_rank_deficient_state(cod_s, rng, full=full)
+            t_xi, t_omega = ref.product_form(xi), ref.product_form(omega)
+            want = {"left": (g.matrix.T @ t_xi, t_omega @ f.matrix),
+                    "right": ((t_xi @ g.matrix).T, (f.matrix.T @ t_omega).T)}
+            for side, (lhs, rhs) in want.items():
+                got = _bayes_sides(f, g, alg.vec(xi.density), alg.vec(omega.density), side)
+                assert _close(got[0], lhs) and _close(got[1], rhs), (dom, cod, side)
 
 
 def test_conjugations_and_kraus_agree_with_loops():
@@ -236,6 +242,23 @@ def _problems(rng):
         out.append(bayes_problem(f, omega))
     kern = fs.stochastic(rng.dirichlet(np.ones(5), size=4).T.tolist())
     out.append(bayes_problem(fs.embed(kern), fs.embed_prob(fs.prob_vector([0.5, 0.5, 0, 0]))))
+    return out + _blas_problems(rng)
+
+
+def _blas_problems(rng):
+    """Bayes problems on the BLAS_PAIRS shapes: CPU channels of M_8 and M_12 with
+    faithful priors, a dense kernel on 32 points, and the interleaved pairs with full
+    and deficient priors."""
+    out = [bayes_problem(props.random_cpu_channel(n, n, rng),
+                         state_from_density(alg.random_density(AlgebraShape((n,)), rng)))
+           for n in (8, 12)]
+    kern = fs.stochastic(rng.dirichlet(np.ones(32), size=32).T.tolist())
+    out.append(bayes_problem(fs.embed(kern),
+                             fs.embed_prob(fs.prob_vector(rng.dirichlet(np.ones(32)).tolist()))))
+    for dom, cod in BLAS_PAIRS[3:]:
+        f = _random_cp(_shape(dom), _shape(cod), rng)
+        for full in (True, False):
+            out.append(bayes_problem(f, props.random_rank_deficient_state(f.codomain, rng, full)))
     return out
 
 
@@ -311,6 +334,88 @@ def test_verify_bayes_agrees_with_loop():
                         1.0, abs(want.witness[k])), label
     assert keys == {(side, v) for side in ("left", "right") for v in ("pass", "fail")}
 
+
+def _signed_zero_instance(rng):
+    """(f, omega, xi, g) on C^6 with real signed maps and priors zero on four points:
+    sigma_b G(E_a)_b is -0.0 where sigma_b = 0 and the entry is negative."""
+    s = AlgebraShape((1,) * 6)
+    f, g = (Channel(s, s, rng.standard_normal((6, 6))) for _ in range(2))
+    omega, xi = (state_from_density(alg.unvec(s, p)) for p in ([0.5, 0.5, 0, 0, 0, 0],
+                                                               [0, 0.25, 0, 0.75, 0, 0]))
+    return f, omega, xi, g
+
+
+def test_verify_bayes_agrees_with_loop_at_blas_sizes():
+    rng = np.random.default_rng(40)
+    instances = []
+    for prob in _blas_problems(rng):
+        g = bayes_candidate(prob).candidate
+        instances.append((prob.channel, prob.prior, prob.pullback, g))
+        if g.domain.total_dim <= 8:   # the loop takes a second on M_12 and on C^32
+            noise = 1e-6 * _random_map(g.domain, g.codomain, rng).matrix
+            instances.append((prob.channel, prob.prior, prob.pullback,
+                              Channel(g.domain, g.codomain, g.matrix + noise)))
+    inst = _signed_zero_instance(rng)
+    lhs = _bayes_sides(inst[0], inst[3], alg.vec(inst[2].density), alg.vec(inst[1].density),
+                       "left")[0]
+    assert np.signbit(lhs.real[lhs.real == 0]).any()   # the case makes signed zeros
+    instances.append(inst)
+    keys = set()
+    for f, omega, xi, g in instances:
+        for side in ("left", "right"):
+            got, want = verify_bayes(f, omega, xi, g, side), ref.verify_bayes(f, omega, xi, g, side)
+            label = (f.domain, f.codomain, side)
+            assert _bayes_key(got) == _bayes_key(want) or _tied((f, omega, xi, g), side, got,
+                                                                want), label
+            keys.add((side, got.verdict))
+    assert keys == {(side, v) for side in ("left", "right") for v in ("pass", "fail")}
+
+
+def test_verify_bayes_decides_overflowing_sides_scaled():
+    # F = 1.7e308 ones(9, 9) of M_3 and a pure state xi = omega: the sides overflow, and
+    # inf - inf read as a NaN deviation, which passed.  They are decided scaled by 2^-e,
+    # as the loop decides the problem with F and G scaled by 2^-e
+    s = AlgebraShape((3,))
+    v = np.array([0.8, 0.42, 0.42]) / np.linalg.norm([0.8, 0.42, 0.42])
+    xi = state_from_density(AlgElement(s, (np.outer(v, v),)))
+    f = Channel(s, s, 1.7e308 * np.ones((9, 9)))
+    for g in (f, Channel(s, s, 1.6e308 * np.ones((9, 9)))):
+        e = int(max(alg.scale_exponent(f.matrix, 500), alg.scale_exponent(g.matrix, 500)))
+        f_e, g_e = (Channel(s, s, h.matrix * 2.0 ** -e) for h in (f, g))
+        for side in ("left", "right"):
+            got, want = verify_bayes(f, xi, xi, g, side), ref.verify_bayes(f_e, xi, xi, g_e, side)
+            assert got.verdict == want.verdict == "fail", side
+            assert _bayes_key(got) == _bayes_key(want) or _tied((f_e, xi, xi, g_e), side, got, want)
+            assert got.witness["scale_exponent"] == -e
+            for k in ("lhs", "rhs"):
+                assert got.witness[k] == pytest.approx(want.witness[k], rel=1e-13)
+
+
+def test_verify_bayes_runs_unscaled_below_an_overflow():
+    # entries near 2^499: no side overflows, so the report reads the unscaled sides
+    rng = np.random.default_rng(41)
+    prob = _problems(rng)[0]
+    f = Channel(prob.channel.domain, prob.channel.codomain, 2.0 ** 499 * prob.channel.matrix)
+    g = bayes_candidate(prob).candidate
+    g = Channel(g.domain, g.codomain, 2.0 ** 499 * (g.matrix + 1e-3))
+    sigma, rho = alg.vec(prob.pullback.density), alg.vec(prob.prior.density)
+    for side in ("left", "right"):
+        got = verify_bayes(f, prob.prior, prob.pullback, g, side)
+        assert got.verdict == "fail" and "scale_exponent" not in got.witness
+        lhs, rhs = _bayes_sides(f, g, sigma, rho, side)
+        a, b = _bayes_key(got)[1]
+        assert (got.witness["lhs"], got.witness["rhs"]) == (lhs[a, b], rhs[a, b])
+
+
+def test_bayes_report_fails_a_nan_deviation():
+    # `nan > tol.eq` is false, so a grid whose largest deviation is NaN used to pass
+    prob = _problems(np.random.default_rng(42))[0]
+    g = bayes_candidate(prob).candidate
+    sigma = alg.vec(prob.pullback.density).copy()
+    sigma[0] = np.nan
+    for side in ("left", "right"):
+        rep = _bayes_report(prob.channel, g, sigma, alg.vec(prob.prior.density), side, Tolerance())
+        assert rep.verdict == "fail", side
 
 def test_verify_bayes_bounds_a_deviation_above_tol_eq_by_its_scale():
     # lhs and rhs near 1e6, so a deviation above tol.eq can be within tol.eq |lhs|

@@ -192,6 +192,19 @@ def test_stacks_join_mul_and_trace_are_bitwise_equal_to_gather_and_scatter(s, le
     assert _same(alg._trace_coords(s, u), np.reshape(rows, lead))
 
 
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("s", CONTIGUOUS + INTERLEAVED + [AlgebraShape((8,))], ids=_name)
+def test_column_products_are_the_blockwise_products_of_every_column(s, n):
+    # one BLAS call per block size sums in its own order, and a broadcast multiply forms
+    # the 1 x 1 products: equal to the stacked products up to the last bits
+    rng = np.random.default_rng(sum(s.blocks) + n)
+    a, m = alg._random_coords(s, rng), alg._random_coords(s, rng, (n,)).T.copy()
+    for left, want in ((True, ref.stacked_mul(s, a, m.T).T), (False, ref.stacked_mul(s, m.T, a).T)):
+        got = alg._mul_columns(s, a, m, left)
+        assert got.shape == m.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), left
+
+
 @pytest.mark.parametrize("s", CONTIGUOUS + INTERLEAVED, ids=_name)
 def test_stacks_of_an_element_cannot_change_it(s):
     a = alg.random_element(s, np.random.default_rng(5))
