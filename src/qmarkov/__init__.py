@@ -66,8 +66,6 @@ from .channel import (
     transpose_channel,
 )
 from .errors import (
-    NoConvergence,
-    NonscalarImageBlock,
     NotAeDeterministic,
     NotCommutative,
     NotPSD,

@@ -25,7 +25,6 @@ from .channel import (
     is_unital,
 )
 from .errors import (
-    NonscalarImageBlock,
     NotAeDeterministic,
     NotCommutative,
     PreconditionsUnmet,
@@ -179,24 +178,15 @@ def bayes_candidate(
 
     The support P and pinv(sigma) come from one rank decision, the
     pullback's spectrum, made with the tolerance `bayes_problem` was given;
-    tol here decides the verdicts of the five checks.  In coordinates the candidate is
-    L(pinv sigma) F* L(rho) + vec(1 - P) coords(completion^T)^T, with L(a)
-    the matrix of left multiplication by a.  A row R = conj(F(E_c)) of F* pairs with
-    rho A as rho^T R = conj(rho* F(E_c)) pairs with A, so F* L(rho) is the conjugate
-    transpose of rho* F: both products are column products (`alg._mul_columns`).
+    tol here decides the verdicts of the five checks.  The candidate is `_candidate`.
     """
     f, omega, xi = prob.channel, prob.prior, prob.pullback
-    complement = alg._unit_coords(xi.shape) - alg.vec(xi.support)
-    if completion is None:   # the normalized trace tr(.) / total_dim
-        comp_row = alg._unit_coords(omega.shape) * (1.0 / omega.shape.total_dim)
-    else:
+    comp_row = None
+    if completion is not None:
         if completion.shape != omega.shape:
             raise ShapeMismatch("completion state must live on the prior's algebra")
         comp_row = alg.vec(completion.density)[alg.adjoint_index(omega.shape)]   # its transpose
-    rho_star = alg._adjoint_coords(f.codomain, alg.vec(omega.density))
-    h = np.conj(alg._mul_columns(f.codomain, rho_star, f.matrix, True).T, order="C")
-    main = alg._mul_columns(f.domain, alg.vec(xi.spectrum.inverse_power(1.0)), h, True)
-    g = _owned(f.codomain, f.domain, np.add(main, np.outer(complement, comp_row), out=main))
+    g = _candidate(prob, comp_row)
     sigma, rho = alg.vec(xi.density), alg.vec(omega.density)
     left = _bayes_report(f, g, sigma, rho, "left", tol)
     right = _bayes_report(f, g, sigma, rho, "right", tol)
@@ -209,6 +199,27 @@ def bayes_candidate(
         if not r.passed
     ]
     return BayesResult(g, left, right, star, unital, cp, notes)
+
+
+def _candidate(prob: BayesProblem, comp_row: np.ndarray | None = None) -> Channel:
+    """The Bayes candidate of prob with the completion whose coordinates pair with A
+    as comp_row, by default the normalized trace tr(.) / total_dim.
+
+    In coordinates it is L(pinv sigma) F* L(rho) + vec(1 - P) comp_row^T, with L(a)
+    the matrix of left multiplication by a, and P and pinv(sigma) read from the
+    pullback's spectrum.  A row R = conj(F(E_c)) of F* pairs with rho A as
+    rho^T R = conj(rho* F(E_c)) pairs with A, so F* L(rho) is the conjugate
+    transpose of rho* F: both products are column products (`alg._mul_columns`).
+    A zero comp_row leaves the completion-free map L(pinv sigma) F* L(rho).
+    """
+    f, omega, xi = prob.channel, prob.prior, prob.pullback
+    complement = alg._unit_coords(xi.shape) - alg.vec(xi.support)
+    if comp_row is None:
+        comp_row = alg._unit_coords(omega.shape) * (1.0 / omega.shape.total_dim)
+    rho_star = alg._adjoint_coords(f.codomain, alg.vec(omega.density))
+    h = np.conj(alg._mul_columns(f.codomain, rho_star, f.matrix, True).T, order="C")
+    main = alg._mul_columns(f.domain, alg.vec(xi.spectrum.inverse_power(1.0)), h, True)
+    return _owned(f.codomain, f.domain, np.add(main, np.outer(complement, comp_row), out=main))
 
 
 def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
@@ -336,49 +347,20 @@ def commutative_disintegration(
 ) -> Channel:
     """Construct a CPU disintegration when the codomain is commutative.
 
-    Each supported point x of the commutative codomain evaluates f through a
-    scalar block y(x) of the domain; the classical disintegration formula
-    p_x delta_{y, y(x)} / q_y is used on those blocks and everything else is
-    routed through the normalized trace.  Verification stays with
-    verify_disintegration.
+    An a.e. deterministic map's Bayes candidate is a disintegration of it, so
+    this is the candidate of `bayes_problem(f, omega, tol)` with the normalized
+    trace completion, supported where the pullback's rank decision puts it.
+    Each supported point of an all-ones codomain is then a character, which
+    reads one scalar block y(x) of the domain: the candidate is the classical
+    formula p_x delta_{y, y(x)} / q_y there.  A map that vanishes at a supported
+    point raises PullbackNotPSD.  Verification stays with verify_disintegration.
     """
     if not f.codomain.is_commutative:
         raise NotCommutative("disintegration construction requires an all-ones codomain")
     det = ae_deterministic(f, omega, "right", tol)
     if not det.passed:
         raise NotAeDeterministic("channel is not a.e. deterministic for the given state")
-    nx = len(f.codomain.blocks)
-    dom = f.domain
-    sizes = np.array(dom.blocks)
-    # on an all-ones codomain the coordinates are the values at the points
-    p_diag = alg.vec(omega.density).real
-    supp = np.flatnonzero(alg.vec(omega.support).real > 0.5)
-    # diagonal coordinates of every domain block; F(1_y) at x sums block y's columns
-    diag = np.flatnonzero(alg._unit_coords(dom))
-    starts = np.cumsum(sizes) - sizes
-    hits = np.abs(np.add.reduceat(f.matrix[np.ix_(supp, diag)], starts, axis=1)) > 0.5
-    block_of = hits.argmax(axis=1)
-    unique = hits.sum(axis=1) == 1
-    bad = ~unique | (sizes[block_of] != 1)
-    if bad.any():
-        i = int(bad.argmax())
-        if not unique[i]:
-            raise NonscalarImageBlock(
-                f"support point {supp[i]} does not evaluate through a unique block"
-            )
-        y = int(block_of[i])
-        raise NonscalarImageBlock(
-            f"support point {supp[i]} evaluates through block {y} of dimension {dom.blocks[y]}"
-        )
-    q = np.bincount(block_of, weights=p_diag[supp], minlength=len(sizes))
-    # value of G(A) on each domain block: the classical formula on blocks that
-    # carry mass, the normalized trace on the rest
-    weights = np.zeros((len(sizes), nx))
-    weights[q == 0] = 1.0 / nx
-    weights[block_of, supp] = p_diag[supp] / q[block_of]
-    mat = np.zeros((dom.coord_dim, nx), dtype=complex)
-    mat[diag] = np.repeat(weights, sizes, axis=0)
-    return _owned(f.codomain, dom, mat)
+    return _candidate(bayes_problem(f, omega, tol))
 
 
 @dataclass

@@ -521,7 +521,7 @@ def is_positive_sampled(
     Above 2^500 the images are formed from F 2^-e, whose entries are at most
     2^500, and decided scaled by 2^-e, as `is_schwarz_sampled` decides its gap.
     """
-    e = alg.scale_exponent(f.matrix, 500)
+    e = f._exponent
     m = f.matrix * np.ldexp(1.0, -e) if e else f.matrix
     return _sampled_check(
         f, "positive", trials, seed, tol,

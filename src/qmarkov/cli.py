@@ -4,11 +4,10 @@ Exit discipline: 0 when every requested check passes, 1 when any check
 fails (with witnesses in the output), 2 when no verdict is reached: usage
 errors, unreadable or malformed input, and every library error, whether an
 input the command cannot take (ShapeMismatch, NotSelfAdjoint, NotPSD,
-Singular, UnknownFixture), a precondition the input does not meet
+Singular, UnknownFixture) or a precondition the input does not meet
 (SupportNotFull, PreconditionsUnmet, PullbackNotPSD, NotCommutative,
-NotAeDeterministic, NonscalarImageBlock) or a computation that does not
-converge (NoConvergence).  JSON output (--format json) is the stable
-machine contract; text output is for humans and may change.
+NotAeDeterministic).  JSON output (--format json) is the stable machine
+contract; text output is for humans and may change.
 """
 from __future__ import annotations
 

@@ -13,10 +13,6 @@ class NotPSD(QmarkovError):
     pass
 
 
-class NoConvergence(QmarkovError):
-    pass
-
-
 class ShapeMismatch(QmarkovError):
     pass
 
@@ -38,10 +34,6 @@ class NotCommutative(QmarkovError):
 
 
 class NotAeDeterministic(QmarkovError):
-    pass
-
-
-class NonscalarImageBlock(QmarkovError):
     pass
 
 

@@ -17,7 +17,8 @@ from . import algebra as alg
 from . import finstoch as fs
 from ._grid import equal_failure, multiplicative_failure, star_failure
 from .algebra import AlgebraShape, AlgElement
-from .bayes import bayes_candidate, bayes_problem, verify_bayes, verify_disintegration
+from .bayes import (_candidate, bayes_candidate, bayes_problem, verify_bayes,
+                    verify_disintegration)
 from .channel import (
     Channel,
     _ad_matrix,
@@ -211,11 +212,10 @@ def disintegration_instance(
         ny = int(rng.integers(2, max_dim + 1))
         func = [int(rng.integers(0, ny)) for _ in range(nx)]
         kern = fs.deterministic_kernel(lambda x: func[x], nx, ny)
-        weights = [Fraction(int(w), 1) for w in rng.integers(0, 9, size=nx)]
-        if sum(weights) == 0:
-            weights[0] = Fraction(1)
-        total = sum(weights)
-        p = fs.prob_vector([w / total for w in weights])
+        weights = rng.integers(0, 9, size=nx)
+        if not weights.any():
+            weights[0] = 1
+        p = fs.ProbVector._normalized(weights)
         g_kernel = fs.bayes_inverse(kern, p)
         return fs.embed(kern), fs.embed_prob(p), fs.embed(g_kernel)
     raise ValueError(f"unknown instance family {kind!r}")
@@ -737,15 +737,7 @@ def suite_bayes(seed: int = 0, trials: int = 64) -> SuiteReport:
         onesided_ok = onesided_ok and ae_equal(base, other, xi, "left").passed
         onesided_ok = onesided_ok and not ae_equal(base, other, xi, "right").passed
         # a completion-free candidate is a.e. unital without being unital
-        sigma_pinv = AlgElement(
-            xi.shape, tuple(pinv_psd(b) for b in xi.density.blocks))
-        fstar = hs_adjoint(f)
-        rho = omega.density
-
-        def bare(a, sp=sigma_pinv, fstar=fstar, rho=rho):
-            return alg.mul(sp, apply(fstar, alg.mul(rho, a)))
-
-        bare_chan = channel_from_action(f.codomain, f.domain, bare)
+        bare_chan = _candidate(prob, np.zeros(f.codomain.coord_dim))
         onesided_ok = onesided_ok and verify_bayes(f, omega, xi, bare_chan, "left").passed
         onesided_ok = onesided_ok and ae_unital(bare_chan, xi, "left").passed
         onesided_ok = onesided_ok and not alg.elem_equal(

@@ -46,8 +46,6 @@ from qmarkov.channel import (
     identity_channel,
 )
 from qmarkov.errors import (
-    NoConvergence,
-    NonscalarImageBlock,
     NotCommutative,
     NotPSD,
     NotSelfAdjoint,
@@ -58,6 +56,11 @@ from qmarkov.errors import (
 from qmarkov.finstoch import ProbVector, StochasticMatrix, _parse_entry
 from qmarkov.state import NullspaceTest, State, pullback_state, state_from_density
 from qmarkov.tolerances import DEFAULT_TOL, Tolerance
+
+
+class NonscalarImageBlock(ValueError):
+    """A support point of `commutative_disintegration`'s loop that does not read one
+    scalar block of the domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +103,7 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         dev = np.max(np.abs(a - a.conj().T))
         raise NotSelfAdjoint(f"anti-Hermitian deviation {dev:.3e} exceeds tolerance")
     sym = 0.5 * (a + a.conj().T)
-    try:
-        w, u = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
+    w, u = np.linalg.eigh(sym)   # np.linalg.LinAlgError when LAPACK does not converge
     return w[::-1].copy(), u[:, ::-1].copy()
 
 

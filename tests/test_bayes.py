@@ -30,6 +30,7 @@ from qmarkov.errors import (
     NotAeDeterministic,
     NotCommutative,
     PreconditionsUnmet,
+    PullbackNotPSD,
     SupportNotFull,
 )
 from qmarkov.state import pullback_state, state_from_density
@@ -299,6 +300,15 @@ def test_commutative_disintegration_error_paths():
     p = fs.prob_vector([0.5, 0.5])
     with pytest.raises(NotAeDeterministic):
         commutative_disintegration(fs.embed(kern), fs.embed_prob(p))
+
+
+def test_commutative_disintegration_refuses_a_map_vanishing_at_a_supported_point():
+    # F(b) = (b_0, b_1, 0) is multiplicative everywhere, but omega o F has trace 3/4
+    dom, cod = AlgebraShape((1, 1)), AlgebraShape((1, 1, 1))
+    f = Channel(dom, cod, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    omega = state_of(cod, [[0.5]], [[0.25]], [[0.25]])
+    with pytest.raises(PullbackNotPSD, match="trace"):
+        commutative_disintegration(f, omega)
 
 
 def test_modularity_chain_on_knill_laflamme():

@@ -160,6 +160,18 @@ def test_disint_construct_on_embedded_function(files, tmp_path, capsys):
     assert code == 0
 
 
+def test_disint_construct_on_a_map_vanishing_at_a_supported_point(tmp_path, capsys):
+    # F(b) = (b_0, b_1, 0): the pullback of a prior that weighs the third point is short
+    f = Channel(AlgebraShape((1, 1)), AlgebraShape((1, 1, 1)),
+                np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    chan = _write(tmp_path, "vanishing.json", ser.channel_to_json(f))
+    state = _write(tmp_path, "p3_state.json", {
+        "shape": {"blocks": [1, 1, 1]},
+        "density": [[[[0.5, 0.0]]], [[[0.25, 0.0]]], [[[0.25, 0.0]]]]})
+    assert main(["disint", "construct", "--channel", chan, "--state", state]) == 2
+    assert capsys.readouterr().err.startswith("error: PullbackNotPSD: ")
+
+
 def test_classical_commands(files, tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["classical", "bayes", "--kernel", files["kernel.json"],
@@ -456,9 +468,9 @@ def test_every_library_error_exits_2(error, monkeypatch, capsys):
 
 def test_the_error_classes_are_the_documented_ones():
     names = {c.__name__ for c in _library_errors()}
-    assert names == {"NotSelfAdjoint", "NotPSD", "NoConvergence", "ShapeMismatch", "Singular",
+    assert names == {"NotSelfAdjoint", "NotPSD", "ShapeMismatch", "Singular",
                      "PullbackNotPSD", "SupportNotFull", "NotCommutative", "NotAeDeterministic",
-                     "NonscalarImageBlock", "PreconditionsUnmet", "UnknownFixture"}
+                     "PreconditionsUnmet", "UnknownFixture"}
     doc = cli.__doc__
     assert all(name in doc for name in names)
 

@@ -25,6 +25,7 @@ from qmarkov import finstoch as fs
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.bayes import _bayes_report, _bayes_sides, bayes_candidate, bayes_problem
 from qmarkov.bayes import commutative_disintegration, petz_recovery, verify_bayes
+from qmarkov.bayes import verify_disintegration
 from qmarkov.channel import (
     Channel,
     _kron,
@@ -431,10 +432,10 @@ def test_verify_bayes_bounds_a_deviation_above_tol_eq_by_its_scale():
             assert tol.eq < float(got.detail.split()[-1]) == pytest.approx(dev, rel=1e-3)
 
 
-def _commutative_instances(rng):
+def _commutative_instances(rng, draws: int = 12):
     """Commutative codomains read through scalar domain blocks on their support;
     matrix blocks of the domain, and blocks no support point reads, are dead."""
-    for _ in range(12):
+    for _ in range(draws):
         dom = _shape(rng.choice([1, 1, 2, 3], size=int(rng.integers(2, 6))))
         scalar = [y for y, n in enumerate(dom.blocks) if n == 1] or [None]
         if scalar == [None]:
@@ -466,6 +467,23 @@ def test_commutative_disintegration_agrees_with_loop():
     for f, omega in cases:
         got = commutative_disintegration(f, omega)
         assert _close(got.matrix, ref.commutative_disintegration(f, omega).matrix), f.domain
+
+
+def test_commutative_disintegration_is_the_bayes_candidate():
+    """The constructor is the Bayes candidate of an a.e. deterministic map, with the
+    normalized trace completion, and that candidate disintegrates the map: on mixed
+    domains with dead matrix blocks, zero-weight points and embedded functions."""
+    rng = np.random.default_rng(36)
+    cases = list(_commutative_instances(rng, 150))
+    for _ in range(20):
+        f, omega, _ = props.disintegration_instance("classical", rng, max_dim=6)
+        cases.append((f, omega))
+    assert len(cases) >= 120
+    for f, omega in cases:
+        got = commutative_disintegration(f, omega)
+        want = bayes_candidate(bayes_problem(f, omega)).candidate
+        assert _close(got.matrix, want.matrix), f.domain
+        assert verify_disintegration(f, omega, got).passed, f.domain
 
 
 def _cp_key(report):

@@ -53,6 +53,27 @@ def test_instance_families_are_well_formed():
         assert verify_disintegration(f, omega, g).passed
 
 
+def test_classical_instance_prior_is_the_fraction_sum_prior():
+    """The classical family normalizes its integer weights exactly, to the prior that
+    `prob_vector` parses from each weight over the Fraction sum, so its maps are those
+    of that prior."""
+    for seed in range(200):
+        f, omega, g = props.disintegration_instance("classical", np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)   # the same draws
+        nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        func = [int(rng.integers(0, ny)) for _ in range(nx)]
+        weights = [Fraction(int(w)) for w in rng.integers(0, 9, size=nx)]
+        if not sum(weights):
+            weights[0] = Fraction(1)
+        p = fs.prob_vector([w / sum(weights) for w in weights])
+        q = fs.ProbVector._normalized(np.array([int(w) for w in weights]))
+        assert (q._den, q._num.dtype, q._num.tolist()) == (p._den, p._num.dtype, p._num.tolist())
+        kern = fs.deterministic_kernel(lambda x: func[x], nx, ny)
+        assert np.array_equal(f.matrix, fs.embed(kern).matrix)
+        assert np.array_equal(alg.vec(omega.density), alg.vec(fs.embed_prob(p).density))
+        assert np.array_equal(g.matrix, fs.embed(fs.bayes_inverse(kern, p)).matrix)
+
+
 @pytest.mark.parametrize("seed", [25, 61, 80, 119, 796927463])
 def test_bayes_suite_sees_a_deficient_prior_on_every_seed(seed):
     # on these seeds every drawn prior of the one-sided check is faithful
