@@ -21,9 +21,8 @@ blocks costs one array operation, not one per block.
 
 The index tables of `algebra` also build channel matrices: a tensor
 product, the multiplication map and the Choi blocks are gathers or scatters
-of matrix entries, and blockwise A X B is the Kronecker product `block_kron`.
-A tensor product is written straight into its one output, in the row chunks
-of `row_chunks`.
+of matrix entries.  A tensor product is written straight into its one
+output, in the row chunks of `row_chunks`.
 """
 from __future__ import annotations
 
@@ -62,32 +61,6 @@ def row_chunks(rows: int, width: int) -> Iterator[tuple[int, int]]:
     step = max(1, _CHUNK // max(1, width))
     for r0 in range(0, rows, step):
         yield r0, min(rows, r0 + step)
-
-
-def images(s: AlgebraShape, matrix: np.ndarray) -> Stacks:
-    """The columns of `matrix`, coordinates on s, as stacks per block size.
-
-    matrix is (..., coord_dim, d), leading axes a batch of matrices, and the
-    stacks (..., d, k, m, m).
-    """
-    lead = matrix.shape[:-2] + matrix.shape[-1:]
-    return [matrix[..., g.rows, :].swapaxes(-1, -2).reshape(lead + g.tail)
-            for g in s._layout.groups]
-
-
-def block_kron(s: AlgebraShape, left: Stacks, right: Stacks) -> np.ndarray:
-    """Block-diagonal matrix of kron(left[x], right[x]) over the blocks x of s.
-
-    Coordinates are row-major per block, so vec(A X B) = (A (x) B^T) vec(X):
-    with left = A and right = B^T per block, this is the coordinate matrix
-    of X |-> A X B applied blockwise.  left and right are stacks (k, m, m) per block size.
-    """
-    out = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
-    for (m, ids, rows, *_), a, b in zip(s._layout.groups, left, right):
-        at = rows.reshape(len(ids), m * m, 1)
-        prod = a[:, :, None, :, None] * b[:, None, :, None, :]
-        out[at, at.swapaxes(1, 2)] = prod.reshape(len(ids), m * m, m * m)
-    return out
 
 
 def choi_blocks(dom: AlgebraShape, cod: AlgebraShape,
@@ -191,7 +164,8 @@ def multiplicative_failure(fs, tol: Tolerance, adjoint: bool = False,
     def grid(e: np.ndarray) -> list[int | None]:
         scaled, c = e.any(), np.ldexp(1.0, -e)[:, None, None]
         m = padded * c if scaled else padded
-        img, cols = images(cod, m), m.swapaxes(1, 2)   # the images as stacks and as rows
+        cols = m.swapaxes(1, 2)   # the images as rows
+        img = _stacks(cod, cols)  # and as stacks
 
         def operands(live, r0, r1):
             xs = [_live(x, live) for x in img]

@@ -36,7 +36,6 @@ __all__ = [
     "mul",
     "adjoint",
     "trace",
-    "normalized_trace",
     "norm",
     "elem_equal",
     "vec",
@@ -230,11 +229,6 @@ def _trace_coords(s: AlgebraShape, v: np.ndarray) -> np.ndarray:
         blocks[g.ids] = v.take(g.diag, -1).reshape(lead + g.tail[:2]).sum(-1).T
     # a running sum from 0, so the blocks add up in order, as a per-block sum() adds them
     return np.add.accumulate(per_block)[-1].T
-
-
-def normalized_trace(a: AlgElement) -> complex:
-    """Trace divided by the total Hilbert-space dimension; a state on any shape."""
-    return trace(a) / a.shape.total_dim
 
 
 def norm(a: AlgElement) -> float:
@@ -505,6 +499,11 @@ def _join(s: AlgebraShape, xs: Stacks) -> np.ndarray:
 def _mul_coords(s: AlgebraShape, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Coordinates of the blockwise products of elements with coordinates u and v."""
     return _join(s, [x @ y for x, y in zip(_stacks(s, u), _stacks(s, v))])
+
+
+def _gram(s: AlgebraShape, x: np.ndarray) -> np.ndarray:
+    """Coordinates of B*B for the elements B with coordinates x (..., coord_dim)."""
+    return _mul_coords(s, _adjoint_coords(s, x), x)
 
 
 def _mul_columns(s: AlgebraShape, a: np.ndarray, m: np.ndarray, left: bool) -> np.ndarray:
@@ -853,8 +852,7 @@ def random_self_adjoint(s: AlgebraShape, rng: np.random.Generator) -> AlgElement
 
 
 def random_positive(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
-    m = random_element(s, rng)
-    return mul(adjoint(m), m)
+    return _adopt(s, _gram(s, _random_coords(s, rng)))
 
 
 def random_density(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
@@ -865,5 +863,5 @@ def random_density(s: AlgebraShape, rng: np.random.Generator) -> AlgElement:
 def _densities(s: AlgebraShape, x: np.ndarray) -> np.ndarray:
     """Coordinates of b* b / tr(b* b) for the elements b with coordinates x
     (..., coord_dim): the densities `random_density` makes of those draws."""
-    p = _mul_coords(s, _adjoint_coords(s, x), x)
+    p = _gram(s, x)
     return p * (1.0 / _trace_coords(s, p).real)[..., None]

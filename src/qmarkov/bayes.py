@@ -235,9 +235,9 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
 
     def operands(_, r0, r1):   # one trial
         units = np.arange(r0, r1)
-        right = _grid.images(f.codomain, f.matrix @ _grid.times_unit(f.domain, sigma, units))
-        left = _grid.images(f.codomain,
-                            f.matrix @ _grid.times_unit(f.domain, sigma, units, left=True))
+        right = f.matrix @ _grid.times_unit(f.domain, sigma, units)
+        left = f.matrix @ _grid.times_unit(f.domain, sigma, units, left=True)
+        right, left = (alg._stacks(f.codomain, m.swapaxes(-1, -2)) for m in (right, left))
         return (alg._join(f.codomain, [x @ r for x, r in zip(right, rho)])[None],
                 alg._join(f.codomain, [r @ x for x, r in zip(left, rho)])[None])
 
@@ -311,8 +311,9 @@ def _disintegrations(dom: AlgebraShape, cod: AlgebraShape, f: np.ndarray, g: np.
     broken = fails.any(axis=-1).tolist()
     live = [t for t, b in enumerate(broken) if not b]
     # G o F against the identity, as ae_equal compares them; equal_failure raises
-    # ValueError on a NaN or Inf entry of a composite
-    gf = _grid._live(g, live) @ _grid._live(f, live)
+    # ValueError on a NaN or Inf entry of a composite, as compose does
+    with np.errstate(over="ignore", invalid="ignore"):
+        gf = _grid._live(g, live) @ _grid._live(f, live)
     section = iter(_grid.equal_failure(dom, gf, _identity(dom.coord_dim)[None], tol,
                                        [supports[t] for t in live]))
     out = []

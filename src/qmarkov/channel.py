@@ -197,8 +197,12 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def conjugation_by(e: AlgElement) -> Channel:
     """Blockwise conjugation A |-> e A e* by an element of the same algebra."""
-    xs = alg._stacks(e.shape, alg.vec(e))
-    return _owned(e.shape, e.shape, _grid.block_kron(e.shape, xs, [x.conj() for x in xs]))
+    s = e.shape
+    out = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
+    for g, x in zip(s._layout.groups, alg._stacks(s, alg.vec(e))):
+        at = g.rows.reshape(len(g.ids), g.m * g.m, 1)   # the rows, and columns, of each block
+        out[at, at.swapaxes(1, 2)] = _ad_matrix(x)
+    return _owned(s, s, out)
 
 
 def kraus_channel(
@@ -220,14 +224,13 @@ def kraus_channel(
 
 
 def _kraus_matrix(ops: np.ndarray) -> np.ndarray:
-    """sum_i _kron(K_i*, K_i^T), the matrix of B |-> sum_i K_i* B K_i, for complex
+    """sum_i _ad_matrix(K_i*), the matrix of B |-> sum_i K_i* B K_i, for complex
     Kraus operators ops (..., r, n, m): (..., m^2, n^2), one per leading batch entry.
     The r terms are added in order, from 0, so each sum has the bits of a loop."""
     lead, (r, n, m) = ops.shape[:-3], ops.shape[-3:]
     mat = np.zeros(lead + (m * m, n * n), dtype=complex)
     for i in range(r):
-        k = ops[..., i, :, :]
-        mat += _kron(alg._dagger(k), k.swapaxes(-1, -2))
+        mat += _ad_matrix(alg._dagger(ops[..., i, :, :]))
     return mat
 
 
@@ -255,7 +258,9 @@ def compose(f: Channel, g: Channel) -> Channel:
     """Composite f after g (apply g first)."""
     if g.codomain is not f.domain and g.codomain != f.domain:
         raise ShapeMismatch("codomain of the inner channel must match the outer domain")
-    return _owned(g.domain, f.codomain, f.matrix @ g.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):   # _owned refuses an Inf or NaN entry
+        m = f.matrix @ g.matrix
+    return _owned(g.domain, f.codomain, m)
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
@@ -496,11 +501,6 @@ def _apply_batch(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(m, x[..., None])[..., 0]
 
 
-def _gram(s: AlgebraShape, x: np.ndarray) -> np.ndarray:
-    """Coordinates of B*B for the elements B with coordinates x."""
-    return alg._mul_coords(s, alg._adjoint_coords(s, x), x)
-
-
 def _exponent(y: np.ndarray) -> np.ndarray:
     """The binary exponent of the largest absolute entry of each row of y, far below
     any other for a zero row."""
@@ -525,7 +525,7 @@ def is_positive_sampled(
     m = f.matrix * np.ldexp(1.0, -e) if e else f.matrix
     return _sampled_check(
         f, "positive", trials, seed, tol,
-        lambda x: (_apply_batch(m, _gram(f.domain, x)), e),
+        lambda x: (_apply_batch(m, alg._gram(f.domain, x)), e),
         ("image of a positive element is not self-adjoint", "negative eigenvalue"))
 
 
@@ -547,7 +547,8 @@ def is_schwarz_sampled(
 
     def gap(x):
         fb = _apply_batch(m, x)
-        lhs, rhs = _apply_batch(m, _gram(f.domain, x)), unit_norm * _gram(f.codomain, fb)
+        lhs = _apply_batch(m, alg._gram(f.domain, x))
+        rhs = unit_norm * alg._gram(f.codomain, fb)
         if not e:
             return lhs - rhs, 0
         s = np.maximum(np.maximum(e + _exponent(lhs), 3 * e + _exponent(rhs)), 0)
@@ -600,8 +601,8 @@ def _s_positivity_failures(shapes: tuple, fm: np.ndarray, gm: np.ndarray,
     def grid(e: np.ndarray, k: np.ndarray) -> list[int | None]:
         scaled, c = e.any() or k.any(), np.ldexp(1.0, -e)[:, None, None]
         f, g = (fm * c, gm * np.ldexp(1.0, -k)[:, None, None]) if scaled else (fm, gm)
-        img = _grid.images(cod, f)
-        outer = _grid.images(cod, f @ g)
+        img = alg._stacks(cod, f.swapaxes(-1, -2))
+        outer = alg._stacks(cod, (f @ g).swapaxes(-1, -2))
 
         def operands(on, r0, r1):
             rows = np.repeat(live(g, on)[:, :, r0:r1], d, axis=-1)

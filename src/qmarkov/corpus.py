@@ -337,8 +337,7 @@ def _kl_reports(pairs, n_states: int, seed: int) -> list[list[PropertyReport]]:
     """
     m2, m8 = AlgebraShape((2,)), AlgebraShape((8,))
     z = alg._random_coords(m2, np.random.default_rng(seed), (n_states,))
-    p = alg._mul_coords(m2, alg._adjoint_coords(m2, z), z)   # Z* Z, as random_positive forms it
-    rho = p * (1.0 / alg._trace_coords(m2, p).real)[:, None]
+    rho = alg._densities(m2, z)
     _from_densities(m2, rho)   # each is a state, as state_from_density decides it
     f_all = np.repeat(np.array([f.matrix for f, _ in pairs]), n_states, axis=0)
     g_all = np.repeat(np.array([g.matrix for _, g in pairs]), n_states, axis=0)
@@ -414,7 +413,7 @@ def _build_no_broadcast() -> list[CheckResult]:
     checks = []
     checks.append(_check("multiplication map is unital", is_unital(mu).passed))
     cp = is_cp(mu)
-    min_eig = min(herm_eig(0.5 * (c + c.conj().T))[0][-1] for c in choi(mu))
+    min_eig = cp.witness["min_eigenvalue"]
     checks.append(_check("multiplication on M_2 is not CP", not cp.passed))
     checks.append(_check("Choi minimum eigenvalue < -0.1", min_eig < -0.1, f"got {min_eig:.4f}"))
     pos = is_positive_sampled(mu, trials=64, seed=0)

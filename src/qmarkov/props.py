@@ -16,7 +16,7 @@ import numpy as np
 from . import algebra as alg
 from . import finstoch as fs
 from ._grid import equal_failure, multiplicative_failure, star_failure
-from .algebra import AlgebraShape, AlgElement
+from .algebra import AlgebraShape, AlgElement, _gram
 from .bayes import (_candidate, bayes_candidate, bayes_problem, verify_bayes,
                     verify_disintegration)
 from .channel import (
@@ -24,7 +24,6 @@ from .channel import (
     _ad_matrix,
     _apply_batch,
     _cp_verdicts,
-    _gram,
     _hs_adjoints,
     _inverses,
     _kraus_matrix,
@@ -100,12 +99,10 @@ def _isometry_draw(n_dom: int, n_cod: int) -> tuple[int, int]:
     return max(2, -(-n_cod // n_dom) + 1) * n_dom, n_cod
 
 
-def random_cpu_channel(n_dom: int, n_cod: int, rng: np.random.Generator,
-                       n_kraus: int | None = None) -> Channel:
+def random_cpu_channel(n_dom: int, n_cod: int, rng: np.random.Generator) -> Channel:
     """Random CPU map M_n_dom ~> M_n_cod from a stacked-isometry Kraus family."""
-    rows = _isometry_draw(n_dom, n_cod)[0] if n_kraus is None else n_kraus * n_dom
     return _owned(AlgebraShape((n_dom,)), AlgebraShape((n_cod,)),
-                  _cpu_matrices(_gaussian(rng, (rows, n_cod)), n_dom))
+                  _cpu_matrices(_gaussian(rng, _isometry_draw(n_dom, n_cod)), n_dom))
 
 
 def _cpu_matrices(gin: np.ndarray, n_dom: int) -> np.ndarray:

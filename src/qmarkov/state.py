@@ -16,7 +16,8 @@ import numpy as np
 from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
-from .channel import Channel, PropertyReport, _report, apply, is_star_preserving
+from .channel import (Channel, PropertyReport, _apply_batch, _hs_adjoints, _report, apply,
+                      is_star_preserving)
 from .errors import NotSelfAdjoint, PullbackNotPSD, ShapeMismatch
 from .tolerances import DEFAULT_TOL, Tolerance
 
@@ -194,7 +195,7 @@ def _pullback(s: AlgebraShape, densities: np.ndarray, matrix: np.ndarray,
     matrix-vector product of a batch of one, and numpy decomposes every matrix
     of a stack on its own, so a row gets the same floats in a batch as alone.
     """
-    v = (matrix.conj().swapaxes(-1, -2) @ densities[..., None])[..., 0]
+    v = _apply_batch(_hs_adjoints(matrix), densities)
     alg._finite(v)
     adj = alg._adjoint_coords(s, v)   # the coordinates of F*(rho)*
     skew = v - adj

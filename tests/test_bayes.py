@@ -249,7 +249,7 @@ def test_disintegration_section_refuses_an_overflowing_composite():
     c2 = AlgebraShape((1, 1))
     f = g = Channel(c2, c2, np.diag([1.0, 1e200]))
     omega = state_from_density(alg.unvec(c2, [1.0, 0.0]))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+    with pytest.raises(ValueError, match="NaN or Inf"):
         verify_disintegration(f, omega, g)
 
 

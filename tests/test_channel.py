@@ -172,6 +172,25 @@ def test_kraus_identity_and_pinching():
     assert alg.elem_equal(apply(pinch, a), m2_elem([[1.0, 0.0], [0.0, 4.0]]))
 
 
+def test_one_kraus_operator_is_its_conjugation():
+    # B |-> K* B K is Ad_{K*}: the same formula, so the same bits
+    rng = np.random.default_rng(12)
+    for n, m in [(1, 1), (2, 2), (2, 3), (3, 2)]:
+        k = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        f = kraus_channel(AlgebraShape((n,)), AlgebraShape((m,)), [k])
+        assert np.array_equal(f.matrix, ad_channel(k.conj().T).matrix)
+
+
+@pytest.mark.parametrize("blocks", [(2, 3, 2), (1, 2), (2, 2, 1, 3)])
+def test_conjugation_by_is_ad_channel_block_by_block(blocks):
+    s = AlgebraShape(blocks)
+    e = alg.random_element(s, np.random.default_rng(sum(blocks)))
+    want = np.zeros((s.coord_dim, s.coord_dim), dtype=complex)
+    for n, off, x in zip(blocks, s.offsets(), e.blocks):
+        want[off:off + n * n, off:off + n * n] = ad_channel(x).matrix
+    assert np.array_equal(conjugation_by(e).matrix, want)
+
+
 def test_kraus_dimension_checks():
     with pytest.raises(ShapeMismatch):
         kraus_channel(M2, M2, [np.eye(3)])
@@ -307,7 +326,7 @@ def test_built_channels_keep_their_own_matrix_and_still_scan_it():
         _owned(M2, M2, np.eye(3, dtype=complex))
     # a product of finite matrices can overflow
     huge = Channel(M2, M2, 1e200 * np.eye(4))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+    with pytest.raises(ValueError, match="NaN or Inf"):
         compose(huge, huge)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,23 @@ def test_disint_construct_on_a_map_vanishing_at_a_supported_point(tmp_path, caps
         "density": [[[[0.5, 0.0]]], [[[0.25, 0.0]]], [[[0.25, 0.0]]]]})
     assert main(["disint", "construct", "--channel", chan, "--state", state]) == 2
     assert capsys.readouterr().err.startswith("error: PullbackNotPSD: ")
+
+
+def test_disint_verify_on_an_overflowing_composite_gives_no_verdict(tmp_path, capsys):
+    # F = G with F(E_22) = 1e300 E_22: G o F overflows, which is no verdict, not a crash
+    m2 = AlgebraShape((2,))
+    mat = np.eye(4)
+    mat[3, 3] = 1e300
+    chan = _write(tmp_path, "huge.json", ser.channel_to_json(Channel(m2, m2, mat)))
+    corner = AlgElement(m2, (np.diag([1.0, 0.0]).astype(complex),))
+    state = _write(tmp_path, "corner.json", ser.state_to_json(state_from_density(corner)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["disint", "verify", "--channel", chan, "--state", state,
+                     "--candidate", chan])
+    err = capsys.readouterr().err
+    assert code == 2 and not caught
+    assert err.startswith("error: ") and "Traceback" not in err and "Warning" not in err
 
 
 def test_classical_commands(files, tmp_path, capsys):

@@ -60,7 +60,7 @@ def _grid_deviation(f, adjoint, omega=None, side="right") -> float:
     """The largest deviation the grid computes: max-abs entry with no support, else
     the operator norm of the product with the support, as `first_failure` measures it."""
     d = f.domain.coord_dim
-    img = _grid.images(f.codomain, f.matrix)
+    img = alg._stacks(f.codomain, f.matrix.T)
     prod = alg.product_index(f.domain)
     lhs_units = prod[alg.adjoint_index(f.domain) if adjoint else np.arange(d)]
     diff = []
