@@ -319,10 +319,15 @@ def is_self_adjoint_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
 def is_positive_elem(a: AlgElement, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether a is positive (equals some b*b), per block against max(1, ||a||),
     as `_psd_verdicts` decides it.  Raises NotSelfAdjoint when a is not
-    self-adjoint within tolerance.
+    self-adjoint within tolerance, ValueError on NaN or Inf entries.  Above 2^500,
+    where a +- a* could overflow, it is decided on a 2^-e and the floor 2^-e, as
+    `channel.is_cp` decides.
     """
-    xs = _element_stacks(a)
-    not_sa, negative, _, _ = _psd_verdicts(_hermitian(xs), [x - _dagger(x) for x in xs], 1.0, tol)
+    v = vec(a)
+    e = int(scale_exponent(v[None], 500))
+    c = 2.0 ** -e
+    xs = _stacks(a.shape, v * c) if e else _element_stacks(a)
+    not_sa, negative, _, _ = _psd_verdicts(_hermitian(xs), [x - _dagger(x) for x in xs], c, tol)
     if not_sa:
         raise NotSelfAdjoint("element is not self-adjoint within tolerance")
     return not negative
@@ -565,31 +570,45 @@ def _upper(xs: Stacks) -> np.ndarray:
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Largest blockwise Frobenius norm of each element of one stack."""
-    # an entry is above 2^500 only when the sum of all squares is above 2^1000 (or NaN)
-    if not np.vdot(x, x).real <= 2.0 ** 1000 and np.abs(x).max() > 2.0 ** 500:
-        # the squares may overflow: scale, as _op_norm
-        e = np.frexp(np.abs(x).max(axis=(-3, -2, -1)))[1]
-        return np.ldexp(_frobenius(x * np.ldexp(1.0, -e)[..., None, None, None]), e)
-    return np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1)).max(axis=-1))
+    """Largest blockwise Frobenius norm of each element of one stack; inf above the
+    float max."""
+    return _scaled_norm(
+        x, lambda y: np.sqrt((y.real ** 2 + y.imag ** 2).sum(axis=(-2, -1)).max(axis=-1)))
+
+
+def _scaled_norm(x: np.ndarray, norm_of) -> np.ndarray:
+    """norm_of(x) of one stack (..., k, p, q), one value per element, where the squares of
+    the entries of x may overflow: each element with a real or imaginary part above
+    2^500 is scaled by the 2^-e of its largest one, exactly, so every absolute entry
+    is below sqrt(2), and its norm scaled back; inf above the float max, with no warning.
+    An Inf part, with exponent 0, stays Inf."""
+    # a part is above 2^500 only when the sum of all squares is above 2^1000 (or NaN)
+    if np.vdot(x, x).real <= 2.0 ** 1000:
+        return norm_of(x)
+    top = _top_part(x, (-3, -2, -1))
+    if not np.max(top, initial=0.0) > 2.0 ** 500:
+        return norm_of(x)
+    e = np.frexp(top)[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(norm_of(x * np.ldexp(1.0, -e)[..., None, None, None]), e)
 
 
 def _op_norm(xs: Stacks) -> np.ndarray:
-    """Operator norm of each element: the largest singular value of its blocks.
+    """Operator norm of each element: the largest singular value of its blocks; inf
+    above the float max.
 
     The blocks may be rectangular (`linalg.op_norm` passes one p x q matrix).
     """
+    def spectral(x):
+        top = np.linalg.eigvalsh(_dagger(x) @ x)[..., -1]
+        return np.sqrt(np.maximum(top, 0.0)).max(axis=-1)
+
     out = []
     for x in xs:
-        if x.shape[-2:] == (1, 1):
+        if x.shape[-2:] == (1, 1):   # |z| of a finite z may overflow to inf: no warning
             out.append(np.abs(x[..., 0, 0]).max(axis=-1))
-        elif np.abs(x).max(initial=0.0) > 2.0 ** 500:   # x* x may overflow
-            # scale each element by a power of two, exactly, and take the norm again
-            e = np.frexp(np.abs(x).max(axis=(-3, -2, -1)))[1]
-            out.append(np.ldexp(_op_norm([x * np.ldexp(1.0, -e)[..., None, None, None]]), e))
-        else:
-            top = np.linalg.eigvalsh(_dagger(x) @ x)[..., -1]
-            out.append(np.sqrt(np.maximum(top, 0.0)).max(axis=-1))
+        else:   # x* x may overflow
+            out.append(_scaled_norm(x, spectral))
     return _fold_max(out)
 
 
@@ -601,8 +620,9 @@ _SCALARS = AlgebraShape((1,))   # C: the rule compares scalars as 1 x 1 elements
 
 
 def scale_exponent(matrix: np.ndarray, bits: int) -> np.ndarray:
-    """0 when every entry of matrix is at most 2^bits in absolute value; otherwise
-    the e > 0 that puts the largest entry of matrix 2^-e in [2^(bits - 1), 2^bits).
+    """0 when every real and imaginary part of matrix is at most 2^bits in absolute
+    value; otherwise the e > 0 that puts the largest of them 2^-e in
+    [2^(bits - 1), 2^bits), so every entry of matrix 2^-e is below 2^(bits + 1/2).
     One exponent per matrix of a stack (..., r, c).  Raises ValueError on NaN or
     Inf entries.
 
@@ -612,9 +632,15 @@ def scale_exponent(matrix: np.ndarray, bits: int) -> np.ndarray:
     # an entry above 2^bits only when the sum of all squares is above 2^2bits (or NaN)
     if np.vdot(matrix, matrix).real <= 2.0 ** (2 * bits):
         return np.zeros(matrix.shape[:-2], dtype=int)
-    top = np.abs(matrix).max(axis=(-2, -1))
+    top = _top_part(matrix, (-2, -1))
     _finite(top)
     return np.where(top > 2.0 ** bits, np.frexp(top)[1] - bits, 0)
+
+
+def _top_part(x: np.ndarray, axis) -> np.ndarray:
+    """The largest real or imaginary part of x over axis, in absolute value: |z| of a
+    finite z may overflow, its parts cannot."""
+    return np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
 
 
 def _with_support(x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
@@ -661,7 +687,8 @@ def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tole
     bound on its scale.  Only the rest pay for exact operator norms.  With a
     support, a batch of one entry that the first bound leaves live takes its
     exact norms at once, the deviation's and the scale's in one call, where the
-    norm of a zero operand is 0 and not taken.
+    norm of a zero operand is 0 and not taken.  A NaN or infinite deviation
+    fails, whatever the scale: an infinite operand leaves no finite bound.
     """
     diff = lhs - rhs
     diff_shape = diff.shape
@@ -670,14 +697,18 @@ def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tole
     else:
         diff = [_with_support(x, p, side) for x, p in zip(_stacks(s, diff), _stacks(s, proj))]
         dev_hi = _upper(diff)
-    fail = dev_hi > tol.eq * unit   # the live entries; True stays only where they fail
+    # the live entries; True stays only where they fail.  Every test reads
+    # not (dev <= bound), so a NaN deviation fails; an infinite one fails below
+    fail = ~(dev_hi <= tol.eq * unit)
     if not _some(fail):
         return fail
-    if proj is not None and fail.size == 1:   # the deviation, then the nonzero operands
+    if proj is not None and fail.size == 1 and np.isfinite(dev_hi).all():
+        # the deviation, then the nonzero operands, in one call
         one = [[x.reshape((1,) + x.shape[-3:]) for x in diff]]
         one += [_stacks(s, x.reshape(1, s.coord_dim)) for x in (lhs, rhs) if _some(x)]
         norms = _op_norm([np.concatenate(xs) for xs in zip(*one)])
-        return np.reshape(norms[0] > tol.eq * np.maximum(unit, norms[1:].max()), np.shape(fail))
+        return np.reshape(~(norms[0] <= tol.eq * np.maximum(unit, norms[1:].max())),
+                          np.shape(fail))
     shape = fail.shape
     fail, dev_hi = fail.reshape(-1), dev_hi.reshape(-1)   # one flat run of entries
     live = np.flatnonzero(fail)
@@ -690,14 +721,15 @@ def failing_entries(s: AlgebraShape, lhs: np.ndarray, rhs: np.ndarray, tol: Tole
     else:
         diff = [x.reshape((-1,) + x.shape[-3:])[live] for x in diff]
         dev_lo = _lower(diff)
-    out = dev_lo > tol.eq * np.maximum(unit, np.maximum(_upper(lhs), _upper(rhs)))
+    out = ~(dev_lo <= tol.eq * np.maximum(unit, np.maximum(_upper(lhs), _upper(rhs))))
+    out |= dev_lo == np.inf
     open_ = ~out & (dev_hi > tol.eq * np.maximum(unit, np.maximum(_lower(lhs), _lower(rhs))))
     if open_.any():
         def pick(xs):
             return [x[open_] for x in xs]
         dev = dev_hi[open_] if proj is None else _op_norm(pick(diff))
         scale = np.maximum(_op_norm(pick(lhs)), _op_norm(pick(rhs)))
-        out[open_] = dev > tol.eq * np.maximum(unit[open_], scale)
+        out[open_] = ~(dev <= tol.eq * np.maximum(unit[open_], scale))
     fail[live] = out
     return fail.reshape(shape)
 

@@ -275,19 +275,44 @@ def verify_disintegration(
     (i) state preservation xi(G(A)) = omega(A) on basis elements;
     (ii) G o F almost-everywhere equal (right) to the identity relative to xi.
     """
+    return _verified(f, omega, g, tol)[1]
+
+
+def _verified(f: Channel, omega: State, g: Channel,
+              tol: Tolerance) -> tuple[BayesProblem, PropertyReport]:
+    """The problem (f, omega), with its one pullback, and the report of
+    `verify_disintegration` on it."""
     if g.domain != f.codomain or g.codomain != f.domain:
         raise ShapeMismatch("candidate must run opposite to the channel")
-    return _disintegration(f, omega, g, pullback_state(omega, f, tol), tol)
+    prob = bayes_problem(f, omega, tol)
+    return prob, _disintegration(prob, g, tol)
 
 
-def _disintegration(
-    f: Channel, omega: State, g: Channel, xi: State, tol: Tolerance
-) -> PropertyReport:
-    """`verify_disintegration` given the pullback xi = omega o f: a batch of one of
+def _disintegration(prob: BayesProblem, g: Channel, tol: Tolerance) -> PropertyReport:
+    """`verify_disintegration` of the candidate g on prob: a batch of one of
     `_disintegrations`."""
+    f, omega, xi = prob.channel, prob.prior, prob.pullback
     return _disintegrations(f.domain, f.codomain, f.matrix[None], g.matrix[None],
                             alg.vec(omega.density)[None], alg.vec(xi.density)[None],
                             [xi.support], tol)[0]
+
+
+def _pairing(s: AlgebraShape, density: np.ndarray) -> np.ndarray:
+    """The coordinates (..., coord_dim) that pair with those of every X on s as the
+    state with density coordinates density (..., coord_dim) takes X: omega(E_ij) = rho_ji,
+    so omega(X) = _pairing(s, rho) @ X."""
+    return density.take(alg.adjoint_index(s), -1)
+
+
+def _preservation(dom: AlgebraShape, cod: AlgebraShape, g: np.ndarray, rho: np.ndarray,
+                  sigma: np.ndarray, tol: Tolerance):
+    """(xi(G(E_a)), omega(E_a), failing) (T, cod_dim) for every unit E_a of cod and every
+    trial t: state preservation of the candidate g[t] (dom_dim, cod_dim), the prior
+    with density coordinates rho[t] and its pullback xi with sigma[t].  One product
+    for all trials and one `failing_entries` call."""
+    lhs = (_pairing(dom, sigma)[:, None] @ g)[:, 0]
+    rhs = _pairing(cod, rho)
+    return lhs, rhs, alg.failing_entries(alg._SCALARS, lhs[..., None], rhs[..., None], tol)
 
 
 def _disintegrations(dom: AlgebraShape, cod: AlgebraShape, f: np.ndarray, g: np.ndarray,
@@ -298,16 +323,13 @@ def _disintegrations(dom: AlgebraShape, cod: AlgebraShape, f: np.ndarray, g: np.
     the prior on cod with density coordinates rho[t], and its pullback, with
     density coordinates sigma[t] and support supports[t].
 
-    State preservation is decided for all trials by one `failing_entries` call,
-    and the a.e. section of the trials that preserve their states by one
+    State preservation is decided for all trials by `_preservation`, and the a.e.
+    section of the trials that preserve their states by one
     `_grid.equal_failure` call, each G o F under its own pullback's support.
     Each product is the one a batch of one forms, so every trial gets the
     report its batch of one gives.
     """
-    # omega(E_ij) = rho_ji, and xi(X) pairs the coordinates of X with those of sigma^T
-    lhs = (sigma.take(alg.adjoint_index(dom), -1)[:, None] @ g)[:, 0]
-    rhs = rho.take(alg.adjoint_index(cod), -1)
-    fails = alg.failing_entries(alg._SCALARS, lhs[..., None], rhs[..., None], tol)
+    lhs, rhs, fails = _preservation(dom, cod, g, rho, sigma, tol)
     broken = fails.any(axis=-1).tolist()
     live = [t for t, b in enumerate(broken) if not b]
     # G o F against the identity, as ae_equal compares them; equal_failure raises
@@ -356,12 +378,17 @@ def commutative_disintegration(
     formula p_x delta_{y, y(x)} / q_y there.  A map that vanishes at a supported
     point raises PullbackNotPSD.  Verification stays with verify_disintegration.
     """
+    return _candidate(_commutative_problem(f, omega, tol))
+
+
+def _commutative_problem(f: Channel, omega: State, tol: Tolerance) -> BayesProblem:
+    """The problem of `commutative_disintegration`, once its preconditions hold."""
     if not f.codomain.is_commutative:
         raise NotCommutative("disintegration construction requires an all-ones codomain")
     det = ae_deterministic(f, omega, "right", tol)
     if not det.passed:
         raise NotAeDeterministic("channel is not a.e. deterministic for the given state")
-    return _candidate(bayes_problem(f, omega, tol))
+    return bayes_problem(f, omega, tol)
 
 
 @dataclass
@@ -394,10 +421,14 @@ def modularity_chain(
     deterministic.  Any consequence failing on a conforming instance is
     reported as a violation, which the test suite treats as an alarm.
     """
-    if g.domain != f.codomain or g.codomain != f.domain:
-        raise ShapeMismatch("candidate must run opposite to the channel")
-    xi = pullback_state(omega, f, tol)
-    disint = _disintegration(f, omega, g, xi, tol)
+    prob, disint = _verified(f, omega, g, tol)
+    return _modularity(prob, disint, g, tol)
+
+
+def _modularity(prob: BayesProblem, disint: PropertyReport, g: Channel,
+                tol: Tolerance) -> ModularityReport:
+    """`modularity_chain` of the candidate g on prob, given its disintegration report."""
+    f, omega, xi = prob.channel, prob.prior, prob.pullback
     if not disint.passed:
         raise PreconditionsUnmet("candidate does not pass verify_disintegration")
     for name, ch in (("channel", f), ("candidate", g)):

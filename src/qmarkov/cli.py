@@ -24,13 +24,15 @@ from . import corpus as corpus_mod
 from . import props as props_mod
 from . import serialize as ser
 from .bayes import (
+    _candidate,
+    _commutative_problem,
+    _disintegration,
+    _modularity,
+    _verified,
     bayes_candidate,
     bayes_problem,
-    commutative_disintegration,
-    modularity_chain,
     petz_exists,
     petz_recovery,
-    verify_disintegration,
 )
 from .channel import (
     is_cp,
@@ -56,16 +58,14 @@ _STATE_CHECKS = {"ae-det": ae_deterministic, "ae-unital": ae_unital}
 
 
 def _tolerance(args) -> Tolerance:
+    """The default tolerance with --tol and --rank-tol; Tolerance refuses a value that
+    is not finite and positive (ValueError, exit 2)."""
     tol = DEFAULT_TOL
     eq = getattr(args, "tol", None)
     rank = getattr(args, "rank_tol", None)
     if eq is not None:
-        if eq <= 0:
-            raise ValueError("--tol must be positive")
         tol = dataclasses.replace(tol, eq=eq, psd=eq, herm=eq)
     if rank is not None:
-        if rank <= 0:
-            raise ValueError("--rank-tol must be positive")
         tol = dataclasses.replace(tol, rank=rank)
     return tol
 
@@ -193,12 +193,14 @@ def cmd_petz(args) -> int:
 
 
 def cmd_disint(args) -> int:
+    """Each mode pulls the prior back once and decides the disintegration once: the
+    modularity chain reads the problem and report of the verification."""
     tol, chan, omega = _channel_and_state(args)
     if args.mode == "verify":
         if not args.candidate:
             raise ValueError("disint verify requires --candidate")
         cand = ser.channel_from_json(_load_json(args.candidate))
-        rep = verify_disintegration(chan, omega, cand, tol)
+        prob, rep = _verified(chan, omega, cand, tol)
         reports = [rep]
         payload = {"checks": [rep.to_dict()]}
         cpu = all(
@@ -207,13 +209,14 @@ def cmd_disint(args) -> int:
             for check in (is_cp, is_unital, is_star_preserving)
         )
         if rep.passed and cpu:
-            chain = modularity_chain(chan, omega, cand, tol)
+            chain = _modularity(prob, rep, cand, tol)
             payload["modularity"] = chain.to_dict()
             reports.extend([chain.bayes, chain.ae_det])
         _emit(payload, args, _report_lines(reports))
         return 0 if all(r.passed for r in reports) else 1
-    cand = commutative_disintegration(chan, omega, tol)
-    rep = verify_disintegration(chan, omega, cand, tol)
+    prob = _commutative_problem(chan, omega, tol)
+    cand = _candidate(prob)
+    rep = _disintegration(prob, cand, tol)
     payload = {"candidate": ser.channel_to_json(cand), "checks": [rep.to_dict()]}
     lines = _report_lines([rep])
     _write_out(args, payload, "candidate", lines, "disintegration")

@@ -108,6 +108,13 @@ def _same_map(f: Channel, g: Channel) -> bool:
     return _grid.equal_failure(f.codomain, f.matrix[None], g.matrix[None], DEFAULT_TOL) == [None]
 
 
+def _vanishes(values, unit=1.0) -> np.ndarray:
+    """Whether each measured deviation w is 0 under the rule: |w| <= tol.eq max(unit, |w|),
+    at floor 1 exactly |w| <= tol.eq for a finite w; one `failing_entries` call."""
+    return ~alg.failing_entries(alg._SCALARS, np.reshape(values, (-1, 1)), np.zeros(1),
+                                DEFAULT_TOL, unit=unit)
+
+
 # ---------------------------------------------------------------------------
 # Hamming (7,4)
 # ---------------------------------------------------------------------------
@@ -392,16 +399,17 @@ def _a_n(n: int) -> AlgElement:
 
 
 def _build_mu_norm() -> list[CheckResult]:
-    tol, checks = DEFAULT_TOL, []
-    for n in range(2, 9):
-        a = _a_n(n)
-        mu = mult_map(AlgebraShape((n,)))
-        norm_a = alg.norm(a)
-        image = apply(mu, a)
-        norm_mu_a = alg.norm(image)
-        checks.append(_check(f"||A({n})|| = 1", abs(norm_a - 1.0) <= tol.eq, f"got {norm_a!r}"))
-        checks.append(_check(f"||mu_{n}(A({n}))|| = {n}",
-                             abs(norm_mu_a - n) <= tol.eq * tol.scale(n), f"got {norm_mu_a!r}"))
+    ns = range(2, 9)
+    a = [_a_n(n) for n in ns]
+    images = [apply(mult_map(AlgebraShape((n,))), x) for n, x in zip(ns, a)]
+    # ||A(n)|| against 1 and ||mu_n(A(n))|| against n, every norm in one call of the rule
+    norms = np.array([[alg.norm(x), alg.norm(y)] for x, y in zip(a, images)])
+    equal = ~alg.failing_entries(alg._SCALARS, norms[..., None],
+                                 np.array([[1.0, n] for n in ns])[..., None], DEFAULT_TOL)
+    checks = []
+    for n, image, (norm_a, norm_mu_a), (eq_a, eq_mu_a) in zip(ns, images, norms.tolist(), equal):
+        checks.append(_check(f"||A({n})|| = 1", eq_a, f"got {norm_a!r}"))
+        checks.append(_check(f"||mu_{n}(A({n}))|| = {n}", eq_mu_a, f"got {norm_mu_a!r}"))
         if n == 3:
             expected = 3.0 * alg.matrix_units(AlgebraShape((3,)))[0]
             checks.append(_check("mu_3(A(3)) = 3 E_11", alg.elem_equal(image, expected)))
@@ -651,7 +659,7 @@ def _build_strict_pos() -> list[CheckResult]:
     checks.append(_check("violation carries a witness pair", direct_witness is not None))
     # units and their images under the CPU maps F and G have norm at most 1: the scale is 1
     checks.append(_check("mirrored equation holds in this example",
-                         worst_mirror <= DEFAULT_TOL.eq, f"max deviation {worst_mirror:.3g}"))
+                         _vanishes(worst_mirror)[0], f"max deviation {worst_mirror:.3g}"))
     return checks
 
 
@@ -711,7 +719,7 @@ def _build_pu_not_causal() -> list[CheckResult]:
     # |tr(P X)| <= ||X||, and units and their images under the PU maps H, K and the
     # transpose have norm at most 1: the hypothesis is decided at scale 1
     checks.append(_check("causality hypothesis holds: F G (A H(B)) = F G (A K(B))",
-                         worst_hyp <= DEFAULT_TOL.eq, f"max deviation {worst_hyp:.3g}"))
+                         _vanishes(worst_hyp)[0], f"max deviation {worst_hyp:.3g}"))
     checks.append(_check("causality conclusion fails once C is inserted",
                          worst_conc > 0.001, f"max violation {worst_conc:.4f}"))
     checks.append(_check("conclusion failure carries a witness triple",
@@ -751,10 +759,10 @@ def _epr_system() -> tuple[np.ndarray, np.ndarray]:
 
 def _build_epr() -> list[CheckResult]:
     chan, residual = epr_conditional()
-    tol, checks = DEFAULT_TOL, []
+    checks = []
     # the right-hand side, the entries +-1/2 of the EPR density, has norm 1: the scale is 1
     checks.append(_check("joint-state equation solved with tiny residual",
-                         residual <= tol.eq, f"residual {residual:.3g}"))
+                         _vanishes(residual)[0], f"residual {residual:.3g}"))
     expected = compose(ad_channel([[0, 1], [-1, 0]]), transpose_channel(AlgebraShape((2,))))
     checks.append(_check("solution is the spin-flip conjugated transpose",
                          _same_map(chan, expected)))
@@ -764,12 +772,11 @@ def _build_epr() -> list[CheckResult]:
     cp = is_cp(chan)
     checks.append(_check("conditional is not CP", not cp.passed))
     checks.append(_check("CP failure carries a witness", cp.witness is not None))
-    eigvals = herm_eig(choi(chan)[0])[0]
-    # eigenvalues +-1 of a Choi matrix of norm 1: the scale is 1
-    neg = (np.abs(eigvals + 1.0) <= tol.eq).sum()
-    pos = (np.abs(eigvals - 1.0) <= tol.eq).sum()
+    eigvals = herm_eig(choi(chan)[0])[0]   # descending
     checks.append(_check("Choi eigenvalues are -1 and +1 (multiplicities 1 and 3)",
-                         neg == 1 and pos == 3,
+                         not alg.failing_entries(alg._SCALARS, eigvals[:, None],
+                                                 np.array([[1.0], [1], [1], [-1]]),
+                                                 DEFAULT_TOL).any(),
                          f"spectrum {np.round(eigvals, 6).tolist()}"))
     return checks
 

@@ -17,8 +17,8 @@ from . import algebra as alg
 from . import finstoch as fs
 from ._grid import equal_failure, multiplicative_failure, star_failure
 from .algebra import AlgebraShape, AlgElement, _gram
-from .bayes import (_candidate, bayes_candidate, bayes_problem, verify_bayes,
-                    verify_disintegration)
+from .bayes import (_candidate, _pairing, _preservation, bayes_candidate, bayes_problem,
+                    verify_bayes, verify_disintegration)
 from .channel import (
     Channel,
     _ad_matrix,
@@ -30,14 +30,13 @@ from .channel import (
     _owned,
     _s_positivity_failures,
     _tensor_matrix,
-    apply,
-    channel_from_action,
     compose,
     conjugation_by,
     invert,
     is_deterministic,
     is_schwarz_sampled,
     is_star_preserving,
+    is_unital,
     hs_adjoint,
     identity_channel,
     mult_map,
@@ -46,7 +45,7 @@ from .channel import (
     transpose_channel,
 )
 from .corpus import (CheckResult, _build_mu_norm, _check, _compression_matrices, _padded,
-                     _same_map, doubling_pair, padded_inclusion)
+                     _same_map, _vanishes, doubling_pair, padded_inclusion)
 from .linalg import herm_eig, op_norm, pinv_psd
 from .state import (State, _from_densities, ae_deterministic, ae_equal, ae_unital,
                     pullback_state, state_from_density)
@@ -240,7 +239,7 @@ def moore_penrose_deviation(a: np.ndarray, pinv: np.ndarray) -> float:
 
 def suite_matrix_kernel(seed: int = 0, trials: int = 64) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    tol, checks = DEFAULT_TOL, []
+    tol = DEFAULT_TOL
     worst_resid, worst_unitary, worst_pinv, worst_submult = 0.0, 0.0, 0.0, 0.0
     for _ in range(trials):
         n = int(rng.integers(1, 9))
@@ -258,14 +257,13 @@ def suite_matrix_kernel(seed: int = 0, trials: int = 64) -> SuiteReport:
     # each worst value is already divided by its scale: max(1, ||H||) for the residual,
     # ||1|| = 1 for unitarity, the backward-error scales of `moore_penrose_deviation`, and
     # max(1, ||M|| ||B||) for the excess of ||M B||
-    checks.append(_check("eigendecomposition reconstructs Hermitian inputs",
-                         worst_resid <= tol.eq, f"worst residual {worst_resid:.3g}"))
-    checks.append(_check("eigenvector matrices are unitary",
-                         worst_unitary <= tol.eq, f"worst deviation {worst_unitary:.3g}"))
-    checks.append(_check("pseudo-inverse satisfies the Moore-Penrose identities",
-                         worst_pinv <= tol.eq, f"worst deviation {worst_pinv:.3g}"))
-    checks.append(_check("operator norm is submultiplicative",
-                         worst_submult <= tol.eq, f"worst relative excess {worst_submult:.3g}"))
+    worst = (worst_resid, worst_unitary, worst_pinv, worst_submult)
+    laws = (("eigendecomposition reconstructs Hermitian inputs", "worst residual"),
+            ("eigenvector matrices are unitary", "worst deviation"),
+            ("pseudo-inverse satisfies the Moore-Penrose identities", "worst deviation"),
+            ("operator norm is submultiplicative", "worst relative excess"))
+    checks = [_check(desc, ok, f"{what} {w:.3g}")
+              for (desc, what), w, ok in zip(laws, worst, _vanishes(worst))]
     return SuiteReport("matrix-kernel", tuple(checks))
 
 
@@ -410,7 +408,9 @@ def _adjoint_laws(rng: np.random.Generator, trials: int) -> tuple[bool, bool]:
     rhs = trace(m2, mul(m2, adj(m2, _apply_batch(f_star, a)), b))
     scale = (np.linalg.norm(a, axis=-1) * np.linalg.norm(f, axis=(-2, -1))
              * np.linalg.norm(b, axis=-1))
-    return adj_ok and bool((np.abs(lhs - rhs) <= tol.eq * np.maximum(1.0, scale)).all()), contra_ok
+    pairing = alg.failing_entries(alg._SCALARS, lhs[:, None], rhs[:, None], tol,
+                                  unit=np.maximum(1.0, scale))
+    return adj_ok and not pairing.any(), contra_ok
 
 
 def _cp_closure(rng: np.random.Generator, trials: int) -> bool:
@@ -509,7 +509,7 @@ def _by_shape(drawn: list[tuple]):
 def _minimal_supports(rng: np.random.Generator, trials: int) -> bool:
     """Whether the support P of every compressed random density is dominated by
     the compressing projection Q (Q P = P) and its state omega is blind to the
-    complement: |omega((1 - P) a)| <= tol.eq max(1, ||a||) for a random a.
+    complement: omega((1 - P) a) = 0 at the floor max(1, ||a||) for a random a.
 
     Every trial draws a shape, a density, a projection and, when the
     compression carries weight, the element a, as one trial after another
@@ -530,17 +530,17 @@ def _minimal_supports(rng: np.random.Generator, trials: int) -> bool:
         p = np.array([alg.vec(omega.support) for omega in _from_densities(s, density)])
         x = alg._mul_coords(s, alg._unit_coords(s) - p, a)
         # |omega(X)| <= ||X|| <= ||a||
-        blind = np.abs(alg._trace_coords(s, alg._mul_coords(s, density, x)))
+        blind = alg._trace_coords(s, alg._mul_coords(s, density, x))
         ok = ok and alg._coords_equal(s, alg._mul_coords(s, proj, p), p, tol) and bool(
-            (blind <= tol.eq * np.maximum(1.0, alg._op_norm(alg._stacks(s, a)))).all())
+            _vanishes(blind, np.maximum(1.0, alg._op_norm(alg._stacks(s, a)))).all())
     return ok
 
 
 def _nullspace_trials(rng: np.random.Generator, trials: int) -> bool:
     """Whether a = m (1 - P), for the support P of a random state omega and a
-    random m, has omega(a* a) = 0 within tol.eq max(1, ||a||^2) and lies in
-    the right nullspace, as `NullspaceTest` decides it: ||a P|| within
-    tol.eq max(1, ||a||).
+    random m, has omega(a* a) = 0 under the equality rule at the floor
+    max(1, ||a||^2) and lies in the right nullspace, as `NullspaceTest` decides
+    it: a P = 0 under the rule with the support.
 
     Every trial draws a shape, a density and m in turn; the states, their
     supports and the checks are then decided per shape on the stacked trials.
@@ -556,9 +556,8 @@ def _nullspace_trials(rng: np.random.Generator, trials: int) -> bool:
         a = alg._mul_coords(s, m, alg._unit_coords(s) - p)
         norm = alg._op_norm(alg._stacks(s, a))
         val = alg._trace_coords(s, alg._mul_coords(s, density, _gram(s, a)))
-        null = alg._op_norm(alg._stacks(s, alg._mul_coords(s, a, p)))
-        ok = ok and bool((np.abs(val) <= tol.eq * np.maximum(1.0, norm ** 2)).all()
-                         and (null <= tol.eq * np.maximum(1.0, norm)).all())
+        null = alg.failing_entries(s, a[:, None], np.zeros(s.coord_dim), tol, p, "right")
+        ok = ok and bool(_vanishes(val, np.maximum(1.0, norm ** 2)).all()) and not null.any()
     return ok
 
 
@@ -658,11 +657,46 @@ def _drop_smallest_eigenvalue(omega: State) -> State:
 
 def suite_bayes(seed: int = 0, trials: int = 64) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    tol, checks = DEFAULT_TOL, []
-    kinds = ("unitary", "padded-block", "classical")
+    preserve_ok, unique_ok, disint_ok, relexp_ok = _bayes_laws(rng, max(6, trials // 8))
+    checks = [
+        _check("Bayes candidates of CPU channels pass the left condition and preserve states",
+               preserve_ok),
+        _check("two completions of the Bayes candidate are left a.e. equal", unique_ok),
+        _check("Bayes maps of a.e. deterministic channels disintegrate them", disint_ok),
+        _check("relative conditional expectation holds on disintegration instances", relexp_ok),
+        _check("left Bayes maps report one-sided: left a.e. equal yet right-separated, "
+               "a.e. unital without unitality", _one_sided(rng, max(6, trials // 8)))]
+    comp_ok = True
+    for _ in range(max(3, trials // 16)):
+        # chain: M_3 ~H~> M_2 ~F~> M_2 with a faithful prior upstream
+        f, omega, _ = disintegration_instance("unitary", rng, max_dim=3)
+        h = random_cpu_channel(3, f.domain.blocks[0], rng)
+        prob_f = bayes_problem(f, omega)
+        prob_h = bayes_problem(h, prob_f.pullback)
+        joint = compose(bayes_candidate(prob_h).candidate, bayes_candidate(prob_f).candidate)
+        comp_ok = comp_ok and verify_bayes(compose(f, h), omega, prob_h.pullback, joint,
+                                           "left").passed
+    checks.append(_check("Bayes candidates compose along composable problems", comp_ok))
+    symm_ok = True
+    for _ in range(max(3, trials // 16)):
+        f, omega, g = disintegration_instance("unitary", rng, max_dim=4)
+        xi = pullback_state(omega, f)
+        if is_star_preserving(g).passed and verify_bayes(f, omega, xi, g, "left").passed:
+            symm_ok = symm_ok and verify_bayes(g, xi, omega, f, "left").passed
+    checks.append(_check("star-preserving Bayesian inverses invert symmetrically", symm_ok))
+    checks.append(_check("one vanishing Schwarz gap extends to mixed products under the state",
+                         _schwarz_gaps(rng, max(3, trials // 16))))
+    return SuiteReport("bayes", tuple(checks))
 
+
+def _bayes_laws(rng: np.random.Generator, trials: int) -> tuple[bool, bool, bool, bool]:
+    """(state preservation, a.e. uniqueness, disintegration, relative conditional
+    expectation) on `trials` disintegration instances (F, omega, G) of the three
+    families in turn; each law of a trial is one `failing_entries` call over all units
+    (`bayes._preservation`) or over four random b drawn at once."""
+    tol, kinds = DEFAULT_TOL, ("unitary", "padded-block", "classical")
     preserve_ok, unique_ok, disint_ok, relexp_ok = True, True, True, True
-    for i in range(max(6, trials // 8)):
+    for i in range(trials):
         f, omega, g = disintegration_instance(kinds[i % 3], rng, max_dim=4)
         prob = bayes_problem(f, omega)
         xi = prob.pullback
@@ -670,10 +704,11 @@ def suite_bayes(seed: int = 0, trials: int = 64) -> SuiteReport:
         if not result.bayes_ok:
             preserve_ok = False
             continue
-        # candidates of unital channels preserve states: xi(G(E)) = omega(E), |omega(E)| <= 1
-        for e in alg.matrix_units(f.codomain):
-            lhs, rhs = xi.expect(apply(result.candidate, e)), omega.expect(e)
-            preserve_ok = preserve_ok and abs(lhs - rhs) <= tol.eq * tol.scale(abs(rhs))
+        dom, cod, sigma = f.domain, f.codomain, alg.vec(xi.density)
+        # candidates of unital channels preserve states: xi(G(E)) = omega(E)
+        preserve_ok = preserve_ok and not _preservation(
+            dom, cod, result.candidate.matrix[None], alg.vec(omega.density)[None],
+            sigma[None], tol)[2].any()
         # a.e. uniqueness: a second completion gives a left a.e. equal candidate
         other = bayes_candidate(prob, completion=omega)
         unique_ok = unique_ok and ae_equal(result.candidate, other.candidate, xi, "left").passed
@@ -685,31 +720,20 @@ def suite_bayes(seed: int = 0, trials: int = 64) -> SuiteReport:
                        ae_equal(compose(result.candidate, f), identity_channel(f.domain), xi,
                                 "left"))
             disint_ok = disint_ok and section.passed
-        # relative conditional expectation on the disintegration instance
-        for _ in range(4):
-            b = alg.random_element(f.domain, rng)
-            bb = alg.mul(alg.adjoint(b), b)
-            gfb = apply(g, apply(f, b))
-            vals = (
-                xi.expect(bb),
-                xi.expect(alg.mul(alg.adjoint(gfb), gfb)),
-                xi.expect(apply(g, alg.mul(alg.adjoint(apply(f, b)), apply(f, b)))),
-                xi.expect(apply(g, apply(f, bb))),
-            )
-            relexp_ok = relexp_ok and (
-                max(abs(v - vals[0]) for v in vals) <= tol.eq * tol.scale(abs(vals[0])))
-    checks.append(_check("Bayes candidates of CPU channels pass the left condition "
-                         "and preserve states", preserve_ok))
-    checks.append(_check("two completions of the Bayes candidate are left a.e. equal",
-                         unique_ok))
-    checks.append(_check("Bayes maps of a.e. deterministic channels disintegrate them",
-                         disint_ok))
-    checks.append(_check("relative conditional expectation holds on disintegration instances",
-                         relexp_ok))
+        # relative conditional expectation: xi(b* b) against xi(G(F(b))* G(F(b))),
+        b = alg._random_coords(dom, rng, (4,))   # xi(G(F(b)* F(b))) and xi(G(F(b* b)))
+        fb, bb = _apply_batch(f.matrix, b), _gram(dom, b)
+        gs = [_apply_batch(g.matrix, x) for x in (fb, _gram(cod, fb), _apply_batch(f.matrix, bb))]
+        sides = np.stack([bb, _gram(dom, gs[0]), gs[1], gs[2]]) @ _pairing(dom, sigma)
+        relexp_ok = relexp_ok and not alg.failing_entries(
+            alg._SCALARS, sides[1:, :, None], sides[:1, :, None], tol).any()
+    return preserve_ok, unique_ok, disint_ok, relexp_ok
 
-    onesided_ok = True
-    saw_deficient = False
-    rounds = max(6, trials // 8)
+
+def _one_sided(rng: np.random.Generator, rounds: int) -> bool:
+    """Whether left Bayes maps report one-sided on `rounds` unitary instances, some
+    with a deficient pullback; the shifted candidate is two column products."""
+    ok, saw_deficient = True, False
     for i in range(rounds):
         f, omega, _ = disintegration_instance("unitary", rng, max_dim=4)
         if i == rounds - 1 and not saw_deficient:
@@ -725,69 +749,39 @@ def suite_bayes(seed: int = 0, trials: int = 64) -> SuiteReport:
         # adding (1 - P) X(.) P keeps the left Bayes condition but moves the
         # candidate off its right a.e. class
         bump = _random_star_preserving(f.codomain, f.domain, rng)
-
-        def shifted(a, base=base, bump=bump, comp=comp, p=p_xi):
-            return apply(base, a) + alg.mul(alg.mul(comp, apply(bump, a)), p)
-
-        other = channel_from_action(f.codomain, f.domain, shifted)
-        onesided_ok = onesided_ok and verify_bayes(f, omega, xi, other, "left").passed
-        onesided_ok = onesided_ok and ae_equal(base, other, xi, "left").passed
-        onesided_ok = onesided_ok and not ae_equal(base, other, xi, "right").passed
+        shift = alg._mul_columns(f.domain, alg.vec(p_xi), alg._mul_columns(
+            f.domain, alg.vec(comp), bump.matrix, True), False)
+        other = _owned(f.codomain, f.domain, base.matrix + shift)
+        ok = ok and verify_bayes(f, omega, xi, other, "left").passed
+        ok = ok and ae_equal(base, other, xi, "left").passed
+        ok = ok and not ae_equal(base, other, xi, "right").passed
         # a completion-free candidate is a.e. unital without being unital
         bare_chan = _candidate(prob, np.zeros(f.codomain.coord_dim))
-        onesided_ok = onesided_ok and verify_bayes(f, omega, xi, bare_chan, "left").passed
-        onesided_ok = onesided_ok and ae_unital(bare_chan, xi, "left").passed
-        onesided_ok = onesided_ok and not alg.elem_equal(
-            apply(bare_chan, alg.unit(f.codomain)), alg.unit(f.domain))
-    checks.append(_check("left Bayes maps report one-sided: left a.e. equal yet "
-                         "right-separated, a.e. unital without unitality",
-                         onesided_ok and saw_deficient))
+        ok = ok and verify_bayes(f, omega, xi, bare_chan, "left").passed
+        ok = ok and ae_unital(bare_chan, xi, "left").passed
+        ok = ok and not is_unital(bare_chan).passed
+    return ok and saw_deficient
 
-    comp_ok = True
-    for _ in range(max(3, trials // 16)):
-        # chain: M_3 ~H~> M_2 ~F~> M_2 with a faithful prior upstream
-        f, omega, _ = disintegration_instance("unitary", rng, max_dim=3)
-        n = f.domain.blocks[0]
-        h = random_cpu_channel(3, n, rng)
-        prob_f = bayes_problem(f, omega)
-        xi = prob_f.pullback
-        prob_h = bayes_problem(h, xi)
-        zeta = prob_h.pullback
-        cand_f = bayes_candidate(prob_f).candidate
-        cand_h = bayes_candidate(prob_h).candidate
-        composite = compose(f, h)
-        joint = compose(cand_h, cand_f)
-        comp_ok = comp_ok and verify_bayes(composite, omega, zeta, joint, "left").passed
-    checks.append(_check("Bayes candidates compose along composable problems", comp_ok))
 
-    symm_ok = True
-    for _ in range(max(3, trials // 16)):
-        f, omega, g = disintegration_instance("unitary", rng, max_dim=4)
-        xi = pullback_state(omega, f)
-        if is_star_preserving(g).passed and verify_bayes(f, omega, xi, g, "left").passed:
-            symm_ok = symm_ok and verify_bayes(g, xi, omega, f, "left").passed
-    checks.append(_check("star-preserving Bayesian inverses invert symmetrically", symm_ok))
-
-    relmult_ok = True
-    for _ in range(max(3, trials // 16)):
-        g_pad = padded_inclusion(2, 3)
-        sigma = alg.random_density(AlgebraShape((2,)), rng).blocks[0]
-        rho = np.zeros((3, 3), dtype=complex)
-        rho[:2, :2] = sigma
-        xi_state = state_from_density(AlgElement(AlgebraShape((3,)), (rho,)))
-        a = alg.random_element(AlgebraShape((2,)), rng)
-        hyp = abs(xi_state.expect(apply(g_pad, alg.mul(alg.adjoint(a), a))
-                                  - alg.mul(alg.adjoint(apply(g_pad, a)), apply(g_pad, a))))
-        # |xi(X)| <= ||X||, and the CPU map G is contractive: the scales are ||a||^2, ||a|| ||d||
-        relmult_ok = relmult_ok and hyp <= tol.eq * tol.scale(alg.norm(a) ** 2)
-        for _ in range(4):
-            d = alg.random_element(AlgebraShape((2,)), rng)
-            gap = abs(xi_state.expect(apply(g_pad, alg.mul(alg.adjoint(a), d))
-                                      - alg.mul(alg.adjoint(apply(g_pad, a)), apply(g_pad, d))))
-            relmult_ok = relmult_ok and gap <= tol.eq * tol.scale(alg.norm(a) * alg.norm(d))
-    checks.append(_check("one vanishing Schwarz gap extends to mixed products under the state",
-                         relmult_ok))
-    return SuiteReport("bayes", tuple(checks))
+def _schwarz_gaps(rng: np.random.Generator, trials: int) -> bool:
+    """Whether xi(G(a* x)) = xi(G(a)* G(x)) for the padded inclusion G: M_2 -> M_3, a
+    state xi on its M_2 corner, x = a (the vanishing gap) and four random x (the mixed
+    products), on `trials` trials drawn in turn and decided as one stack.  |xi(X)| <=
+    ||X||, and the CPU map G is contractive: the floor is max(1, ||a|| ||x||)."""
+    m2, m3 = AlgebraShape((2,)), AlgebraShape((3,))
+    g = padded_inclusion(2, 3).matrix
+    draws = [(alg._random_coords(m2, rng), alg._random_coords(m2, rng, (5,)))
+             for _ in range(trials)]
+    sigma, x = (np.array(z) for z in zip(*draws))   # (T, 4) and (T, 5, 4): a, then each d
+    rho = np.zeros((trials, m3.coord_dim), dtype=complex)
+    rho[:, [0, 1, 3, 4]] = alg._densities(m2, sigma)   # E_ij of M_2 at E_ij of M_3
+    norms = alg._op_norm(alg._stacks(m2, x))
+    gx = _apply_batch(g, x)
+    lhs = _apply_batch(g, alg._mul_coords(m2, alg._adjoint_coords(m2, x[:, :1]), x))
+    rhs = alg._mul_coords(m3, alg._adjoint_coords(m3, gx[:, :1]), gx)
+    pair = _pairing(m3, rho)[:, :, None]
+    return not alg.failing_entries(alg._SCALARS, lhs @ pair, rhs @ pair, DEFAULT_TOL,
+                                   unit=np.maximum(1.0, norms[:, :1] * norms)).any()
 
 
 def _rational_weights(rng: np.random.Generator, n: int, zero_last: bool = False) -> np.ndarray:
@@ -851,8 +845,7 @@ def suite_finstoch(seed: int = 0, trials: int = 64) -> SuiteReport:
         ragged = fs.StochasticMatrix(entries, True)
         chan = fs.embed(ragged)
         rep = ae_unital(chan, fs.embed_prob(q), "right")
-        ok = rep.passed and not alg.elem_equal(
-            apply(chan, alg.unit(chan.domain)), alg.unit(chan.codomain))
+        ok = rep.passed and not is_unital(chan).passed
         checks.append(_check("denormalized null columns stay a.e. unital", ok))
     else:
         checks.append(_check("denormalized null columns stay a.e. unital", True,

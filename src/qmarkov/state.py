@@ -16,7 +16,7 @@ import numpy as np
 from . import _grid
 from . import algebra as alg
 from .algebra import AlgebraShape, AlgElement
-from .channel import (Channel, PropertyReport, _apply_batch, _hs_adjoints, _report, apply,
+from .channel import (Channel, PropertyReport, _apply_batch, _hs_adjoints, _report,
                       is_star_preserving)
 from .errors import NotSelfAdjoint, PullbackNotPSD, ShapeMismatch
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -194,38 +194,58 @@ def _pullback(s: AlgebraShape, densities: np.ndarray, matrix: np.ndarray,
     a NaN or Inf entry in any row raises first.  Each row's M* rho is the
     matrix-vector product of a batch of one, and numpy decomposes every matrix
     of a stack on its own, so a row gets the same floats in a batch as alone.
+    Above 2^500, where F*(rho) could overflow, a row is decided on F*(rho) 2^-e
+    and the floor 2^-e, for the exponent e of its matrix, as `is_cp` decides, and
+    its message says "* 2^e".
     """
+    e = alg.scale_exponent(matrix, 500)   # one, or one per row: F*(rho) could overflow above
+    scaled = alg._some(e)
+    unit, one = 1.0, alg._unit_coords(alg._SCALARS)   # the floor of every scale, and 1 at it
+    if scaled:   # 2^-e per row
+        matrix = matrix * np.ldexp(1.0, -e)[..., None, None]
+        e = np.broadcast_to(e, len(densities))
+        unit = np.ldexp(1.0, -e)
+        one = unit[:, None]
     v = _apply_batch(_hs_adjoints(matrix), densities)
     alg._finite(v)
     adj = alg._adjoint_coords(s, v)   # the coordinates of F*(rho)*
     skew = v - adj
     # a Frobenius norm of the skew part within 2 tol.herm passes at any scale: of all rows
-    # at once first, then of each block of each row, and only the other rows pay for
-    # exact norms
+    # at once first (unscaled), then of each block of each row, and only the other rows
+    # pay for exact norms
     asym = np.zeros(len(v), dtype=bool)
-    if not np.vdot(skew, skew).real <= (2 * tol.herm / (1 + alg._SLACK)) ** 2:
-        asym = alg._upper(alg._stacks(s, skew)) > 2 * tol.herm
+    if scaled or not np.vdot(skew, skew).real <= (2 * tol.herm / (1 + alg._SLACK)) ** 2:
+        asym = alg._upper(alg._stacks(s, skew)) > 2 * tol.herm * unit
         rows, dev = np.flatnonzero(asym), np.zeros(len(v))
         dev[rows] = alg._op_norm(alg._stacks(s, skew[rows]))
-        scale = np.maximum(1.0, alg._op_norm(alg._stacks(s, v[rows])))
+        scale = np.maximum(np.broadcast_to(unit, asym.shape)[rows],
+                           alg._op_norm(alg._stacks(s, v[rows])))
         asym[rows] = dev[rows] > 2 * tol.herm * scale
     sym = 0.5 * (v + adj)   # the self-adjoint part, (x + x*) / 2 entry by entry
     stacks = _decompose(alg._stacks(s, sym), tol)
     low = alg._fold_min([w[..., -1].min(axis=-1) for w, _, _ in stacks])
-    negative = low < -tol.psd   # at scale 1: a larger scale only lowers the bound
+    negative = low < -tol.psd * unit   # at the floor: a larger scale only lowers the bound
     if alg._some(negative):
         top = alg._fold_max([np.abs(w).max(axis=(-2, -1)) for w, _, _ in stacks])   # ||H||
-        negative = low < -tol.psd * np.maximum(1.0, top)
+        negative = low < -tol.psd * np.maximum(unit, top)
     tr = alg._trace_coords(s, sym)
-    refused = asym | negative | alg.failing_entries(
-        alg._SCALARS, tr[:, None], alg._unit_coords(alg._SCALARS), tol)
+    refused = asym | negative | alg.failing_entries(alg._SCALARS, tr[:, None], one, tol,
+                                                    unit=unit)
     if alg._some(refused):
         i = refused.argmax()
+        at = f" * 2^{e[i]}" if scaled and e[i] else ""
         if asym[i]:
-            raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev[i]:.3e}")
+            raise PullbackNotPSD(f"pullback density has anti-self-adjoint part {dev[i]:.3e}{at}")
         if negative[i]:
             raise PullbackNotPSD("pullback density has a negative eigenvalue")
-        raise PullbackNotPSD(f"pullback density has trace {complex(tr[i])}, expected 1")
+        raise PullbackNotPSD(f"pullback density has trace {complex(tr[i])}{at}, expected 1")
+    if scaled:
+        # rows above 2^500 pass only under tolerances that pass a trace-1 density with
+        # entries above 1: scaled back, their spectra may overflow to inf
+        k = np.ldexp(1.0, e)
+        with np.errstate(over="ignore"):
+            sym = sym * k[:, None]
+            stacks = tuple((w * k[:, None, None], u, keep) for w, u, keep in stacks)
     return sym, stacks
 
 
@@ -315,17 +335,23 @@ def ae_deterministic(
 def ae_unital(
     f: Channel, omega: State, side: str = "right", tol: Tolerance = DEFAULT_TOL
 ) -> PropertyReport:
-    """Unitality on the support: F(1) P = P (right) or P F(1) = P (left)."""
+    """Unitality on the support: F(1) P = P (right) or P F(1) = P (left), decided as
+    `ae_equal` decides, by the equality rule with the support.  Above 2^500, where F(1)
+    could overflow, F, 1 and the floor are scaled by 2^-e, as `is_unital` scales them
+    and as a failure says ("scale_exponent")."""
     _check_side(side)
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the channel codomain")
-    p = omega.support
-    img = apply(f, alg.unit(f.domain))
-    lhs = alg.mul(img, p) if side == "right" else alg.mul(p, img)
-    if alg.elem_equal(lhs, p, tol):
+    e = f._exponent
+    c = 2.0 ** -e
+    img = f.matrix @ (alg._unit_coords(f.domain) * c)
+    one = alg._unit_coords(f.codomain) * c
+    if not alg.failing_entries(f.codomain, img[None], one[None], tol, alg.vec(omega.support),
+                               side, c)[0]:
         return _report(f"ae-unital-{side}", True, tol.eq)
     return _report(
         f"ae-unital-{side}", False, tol.eq,
-        witness={"input": alg.unit(f.domain), "image_of_unit": img},
+        witness={"input": alg.unit(f.domain), "image_of_unit": alg.unvec(f.codomain, img),
+                 **({"scale_exponent": -e} if e else {})},
         detail="F(1) does not act as the identity on the support",
     )

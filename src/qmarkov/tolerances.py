@@ -4,7 +4,8 @@ All floating-point decisions in the library go through a single Tolerance
 record so there are no scattered magic numbers.  Every threshold is relative:
 a quantity q is "zero" at scale s when |q| <= tol * max(1, s).
 """
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,16 @@ class Tolerance:
     psd: float = 1e-9
     herm: float = 1e-10
     rank: float = 1e-10
+
+    def __post_init__(self):
+        # a NaN or infinite threshold would pass every check; a rank cutoff of 1 or more
+        # would drop the largest eigenvalue itself
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"tolerance {f.name} must be finite and positive, got {v!r}")
+        if not self.rank < 1:
+            raise ValueError(f"tolerance rank must be below 1, got {self.rank!r}")
 
     @staticmethod
     def scale(norm: float) -> float:

@@ -21,7 +21,9 @@ masked map of the `state-ae` suite, which the library builds from its
 constructors, apply a callback to every matrix unit; the props suites draw
 and decide one trial at a time, build the star-preserving part of a map by
 `channel_from_action`, each random CPU map and unitary from a QR of its own
-and normalize weights by a Fraction sum.  The
+and normalize weights by a Fraction sum, and the `bayes` suite takes every
+state value of a law with `State.expect`, one matrix unit or one random
+element at a time, and builds its shifted candidate by `channel_from_action`.  The
 differential tests run both and require the same verdicts, witnesses and matrices.
 """
 from __future__ import annotations
@@ -1427,3 +1429,104 @@ def random_rational_kernel(rng: np.random.Generator, ny: int, nx: int,
     """An exact kernel of Fraction-sum weight columns, validated entry by entry."""
     cols = [rational_weights(rng, ny, zero_row) for _ in range(nx)]
     return classical_stochastic([[cols[x][y] for x in range(nx)] for y in range(ny)])
+
+
+# ---------------------------------------------------------------------------
+# the bayes suite: one matrix unit, one random element and one trial per step
+# ---------------------------------------------------------------------------
+
+def bayes_laws(rng: np.random.Generator, trials: int) -> tuple[bool, bool, bool, bool]:
+    """(state preservation, a.e. uniqueness, disintegration, relative conditional
+    expectation) of the `bayes` suite: xi(G(E)) = omega(E) one matrix unit E at a time,
+    and the four state values of each of four random b, one b at a time."""
+    tol, kinds = DEFAULT_TOL, ("unitary", "padded-block", "classical")
+    preserve_ok, unique_ok, disint_ok, relexp_ok = True, True, True, True
+    for i in range(trials):
+        f, omega, g = props.disintegration_instance(kinds[i % 3], rng, max_dim=4)
+        prob = bayes.bayes_problem(f, omega)
+        xi = prob.pullback
+        result = bayes.bayes_candidate(prob)
+        if not result.bayes_ok:
+            preserve_ok = False
+            continue
+        for e in alg.matrix_units(f.codomain):
+            lhs, rhs = xi.expect(apply(result.candidate, e)), omega.expect(e)
+            preserve_ok = preserve_ok and abs(lhs - rhs) <= tol.eq * tol.scale(abs(rhs))
+        other = bayes.bayes_candidate(prob, completion=omega)
+        unique_ok = unique_ok and state.ae_equal(result.candidate, other.candidate, xi,
+                                                 "left").passed
+        if state.ae_deterministic(f, omega, "right").passed:
+            section = (bayes.verify_disintegration(f, omega, result.candidate)
+                       if result.bayes_right.passed else
+                       state.ae_equal(compose(result.candidate, f), identity_channel(f.domain),
+                                      xi, "left"))
+            disint_ok = disint_ok and section.passed
+        for _ in range(4):
+            b = alg.random_element(f.domain, rng)
+            bb = alg.mul(alg.adjoint(b), b)
+            gfb = apply(g, apply(f, b))
+            vals = (
+                xi.expect(bb),
+                xi.expect(alg.mul(alg.adjoint(gfb), gfb)),
+                xi.expect(apply(g, alg.mul(alg.adjoint(apply(f, b)), apply(f, b)))),
+                xi.expect(apply(g, apply(f, bb))),
+            )
+            relexp_ok = relexp_ok and (
+                max(abs(v - vals[0]) for v in vals) <= tol.eq * tol.scale(abs(vals[0])))
+    return preserve_ok, unique_ok, disint_ok, relexp_ok
+
+
+def one_sided(rng: np.random.Generator, rounds: int) -> bool:
+    """The one-sided check of the `bayes` suite, its shifted candidate b |-> G(b) +
+    (1 - P) X(b) P built by `channel_from_action`, and unitality read off F(1)."""
+    ok, saw_deficient = True, False
+    for i in range(rounds):
+        f, omega, _ = props.disintegration_instance("unitary", rng, max_dim=4)
+        if i == rounds - 1 and not saw_deficient:
+            omega = props._drop_smallest_eigenvalue(omega)
+        prob = bayes.bayes_problem(f, omega)
+        xi = prob.pullback
+        p_xi = xi.support
+        comp = alg.unit(xi.shape) - p_xi
+        if alg.norm(comp) <= 0.5:
+            continue
+        saw_deficient = True
+        base = bayes.bayes_candidate(prob).candidate
+        bump = props._random_star_preserving(f.codomain, f.domain, rng)
+
+        def shifted(a, base=base, bump=bump, comp=comp, p=p_xi):
+            return apply(base, a) + alg.mul(alg.mul(comp, apply(bump, a)), p)
+
+        other = channel_from_action(f.codomain, f.domain, shifted)
+        ok = ok and bayes.verify_bayes(f, omega, xi, other, "left").passed
+        ok = ok and state.ae_equal(base, other, xi, "left").passed
+        ok = ok and not state.ae_equal(base, other, xi, "right").passed
+        bare_chan = bayes._candidate(prob, np.zeros(f.codomain.coord_dim))
+        ok = ok and bayes.verify_bayes(f, omega, xi, bare_chan, "left").passed
+        ok = ok and state.ae_unital(bare_chan, xi, "left").passed
+        ok = ok and not alg.elem_equal(apply(bare_chan, alg.unit(f.codomain)),
+                                       alg.unit(f.domain))
+    return ok and saw_deficient
+
+
+def schwarz_gaps(rng: np.random.Generator, trials: int) -> bool:
+    """The Schwarz-gap check of the `bayes` suite, one trial, and one random d, at a
+    time: |xi(G(a* a) - G(a)* G(a))| and |xi(G(a* d) - G(a)* G(d))| against
+    tol.eq max(1, ||a||^2) and tol.eq max(1, ||a|| ||d||)."""
+    tol, ok = DEFAULT_TOL, True
+    for _ in range(trials):
+        g_pad = corpus.padded_inclusion(2, 3)
+        sigma = alg.random_density(AlgebraShape((2,)), rng).blocks[0]
+        rho = np.zeros((3, 3), dtype=complex)
+        rho[:2, :2] = sigma
+        xi = state_from_density(AlgElement(AlgebraShape((3,)), (rho,)))
+        a = alg.random_element(AlgebraShape((2,)), rng)
+        hyp = abs(xi.expect(apply(g_pad, alg.mul(alg.adjoint(a), a))
+                            - alg.mul(alg.adjoint(apply(g_pad, a)), apply(g_pad, a))))
+        ok = ok and hyp <= tol.eq * tol.scale(alg.norm(a) ** 2)
+        for _ in range(4):
+            d = alg.random_element(AlgebraShape((2,)), rng)
+            gap = abs(xi.expect(apply(g_pad, alg.mul(alg.adjoint(a), d))
+                                - alg.mul(alg.adjoint(apply(g_pad, a)), apply(g_pad, d))))
+            ok = ok and gap <= tol.eq * tol.scale(alg.norm(a) * alg.norm(d))
+    return ok

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmarkov import algebra as alg
-from qmarkov import corpus
+from qmarkov import corpus, linalg
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import Channel, apply, is_unital, mult_map
 from qmarkov.errors import NotSelfAdjoint, ShapeMismatch
@@ -359,3 +359,31 @@ def test_batched_coords_equal_raises_on_a_non_finite_row(bad):
         alg._coords_equal(s, u, v, DEFAULT_TOL)
     with pytest.raises(ValueError):
         alg._coords_equal(s, v, u, DEFAULT_TOL)
+
+
+M2 = AlgebraShape((2,))
+
+
+def test_norms_of_entries_whose_modulus_overflows():
+    # |1.5e308 (1 + i)| overflows and its parts do not: the norms scale by the exponent
+    # of the largest part, with no recursion and no warning, and are inf above the
+    # float max; an infinite deviation fails the rule
+    z = np.array([[1.5e308 + 1.5e308j, 0], [0, 0]])
+    assert alg.norm(alg.unvec(M2, z.reshape(-1))) == np.inf
+    assert linalg.op_norm(z) == np.inf
+    assert alg._upper([z.reshape(1, 1, 2, 2)]) == np.inf
+    half = np.array([[0.6e308 + 0.6e308j, 0], [0, 1.0]])
+    assert linalg.op_norm(half) == pytest.approx(np.hypot(0.6e308, 0.6e308), rel=1e-15)
+    assert alg._op_norm([np.array([[[1.5e308 + 1.5e308j]]])]) == np.inf   # a 1 x 1 block
+    for dev in (np.inf, np.nan):
+        assert alg.failing_entries(alg._SCALARS, np.array([[dev]]), np.zeros((1, 1)),
+                                   DEFAULT_TOL).tolist() == [True]
+    assert alg.scale_exponent(z, 500) == np.frexp(1.5e308)[1] - 500
+
+
+def test_positivity_of_an_element_near_the_float_max():
+    # x -+ x* of 1e308 i E_11 overflowed, and the element passed as positive
+    with pytest.raises(NotSelfAdjoint):
+        alg.is_positive_elem(alg.unvec(M2, [1e308j, 0, 0, 0]))
+    assert alg.is_positive_elem(alg.unvec(M2, [1.7e308, 0, 0, 1e308]))
+    assert not alg.is_positive_elem(alg.unvec(M2, [1.7e308, 0, 0, -1e308]))

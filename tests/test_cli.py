@@ -522,3 +522,51 @@ def test_a_closed_stdout_leaves_no_traceback(args):
         os.close(write)
     _, err = proc.communicate(timeout=120)
     assert err == b"" and proc.returncode == 0
+
+
+@pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
+                                    ["--tol=-1e-9"], ["--rank-tol", "1"],
+                                    ["--rank-tol", "nan"]])
+def test_an_out_of_range_tolerance_is_a_usage_error(files, capsys, option):
+    # a NaN or infinite threshold passed every check of the transpose; Tolerance
+    # refuses it, and the command reaches no verdict
+    code = main(["check", files["transpose2.json"]] + option)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: tolerance ")
+
+
+def test_tolerance_refuses_fields_out_of_range():
+    from qmarkov.tolerances import Tolerance
+    for field in ("eq", "psd", "herm", "rank"):
+        for bad in (float("nan"), float("inf"), 0.0, -1e-9):
+            with pytest.raises(ValueError, match=field):
+                Tolerance(**{field: bad})
+    with pytest.raises(ValueError, match="rank"):
+        Tolerance(rank=1.0)
+    assert Tolerance(herm=10.0, psd=0.5).herm == 10.0
+
+
+def test_channels_near_the_float_max_end_in_a_verdict_or_an_error(tmp_path, capsys):
+    # the M_2 map with entries 0.65e308 (+-1 - i) and the all-ones 1.7e308 map of M_3:
+    # their pullbacks are decided scaled, and refused for the reason the unscaled one has
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1] = m[3, 1] = 0.65e308 - 0.65e308j
+    m[0, 2] = m[3, 2] = -0.65e308 - 0.65e308j
+    cases = {}
+    for n, mat in ((2, m), (3, 1.7e308 * np.ones((9, 9)))):
+        s = AlgebraShape((n,))
+        chan, st = tmp_path / f"chan{n}.json", tmp_path / f"state{n}.json"
+        chan.write_text(json.dumps(ser.channel_to_json(Channel(s, s, mat))))
+        rho = AlgElement(s, (np.eye(n, dtype=complex) / n,))
+        st.write_text(json.dumps(ser.state_to_json(state_from_density(rho))))
+        cases[n] = ["--channel", str(chan), "--state", str(st)]
+    for n, reason in ((2, "anti-self-adjoint part"), (3, "trace")):
+        for argv in (["bayes"], ["petz"], ["disint", "verify", "--candidate", cases[n][1]]):
+            assert main(argv + cases[n]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: PullbackNotPSD: ") and reason in err, err
+    # a.e. unitality on the scaled operands: F(1) 2^-e against 1 2^-e under the support
+    assert main(["check", cases[3][1], "--props", "ae-unital", "--state", cases[3][3],
+                 "--format", "json"]) == 1
+    (rep,) = json.loads(capsys.readouterr().out)["checks"]
+    assert rep["verdict"] == "fail" and rep["witness"]["scale_exponent"] < 0

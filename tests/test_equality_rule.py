@@ -177,3 +177,18 @@ def test_every_caller_decides_the_equality_rule_at_the_threshold_as_its_oracle(
         assert _key(got) == _key(oracle()), c
         outcomes.append(_key(got))
     assert outcomes[0] != outcomes[1]   # a pass below the bound, a failure above it
+
+
+@pytest.mark.parametrize("proj", [None, alg.vec(HALF.support)])
+def test_the_rule_fails_a_nan_deviation(proj):
+    # not (dev <= bound) holds for a NaN deviation, in a batch of one and in a batch,
+    # with and without a support; the finite entries keep their verdicts
+    s = C1 if proj is None else M3
+    x = np.zeros((3, s.coord_dim), dtype=complex)
+    x[0, 0], x[2, 0] = np.nan, 1.0
+    tol = Tolerance()
+    lhs = x if proj is None else x[:, None]
+    got = alg.failing_entries(s, lhs, np.zeros(s.coord_dim), tol, proj).reshape(-1)
+    assert got.tolist() == [True, False, True]
+    one = alg.failing_entries(s, lhs[:1], np.zeros(s.coord_dim), tol, proj)
+    assert one.reshape(-1).tolist() == [True]

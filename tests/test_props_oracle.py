@@ -2,17 +2,21 @@
 
 The `algebra`, `channel`, `state-ae` and `finstoch` suites draw every trial's
 inputs in turn and decide each invariant once, on the coordinates or channel
-matrices of all trials stacked; `loop_reference.py` keeps the loops that draw
-and decide one trial at a time, the star-preserving map built by
+matrices of all trials stacked, and the `bayes` suite decides each law of a
+trial in one product over all units and draws, and its Schwarz gaps on all
+trials stacked; `loop_reference.py` keeps the loops that draw and decide one
+trial, unit or draw at a time, the star-preserving and shifted maps built by
 `channel_from_action`, the random CPU maps, unitaries and compressions built
 one per trial, and the exact kernels and priors of weights normalized by a
 Fraction sum and validated entry by entry.  Each suite must leave its
 generator in the same state and report the same checks with either, the
 maps, densities and projections must be bitwise equal (the compressions' up
 maps, summed in another order, excepted) and the kernels equal, and the
-verdicts must agree under a broken `_mul_coords` too.  The `state-ae` a.e. trials must give every trial
-the verdicts of the per-call `ae_equal` and `ae_deterministic`, also under a
-broken support or a broken entry rule on some of the trials.
+verdicts must agree under a broken `_mul_coords` too.  The `state-ae` a.e.
+trials must give every trial the verdicts of the per-call `ae_equal` and
+`ae_deterministic`, also under a broken support or a broken entry rule on
+some of the trials, and the `bayes` laws must agree with their loops under a
+fault on some trials.
 """
 from fractions import Fraction
 
@@ -23,7 +27,7 @@ import loop_reference as ref
 from qmarkov import corpus, props, state
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
-from qmarkov.channel import ad_channel, conjugation_by
+from qmarkov.channel import Channel, ad_channel, conjugation_by
 from qmarkov.state import state_from_density
 
 SEEDS = range(10)
@@ -46,6 +50,9 @@ _LOOPS = {
     "_random_star_preserving": ref.random_star_preserving,
     "_random_rational_prob": ref.random_rational_prob,
     "_random_rational_kernel": ref.random_rational_kernel,
+    "_bayes_laws": ref.bayes_laws,
+    "_one_sided": ref.one_sided,
+    "_schwarz_gaps": ref.schwarz_gaps,
 }
 
 
@@ -83,7 +90,7 @@ def _run(monkeypatch, suite, seed, trials, loops, verdicts=None, parts=tuple(_LO
     return report.to_dict(), next(iter(states.values()), None)
 
 
-@pytest.mark.parametrize("suite", ["algebra", "channel", "state-ae", "finstoch"])
+@pytest.mark.parametrize("suite", ["algebra", "channel", "state-ae", "bayes", "finstoch"])
 @pytest.mark.parametrize("trials", TRIALS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_suites_match_the_trial_loops(monkeypatch, suite, seed, trials):
@@ -278,3 +285,45 @@ def test_rational_weights_match_the_fraction_sums(seed, zero_last):
             assert new.entries.tolist() == old.entries.tolist()
             assert {type(v) for v in new.entries.flat} == {Fraction}
     assert got.bit_generator.state == want.bit_generator.state
+
+
+def _bends_some_inverses(real):
+    # G times 1 + 1e-3 on the instances whose prior has a (0, 0) density entry above 0.4:
+    # the relative conditional expectation then fails on some trials and holds on others
+    def instance(kind, rng, max_dim=6):
+        f, omega, g = real(kind, rng, max_dim)
+        if alg.vec(omega.density)[0].real > 0.4:
+            g = Channel(g.domain, g.codomain, 1.001 * g.matrix)
+        return f, omega, g
+
+    return instance
+
+
+def _breaks_some_corner_products(real):
+    # products on M_3 whose left factor has a (0, 0) entry above 1.5 in modulus gain 1e-3
+    # times that factor: G(a)* G(x) for the padded inclusion G with |a_00| > 1.5, so the
+    # Schwarz gaps of those trials fail; the densities, on M_2, keep their draws
+    def mul(s, u, v):
+        out = real(s, u, v)
+        return out + 0.001 * u * (np.abs(u[..., :1]) > 1.5) if s.coord_dim == 9 else out
+
+    return mul
+
+
+@pytest.mark.parametrize("part, owner, attr, fault", [
+    ("_bayes_laws", props, "disintegration_instance", _bends_some_inverses),
+    ("_one_sided", state, "_decompose", _drops_some_supports),
+    ("_schwarz_gaps", alg, "_mul_coords", _breaks_some_corner_products)])
+def test_bayes_laws_agree_under_a_fault_on_some_trials(monkeypatch, part, owner, attr, fault):
+    # the stacked laws of the bayes suite against its loops over units, draws and trials,
+    # with a fault that hits some trials and misses others
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+    seen = set()
+    for seed in range(12):
+        for trials in (2, 3, 6):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            verdict = getattr(props, part)(got, trials)
+            assert verdict == getattr(ref, part[1:])(want, trials)
+            assert got.bit_generator.state == want.bit_generator.state
+            seen.add(verdict)
+    assert len(seen) > 1   # the fault flips the verdict of some runs

@@ -519,13 +519,15 @@ def test_only_the_rule_compares_against_the_psd_and_herm_tolerances():
     assert places == _TOLERANCE_PLACES
 
 
-# the equality rule is `algebra.failing_entries`; two places compare against tol.eq on
-# their own: the Gram certificate's cap in `_grid.multiplicative_failure` (a bound on
-# every entry of a pair grid, below which the grid need not run) and `bayes._bayes_report`,
-# whose entrywise bound also finds the worst pair the report names
+# the equality rule is `algebra.failing_entries`, in every module; three places compare
+# against tol.eq on their own: the Gram certificate's cap in `_grid.multiplicative_failure`
+# (a bound on every entry of a pair grid, below which the grid need not run),
+# `bayes._bayes_report`, whose entrywise bound also finds the worst pair the report names,
+# and `props._compressed`, whose weight test decides which trials draw an element: it sets
+# the draws of a suite, not a verdict
 _EQ_PLACES = {("algebra", "failing_entries"), ("_grid", "multiplicative_failure"),
-              ("bayes", "_bayes_report")}
-_EQ_MODULES = {"algebra", "_grid", "channel", "state", "bayes", "finstoch", "linalg"}
+              ("bayes", "_bayes_report"), ("props", "_compressed")}
+_EQ_MODULES = {path.stem for path in _sources()}
 
 
 def test_only_the_rule_compares_against_the_eq_tolerance():

@@ -15,12 +15,15 @@ bit: the pullback's coordinates, eigenvalues, eigenvectors, keep masks and
 support, and the disintegration's verdict, witness and detail; a refused row
 raises the error and message of its own call.
 """
+import json
+
 import numpy as np
 import pytest
 
 import loop_reference as ref
 from qmarkov import algebra as alg
-from qmarkov import bayes, props, state
+from qmarkov import bayes, cli, props, state
+from qmarkov import serialize as ser
 from qmarkov import finstoch as fs
 from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import (Channel, apply, channel_from_action, compose, conjugation_by,
@@ -461,6 +464,35 @@ def test_modularity_chain_pulls_back_once(monkeypatch):
         calls.clear()
         assert bayes.verify_disintegration(f, omega, g).passed
         assert len(calls) == 1, kind
+
+
+@pytest.mark.parametrize("mode", ["verify", "construct"])
+def test_each_disint_mode_pulls_back_once(monkeypatch, tmp_path, mode):
+    # the CLI builds one problem: verify reuses its pullback and report in the modularity
+    # chain, and construct verifies the candidate on the problem it was built from
+    calls = {"pullback_state": 0, "_disintegrations": 0}
+
+    def counting(name):
+        original = getattr(bayes, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(bayes, name, counting(name))
+    f, omega, g = props.disintegration_instance("classical", np.random.default_rng(409))
+    paths = {}
+    for key, obj in (("channel", ser.channel_to_json(f)), ("state", ser.state_to_json(omega)),
+                     ("candidate", ser.channel_to_json(g))):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(obj))
+    argv = ["disint", mode, "--channel", str(paths["channel"]), "--state", str(paths["state"])]
+    if mode == "verify":
+        argv += ["--candidate", str(paths["candidate"])]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    assert calls == {"pullback_state": 1, "_disintegrations": 1}
 
 
 def test_unit_is_a_fresh_writable_element():
