@@ -237,20 +237,6 @@ def star_failure(f, tol: Tolerance) -> int | None:
     return None
 
 
-def times_unit(s: AlgebraShape, x: np.ndarray, b: np.ndarray, left: bool = False) -> np.ndarray:
-    """Coordinates of X E_b (or E_b X when left) for the columns X of x.
-
-    x holds coordinates on s, one column per entry of b, with any leading batch
-    axes: (..., coord_dim, len(b)).  Each term x_a E_a lands on the single unit
-    E_a E_b, so the product is a scatter of x.
-    """
-    prod = product_index(s)
-    target = prod[b, :].T if left else prod[:, b]
-    out = np.zeros(x.shape[:-2] + (s.coord_dim + 1, len(b)), dtype=complex)
-    out[..., target, np.arange(len(b))] = x
-    return out[..., :-1, :]
-
-
 def unit(s: AlgebraShape, index: int) -> AlgElement:
     """The matrix unit with the given canonical index."""
     return alg._adopt(s, np.eye(1, s.coord_dim, index, dtype=complex)[0])

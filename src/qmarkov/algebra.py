@@ -512,20 +512,22 @@ def _gram(s: AlgebraShape, x: np.ndarray) -> np.ndarray:
 
 
 def _mul_columns(s: AlgebraShape, a: np.ndarray, m: np.ndarray, left: bool) -> np.ndarray:
-    """a X (left) or X a for every column X of m (coord_dim, N): a F(E_j) or F(E_j) a in
-    column j of a channel matrix.  One call per block size k x (r, r): a @ M (k, r, r N) on
-    the left, a^T @ M[i] per row i of M (k, r, r, N) on the right, a broadcast multiply for
-    r = 1.  BLAS sums in its own order: the last bits may differ from `_mul_coords`."""
-    n, groups = m.shape[1], s._layout.groups
-    out = None if len(groups) == 1 else np.empty(m.shape, dtype=complex)
+    """a X (left) or X a for every column X of m (..., coord_dim, N): a F(E_j) or F(E_j) a
+    in column j of a channel matrix; leading axes of a (..., coord_dim) broadcast against
+    m's.  One call per block size k x (r, r): a @ M (k, r, r N) on the left, a^T @ M[i] per
+    row i of M (k, r, r, N) on the right, a broadcast multiply for r = 1, which leading axes
+    only repeat, bit for bit.  BLAS sums in its own order: not the bits of `_mul_coords`."""
+    (d, n), groups = m.shape[-2:], s._layout.groups
+    lead = m.shape[:-2] if a.ndim == 1 else np.broadcast_shapes(a.shape[:-1], m.shape[:-2])
+    out = None if len(groups) == 1 else np.empty(lead + (d, n), dtype=complex)
     for g, x in zip(groups, _stacks(s, a)):
         k, r, _ = g.tail
-        c = m[g.at].reshape(k, r, r * n)
+        c = m[..., g.at, :].reshape(m.shape[:-2] + (k, r, r * n))
         y = (x * c if r == 1 else x @ c if left
-             else np.matmul(x.swapaxes(1, 2)[:, None], c.reshape(k, r, r, n)))
+             else np.matmul(x.swapaxes(-1, -2)[..., None, :, :], c.reshape(c.shape[:-1] + (r, n))))
         if out is None:
-            return y.reshape(m.shape)
-        out[g.at] = y.reshape(-1, n)
+            return y.reshape(lead + (d, n))
+        out[..., g.at, :] = y.reshape(lead + (-1, n))
     return out
 
 

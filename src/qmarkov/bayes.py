@@ -230,18 +230,14 @@ def petz_exists(prob: BayesProblem, tol: Tolerance = DEFAULT_TOL) -> PropertyRep
     f, omega, xi = prob.channel, prob.prior, prob.pullback
     if not alg.elem_equal(xi.support, alg.unit(xi.shape), tol):
         raise SupportNotFull("pullback state does not have full support")
-    rho = alg._element_stacks(omega.density)
-    sigma = alg.vec(xi.density)[:, None]
-
-    def operands(_, r0, r1):   # one trial
-        units = np.arange(r0, r1)
-        right = f.matrix @ _grid.times_unit(f.domain, sigma, units)
-        left = f.matrix @ _grid.times_unit(f.domain, sigma, units, left=True)
-        right, left = (alg._stacks(f.codomain, m.swapaxes(-1, -2)) for m in (right, left))
-        return (alg._join(f.codomain, [x @ r for x, r in zip(right, rho)])[None],
-                alg._join(f.codomain, [r @ x for x, r in zip(left, rho)])[None])
-
-    bad, = _grid.first_failure(f.codomain, f.domain.coord_dim, 1, operands, tol)
+    dom, cod, rho = f.domain, f.codomain, alg.vec(omega.density)
+    sigma_t = alg.vec(xi.density)[alg.adjoint_index(dom)]
+    # row r of F read as an element R_r of the domain: F(sigma E_b)_r = (sigma^T R_r)_b
+    # and F(E_b sigma)_r = (R_r sigma^T)_b, so each side is one product per row of F
+    lhs = alg._mul_columns(cod, rho, alg._mul_coords(dom, sigma_t, f.matrix), False).T
+    rhs = alg._mul_columns(cod, rho, alg._mul_coords(dom, f.matrix, sigma_t), True).T
+    bad, = _grid.first_failure(cod, dom.coord_dim, 1,
+                               lambda _, r0, r1: (lhs[None, r0:r1], rhs[None, r0:r1]), tol)
     if bad is not None:
         return _report(
             "petz-exists", False, tol.eq, witness={"input": _grid.unit(f.domain, bad)},

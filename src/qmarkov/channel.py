@@ -601,13 +601,14 @@ def _s_positivity_failures(shapes: tuple, fm: np.ndarray, gm: np.ndarray,
     def grid(e: np.ndarray, k: np.ndarray) -> list[int | None]:
         scaled, c = e.any() or k.any(), np.ldexp(1.0, -e)[:, None, None]
         f, g = (fm * c, gm * np.ldexp(1.0, -k)[:, None, None]) if scaled else (fm, gm)
-        img = alg._stacks(cod, f.swapaxes(-1, -2))
+        f_t = np.ascontiguousarray(f.swapaxes(-1, -2))   # rows F(E_b), columns the rows R_r of F
+        img = alg._stacks(cod, f_t)
         outer = alg._stacks(cod, (f @ g).swapaxes(-1, -2))
+        g_t = g.swapaxes(-1, -2)[..., alg.adjoint_index(mid)]   # G(E_c)^T, one row per c
 
-        def operands(on, r0, r1):
-            rows = np.repeat(live(g, on)[:, :, r0:r1], d, axis=-1)
-            inner = _grid.times_unit(mid, rows, np.tile(np.arange(d), r1 - r0))  # G(E_c) E_b
-            lhs = (live(f, on) @ inner).swapaxes(-1, -2)
+        def operands(on, r0, r1):   # F(G(E_c) E_b)_r = (G(E_c)^T R_r)_b
+            lhs = alg._mul_columns(mid, live(g_t, on)[:, r0:r1], live(f_t, on)[:, None], True)
+            lhs = lhs.reshape(len(on), -1, cod.coord_dim)
             return (lhs * live(c, on) if scaled else lhs,
                     alg._join(cod, [_grid.products(live(x, on)[:, r0:r1], live(y, on))
                                     for x, y in zip(outer, img)]))

@@ -60,14 +60,9 @@ _STATE_CHECKS = {"ae-det": ae_deterministic, "ae-unital": ae_unital}
 def _tolerance(args) -> Tolerance:
     """The default tolerance with --tol and --rank-tol; Tolerance refuses a value that
     is not finite and positive (ValueError, exit 2)."""
-    tol = DEFAULT_TOL
-    eq = getattr(args, "tol", None)
-    rank = getattr(args, "rank_tol", None)
-    if eq is not None:
-        tol = dataclasses.replace(tol, eq=eq, psd=eq, herm=eq)
-    if rank is not None:
-        tol = dataclasses.replace(tol, rank=rank)
-    return tol
+    eq, rank = getattr(args, "tol", None), getattr(args, "rank_tol", None)
+    tol = DEFAULT_TOL if eq is None else dataclasses.replace(DEFAULT_TOL, eq=eq, psd=eq, herm=eq)
+    return tol if rank is None else dataclasses.replace(tol, rank=rank)
 
 
 def _seed(args) -> int:
@@ -147,12 +142,9 @@ def cmd_check(args) -> int:
     for name in wanted:
         if name not in known:
             raise ValueError(f"unknown property {name!r}; known: {sorted(known)}")
-    state = None
-    if any(name in _STATE_CHECKS for name in wanted):
-        if not args.state:
-            raise ValueError("ae-det / ae-unital require --state")
-    if args.state:
-        state = ser.state_from_json(_load_json(args.state), tol)
+    if not args.state and any(name in _STATE_CHECKS for name in wanted):
+        raise ValueError("ae-det / ae-unital require --state")
+    state = ser.state_from_json(_load_json(args.state), tol) if args.state else None
     reports = []
     for name in wanted:
         if name in _CHECKS:
@@ -375,10 +367,30 @@ _HANDLERS = {
 }
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_tolerances(argv: list[str]) -> list[str]:
+    """argv with `--tol X` and `--rank-tol X` before any `--` written `--tol=X` where X
+    parses as a float: argparse reads a value such as -1e-9 as an option, not as X."""
+    out = []
+    for a in argv:
+        if out and out[-1] in ("--tol", "--rank-tol") and "--" not in out and _is_number(a):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_tolerances(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -535,6 +535,23 @@ def test_an_out_of_range_tolerance_is_a_usage_error(files, capsys, option):
     assert capsys.readouterr().err.startswith("error: tolerance ")
 
 
+@pytest.mark.parametrize("option", [["--tol", "-1e-9"], ["--tol=-1e-9"],
+                                    ["--rank-tol", "-0.5"], ["--rank-tol=-0.5"],
+                                    ["--rank-tol", "-1e-9"]])
+def test_a_negative_tolerance_reaches_tolerance_in_either_form(files, capsys, option):
+    # argparse reads "-1e-9" as an option, not as the value of --tol: main joins a
+    # space-separated number to its option, so Tolerance gives the error
+    assert main(["check", files["transpose2.json"]] + option) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance ") and "must be finite and positive" in err
+
+
+def test_only_tolerance_values_before_the_option_terminator_are_joined():
+    assert cli._joined_tolerances(["check", "--tol", "-1e-9", "--rank-tol", "x", "--",
+                                   "--tol", "-1"]) == [
+        "check", "--tol=-1e-9", "--rank-tol", "x", "--", "--tol", "-1"]
+
+
 def test_tolerance_refuses_fields_out_of_range():
     from qmarkov.tolerances import Tolerance
     for field in ("eq", "psd", "herm", "rank"):

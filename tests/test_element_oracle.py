@@ -205,6 +205,22 @@ def test_column_products_are_the_blockwise_products_of_every_column(s, n):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), left
 
 
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("s", [AlgebraShape((3,)), AlgebraShape((2, 1, 2)),
+                               AlgebraShape((1, 1, 1))], ids=_name)
+def test_column_products_over_leading_axes_are_the_stacked_2d_products(s, left):
+    # leading axes only repeat the calls of one product, so every product keeps its bits;
+    # the group rows of (2, 1, 2) are an index array, and (1, 1, 1) takes the multiply
+    rng = np.random.default_rng(len(s.blocks))
+    a = alg._random_coords(s, rng, (2, 3))
+    m = alg._random_coords(s, rng, (2, 1, 5)).swapaxes(-1, -2).copy()   # (2, 1, coord_dim, 5)
+    want = [[alg._mul_columns(s, a[t, i], m[t, 0], left) for i in range(3)] for t in range(2)]
+    assert np.array_equal(alg._mul_columns(s, a, m, left), np.array(want))
+    # one element against a stack of matrices
+    want = [alg._mul_columns(s, a[0, 0], m[t, 0], left) for t in range(2)]
+    assert np.array_equal(alg._mul_columns(s, a[0, 0], m[:, 0], left), np.array(want))
+
+
 @pytest.mark.parametrize("s", CONTIGUOUS + INTERLEAVED, ids=_name)
 def test_stacks_of_an_element_cannot_change_it(s):
     a = alg.random_element(s, np.random.default_rng(5))

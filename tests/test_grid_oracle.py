@@ -18,6 +18,7 @@ from qmarkov.channel import (
     Channel,
     apply,
     channel_from_action,
+    conjugation_by,
     is_deterministic,
     is_star_preserving,
     mult_map,
@@ -191,6 +192,63 @@ def test_corpus_channels_agree_with_loops():
     found, compared = _mismatches(cases)
     assert found == [], found
     assert compared > 100
+
+
+def _interleaved_cases():
+    """Instances through the interleaved algebra (2, 1, 2), whose blocks of size 2 are
+    no one range of coordinates: an embedding into M_5 and the compression that undoes
+    it, a mixture of two conjugations, that mixture on the last block only, and a map
+    that doubles the last unit; the first two also perturbed around the equality
+    threshold."""
+    rng = np.random.default_rng(212)
+    s, m5 = AlgebraShape((2, 1, 2)), AlgebraShape((5,))
+    w = props.random_unitary(5, rng)
+    embed = channel_from_action(
+        s, m5, lambda b: AlgElement(m5, (w @ alg.block_embed(b) @ w.conj().T,)))
+
+    def cut(x):
+        y = w.conj().T @ x.blocks[0] @ w
+        return AlgElement(s, (y[:2, :2], y[2:3, 2:3], y[3:, 3:]))
+
+    compress = channel_from_action(m5, s, cut)
+    ad = [conjugation_by(AlgElement(s, [props.random_unitary(n, rng) for n in s.blocks]))
+          for _ in range(2)]
+    mixed = Channel(s, s, 0.5 * (ad[0].matrix + ad[1].matrix))
+    part = np.eye(9, dtype=complex)
+    part[5:, 5:] = mixed.matrix[5:, 5:]
+    part = Channel(s, s, part)
+    doubled = Channel(s, s, np.diag([1.0] * 8 + [2.0]))
+    pairs = [("embed", embed, compress), ("compress", compress, embed), ("mixed", mixed, doubled),
+             ("part", part, ad[0]), ("ad", ad[1], part), ("doubled", doubled, mixed)]
+    cases = []
+    for label, f, g in pairs:
+        omega = props.random_rank_deficient_state(f.codomain, rng, full=True)
+        cases.append((label, f, omega, g, None))
+        if label in ("embed", "compress"):
+            for eps in NOISE:
+                cases.append((f"{label}-{eps:g}", _perturbed(f, eps, rng, star=True), omega,
+                              _perturbed(g, eps, rng, star=True), f))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [_grid._CHUNK, 16])
+def test_interleaved_algebras_agree_with_loops(monkeypatch, chunk):
+    # with 16 entries per chunk every row of a grid is its own chunk, so the left side
+    # of the S-positivity grid and the Petz products are read over many chunks
+    monkeypatch.setattr(_grid, "_CHUNK", chunk)
+    cases = _interleaved_cases()
+    found, compared = _mismatches(cases)
+    assert found == [], found
+    assert compared > 120
+    plain = {label: (f, omega, g) for label, f, omega, g, base in cases if base is None}
+    spos = {k: s_positivity_equation(f, g).witness for k, (f, _, g) in plain.items()}
+    assert {k: w and (w["outer_index"], w["inner_index"]) for k, w in spos.items()} == {
+        "embed": None, "compress": None, "mixed": (0, 0), "part": (5, 5), "ad": None,
+        "doubled": (5, 6)}
+    petz = {k: petz_exists(bayes_problem(*plain[k][:2])).witness
+            for k in ("embed", "compress", "part")}
+    assert {k: w and _unit_index(w["input"]) for k, w in petz.items()} == {
+        "embed": 0, "compress": None, "part": 5}
 
 
 def _stacked_ae_cases():
