@@ -4,11 +4,12 @@ An exact check compares two elements of a codomain algebra for every matrix
 unit, or every ordered pair of matrix units, of a domain algebra.  The image
 of a unit is a column of the channel matrix, and a product of two units is a
 unit or zero (E_ij E_kl = delta_jk E_il), so every operand of such a check is
-an index lookup into the stacked images, a conjugate transpose, or a batched
-matrix product of them.  `first_failure` evaluates the grids of a batch of
-trials in numpy, each entry decided by the equality rule
-`algebra.failing_entries`, and returns each trial's first failing entry in
-canonical order; a per-call check is a batch of one.
+an index lookup into the images, an adjoint, or a column product: the
+products X F(E_b) of a chunk of rows X with every image F(E_b) are one
+`algebra._mul_columns` call with the channel matrix.  `first_failure`
+evaluates the grids of a batch of trials in numpy, each entry decided by the
+equality rule `algebra.failing_entries`, and returns each trial's first
+failing entry in canonical order; a per-call check is a batch of one.
 
 The pair grids of multiplicativity, F(E_a E_b) = F(E_a) F(E_b), are O(n^7)
 on M_n.  `gram_bound` bounds all their entries at once from one
@@ -39,7 +40,6 @@ from .algebra import (
     _UNIT_ROUNDOFF,
     _dagger,
     _factors,
-    _join,
     _some,
     _stacks,
     _unit_coords,
@@ -109,24 +109,6 @@ def choi_parts(dom: AlgebraShape, cod: AlgebraShape,
     return out
 
 
-def products(x: np.ndarray, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """x[r] y[c] (x[r]* y[c] with adjoint) for every r and c, r-major.
-
-    One matrix product per block: stacking the rows of every x[r] against
-    the columns of every y[c] turns the grid of block products into a
-    single (R m) x (C m) product.  x and y are (..., R, k, m, m) and
-    (..., C, k, m, m); leading axes are a batch, with one product per block
-    of each batch entry, and the result is (..., R C, k, m, m).
-    """
-    lead, (r, k, m, _), c = x.shape[:-4], x.shape[-4:], y.shape[-4]
-    b = len(lead)
-    at = tuple(range(b))
-    left = (_dagger(x) if adjoint else x).swapaxes(-4, -3).reshape(-1, r * m, m)
-    right = y.transpose(at + (b + 1, b + 2, b, b + 3)).reshape(-1, m, c * m)
-    out = (left @ right).reshape(lead + (k, r, m, c, m))
-    return out.transpose(at + (b + 1, b + 3, b, b + 2, b + 4)).reshape(lead + (r * c, k, m, m))
-
-
 def multiplicative_failure(fs, tol: Tolerance, adjoint: bool = False,
                            supports: list[AlgElement] | None = None,
                            side: str = "right") -> list[int | None]:
@@ -164,14 +146,16 @@ def multiplicative_failure(fs, tol: Tolerance, adjoint: bool = False,
     def grid(e: np.ndarray) -> list[int | None]:
         scaled, c = e.any(), np.ldexp(1.0, -e)[:, None, None]
         m = padded * c if scaled else padded
-        cols = m.swapaxes(1, 2)   # the images as rows
-        img = _stacks(cod, cols)  # and as stacks
+        cols = m.swapaxes(1, 2)                          # the images as rows
+        mat = np.ascontiguousarray(m[:, None, :, :d])   # and as columns, an axis for rows
 
-        def operands(live, r0, r1):
-            xs = [_live(x, live) for x in img]
-            lhs = _live(cols, live)[:, prod[left[r0:r1]].ravel()]
+        def operands(live, r0, r1):   # F(E_a) F(E_b), or F(E_a)* F(E_b), on rows a in r0:r1
+            x = _live(cols, live)
+            rows = alg._adjoint_coords(cod, x[:, r0:r1]) if adjoint else x[:, r0:r1]
+            rhs = alg._mul_columns(cod, rows, _live(mat, live), True)
+            lhs = x[:, prod[left[r0:r1]].ravel()]
             return (lhs * _live(c, live) if scaled else lhs,
-                    _join(cod, [products(x[:, r0:r1], x[:, :d], adjoint) for x in xs]))
+                    rhs.swapaxes(-1, -2).reshape(len(live), -1, cod.coord_dim))
 
         return first_failure(cod, d, d, operands, tol, proj, side, (c * c).ravel())
 

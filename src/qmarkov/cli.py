@@ -42,7 +42,7 @@ from .channel import (
     is_star_preserving,
     is_unital,
 )
-from .errors import QmarkovError, UnknownFixture
+from .errors import PreconditionsUnmet, QmarkovError, UnknownFixture
 from .finstoch import bayes_inverse, is_ae_deterministic, push
 from .state import ae_deterministic, ae_unital
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -195,13 +195,11 @@ def cmd_disint(args) -> int:
         prob, rep = _verified(chan, omega, cand, tol)
         reports = [rep]
         payload = {"checks": [rep.to_dict()]}
-        cpu = all(
-            check(c, tol).passed
-            for c in (chan, cand)
-            for check in (is_cp, is_unital, is_star_preserving)
-        )
-        if rep.passed and cpu:
+        try:
             chain = _modularity(prob, rep, cand, tol)
+        except PreconditionsUnmet:   # a failed verification, or a map that is not CPU
+            pass
+        else:
             payload["modularity"] = chain.to_dict()
             reports.extend([chain.bayes, chain.ae_det])
         _emit(payload, args, _report_lines(reports))
@@ -375,12 +373,19 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _is_tolerance_option(a: str) -> bool:
+    """a is --tol or --rank-tol, or a prefix of one that argparse may read as it."""
+    return len(a) > 2 and ("--tol".startswith(a) or "--rank-tol".startswith(a))
+
+
 def _joined_tolerances(argv: list[str]) -> list[str]:
-    """argv with `--tol X` and `--rank-tol X` before any `--` written `--tol=X` where X
-    parses as a float: argparse reads a value such as -1e-9 as an option, not as X."""
+    """argv with `--tol X` and `--rank-tol X`, or a prefix such as `--rank X`, before any
+    `--` written `--tol=X` where X parses as a float: argparse reads a value such as
+    -1e-9 as an option, not as X.  `--x=X` is read as `--x X` is wherever argparse
+    takes X as the value, so an ambiguous prefix stays a usage error."""
     out = []
     for a in argv:
-        if out and out[-1] in ("--tol", "--rank-tol") and "--" not in out and _is_number(a):
+        if out and _is_tolerance_option(out[-1]) and "--" not in out and _is_number(a):
             out[-1] += "=" + a
         else:
             out.append(a)

@@ -128,6 +128,18 @@ def test_disint_verify_runs_modularity(files, tmp_path, capsys):
     assert "modularity" in payload and not payload["modularity"]["violations"]
 
 
+def test_disint_verify_runs_no_modularity_chain_for_a_map_that_is_not_cpu(files, capsys):
+    # the transpose of M_2 disintegrates itself under the prior but is not CP: the
+    # verification passes and the chain's preconditions are unmet
+    code = main(["disint", "verify", "--channel", files["transpose2.json"],
+                 "--state", files["state.json"],
+                 "--candidate", files["transpose2.json"], "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "modularity" not in payload
+    assert [c["verdict"] for c in payload["checks"]] == ["pass"]
+
+
 def test_disint_verify_reports_failure(files, capsys):
     # the transpose is not state-preserving as a section of the identity
     code = main(["disint", "verify", "--channel", files["identity.json"],
@@ -550,6 +562,29 @@ def test_only_tolerance_values_before_the_option_terminator_are_joined():
     assert cli._joined_tolerances(["check", "--tol", "-1e-9", "--rank-tol", "x", "--",
                                    "--tol", "-1"]) == [
         "check", "--tol=-1e-9", "--rank-tol", "x", "--", "--tol", "-1"]
+
+
+@pytest.mark.parametrize("command, option", [("check", "--rank"), ("check", "--r"),
+                                             ("check", "--to"), ("bayes", "--t")])
+def test_a_prefix_of_a_tolerance_option_reaches_tolerance(files, capsys, command, option):
+    # argparse reads an unambiguous prefix as its option (bayes has no --trials for --t
+    # to match), so the joined --rank=-1e-9 is --rank-tol=-1e-9, in process and from argv
+    argv = ([command, files["transpose2.json"]] if command == "check" else
+            [command, "--channel", files["identity.json"], "--state", files["state.json"]])
+    argv += [option, "-1e-9"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: tolerance ")
+    proc = _cli_process(argv, subprocess.PIPE)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2 and err.startswith(b"error: tolerance "), err
+
+
+def test_an_ambiguous_prefix_stays_a_usage_error(files, capsys):
+    # check has --tol and --trials: argparse refuses --t, joined or not
+    assert main(["check", files["transpose2.json"], "--t", "-1e-9"]) == 2
+    assert "ambiguous option" in capsys.readouterr().err
+    assert cli._joined_tolerances(["check", "--t", "-1e-9", "--r", "1", "--", "-1"]) == [
+        "check", "--t=-1e-9", "--r=1", "--", "-1"]
 
 
 def test_tolerance_refuses_fields_out_of_range():

@@ -59,14 +59,16 @@ def _grid_only(f, adjoint, omega, side, monkeypatch):
 def _grid_deviation(f, adjoint, omega=None, side="right") -> float:
     """The largest deviation the grid computes: max-abs entry with no support, else
     the operator norm of the product with the support, as `first_failure` measures it."""
-    d = f.domain.coord_dim
-    img = alg._stacks(f.codomain, f.matrix.T)
+    d, cod = f.domain.coord_dim, f.codomain
+    rows = f.matrix.T
     prod = alg.product_index(f.domain)
     lhs_units = prod[alg.adjoint_index(f.domain) if adjoint else np.arange(d)]
-    diff = []
-    for x in img:
-        padded = np.concatenate([x, np.zeros_like(x[:1])])   # unit d is the product 0
-        diff.append(padded[lhs_units.ravel()] - _grid.products(x, x, adjoint))
+    padded = np.concatenate([rows, np.zeros_like(rows[:1])])   # unit d is the product 0
+    # the right side as the grid forms it: one column product of the rows with the matrix
+    rhs = alg._mul_columns(cod, alg._adjoint_coords(cod, rows) if adjoint else rows,
+                           f.matrix, True)
+    diff = alg._stacks(cod, padded[lhs_units.ravel()]
+                       - rhs.swapaxes(-1, -2).reshape(-1, cod.coord_dim))
     if not adjoint:
         return float(alg._max_abs(diff).max())
     proj = alg._element_stacks(omega.support)

@@ -18,7 +18,9 @@ from qmarkov.channel import (
     Channel,
     apply,
     channel_from_action,
+    _s_positivity_failures,
     conjugation_by,
+    identity_channel,
     is_deterministic,
     is_star_preserving,
     mult_map,
@@ -377,3 +379,37 @@ def test_stacked_ae_witnesses_hold_in_mixed_batches(monkeypatch):
     assert any(len(u) > 1 and (u == 1.0).sum() == len(u) - 1 for u in units)
 
 
+def _pair_index(report, d: int) -> int | None:
+    """The row-major index of an S-positivity report's failing pair."""
+    w = report.witness
+    return None if w is None else w["outer_index"] * d + w["inner_index"]
+
+
+def test_stacked_s_positivity_witnesses_hold_in_mixed_batches(monkeypatch):
+    """One batch of pairs (F, G) on M_2 holds passes, failures in the first and in a
+    later row of the grid F(G(E_c) E_b) = F(G(E_c)) F(E_b), and a 1e200 pair whose
+    grid overflows: each trial keeps the index of its own call, and of the loop."""
+    m2 = AlgebraShape((2,))
+    ident, t = identity_channel(m2), transpose_channel(m2)
+    doubled = Channel(m2, m2, np.diag([1.0, 1.0, 1.0, 2.0]))
+    cpu = props.random_cpu_channel(2, 2, np.random.default_rng(11))
+    huge = Channel(m2, m2, 1e200 * np.eye(4))
+    pairs = [(ident, ident), (t, t), (doubled, ident), (cpu, cpu), (ident, doubled), (huge, huge)]
+    units, real = [], _grid.first_failure
+
+    def grid(*args, **kw):
+        units.append(np.atleast_1d(kw["unit"]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(_grid, "first_failure", grid)
+    for chunk in (_grid._CHUNK, 16):   # 16: one row of the grid per chunk
+        monkeypatch.setattr(_grid, "_CHUNK", chunk)
+        bad = _s_positivity_failures((m2, m2, m2), np.array([f.matrix for f, _ in pairs]),
+                                     np.array([g.matrix for _, g in pairs]), state.DEFAULT_TOL)
+        assert bad == [None, 1, 7, 0, None, 0]
+        for i, (f, g) in enumerate(pairs):
+            assert bad[i] == _pair_index(s_positivity_equation(f, g), 4), i
+            if np.abs(f.matrix).max() <= 2.0 ** 250:   # the loop's products would overflow
+                assert bad[i] == _pair_index(ref.s_positivity_equation(f, g), 4), i
+    # the overflowing batch again with the huge pair's own exponents, and 0 for the others
+    assert any(len(u) == len(pairs) and (u == 1.0).sum() == len(pairs) - 1 for u in units)
