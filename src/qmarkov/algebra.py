@@ -764,7 +764,10 @@ def _psd_verdicts(hs: Stacks, diff: Stacks, unit, tol: Tolerance, w: Stacks | No
     eigenvalues of H passes them (w, stacks (..., k, m)).
 
     The ladder: a pass that `_psd_pass` proves at lo = max(unit, max|H_ij| (1 - _SLACK)),
-    with the skew within tol.herm lo, needs no spectrum; otherwise one batched
+    with the skew within tol.herm lo, needs no spectrum.  Since ||x|| <= ||H|| +
+    ||x - x*|| / 2, a skew above tol.herm max(unit, (||H||_F + ||x - x*||_F / 2)(1 + _SLACK))
+    fails at every admissible scale; when every element fails so, the call needs
+    no spectrum either, and reports no element as not PSD.  Otherwise one batched
     eigvalsh bounds the scale by max(unit, ||H|| (1 - _SLACK)) and
     max(unit, (||H|| + ||x - x*||_F / 2)(1 + _SLACK)), and only an element whose
     verdict differs between the two pays for its exact norm, taken of
@@ -773,9 +776,14 @@ def _psd_verdicts(hs: Stacks, diff: Stacks, unit, tol: Tolerance, w: Stacks | No
     skew = _max_abs(diff)
     if w is None:
         floor = np.maximum(unit, _lower(hs))
-        if (skew <= tol.herm * floor).all() and _psd_pass(hs, floor, tol):
-            passed = np.zeros(np.shape(skew), dtype=bool)
-            return passed, passed, skew, np.inf
+        if (skew <= tol.herm * floor).all():
+            if _psd_pass(hs, floor, tol):
+                passed = np.zeros(np.shape(skew), dtype=bool)
+                return passed, passed, skew, np.inf
+        elif (skew > tol.herm * np.maximum(
+                unit, (_upper(hs) + 0.5 * _upper(diff)) * (1 + _SLACK))).all():
+            not_sa = np.ones(np.shape(skew), dtype=bool)
+            return not_sa, ~not_sa, skew, np.inf
         w = _eigvalsh(hs)
     low, top = _lowest(w), _fold_max([np.abs(v).max(axis=(-2, -1)) for v in w])   # ||H||
 

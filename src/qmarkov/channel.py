@@ -356,14 +356,13 @@ def is_cp(f: Channel, tol: Tolerance = DEFAULT_TOL) -> PropertyReport:
         if not bad.any():
             return _report("cp", True, tol.psd)
         y = int(bad.argmax())
-        skew_y, low_y = float(skew[y]) * 2.0 ** e, float(low[y]) * 2.0 ** e
         if not_sa[y]:
+            skew_y = float(skew[y]) * 2.0 ** e
             return _report(
-                "cp", False, tol.psd,
-                witness={"domain_block": y, "skew_norm": skew_y, "min_eigenvalue": low_y},
-                detail=f"Choi matrix of domain block {y} is not Hermitian "
-                       f"(skew {skew_y:.3g}); Hermitian part has eigenvalue {low_y:.6g}",
+                "cp", False, tol.psd, witness={"domain_block": y, "skew_norm": skew_y},
+                detail=f"Choi matrix of domain block {y} is not Hermitian (skew {skew_y:.3g})",
             )
+        low_y = float(low[y]) * 2.0 ** e
         return _report(
             "cp", False, tol.psd,
             witness={"domain_block": y, "min_eigenvalue": low_y},

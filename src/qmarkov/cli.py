@@ -20,8 +20,6 @@ import sys
 
 import numpy as np
 
-from . import corpus as corpus_mod
-from . import props as props_mod
 from . import serialize as ser
 from .bayes import (
     _candidate,
@@ -249,6 +247,7 @@ def cmd_classical(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import corpus as corpus_mod   # here, so the other commands do not import it
     if args.action == "list":
         if args.name or args.all:
             raise ValueError("corpus list takes no fixture name and no --all")
@@ -273,6 +272,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_props(args) -> int:
+    from . import props as props_mod   # here, so the other commands do not import it
     seed, trials = _seed(args), args.trials
     reports = props_mod.run_all(seed=seed, trials=trials)
     lines = [f"{'suite':<16} {'checks':>7} {'status':>8}"]

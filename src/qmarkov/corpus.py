@@ -421,7 +421,8 @@ def _build_no_broadcast() -> list[CheckResult]:
     checks = []
     checks.append(_check("multiplication map is unital", is_unital(mu).passed))
     cp = is_cp(mu)
-    min_eig = cp.witness["min_eigenvalue"]
+    # its Choi matrix is not Hermitian, so the witness is the skew: take the spectrum here
+    min_eig = min(herm_eig(0.5 * (c + c.conj().T))[0][-1] for c in choi(mu))
     checks.append(_check("multiplication on M_2 is not CP", not cp.passed))
     checks.append(_check("Choi minimum eigenvalue < -0.1", min_eig < -0.1, f"got {min_eig:.4f}"))
     pos = is_positive_sampled(mu, trials=64, seed=0)

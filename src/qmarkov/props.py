@@ -141,7 +141,7 @@ def _leading_projections(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The projections onto the first keep[i] columns of the unitaries u[i] (T, n, n):
     C C* for those columns C, one product per unitary, stacked per column count."""
     out = np.empty_like(u)
-    for k in np.unique(keep):
+    for k in sorted(set(keep.tolist())):   # np.unique would import numpy.ma
         rows = keep == k
         cols = u[rows, :, :k]
         out[rows] = cols @ alg._dagger(cols)

@@ -177,11 +177,13 @@ def pullback_state(omega: State, f: Channel, tol: Tolerance = DEFAULT_TOL) -> St
     """
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the channel codomain")
-    return _states(f.domain, *_pullback(f.domain, alg.vec(omega.density)[None], f.matrix, tol))[0]
+    return _states(f.domain, *_pullback(f.domain, alg.vec(omega.density)[None], f.matrix, tol,
+                                        np.asarray(f._exponent)))[0]
 
 
 def _pullback(s: AlgebraShape, densities: np.ndarray, matrix: np.ndarray,
-              tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, tuple]:
+              tol: Tolerance = DEFAULT_TOL,
+              e: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
     """The pullbacks F*(rho) onto s of the densities in every row of densities
     (T, cod_dim), along one channel matrix M (cod_dim, coord_dim) for all rows
     or one per row (T, cod_dim, coord_dim): their coordinates (T, coord_dim) and
@@ -196,9 +198,11 @@ def _pullback(s: AlgebraShape, densities: np.ndarray, matrix: np.ndarray,
     of a stack on its own, so a row gets the same floats in a batch as alone.
     Above 2^500, where F*(rho) could overflow, a row is decided on F*(rho) 2^-e
     and the floor 2^-e, for the exponent e of its matrix, as `is_cp` decides, and
-    its message says "* 2^e".
+    its message says "* 2^e".  e is `alg.scale_exponent(matrix, 500)`, taken here
+    unless the caller holds it (a `Channel` reads it when it is built).
     """
-    e = alg.scale_exponent(matrix, 500)   # one, or one per row: F*(rho) could overflow above
+    if e is None:   # one, or one per row: F*(rho) could overflow above
+        e = alg.scale_exponent(matrix, 500)
     scaled = alg._some(e)
     unit, one = 1.0, alg._unit_coords(alg._SCALARS)   # the floor of every scale, and 1 at it
     if scaled:   # 2^-e per row

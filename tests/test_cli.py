@@ -404,7 +404,7 @@ def test_usage_error_exit_code():
 def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
     assert cli.build_parser() is cli.build_parser()
     seen = []
-    monkeypatch.setattr(cli.props_mod, "run_all", lambda seed, trials: seen.append(trials) or [])
+    monkeypatch.setattr("qmarkov.props.run_all", lambda seed, trials: seen.append(trials) or [])
     calls = [["corpus", "run", "epr", "--format", "json"], ["corpus", "run", "epr"],
              ["nosuch"], ["props", "--trials", "3"], ["props"]]
 
@@ -622,3 +622,15 @@ def test_channels_near_the_float_max_end_in_a_verdict_or_an_error(tmp_path, caps
                  "--format", "json"]) == 1
     (rep,) = json.loads(capsys.readouterr().out)["checks"]
     assert rep["verdict"] == "fail" and rep["witness"]["scale_exponent"] < 0
+
+
+def test_importing_the_cli_leaves_the_corpus_and_the_suites_unloaded():
+    """Only `corpus` and `props` import those modules, so `check` and `--help` start faster."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qmarkov.__file__).resolve().parents[1]))
+    code = ("import sys, qmarkov.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('qmarkov')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    loaded = out.stdout.strip()
+    assert "qmarkov.cli" in loaded
+    assert "qmarkov.props" not in loaded and "qmarkov.corpus" not in loaded

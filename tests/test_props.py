@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +326,15 @@ def test_every_check_fails_on_a_mutated_ingredient(monkeypatch, suite, desc, ing
 def test_suites_reject_fewer_than_one_trial(suite, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         props.run_suite(suite, seed=0, trials=trials)
+
+
+def test_drawing_instances_and_the_state_ae_suite_leave_numpy_ma_unloaded():
+    """numpy's `unique` loads numpy.ma on first use; the suites count columns without it."""
+    code = ("import sys, numpy as np; from qmarkov import props; "
+            "props.disintegration_instance('unitary', np.random.default_rng(0)); "
+            "assert props.run_suite('state-ae', 0, 16).passed; "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(props.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False"]

@@ -7,7 +7,9 @@ ever decides passes.  Every pass it certifies must be a pass of
 `is_cp`, the sampled checks, `is_positive_elem` and `state_from_density`,
 must give the reports of their spectral references bit for bit.  The
 boundary cases put lambda_min at -c tol.psd lo on either side of the bound,
-and one 144 x 144 case makes the rounding allowance r decide.
+and one 144 x 144 case makes the rounding allowance r decide.  A batch whose
+every skew exceeds tol.herm times the Frobenius bound on its scale fails with
+no spectrum at all, as the Bayes candidates of CPU channels on M_8 and M_12 do.
 """
 import ast
 from pathlib import Path
@@ -19,6 +21,7 @@ import loop_reference as ref
 from qmarkov import _grid, corpus, props
 from qmarkov import algebra as alg
 from qmarkov.algebra import AlgebraShape, AlgElement
+from qmarkov.bayes import bayes_candidate, bayes_problem
 from qmarkov.channel import (
     Channel,
     identity_channel,
@@ -457,23 +460,68 @@ def test_every_caller_decides_the_rule_at_the_threshold_as_its_oracle(caller, mo
     """Skew at tol.herm s (1 +- 1e-6) and lambda_min at -tol.psd s (1 +- 1e-6), with the norm
     s strictly between the cheap bounds: each takes the exact norm and gets the oracle's
     verdict and witness.  c = 10 fails at both bounds with no exact norm, except in
-    `is_self_adjoint_elem`, which takes the norm for every skew above tol.herm, and a
-    certified pass takes no spectrum (a state takes the one eigh it keeps)."""
+    `is_self_adjoint_elem`, which takes the norm for every skew above tol.herm.  A skew at
+    c = 10 also exceeds tol.herm times the Frobenius bound on the scale, so `is_cp`, the
+    sampled checks and `is_positive_elem` take no eigvalsh at all, where at 1 +- 1e-6 they
+    take the spectrum of H.  A certified pass takes no spectrum (a state takes the one eigh
+    it keeps)."""
     run, oracle, certified = _CALLERS[caller]
     skew_only = caller == "is_self_adjoint_elem"
-    calls = dict.fromkeys(("_op_norm", "eigvalsh", "eigh"), 0)
-    for owner, name in ((alg, "_op_norm"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+    ladder = caller in ("is_cp", "sampled", "is_positive_elem")   # pass no spectrum of their own
+    calls = dict.fromkeys(("_op_norm", "_eigvalsh", "eigvalsh", "eigh"), 0)
+    for owner, name in ((alg, "_op_norm"), (alg, "_eigvalsh"), (np.linalg, "eigvalsh"),
+                        (np.linalg, "eigh")):
         monkeypatch.setattr(owner, name, _counted(calls, name, getattr(owner, name)))
     for skew in (True,) if skew_only else (True, False):
         for c, exact in ((1 - 1e-6, True), (1 + 1e-6, True), (10.0, skew_only)):
             tol = _at(c, skew)
-            calls["_op_norm"] = 0
+            calls.update(dict.fromkeys(calls, 0))
             got = run(X, tol)
             assert (calls["_op_norm"] > 0) is exact, (skew, c)
+            if skew and ladder:
+                assert (calls["eigvalsh"] > 0) is (calls["_eigvalsh"] > 0) is exact, (skew, c)
             assert got == oracle(X, tol), (skew, c)
     calls.update(dict.fromkeys(calls, 0))
     certified()
-    assert calls == {"_op_norm": 0, "eigvalsh": 0, "eigh": int(caller == "state_from_density")}
+    assert calls == {"_op_norm": 0, "_eigvalsh": 0, "eigvalsh": 0,
+                     "eigh": int(caller == "state_from_density")}
+
+
+def test_the_skew_rung_settles_just_above_its_bound_and_defers_just_below(monkeypatch):
+    """At skew = tol.herm (||H||_F + ||K||_F)(1 + _SLACK) (1 +- 1e-6), the bound of the
+    rung itself, the verdict is "not self-adjoint" on either side; only above it is it
+    reached with no spectrum."""
+    xs = [X[None]]
+    hs, diff = alg._hermitian(xs), [x - alg._dagger(x) for x in xs]
+    bound = float((alg._upper(hs) + 0.5 * alg._upper(diff)) * (1 + alg._SLACK))
+    skew = float(alg._max_abs(diff))
+    spectra = []
+    monkeypatch.setattr(alg, "_eigvalsh", lambda hs, real=alg._eigvalsh: spectra.append(1) or
+                        real(hs))
+    for c, settled in ((1 + 1e-6, True), (1 - 1e-6, False)):
+        tol = Tolerance(herm=skew / (c * bound), psd=1.0)
+        spectra.clear()
+        got = _raised(lambda: alg.is_positive_elem(_elem(X), tol))
+        assert got == _raised(lambda: ref.is_positive_elem(_elem(X), tol))
+        assert got[0] is NotSelfAdjoint and (not spectra) is settled, c
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_the_bayes_candidate_of_a_cpu_channel_takes_no_spectrum(n, monkeypatch):
+    """The Bayes candidate of a random CPU channel on M_n with a random full-rank prior is
+    not star-preserving, so its Choi matrix fails on its skew alone: no eigvalsh."""
+    rng = np.random.default_rng([n, 10])
+    prob = bayes_problem(props.random_cpu_channel(n, n, rng),
+                         state_from_density(alg.random_density(AlgebraShape((n,)), rng)))
+    calls = []
+    spectrum = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h.shape) or spectrum(h))
+    result = bayes_candidate(prob)
+    assert not calls
+    skew = result.cp.witness["skew_norm"]
+    assert result.cp.to_dict() == ref.is_cp(result.candidate).to_dict()
+    assert result.cp.detail == f"Choi matrix of domain block 0 is not Hermitian (skew {skew:.3g})"
+    assert f"cp: {result.cp.detail}" in result.notes
 
 
 # the rule is decided in `algebra._psd_verdicts` and its certificate `_psd_pass`, its

@@ -8,7 +8,7 @@ from qmarkov.algebra import AlgebraShape, AlgElement
 from qmarkov.channel import Channel, apply, channel_from_action, identity_channel, transpose_channel
 from qmarkov.corpus import padded_inclusion, unreasonable_pair
 from qmarkov.errors import NotSelfAdjoint, PullbackNotPSD, ShapeMismatch
-from qmarkov.props import random_rank_deficient_state
+from qmarkov.props import random_cpu_channel, random_rank_deficient_state
 from qmarkov.state import (
     NullspaceTest,
     ae_deterministic,
@@ -74,7 +74,7 @@ def test_support_reproduces_the_state_on_basis():
 
 def test_spectral_functions_share_the_support():
     from loop_reference import pinv_psd, sqrt_psd
-    from qmarkov.props import random_rank_deficient_state
+    from qmarkov.props import random_cpu_channel, random_rank_deficient_state
 
     rng = np.random.default_rng(12)
     for blocks in ((3,), (4,), (1, 2, 3)):
@@ -202,6 +202,37 @@ def test_pullback_rejects_non_positive_transport():
     omega = density(M2, rho)
     with pytest.raises(PullbackNotPSD):
         pullback_state(omega, f)
+
+
+def _pullback_outcome(call):
+    """The pulled-back state's coordinates and spectrum, or the PullbackNotPSD message."""
+    try:
+        xi = call()
+    except PullbackNotPSD as exc:
+        return str(exc)
+    return alg.vec(xi.density).tolist(), [[a.tolist() for a in stack] for stack in
+                                          xi.spectrum.stacks]
+
+
+@pytest.mark.parametrize("scale", [None, 1e200, 1.7e308],
+                         ids=["ordinary", "1e200-identity", "1.7e308-ones"])
+def test_pullback_state_takes_the_exponent_its_channel_holds(scale, monkeypatch):
+    """The state, or the refusal, of the stacked core taking the exponent itself, with no
+    `scale_exponent` call of its own."""
+    s = AlgebraShape((3,))
+    rng = np.random.default_rng(8)
+    if scale is None:
+        f = random_cpu_channel(3, 3, rng)
+    else:
+        f = Channel(s, s, scale * (np.eye(9) if scale == 1e200 else np.ones((9, 9))))
+    omega = state_from_density(alg.random_density(s, rng))
+    want = _pullback_outcome(lambda: state._states(f.domain, *state._pullback(
+        f.domain, alg.vec(omega.density)[None], f.matrix))[0])
+    calls = []
+    exponent = alg.scale_exponent
+    monkeypatch.setattr(alg, "scale_exponent", lambda *a: calls.append(a) or exponent(*a))
+    assert _pullback_outcome(lambda: pullback_state(omega, f)) == want
+    assert not calls
 
 
 def test_ae_equal_trivial_and_sides():
